@@ -7,7 +7,9 @@ Grammar: flags and one command token in any order, e.g.
 Commands: cohomology (columns only), diagram (columns and operator arrows),
 verify (diagram pipeline, reporting the identity battery). Output is
 deterministic: identical job specifications produce byte-identical reports.
-Exit status is 0 exactly when every verified identity passes.
+Exit status is 0 exactly when every verified identity passes, 1 on a failed
+identity, a budget refusal or a failed certificate (one `error:` line on
+stderr, no traceback), and 2 on malformed or invalid input.
 """
 
 from __future__ import annotations
@@ -16,10 +18,16 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from .bggcore import BGGDiagram, build_bgg_diagram
+from .bggcore import (
+    BGGDiagram,
+    CertificationFailure,
+    SingularLaplacianBlock,
+    build_bgg_diagram,
+)
 from .gradedla import build_graded_algebra
+from .jetcalc import EqualizerNotCertified
 from .linalg import qstr
-from .repmod import DimensionOverBudget
+from .repmod import DimensionOverBudget, NotCompletelyReducibleInput
 from .rootspace import NotFiniteType, NotIrreducible, build_root_system, parabolic
 
 
@@ -334,6 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         report = run(job)
     except DimensionOverBudget as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except (CertificationFailure, SingularLaplacianBlock,
+            NotCompletelyReducibleInput, EqualizerNotCertified) as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     _write_outputs(report)
     return 0 if report.ok else 1

@@ -32,6 +32,7 @@ from .hodge import (
 from .jetcalc import (
     JetModule,
     PModMap,
+    SemiHolonomicJet,
     chain_embedding,
     check_equivariance,
     jbar_of_map,
@@ -255,13 +256,17 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
 
 @dataclass
 class SplitterChain:
-    """L_1..L_r and their semi-holonomic composite L: Jbar^r(E/E^1) -> E."""
+    """L_1..L_r and their semi-holonomic composite L: Jbar^r(E/E^1) -> E.
+
+    ``jet`` is the Jbar^r(E/E^1) the composite is defined on (None when
+    r == 0); the operator extends it to Jbar^{r+1}."""
 
     gs: GeneratedSubmodule
     maps: tuple[LiMap, ...]
     composite: SpMat = field(repr=False)
     domain: PModule = field(repr=False)
     certificate: PModMap = field(repr=False)
+    jet: SemiHolonomicJet | None = field(default=None, repr=False)
 
 
 def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = 20000) -> SplitterChain:
@@ -269,6 +274,7 @@ def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = 20000) -> Splitt
     r = gs.r
     q1 = gs.quotient(1)
     maps = tuple(build_Li(gs, i) for i in range(1, r + 1))
+    jet = None
     if r == 0:
         composite = SpMat.identity(gs.module.dim)
         domain = q1
@@ -280,7 +286,8 @@ def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = 20000) -> Splitt
                 g, gs.quotient(j).dim, k
             )
             composite = stage if composite is None else stage @ composite
-        domain = semiholonomic(q1, r, max_dim=max_jet_dim).module
+        jet = semiholonomic(q1, r, max_dim=max_jet_dim)
+        domain = jet.module
     cert = check_equivariance(composite, domain, gs.module)
     if not cert.certified:
         raise CertificationFailure(
@@ -296,6 +303,7 @@ def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = 20000) -> Splitt
             raise AssertionError("degree-adapted basis out of order")
     return SplitterChain(
         gs=gs, maps=maps, composite=composite, domain=domain, certificate=cert,
+        jet=jet,
     )
 
 
@@ -430,13 +438,11 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                  source_index: int = 0,
                  max_jet_dim: int = 20000) -> BGGOperator:
     cc, n, g = gs.cc, gs.n, gs.cc.g
-    d = len(g.pplus_roots())
-    q1 = gs.quotient(1)
-    r = gs.r
-    sh = semiholonomic(q1, r + 1, max_dim=max_jet_dim)
-    iota = sh.iota if sh.iota is not None else SpMat.identity((1 + d) * q1.dim)
+    sh = semiholonomic(gs.quotient(1), gs.r + 1, max_dim=max_jet_dim, below=chain.jet)
     jl = jet1_map_matrix(g, gs.basis @ chain.composite)
-    values = _twisted_matrix(cc, n) @ (jl @ iota)
+    if sh.phi is not None:
+        jl = jl.merge_columns(sh.phi, sh.module.dim)  # J^1(L) o iota
+    values = _twisted_matrix(cc, n) @ jl
     in_kernel = (cc.delstars[n] @ values).is_zero()
     split = coh_next.split
     x = split.full_basis.solve(values)

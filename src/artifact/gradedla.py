@@ -17,6 +17,7 @@ in g_- all live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .linalg import Q, QONE, QZERO, SpMat
 from .rootspace import ParabolicSpec, Root, RootSystem, sigma_height
@@ -290,6 +291,11 @@ class GradedLieAlgebra:
         return {("h", j): x.get(j, 0) for j in range(n) if x.get(j, 0)}
 
     def dual_bases(self) -> DualBasisPair:
+        """The Killing-dual bases of p_+, computed once per algebra."""
+        return self._dual_bases
+
+    @cached_property
+    def _dual_bases(self) -> DualBasisPair:
         roots = self.pplus_roots()
         d = tuple(self.killing_pairing(r) for r in roots)
         assert all(v > 0 for v in d)

@@ -10,10 +10,33 @@ formula,
 whose last sum is empty for grade zero; consistency of the induced higher
 grade actions with commutators is a test, not an assumption.
 
-Semi-holonomic prolongations are equalizer kernels inside J^1(Jbar^{k-1}),
-computed exactly and re-coordinatized onto the free direct sum
-(+)_{j<=k} (x)^j p_+ (x) V once the structural embedding is certified to span
-the kernel.
+Jbar^k(V) is the equalizer of the two maps J^1(Jbar^{k-1}) -> J^1(Jbar^{k-2})
+(J^1 of the truncation, and the footpoint followed by the embedding of
+Jbar^{k-1}); call their difference diff. It is built on the free direct sum
+DS_k = (+)_{j<=k} (x)^j p_+ (x) V. The structural embedding
+iota: DS_k -> J^1(Jbar^{k-1}) has a single 1 in every ambient row q, at
+column phi[q]: footpoint rows keep their DS index, and row (slot a, DS
+coordinate t) goes to eta_a (x) t. Its section sel reads the footpoint for
+DS slots 0..k-1 and the tensor part for slot k (ambient rows pick[p]).
+
+So A @ iota is the J^1 action A with its columns renamed by phi (collisions
+summed), and the action on Jbar^k is the rows pick[p] of it: a gather, with
+nothing multiplied. Each extension certifies, with a named error when one
+fails,
+
+  (1) diff o iota = 0: for each row (b, l) of J^1(Jbar^{k-2}), its two unit
+      vectors e_{b, l} and e_{phi_{k-1}(b, l)} land on one DS column;
+  (2) sel o iota = id: phi[pick[p]] = p;
+  (3) rank diff = dim J^1(Jbar^{k-1}) - dim DS_k: each nonzero row of diff
+      is a tensor unit vector minus a footpoint unit vector and owns a column
+      no other row touches, so the rank is the number of such rows;
+  (4) every label preserves the image: row q of A @ iota equals row phi[q]
+      of the new action, i.e. A o iota = iota o A_new.
+
+By (1) and (2) iota is an injection into ker diff, by (3) it spans it, and
+by (4) the gathered action is the restriction of the J^1 action to the
+equalizer. This is the equalizer-kernel construction exactly, with the
+kernel computed from index maps instead of by elimination.
 """
 
 from __future__ import annotations
@@ -21,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gradedla import GradedLieAlgebra, Label
-from .linalg import Q, QONE, QZERO, SpMat
+from .linalg import Q, QONE, SpMat
 from .repmod import DimensionOverBudget, PModule
 
 
@@ -31,6 +54,10 @@ class UncertifiedInput(Exception):
 
 class ShapeMismatch(Exception):
     """Matrix shape incompatible with the declared modules."""
+
+
+class EqualizerNotCertified(Exception):
+    """A semi-holonomic jet failed one of its equalizer certificates."""
 
 
 @dataclass
@@ -98,7 +125,8 @@ def jet1(V: PModule) -> JetModule:
             for i, r in A.rows.items():
                 orow = out.rows.setdefault(off + i, {})
                 for j, v in r.items():
-                    orow[off + j] = orow.get(off + j, QZERO) + v
+                    col = off + j
+                    orow[col] = orow[col] + v if col in orow else v
             # [Z, eta_a] within p_+
             for blab, c in g.bracket_labels(lab, ("e", roots[a])).items():
                 if blab[0] != "e":
@@ -107,21 +135,21 @@ def jet1(V: PModule) -> JetModule:
                 boff = slot(b)
                 for i in range(dv):
                     orow = out.rows.setdefault(boff + i, {})
-                    orow[slot(a) + i] = orow.get(slot(a) + i, QZERO) + c
+                    col = slot(a) + i
+                    orow[col] = orow[col] + c if col in orow else c
         if w >= 1:
             for a in range(d):
                 if g.grade_of(("e", roots[a])) > w:
                     continue
                 # eta_a (x) [Z, xi_a] . v0 from the footpoint
-                corr = SpMat(dv, dv)
-                for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                    corr = corr + V.actions[blab].scale(c)
-                corr = corr.scale(QONE / dual.d[a])
                 off = slot(a)
-                for i, r in corr.rows.items():
-                    orow = out.rows.setdefault(off + i, {})
-                    for j, v in r.items():
-                        orow[j] = orow.get(j, QZERO) + v
+                for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
+                    coef = c / dual.d[a]
+                    for i, r in V.actions[blab].rows.items():
+                        orow = out.rows.setdefault(off + i, {})
+                        for j, v in r.items():
+                            x = coef * v
+                            orow[j] = orow[j] + x if j in orow else x
         for i in list(out.rows):
             out.rows[i] = {j: v for j, v in out.rows[i].items() if v}
             if not out.rows[i]:
@@ -163,25 +191,55 @@ def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
 
 @dataclass
 class SemiHolonomicJet:
-    """Jbar^r(V) in direct-sum coordinates, with the certified embedding into
-    J^1(Jbar^{r-1})."""
+    """Jbar^r(V) in direct-sum coordinates (+)_{j<=r} (x)^j p_+ (x) V.
+
+    For r >= 2 the structural embedding iota: Jbar^r -> J^1(Jbar^{r-1}) is
+    kept as its index map ``phi``: ambient row q carries a single 1, in DS
+    column phi[q]. Footpoint rows keep their DS index; the row of slot a and
+    DS coordinate t of Jbar^{r-1} goes to eta_a (x) t one tensor degree up.
+    ``iota``, the ambient module and the projection pair are derived on
+    demand, so a kept Jbar holds no ambient modules alive."""
 
     r: int
     V: PModule
     module: PModule = field(repr=False)
     slot_dims: tuple[int, ...] = ()
-    iota: SpMat | None = field(default=None, repr=False)
-    ambient: PModule | None = field(default=None, repr=False)  # J^1(Jbar^{r-1})
-    prev: "SemiHolonomicJet | None" = None
-    proj_jet: SpMat | None = field(default=None, repr=False)
-    proj_foot: SpMat | None = field(default=None, repr=False)
+    phi: tuple[int, ...] | None = field(default=None, repr=False)
+
+    @property
+    def iota(self) -> SpMat | None:
+        """The embedding into J^1(Jbar^{r-1}) (None when r == 1)."""
+        if self.phi is None:
+            return None
+        return SpMat(
+            len(self.phi), self.module.dim,
+            {q: {c: QONE} for q, c in enumerate(self.phi)},
+        )
+
+    def prev(self) -> "SemiHolonomicJet | None":
+        """Jbar^{r-1}(V), rebuilt (None when r == 1)."""
+        if self.r == 1:
+            return None
+        return semiholonomic(self.V, self.r - 1, max_dim=self.module.dim)
+
+    def ambient(self) -> JetModule | None:
+        """J^1(Jbar^{r-1}), rebuilt (None when r == 1)."""
+        prev = self.prev()
+        return None if prev is None else jet1(prev.module)
 
     def projection_pair(self):
         """The two maps Jbar^r -> J^1(Jbar^{r-2}) whose equality cuts out the
         semi-holonomic subspace (None when r < 2)."""
-        if self.proj_jet is None:
+        prev = self.prev()
+        if prev is None:
             return None
-        return self.proj_jet, self.proj_foot
+        d = len(self.V.g.pplus_roots())
+        pdim = prev.module.dim
+        m_jet = SpMat.block_diag([truncation_matrix(d, self.V.dim, prev.r)] * (1 + d))
+        iota_prev = prev.iota if prev.iota is not None else SpMat.identity(pdim)
+        foot = SpMat(pdim, (1 + d) * pdim, {i: {i: QONE} for i in range(pdim)})
+        iota = self.iota
+        return m_jet @ iota, (iota_prev @ foot) @ iota
 
 
 def _ds_dims(d: int, dv: int, r: int) -> list[int]:
@@ -198,9 +256,16 @@ def truncation_matrix(d: int, dv: int, r: int) -> SpMat:
     return out
 
 
-def semiholonomic(V: PModule, r: int, max_dim: int = 20000) -> SemiHolonomicJet:
-    """Jbar^r(V); raises DimensionOverBudget before building anything big."""
-    assert r >= 1
+def semiholonomic(V: PModule, r: int, max_dim: int = 20000,
+                  below: SemiHolonomicJet | None = None) -> SemiHolonomicJet:
+    """Jbar^r(V); raises DimensionOverBudget before building anything big.
+
+    With ``below``, a Jbar^s(V) with s <= r built earlier, the tower is
+    extended from it instead of from V; the result is the same."""
+    if r < 1:
+        raise ValueError(f"semi-holonomic order must be >= 1, got {r}")
+    if below is not None and (below.V is not V or below.r > r):
+        raise ValueError(f"cannot extend Jbar^{below.r} of another module to Jbar^{r}")
     g = V.g
     d = len(g.pplus_roots())
     total = sum(_ds_dims(d, V.dim, r))
@@ -208,86 +273,110 @@ def semiholonomic(V: PModule, r: int, max_dim: int = 20000) -> SemiHolonomicJet:
         raise DimensionOverBudget(
             f"dim Jbar^{r} = {total} exceeds budget {max_dim}"
         )
-    cur = SemiHolonomicJet(
-        r=1, V=V, module=jet1(V), slot_dims=tuple(_ds_dims(d, V.dim, 1)),
-    )
-    for k in range(2, r + 1):
+    cur = below
+    if cur is None:
+        cur = SemiHolonomicJet(
+            r=1, V=V, module=jet1(V), slot_dims=tuple(_ds_dims(d, V.dim, 1)),
+        )
+    while cur.r < r:
         cur = _extend(cur)
     return cur
 
 
+def _certify_index_maps(phi: list[int], pick: list[int], phi_prev,
+                        pdim: int, ppdim: int, d: int) -> None:
+    """Equalizer conditions (1)-(3) of the module docstring on index maps.
+
+    phi: J^1(Jbar^{k-1}) rows -> Jbar^k columns (iota), pick: its section
+    (sel), phi_prev: J^1(Jbar^{k-2}) rows -> Jbar^{k-1} columns (identity
+    when k == 2); pdim = dim Jbar^{k-1}, ppdim = dim Jbar^{k-2}."""
+    amb_dim = (1 + d) * pdim
+    new_dim = len(pick)
+    if len(phi) != amb_dim:
+        raise EqualizerNotCertified(f"iota has {len(phi)} rows, expected {amb_dim}")
+    if len(phi_prev) != (1 + d) * ppdim:
+        raise EqualizerNotCertified(
+            f"iota of Jbar^(k-1) has {len(phi_prev)} rows, expected {(1 + d) * ppdim}"
+        )
+    # (2) sel o iota = id
+    for p, q in enumerate(pick):
+        if phi[q] != p:
+            raise EqualizerNotCertified(f"sel o iota moves DS coordinate {p}")
+    # Row (b, l) of diff = m_jet - m_foot on J^1(Jbar^{k-2}) is
+    # e_{b*pdim + l} - e_{phi_prev(b, l)}.
+    nonzero: list[tuple[int, int]] = []
+    for qp in range(len(phi_prev)):
+        b, l = divmod(qp, ppdim)
+        jet_col, foot_col = b * pdim + l, phi_prev[qp]
+        # (1) diff o iota = 0: both unit vectors land on one DS column
+        if phi[jet_col] != phi[foot_col]:
+            raise EqualizerNotCertified(
+                f"iota leaves the equalizer in ambient row {jet_col}"
+            )
+        if jet_col != foot_col:
+            nonzero.append((jet_col, foot_col))
+    # (3) rank diff = amb_dim - new_dim: rows that each own a column no
+    # other row touches are independent, so the rank is their number.
+    seen: dict[int, int] = {}
+    for row in nonzero:
+        for c in row:
+            seen[c] = seen.get(c, 0) + 1
+    if any(seen[jc] > 1 and seen[fc] > 1 for jc, fc in nonzero):
+        raise EqualizerNotCertified("equalizer rows without a private column")
+    if len(nonzero) != amb_dim - new_dim:
+        raise EqualizerNotCertified(
+            f"rank of the equalizer is {len(nonzero)}, expected {amb_dim - new_dim}"
+        )
+
+
 def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
-    """One step Jbar^{k-1} -> Jbar^k."""
+    """One step Jbar^{k-1} -> Jbar^k, certified (module docstring)."""
     V = prev.V
     g = V.g
     d = len(g.pplus_roots())
     dv = V.dim
     k = prev.r + 1
-    amb = jet1(prev.module)
-    prev_dim = prev.module.dim
-    # two maps J^1(Jbar^{k-1}) -> J^1(Jbar^{k-2})
-    pi_prev = truncation_matrix(d, dv, k - 1)  # Jbar^{k-1} -> Jbar^{k-2} in DS
-    m_jet = SpMat.block_diag([pi_prev] * (1 + d))
-    iota_prev = prev.iota if prev.iota is not None else SpMat.identity(prev_dim)
-    foot = SpMat(prev_dim, amb.dim)
-    for i in range(prev_dim):
-        foot.set(i, i, 1)
-    m_foot = iota_prev @ foot
-    diff = m_jet - m_foot
-
+    pdim = prev.module.dim
     dims = _ds_dims(d, dv, k)
-    new_dim = sum(dims)
     offs = [sum(dims[:j]) for j in range(k + 1)]
-    prev_offs = [sum(dims[:j]) for j in range(k)]  # same leading blocks
-    iota = SpMat(amb.dim, new_dim)
-    # footpoint copies of slots 0..k-1
-    for j in range(k):
-        for i in range(dims[j]):
-            iota.set(prev_offs[j] + i, offs[j] + i, 1)
-    # tensor copies of slots 1..k: slot j = p_+ (x) T_{j-1}
-    for j in range(1, k + 1):
-        for a in range(d):
-            for t in range(dims[j - 1]):
-                amb_row = prev_dim * (1 + a) + prev_offs[j - 1] + t
-                col = offs[j] + a * dims[j - 1] + t
-                iota.set(amb_row, col, iota.get(amb_row, col) + 1)
-    assert (diff @ iota).is_zero()
-    assert diff.rank() == amb.dim - new_dim  # kernel is exactly the DS model
-    # selection recovering DS coordinates from a kernel vector
-    sel = SpMat(new_dim, amb.dim)
-    for j in range(k):
-        for i in range(dims[j]):
-            sel.set(offs[j] + i, prev_offs[j] + i, 1)
+    new_dim = sum(dims)
+    # iota: footpoint rows keep their index; slot a, DS coordinate t of
+    # block j-1 goes to offs[j] + a*dims[j-1] + t
+    phi = list(range(pdim))
     for a in range(d):
-        for t in range(dims[k - 1]):
-            sel.set(
-                offs[k] + a * dims[k - 1] + t,
-                prev_dim * (1 + a) + prev_offs[k - 1] + t,
-                1,
-            )
-    assert (sel @ iota) == SpMat.identity(new_dim)
+        for j in range(1, k + 1):
+            base = offs[j] + a * dims[j - 1]
+            phi.extend(range(base, base + dims[j - 1]))
+    # sel: the footpoint for slots 0..k-1, the tensor part for slot k
+    pick = list(range(pdim))
+    for a in range(d):
+        start = pdim * (1 + a) + offs[k - 1]
+        pick.extend(range(start, start + dims[k - 1]))
+    phi_prev = prev.phi if prev.phi is not None else range(pdim)
+    _certify_index_maps(phi, pick, phi_prev, pdim, sum(dims[:k - 1]), d)
+    amb = jet1(prev.module)
     acts = {}
     for lab, A in amb.actions.items():
-        restricted = A @ iota
-        assert (diff @ restricted).is_zero()  # action preserves the equalizer
-        acts[lab] = sel @ restricted
-    pick = [0] * new_dim
-    for j in range(k):
-        for i in range(dims[j]):
-            pick[offs[j] + i] = prev_offs[j] + i
-    for a in range(d):
-        for t in range(dims[k - 1]):
-            pick[offs[k] + a * dims[k - 1] + t] = prev_dim * (1 + a) + prev_offs[k - 1] + t
+        rows = A.merge_columns(phi, new_dim).rows  # A @ iota
+        # (4) A o iota = iota o A_new: ambient row q of A @ iota is row
+        # phi[q] of the new action, which is ambient row pick[phi[q]]
+        for q, c in enumerate(phi):
+            if rows.get(q) != rows.get(pick[c]):
+                raise EqualizerNotCertified(
+                    f"{lab} does not preserve the equalizer (ambient row {q})"
+                )
+        acts[lab] = SpMat(
+            new_dim, new_dim, {p: rows[q] for p, q in enumerate(pick) if q in rows}
+        )
     mod = PModule(
         g=g,
         dim=new_dim,
-        e_grades=tuple(amb.e_grades[i] for i in pick),
+        e_grades=tuple(amb.e_grades[q] for q in pick),
         actions=acts,
-        weights=None if amb.weights is None else tuple(amb.weights[i] for i in pick),
+        weights=None if amb.weights is None else tuple(amb.weights[q] for q in pick),
     )
     return SemiHolonomicJet(
-        r=k, V=V, module=mod, slot_dims=tuple(dims), iota=iota, ambient=amb,
-        prev=prev, proj_jet=m_jet @ iota, proj_foot=m_foot @ iota,
+        r=k, V=V, module=mod, slot_dims=tuple(dims), phi=tuple(phi),
     )
 
 

@@ -45,7 +45,8 @@ class SpMat:
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, nrows: int, ncols: int, rows: dict | None = None):
-        assert nrows >= 0 and ncols >= 0
+        if nrows < 0 or ncols < 0:
+            raise LinAlgError(f"negative shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
         self.rows: dict[int, dict[int, object]] = rows if rows is not None else {}
@@ -67,7 +68,8 @@ class SpMat:
         ncols = len(data[0]) if data else 0
         m = cls(nrows, ncols)
         for i, r in enumerate(data):
-            assert len(r) == ncols
+            if len(r) != ncols:
+                raise LinAlgError(f"row {i} has {len(r)} entries, expected {ncols}")
             for j, v in enumerate(r):
                 v = Q(v)
                 if v:
@@ -78,9 +80,10 @@ class SpMat:
     def from_entries(cls, nrows: int, ncols: int, entries: dict) -> "SpMat":
         m = cls(nrows, ncols)
         for (i, j), v in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise LinAlgError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
             v = Q(v)
             if v:
-                assert 0 <= i < nrows and 0 <= j < ncols
                 m.rows.setdefault(i, {})[j] = v
         return m
 
@@ -208,6 +211,28 @@ class SpMat:
             if acc:
                 out[i] = acc
         return SpMat(self.nrows, other.ncols, out)
+
+    def merge_columns(self, phi: list[int], ncols: int) -> "SpMat":
+        """self @ M for the 0/1 matrix M with one 1 per row, M[q, phi[q]]:
+        column q is added into column phi[q], and nothing is multiplied."""
+        if len(phi) != self.ncols:
+            raise LinAlgError("shape mismatch in merge_columns")
+        out: dict[int, dict[int, object]] = {}
+        for i, r in self.rows.items():
+            acc: dict[int, object] = {}
+            merged = False
+            for j, v in r.items():
+                c = phi[j]
+                if c in acc:
+                    acc[c] += v
+                    merged = True
+                else:
+                    acc[c] = v
+            if merged:
+                acc = {c: v for c, v in acc.items() if v}
+            if acc:
+                out[i] = acc
+        return SpMat(self.nrows, ncols, out)
 
     def transpose(self) -> "SpMat":
         out: dict[int, dict[int, object]] = {}

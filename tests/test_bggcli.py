@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from artifact import bggcore
 from artifact.bggcli import (
     JobSpec,
     ParseError,
@@ -15,6 +16,9 @@ from artifact.bggcli import (
     parse_spec,
     run,
 )
+from artifact.bggcore import CertificationFailure, SingularLaplacianBlock
+from artifact.jetcalc import EqualizerNotCertified
+from artifact.repmod import NotCompletelyReducibleInput
 from conftest import diagram_for
 
 BASE = ["--algebra", "A2", "--cross", "1", "--weight", "1,0"]
@@ -203,3 +207,18 @@ def test_byte_identical_across_processes(tmp_path):
     assert main(argv + ["--out", str(p1)]) == 0
     assert main(argv + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("exc", [
+    CertificationFailure, SingularLaplacianBlock,
+    NotCompletelyReducibleInput, EqualizerNotCertified,
+])
+def test_certificate_failures_exit_1_without_traceback(monkeypatch, capsys, exc):
+    def refuse(*args, **kwargs):
+        raise exc("refused for the test")
+
+    monkeypatch.setattr(bggcore, "compose_splitter", refuse)
+    assert main(BASE + ["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {exc.__name__}: refused for the test\n"

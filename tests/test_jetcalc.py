@@ -1,8 +1,14 @@
 """First jets, semi-holonomic prolongations, certified maps."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from artifact import jetcalc
 from artifact.jetcalc import (
+    EqualizerNotCertified,
     PModMap,
     ShapeMismatch,
     UncertifiedInput,
@@ -18,6 +24,7 @@ from artifact.jetcalc import (
 from artifact.linalg import Q, SpMat
 from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
 from conftest import graded
+from jet_reference import reference_semiholonomic
 
 
 def module(label, sigma, lam):
@@ -106,10 +113,15 @@ def test_semiholonomic_r1_is_jet1():
     assert sh.iota is None
 
 
-@pytest.mark.parametrize(
-    "label,sigma,lam,r",
-    [("A1", (1,), (1,), 3), ("A2", (1,), (0, 0), 2), ("B2", (1,), (0, 0), 2)],
-)
+TOWERS = [
+    ("A1", (1,), (1,), 3),
+    ("A2", (1,), (0, 0), 2),
+    ("B2", (1,), (0, 0), 2),
+    ("G2", (1,), (1, 0), 2),
+]
+
+
+@pytest.mark.parametrize("label,sigma,lam,r", TOWERS[:3])
 def test_semiholonomic_tower(label, sigma, lam, r):
     g = graded(label, sigma)
     V = module(label, sigma, lam)
@@ -118,11 +130,133 @@ def test_semiholonomic_tower(label, sigma, lam, r):
     assert sh.module.dim == sum(d**j * V.dim for j in range(r + 1))
     assert_representation(g, sh.module)
     # embedding into J^1(Jbar^{r-1}) is a certified P-map
-    emb = check_equivariance(sh.iota, sh.module, sh.ambient)
+    emb = check_equivariance(sh.iota, sh.module, sh.ambient())
     assert emb.ok
     # the two projections to J^1(Jbar^{r-2}) coincide on the submodule
     pj, pf = sh.projection_pair()
     assert (pj - pf).is_zero()
+
+
+@pytest.mark.parametrize("label,sigma,lam,r", TOWERS)
+def test_semiholonomic_matches_equalizer_kernel(label, sigma, lam, r):
+    V = module(label, sigma, lam)
+    sh = semiholonomic(V, r)
+    ref = reference_semiholonomic(V, r)
+    assert sh.module.dim == ref.module.dim
+    assert sh.module.e_grades == ref.module.e_grades
+    assert sh.module.weights == ref.module.weights
+    assert sh.module.actions == ref.module.actions
+    assert sh.iota == ref.iota
+
+
+@pytest.mark.parametrize("label,sigma,lam,r", TOWERS)
+def test_semiholonomic_extends_from_below(label, sigma, lam, r):
+    V = module(label, sigma, lam)
+    scratch = semiholonomic(V, r)
+    for s in range(1, r + 1):
+        ext = semiholonomic(V, r, below=semiholonomic(V, s))
+        assert ext.module.actions == scratch.module.actions
+        assert ext.module.e_grades == scratch.module.e_grades
+        assert ext.module.weights == scratch.module.weights
+        assert ext.phi == scratch.phi
+    with pytest.raises(ValueError):
+        semiholonomic(V, 1, below=scratch)
+    with pytest.raises(ValueError):
+        semiholonomic(module("A1", (1,), (2,)), r, below=scratch)
+
+
+def expect_tampered_ambient_refused():
+    """Extend Jbar^1 to Jbar^2 through a J^1(Jbar^1) whose action has one
+    ambient row changed; the equalizer certificate must refuse it. Uses no
+    assert, so it also checks under python -O."""
+    V = module("A1", (1,), (1,))
+    below = semiholonomic(V, 1)
+    honest = jetcalc.jet1
+
+    def tampered(W):
+        amb = honest(W)
+        if W is below.module:
+            # slot 0, DS coordinate 0: a row sel does not read
+            A = amb.actions[("h", 0)]
+            A.set(W.dim, 0, A.get(W.dim, 0) + 1)
+        return amb
+
+    jetcalc.jet1 = tampered
+    try:
+        with pytest.raises(EqualizerNotCertified, match="does not preserve"):
+            semiholonomic(V, 2, below=below)
+    finally:
+        jetcalc.jet1 = honest
+
+
+def test_tampered_ambient_action_is_refused():
+    expect_tampered_ambient_refused()
+
+
+def test_tampered_ambient_action_is_refused_under_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        "import sys\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "import test_jetcalc\n"
+        "test_jetcalc.expect_tampered_ambient_refused()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=here, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _a1_index_maps():
+    """phi, pick and phi_prev of the step Jbar^2 -> Jbar^3 for A1 (1)."""
+    V = module("A1", (1,), (1,))
+    prev = semiholonomic(V, 2)
+    sh = semiholonomic(V, 3, below=prev)
+    pdim = prev.module.dim
+    pick = [list(sh.phi).index(p) if p >= pdim else p for p in range(sh.module.dim)]
+    return list(sh.phi), pick, list(prev.phi), pdim, sum(prev.slot_dims[:-1])
+
+
+def test_index_map_certificate_accepts_the_tower():
+    phi, pick, phi_prev, pdim, ppdim = _a1_index_maps()
+    jetcalc._certify_index_maps(phi, pick, phi_prev, pdim, ppdim, 1)
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    ("swap_tensor_rows", "leaves the equalizer"),
+    ("pick_wrong_row", "sel o iota"),
+    ("merge_footpoints", "sel o iota"),
+    ("move_prev_row", "leaves the equalizer"),
+    ("short_phi", "iota has"),
+    ("short_phi_prev", "iota of Jbar"),
+])
+def test_index_map_certificate_refuses_corruption(corrupt, match):
+    phi, pick, phi_prev, pdim, ppdim = _a1_index_maps()
+    if corrupt == "swap_tensor_rows":
+        q = pdim + 1
+        phi[q], phi[q + 1] = phi[q + 1], phi[q]
+    elif corrupt == "pick_wrong_row":
+        pick[-1] = pick[-2]
+    elif corrupt == "merge_footpoints":
+        phi[1] = phi[0]
+    elif corrupt == "move_prev_row":
+        phi_prev[-1] = phi_prev[-2]
+    elif corrupt == "short_phi":
+        phi.pop()
+    else:
+        phi_prev.pop()
+    with pytest.raises(EqualizerNotCertified, match=match):
+        jetcalc._certify_index_maps(phi, pick, phi_prev, pdim, ppdim, 1)
+
+
+def test_index_map_certificate_counts_rank():
+    # d = 1, dim Jbar^{k-2} = 1, dim Jbar^{k-1} = 2: diff has one nonzero
+    # row, but a 2-dim image would need rank 4 - 2 = 2
+    with pytest.raises(EqualizerNotCertified, match="rank of the equalizer is 1"):
+        jetcalc._certify_index_maps([0, 1, 0, 1], [0, 1], [0, 0], 2, 1, 1)
 
 
 def test_truncation_matrix_shape():
@@ -164,3 +298,7 @@ def test_semiholonomic_budget():
     V = module("A2", (1, 2), (1, 1))
     with pytest.raises(DimensionOverBudget):
         semiholonomic(V, 4, max_dim=500)
+    with pytest.raises(DimensionOverBudget):
+        semiholonomic(V, 4, max_dim=500, below=semiholonomic(V, 1))
+    with pytest.raises(ValueError):
+        semiholonomic(V, 0)

@@ -180,3 +180,22 @@ def test_transpose_antihomomorphism(A, B):
 @given(mat_strategy(4, 5))
 def test_rank_transpose_invariant(A):
     assert A.rank() == A.transpose().rank()
+
+
+def test_shape_checks_raise():
+    with pytest.raises(LinAlgError, match="negative shape"):
+        SpMat(-1, 2)
+    with pytest.raises(LinAlgError, match="row 1 has 1 entries"):
+        SpMat.from_dense([[1, 2], [3]])
+    with pytest.raises(LinAlgError, match="outside 2x2"):
+        SpMat.from_entries(2, 2, {(0, 2): 1})
+    with pytest.raises(LinAlgError, match="outside 2x2"):
+        SpMat.from_entries(2, 2, {(-1, 0): 0})
+
+
+@given(mat_strategy(3, 5), st.lists(st.integers(0, 2), min_size=5, max_size=5))
+def test_merge_columns_is_matmul_by_index_map(A, phi):
+    M = SpMat(5, 3, {q: {c: Q(1)} for q, c in enumerate(phi)})
+    assert A.merge_columns(phi, 3) == A @ M
+    with pytest.raises(LinAlgError):
+        A.merge_columns(phi[:-1], 3)
