@@ -18,13 +18,10 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 
-from .bggcore import (
-    BGGDiagram,
-    CertificationFailure,
-    SingularLaplacianBlock,
-    build_bgg_diagram,
-)
+from .bggcore import BGGDiagram, SingularLaplacianBlock, build_bgg_diagram
+from .certify import CertificationFailure
 from .gradedla import build_graded_algebra
+from .hodge import ComplexNotCertified
 from .jetcalc import EqualizerNotCertified
 from .linalg import qstr
 from .repmod import DimensionOverBudget, NotCompletelyReducibleInput
@@ -343,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionOverBudget as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (CertificationFailure, SingularLaplacianBlock,
+    except (CertificationFailure, ComplexNotCertified, SingularLaplacianBlock,
             NotCompletelyReducibleInput, EqualizerNotCertified) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -36,6 +36,10 @@ class DegreeOverflow(Exception):
     """Wedge insertion out of the top of the complex."""
 
 
+class ComplexNotCertified(Exception):
+    """A bracket left its part of g, or the Hodge splitting is not a basis."""
+
+
 @dataclass
 class CochainComplex:
     g: GradedLieAlgebra
@@ -114,7 +118,10 @@ def _del_matrix(g, V, dual, src_tuples, tgt_tuples, ):
         for b in range(a + 1, len(roots)):
             out = {}
             for lab, c in g.bracket_labels(("f", roots[a]), ("f", roots[b])).items():
-                assert lab[0] == "f" and lab[1] in ridx
+                if lab[0] != "f" or lab[1] not in ridx:
+                    raise ComplexNotCertified(
+                        f"[f_{a}, f_{b}] has a component {lab} outside g_-"
+                    )
                 out[ridx[lab[1]]] = c
             fbr[(a, b)] = out
     src_idx = {t: k for k, t in enumerate(src_tuples)}
@@ -169,7 +176,10 @@ def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
         for b in range(a + 1, len(roots)):
             out = {}
             for lab, c in g.bracket_labels(("e", roots[a]), ("e", roots[b])).items():
-                assert lab[0] == "e" and lab[1] in ridx
+                if lab[0] != "e" or lab[1] not in ridx:
+                    raise ComplexNotCertified(
+                        f"[e_{a}, e_{b}] has a component {lab} outside p_+"
+                    )
                 out[ridx[lab[1]]] = c
             ebr[(a, b)] = out
     tgt_idx = {t: k for k, t in enumerate(tgt_tuples)}
@@ -275,7 +285,8 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
         harmonic_weights=tuple(ker_weights),
     )
     total = split.im_del.ncols + split.ker_box.ncols + split.im_delstar.ncols
-    assert total == dim and split.full_basis.rank() == dim
+    if total != dim or split.full_basis.rank() != dim:
+        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
     return split
 
 
@@ -340,8 +351,16 @@ def wedge_insert_matrix(cc: CochainComplex, n: int, zco: dict[int, object]) -> S
     return out
 
 
-def wedge_insert(cc: CochainComplex, n: int, zco: dict[int, object], f: SpMat) -> SpMat:
-    return wedge_insert_matrix(cc, n, zco) @ f
+def unit_wedges(cc: CochainComplex, n: int) -> list[SpMat]:
+    """eta_a ^ . : C^n -> C^{n+1} for every p_+ root position a."""
+    return [wedge_insert_matrix(cc, n, {a: QONE}) for a in range(len(cc.dual))]
+
+
+def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
+    """(f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of C^n."""
+    return SpMat.hstack(
+        [cc.dels[n]] + [w.scale(Q(n) + 1) for w in unit_wedges(cc, n)]
+    )
 
 
 def kostant_oracle(g: GradedLieAlgebra, lam_mod: Weight) -> list[list[Weight]]:
@@ -356,13 +375,3 @@ def kostant_oracle(g: GradedLieAlgebra, lam_mod: Weight) -> list[list[Weight]]:
         sorted(affine_dot_action(w, lam_star) for w in lvl) for lvl in levels
     ]
 
-
-def normality_codifferential(g: GradedLieAlgebra, max_dim: int = 500) -> SpMat:
-    """dstar on Lambda^2 g_-^* (x) g, the map whose vanishing on a curvature
-    picks the normal one; the coefficient module is the adjoint."""
-    from .repmod import build_irrep, restrict_to_parabolic
-
-    lam_adj = g.rs.root_to_weight(g.rs.highest_root)
-    V = restrict_to_parabolic(build_irrep(g.rs, lam_adj, max_dim=max_dim), g)
-    cc = build_cochain_complex(g, V)
-    return cc.delstars[1]

@@ -48,10 +48,6 @@ from .linalg import Q, QONE, SpMat
 from .repmod import DimensionOverBudget, PModule
 
 
-class UncertifiedInput(Exception):
-    """A map without an equivariance certificate where one is required."""
-
-
 class ShapeMismatch(Exception):
     """Matrix shape incompatible with the declared modules."""
 
@@ -173,16 +169,6 @@ def jet1(V: PModule) -> JetModule:
     )
 
 
-def jet1_of_map(f: PModMap) -> PModMap:
-    """J^1(f) = (f, id (x) f); functorial, certificate carries over."""
-    if not f.certified:
-        raise UncertifiedInput("jet1_of_map needs a certified map")
-    js, jt = jet1(f.source), jet1(f.target)
-    d = len(f.source.g.pplus_roots())
-    mat = SpMat.block_diag([f.mat] + [f.mat] * d)
-    return PModMap(source=js, target=jt, mat=mat, certified=True)
-
-
 def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
     """The matrix of J^1(f) without building modules."""
     d = len(g.pplus_roots())
@@ -237,7 +223,7 @@ class SemiHolonomicJet:
         pdim = prev.module.dim
         m_jet = SpMat.block_diag([truncation_matrix(d, self.V.dim, prev.r)] * (1 + d))
         iota_prev = prev.iota if prev.iota is not None else SpMat.identity(pdim)
-        foot = SpMat(pdim, (1 + d) * pdim, {i: {i: QONE} for i in range(pdim)})
+        foot = SpMat.identity(pdim, (1 + d) * pdim)
         iota = self.iota
         return m_jet @ iota, (iota_prev @ foot) @ iota
 
@@ -246,14 +232,14 @@ def _ds_dims(d: int, dv: int, r: int) -> list[int]:
     return [d**j * dv for j in range(r + 1)]
 
 
+def jbar_dim(d: int, dv: int, r: int) -> int:
+    """dim Jbar^r(W) = sum_{j<=r} d^j dim W, for d = dim p_+ and dv = dim W."""
+    return sum(_ds_dims(d, dv, r))
+
+
 def truncation_matrix(d: int, dv: int, r: int) -> SpMat:
     """pi_r: DS_r -> DS_{r-1}, drop the top slot."""
-    dims = _ds_dims(d, dv, r)
-    keep = sum(dims[:-1])
-    out = SpMat(keep, sum(dims))
-    for i in range(keep):
-        out.set(i, i, 1)
-    return out
+    return SpMat.identity(jbar_dim(d, dv, r - 1), jbar_dim(d, dv, r))
 
 
 def semiholonomic(V: PModule, r: int, max_dim: int = 20000,
@@ -268,7 +254,7 @@ def semiholonomic(V: PModule, r: int, max_dim: int = 20000,
         raise ValueError(f"cannot extend Jbar^{below.r} of another module to Jbar^{r}")
     g = V.g
     d = len(g.pplus_roots())
-    total = sum(_ds_dims(d, V.dim, r))
+    total = jbar_dim(d, V.dim, r)
     if total > max_dim:
         raise DimensionOverBudget(
             f"dim Jbar^{r} = {total} exceeds budget {max_dim}"

@@ -58,8 +58,12 @@ class SpMat:
         return cls(nrows, ncols)
 
     @classmethod
-    def identity(cls, n: int) -> "SpMat":
-        return cls(n, n, {i: {i: QONE} for i in range(n)})
+    def identity(cls, nrows: int, ncols: int | None = None) -> "SpMat":
+        """Ones at (k, k) for k < min(nrows, ncols): a prefix inclusion or
+        truncation when not square. ncols defaults to nrows."""
+        if ncols is None:
+            ncols = nrows
+        return cls(nrows, ncols, {i: {i: QONE} for i in range(min(nrows, ncols))})
 
     @classmethod
     def from_dense(cls, data: Iterable[Iterable]) -> "SpMat":
@@ -240,9 +244,6 @@ class SpMat:
             for j, v in r.items():
                 out.setdefault(j, {})[i] = v
         return SpMat(self.ncols, self.nrows, out)
-
-    def apply_to_cols(self, vecs: "SpMat") -> "SpMat":
-        return self @ vecs
 
     # -- stacking ---------------------------------------------------------
 

@@ -258,12 +258,6 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = 500) -> GModule:
     )
 
 
-def contravariant_form(m: GModule) -> SpMat:
-    """Gram of the contravariant form, <v_lam, v_lam> = 1, block diagonal
-    over weight spaces, positive definite."""
-    return m.gram
-
-
 @dataclass
 class PModule:
     """Space with exact p-action (and optionally g_-), E-grades, weights."""

@@ -17,6 +17,7 @@ from artifact.bggcli import (
     run,
 )
 from artifact.bggcore import CertificationFailure, SingularLaplacianBlock
+from artifact.hodge import ComplexNotCertified
 from artifact.jetcalc import EqualizerNotCertified
 from artifact.repmod import NotCompletelyReducibleInput
 from conftest import diagram_for
@@ -211,7 +212,7 @@ def test_byte_identical_across_processes(tmp_path):
 
 @pytest.mark.parametrize("exc", [
     CertificationFailure, SingularLaplacianBlock,
-    NotCompletelyReducibleInput, EqualizerNotCertified,
+    NotCompletelyReducibleInput, EqualizerNotCertified, ComplexNotCertified,
 ])
 def test_certificate_failures_exit_1_without_traceback(monkeypatch, capsys, exc):
     def refuse(*args, **kwargs):

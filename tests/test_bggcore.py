@@ -1,5 +1,9 @@
 """Splitting operators, tilde towers, operator diagrams."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from artifact.bggcore import (
@@ -10,12 +14,10 @@ from artifact.bggcore import (
     compose_splitter,
     generate_submodule,
     operator_order,
-    tilde_jet_submodule,
-    twisted_d_hom,
     verify_splitter_defect,
     verify_splitter_projection,
-    verify_tower_containments,
 )
+from artifact.certify import tilde_jet_submodule, twisted_d_hom, verify_tower_containments
 from artifact.jetcalc import check_equivariance, jet1_map_matrix, truncation_matrix
 from artifact.linalg import SpMat
 from conftest import components_for, diagram_for, graded
@@ -134,7 +136,7 @@ def test_tilde_submodules(label, sigma, weight):
 def test_tower_containments(label, sigma, weight):
     for gs in submodules_for(label, sigma, weight):
         chain = compose_splitter(gs)
-        assert verify_tower_containments(gs, chain, kmax=1)
+        assert verify_tower_containments(gs, chain)
 
 
 def test_a1_family_single_arrow():
@@ -199,6 +201,30 @@ def test_operator_order_api():
     assert operator_order(0, comps[0][0], 1, comps[1][0]) == 2
     with pytest.raises(NonAdjacentLevels):
         operator_order(0, comps[0][0], 2, comps[2][0])
+
+
+def test_non_integral_order_raises_under_python_O():
+    # the order certificate is an explicit check, so -O keeps it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from artifact.bggcore import _as_int\n"
+        "from artifact.certify import CertificationFailure\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "if _as_int(Fraction(4, 2)) != 2: sys.exit(5)\n"
+        "try:\n"
+        "    _as_int(Fraction(3, 2))\n"
+        "except CertificationFailure:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 def test_bgg_operator_fields():

@@ -9,15 +9,12 @@ import pytest
 from artifact import jetcalc
 from artifact.jetcalc import (
     EqualizerNotCertified,
-    PModMap,
     ShapeMismatch,
-    UncertifiedInput,
     chain_embedding,
     check_equivariance,
     jbar_of_map,
     jet1,
     jet1_map_matrix,
-    jet1_of_map,
     semiholonomic,
     truncation_matrix,
 )
@@ -70,27 +67,11 @@ def test_jet1_bookkeeping():
 def test_jet1_of_map_identity_and_shape():
     g = graded("A1", (1,))
     V = module("A1", (1,), (2,))
-    ident = check_equivariance(SpMat.identity(V.dim), V, V)
-    assert ident.ok
-    j = jet1_of_map(ident)
-    assert j.ok
-    assert (j.mat - SpMat.identity(jet1(V).dim)).is_zero()
     F = SpMat.from_dense([[Q(i == j) * 3 for j in range(V.dim)] for i in range(V.dim)])
     JM = jet1_map_matrix(g, F)
     d = len(g.pplus_roots())
     expect = SpMat.block_diag([F, SpMat.identity(d).kron(F)])
     assert (JM - expect).is_zero()
-
-
-def test_jet1_of_map_requires_certificate():
-    g = graded("A1", (1,))
-    V = module("A1", (1,), (1,))
-    bogus = PModMap(
-        source=V, target=V, mat=SpMat.identity(V.dim), certified=False,
-        residuals=(("h", 0),),
-    )
-    with pytest.raises(UncertifiedInput):
-        jet1_of_map(bogus)
 
 
 def test_check_equivariance_rejects_non_maps():

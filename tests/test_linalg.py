@@ -59,6 +59,13 @@ def test_identity_and_zero():
     assert not A.is_zero() or A.nnz() == 0
 
 
+def test_rectangular_identity_is_a_prefix():
+    # truncation to the first two coordinates, and inclusion as them
+    assert SpMat.identity(2, 4).to_dense() == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert SpMat.identity(3, 2).to_dense() == [[1, 0], [0, 1], [0, 0]]
+    assert SpMat.identity(2, 4) @ SpMat.identity(4, 2) == SpMat.identity(2)
+
+
 def test_kron_shapes_and_values():
     A = rand_mat(2, 3)
     B = rand_mat(3, 2)
