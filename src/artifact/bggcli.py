@@ -20,12 +20,23 @@ from dataclasses import dataclass, field, replace
 
 from .bggcore import BGGDiagram, SingularLaplacianBlock, build_bgg_diagram
 from .certify import CertificationFailure
-from .gradedla import build_graded_algebra
+from .gradedla import AlgebraNotCertified, build_graded_algebra
 from .hodge import ComplexNotCertified
-from .jetcalc import EqualizerNotCertified
+from .jetcalc import MAX_JET_DIM, EqualizerNotCertified
 from .linalg import qstr
-from .repmod import DimensionOverBudget, NotCompletelyReducibleInput
-from .rootspace import NotFiniteType, NotIrreducible, build_root_system, parabolic
+from .repmod import (
+    MAX_MODULE_DIM,
+    DimensionOverBudget,
+    ModuleNotCertified,
+    NotCompletelyReducibleInput,
+)
+from .rootspace import (
+    NotFiniteType,
+    NotIrreducible,
+    RootSystemNotCertified,
+    build_root_system,
+    parabolic,
+)
 
 
 class ParseError(Exception):
@@ -38,6 +49,12 @@ class ValidationError(Exception):
 
 COMMANDS = ("cohomology", "diagram", "verify")
 FORMATS = ("text", "dot", "json")
+# failed certificates: exit 1 with one line naming the type
+CERTIFICATE_ERRORS = (
+    AlgebraNotCertified, CertificationFailure, ComplexNotCertified,
+    EqualizerNotCertified, ModuleNotCertified, NotCompletelyReducibleInput,
+    RootSystemNotCertified, SingularLaplacianBlock,
+)
 
 
 @dataclass(frozen=True)
@@ -47,8 +64,8 @@ class JobSpec:
     weight: tuple[int, ...]
     command: str
     emit: tuple[str, ...] = ("text",)
-    max_module_dim: int = 500
-    max_jet_dim: int = 20000
+    max_module_dim: int = MAX_MODULE_DIM
+    max_jet_dim: int = MAX_JET_DIM
     out: str | None = None
 
 
@@ -115,8 +132,8 @@ def parse_spec(argv: list[str]) -> JobSpec:
     weight = _ints(merged["weight"], "--weight")
     emit = tuple(merged.get("emit", "text").split(","))
     try:
-        mmd = int(merged.get("max-module-dim", "500"))
-        mjd = int(merged.get("max-jet-dim", "20000"))
+        mmd = int(merged.get("max-module-dim", MAX_MODULE_DIM))
+        mjd = int(merged.get("max-jet-dim", MAX_JET_DIM))
     except ValueError as exc:
         raise ParseError(f"budgets must be integers: {exc}") from exc
     job = JobSpec(
@@ -168,6 +185,10 @@ def validate(job: JobSpec) -> None:
     for f in job.emit:
         if f not in FORMATS:
             raise ValidationError(f"unknown emit format {f!r}")
+    for flag, budget in (("--max-module-dim", job.max_module_dim),
+                         ("--max-jet-dim", job.max_jet_dim)):
+        if budget < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {budget}")
 
 
 def format_spec(job: JobSpec) -> list[str]:
@@ -332,16 +353,14 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         job = parse_spec(list(argv))
+        report = run(job)
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    try:
-        report = run(job)
     except DimensionOverBudget as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (CertificationFailure, ComplexNotCertified, SingularLaplacianBlock,
-            NotCompletelyReducibleInput, EqualizerNotCertified) as exc:
+    except CERTIFICATE_ERRORS as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
     _write_outputs(report)

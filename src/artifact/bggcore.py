@@ -6,12 +6,17 @@ p_+-closure E carries the filtration E^i by E-eigenvalue offsets. The maps
   L_i(e, psi) = j_i(e) - (n+1) box^{-1} dstar((Alt psi)_i),
 
 composed through semi-holonomic prolongations, give the splitting operator
-L: Jbar^r(E/E^1) -> E, and
+L = L^(r): Jbar^r(E/E^1) -> E by the recursion
 
-  D = pi_H o d_V o J^1(L),   d_V(f0, Z (x) f1) = del(f0) + (n+1) Z ^ f1,
+  L^(1) = L_1,   L^(k) = L_k o J^1(L^(k-1)) o iota   (iota: Jbar^k in
+                                                       J^1(Jbar^{k-1})),
+
+and one more step of it,
+
+  D = pi_H o d_V o J^1(L) o iota,   d_V(f0, Z (x) f1) = del(f0) + (n+1) Z ^ f1,
 
 is the level-to-level operator whose nonzero component blocks are the arrows
-of the diagram. All compositions are exact.
+of the diagram. Each step is `jetcalc.prolong`. All compositions are exact.
 
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
@@ -43,18 +48,18 @@ from .hodge import (
     unit_wedges,
 )
 from .jetcalc import (
+    MAX_JET_DIM,
     JetModule,
     PModMap,
     SemiHolonomicJet,
-    chain_embedding,
     jbar_dim,
-    jbar_of_map,
     jet1,
-    jet1_map_matrix,
+    prolong,
     semiholonomic,
 )
 from .linalg import EchelonSpan, LinAlgError, Q, QONE, SpMat, qstr
 from .repmod import (
+    MAX_MODULE_DIM,
     IrrepLabel,
     PModule,
     build_irrep,
@@ -279,8 +284,7 @@ class SplitterChain:
     jet: SemiHolonomicJet | None = field(default=None, repr=False)
 
 
-def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = 20000) -> SplitterChain:
-    g = gs.cc.g
+def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = MAX_JET_DIM) -> SplitterChain:
     r = gs.r
     q1 = gs.quotient(1)
     maps = tuple(build_Li(gs, i) for i in range(1, r + 1))
@@ -289,14 +293,10 @@ def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = 20000) -> Splitt
         composite = SpMat.identity(gs.module.dim)
         domain = q1
     else:
-        composite = None
-        for j in range(1, r + 1):
-            k = r - j
-            stage = jbar_of_map(g, maps[j - 1].mat, k) @ chain_embedding(
-                g, gs.quotient(j).dim, k
-            )
-            composite = stage if composite is None else stage @ composite
-        jet = semiholonomic(q1, r, max_dim=max_jet_dim)
+        for k in range(1, r + 1):
+            jet = semiholonomic(q1, k, max_dim=max_jet_dim, below=jet)
+            mat = maps[k - 1].mat
+            composite = mat if k == 1 else mat @ prolong(composite, jet)
         domain = jet.module
     cert = certify_map(composite, domain, gs.module, "splitter")
     # splitting property: the i0-block of L is the footpoint projection
@@ -333,13 +333,10 @@ class BGGOperator:
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                  coh_next: Cohomology, comps_next: list[IrrepLabel],
                  source_index: int = 0,
-                 max_jet_dim: int = 20000) -> BGGOperator:
-    cc, n, g = gs.cc, gs.n, gs.cc.g
+                 max_jet_dim: int = MAX_JET_DIM) -> BGGOperator:
+    cc, n = gs.cc, gs.n
     sh = semiholonomic(gs.quotient(1), gs.r + 1, max_dim=max_jet_dim, below=chain.jet)
-    jl = jet1_map_matrix(g, gs.basis @ chain.composite)
-    if sh.phi is not None:
-        jl = jl.merge_columns(sh.phi, sh.module.dim)  # J^1(L) o iota
-    values = twisted_matrix(cc, n) @ jl
+    values = twisted_matrix(cc, n) @ prolong(gs.basis @ chain.composite, sh)
     in_kernel = (cc.delstars[n] @ values).is_zero()
     split = coh_next.split
     x = split.full_basis.solve(values)
@@ -396,8 +393,8 @@ class BGGDiagram:
 
 
 def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
-                      max_module_dim: int = 500,
-                      max_jet_dim: int = 20000,
+                      max_module_dim: int = MAX_MODULE_DIM,
+                      max_jet_dim: int = MAX_JET_DIM,
                       with_arrows: bool = True) -> BGGDiagram:
     """Full pipeline: dual-convention module, cohomology columns, splitting
     operators, arrows. The input weight labels the zeroth column; the module

@@ -16,11 +16,11 @@ from .hodge import CochainComplex, kostant_oracle, twisted_matrix, unit_wedges
 from .jetcalc import (
     JetModule,
     PModMap,
-    chain_embedding,
+    SemiHolonomicJet,
     check_equivariance,
-    jbar_of_map,
     jet1,
     jet1_map_matrix,
+    prolong,
     semiholonomic,
 )
 from .linalg import LinAlgError, Q, QONE, QZERO, SpMat
@@ -181,20 +181,26 @@ class TildeJet:
     ambient: JetModule = field(repr=False)
 
 
-def tilde_jet_submodule(gs, i: int, maps=()) -> TildeJet:
-    """Inductive subspaces of J^1(E/E^{i+1}): full at i = 0, then the
-    preimage of the previous one intersected with Ker(L_i o J^1(pi) - p)."""
+def tilde_bases(gs, maps, top: int) -> list[SpMat]:
+    """Bases of the tilde subspaces of J^1(E/E^{i+1}) for i = 0..top: full at
+    i = 0, then the preimage of the previous one intersected with
+    Ker(L_i o J^1(pi) - p)."""
     g = gs.cc.g
-    qn = gs.quotient(i + 1)
-    amb = jet1(qn)
-    if i == 0:
-        basis = SpMat.identity(amb.dim)
-    else:
-        prev = tilde_jet_submodule(gs, i - 1, maps)
+    d = len(g.pplus_roots())
+    bases = [SpMat.identity((1 + d) * gs.quotient(1).dim)]
+    for i in range(1, top + 1):
+        qn = gs.quotient(i + 1)
         jpi = jet1_map_matrix(g, gs.trunc(i + 1, i))
-        cond1 = _left_annihilator(prev.basis) @ jpi
-        cond2 = maps[i - 1].mat @ jpi - SpMat.identity(qn.dim, amb.dim)
-        basis = SpMat.vstack([cond1, cond2]).kernel_basis()
+        cond1 = _left_annihilator(bases[-1]) @ jpi
+        cond2 = maps[i - 1].mat @ jpi - SpMat.identity(qn.dim, jpi.ncols)
+        bases.append(SpMat.vstack([cond1, cond2]).kernel_basis())
+    return bases
+
+
+def tilde_jet_submodule(gs, i: int, maps=()) -> TildeJet:
+    """The i-th tilde subspace of J^1(E/E^{i+1}) as a P-module."""
+    basis = tilde_bases(gs, maps, i)[i]
+    amb = jet1(gs.quotient(i + 1))
     acts = {}
     for lab, A in amb.actions.items():
         try:
@@ -213,36 +219,29 @@ def tilde_jet_submodule(gs, i: int, maps=()) -> TildeJet:
         e_grades.append(gset.pop())
         weights.append(wset.pop())
     mod = PModule(
-        g=g, dim=basis.ncols, e_grades=tuple(e_grades),
+        g=amb.g, dim=basis.ncols, e_grades=tuple(e_grades),
         actions=acts, weights=tuple(weights),
     )
     return TildeJet(i=i, basis=basis, module=mod, ambient=amb)
 
 
-def tilde_tower(gs, maps, i: int, k: int) -> SpMat:
-    """Basis of the k-th tilde prolongation of E/E^i (k = 1 or 2) inside the
-    direct-sum coordinates of Jbar^k(E/E^i)."""
-    if i < 1 or k not in (1, 2):
-        raise ValueError(f"tilde tower needs i >= 1 and k in (1, 2), got i={i}, k={k}")
-    first = tilde_jet_submodule(gs, i - 1, maps).basis
-    if k == 1:
-        return first
-    d = len(gs.cc.g.pplus_roots())
-    sh = semiholonomic(gs.quotient(i), 2)
+def _second_tilde(first: SpMat, jet: SemiHolonomicJet) -> SpMat:
+    """Basis of the second tilde prolongation of E/E^i inside the direct-sum
+    coordinates of jet = Jbar^2(E/E^i), from ``first``, the basis of the
+    first one inside J^1(E/E^i)."""
+    d = len(jet.V.g.pplus_roots())
     blocks = SpMat.block_diag([_left_annihilator(first)] * (1 + d))
-    return (blocks @ sh.iota).kernel_basis()
+    return (blocks @ jet.iota).kernel_basis()
 
 
 def verify_tower_containments(gs, chain) -> bool:
-    """Jbar^1(L_i) maps the second tilde space of E/E^i into the first tilde
-    space of E/E^{i+1}, for 1 <= i <= r."""
-    g = gs.cc.g
+    """J^1(L_i) o iota maps the second tilde space of E/E^i into the first
+    tilde space of E/E^{i+1}, for 1 <= i <= r."""
+    bases = tilde_bases(gs, chain.maps, gs.r)
     for i in range(1, gs.r + 1):
-        t_src = tilde_tower(gs, chain.maps, i, 2)
-        t_tgt = tilde_tower(gs, chain.maps, i + 1, 1)
-        m = jbar_of_map(g, chain.maps[i - 1].mat, 1) @ chain_embedding(
-            g, gs.quotient(i).dim, 1
-        )
-        if not (_left_annihilator(t_tgt) @ (m @ t_src)).is_zero():
+        jet = semiholonomic(gs.quotient(i), 2)
+        t_src = _second_tilde(bases[i - 1], jet)
+        m = prolong(chain.maps[i - 1].mat, jet)
+        if not (_left_annihilator(bases[i]) @ (m @ t_src)).is_zero():
             return False
     return True

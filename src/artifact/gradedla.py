@@ -29,6 +29,10 @@ class DimensionMismatch(Exception):
     """Vector or matrix sized inconsistently with the algebra."""
 
 
+class AlgebraNotCertified(Exception):
+    """A structural identity of the graded Lie algebra failed."""
+
+
 def _neg(r: Root) -> Root:
     return tuple(-x for x in r)
 
@@ -89,7 +93,10 @@ class _ChevalleyTable:
                     continue
                 seen.add(key)
                 denom = self._mixed(a, _neg(gamma))
-                assert denom
+                if not denom:
+                    raise AlgebraNotCertified(
+                        f"zero Jacobi denominator for the roots {alpha}, {beta}"
+                    )
                 t2 = QZERO
                 amb = tuple(x - y for x, y in zip(a, beta))
                 if self._is_root(amb):
@@ -199,7 +206,8 @@ class GradedLieAlgebra:
             if c:
                 v = Q(c) * rs.d[i] / dbeta
                 iv = int(v)
-                assert iv == v
+                if iv != v:
+                    raise AlgebraNotCertified(f"coroot of {beta} is not integral")
                 out[i] = iv
         return out
 
@@ -298,7 +306,8 @@ class GradedLieAlgebra:
     def _dual_bases(self) -> DualBasisPair:
         roots = self.pplus_roots()
         d = tuple(self.killing_pairing(r) for r in roots)
-        assert all(v > 0 for v in d)
+        if any(v <= 0 for v in d):
+            raise AlgebraNotCertified("Killing pairing of p_+ is not positive")
         return DualBasisPair(roots=roots, d=d)
 
 

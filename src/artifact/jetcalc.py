@@ -37,6 +37,10 @@ By (1) and (2) iota is an injection into ker diff, by (3) it spans it, and
 by (4) the gathered action is the restriction of the J^1 action to the
 equalizer. This is the equalizer-kernel construction exactly, with the
 kernel computed from index maps instead of by elimination.
+
+Maps prolong along the same embedding. For f defined on Jbar^{k-1},
+prolong(f, Jbar^k) = J^1(f) o iota is J^1(f) with its columns merged by phi,
+so phi is the one encoding of iota that both the modules and the maps use.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ from dataclasses import dataclass, field
 from .gradedla import GradedLieAlgebra, Label
 from .linalg import Q, QONE, SpMat
 from .repmod import DimensionOverBudget, PModule
+
+
+MAX_JET_DIM = 20000  # default budget on dim Jbar^r
 
 
 class ShapeMismatch(Exception):
@@ -183,8 +190,8 @@ class SemiHolonomicJet:
     kept as its index map ``phi``: ambient row q carries a single 1, in DS
     column phi[q]. Footpoint rows keep their DS index; the row of slot a and
     DS coordinate t of Jbar^{r-1} goes to eta_a (x) t one tensor degree up.
-    ``iota``, the ambient module and the projection pair are derived on
-    demand, so a kept Jbar holds no ambient modules alive."""
+    ``iota`` is derived on demand, so a kept Jbar holds no ambient module
+    alive."""
 
     r: int
     V: PModule
@@ -202,30 +209,14 @@ class SemiHolonomicJet:
             {q: {c: QONE} for q, c in enumerate(self.phi)},
         )
 
-    def prev(self) -> "SemiHolonomicJet | None":
-        """Jbar^{r-1}(V), rebuilt (None when r == 1)."""
-        if self.r == 1:
-            return None
-        return semiholonomic(self.V, self.r - 1, max_dim=self.module.dim)
 
-    def ambient(self) -> JetModule | None:
-        """J^1(Jbar^{r-1}), rebuilt (None when r == 1)."""
-        prev = self.prev()
-        return None if prev is None else jet1(prev.module)
-
-    def projection_pair(self):
-        """The two maps Jbar^r -> J^1(Jbar^{r-2}) whose equality cuts out the
-        semi-holonomic subspace (None when r < 2)."""
-        prev = self.prev()
-        if prev is None:
-            return None
-        d = len(self.V.g.pplus_roots())
-        pdim = prev.module.dim
-        m_jet = SpMat.block_diag([truncation_matrix(d, self.V.dim, prev.r)] * (1 + d))
-        iota_prev = prev.iota if prev.iota is not None else SpMat.identity(pdim)
-        foot = SpMat.identity(pdim, (1 + d) * pdim)
-        iota = self.iota
-        return m_jet @ iota, (iota_prev @ foot) @ iota
+def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:
+    """J^1(f) o iota on Jbar^r, for f defined on Jbar^{r-1} (on V when
+    r == 1, where this is J^1(f)): J^1(f) with its columns merged by phi."""
+    jf = jet1_map_matrix(jet.V.g, fmat)
+    if jet.phi is None:
+        return jf
+    return jf.merge_columns(jet.phi, jet.module.dim)
 
 
 def _ds_dims(d: int, dv: int, r: int) -> list[int]:
@@ -237,12 +228,7 @@ def jbar_dim(d: int, dv: int, r: int) -> int:
     return sum(_ds_dims(d, dv, r))
 
 
-def truncation_matrix(d: int, dv: int, r: int) -> SpMat:
-    """pi_r: DS_r -> DS_{r-1}, drop the top slot."""
-    return SpMat.identity(jbar_dim(d, dv, r - 1), jbar_dim(d, dv, r))
-
-
-def semiholonomic(V: PModule, r: int, max_dim: int = 20000,
+def semiholonomic(V: PModule, r: int, max_dim: int = MAX_JET_DIM,
                   below: SemiHolonomicJet | None = None) -> SemiHolonomicJet:
     """Jbar^r(V); raises DimensionOverBudget before building anything big.
 
@@ -364,44 +350,3 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
     return SemiHolonomicJet(
         r=k, V=V, module=mod, slot_dims=tuple(dims), phi=tuple(phi),
     )
-
-
-def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:
-    """Jbar^k(f) in DS coordinates: blockdiag(id_{(x)^j p_+} (x) f)."""
-    d = len(g.pplus_roots())
-    blocks = [fmat]
-    for j in range(1, k + 1):
-        blocks.append(SpMat.identity(d**j).kron(fmat))
-    return SpMat.block_diag(blocks)
-
-
-def chain_embedding(g: GradedLieAlgebra, dv: int, k: int) -> SpMat:
-    """DS_{k+1}(W) -> DS_k(J^1 W): the inclusion Jbar^{k+1}(W) in
-    Jbar^k(J^1 W) in direct-sum coordinates (dv = dim W)."""
-    d = len(g.pplus_roots())
-    src_dims = _ds_dims(d, dv, k + 1)
-    src_offs = [sum(src_dims[:j]) for j in range(k + 2)]
-    jdim = (1 + d) * dv
-    tgt_dims = _ds_dims(d, jdim, k)
-    tgt_offs = [sum(tgt_dims[:j]) for j in range(k + 1)]
-    out = SpMat(sum(tgt_dims), sum(src_dims))
-    for j in range(k + 2):
-        dj = d**j if j <= k + 1 else 0
-        # footpoint chain: T_j(W) -> (x)^j p_+ (x) (W part of J^1 W), j <= k
-        if j <= k:
-            for m in range(d**j):
-                for s in range(dv):
-                    out.set(
-                        tgt_offs[j] + m * jdim + s,
-                        src_offs[j] + m * dv + s,
-                        1,
-                    )
-        # tensor chain: T_j(W) = (x)^{j-1} p_+ (x) (p_+ (x) W part), j >= 1
-        if 1 <= j <= k + 1:
-            for mprime in range(d ** (j - 1)):
-                for a in range(d):
-                    for s in range(dv):
-                        row = tgt_offs[j - 1] + mprime * jdim + dv + a * dv + s
-                        col = src_offs[j] + (mprime * d + a) * dv + s
-                        out.set(row, col, out.get(row, col) + 1)
-    return out

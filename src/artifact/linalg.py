@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
+except ImportError:
     Q = Fraction
 
 QZERO = Q(0)
@@ -249,9 +249,11 @@ class SpMat:
 
     @staticmethod
     def hstack(mats: list["SpMat"]) -> "SpMat":
-        assert mats
+        if not mats:
+            raise LinAlgError("hstack of no matrices")
         nrows = mats[0].nrows
-        assert all(m.nrows == nrows for m in mats)
+        if any(m.nrows != nrows for m in mats):
+            raise LinAlgError(f"hstack of row counts {[m.nrows for m in mats]}")
         out = SpMat(nrows, sum(m.ncols for m in mats))
         off = 0
         for m in mats:
@@ -264,9 +266,11 @@ class SpMat:
 
     @staticmethod
     def vstack(mats: list["SpMat"]) -> "SpMat":
-        assert mats
+        if not mats:
+            raise LinAlgError("vstack of no matrices")
         ncols = mats[0].ncols
-        assert all(m.ncols == ncols for m in mats)
+        if any(m.ncols != ncols for m in mats):
+            raise LinAlgError(f"vstack of column counts {[m.ncols for m in mats]}")
         out = SpMat(sum(m.nrows for m in mats), ncols)
         off = 0
         for m in mats:

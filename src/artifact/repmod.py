@@ -20,12 +20,14 @@ from itertools import combinations
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
 from .linalg import Q, QONE, QZERO, SpMat
 from .rootspace import (
-    NonDominant,
     RootSystem,
     Weight,
     dominant_representative_for,
     weyl_dimension,
 )
+
+
+MAX_MODULE_DIM = 500  # default budget on dim V
 
 
 class DimensionOverBudget(Exception):
@@ -34,6 +36,11 @@ class DimensionOverBudget(Exception):
 
 class NotCompletelyReducibleInput(Exception):
     """Module cannot be certified completely reducible over g_0."""
+
+
+class ModuleNotCertified(Exception):
+    """A module failed a structural certificate (the Weyl dimension count,
+    the closure of p_+ under p)."""
 
 
 class _WordCalc:
@@ -110,7 +117,7 @@ class GModule:
     gram: SpMat = field(repr=False)
 
 
-def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = 500) -> GModule:
+def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
     """Irreducible module of highest weight lam; raises NonDominant or
     DimensionOverBudget before doing any real work."""
     total = weyl_dimension(rs, lam)  # validates dominance
@@ -166,10 +173,11 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = 500) -> GModule:
                     layer.append(w)
                     count += 1
                     if count > total:
-                        raise AssertionError("basis exceeded Weyl dimension")
+                        raise ModuleNotCertified("basis exceeded Weyl dimension")
                 else:
                     coords[w] = xs
-    assert count == total, (count, total)
+    if count != total:
+        raise ModuleNotCertified(f"basis has {count} words, Weyl dimension is {total}")
     basis_by_weight = {mu: ws for mu, ws in basis_by_weight.items() if ws}
 
     # all words in one weight space share their length, which is the depth
@@ -303,7 +311,8 @@ def pplus_module(g: GradedLieAlgebra) -> PModule:
         A = SpMat(len(roots), len(roots))
         for k, r in enumerate(roots):
             for out_lab, c in g.bracket_labels(lab, ("e", r)).items():
-                assert out_lab[0] == "e" and out_lab[1] in idx
+                if out_lab[0] != "e" or out_lab[1] not in idx:
+                    raise ModuleNotCertified(f"[{lab}, e_{r}] leaves p_+")
                 A.set(idx[out_lab[1]], k, c)
         acts[lab] = A
     return PModule(
@@ -317,7 +326,8 @@ def pplus_module(g: GradedLieAlgebra) -> PModule:
 
 def tensor(m1: PModule, m2: PModule) -> PModule:
     """m1 (x) m2, basis row-major in the factors."""
-    assert m1.g is m2.g
+    if m1.g is not m2.g:
+        raise ValueError("tensor of modules over different algebras")
     common = [l for l in m1.actions if l in m2.actions]
     i1, i2 = SpMat.identity(m1.dim), SpMat.identity(m2.dim)
     acts = {
@@ -358,7 +368,8 @@ def dual_module(m: PModule) -> PModule:
 
 def exterior_power(m: PModule, n: int) -> PModule:
     """Lambda^n m on increasing index tuples in lex order."""
-    assert 0 <= n <= m.dim
+    if not 0 <= n <= m.dim:
+        raise ValueError(f"exterior power {n} of a {m.dim}-dimensional module")
     tuples = list(combinations(range(m.dim), n))
     tidx = {t: k for k, t in enumerate(tuples)}
     acts: dict[Label, SpMat] = {}
@@ -466,8 +477,8 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
             closure = _lowering_closure(m, f_simple, vec)
             if per_dim is None:
                 per_dim = len(closure)
-            else:
-                assert per_dim == len(closure)
+            elif per_dim != len(closure):
+                raise NotCompletelyReducibleInput("isotypic closures of unequal size")
             emb_cols.extend(closure)
         emb = SpMat(m.dim, len(emb_cols))
         for c, col in enumerate(emb_cols):

@@ -40,6 +40,10 @@ class NonDominant(Exception):
     """Weight has a negative fundamental coordinate."""
 
 
+class RootSystemNotCertified(Exception):
+    """A structural fact of the root system or its Weyl group failed."""
+
+
 _SERIES_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
 
@@ -164,12 +168,6 @@ class RootSystem:
     pos_roots: tuple[Root, ...] = field(repr=False)
     label: str = ""
 
-    @property
-    def root_set(self) -> frozenset[Root]:
-        return frozenset(self.pos_roots) | frozenset(
-            tuple(-c for c in r) for r in self.pos_roots
-        )
-
     def is_root(self, c: Root) -> bool:
         cp = tuple(c)
         return cp in self.pos_roots or tuple(-x for x in cp) in self.pos_roots
@@ -271,7 +269,8 @@ def build_root_system(spec) -> RootSystem:
         frontier = new
     pos = tuple(sorted(roots, key=lambda r: (sum(r), r)))
     heights = [sum(r) for r in pos]
-    assert len([h for h in heights if h == heights[-1]]) == 1  # unique highest root
+    if heights.count(heights[-1]) != 1:
+        raise RootSystemNotCertified("no unique highest root")
     return RootSystem(
         cartan=tuple(tuple(row) for row in C),
         rank=n,
@@ -329,7 +328,8 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
         den *= rs.ip_weight_root(rho, beta)
     val = num / den
     out = int(val)
-    assert out == val and out > 0
+    if out != val or out <= 0:
+        raise RootSystemNotCertified(f"Weyl dimension of {tuple(lam)} is {val}")
     return out
 
 
@@ -462,7 +462,8 @@ def parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
     if not levels:
         return []
     top = max(levels)
-    assert set(levels) == set(range(top + 1))  # graded without gaps
+    if set(levels) != set(range(top + 1)):
+        raise RootSystemNotCertified("Hasse diagram of W^p has a gap in lengths")
     return [sorted(levels[n], key=lambda w: w.word) for n in range(top + 1)]
 
 

@@ -1,17 +1,24 @@
-"""Reference semi-holonomic jets: the equalizer-kernel construction.
+"""Reference semi-holonomic jets: the equalizer-kernel construction, and the
+direct-sum model of jets of maps.
 
 Jbar^k is cut out of J^1(Jbar^{k-1}) as the kernel of the difference of the
 two projections to J^1(Jbar^{k-2}), its rank is computed by exact
 elimination, and every action is restricted by the products sel @ A @ iota.
 Slow, but independent of the index-map certificate in ``artifact.jetcalc``,
 against which the tests compare it.
+
+The splitter reference composes stage by stage in direct-sum coordinates:
+Jbar^{k+1}(W) sits in Jbar^k(J^1 W) by index arithmetic (`chain_embedding`),
+and Jbar^k(f) is blockdiag(id (x) f) (`jbar_of_map`), independently of the
+recursion through ``jetcalc.prolong`` that the pipeline uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from artifact.jetcalc import jet1, truncation_matrix
+from artifact.gradedla import GradedLieAlgebra
+from artifact.jetcalc import SemiHolonomicJet, jbar_dim, jet1, semiholonomic
 from artifact.linalg import SpMat
 from artifact.repmod import PModule
 
@@ -93,3 +100,90 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
         weights=None if amb.weights is None else tuple(amb.weights[i] for i in pick),
     )
     return ReferenceJet(r=k, V=V, module=mod, iota=iota)
+
+
+def truncation_matrix(d: int, dv: int, r: int) -> SpMat:
+    """pi_r: DS_r -> DS_{r-1}, drop the top slot."""
+    return SpMat.identity(jbar_dim(d, dv, r - 1), jbar_dim(d, dv, r))
+
+
+def prev(sh: SemiHolonomicJet) -> SemiHolonomicJet | None:
+    """Jbar^{r-1}(V), rebuilt (None when r == 1)."""
+    if sh.r == 1:
+        return None
+    return semiholonomic(sh.V, sh.r - 1, max_dim=sh.module.dim)
+
+
+def ambient(sh: SemiHolonomicJet):
+    """J^1(Jbar^{r-1}), rebuilt (None when r == 1)."""
+    below = prev(sh)
+    return None if below is None else jet1(below.module)
+
+
+def projection_pair(sh: SemiHolonomicJet):
+    """The two maps Jbar^r -> J^1(Jbar^{r-2}) whose equality cuts out the
+    semi-holonomic subspace (None when r < 2)."""
+    below = prev(sh)
+    if below is None:
+        return None
+    d = len(sh.V.g.pplus_roots())
+    pdim = below.module.dim
+    m_jet = SpMat.block_diag([truncation_matrix(d, sh.V.dim, below.r)] * (1 + d))
+    iota_prev = below.iota if below.iota is not None else SpMat.identity(pdim)
+    foot = SpMat.identity(pdim, (1 + d) * pdim)
+    return m_jet @ sh.iota, (iota_prev @ foot) @ sh.iota
+
+
+def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:
+    """Jbar^k(f) in DS coordinates: blockdiag(id_{(x)^j p_+} (x) f)."""
+    d = len(g.pplus_roots())
+    blocks = [fmat]
+    for j in range(1, k + 1):
+        blocks.append(SpMat.identity(d**j).kron(fmat))
+    return SpMat.block_diag(blocks)
+
+
+def chain_embedding(g: GradedLieAlgebra, dv: int, k: int) -> SpMat:
+    """DS_{k+1}(W) -> DS_k(J^1 W): the inclusion Jbar^{k+1}(W) in
+    Jbar^k(J^1 W) in direct-sum coordinates (dv = dim W)."""
+    d = len(g.pplus_roots())
+    src_dims = [d**j * dv for j in range(k + 2)]
+    src_offs = [sum(src_dims[:j]) for j in range(k + 2)]
+    jdim = (1 + d) * dv
+    tgt_dims = [d**j * jdim for j in range(k + 1)]
+    tgt_offs = [sum(tgt_dims[:j]) for j in range(k + 1)]
+    out = SpMat(sum(tgt_dims), sum(src_dims))
+    for j in range(k + 2):
+        # footpoint chain: T_j(W) -> (x)^j p_+ (x) (W part of J^1 W), j <= k
+        if j <= k:
+            for m in range(d**j):
+                for s in range(dv):
+                    out.set(
+                        tgt_offs[j] + m * jdim + s,
+                        src_offs[j] + m * dv + s,
+                        1,
+                    )
+        # tensor chain: T_j(W) = (x)^{j-1} p_+ (x) (p_+ (x) W part), j >= 1
+        if 1 <= j:
+            for mprime in range(d ** (j - 1)):
+                for a in range(d):
+                    for s in range(dv):
+                        row = tgt_offs[j - 1] + mprime * jdim + dv + a * dv + s
+                        col = src_offs[j] + (mprime * d + a) * dv + s
+                        out.set(row, col, out.get(row, col) + 1)
+    return out
+
+
+def reference_splitter(gs, maps) -> SpMat:
+    """The composite Jbar^r(E/E^1) -> E of L_1..L_r, stage by stage: stage j
+    is Jbar^{r-j}(L_j) o (Jbar^{r-j+1}(E/E^j) in Jbar^{r-j}(J^1(E/E^j)))."""
+    g = gs.cc.g
+    r = len(maps)
+    composite = None
+    for j in range(1, r + 1):
+        k = r - j
+        stage = jbar_of_map(g, maps[j - 1].mat, k) @ chain_embedding(
+            g, gs.quotient(j).dim, k
+        )
+        composite = stage if composite is None else stage @ composite
+    return composite

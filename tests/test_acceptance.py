@@ -12,7 +12,7 @@ import random
 from artifact.bggcore import compose_splitter, generate_submodule
 from artifact.certify import tilde_jet_submodule, verify_tower_containments
 from artifact.hodge import hodge_decompose, wedge_insert_matrix
-from artifact.jetcalc import check_equivariance, jet1_map_matrix
+from artifact.jetcalc import check_equivariance
 from artifact.linalg import Q, SpMat
 from artifact.rootspace import dominant_representative_for
 from conftest import (

@@ -17,9 +17,11 @@ from artifact.bggcli import (
     run,
 )
 from artifact.bggcore import CertificationFailure, SingularLaplacianBlock
+from artifact.gradedla import AlgebraNotCertified
 from artifact.hodge import ComplexNotCertified
 from artifact.jetcalc import EqualizerNotCertified
-from artifact.repmod import NotCompletelyReducibleInput
+from artifact.repmod import ModuleNotCertified, NotCompletelyReducibleInput
+from artifact.rootspace import RootSystemNotCertified
 from conftest import diagram_for
 
 BASE = ["--algebra", "A2", "--cross", "1", "--weight", "1,0"]
@@ -62,6 +64,9 @@ def test_flags_allowed_after_command():
         (["--algebra", "A2", "--cross", "1", "--weight", "1", "diagram"], ValidationError),
         (["--algebra", "A2", "--cross", "1", "--weight", "-1,0", "diagram"], ValidationError),
         (BASE + ["diagram", "--emit", "pdf"], ValidationError),
+        (BASE + ["diagram", "--max-jet-dim", "-1"], ValidationError),
+        (BASE + ["diagram", "--max-jet-dim", "0"], ValidationError),
+        (BASE + ["diagram", "--max-module-dim", "0"], ValidationError),
     ],
 )
 def test_rejects_bad_input(argv, exc):
@@ -165,6 +170,10 @@ def test_main_exit_codes(capsys):
     assert main(["--algebra", "A2", "--cross", "9", "--weight", "1,0", "diagram"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    # a budget below 1 is invalid input, not a run with every source partial
+    assert main(["--algebra", "A1", "--cross", "1", "--weight", "1",
+                 "diagram", "--max-jet-dim", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --max-jet-dim must be at least 1, got -1\n"
     # runtime budget failure reports and exits 1
     assert main(
         ["--algebra", "A2", "--cross", "1", "--weight", "5,5",
@@ -213,6 +222,7 @@ def test_byte_identical_across_processes(tmp_path):
 @pytest.mark.parametrize("exc", [
     CertificationFailure, SingularLaplacianBlock,
     NotCompletelyReducibleInput, EqualizerNotCertified, ComplexNotCertified,
+    AlgebraNotCertified, ModuleNotCertified, RootSystemNotCertified,
 ])
 def test_certificate_failures_exit_1_without_traceback(monkeypatch, capsys, exc):
     def refuse(*args, **kwargs):

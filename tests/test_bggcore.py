@@ -18,9 +18,10 @@ from artifact.bggcore import (
     verify_splitter_projection,
 )
 from artifact.certify import tilde_jet_submodule, twisted_d_hom, verify_tower_containments
-from artifact.jetcalc import check_equivariance, jet1_map_matrix, truncation_matrix
+from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
 from artifact.linalg import SpMat
 from conftest import components_for, diagram_for, graded
+from jet_reference import reference_splitter
 
 SPLITTER_CASES = [
     ("A1", (1,), (3,)),
@@ -61,6 +62,18 @@ def test_Li_projection_and_defect(label, sigma, weight):
         assert chain.certificate.ok
         assert verify_splitter_projection(gs, chain)
         assert verify_splitter_defect(gs, chain)
+
+
+@pytest.mark.parametrize(
+    "label,sigma,weight", SPLITTER_CASES + [("A3", (1, 3), (1, 0, 0))]
+)
+def test_splitter_matches_stagewise_reference(label, sigma, weight):
+    d = len(graded(label, sigma).pplus_roots())
+    for gs in submodules_for(label, sigma, weight):
+        if gs.r == 0 or jbar_dim(d, gs.quotient(1).dim, gs.r + 1) > MAX_JET_DIM:
+            continue  # no stages, or a source the diagram leaves partial
+        chain = compose_splitter(gs)
+        assert chain.composite == reference_splitter(gs, chain.maps)
 
 
 @pytest.mark.parametrize("label,sigma,weight", SPLITTER_CASES)

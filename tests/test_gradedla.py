@@ -2,7 +2,7 @@
 
 import pytest
 
-from artifact.linalg import Q, SpMat
+from artifact.linalg import Q
 from conftest import graded
 
 

@@ -125,7 +125,6 @@ def test_cohomology_module_structure():
     [("A2", (1,), (1, 0)), ("B2", (1,), (0, 1)), ("A3", (1, 3), (0, 0, 0))],
 )
 def test_kostant_oracle_matches_harmonics(label, sigma, weight):
-    from artifact.repmod import decompose_completely_reducible
     from artifact.rootspace import dominant_representative
 
     g = graded(label, sigma)

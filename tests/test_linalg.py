@@ -1,6 +1,9 @@
 """Exact sparse linear algebra."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -198,6 +201,33 @@ def test_shape_checks_raise():
         SpMat.from_entries(2, 2, {(0, 2): 1})
     with pytest.raises(LinAlgError, match="outside 2x2"):
         SpMat.from_entries(2, 2, {(-1, 0): 0})
+    with pytest.raises(LinAlgError, match="row counts"):
+        SpMat.hstack([SpMat(2, 1), SpMat(3, 1)])
+    with pytest.raises(LinAlgError, match="column counts"):
+        SpMat.vstack([SpMat(1, 2), SpMat(1, 3)])
+    for stack in (SpMat.hstack, SpMat.vstack):
+        with pytest.raises(LinAlgError, match="no matrices"):
+            stack([])
+
+
+def test_stack_shape_check_survives_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from artifact.linalg import LinAlgError, SpMat\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "try:\n"
+        "    SpMat.hstack([SpMat(2, 1), SpMat(3, 1)])\n"
+        "except LinAlgError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 @given(mat_strategy(3, 5), st.lists(st.integers(0, 2), min_size=5, max_size=5))

@@ -8,7 +8,10 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "artifact")
 
 
-@pytest.mark.parametrize("module", ["bggcore", "certify", "jetcalc", "hodge"])
+@pytest.mark.parametrize("module", [
+    "bggcore", "certify", "jetcalc", "hodge",
+    "bggcli", "gradedla", "linalg", "repmod", "rootspace",
+])
 def test_module_has_no_assert(module):
     path = os.path.join(SRC, f"{module}.py")
     with open(path, encoding="utf-8") as fh:
