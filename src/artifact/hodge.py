@@ -238,6 +238,7 @@ class HodgeSplit:
 def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     """C^n = im d + ker box + im dstar, bases blocked by full weight."""
     level = cc.levels[n]
+    dim = level.dim
     by_weight: dict[Weight, list[int]] = {}
     for k, w in enumerate(level.weights):
         by_weight.setdefault(w, []).append(k)
@@ -246,11 +247,13 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     ker_cols: list[SpMat] = []
     im_ds_cols: list[SpMat] = []
     ker_weights: list[Weight] = []
+
+    def lift(base: SpMat, rows: list[int]) -> SpMat:
+        # block row p is row rows[p] of C^n
+        return SpMat(dim, base.ncols, {rows[p]: r for p, r in base.rows.items()})
+
     for mu in sorted(by_weight):
         rows = by_weight[mu]
-        lift = SpMat(level.dim, len(rows))
-        for p, r in enumerate(rows):
-            lift.set(r, p, 1)
         if n >= 1:
             src = [
                 k for k, w in enumerate(cc.levels[n - 1].weights) if w == mu
@@ -258,11 +261,11 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
             blk = cc.dels[n - 1].submatrix(rows, src)
             base = blk.column_space_basis()
             if base.ncols:
-                im_del_cols.append(lift @ base)
+                im_del_cols.append(lift(base, rows))
         boxblk = box.submatrix(rows, rows)
         kb = boxblk.kernel_basis()
         if kb.ncols:
-            ker_cols.append(lift @ kb)
+            ker_cols.append(lift(kb, rows))
             ker_weights.extend([mu] * kb.ncols)
         if n < cc.top:
             src = [
@@ -271,8 +274,7 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
             blk = cc.delstars[n].submatrix(rows, src)
             base = blk.column_space_basis()
             if base.ncols:
-                im_ds_cols.append(lift @ base)
-    dim = level.dim
+                im_ds_cols.append(lift(base, rows))
 
     def cat(cols):
         return SpMat.hstack(cols) if cols else SpMat(dim, 0)
@@ -284,10 +286,36 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
         im_delstar=cat(im_ds_cols),
         harmonic_weights=tuple(ker_weights),
     )
-    total = split.im_del.ncols + split.ker_box.ncols + split.im_delstar.ncols
-    if total != dim or split.full_basis.rank() != dim:
-        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
+    check_weight_blocks(level.weights, split.full_basis, n)
     return split
+
+
+def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> None:
+    """Certify that the columns of ``basis`` are a basis of C^n, whose
+    coordinates have the given weights: every column is supported on the
+    rows of one weight, and for each weight its columns, restricted to its
+    rows, form a square block of full rank. Up to a permutation of rows and
+    columns, ``basis`` is then block diagonal with invertible blocks."""
+    rows_of: dict[Weight, list[int]] = {}
+    for k, w in enumerate(weights):
+        rows_of.setdefault(w, []).append(k)
+    cols_of: dict[Weight, list[int]] = {}
+    columns = basis.transpose().rows
+    for c in range(basis.ncols):
+        ws = {weights[i] for i in columns.get(c, ())}
+        if len(ws) != 1:
+            raise ComplexNotCertified(
+                f"Hodge basis vector {c} of C^{n} is not a weight vector"
+            )
+        cols_of.setdefault(ws.pop(), []).append(c)
+    blocks = []
+    for mu, rows in rows_of.items():
+        cols = cols_of.get(mu, [])
+        if len(cols) != len(rows):
+            raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
+        blocks.append(basis.submatrix(rows, cols))
+    if SpMat.block_diag(blocks).rank() != len(weights):
+        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
 
 
 @dataclass

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gradedla import GradedLieAlgebra, Label
-from .linalg import Q, QONE, SpMat
+from .linalg import Q, QONE, SpMat, qnorm
 from .repmod import DimensionOverBudget, PModule
 
 
@@ -123,6 +123,9 @@ def jet1(V: PModule) -> JetModule:
         out = SpMat(dim, dim)
         for i, r in A.rows.items():
             out.rows[i] = dict(r)
+        # rows the bracket and footpoint terms write to: the only ones where
+        # entries are summed, so the only ones that can hold a zero
+        summed: set[int] = set()
         for a in range(d):
             off = slot(a)
             for i, r in A.rows.items():
@@ -136,6 +139,8 @@ def jet1(V: PModule) -> JetModule:
                     continue
                 b = roots.index(blab[1])
                 boff = slot(b)
+                summed.update(range(boff, boff + dv))
+                c = qnorm(c)
                 for i in range(dv):
                     orow = out.rows.setdefault(boff + i, {})
                     col = slot(a) + i
@@ -147,15 +152,18 @@ def jet1(V: PModule) -> JetModule:
                 # eta_a (x) [Z, xi_a] . v0 from the footpoint
                 off = slot(a)
                 for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                    coef = c / dual.d[a]
+                    coef = qnorm(c / dual.d[a])
                     for i, r in V.actions[blab].rows.items():
+                        summed.add(off + i)
                         orow = out.rows.setdefault(off + i, {})
                         for j, v in r.items():
                             x = coef * v
                             orow[j] = orow[j] + x if j in orow else x
-        for i in list(out.rows):
-            out.rows[i] = {j: v for j, v in out.rows[i].items() if v}
-            if not out.rows[i]:
+        for i in summed:
+            row = {j: qnorm(v) for j, v in out.rows[i].items() if v}
+            if row:
+                out.rows[i] = row
+            else:
                 del out.rows[i]
         acts[lab] = out
 

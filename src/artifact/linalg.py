@@ -7,12 +7,23 @@ leftmost-pivot selection (canonical RREF, deterministic output), and the
 handful of derived routines (rank, kernel, solve, span bookkeeping) the rest
 of the package needs.
 
-The scalar type is gmpy2.mpq when available, fractions.Fraction otherwise.
+The scalar type Q is gmpy2.mpq when available, fractions.Fraction otherwise.
+A matrix stores an integral entry as a plain int and any other as Q; the
+constructors, ``set`` and the arithmetic write entries in that form, and
+every routine also accepts Q values put straight into ``rows``. The two
+kernels run on ints: a product clears each left row over its own common
+denominator and the right rows it touches over one more, accumulates integer
+products, and builds each nonzero of the result once. Row reduction is
+fraction-free: rows are kept as primitive integer vectors, eliminated with
+r <- p_j r - r_j p and divided by their content, and only the finished rows
+are divided by their pivots. The RREF is unique and the pivot choice depends
+only on sparsity, so the result is the one plain rational elimination gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 try:
@@ -33,6 +44,74 @@ def qparse(s: str):
     """Parse 'p' or 'p/q' back into a rational."""
     f = Fraction(s.strip())
     return Q(f.numerator, f.denominator)
+
+
+def qnorm(v):
+    """The stored form of the rational v: an int when integral, Q otherwise."""
+    if type(v) is int:
+        return v
+    if type(v) is not Q:
+        v = Q(v)
+    return int(v.numerator) if v.denominator == 1 else v
+
+
+def _quo(num: int, den: int):
+    """num / den in stored form."""
+    q, rem = divmod(num, den)
+    return Q(num, den) if rem else q
+
+
+def _clear(row: dict) -> tuple[dict, int]:
+    """(ints, den) with row == ints / den and den the lcm of the denominators.
+
+    Hands back ``row`` itself when every entry is already an int, so the
+    result must not be mutated."""
+    for v in row.values():
+        if type(v) is not int:
+            break
+    else:
+        return row, 1
+    den = 1
+    for v in row.values():
+        if type(v) is not int:
+            den = lcm(den, int(v.denominator))
+    return {j: v * den if type(v) is int else int(v.numerator * den // v.denominator)
+            for j, v in row.items()}, den
+
+
+def _primitive(row: dict) -> dict:
+    """Divide the integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _eliminate(row: dict, j: int, piv: dict) -> int:
+    """Clear column j of the integer row against the integer row piv, in
+    place: row <- a*row - b*piv with a = piv[j]/g, b = row[j]/g and g the gcd
+    of the two, signed so that a > 0. Returns a, the factor row was scaled by.
+    """
+    b = row.pop(j)
+    a = piv[j]
+    g = gcd(a, b)
+    if a < 0:
+        g = -g
+    a //= g
+    b //= g
+    if a != 1:
+        for c in row:
+            row[c] *= a
+    for c, v in piv.items():
+        if c == j:
+            continue
+        s = row.get(c, 0) - b * v
+        if s:
+            row[c] = s
+        else:
+            row.pop(c, None)
+    return a
 
 
 class LinAlgError(Exception):
@@ -63,7 +142,7 @@ class SpMat:
         truncation when not square. ncols defaults to nrows."""
         if ncols is None:
             ncols = nrows
-        return cls(nrows, ncols, {i: {i: QONE} for i in range(min(nrows, ncols))})
+        return cls(nrows, ncols, {i: {i: 1} for i in range(min(nrows, ncols))})
 
     @classmethod
     def from_dense(cls, data: Iterable[Iterable]) -> "SpMat":
@@ -75,7 +154,7 @@ class SpMat:
             if len(r) != ncols:
                 raise LinAlgError(f"row {i} has {len(r)} entries, expected {ncols}")
             for j, v in enumerate(r):
-                v = Q(v)
+                v = qnorm(v)
                 if v:
                     m.rows.setdefault(i, {})[j] = v
         return m
@@ -86,7 +165,7 @@ class SpMat:
         for (i, j), v in entries.items():
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise LinAlgError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
-            v = Q(v)
+            v = qnorm(v)
             if v:
                 m.rows.setdefault(i, {})[j] = v
         return m
@@ -97,7 +176,7 @@ class SpMat:
 
     @classmethod
     def diagonal(cls, diag: Iterable) -> "SpMat":
-        diag = [Q(v) for v in diag]
+        diag = [qnorm(v) for v in diag]
         n = len(diag)
         return cls(n, n, {i: {i: d} for i, d in enumerate(diag) if d})
 
@@ -107,7 +186,7 @@ class SpMat:
         return self.rows.get(i, {}).get(j, QZERO)
 
     def set(self, i: int, j: int, v) -> None:
-        v = Q(v)
+        v = qnorm(v)
         if v:
             self.rows.setdefault(i, {})[j] = v
         else:
@@ -168,9 +247,9 @@ class SpMat:
         for i, r in other.rows.items():
             orow = out.rows.setdefault(i, {})
             for j, v in r.items():
-                s = orow.get(j, QZERO) + v
+                s = orow.get(j, 0) + v
                 if s:
-                    orow[j] = s
+                    orow[j] = qnorm(s)
                 else:
                     orow.pop(j, None)
             if not orow:
@@ -187,33 +266,49 @@ class SpMat:
         return self + (-other)
 
     def scale(self, c) -> "SpMat":
-        c = Q(c)
+        c = qnorm(c)
         if not c:
             return SpMat(self.nrows, self.ncols)
         return SpMat(
             self.nrows, self.ncols,
-            {i: {j: c * v for j, v in r.items()} for i, r in self.rows.items()},
+            {i: {j: qnorm(c * v) for j, v in r.items()} for i, r in self.rows.items()},
         )
 
     def __matmul__(self, other: "SpMat") -> "SpMat":
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch in matmul")
-        out: dict[int, dict[int, object]] = {}
+        # The right rows this product reads, over one common denominator.
+        touched: set[int] = set()
+        for r in self.rows.values():
+            touched.update(r)
+        right: dict[int, dict[int, int]] = {}
+        dens: dict[int, int] = {}
         orows = other.rows
+        for k in touched.intersection(orows):
+            right[k], dens[k] = _clear(orows[k])
+        rden = lcm(*dens.values()) if dens else 1
+        if rden != 1:
+            for k, d in dens.items():
+                if d != rden:
+                    m = rden // d
+                    right[k] = {j: m * v for j, v in right[k].items()}
+        out: dict[int, dict[int, object]] = {}
         for i, r in self.rows.items():
-            acc: dict[int, object] = {}
-            for k, a in r.items():
-                br = orows.get(k)
+            left, den = _clear(r)
+            acc: dict[int, int] = {}
+            for k, a in left.items():
+                br = right.get(k)
                 if br is None:
                     continue
                 for j, b in br.items():
-                    s = acc.get(j, QZERO) + a * b
-                    if s:
-                        acc[j] = s
-                    else:
-                        acc.pop(j, None)
-            if acc:
-                out[i] = acc
+                    acc[j] = acc.get(j, 0) + a * b
+            den *= rden
+            if den == 1:
+                row = {j: s for j, s in acc.items() if s}
+            else:
+                row = {j: _quo(s, den) for j, s in acc.items() if s}
+            if row:
+                out[i] = row
         return SpMat(self.nrows, other.ncols, out)
 
     def merge_columns(self, phi: list[int], ncols: int) -> "SpMat":
@@ -233,7 +328,7 @@ class SpMat:
                 else:
                     acc[c] = v
             if merged:
-                acc = {c: v for c, v in acc.items() if v}
+                acc = {c: qnorm(v) for c, v in acc.items() if v}
             if acc:
                 out[i] = acc
         return SpMat(self.nrows, ncols, out)
@@ -314,7 +409,7 @@ class SpMat:
                 for k, s in other.rows.items():
                     orow = out.rows.setdefault(i * other.nrows + k, {})
                     for l, b in s.items():
-                        orow[j * other.ncols + l] = a * b
+                        orow[j * other.ncols + l] = qnorm(a * b)
         return out
 
     # -- elimination ------------------------------------------------------
@@ -325,8 +420,12 @@ class SpMat:
         Leftmost-pivot, rows ordered by pivot column, pivots normalized to 1.
         Returns (R, pivot_columns).
         """
-        work = [dict(r) for r in self.rows.values()]
-        done: list[dict[int, object]] = []
+        work = []
+        for r in self.rows.values():
+            if r:
+                row, _ = _clear(r)
+                work.append(_primitive(dict(row) if row is r else row))
+        done: list[dict[int, int]] = []
         pivots: list[int] = []
         # Sweep columns left to right; keep `work` rows reduced against `done`.
         for j in range(self.ncols):
@@ -338,37 +437,23 @@ class SpMat:
             if pick is None:
                 continue
             piv = work.pop(pick)
-            inv = QONE / piv[j]
-            piv = {c: inv * v for c, v in piv.items()}
             for r in work:
                 if j in r:
-                    c0 = r.pop(j)
-                    for c, v in piv.items():
-                        if c == j:
-                            continue
-                        s = r.get(c, QZERO) - c0 * v
-                        if s:
-                            r[c] = s
-                        else:
-                            r.pop(c, None)
+                    _eliminate(r, j, piv)
+                    _primitive(r)
             work = [r for r in work if r]
             for r in done:
                 if j in r:
-                    c0 = r.pop(j)
-                    for c, v in piv.items():
-                        if c == j:
-                            continue
-                        s = r.get(c, QZERO) - c0 * v
-                        if s:
-                            r[c] = s
-                        else:
-                            r.pop(c, None)
+                    _eliminate(r, j, piv)
+                    _primitive(r)
             done.append(piv)
             pivots.append(j)
         order = sorted(range(len(pivots)), key=lambda k: pivots[k])
         R = SpMat(self.nrows, self.ncols)
         for newi, k in enumerate(order):
-            R.rows[newi] = done[k]
+            row = done[k]
+            p = row[pivots[k]]
+            R.rows[newi] = row if p == 1 else {c: _quo(v, p) for c, v in row.items()}
         return R, sorted(pivots)
 
     def rank(self) -> int:
@@ -382,9 +467,9 @@ class SpMat:
         out = SpMat(self.ncols, len(free))
         pivrow = {p: i for i, p in enumerate(pivots)}
         for k, f in enumerate(free):
-            out.rows.setdefault(f, {})[k] = QONE
+            out.rows.setdefault(f, {})[k] = 1
             for p in pivots:
-                v = R.rows.get(pivrow[p], {}).get(f, QZERO)
+                v = R.rows.get(pivrow[p], {}).get(f)
                 if v:
                     out.rows.setdefault(p, {})[k] = -v
         return out
@@ -422,67 +507,55 @@ class EchelonSpan:
     """Incrementally maintained row space in reduced echelon form.
 
     Used for closure computations (smallest invariant subspace containing a
-    seed) and for membership tests. Vectors are dicts {index: value}.
+    seed) and for membership tests. Vectors are dicts {index: value}; the
+    span keeps each row as a primitive integer vector, keyed by its pivot.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: dict[int, dict[int, object]] = {}  # pivot index -> row
+        self.rows: dict[int, dict[int, int]] = {}  # pivot index -> row
+
+    def _reduce(self, vec: dict) -> tuple[dict, int]:
+        """(ints, den): vec minus its part along the pivots, as ints / den."""
+        red, den = _clear({j: v for j, v in vec.items() if v})
+        # Rows vanish on every other row's pivot, so one pass clears them all.
+        for p in sorted(p for p in red if p in self.rows):
+            den *= _eliminate(red, p, self.rows[p])
+        return red, den
 
     def reduce(self, vec: dict) -> dict:
-        vec = {j: Q(v) for j, v in vec.items() if v}
-        changed = True
-        while changed:
-            changed = False
-            for p in sorted(vec):
-                if p in self.rows:
-                    c = vec.pop(p)
-                    for j, v in self.rows[p].items():
-                        if j == p:
-                            continue
-                        s = vec.get(j, QZERO) - c * v
-                        if s:
-                            vec[j] = s
-                        else:
-                            vec.pop(j, None)
-                    changed = True
-                    break
-        return vec
+        red, den = self._reduce(vec)
+        if den == 1:
+            return red
+        return {j: _quo(v, den) for j, v in red.items()}
 
     def add(self, vec: dict) -> bool:
         """Insert vec; True when it enlarged the span."""
-        red = self.reduce(vec)
-        if not red:
+        row = _primitive(self._reduce(vec)[0])
+        if not row:
             return False
-        p = min(red)
-        inv = QONE / red[p]
-        row = {j: inv * v for j, v in red.items()}
+        p = min(row)
         # re-reduce existing rows against the new one
-        for q, r in self.rows.items():
+        for r in self.rows.values():
             if p in r:
-                c = r.pop(p)
-                for j, v in row.items():
-                    if j == p:
-                        continue
-                    s = r.get(j, QZERO) - c * v
-                    if s:
-                        r[j] = s
-                    else:
-                        r.pop(j, None)
+                _eliminate(r, p, row)
+                _primitive(r)
         self.rows[p] = row
         return True
 
     def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
+        return not self._reduce(vec)[0]
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def basis_matrix(self) -> SpMat:
-        """Columns are the echelon basis vectors, ordered by pivot."""
+        """Columns are the echelon basis vectors (pivot entry 1), ordered by
+        pivot."""
         out = SpMat(self.dim, len(self.rows))
         for k, p in enumerate(sorted(self.rows)):
-            for j, v in self.rows[p].items():
-                out.rows.setdefault(j, {})[k] = v
+            row = self.rows[p]
+            for j, v in row.items():
+                out.rows.setdefault(j, {})[k] = _quo(v, row[p])
         return out

@@ -21,6 +21,8 @@ CASES = [
 OTHER_COMMANDS = [
     ("A2", "1", "1,1", "cohomology", "json,text"),
     ("A2", "1,2", "1,1", "diagram", "json,text,dot"),   # arrows in text and dot
+    ("G2", "1", "1,1", "cohomology", "json,text"),
+    ("A4", "2", "1,0,0,1", "cohomology", "json,text"),
 ]
 
 EXTENSION = {"json": "json", "text": "txt", "dot": "dot"}

@@ -3,7 +3,9 @@
 import pytest
 
 from artifact.hodge import (
+    ComplexNotCertified,
     DegreeOverflow,
+    check_weight_blocks,
     hodge_decompose,
     kostant_oracle,
     laplacian,
@@ -11,6 +13,7 @@ from artifact.hodge import (
 )
 from artifact.linalg import Q, SpMat
 from conftest import (
+    BATTERY,
     GOLDEN_DIMS,
     complex_for,
     complex_for_module,
@@ -154,3 +157,56 @@ def test_wedge_overflow():
     cc = complex_for("A1", (1,), (0,))
     with pytest.raises(DegreeOverflow):
         wedge_insert_matrix(cc, cc.top, {0: Q(1)})
+
+
+def test_weight_block_certificate_refuses_moved_column():
+    cc = complex_for("A2", (1,), (1, 1))
+    n = 1
+    weights = cc.levels[n].weights
+    basis = hodge_decompose(cc, n).full_basis
+    check_weight_blocks(weights, basis, n)
+    # column 0 moved onto a row of another weight: one block loses a column,
+    # the other gains one, and the rank of the whole basis may not show it
+    cols = basis.transpose()
+    mu = weights[min(cols.rows[0])]
+    other = next(i for i, w in enumerate(weights) if w != mu)
+    moved = cols.copy()
+    moved.rows[0] = {other: 1}
+    with pytest.raises(ComplexNotCertified, match="not a basis"):
+        check_weight_blocks(weights, moved.transpose(), n)
+    # one column too many: its block keeps full rank but is not square
+    with pytest.raises(ComplexNotCertified, match="not a basis"):
+        check_weight_blocks(weights, SpMat.hstack([basis, basis.column_vec(0)]), n)
+    # column 0 spread over two weights
+    spread = cols.copy()
+    spread.rows[0] = {**cols.rows[0], other: 1}
+    with pytest.raises(ComplexNotCertified, match="not a weight vector"):
+        check_weight_blocks(weights, spread.transpose(), n)
+    # a block of the right size but singular
+    seen = {}
+    for c in sorted(cols.rows):
+        w = weights[min(cols.rows[c])]
+        if w in seen:
+            break
+        seen[w] = c
+    singular = cols.copy()
+    singular.rows[c] = dict(cols.rows[seen[w]])
+    with pytest.raises(ComplexNotCertified, match="not a basis"):
+        check_weight_blocks(weights, singular.transpose(), n)
+
+
+@pytest.mark.parametrize("label,sigma,weights", BATTERY,
+                         ids=[f"{l}-{','.join(map(str, s))}" for l, s, _ in BATTERY])
+def test_complex_entries_are_exact_and_normalized(label, sigma, weights):
+    """No stored entry is a float, and integral entries are stored as int."""
+    for weight in weights:
+        cc, cohs, _ = components_for(label, sigma, weight)
+        mats = cc.dels + cc.delstars + cc.inner
+        for coh in cohs:
+            sp = coh.split
+            mats += [sp.im_del, sp.ker_box, sp.im_delstar, coh.embedding]
+            mats += list(coh.module.actions.values())
+        for M in mats:
+            for _, _, v in M.entries():
+                assert not isinstance(v, float)
+                assert type(v) is int or v.denominator != 1, (label, weight, v)

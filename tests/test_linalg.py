@@ -10,6 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact.linalg import EchelonSpan, LinAlgError, Q, SpMat, qparse, qstr
+from linalg_reference import (
+    reference_kernel_basis,
+    reference_matmul,
+    reference_rref,
+    reference_solve,
+)
 
 RNG = random.Random(20240817)
 
@@ -236,3 +242,156 @@ def test_merge_columns_is_matmul_by_index_map(A, phi):
     assert A.merge_columns(phi, 3) == A @ M
     with pytest.raises(LinAlgError):
         A.merge_columns(phi[:-1], 3)
+
+
+# -- the integer kernels against the plain rational references ---------------
+
+scalar = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Q, st.integers(-12, 12), st.integers(1, 12)),  # integral Q too
+)
+
+
+@st.composite
+def raw_mat(draw, nrows=None, ncols=None):
+    """A matrix written straight into ``rows``: int and Q entries mixed as
+    drawn (integral Q values kept as Q), and some rows stored empty."""
+    nr = draw(st.integers(0, 5)) if nrows is None else nrows
+    nc = draw(st.integers(0, 6)) if ncols is None else ncols
+    rows = {}
+    for i in range(nr):
+        row = {}
+        if nc:
+            row = draw(st.dictionaries(st.integers(0, nc - 1), scalar.filter(bool), max_size=nc))
+        if row or draw(st.booleans()):
+            rows[i] = row
+    return SpMat(nr, nc, rows)
+
+
+@st.composite
+def product_pair(draw):
+    n = draw(st.integers(0, 5))
+    return draw(raw_mat(ncols=n)), draw(raw_mat(nrows=n))
+
+
+@st.composite
+def system(draw):
+    A = draw(raw_mat())
+    return A, draw(raw_mat(nrows=A.nrows))
+
+
+def canon(M):
+    return M.nrows, M.ncols, list(M.entries())
+
+
+def stored_form(M):
+    """Every entry nonzero, an int when integral and Q otherwise."""
+    for _, _, v in M.entries():
+        if not v or isinstance(v, float):
+            return False
+        if type(v) is not int and v.denominator == 1:
+            return False
+    return True
+
+
+def snapshot(M):
+    return M.nrows, M.ncols, [
+        (i, j, type(v), v) for i, r in M.rows.items() for j, v in r.items()
+    ], [i for i, r in M.rows.items() if not r]
+
+
+@given(product_pair())
+def test_matmul_matches_reference(pair):
+    A, B = pair
+    P = A @ B
+    assert canon(P) == canon(reference_matmul(A, B))
+    assert stored_form(P)
+
+
+@given(raw_mat())
+def test_rref_matches_reference(A):
+    R, pivots = A.rref()
+    want, want_pivots = reference_rref(A)
+    assert pivots == want_pivots
+    assert canon(R) == canon(want)
+    assert stored_form(R)
+    assert A.rank() == len(want_pivots)
+
+
+@given(system())
+def test_kernel_and_solve_match_reference(sys_):
+    A, rhs = sys_
+    K = A.kernel_basis()
+    assert canon(K) == canon(reference_kernel_basis(A))
+    assert stored_form(K)
+    try:
+        want = reference_solve(A, rhs)
+    except LinAlgError:
+        with pytest.raises(LinAlgError, match="inconsistent"):
+            A.solve(rhs)
+    else:
+        X = A.solve(rhs)
+        assert canon(X) == canon(want)
+        assert stored_form(X)
+
+
+vectors = st.lists(st.dictionaries(st.integers(0, 5), scalar, max_size=6), max_size=6)
+
+
+@given(vectors, vectors)
+def test_echelon_span_is_the_rref_of_its_vectors(vecs, others):
+    span = EchelonSpan(6)
+    for v in vecs:
+        span.add(v)
+    M = SpMat(len(vecs), 6, {i: {j: x for j, x in v.items() if x} for i, v in enumerate(vecs)})
+    R, pivots = reference_rref(M)
+    assert span.rank == len(pivots)
+    assert canon(span.basis_matrix().transpose()) == canon(
+        SpMat(len(pivots), 6, dict(R.rows)))
+    for v in vecs + others:
+        red = span.reduce(v)
+        assert not set(red) & set(pivots)
+        diff = {j: x for j, x in v.items() if x}
+        for j, x in red.items():
+            diff[j] = diff.get(j, 0) - x
+        assert span.contains(diff)
+        assert span.contains(v) == (not red)
+
+
+@given(product_pair(), system(), vectors)
+def test_kernels_do_not_mutate_inputs(pair, sys_, vecs):
+    A, B = pair
+    C, rhs = sys_
+    before = [snapshot(M) for M in (A, B, C, rhs)]
+    vec_before = [[(j, type(x), x) for j, x in v.items()] for v in vecs]
+    A @ B
+    for M in (A, B, C):
+        M.rref()
+        M.rank()
+        M.kernel_basis()
+        M.column_space_basis()
+        M.independent_columns()
+    try:
+        C.solve(rhs)
+    except LinAlgError:
+        pass
+    span = EchelonSpan(6)
+    for v in vecs:
+        span.reduce(v)
+        span.contains(v)
+        span.add(v)
+    assert [snapshot(M) for M in (A, B, C, rhs)] == before
+    assert [[(j, type(x), x) for j, x in v.items()] for v in vecs] == vec_before
+
+
+def test_entries_are_stored_as_int_when_integral():
+    A = SpMat.from_dense([[Q(2), Q(1, 2)], [Q(4, 2), 0]])
+    assert [type(v) for _, _, v in A.entries()] == [int, type(Q(1, 2)), int]
+    A.set(1, 1, Q(6, 3))
+    assert type(A.get(1, 1)) is int
+    assert stored_form(A.scale(2))
+    assert stored_form(A + A)
+    assert stored_form(A.kron(A))
+    assert stored_form(A.merge_columns([0, 0], 1))
+    assert stored_form(SpMat.diagonal([Q(3, 3), Q(1, 3)]))
+    assert stored_form(SpMat.identity(3))
