@@ -10,7 +10,9 @@ BGG operator diagrams (bggcore), the certificates they are checked by
 
 __version__ = "0.1.0"
 
-from . import bggcli, bggcore, certify, gradedla, hodge, jetcalc, linalg, repmod, rootspace
+# bggcli is left out so that `python -m artifact.bggcli` runs it fresh; it
+# loads on `import artifact.bggcli` or `from artifact import *`.
+from . import bggcore, certify, gradedla, hodge, jetcalc, linalg, repmod, rootspace
 
 __all__ = [
     "bggcli",

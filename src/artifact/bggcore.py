@@ -57,7 +57,7 @@ from .jetcalc import (
     prolong,
     semiholonomic,
 )
-from .linalg import EchelonSpan, LinAlgError, Q, QONE, SpMat, qstr
+from .linalg import EchelonSpan, LinAlgError, Q, SpMat, qstr
 from .repmod import (
     MAX_MODULE_DIM,
     IrrepLabel,
@@ -153,12 +153,10 @@ class GeneratedSubmodule:
         """box^{-1} on the block-i rows of x (rows in E coordinates), as rows
         of E/E^{i+1}; None when x has a nonzero row outside block i."""
         top = self.block_columns(i)
-        inside = set(top)
-        if any(row and p not in inside for p, row in x.rows.items()):
+        block = x.gather_rows(top)
+        if block.place_rows(top, x.nrows) != x:
             return None
-        y = self.box_inverse(i) @ x.submatrix(top, list(range(x.ncols)))
-        return SpMat(self.quotient(i + 1).dim, x.ncols,
-                     {top[k]: row for k, row in y.rows.items()})
+        return (self.box_inverse(i) @ block).place_rows(top, self.quotient(i + 1).dim)
 
 
 def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) -> GeneratedSubmodule:
@@ -185,17 +183,14 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
                 continue
             span.add(dict(red))
             cols.append((j, red))
-            vm = SpMat(level.dim, 1, {i: {0: v} for i, v in red.items()})
+            vm = SpMat.from_columns(level.dim, [red])
             for lab in raising:
                 img = level.actions[lab] @ vm
                 if img.is_zero():
                     continue
                 pending.setdefault(j + g.grade_of(lab), []).append(img.col_dict(0))
     m = len(cols)
-    basis = SpMat(level.dim, m)
-    for k, (_, vec) in enumerate(cols):
-        for i, v in vec.items():
-            basis.rows.setdefault(i, {})[k] = v
+    basis = SpMat.from_columns(level.dim, [vec for _, vec in cols])
     offsets = tuple(j for j, _ in cols)
     if any(a > b for a, b in zip(offsets, offsets[1:])):
         raise CertificationFailure("degree-adapted basis out of order")
@@ -244,9 +239,9 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
     tgt = gs.quotient(i + 1)
     jmod = jet1(src_q)
     # the footpoint projection; the rows of block i take the corrections
-    mat = SpMat(tgt.dim, jmod.dim, SpMat.identity(src_q.dim).rows)
+    blocks = [(0, 0, 1, SpMat.identity(src_q.dim))]
     # batch all slot corrections into one solve against the E basis
-    rhs_cols: list[tuple[int, int]] = []
+    rhs_cols: list[int] = []
     pieces: list[SpMat] = []
     for a, wa in enumerate(unit_wedges(cc, n)):
         ga = g.grade_of(("e", roots[a]))
@@ -254,7 +249,7 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
         for b in range(src_q.dim):
             if gs.offsets[b] + ga != i:
                 continue
-            rhs_cols.append((a, b))
+            rhs_cols.append((1 + a) * src_q.dim + b)  # the jet column of (a, b)
             pieces.append(dswa @ gs.basis.column_vec(b))
     if rhs_cols:
         rhs = SpMat.hstack(pieces)
@@ -262,10 +257,8 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
         y = gs.lift_top_block(i, x)
         if y is None:
             raise CertificationFailure(f"correction of L_{i} escaped the top block")
-        for p, row in y.scale(-(Q(n) + 1)).rows.items():
-            for c, v in row.items():
-                a, b = rhs_cols[c]
-                mat.set(p, (1 + a) * src_q.dim + b, v)
+        blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, jmod.dim)))
+    mat = SpMat.assemble(tgt.dim, jmod.dim, blocks)
     return LiMap(i=i, source=jmod, target=tgt, mat=mat)
 
 
@@ -300,10 +293,9 @@ def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = MAX_JET_DIM) -> 
         domain = jet.module
     cert = certify_map(composite, domain, gs.module, "splitter")
     # splitting property: the i0-block of L is the footpoint projection
-    for k in range(q1.dim):
-        row = composite.rows.get(k, {})
-        if row != {k: QONE}:
-            raise CertificationFailure("splitter does not split the projection")
+    head = composite.gather_rows(list(range(q1.dim)))
+    if head != SpMat.identity(q1.dim, composite.ncols):
+        raise CertificationFailure("splitter does not split the projection")
     return SplitterChain(
         gs=gs, maps=maps, composite=composite, domain=domain, certificate=cert,
         jet=jet,

@@ -23,7 +23,7 @@ from .jetcalc import (
     prolong,
     semiholonomic,
 )
-from .linalg import LinAlgError, Q, QONE, QZERO, SpMat
+from .linalg import LinAlgError, QZERO, SpMat
 from .repmod import PModule
 from .rootspace import Weight
 
@@ -81,21 +81,24 @@ def verify_differential_commutator(cc: CochainComplex) -> bool:
     dual = g.dual_bases()
     for n in range(cc.top):
         wedges = unit_wedges(cc, n)
+        acts = cc.levels[n].actions
+        dim, dim1 = cc.dim(n), cc.dim(n + 1)
         for lab in g.p_labels():
             w = g.grade_of(lab)
             if w < 1:
                 continue
-            lhs = cc.levels[n + 1].actions[lab] @ cc.dels[n] - cc.dels[n] @ cc.levels[n].actions[lab]
-            rhs = SpMat(cc.dim(n + 1), cc.dim(n))
+            lhs = cc.levels[n + 1].actions[lab] @ cc.dels[n] - cc.dels[n] @ acts[lab]
+            terms = []
             for a, root in enumerate(roots):
                 if g.grade_of(("e", root)) > w:
                     continue
-                act = SpMat(cc.dim(n), cc.dim(n))
-                for blab, c in g.bracket_labels(lab, ("f", root)).items():
-                    act = act + cc.levels[n].actions[blab].scale(c)
-                act = act.scale(QONE / dual.d[a])
-                rhs = rhs + wedges[a] @ act
-            if lhs != (rhs.scale(Q(n) + 1)):
+                # [W, xi_a] / d_a acting on C^n
+                act = SpMat.assemble(dim, dim, [
+                    (0, 0, c / dual.d[a], acts[blab])
+                    for blab, c in g.bracket_labels(lab, ("f", root)).items()
+                ])
+                terms.append((0, 0, n + 1, wedges[a] @ act))
+            if lhs != SpMat.assemble(dim1, dim, terms):
                 return False
     return True
 

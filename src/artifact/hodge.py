@@ -105,37 +105,43 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     )
 
 
-def _del_matrix(g, V, dual, src_tuples, tgt_tuples, ):
-    """d: C^n -> C^{n+1} by value transport through S_n."""
-    n = len(src_tuples[0]) if src_tuples else 0
-    dv = V.dim
-    roots = dual.roots
-    f_act = {a: V.actions[("f", roots[a])] for a in range(len(roots))}
-    # brackets [f_a, f_b] expanded over the f basis of g_-
-    fbr: dict[tuple[int, int], dict[int, object]] = {}
+def _bracket_table(g, roots, kind: str) -> dict[tuple[int, int], dict[int, object]]:
+    """[x_a, x_b] for a < b over the x basis, where x_a = (kind, roots[a]):
+    kind "f" spans g_-, kind "e" spans p_+."""
+    part = "g_-" if kind == "f" else "p_+"
     ridx = {r: a for a, r in enumerate(roots)}
+    table = {}
     for a in range(len(roots)):
         for b in range(a + 1, len(roots)):
             out = {}
-            for lab, c in g.bracket_labels(("f", roots[a]), ("f", roots[b])).items():
-                if lab[0] != "f" or lab[1] not in ridx:
+            for lab, c in g.bracket_labels((kind, roots[a]), (kind, roots[b])).items():
+                if lab[0] != kind or lab[1] not in ridx:
                     raise ComplexNotCertified(
-                        f"[f_{a}, f_{b}] has a component {lab} outside g_-"
+                        f"[{kind}_{a}, {kind}_{b}] has a component {lab} outside {part}"
                     )
                 out[ridx[lab[1]]] = c
-            fbr[(a, b)] = out
+            table[(a, b)] = out
+    return table
+
+
+def _del_matrix(g, V, dual, src_tuples, tgt_tuples):
+    """d: C^n -> C^{n+1} by value transport through S_n: each block
+    (J, I) of the classical formula is scaled by S_n(I) / S_{n+1}(J)."""
+    n = len(src_tuples[0]) if src_tuples else 0
+    dv = V.dim
+    roots = dual.roots
+    unit = SpMat.identity(dv)
+    f_act = {a: V.actions[("f", roots[a])] for a in range(len(roots))}
+    fbr = _bracket_table(g, roots, "f")
     src_idx = {t: k for k, t in enumerate(src_tuples)}
-    val = SpMat(len(tgt_tuples) * dv, len(src_tuples) * dv)
+    s_src = [_tuple_scale(dual, t) / factorial(n) for t in src_tuples]
+    blocks = []
     for J_k, J in enumerate(tgt_tuples):
         row0 = J_k * dv
+        s_tgt = _tuple_scale(dual, J) / factorial(n + 1)
         for k in range(len(J)):
-            I = J[:k] + J[k + 1:]
-            col0 = src_idx[I] * dv
-            sgn = (-1) ** k
-            A = f_act[J[k]]
-            for i, r in A.rows.items():
-                for j, v in r.items():
-                    val.set(row0 + i, col0 + j, val.get(row0 + i, col0 + j) + sgn * v)
+            I_k = src_idx[J[:k] + J[k + 1:]]
+            blocks.append((row0, I_k * dv, (-1) ** k * s_src[I_k] / s_tgt, f_act[J[k]]))
         for k in range(len(J)):
             for l in range(k + 1, len(J)):
                 rest = tuple(x for ii, x in enumerate(J) if ii not in (k, l))
@@ -144,56 +150,26 @@ def _del_matrix(g, V, dual, src_tuples, tgt_tuples, ):
                         continue
                     merged = sorted(rest + (mm,))
                     pos = merged.index(mm)
+                    I_k = src_idx[tuple(merged)]
                     sgn = ((-1) ** (k + l)) * ((-1) ** pos) * c
-                    col0 = src_idx[tuple(merged)] * dv
-                    for i in range(dv):
-                        val.set(
-                            row0 + i, col0 + i, val.get(row0 + i, col0 + i) + sgn
-                        )
-    s_src = _scale_diag(dual, src_tuples, n, dv)
-    s_tgt_inv = _scale_diag(dual, tgt_tuples, n + 1, dv, invert=True)
-    return (s_tgt_inv @ val) @ s_src
-
-
-def _scale_diag(dual, tuples, n, dv, invert=False):
-    vals = []
-    for t in tuples:
-        s = _tuple_scale(dual, t) / factorial(n)
-        if invert:
-            s = QONE / s
-        vals.extend([s] * dv)
-    return SpMat.diagonal(vals)
+                    blocks.append((row0, I_k * dv, sgn * s_src[I_k] / s_tgt, unit))
+    return SpMat.assemble(len(tgt_tuples) * dv, len(src_tuples) * dv, blocks)
 
 
 def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
     """dstar: C^{n+1} -> C^n, decomposable formula on the wedge basis."""
     dv = V.dim
     roots = dual.roots
-    ridx = {r: a for a, r in enumerate(roots)}
+    unit = SpMat.identity(dv)
     e_act = {a: V.actions[("e", roots[a])] for a in range(len(roots))}
-    ebr: dict[tuple[int, int], dict[int, object]] = {}
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            out = {}
-            for lab, c in g.bracket_labels(("e", roots[a]), ("e", roots[b])).items():
-                if lab[0] != "e" or lab[1] not in ridx:
-                    raise ComplexNotCertified(
-                        f"[e_{a}, e_{b}] has a component {lab} outside p_+"
-                    )
-                out[ridx[lab[1]]] = c
-            ebr[(a, b)] = out
+    ebr = _bracket_table(g, roots, "e")
     tgt_idx = {t: k for k, t in enumerate(tgt_tuples)}
-    out = SpMat(len(tgt_tuples) * dv, len(src_tuples) * dv)
+    blocks = []
     for A_k, A in enumerate(src_tuples):
         col0 = A_k * dv
         for i in range(len(A)):
             rest = A[:i] + A[i + 1:]
-            row0 = tgt_idx[rest] * dv
-            sgn = (-1) ** (i + 1)
-            M = e_act[A[i]]
-            for r, rr in M.rows.items():
-                for c, v in rr.items():
-                    out.set(row0 + r, col0 + c, out.get(row0 + r, col0 + c) + sgn * v)
+            blocks.append((tgt_idx[rest] * dv, col0, (-1) ** (i + 1), e_act[A[i]]))
         for i in range(len(A)):
             for j in range(i + 1, len(A)):
                 rest = tuple(x for ii, x in enumerate(A) if ii not in (i, j))
@@ -203,12 +179,8 @@ def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
                     merged = sorted((mm,) + rest)
                     pos = merged.index(mm)
                     sgn = ((-1) ** (i + j)) * ((-1) ** pos) * c
-                    row0 = tgt_idx[tuple(merged)] * dv
-                    for r in range(dv):
-                        out.set(
-                            row0 + r, col0 + r, out.get(row0 + r, col0 + r) + sgn
-                        )
-    return out
+                    blocks.append((tgt_idx[tuple(merged)] * dv, col0, sgn, unit))
+    return SpMat.assemble(len(tgt_tuples) * dv, len(src_tuples) * dv, blocks)
 
 
 def laplacian(cc: CochainComplex, n: int) -> SpMat:
@@ -248,10 +220,6 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     im_ds_cols: list[SpMat] = []
     ker_weights: list[Weight] = []
 
-    def lift(base: SpMat, rows: list[int]) -> SpMat:
-        # block row p is row rows[p] of C^n
-        return SpMat(dim, base.ncols, {rows[p]: r for p, r in base.rows.items()})
-
     for mu in sorted(by_weight):
         rows = by_weight[mu]
         if n >= 1:
@@ -261,11 +229,11 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
             blk = cc.dels[n - 1].submatrix(rows, src)
             base = blk.column_space_basis()
             if base.ncols:
-                im_del_cols.append(lift(base, rows))
+                im_del_cols.append(base.place_rows(rows, dim))
         boxblk = box.submatrix(rows, rows)
         kb = boxblk.kernel_basis()
         if kb.ncols:
-            ker_cols.append(lift(kb, rows))
+            ker_cols.append(kb.place_rows(rows, dim))
             ker_weights.extend([mu] * kb.ncols)
         if n < cc.top:
             src = [
@@ -274,7 +242,7 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
             blk = cc.delstars[n].submatrix(rows, src)
             base = blk.column_space_basis()
             if base.ncols:
-                im_ds_cols.append(lift(base, rows))
+                im_ds_cols.append(base.place_rows(rows, dim))
 
     def cat(cols):
         return SpMat.hstack(cols) if cols else SpMat(dim, 0)
@@ -300,9 +268,11 @@ def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> No
     for k, w in enumerate(weights):
         rows_of.setdefault(w, []).append(k)
     cols_of: dict[Weight, list[int]] = {}
-    columns = basis.transpose().rows
+    col_weights: dict[int, set[Weight]] = {}
+    for i, c, _ in basis.entries():
+        col_weights.setdefault(c, set()).add(weights[i])
     for c in range(basis.ncols):
-        ws = {weights[i] for i in columns.get(c, ())}
+        ws = col_weights.get(c, set())
         if len(ws) != 1:
             raise ComplexNotCertified(
                 f"Hodge basis vector {c} of C^{n} is not a weight vector"
@@ -363,20 +333,17 @@ def wedge_insert_matrix(cc: CochainComplex, n: int, zco: dict[int, object]) -> S
     if n >= cc.top:
         raise DegreeOverflow(f"cannot wedge out of level {n} (top {cc.top})")
     dv = cc.V.dim
-    src = cc.wedge_tuples[n]
+    unit = SpMat.identity(dv)
     tgt_idx = {t: k for k, t in enumerate(cc.wedge_tuples[n + 1])}
-    out = SpMat(cc.dim(n + 1), cc.dim(n))
-    for k, t in enumerate(src):
+    blocks = []
+    for k, t in enumerate(cc.wedge_tuples[n]):
         for a, c in zco.items():
             if a in t:
                 continue
             merged = sorted(t + (a,))
             sgn = (-1) ** merged.index(a)
-            row0 = tgt_idx[tuple(merged)] * dv
-            col0 = k * dv
-            for i in range(dv):
-                out.set(row0 + i, col0 + i, out.get(row0 + i, col0 + i) + sgn * c)
-    return out
+            blocks.append((tgt_idx[tuple(merged)] * dv, k * dv, sgn * c, unit))
+    return SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks)
 
 
 def unit_wedges(cc: CochainComplex, n: int) -> list[SpMat]:

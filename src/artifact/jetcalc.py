@@ -48,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gradedla import GradedLieAlgebra, Label
-from .linalg import Q, QONE, SpMat, qnorm
-from .repmod import DimensionOverBudget, PModule
+from .linalg import Q, SpMat
+from .repmod import DimensionOverBudget, PModule, pplus_module, tensor_blocks
 
 
 MAX_JET_DIM = 20000  # default budget on dim Jbar^r
@@ -106,66 +106,32 @@ class JetModule(PModule):
 
 
 def jet1(V: PModule) -> JetModule:
+    """J^1(V), each action assembled from the blocks of the formula in the
+    module docstring: Z on the footpoint, the tensor-product action on
+    p_+ (x) V (the blocks `repmod.tensor` uses), and, for |eta_a| <= |Z|,
+    (c / d_a) B at block (a + 1, 0) for each term c B of [Z, xi_a]."""
     g = V.g
     roots = g.pplus_roots()
     d = len(roots)
     dv = V.dim
     dim = (1 + d) * dv
     dual = g.dual_bases()
-
-    def slot(a: int) -> int:
-        return (1 + a) * dv
+    pp = pplus_module(g)
 
     acts: dict[Label, SpMat] = {}
     for lab in g.p_labels():
         w = g.grade_of(lab)
-        A = V.actions[lab]
-        out = SpMat(dim, dim)
-        for i, r in A.rows.items():
-            out.rows[i] = dict(r)
-        # rows the bracket and footpoint terms write to: the only ones where
-        # entries are summed, so the only ones that can hold a zero
-        summed: set[int] = set()
-        for a in range(d):
-            off = slot(a)
-            for i, r in A.rows.items():
-                orow = out.rows.setdefault(off + i, {})
-                for j, v in r.items():
-                    col = off + j
-                    orow[col] = orow[col] + v if col in orow else v
-            # [Z, eta_a] within p_+
-            for blab, c in g.bracket_labels(lab, ("e", roots[a])).items():
-                if blab[0] != "e":
-                    continue
-                b = roots.index(blab[1])
-                boff = slot(b)
-                summed.update(range(boff, boff + dv))
-                c = qnorm(c)
-                for i in range(dv):
-                    orow = out.rows.setdefault(boff + i, {})
-                    col = slot(a) + i
-                    orow[col] = orow[col] + c if col in orow else c
+        # Z.v0 on the footpoint, and Z acting on p_+ (x) V
+        blocks = [(0, 0, 1, V.actions[lab])]
+        blocks.extend(tensor_blocks(pp.actions[lab], V.actions[lab], off=dv))
         if w >= 1:
+            # eta_a (x) [Z, xi_a] . v0 from the footpoint, for |eta_a| <= |Z|
             for a in range(d):
                 if g.grade_of(("e", roots[a])) > w:
                     continue
-                # eta_a (x) [Z, xi_a] . v0 from the footpoint
-                off = slot(a)
                 for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                    coef = qnorm(c / dual.d[a])
-                    for i, r in V.actions[blab].rows.items():
-                        summed.add(off + i)
-                        orow = out.rows.setdefault(off + i, {})
-                        for j, v in r.items():
-                            x = coef * v
-                            orow[j] = orow[j] + x if j in orow else x
-        for i in summed:
-            row = {j: qnorm(v) for j, v in out.rows[i].items() if v}
-            if row:
-                out.rows[i] = row
-            else:
-                del out.rows[i]
-        acts[lab] = out
+                    blocks.append(((1 + a) * dv, 0, c / dual.d[a], V.actions[blab]))
+        acts[lab] = SpMat.assemble(dim, dim, blocks)
 
     e_grades = list(V.e_grades)
     weights = list(V.weights) if V.weights is not None else None
@@ -212,10 +178,7 @@ class SemiHolonomicJet:
         """The embedding into J^1(Jbar^{r-1}) (None when r == 1)."""
         if self.phi is None:
             return None
-        return SpMat(
-            len(self.phi), self.module.dim,
-            {q: {c: QONE} for q, c in enumerate(self.phi)},
-        )
+        return SpMat.identity(len(self.phi)).merge_columns(self.phi, self.module.dim)
 
 
 def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:
@@ -335,19 +298,17 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
     phi_prev = prev.phi if prev.phi is not None else range(pdim)
     _certify_index_maps(phi, pick, phi_prev, pdim, sum(dims[:k - 1]), d)
     amb = jet1(prev.module)
+    # (4) A o iota = iota o A_new, where A_new is the rows pick of A o iota.
+    # Row q = pick[p] holds by (2), as phi[q] = p; the other rows q must
+    # equal row phi[q] of A_new.
+    others = [q for q, c in enumerate(phi) if pick[c] != q]
+    images = [phi[q] for q in others]
     acts = {}
     for lab, A in amb.actions.items():
-        rows = A.merge_columns(phi, new_dim).rows  # A @ iota
-        # (4) A o iota = iota o A_new: ambient row q of A @ iota is row
-        # phi[q] of the new action, which is ambient row pick[phi[q]]
-        for q, c in enumerate(phi):
-            if rows.get(q) != rows.get(pick[c]):
-                raise EqualizerNotCertified(
-                    f"{lab} does not preserve the equalizer (ambient row {q})"
-                )
-        acts[lab] = SpMat(
-            new_dim, new_dim, {p: rows[q] for p, q in enumerate(pick) if q in rows}
-        )
+        restricted = A.merge_columns(phi, new_dim)  # A @ iota
+        acts[lab] = restricted.gather_rows(pick)
+        if restricted.gather_rows(others) != acts[lab].gather_rows(images):
+            raise EqualizerNotCertified(f"{lab} does not preserve the equalizer")
     mod = PModule(
         g=g,
         dim=new_dim,

@@ -10,8 +10,19 @@ of the package needs.
 The scalar type Q is gmpy2.mpq when available, fractions.Fraction otherwise.
 A matrix stores an integral entry as a plain int and any other as Q; the
 constructors, ``set`` and the arithmetic write entries in that form, and
-every routine also accepts Q values put straight into ``rows``. The two
-kernels run on ints: a product clears each left row over its own common
+every routine also accepts Q values put straight into ``rows``.
+
+The row format is private to this module: no other module reads or writes
+``rows``. Code elsewhere builds a matrix from blocks with one assembler,
+``SpMat.assemble(nrows, ncols, [(row_off, col_off, coef, M), ...])``, which
+sums the scaled blocks, drops zeros and writes each entry in stored form;
+``gather_rows``, ``place_rows`` and ``from_columns`` move rows and columns
+by index maps. A row is never changed in place once a matrix holds it
+(``set`` replaces its row), so matrices share rows, and the index maps move
+them without copying. The sums, scalings, stacks and Kronecker products here
+are assembler calls too, so one loop accumulates and normalises entries.
+
+The two kernels run on ints: a product clears each left row over its own common
 denominator and the right rows it touches over one more, accumulates integer
 products, and builds each nonzero of the result once. Row reduction is
 fraction-free: rows are kept as primitive integer vectors, eliminated with
@@ -23,6 +34,7 @@ only on sparsity, so the result is the one plain rational elimination gives.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -133,10 +145,6 @@ class SpMat:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "SpMat":
-        return cls(nrows, ncols)
-
-    @classmethod
     def identity(cls, nrows: int, ncols: int | None = None) -> "SpMat":
         """Ones at (k, k) for k < min(nrows, ncols): a prefix inclusion or
         truncation when not square. ncols defaults to nrows."""
@@ -147,17 +155,13 @@ class SpMat:
     @classmethod
     def from_dense(cls, data: Iterable[Iterable]) -> "SpMat":
         data = [list(r) for r in data]
-        nrows = len(data)
         ncols = len(data[0]) if data else 0
-        m = cls(nrows, ncols)
         for i, r in enumerate(data):
             if len(r) != ncols:
                 raise LinAlgError(f"row {i} has {len(r)} entries, expected {ncols}")
-            for j, v in enumerate(r):
-                v = qnorm(v)
-                if v:
-                    m.rows.setdefault(i, {})[j] = v
-        return m
+        return cls.from_entries(len(data), ncols, {
+            (i, j): v for i, r in enumerate(data) for j, v in enumerate(r)
+        })
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries: dict) -> "SpMat":
@@ -171,8 +175,73 @@ class SpMat:
         return m
 
     @classmethod
+    def from_columns(cls, nrows: int, cols: list[dict]) -> "SpMat":
+        """The nrows x len(cols) matrix whose column k is the dict cols[k]
+        ({row: value}; zeros are dropped)."""
+        return cls.from_entries(nrows, len(cols), {
+            (i, k): v for k, col in enumerate(cols) for i, v in col.items()
+        })
+
+    @classmethod
     def column(cls, vec: Iterable) -> "SpMat":
         return cls.from_dense([[v] for v in vec])
+
+    @classmethod
+    def assemble(cls, nrows: int, ncols: int, blocks: Iterable[tuple]) -> "SpMat":
+        """The nrows x ncols matrix sum of coef * M over the blocks
+        (row_off, col_off, coef, M), with M's (0, 0) entry placed at
+        (row_off, col_off). Overlapping entries are summed and zeros dropped.
+        A unit coefficient copies M's entries without multiplying, and only
+        the rows where two blocks hit one entry are normalised again."""
+        out: dict[int, dict[int, object]] = {}
+        dirty: set[int] = set()
+        for roff, coff, c, m in blocks:
+            if roff < 0 or coff < 0 or roff + m.nrows > nrows or coff + m.ncols > ncols:
+                raise LinAlgError(
+                    f"{m.nrows}x{m.ncols} block at ({roff}, {coff}) outside {nrows}x{ncols}"
+                )
+            c = qnorm(c)
+            if not c:
+                continue
+            unit = c == 1
+            for i, r in m.rows.items():
+                if not r:
+                    continue
+                i += roff
+                orow = out.get(i)
+                if orow is None:
+                    if unit and not coff:
+                        out[i] = dict(r)
+                        continue
+                    orow = out[i] = {}
+                # an entry no other block wrote is stored in stored form; a
+                # sum marks its row for normalising
+                hit = False
+                if unit:
+                    for j, v in r.items():
+                        j += coff
+                        if j in orow:
+                            orow[j] += v
+                            hit = True
+                        else:
+                            orow[j] = v
+                else:
+                    for j, v in r.items():
+                        j += coff
+                        if j in orow:
+                            orow[j] += c * v
+                            hit = True
+                        else:
+                            orow[j] = qnorm(c * v)
+                if hit:
+                    dirty.add(i)
+        for i in dirty:
+            row = {j: qnorm(v) for j, v in out[i].items() if v}
+            if row:
+                out[i] = row
+            else:
+                del out[i]
+        return cls(nrows, ncols, out)
 
     @classmethod
     def diagonal(cls, diag: Iterable) -> "SpMat":
@@ -186,15 +255,18 @@ class SpMat:
         return self.rows.get(i, {}).get(j, QZERO)
 
     def set(self, i: int, j: int, v) -> None:
+        """Write entry (i, j). The row is replaced, not changed in place:
+        matrices may share rows."""
+        row = dict(self.rows.get(i, ()))
         v = qnorm(v)
         if v:
-            self.rows.setdefault(i, {})[j] = v
+            row[j] = v
         else:
-            r = self.rows.get(i)
-            if r is not None:
-                r.pop(j, None)
-                if not r:
-                    del self.rows[i]
+            row.pop(j, None)
+        if row:
+            self.rows[i] = row
+        else:
+            self.rows.pop(i, None)
 
     def entries(self) -> Iterator[tuple[int, int, object]]:
         for i in sorted(self.rows):
@@ -209,7 +281,7 @@ class SpMat:
         return not self.rows
 
     def copy(self) -> "SpMat":
-        return SpMat(self.nrows, self.ncols, {i: dict(r) for i, r in self.rows.items()})
+        return SpMat(self.nrows, self.ncols, dict(self.rows))
 
     def col_dict(self, j: int) -> dict[int, object]:
         return {i: r[j] for i, r in self.rows.items() if j in r}
@@ -232,9 +304,6 @@ class SpMat:
             and self.rows == other.rows
         )
 
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("SpMat is mutable, not hashable")
-
     def __repr__(self) -> str:
         return f"SpMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
@@ -243,36 +312,18 @@ class SpMat:
     def __add__(self, other: "SpMat") -> "SpMat":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise LinAlgError("shape mismatch in add")
-        out = self.copy()
-        for i, r in other.rows.items():
-            orow = out.rows.setdefault(i, {})
-            for j, v in r.items():
-                s = orow.get(j, 0) + v
-                if s:
-                    orow[j] = qnorm(s)
-                else:
-                    orow.pop(j, None)
-            if not orow:
-                del out.rows[i]
-        return out
+        return SpMat.assemble(self.nrows, self.ncols, [(0, 0, 1, self), (0, 0, 1, other)])
 
     def __neg__(self) -> "SpMat":
-        return SpMat(
-            self.nrows, self.ncols,
-            {i: {j: -v for j, v in r.items()} for i, r in self.rows.items()},
-        )
+        return self.scale(-1)
 
     def __sub__(self, other: "SpMat") -> "SpMat":
-        return self + (-other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise LinAlgError("shape mismatch in sub")
+        return SpMat.assemble(self.nrows, self.ncols, [(0, 0, 1, self), (0, 0, -1, other)])
 
     def scale(self, c) -> "SpMat":
-        c = qnorm(c)
-        if not c:
-            return SpMat(self.nrows, self.ncols)
-        return SpMat(
-            self.nrows, self.ncols,
-            {i: {j: qnorm(c * v) for j, v in r.items()} for i, r in self.rows.items()},
-        )
+        return SpMat.assemble(self.nrows, self.ncols, [(0, 0, c, self)])
 
     def __matmul__(self, other: "SpMat") -> "SpMat":
         if self.ncols != other.nrows:
@@ -340,7 +391,7 @@ class SpMat:
                 out.setdefault(j, {})[i] = v
         return SpMat(self.ncols, self.nrows, out)
 
-    # -- stacking ---------------------------------------------------------
+    # -- stacking and index maps ------------------------------------------
 
     @staticmethod
     def hstack(mats: list["SpMat"]) -> "SpMat":
@@ -349,15 +400,8 @@ class SpMat:
         nrows = mats[0].nrows
         if any(m.nrows != nrows for m in mats):
             raise LinAlgError(f"hstack of row counts {[m.nrows for m in mats]}")
-        out = SpMat(nrows, sum(m.ncols for m in mats))
-        off = 0
-        for m in mats:
-            for i, r in m.rows.items():
-                orow = out.rows.setdefault(i, {})
-                for j, v in r.items():
-                    orow[j + off] = v
-            off += m.ncols
-        return out
+        offs = [0, *accumulate(m.ncols for m in mats)]
+        return SpMat.assemble(nrows, offs[-1], [(0, o, 1, m) for o, m in zip(offs, mats)])
 
     @staticmethod
     def vstack(mats: list["SpMat"]) -> "SpMat":
@@ -366,24 +410,41 @@ class SpMat:
         ncols = mats[0].ncols
         if any(m.ncols != ncols for m in mats):
             raise LinAlgError(f"vstack of column counts {[m.ncols for m in mats]}")
-        out = SpMat(sum(m.nrows for m in mats), ncols)
-        off = 0
-        for m in mats:
-            for i, r in m.rows.items():
-                out.rows[i + off] = dict(r)
-            off += m.nrows
-        return out
+        offs = [0, *accumulate(m.nrows for m in mats)]
+        return SpMat.assemble(offs[-1], ncols, [(o, 0, 1, m) for o, m in zip(offs, mats)])
 
     @staticmethod
     def block_diag(mats: list["SpMat"]) -> "SpMat":
-        out = SpMat(sum(m.nrows for m in mats), sum(m.ncols for m in mats))
-        roff = coff = 0
-        for m in mats:
-            for i, r in m.rows.items():
-                out.rows[i + roff] = {j + coff: v for j, v in r.items()}
-            roff += m.nrows
-            coff += m.ncols
-        return out
+        roffs = [0, *accumulate(m.nrows for m in mats)]
+        coffs = [0, *accumulate(m.ncols for m in mats)]
+        return SpMat.assemble(
+            roffs[-1], coffs[-1], [(r, c, 1, m) for r, c, m in zip(roffs, coffs, mats)]
+        )
+
+    def gather_rows(self, idx: list[int]) -> "SpMat":
+        """The len(idx) x ncols matrix whose row p is row idx[p] of self (the
+        rows are shared, not copied)."""
+        if idx and (min(idx) < 0 or max(idx) >= self.nrows):
+            raise LinAlgError(f"rows gathered from outside {self.nrows} rows")
+        rows = self.rows
+        out = {}
+        for p, i in enumerate(idx):
+            r = rows.get(i)
+            if r:
+                out[p] = r
+        return SpMat(len(idx), self.ncols, out)
+
+    def place_rows(self, idx: list[int], nrows: int) -> "SpMat":
+        """The nrows x ncols matrix with row p of self at row idx[p] and zeros
+        elsewhere, for distinct idx; gather_rows(idx) undoes it."""
+        if len(idx) != self.nrows or len(set(idx)) != len(idx):
+            raise LinAlgError(
+                f"placing {self.nrows} rows needs as many distinct indices, got "
+                f"{len(idx)} ({len(set(idx))} distinct)"
+            )
+        if idx and (min(idx) < 0 or max(idx) >= nrows):
+            raise LinAlgError(f"rows placed outside {nrows} rows")
+        return SpMat(nrows, self.ncols, {idx[p]: r for p, r in self.rows.items() if r})
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "SpMat":
         cpos = {j: p for p, j in enumerate(col_idx)}
@@ -403,14 +464,10 @@ class SpMat:
     # -- kronecker (for tensor-product actions) ---------------------------
 
     def kron(self, other: "SpMat") -> "SpMat":
-        out = SpMat(self.nrows * other.nrows, self.ncols * other.ncols)
-        for i, r in self.rows.items():
-            for j, a in r.items():
-                for k, s in other.rows.items():
-                    orow = out.rows.setdefault(i * other.nrows + k, {})
-                    for l, b in s.items():
-                        orow[j * other.ncols + l] = qnorm(a * b)
-        return out
+        nr, nc = other.nrows, other.ncols
+        return SpMat.assemble(self.nrows * nr, self.ncols * nc, [
+            (i * nr, j * nc, a, other) for i, r in self.rows.items() for j, a in r.items()
+        ])
 
     # -- elimination ------------------------------------------------------
 

@@ -324,14 +324,27 @@ def pplus_module(g: GradedLieAlgebra) -> PModule:
     )
 
 
+def tensor_blocks(a1: SpMat, a2: SpMat, off: int = 0) -> list[tuple]:
+    """The action X (x) 1 + 1 (x) X on m1 (x) m2 (row-major), for X acting
+    by a1 on m1 and by a2 on m2, as `SpMat.assemble` blocks placed at
+    (off, off): a2 on each diagonal block, and c times the identity at block
+    (i, j) for each entry c of a1."""
+    n2 = a2.nrows
+    unit = SpMat.identity(n2)
+    blocks = [(off + i * n2, off + i * n2, 1, a2) for i in range(a1.nrows)]
+    blocks.extend((off + i * n2, off + j * n2, c, unit) for i, j, c in a1.entries())
+    return blocks
+
+
 def tensor(m1: PModule, m2: PModule) -> PModule:
     """m1 (x) m2, basis row-major in the factors."""
     if m1.g is not m2.g:
         raise ValueError("tensor of modules over different algebras")
     common = [l for l in m1.actions if l in m2.actions]
-    i1, i2 = SpMat.identity(m1.dim), SpMat.identity(m2.dim)
+    dim = m1.dim * m2.dim
     acts = {
-        l: m1.actions[l].kron(i2) + i1.kron(m2.actions[l]) for l in common
+        l: SpMat.assemble(dim, dim, tensor_blocks(m1.actions[l], m2.actions[l]))
+        for l in common
     }
     e_grades = tuple(
         a + b for a in m1.e_grades for b in m2.e_grades
@@ -372,9 +385,10 @@ def exterior_power(m: PModule, n: int) -> PModule:
         raise ValueError(f"exterior power {n} of a {m.dim}-dimensional module")
     tuples = list(combinations(range(m.dim), n))
     tidx = {t: k for k, t in enumerate(tuples)}
+    unit = SpMat.identity(1)
     acts: dict[Label, SpMat] = {}
     for lab, A in m.actions.items():
-        out = SpMat(len(tuples), len(tuples))
+        terms = []
         for k, t in enumerate(tuples):
             for pos in range(n):
                 col = A.col_dict(t[pos])
@@ -386,9 +400,8 @@ def exterior_power(m: PModule, n: int) -> PModule:
                     sign, srt = _sort_sign(lst)
                     if sign == 0:
                         continue
-                    r = tidx[tuple(srt)]
-                    out.set(r, k, out.get(r, k) + sign * v)
-        acts[lab] = out
+                    terms.append((tidx[tuple(srt)], k, sign * v, unit))
+        acts[lab] = SpMat.assemble(len(tuples), len(tuples), terms)
     e_grades = tuple(sum((m.e_grades[i] for i in t), QZERO) for t in tuples)
     weights = None
     if m.weights is not None:
@@ -480,10 +493,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
             elif per_dim != len(closure):
                 raise NotCompletelyReducibleInput("isotypic closures of unequal size")
             emb_cols.extend(closure)
-        emb = SpMat(m.dim, len(emb_cols))
-        for c, col in enumerate(emb_cols):
-            for r, v in col.items():
-                emb.set(r, c, v)
+        emb = SpMat.from_columns(m.dim, emb_cols)
         if emb.rank() != emb.ncols:
             raise NotCompletelyReducibleInput("overlapping isotypic closures")
         label = dominant_representative_for(rs, uncrossed, tuple(-x for x in mu))

@@ -7,6 +7,11 @@ elimination, and every action is restricted by the products sel @ A @ iota.
 Slow, but independent of the index-map certificate in ``artifact.jetcalc``,
 against which the tests compare it.
 
+The first jet reference writes J^1(V) as V (+) (p_+ (x) V) with `repmod.tensor`
+(itself checked against Kronecker products in ``test_repmod``) and adds the
+footpoint corrections one matrix at a time with `+`, `scale` and `kron`,
+independently of the block list ``artifact.jetcalc.jet1`` assembles.
+
 The splitter reference composes stage by stage in direct-sum coordinates:
 Jbar^{k+1}(W) sits in Jbar^k(J^1 W) by index arithmetic (`chain_embedding`),
 and Jbar^k(f) is blockdiag(id (x) f) (`jbar_of_map`), independently of the
@@ -20,7 +25,33 @@ from dataclasses import dataclass
 from artifact.gradedla import GradedLieAlgebra
 from artifact.jetcalc import SemiHolonomicJet, jbar_dim, jet1, semiholonomic
 from artifact.linalg import SpMat
-from artifact.repmod import PModule
+from artifact.repmod import PModule, pplus_module, tensor
+
+
+def reference_jet1(V: PModule) -> PModule:
+    """J^1(V) on [V; p_+ (x) V]: Z acts by Z on V and by the tensor-product
+    action on p_+ (x) V, and for |eta_a| <= |Z| the footpoint v0 also goes to
+    eta_a (x) [Z, xi_a].v0 (xi_a = f_a / d_a), the block (a + 1, 0)."""
+    g = V.g
+    roots = g.pplus_roots()
+    d = len(roots)
+    dual = g.dual_bases()
+    pv = tensor(pplus_module(g), V)
+    acts = {}
+    for lab in g.p_labels():
+        act = SpMat.block_diag([V.actions[lab], pv.actions[lab]])
+        w = g.grade_of(lab)
+        for a in range(d):
+            if w < 1 or g.grade_of(("e", roots[a])) > w:
+                continue
+            corner = SpMat.from_entries(1 + d, 1 + d, {(1 + a, 0): 1})
+            for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
+                act = act + corner.kron(V.actions[blab].scale(c / dual.d[a]))
+        acts[lab] = act
+    return PModule(
+        g=g, dim=(1 + d) * V.dim, e_grades=V.e_grades + pv.e_grades, actions=acts,
+        weights=None if V.weights is None else V.weights + pv.weights,
+    )
 
 
 @dataclass

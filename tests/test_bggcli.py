@@ -1,7 +1,10 @@
 """Command-line interface: parsing, emitters, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -208,6 +211,19 @@ def test_config_file_with_flag_override(tmp_path):
     bad.write_text("algebra A2\n")
     with pytest.raises(ParseError, match="key=value"):
         parse_spec(["--config", str(bad), "diagram"])
+
+
+def test_module_entry_point_runs_without_warnings():
+    # `python -m artifact.bggcli` must not find bggcli imported by the package
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "artifact.bggcli",
+         "--algebra", "A1", "--cross", "1", "--weight", "0", "cohomology"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("algebra A1")
 
 
 def test_byte_identical_across_processes(tmp_path):

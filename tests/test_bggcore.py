@@ -134,11 +134,11 @@ def test_tilde_submodules(label, sigma, weight):
                 # defining equations of the constrained jet space
                 d = len(g.pplus_roots())
                 qn, qn1 = gs.quotient(i), gs.quotient(i + 1)
-                proj = SpMat.zeros(qn.dim, qn1.dim)
+                proj = SpMat(qn.dim, qn1.dim)
                 for k in range(qn.dim):
                     proj.set(k, k, 1)
                 jp = jet1_map_matrix(g, proj)
-                foot = SpMat.zeros(qn1.dim, (1 + d) * qn1.dim)
+                foot = SpMat(qn1.dim, (1 + d) * qn1.dim)
                 for k in range(qn1.dim):
                     foot.set(k, k, 1)
                 lhs = (chain.maps[i - 1].mat @ jp - foot) @ T.basis
@@ -238,6 +238,21 @@ def test_non_integral_order_raises_under_python_O():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+def test_lift_top_block_refuses_rows_outside_the_block():
+    gs = next(gs for gs in submodules_for("A2", (1,), (1, 1)) if gs.r >= 1)
+    top = gs.block_columns(1)
+    below = gs.block_columns(0)
+    x = SpMat.from_columns(gs.module.dim, [{top[0]: 1}, {top[-1]: 2}])
+    y = gs.lift_top_block(1, x)
+    # box^{-1} on the block rows, placed back at those rows of E/E^2
+    assert (y.nrows, y.ncols) == (gs.quotient(2).dim, 2)
+    expect = gs.box_inverse(1) @ x.submatrix(top, [0, 1])
+    assert y.submatrix(top, [0, 1]) == expect
+    assert y.submatrix(below, [0, 1]).is_zero()
+    escaped = x + SpMat.from_columns(gs.module.dim, [{below[0]: 1}, {}])
+    assert gs.lift_top_block(1, escaped) is None
 
 
 def test_bgg_operator_fields():

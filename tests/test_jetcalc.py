@@ -17,12 +17,13 @@ from artifact.jetcalc import (
 )
 from artifact.linalg import Q, SpMat
 from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
-from conftest import graded
+from conftest import complex_for, graded
 from jet_reference import (
     ambient,
     chain_embedding,
     jbar_of_map,
     projection_pair,
+    reference_jet1,
     reference_semiholonomic,
     truncation_matrix,
 )
@@ -85,7 +86,7 @@ def test_check_equivariance_rejects_non_maps():
     assert not res.ok
     assert res.residuals
     with pytest.raises(ShapeMismatch):
-        check_equivariance(SpMat.zeros(V.dim + 1, V.dim), V, V)
+        check_equivariance(SpMat(V.dim + 1, V.dim), V, V)
 
 
 def test_semiholonomic_r1_is_jet1():
@@ -104,6 +105,19 @@ TOWERS = [
     ("B2", (1,), (0, 0), 2),
     ("G2", (1,), (1, 0), 2),
 ]
+
+
+@pytest.mark.parametrize("case", [t[:3] for t in TOWERS] + ["C1"],
+                         ids=[f"{t[0]}-" + ",".join(map(str, t[2])) for t in TOWERS] + ["G2-C1"])
+def test_jet1_matches_tensor_reference(case):
+    # the TOWERS modules, and the cochain level C^1 of G2 {1} (1,0)
+    V = module(*case) if case != "C1" else complex_for("G2", (1,), (1, 0)).levels[1]
+    jm = jet1(V)
+    ref = reference_jet1(V)
+    assert jm.dim == ref.dim
+    assert jm.e_grades == ref.e_grades
+    assert jm.weights == ref.weights
+    assert jm.actions == ref.actions
 
 
 @pytest.mark.parametrize("label,sigma,lam,r", TOWERS[:3])

@@ -64,7 +64,7 @@ def test_identity_and_zero():
     A = rand_mat(4, 4)
     assert (I @ A).to_dense() == A.to_dense()
     assert (A @ I).to_dense() == A.to_dense()
-    assert SpMat.zeros(3, 4).is_zero()
+    assert SpMat(3, 4).is_zero()
     assert not A.is_zero() or A.nnz() == 0
 
 
@@ -112,9 +112,9 @@ def test_solve_consistent_and_inconsistent():
     S = A.solve(B)
     assert (A @ S).to_dense() == B.to_dense()
     # loaded full-rank column outside a rank-deficient image
-    bad = SpMat.zeros(2, 1)
+    bad = SpMat(2, 1)
     bad.set(1, 0, 1)
-    M = SpMat.zeros(2, 1)
+    M = SpMat(2, 1)
     M.set(0, 0, 1)
     with pytest.raises(LinAlgError):
         M.solve(bad)
@@ -395,3 +395,155 @@ def test_entries_are_stored_as_int_when_integral():
     assert stored_form(A.merge_columns([0, 0], 1))
     assert stored_form(SpMat.diagonal([Q(3, 3), Q(1, 3)]))
     assert stored_form(SpMat.identity(3))
+
+
+def test_spmat_is_unhashable():
+    # __eq__ without __hash__: a mutable matrix cannot be a dict key
+    with pytest.raises(TypeError):
+        hash(SpMat(1, 1))
+
+
+# -- the block assembler and the index-map helpers ----------------------------
+
+def stored(M):
+    """M rebuilt through a constructor, so its entries are in stored form."""
+    return SpMat.from_entries(M.nrows, M.ncols, {(i, j): v for i, j, v in M.entries()})
+
+
+@st.composite
+def block_list(draw):
+    """A target shape and blocks (row_off, col_off, coef, M) that fit in it;
+    coefficients mix int, Q and integral Q, and include 0. Some blocks are
+    repeated with the opposite coefficient, so that they cancel."""
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        mr, mc = draw(st.integers(0, nr)), draw(st.integers(0, nc))
+        roff, coff = draw(st.integers(0, nr - mr)), draw(st.integers(0, nc - mc))
+        c = draw(st.one_of(st.just(0), st.just(1), st.just(Q(2, 2)), scalar))
+        M = stored(draw(raw_mat(mr, mc)))
+        blocks.append((roff, coff, c, M))
+        if draw(st.booleans()):
+            blocks.append((roff, coff, -c, M))
+    return nr, nc, blocks
+
+
+def placed(nr, nc, roff, coff, c, M):
+    """c * M placed at (roff, coff), with the existing stacking ops."""
+    return SpMat.block_diag([
+        SpMat(roff, coff), M.scale(c), SpMat(nr - roff - M.nrows, nc - coff - M.ncols),
+    ])
+
+
+@given(block_list())
+def test_assemble_is_the_sum_of_placed_blocks(case):
+    nr, nc, blocks = case
+    before = [snapshot(M) for *_, M in blocks]
+    A = SpMat.assemble(nr, nc, blocks)
+    assert [snapshot(M) for *_, M in blocks] == before
+    assert (A.nrows, A.ncols) == (nr, nc)
+    assert stored_form(A)
+    assert all(r for r in A.rows.values())  # no empty row is stored
+    # against dense rational sums, and against placed blocks added up
+    dense = [[Q(0)] * nc for _ in range(nr)]
+    for roff, coff, c, M in blocks:
+        for i, j, v in M.entries():
+            dense[roff + i][coff + j] += Q(c) * v
+    assert A.to_dense() == dense
+    total = SpMat(nr, nc)
+    for block in blocks:
+        total = total + placed(nr, nc, *block)
+    assert canon(A) == canon(total)
+
+
+@given(block_list())
+def test_cancelling_blocks_leave_nothing(case):
+    nr, nc, blocks = case
+    undo = [(roff, coff, -c, M) for roff, coff, c, M in blocks]
+    assert SpMat.assemble(nr, nc, blocks + undo) == SpMat(nr, nc)
+    assert SpMat.assemble(nr, nc, [(r, c, 0, M) for r, c, _, M in blocks]) == SpMat(nr, nc)
+
+
+def test_assemble_rejects_blocks_that_do_not_fit():
+    M = SpMat.identity(2)
+    for roff, coff in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(LinAlgError, match="outside 3x3"):
+            SpMat.assemble(3, 3, [(roff, coff, 1, M)])
+    # a zero coefficient does not excuse a block that does not fit
+    with pytest.raises(LinAlgError):
+        SpMat.assemble(3, 3, [(2, 2, 0, M)])
+
+
+def test_assemble_shape_check_survives_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "from artifact.linalg import LinAlgError, SpMat\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "try:\n"
+        "    SpMat.assemble(2, 2, [(1, 1, 1, SpMat.identity(2))])\n"
+        "except LinAlgError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+@st.composite
+def rows_and_index(draw):
+    """A stored-form matrix and distinct row indices, one per row, into a
+    taller matrix."""
+    M = stored(draw(raw_mat()))
+    n = M.nrows + draw(st.integers(0, 3))
+    idx = draw(st.permutations(range(n)))[:M.nrows]
+    return M, list(idx), n
+
+
+@given(rows_and_index())
+def test_gather_and_place_invert_each_other(case):
+    M, idx, n = case
+    before = snapshot(M)
+    P = M.place_rows(idx, n)
+    assert (P.nrows, P.ncols) == (n, M.ncols)
+    assert P.gather_rows(idx) == M
+    for p, i in enumerate(idx):
+        assert [P.get(i, j) for j in range(M.ncols)] == [M.get(p, j) for j in range(M.ncols)]
+    assert P.nnz() == M.nnz()
+    # gathering first keeps exactly the rows idx
+    G = P.gather_rows(idx).place_rows(idx, n)
+    assert G == P
+    # the helpers share rows, so a write into one matrix must leave the
+    # others as they were
+    if M.nrows and M.ncols:
+        P.set(idx[0], 0, 7)
+        G.set(idx[-1], M.ncols - 1, 0)
+        M.gather_rows([0]).set(0, 0, 5)
+        assert G.gather_rows(idx[:1]) == M.gather_rows([0])
+    assert snapshot(M) == before
+
+
+def test_index_helpers_reject_bad_indices():
+    M = SpMat.identity(2)
+    with pytest.raises(LinAlgError):
+        M.gather_rows([0, 2])
+    with pytest.raises(LinAlgError):
+        M.place_rows([0, 0], 3)
+    with pytest.raises(LinAlgError):
+        M.place_rows([0, 3], 3)
+    with pytest.raises(LinAlgError):
+        M.place_rows([0], 3)
+    with pytest.raises(LinAlgError):
+        SpMat.from_columns(2, [{2: 1}])
+
+
+@given(raw_mat())
+def test_from_columns_matches_entries(M):
+    cols = [M.col_dict(j) for j in range(M.ncols)]
+    C = SpMat.from_columns(M.nrows, cols)
+    assert canon(C) == canon(stored(M))
+    assert stored_form(C)
