@@ -18,6 +18,16 @@ and one more step of it,
 is the level-to-level operator whose nonzero component blocks are the arrows
 of the diagram. Each step is `jetcalc.prolong`. All compositions are exact.
 
+The operator is built and certified on J^1(W), W = Jbar^r(E/E^1) the domain
+of L, whose action the splitter already has: Dt = pi_H o d_V o J^1(L) on
+J^1(W), D = Dt o iota (Dt with its columns merged by phi of Jbar^{r+1}), and
+D o A_Z = Dt o A^{J^1}_Z o iota by equalizer condition (4) for Jbar^{r+1}.
+That condition holds because Jbar^{r+1} is the equalizer of two P-maps, both
+certified at level r, and conditions (1)-(3) on phi are checked on every
+call; so checking A'_Z o D against Dt o A^{J^1}_Z merged by phi
+(`certify.certify_from_left`) certifies D, and the action of Jbar^{r+1} is
+never built.
+
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
 identity battery `verify` reports runs there too.
@@ -29,6 +39,7 @@ from dataclasses import dataclass, field
 
 from .certify import (
     CertificationFailure,
+    certify_from_left,
     certify_map,
     oracle_agrees,
     verify_cochain_identities,
@@ -52,8 +63,11 @@ from .jetcalc import (
     JetModule,
     PModMap,
     SemiHolonomicJet,
+    check_jet_budget,
+    equalizer_index_maps,
     jbar_dim,
     jet1,
+    jet1_map_matrix,
     prolong,
     semiholonomic,
 )
@@ -315,27 +329,41 @@ class BGGArrow:
 class BGGOperator:
     n: int
     source: int
-    domain: PModule = field(repr=False)
     matrix: SpMat = field(repr=False)      # harmonic coords of H^{n+1}
-    values: SpMat = field(repr=False)      # composite into C^{n+1}
     in_kernel: bool = True
     arrows: tuple[BGGArrow, ...] = ()
+
+
+def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
+                     coh_next: Cohomology) -> tuple[SpMat, SpMat]:
+    """(Dt, d_V o J^1(F)) on J^1(W), W = ``chain.domain``, for F = the
+    splitter into C^n: Dt = pi_H o d_V o J^1(F) in harmonic coordinates of
+    H^{n+1}, and the values into C^{n+1} before pi_H."""
+    cc, n = gs.cc, gs.n
+    values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, gs.basis @ chain.composite)
+    split = coh_next.split
+    x = split.full_basis.solve(values)
+    off = split.im_del.ncols
+    h = split.ker_box.ncols
+    return x.submatrix(list(range(off, off + h)), list(range(x.ncols))), values
 
 
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                  coh_next: Cohomology, comps_next: list[IrrepLabel],
                  source_index: int = 0,
                  max_jet_dim: int = MAX_JET_DIM) -> BGGOperator:
+    """D = Dt o iota on Jbar^{r+1}(E/E^1), certified from the left (module
+    docstring); its nonzero component blocks are the arrows."""
     cc, n = gs.cc, gs.n
-    sh = semiholonomic(gs.quotient(1), gs.r + 1, max_dim=max_jet_dim, below=chain.jet)
-    values = twisted_matrix(cc, n) @ prolong(gs.basis @ chain.composite, sh)
+    check_jet_budget(gs.quotient(1), gs.r + 1, max_jet_dim)
+    dt, values = operator_on_jet1(gs, chain, coh_next)
+    phi, ncols = None, dt.ncols
+    if chain.jet is not None:
+        phi, pick = equalizer_index_maps(chain.jet)
+        ncols = len(pick)
+        values = values.merge_columns(phi, ncols)
     in_kernel = (cc.delstars[n] @ values).is_zero()
-    split = coh_next.split
-    x = split.full_basis.solve(values)
-    off = split.im_del.ncols
-    h = split.ker_box.ncols
-    dh = x.submatrix(list(range(off, off + h)), list(range(x.ncols)))
-    certify_map(dh, sh.module, coh_next.module, "operator")
+    dh = certify_from_left(dt, chain.domain, phi, ncols, coh_next.module)
     arrows = []
     if comps_next:
         stacked = SpMat.hstack([c.embedding for c in comps_next])
@@ -354,8 +382,7 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                 level=n, source=source_index, target=t, order=order, block=blk,
             ))
     return BGGOperator(
-        n=n, source=source_index, domain=sh.module, matrix=dh,
-        values=values, in_kernel=in_kernel, arrows=tuple(arrows),
+        n=n, source=source_index, matrix=dh, in_kernel=in_kernel, arrows=tuple(arrows),
     )
 
 

@@ -17,8 +17,10 @@ from .jetcalc import (
     JetModule,
     PModMap,
     SemiHolonomicJet,
+    ShapeMismatch,
     check_equivariance,
     jet1,
+    jet1_left_action,
     jet1_map_matrix,
     prolong,
     semiholonomic,
@@ -40,6 +42,35 @@ def certify_map(mat: SpMat, source: PModule, target: PModule, what: str) -> PMod
     if not pm.certified:
         raise CertificationFailure(f"{what} residuals on {sorted(pm.residuals)}")
     return pm
+
+
+def certify_from_left(dt: SpMat, W: PModule, phi: list[int] | None, ncols: int,
+                      target: PModule) -> SpMat:
+    """The BGG operator D = Dt o iota (Dt with its columns merged by phi;
+    D = Dt when phi is None), certified as a P-module map Jbar -> target, for
+    Dt defined on J^1(W) and Jbar the module phi embeds in J^1(W) (J^1(W)
+    itself when phi is None). Returns D, or raises CertificationFailure as
+    `certify_map` does.
+
+    For each label, A'_Z D must equal Dt A^{J^1}_Z merged by phi: by
+    equalizer condition (4) that is D A_Z, and (4) holds because Jbar is the
+    equalizer of two P-maps certified with W (the `jetcalc` module
+    docstring). The action of Jbar is never built; phi is certified by
+    `jetcalc.equalizer_index_maps`."""
+    if dt.nrows != target.dim:
+        raise ShapeMismatch(f"map has {dt.nrows} rows, expected {target.dim}")
+
+    def merge(m: SpMat) -> SpMat:
+        return m if phi is None else m.merge_columns(phi, ncols)
+
+    mat = merge(dt)
+    residuals = [
+        lab for lab, right in jet1_left_action(dt, W).items()
+        if lab in target.actions and target.actions[lab] @ mat != merge(right)
+    ]
+    if residuals:
+        raise CertificationFailure(f"operator residuals on {sorted(residuals)}")
+    return mat
 
 
 def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
@@ -77,27 +108,22 @@ def verify_codifferential_leibniz(cc: CochainComplex) -> bool:
 def verify_differential_commutator(cc: CochainComplex) -> bool:
     """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f)."""
     g = cc.g
-    roots = g.pplus_roots()
-    dual = g.dual_bases()
     for n in range(cc.top):
         wedges = unit_wedges(cc, n)
         acts = cc.levels[n].actions
         dim, dim1 = cc.dim(n), cc.dim(n + 1)
         for lab in g.p_labels():
-            w = g.grade_of(lab)
-            if w < 1:
+            if g.grade_of(lab) < 1:
                 continue
             lhs = cc.levels[n + 1].actions[lab] @ cc.dels[n] - cc.dels[n] @ acts[lab]
-            terms = []
-            for a, root in enumerate(roots):
-                if g.grade_of(("e", root)) > w:
-                    continue
-                # [W, xi_a] / d_a acting on C^n
-                act = SpMat.assemble(dim, dim, [
-                    (0, 0, c / dual.d[a], acts[blab])
-                    for blab, c in g.bracket_labels(lab, ("f", root)).items()
-                ])
-                terms.append((0, 0, n + 1, wedges[a] @ act))
+            # [W, xi_a] acting on C^n, for each a
+            brackets: dict[int, list] = {}
+            for a, blab, c in g.xi_brackets(lab):
+                brackets.setdefault(a, []).append((0, 0, c, acts[blab]))
+            terms = [
+                (0, 0, n + 1, wedges[a] @ SpMat.assemble(dim, dim, blocks))
+                for a, blocks in brackets.items()
+            ]
             if lhs != SpMat.assemble(dim1, dim, terms):
                 return False
     return True

@@ -302,6 +302,46 @@ class GradedLieAlgebra:
         """The Killing-dual bases of p_+, computed once per algebra."""
         return self._dual_bases
 
+    def pplus_action(self) -> dict[Label, SpMat]:
+        """ad Z on p_+ in the basis eta_a, for each Z in p; computed once per
+        algebra, and the matrices are shared by every caller."""
+        return self._pplus_action
+
+    @cached_property
+    def _pplus_action(self) -> dict[Label, SpMat]:
+        roots = self.pplus_roots()
+        idx = {r: k for k, r in enumerate(roots)}
+        acts = {}
+        for lab in self.p_labels():
+            entries = {}
+            for k, r in enumerate(roots):
+                for out_lab, c in self.bracket_labels(lab, ("e", r)).items():
+                    if out_lab[0] != "e" or out_lab[1] not in idx:
+                        raise AlgebraNotCertified(f"[{lab}, e_{r}] leaves p_+")
+                    entries[idx[out_lab[1]], k] = c
+            acts[lab] = SpMat.from_entries(len(roots), len(roots), entries)
+        return acts
+
+    def xi_brackets(self, label: Label) -> tuple[tuple[int, Label, object], ...]:
+        """[Z, xi_a] = sum (c / d_a) B as terms (a, B, c / d_a), for Z = label
+        and each a with |eta_a| <= |Z| (none when |Z| = 0); computed once per
+        algebra."""
+        return self._xi_brackets[label]
+
+    @cached_property
+    def _xi_brackets(self) -> dict[Label, tuple]:
+        dual = self.dual_bases()
+        out = {}
+        for lab in self.p_labels():
+            w = self.grade_of(lab)
+            out[lab] = tuple(
+                (a, blab, c / dual.d[a])
+                for a, root in enumerate(dual.roots)
+                if w >= 1 and self.grade_of(("e", root)) <= w
+                for blab, c in self.bracket_labels(lab, ("f", root)).items()
+            )
+        return out
+
     @cached_property
     def _dual_bases(self) -> DualBasisPair:
         roots = self.pplus_roots()

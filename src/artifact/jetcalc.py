@@ -41,6 +41,17 @@ kernel computed from index maps instead of by elimination.
 Maps prolong along the same embedding. For f defined on Jbar^{k-1},
 prolong(f, Jbar^k) = J^1(f) o iota is J^1(f) with its columns merged by phi,
 so phi is the one encoding of iota that both the modules and the maps use.
+
+A map on Jbar^k can be certified from the left, without the action of
+Jbar^k. Let D = Dt o iota (Dt with its columns merged by phi) for Dt defined
+on J^1(Jbar^{k-1}). Then D o A_Z = Dt o A^{J^1}_Z o iota by (4), and
+Dt o A^{J^1}_Z is `jet1_left_action`: the J^1 formula evaluated on the
+column blocks of Dt, on the actions Jbar^{k-1} already has. Condition (4)
+need not be checked for this. Jbar^k is the kernel of diff, and the two maps
+of diff are P-maps once Jbar^{k-1} is certified (J^1 of the truncation
+footpoint o iota_{k-1}, and iota_{k-1} o footpoint), so the J^1 action
+preserves it. Conditions (1)-(3) are checked by `equalizer_index_maps`,
+which both `_extend` and the left certificate call.
 """
 
 from __future__ import annotations
@@ -49,7 +60,7 @@ from dataclasses import dataclass, field
 
 from .gradedla import GradedLieAlgebra, Label
 from .linalg import Q, SpMat
-from .repmod import DimensionOverBudget, PModule, pplus_module, tensor_blocks
+from .repmod import DimensionOverBudget, PModule
 
 
 MAX_JET_DIM = 20000  # default budget on dim Jbar^r
@@ -105,34 +116,37 @@ class JetModule(PModule):
     base: PModule = None
 
 
+def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:
+    """The action of lab on J^1(V) as block terms (i, j, c, M): c M at block
+    (i, j) of the (1 + d) x (1 + d) blocks of size dim V, M None for the
+    identity. In the order of the formula in the module docstring: Z on the
+    footpoint; Z on each p_+ slot, and (ad Z)_{ij} times the identity at
+    block (1 + i, 1 + j); for |eta_a| <= |Z|, (c / d_a) B at block (1 + a, 0)
+    for each term c B of [Z, xi_a]."""
+    g = V.g
+    ad = g.pplus_action()[lab]
+    act = V.actions[lab]
+    terms = [(0, 0, 1, act)]
+    terms.extend((1 + a, 1 + a, 1, act) for a in range(ad.nrows))
+    terms.extend((1 + i, 1 + j, c, None) for i, j, c in ad.entries())
+    terms.extend((1 + a, 0, c, V.actions[blab]) for a, blab, c in g.xi_brackets(lab))
+    return terms
+
+
 def jet1(V: PModule) -> JetModule:
-    """J^1(V), each action assembled from the blocks of the formula in the
-    module docstring: Z on the footpoint, the tensor-product action on
-    p_+ (x) V (the blocks `repmod.tensor` uses), and, for |eta_a| <= |Z|,
-    (c / d_a) B at block (a + 1, 0) for each term c B of [Z, xi_a]."""
+    """J^1(V), each action assembled from `_jet1_terms`."""
     g = V.g
     roots = g.pplus_roots()
     d = len(roots)
     dv = V.dim
     dim = (1 + d) * dv
-    dual = g.dual_bases()
-    pp = pplus_module(g)
-
+    unit = SpMat.identity(dv)
     acts: dict[Label, SpMat] = {}
     for lab in g.p_labels():
-        w = g.grade_of(lab)
-        # Z.v0 on the footpoint, and Z acting on p_+ (x) V
-        blocks = [(0, 0, 1, V.actions[lab])]
-        blocks.extend(tensor_blocks(pp.actions[lab], V.actions[lab], off=dv))
-        if w >= 1:
-            # eta_a (x) [Z, xi_a] . v0 from the footpoint, for |eta_a| <= |Z|
-            for a in range(d):
-                if g.grade_of(("e", roots[a])) > w:
-                    continue
-                for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                    blocks.append(((1 + a) * dv, 0, c / dual.d[a], V.actions[blab]))
-        acts[lab] = SpMat.assemble(dim, dim, blocks)
-
+        acts[lab] = SpMat.assemble(dim, dim, [
+            (i * dv, j * dv, c, unit if m is None else m)
+            for i, j, c, m in _jet1_terms(V, lab)
+        ])
     e_grades = list(V.e_grades)
     weights = list(V.weights) if V.weights is not None else None
     for a in range(d):
@@ -148,6 +162,26 @@ def jet1(V: PModule) -> JetModule:
         weights=None if weights is None else tuple(weights),
         base=V,
     )
+
+
+def jet1_left_action(m: SpMat, V: PModule) -> dict[Label, SpMat]:
+    """m @ A_Z for every Z in p, A_Z the action on J^1(V), for m with columns
+    on J^1(V), without building A_Z: each term c M at block (i, j) of
+    `_jet1_terms` adds c M_i @ M to column block j, M_i the column block i of
+    m. Block 0 gets M_0 A_Z + sum (c / d_a) M_{a+1} B, block 1 + j gets
+    M_{1+j} A_Z + sum_i (ad Z)_{ij} M_{1+i}."""
+    d = len(V.g.pplus_roots())
+    dv = V.dim
+    if m.ncols != (1 + d) * dv:
+        raise ShapeMismatch(f"{m.ncols} columns do not lie on J^1 of a {dv}-dim module")
+    cols = [m.select_columns(list(range(b * dv, (b + 1) * dv))) for b in range(1 + d)]
+    return {
+        lab: SpMat.assemble(m.nrows, m.ncols, [
+            (0, j * dv, c, cols[i] if M is None else cols[i] @ M)
+            for i, j, c, M in _jet1_terms(V, lab)
+        ])
+        for lab in V.g.p_labels()
+    }
 
 
 def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
@@ -199,6 +233,15 @@ def jbar_dim(d: int, dv: int, r: int) -> int:
     return sum(_ds_dims(d, dv, r))
 
 
+def check_jet_budget(V: PModule, r: int, max_dim: int) -> None:
+    """Raise DimensionOverBudget when dim Jbar^r(V) exceeds max_dim."""
+    total = jbar_dim(len(V.g.pplus_roots()), V.dim, r)
+    if total > max_dim:
+        raise DimensionOverBudget(
+            f"dim Jbar^{r} = {total} exceeds budget {max_dim}"
+        )
+
+
 def semiholonomic(V: PModule, r: int, max_dim: int = MAX_JET_DIM,
                   below: SemiHolonomicJet | None = None) -> SemiHolonomicJet:
     """Jbar^r(V); raises DimensionOverBudget before building anything big.
@@ -209,13 +252,8 @@ def semiholonomic(V: PModule, r: int, max_dim: int = MAX_JET_DIM,
         raise ValueError(f"semi-holonomic order must be >= 1, got {r}")
     if below is not None and (below.V is not V or below.r > r):
         raise ValueError(f"cannot extend Jbar^{below.r} of another module to Jbar^{r}")
-    g = V.g
-    d = len(g.pplus_roots())
-    total = jbar_dim(d, V.dim, r)
-    if total > max_dim:
-        raise DimensionOverBudget(
-            f"dim Jbar^{r} = {total} exceeds budget {max_dim}"
-        )
+    check_jet_budget(V, r, max_dim)
+    d = len(V.g.pplus_roots())
     cur = below
     if cur is None:
         cur = SemiHolonomicJet(
@@ -272,17 +310,16 @@ def _certify_index_maps(phi: list[int], pick: list[int], phi_prev,
         )
 
 
-def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
-    """One step Jbar^{k-1} -> Jbar^k, certified (module docstring)."""
-    V = prev.V
-    g = V.g
-    d = len(g.pplus_roots())
-    dv = V.dim
+def equalizer_index_maps(prev: SemiHolonomicJet) -> tuple[list[int], list[int]]:
+    """phi (iota) and pick (sel) of Jbar^k in J^1(Jbar^{k-1}), for prev =
+    Jbar^{k-1}, certified by conditions (1)-(3) of the module docstring.
+    Index arithmetic only; dim Jbar^k = len(pick)."""
+    d = len(prev.V.g.pplus_roots())
+    dv = prev.V.dim
     k = prev.r + 1
     pdim = prev.module.dim
     dims = _ds_dims(d, dv, k)
     offs = [sum(dims[:j]) for j in range(k + 1)]
-    new_dim = sum(dims)
     # iota: footpoint rows keep their index; slot a, DS coordinate t of
     # block j-1 goes to offs[j] + a*dims[j-1] + t
     phi = list(range(pdim))
@@ -296,7 +333,17 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
         start = pdim * (1 + a) + offs[k - 1]
         pick.extend(range(start, start + dims[k - 1]))
     phi_prev = prev.phi if prev.phi is not None else range(pdim)
-    _certify_index_maps(phi, pick, phi_prev, pdim, sum(dims[:k - 1]), d)
+    _certify_index_maps(phi, pick, phi_prev, pdim, offs[k - 1], d)
+    return phi, pick
+
+
+def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
+    """One step Jbar^{k-1} -> Jbar^k, certified (module docstring)."""
+    V = prev.V
+    g = V.g
+    k = prev.r + 1
+    phi, pick = equalizer_index_maps(prev)
+    new_dim = len(pick)
     amb = jet1(prev.module)
     # (4) A o iota = iota o A_new, where A_new is the rows pick of A o iota.
     # Row q = pick[p] holds by (2), as phi[q] = p; the other rows q must
@@ -317,5 +364,6 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
         weights=None if amb.weights is None else tuple(amb.weights[q] for q in pick),
     )
     return SemiHolonomicJet(
-        r=k, V=V, module=mod, slot_dims=tuple(dims), phi=tuple(phi),
+        r=k, V=V, module=mod, slot_dims=tuple(_ds_dims(len(g.pplus_roots()), V.dim, k)),
+        phi=tuple(phi),
     )

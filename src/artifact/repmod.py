@@ -303,23 +303,13 @@ def restrict_to_parabolic(m: GModule, g: GradedLieAlgebra) -> PModule:
 
 
 def pplus_module(g: GradedLieAlgebra) -> PModule:
-    """p_+ with the restricted adjoint action of p."""
+    """p_+ with the restricted adjoint action of p (`g.pplus_action`)."""
     roots = g.pplus_roots()
-    idx = {r: k for k, r in enumerate(roots)}
-    acts: dict[Label, SpMat] = {}
-    for lab in g.p_labels():
-        A = SpMat(len(roots), len(roots))
-        for k, r in enumerate(roots):
-            for out_lab, c in g.bracket_labels(lab, ("e", r)).items():
-                if out_lab[0] != "e" or out_lab[1] not in idx:
-                    raise ModuleNotCertified(f"[{lab}, e_{r}] leaves p_+")
-                A.set(idx[out_lab[1]], k, c)
-        acts[lab] = A
     return PModule(
         g=g,
         dim=len(roots),
         e_grades=tuple(Q(g.grade_of(("e", r))) for r in roots),
-        actions=acts,
+        actions=dict(g.pplus_action()),
         weights=tuple(g.rs.root_to_weight(r) for r in roots),
     )
 

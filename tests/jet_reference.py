@@ -12,6 +12,11 @@ The first jet reference writes J^1(V) as V (+) (p_+ (x) V) with `repmod.tensor`
 footpoint corrections one matrix at a time with `+`, `scale` and `kron`,
 independently of the block list ``artifact.jetcalc.jet1`` assembles.
 
+The operator reference certifies D on Jbar^{r+1}(E/E^1) on the built action
+of Jbar^{r+1}, extending the splitter's Jbar^r, by A'_Z D = D A_Z label by
+label (`full_build_certificate`), independently of the left certificate
+``artifact.certify.certify_from_left`` that never builds that action.
+
 The splitter reference composes stage by stage in direct-sum coordinates:
 Jbar^{k+1}(W) sits in Jbar^k(J^1 W) by index arithmetic (`chain_embedding`),
 and Jbar^k(f) is blockdiag(id (x) f) (`jbar_of_map`), independently of the
@@ -23,7 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from artifact.gradedla import GradedLieAlgebra
-from artifact.jetcalc import SemiHolonomicJet, jbar_dim, jet1, semiholonomic
+from artifact.jetcalc import (
+    PModMap,
+    SemiHolonomicJet,
+    check_equivariance,
+    jbar_dim,
+    jet1,
+    semiholonomic,
+)
 from artifact.linalg import SpMat
 from artifact.repmod import PModule, pplus_module, tensor
 
@@ -163,6 +175,13 @@ def projection_pair(sh: SemiHolonomicJet):
     iota_prev = below.iota if below.iota is not None else SpMat.identity(pdim)
     foot = SpMat.identity(pdim, (1 + d) * pdim)
     return m_jet @ sh.iota, (iota_prev @ foot) @ sh.iota
+
+
+def full_build_certificate(gs, chain, coh_next, mat: SpMat) -> PModMap:
+    """mat on Jbar^{r+1}(E/E^1) -> H^{n+1} checked against the built action of
+    Jbar^{r+1}, extended from the splitter's Jbar^r."""
+    sh = semiholonomic(gs.quotient(1), gs.r + 1, below=chain.jet)
+    return check_equivariance(mat, sh.module, coh_next.module)
 
 
 def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:

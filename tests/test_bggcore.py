@@ -20,6 +20,7 @@ from artifact.bggcore import (
 from artifact.certify import tilde_jet_submodule, twisted_d_hom, verify_tower_containments
 from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
 from artifact.linalg import SpMat
+from artifact.repmod import DimensionOverBudget
 from conftest import components_for, diagram_for, graded
 from jet_reference import reference_splitter
 
@@ -266,6 +267,15 @@ def test_bgg_operator_fields():
     blk = op.arrows[0].block
     assert blk.nrows == comps[1][0].dim * comps[1][0].multiplicity
     assert not blk.is_zero()
+
+
+def test_bgg_operator_budget():
+    cc, cohs, comps = components_for("A2", (1,), (1, 0))
+    gs = generate_submodule(cc, cohs[0], comps[0][0])  # r = 1, dim Jbar^2 = 7
+    chain = compose_splitter(gs)
+    with pytest.raises(DimensionOverBudget, match="Jbar\\^2 = 7"):
+        bgg_operator(gs, chain, cohs[1], comps[1], max_jet_dim=6)
+    assert bgg_operator(gs, chain, cohs[1], comps[1], max_jet_dim=7).arrows
 
 
 def test_diagram_rejects_nondominant():

@@ -23,6 +23,8 @@ OTHER_COMMANDS = [
     ("A2", "1,2", "1,1", "diagram", "json,text,dot"),   # arrows in text and dot
     ("G2", "1", "1,1", "cohomology", "json,text"),
     ("A4", "2", "1,0,0,1", "cohomology", "json,text"),
+    ("B3", "1", "0,0,1", "verify", "json,text"),        # two root lengths: d_a differ
+    ("B2", "1,2", "1,0", "verify", "json,text"),        # the same, one partial source
 ]
 
 EXTENSION = {"json": "json", "text": "txt", "dot": "dot"}

@@ -12,6 +12,7 @@ from artifact.jetcalc import (
     ShapeMismatch,
     check_equivariance,
     jet1,
+    jet1_left_action,
     jet1_map_matrix,
     semiholonomic,
 )
@@ -118,6 +119,24 @@ def test_jet1_matches_tensor_reference(case):
     assert jm.e_grades == ref.e_grades
     assert jm.weights == ref.weights
     assert jm.actions == ref.actions
+
+
+@pytest.mark.parametrize("case", [t[:3] for t in TOWERS] + ["C1"],
+                         ids=[f"{t[0]}-" + ",".join(map(str, t[2])) for t in TOWERS] + ["G2-C1"])
+def test_jet1_left_action_is_the_product(case):
+    V = module(*case) if case != "C1" else complex_for("G2", (1,), (1, 0)).levels[1]
+    jm = jet1(V)
+    # every entry distinct, so a block read from the wrong place shows
+    m = SpMat.from_entries(2, jm.dim, {
+        (i, j): Q(1 + j, 1 + i) for i in range(2) for j in range(jm.dim) if (i + j) % 3
+    })
+    for mat in (SpMat.identity(jm.dim), m):
+        left = jet1_left_action(mat, V)
+        assert left.keys() == jm.actions.keys()
+        for lab, A in jm.actions.items():
+            assert left[lab] == mat @ A, lab
+    with pytest.raises(ShapeMismatch):
+        jet1_left_action(SpMat(1, jm.dim - 1), V)
 
 
 @pytest.mark.parametrize("label,sigma,lam,r", TOWERS[:3])

@@ -113,6 +113,12 @@ def test_restriction_is_p_representation():
         )
 
 
+def test_pplus_action_is_computed_once_per_algebra():
+    g = graded("B2", (1,))
+    assert g.pplus_action() is g.pplus_action()
+    assert pplus_module(g).actions == g.pplus_action()
+
+
 def test_pplus_module_is_adjoint_on_pplus():
     g = graded("B2", (1,))
     W = pplus_module(g)
