@@ -56,7 +56,6 @@ from .hodge import (
     cohomology_module,
     laplacian,
     twisted_matrix,
-    unit_wedges,
 )
 from .jetcalc import (
     MAX_JET_DIM,
@@ -257,7 +256,7 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
     # batch all slot corrections into one solve against the E basis
     rhs_cols: list[int] = []
     pieces: list[SpMat] = []
-    for a, wa in enumerate(unit_wedges(cc, n)):
+    for a, wa in enumerate(cc.unit_wedges(n)):
         ga = g.grade_of(("e", roots[a]))
         dswa = cc.delstars[n] @ wa
         for b in range(src_q.dim):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gradedla import GradedLieAlgebra
-from .hodge import CochainComplex, kostant_oracle, twisted_matrix, unit_wedges
+from .hodge import CochainComplex, kostant_oracle, twisted_matrix
 from .jetcalc import (
     JetModule,
     PModMap,
@@ -91,17 +91,14 @@ def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
 def verify_codifferential_leibniz(cc: CochainComplex) -> bool:
     """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) for basis Z, all levels."""
     roots = cc.g.pplus_roots()
-    below = None  # the wedges of level n - 1
     for n in range(cc.top):
-        wedges = unit_wedges(cc, n)
-        for a, wa in enumerate(wedges):
+        for a, wa in enumerate(cc.unit_wedges(n)):
             lhs = cc.delstars[n] @ wa
             rhs = -cc.levels[n].actions[("e", roots[a])]
-            if below is not None:
-                rhs = rhs - below[a] @ cc.delstars[n - 1]
+            if n >= 1:
+                rhs = rhs - cc.unit_wedges(n - 1)[a] @ cc.delstars[n - 1]
             if lhs != rhs:
                 return False
-        below = wedges
     return True
 
 
@@ -109,7 +106,7 @@ def verify_differential_commutator(cc: CochainComplex) -> bool:
     """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f)."""
     g = cc.g
     for n in range(cc.top):
-        wedges = unit_wedges(cc, n)
+        wedges = cc.unit_wedges(n)
         acts = cc.levels[n].actions
         dim, dim1 = cc.dim(n), cc.dim(n + 1)
         for lab in g.p_labels():
@@ -226,9 +223,12 @@ def tilde_bases(gs, maps, top: int) -> list[SpMat]:
     return bases
 
 
-def tilde_jet_submodule(gs, i: int, maps=()) -> TildeJet:
-    """The i-th tilde subspace of J^1(E/E^{i+1}) as a P-module."""
-    basis = tilde_bases(gs, maps, i)[i]
+def tilde_jet_submodule(gs, i: int, maps=(), bases=None) -> TildeJet:
+    """The i-th tilde subspace of J^1(E/E^{i+1}) as a P-module. ``bases``,
+    a list `tilde_bases` returned for a top >= i, saves building it again."""
+    if bases is None:
+        bases = tilde_bases(gs, maps, i)
+    basis = bases[i]
     amb = jet1(gs.quotient(i + 1))
     acts = {}
     for lab, A in amb.actions.items():
@@ -263,10 +263,12 @@ def _second_tilde(first: SpMat, jet: SemiHolonomicJet) -> SpMat:
     return (blocks @ jet.iota).kernel_basis()
 
 
-def verify_tower_containments(gs, chain) -> bool:
+def verify_tower_containments(gs, chain, bases=None) -> bool:
     """J^1(L_i) o iota maps the second tilde space of E/E^i into the first
-    tilde space of E/E^{i+1}, for 1 <= i <= r."""
-    bases = tilde_bases(gs, chain.maps, gs.r)
+    tilde space of E/E^{i+1}, for 1 <= i <= r. ``bases`` is
+    ``tilde_bases(gs, chain.maps, gs.r)`` when the caller has it."""
+    if bases is None:
+        bases = tilde_bases(gs, chain.maps, gs.r)
     for i in range(1, gs.r + 1):
         jet = semiholonomic(gs.quotient(i), 2)
         t_src = _second_tilde(bases[i - 1], jet)

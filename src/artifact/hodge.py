@@ -50,6 +50,9 @@ class CochainComplex:
     dels: list[SpMat] = field(repr=False)  # dels[n]: C^n -> C^{n+1}
     delstars: list[SpMat] = field(repr=False)  # delstars[n]: C^{n+1} -> C^n
     inner: list[SpMat] = field(repr=False)  # G_n on C^n
+    _wedges: dict[int, list[SpMat]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def top(self) -> int:
@@ -57,6 +60,16 @@ class CochainComplex:
 
     def dim(self, n: int) -> int:
         return self.levels[n].dim if 0 <= n <= self.top else 0
+
+    def unit_wedges(self, n: int) -> list[SpMat]:
+        """eta_a ^ . : C^n -> C^{n+1} for every p_+ root position a, built
+        once per level and kept."""
+        wedges = self._wedges.get(n)
+        if wedges is None:
+            wedges = self._wedges[n] = [
+                wedge_insert_matrix(self, n, {a: QONE}) for a in range(len(self.dual))
+            ]
+        return wedges
 
 
 def _tuple_scale(dual: DualBasisPair, t: tuple):
@@ -346,15 +359,10 @@ def wedge_insert_matrix(cc: CochainComplex, n: int, zco: dict[int, object]) -> S
     return SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks)
 
 
-def unit_wedges(cc: CochainComplex, n: int) -> list[SpMat]:
-    """eta_a ^ . : C^n -> C^{n+1} for every p_+ root position a."""
-    return [wedge_insert_matrix(cc, n, {a: QONE}) for a in range(len(cc.dual))]
-
-
 def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
     """(f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of C^n."""
     return SpMat.hstack(
-        [cc.dels[n]] + [w.scale(Q(n) + 1) for w in unit_wedges(cc, n)]
+        [cc.dels[n]] + [w.scale(Q(n) + 1) for w in cc.unit_wedges(n)]
     )
 
 

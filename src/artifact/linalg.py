@@ -8,26 +8,36 @@ handful of derived routines (rank, kernel, solve, span bookkeeping) the rest
 of the package needs.
 
 The scalar type Q is gmpy2.mpq when available, fractions.Fraction otherwise.
-A matrix stores an integral entry as a plain int and any other as Q; the
-constructors, ``set`` and the arithmetic write entries in that form, and
-every routine also accepts Q values put straight into ``rows``.
+A matrix stores each row as a dict of Python ints over one positive integer
+denominator: row i is ``rows[i] / dens[i]``, and ``dens`` holds only the
+denominators that are not 1, so an integral matrix is stored as plain int
+rows. A stored row is in lowest terms (the gcd of its entries and its
+denominator is 1), holds no zero and is never empty, so the form is canonical
+and two matrices are equal exactly when their dicts are. Q is built only at
+the boundary: ``get``, ``entries`` and ``col_dict`` hand out an entry as an
+int when integral and as Q otherwise, and the constructors and ``set`` take
+any rational.
 
 The row format is private to this module: no other module reads or writes
-``rows``. Code elsewhere builds a matrix from blocks with one assembler,
-``SpMat.assemble(nrows, ncols, [(row_off, col_off, coef, M), ...])``, which
-sums the scaled blocks, drops zeros and writes each entry in stored form;
-``gather_rows``, ``place_rows`` and ``from_columns`` move rows and columns
-by index maps. A row is never changed in place once a matrix holds it
-(``set`` replaces its row), so matrices share rows, and the index maps move
-them without copying. The sums, scalings, stacks and Kronecker products here
-are assembler calls too, so one loop accumulates and normalises entries.
+``rows`` or ``dens``. Code elsewhere builds a matrix from blocks with one
+assembler, ``SpMat.assemble(nrows, ncols, [(row_off, col_off, coef, M), ...])``,
+which sums the scaled blocks, drops zeros and writes each row in stored form;
+``gather_rows``, ``place_rows`` and ``from_columns`` move rows and columns by
+index maps. A row is never changed in place once a matrix holds it (``set``
+replaces its row), so matrices share rows, and the index maps move them, and
+their denominators, without copying. The sums, scalings and stacks here are
+assembler calls too, so one loop accumulates and normalises rows.
 
-The two kernels run on ints: a product clears each left row over its own common
-denominator and the right rows it touches over one more, accumulates integer
-products, and builds each nonzero of the result once. Row reduction is
-fraction-free: rows are kept as primitive integer vectors, eliminated with
-r <- p_j r - r_j p and divided by their content, and only the finished rows
-are divided by their pivots. The RREF is unique and the pivot choice depends
+Every kernel runs on ints. A product brings the right rows it touches to one
+common denominator, accumulates integer products, and divides each result row
+by the gcd of its entries and its denominator. The assembler, the Kronecker
+product, column merging and the transpose bring the rows they combine to a
+common denominator the same way. Row reduction is fraction-free: it starts
+from the stored integer rows divided by their content, eliminates with
+r <- p_j r - r_j p and divides by the content again, sweeping the columns
+left to right with the rows bucketed by their leading column, then clears the
+entries above the pivots by back substitution; a finished row over its pivot
+is already in lowest terms. The RREF is unique and the pivot choice depends
 only on sparsity, so the result is the one plain rational elimination gives.
 """
 
@@ -52,43 +62,39 @@ def qstr(x) -> str:
     return str(Q(x))
 
 
-def qparse(s: str):
-    """Parse 'p' or 'p/q' back into a rational."""
-    f = Fraction(s.strip())
-    return Q(f.numerator, f.denominator)
-
-
-def qnorm(v):
-    """The stored form of the rational v: an int when integral, Q otherwise."""
+def _nd(v) -> tuple[int, int]:
+    """(numerator, denominator) of the int or Q v, read without building a Q:
+    lowest terms, positive denominator."""
     if type(v) is int:
-        return v
-    if type(v) is not Q:
-        v = Q(v)
-    return int(v.numerator) if v.denominator == 1 else v
+        return v, 1
+    return int(v.numerator), int(v.denominator)
 
 
 def _quo(num: int, den: int):
-    """num / den in stored form."""
+    """num / den as an entry is handed out: an int when integral, Q otherwise."""
     q, rem = divmod(num, den)
     return Q(num, den) if rem else q
 
 
-def _clear(row: dict) -> tuple[dict, int]:
-    """(ints, den) with row == ints / den and den the lcm of the denominators.
+def _from_values(vals: dict) -> tuple[dict, int]:
+    """(ints, den) with vals == ints / den, for nonzero rationals vals: den is
+    the lcm of their denominators, which leaves the row in lowest terms."""
+    nds = {j: _nd(v) for j, v in vals.items()}
+    den = lcm(*(d for _, d in nds.values()))
+    if den == 1:
+        return {j: n for j, (n, _) in nds.items()}, 1
+    return {j: n * (den // d) for j, (n, d) in nds.items()}, den
 
-    Hands back ``row`` itself when every entry is already an int, so the
-    result must not be mutated."""
-    for v in row.values():
-        if type(v) is not int:
-            break
-    else:
-        return row, 1
-    den = 1
-    for v in row.values():
-        if type(v) is not int:
-            den = lcm(den, int(v.denominator))
-    return {j: v * den if type(v) is int else int(v.numerator * den // v.denominator)
-            for j, v in row.items()}, den
+
+def _lowest(row: dict, den: int) -> int:
+    """Divide the integer row, in place, and den by the gcd of both; returns
+    the new den."""
+    g = gcd(den, *row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        den //= g
+    return den
 
 
 def _primitive(row: dict) -> dict:
@@ -131,16 +137,34 @@ class LinAlgError(Exception):
 
 
 class SpMat:
-    """Sparse matrix over Q, dict-of-rows, zero entries never stored."""
+    """Sparse matrix over Q: integer rows over one denominator each, zero
+    entries and empty rows never stored."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "dens")
 
-    def __init__(self, nrows: int, ncols: int, rows: dict | None = None):
+    def __init__(self, nrows: int, ncols: int, rows: dict | None = None,
+                 dens: dict | None = None):
         if nrows < 0 or ncols < 0:
             raise LinAlgError(f"negative shape {nrows}x{ncols}")
         self.nrows = nrows
         self.ncols = ncols
-        self.rows: dict[int, dict[int, object]] = rows if rows is not None else {}
+        self.rows: dict[int, dict[int, int]] = rows if rows is not None else {}
+        self.dens: dict[int, int] = dens if dens is not None else {}
+
+    def _put(self, i: int, row: dict, den: int) -> None:
+        """Store the integer row over den at i, in lowest terms; an empty row
+        clears row i."""
+        if not row:
+            self.rows.pop(i, None)
+            self.dens.pop(i, None)
+            return
+        if den != 1:
+            den = _lowest(row, den)
+        self.rows[i] = row
+        if den != 1:
+            self.dens[i] = den
+        else:
+            self.dens.pop(i, None)
 
     # -- constructors -----------------------------------------------------
 
@@ -165,13 +189,18 @@ class SpMat:
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries: dict) -> "SpMat":
-        m = cls(nrows, ncols)
+        grouped: dict[int, dict[int, object]] = {}
         for (i, j), v in entries.items():
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise LinAlgError(f"entry ({i}, {j}) outside {nrows}x{ncols}")
-            v = qnorm(v)
             if v:
-                m.rows.setdefault(i, {})[j] = v
+                grouped.setdefault(i, {})[j] = v
+        m = cls(nrows, ncols)
+        for i, vals in grouped.items():
+            row, den = _from_values(vals)
+            m.rows[i] = row
+            if den != 1:
+                m.dens[i] = den
         return m
 
     @classmethod
@@ -191,108 +220,136 @@ class SpMat:
         """The nrows x ncols matrix sum of coef * M over the blocks
         (row_off, col_off, coef, M), with M's (0, 0) entry placed at
         (row_off, col_off). Overlapping entries are summed and zeros dropped.
-        A unit coefficient copies M's entries without multiplying, and only
-        the rows where two blocks hit one entry are normalised again."""
-        out: dict[int, dict[int, object]] = {}
+        A row only one block writes, with a unit coefficient and no column
+        offset, is M's row itself, shared; a row two blocks hit, or one
+        scaled by a non-integral coefficient, is brought to lowest terms once
+        at the end."""
+        out: dict[int, dict[int, int]] = {}
+        odens: dict[int, int] = {}
+        shared: set[int] = set()  # rows of out that are a block's own rows
         dirty: set[int] = set()
         for roff, coff, c, m in blocks:
             if roff < 0 or coff < 0 or roff + m.nrows > nrows or coff + m.ncols > ncols:
                 raise LinAlgError(
                     f"{m.nrows}x{m.ncols} block at ({roff}, {coff}) outside {nrows}x{ncols}"
                 )
-            c = qnorm(c)
-            if not c:
+            cn, cd = _nd(c)
+            if not cn:
                 continue
-            unit = c == 1
+            mdens = m.dens
             for i, r in m.rows.items():
-                if not r:
-                    continue
+                # this block's row i is f * r / d
+                f, d = cn, mdens.get(i, 1)
+                if d != 1 and f != 1:
+                    g = gcd(f, d)
+                    f //= g
+                    d //= g
+                d *= cd
                 i += roff
                 orow = out.get(i)
                 if orow is None:
-                    if unit and not coff:
-                        out[i] = dict(r)
-                        continue
-                    orow = out[i] = {}
-                # an entry no other block wrote is stored in stored form; a
-                # sum marks its row for normalising
-                hit = False
-                if unit:
+                    if f == 1 and cd == 1 and not coff:
+                        out[i] = r
+                        shared.add(i)
+                    elif f == 1:
+                        out[i] = {j + coff: v for j, v in r.items()}
+                    else:
+                        out[i] = {j + coff: f * v for j, v in r.items()}
+                    if d != 1:
+                        odens[i] = d
+                    if cd != 1:
+                        dirty.add(i)
+                    continue
+                # a second block in this row: sum over a common denominator
+                if i in shared:
+                    orow = out[i] = dict(orow)
+                    shared.discard(i)
+                e = odens.get(i, 1)
+                if e != d:
+                    den = lcm(e, d)
+                    if den != e:
+                        s = den // e
+                        for j in orow:
+                            orow[j] *= s
+                        odens[i] = den
+                    f *= den // d
+                get = orow.get
+                if coff:
                     for j, v in r.items():
                         j += coff
-                        if j in orow:
-                            orow[j] += v
-                            hit = True
-                        else:
-                            orow[j] = v
+                        orow[j] = get(j, 0) + f * v
                 else:
                     for j, v in r.items():
-                        j += coff
-                        if j in orow:
-                            orow[j] += c * v
-                            hit = True
-                        else:
-                            orow[j] = qnorm(c * v)
-                if hit:
-                    dirty.add(i)
+                        orow[j] = get(j, 0) + f * v
+                dirty.add(i)
+        result = cls(nrows, ncols, out, odens)
         for i in dirty:
-            row = {j: qnorm(v) for j, v in out[i].items() if v}
-            if row:
-                out[i] = row
-            else:
-                del out[i]
-        return cls(nrows, ncols, out)
+            row = out[i]
+            if 0 in row.values():
+                row = {j: v for j, v in row.items() if v}
+            result._put(i, row, odens.get(i, 1))
+        return result
 
     @classmethod
     def diagonal(cls, diag: Iterable) -> "SpMat":
-        diag = [qnorm(v) for v in diag]
-        n = len(diag)
-        return cls(n, n, {i: {i: d} for i, d in enumerate(diag) if d})
+        diag = list(diag)
+        m = cls(len(diag), len(diag))
+        for i, v in enumerate(diag):
+            num, den = _nd(v)
+            if num:
+                m.rows[i] = {i: num}
+                if den != 1:
+                    m.dens[i] = den
+        return m
 
     # -- basic access -----------------------------------------------------
 
     def get(self, i: int, j: int):
-        return self.rows.get(i, {}).get(j, QZERO)
+        r = self.rows.get(i)
+        v = None if r is None else r.get(j)
+        if v is None:
+            return QZERO
+        d = self.dens.get(i)
+        return v if d is None else _quo(v, d)
 
     def set(self, i: int, j: int, v) -> None:
         """Write entry (i, j). The row is replaced, not changed in place:
         matrices may share rows."""
         row = dict(self.rows.get(i, ()))
-        v = qnorm(v)
-        if v:
-            row[j] = v
+        den = self.dens.get(i, 1)
+        num, d = _nd(v)
+        if num:
+            if den % d:
+                s = lcm(den, d) // den
+                for c in row:
+                    row[c] *= s
+                den *= s
+            row[j] = num * (den // d)
         else:
             row.pop(j, None)
-        if row:
-            self.rows[i] = row
-        else:
-            self.rows.pop(i, None)
+        self._put(i, row, den)
 
     def entries(self) -> Iterator[tuple[int, int, object]]:
         for i in sorted(self.rows):
             r = self.rows[i]
+            d = self.dens.get(i)
             for j in sorted(r):
-                yield i, j, r[j]
-
-    def nnz(self) -> int:
-        return sum(len(r) for r in self.rows.values())
+                yield i, j, r[j] if d is None else _quo(r[j], d)
 
     def is_zero(self) -> bool:
         return not self.rows
 
-    def copy(self) -> "SpMat":
-        return SpMat(self.nrows, self.ncols, dict(self.rows))
-
     def col_dict(self, j: int) -> dict[int, object]:
-        return {i: r[j] for i, r in self.rows.items() if j in r}
+        dens = self.dens
+        return {i: r[j] if i not in dens else _quo(r[j], dens[i])
+                for i, r in self.rows.items() if j in r}
 
     def column_vec(self, j: int) -> "SpMat":
-        return SpMat(self.nrows, 1, {i: {0: v} for i, v in self.col_dict(j).items()})
-
-    def to_dense(self) -> list[list]:
-        out = [[QZERO] * self.ncols for _ in range(self.nrows)]
-        for i, j, v in self.entries():
-            out[i][j] = v
+        out = SpMat(self.nrows, 1)
+        dens = self.dens
+        for i, r in self.rows.items():
+            if j in r:
+                out._put(i, {0: r[j]}, dens.get(i, 1))
         return out
 
     def __eq__(self, other) -> bool:
@@ -302,10 +359,8 @@ class SpMat:
             self.nrows == other.nrows
             and self.ncols == other.ncols
             and self.rows == other.rows
+            and self.dens == other.dens
         )
-
-    def __repr__(self) -> str:
-        return f"SpMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
     # -- arithmetic -------------------------------------------------------
 
@@ -329,47 +384,54 @@ class SpMat:
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch in matmul")
         # The right rows this product reads, over one common denominator.
-        touched: set[int] = set()
-        for r in self.rows.values():
-            touched.update(r)
-        right: dict[int, dict[int, int]] = {}
+        right = other.rows
+        rden = 1
+        if other.dens:
+            touched: set[int] = set()
+            for r in self.rows.values():
+                touched.update(r)
+            odens = other.dens
+            used = touched.intersection(odens)
+            if used:
+                rden = lcm(*(odens[k] for k in used))
+                right = {}
+                for k in touched.intersection(other.rows):
+                    r = other.rows[k]
+                    s = rden // odens.get(k, 1)
+                    right[k] = r if s == 1 else {j: s * v for j, v in r.items()}
+        out: dict[int, dict[int, int]] = {}
         dens: dict[int, int] = {}
-        orows = other.rows
-        for k in touched.intersection(orows):
-            right[k], dens[k] = _clear(orows[k])
-        rden = lcm(*dens.values()) if dens else 1
-        if rden != 1:
-            for k, d in dens.items():
-                if d != rden:
-                    m = rden // d
-                    right[k] = {j: m * v for j, v in right[k].items()}
-        out: dict[int, dict[int, object]] = {}
+        sdens = self.dens
         for i, r in self.rows.items():
-            left, den = _clear(r)
             acc: dict[int, int] = {}
-            for k, a in left.items():
+            get = acc.get
+            for k, a in r.items():
                 br = right.get(k)
                 if br is None:
                     continue
                 for j, b in br.items():
-                    acc[j] = acc.get(j, 0) + a * b
-            den *= rden
-            if den == 1:
-                row = {j: s for j, s in acc.items() if s}
-            else:
-                row = {j: _quo(s, den) for j, s in acc.items() if s}
-            if row:
-                out[i] = row
-        return SpMat(self.nrows, other.ncols, out)
+                    acc[j] = get(j, 0) + a * b
+            if 0 in acc.values():
+                acc = {j: s for j, s in acc.items() if s}
+            if not acc:
+                continue
+            den = sdens.get(i, 1) * rden
+            if den != 1:
+                den = _lowest(acc, den)
+                if den != 1:
+                    dens[i] = den
+            out[i] = acc
+        return SpMat(self.nrows, other.ncols, out, dens)
 
     def merge_columns(self, phi: list[int], ncols: int) -> "SpMat":
         """self @ M for the 0/1 matrix M with one 1 per row, M[q, phi[q]]:
         column q is added into column phi[q], and nothing is multiplied."""
         if len(phi) != self.ncols:
             raise LinAlgError("shape mismatch in merge_columns")
-        out: dict[int, dict[int, object]] = {}
+        out = SpMat(self.nrows, ncols)
+        dens = self.dens
         for i, r in self.rows.items():
-            acc: dict[int, object] = {}
+            acc: dict[int, int] = {}
             merged = False
             for j, v in r.items():
                 c = phi[j]
@@ -379,17 +441,32 @@ class SpMat:
                 else:
                     acc[c] = v
             if merged:
-                acc = {c: qnorm(v) for c, v in acc.items() if v}
-            if acc:
-                out[i] = acc
-        return SpMat(self.nrows, ncols, out)
+                out._put(i, {c: v for c, v in acc.items() if v}, dens.get(i, 1))
+            else:
+                out.rows[i] = acc
+                if i in dens:
+                    out.dens[i] = dens[i]
+        return out
 
     def transpose(self) -> "SpMat":
-        out: dict[int, dict[int, object]] = {}
-        for i, r in self.rows.items():
+        rows, dens = self.rows, self.dens
+        # the common denominator of each column
+        cden: dict[int, int] = {}
+        for i, d in dens.items():
+            for j in rows[i]:
+                e = cden.get(j, 1)
+                if e % d:
+                    cden[j] = lcm(e, d)
+        out: dict[int, dict[int, int]] = {}
+        for i, r in rows.items():
+            d = dens.get(i, 1)
             for j, v in r.items():
-                out.setdefault(j, {})[i] = v
-        return SpMat(self.ncols, self.nrows, out)
+                e = cden.get(j, 1)
+                out.setdefault(j, {})[i] = v if e == d else v * (e // d)
+        result = SpMat(self.ncols, self.nrows, out)
+        for j, e in cden.items():
+            result._put(j, out[j], e)
+        return result
 
     # -- stacking and index maps ------------------------------------------
 
@@ -426,13 +503,15 @@ class SpMat:
         rows are shared, not copied)."""
         if idx and (min(idx) < 0 or max(idx) >= self.nrows):
             raise LinAlgError(f"rows gathered from outside {self.nrows} rows")
-        rows = self.rows
-        out = {}
+        rows, dens = self.rows, self.dens
+        out, odens = {}, {}
         for p, i in enumerate(idx):
             r = rows.get(i)
             if r:
                 out[p] = r
-        return SpMat(len(idx), self.ncols, out)
+                if i in dens:
+                    odens[p] = dens[i]
+        return SpMat(len(idx), self.ncols, out, odens)
 
     def place_rows(self, idx: list[int], nrows: int) -> "SpMat":
         """The nrows x ncols matrix with row p of self at row idx[p] and zeros
@@ -444,18 +523,18 @@ class SpMat:
             )
         if idx and (min(idx) < 0 or max(idx) >= nrows):
             raise LinAlgError(f"rows placed outside {nrows} rows")
-        return SpMat(nrows, self.ncols, {idx[p]: r for p, r in self.rows.items() if r})
+        return SpMat(nrows, self.ncols,
+                     {idx[p]: r for p, r in self.rows.items() if r},
+                     {idx[p]: d for p, d in self.dens.items()})
 
     def submatrix(self, row_idx: list[int], col_idx: list[int]) -> "SpMat":
         cpos = {j: p for p, j in enumerate(col_idx)}
         out = SpMat(len(row_idx), len(col_idx))
         for p, i in enumerate(row_idx):
             r = self.rows.get(i)
-            if not r:
-                continue
-            nr = {cpos[j]: v for j, v in r.items() if j in cpos}
-            if nr:
-                out.rows[p] = nr
+            if r:
+                out._put(p, {cpos[j]: v for j, v in r.items() if j in cpos},
+                         self.dens.get(i, 1))
         return out
 
     def select_columns(self, col_idx: list[int]) -> "SpMat":
@@ -465,9 +544,13 @@ class SpMat:
 
     def kron(self, other: "SpMat") -> "SpMat":
         nr, nc = other.nrows, other.ncols
-        return SpMat.assemble(self.nrows * nr, self.ncols * nc, [
-            (i * nr, j * nc, a, other) for i, r in self.rows.items() for j, a in r.items()
-        ])
+        out = SpMat(self.nrows * nr, self.ncols * nc)
+        for i, r in self.rows.items():
+            di = self.dens.get(i, 1)
+            for k, b in other.rows.items():
+                row = {j * nc + l: a * v for j, a in r.items() for l, v in b.items()}
+                out._put(i * nr + k, row, di * other.dens.get(k, 1))
+        return out
 
     # -- elimination ------------------------------------------------------
 
@@ -477,41 +560,49 @@ class SpMat:
         Leftmost-pivot, rows ordered by pivot column, pivots normalized to 1.
         Returns (R, pivot_columns).
         """
-        work = []
-        for r in self.rows.values():
+        # Work rows are bucketed by their leading column: the columns are
+        # swept left to right and every work row is cleared of the columns
+        # already swept, so the rows holding column j are those that lead
+        # with it. A bucket holds (row length, position in self, row), and
+        # the pivot is the shortest row, the first in self on a tie.
+        lead: dict[int, list[tuple[int, int, dict]]] = {}
+        for pos, r in enumerate(self.rows.values()):
             if r:
-                row, _ = _clear(r)
-                work.append(_primitive(dict(row) if row is r else row))
+                lead.setdefault(min(r), []).append((len(r), pos, _primitive(dict(r))))
         done: list[dict[int, int]] = []
         pivots: list[int] = []
-        # Sweep columns left to right; keep `work` rows reduced against `done`.
         for j in range(self.ncols):
-            pick = None
-            for idx, r in enumerate(work):
-                if j in r:
-                    if pick is None or len(work[idx]) < len(work[pick]):
-                        pick = idx
-            if pick is None:
+            bucket = lead.pop(j, None)
+            if bucket is None:
                 continue
-            piv = work.pop(pick)
-            for r in work:
-                if j in r:
-                    _eliminate(r, j, piv)
+            bucket.sort()  # positions are distinct, so rows are never compared
+            piv = bucket[0][2]
+            for _, pos, r in bucket[1:]:
+                _eliminate(r, j, piv)
+                if r:
                     _primitive(r)
-            work = [r for r in work if r]
-            for r in done:
-                if j in r:
-                    _eliminate(r, j, piv)
-                    _primitive(r)
+                    lead.setdefault(min(r), []).append((len(r), pos, r))
             done.append(piv)
             pivots.append(j)
-        order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-        R = SpMat(self.nrows, self.ncols)
-        for newi, k in enumerate(order):
+        # Back substitution, last row first: the rows below k are reduced, so
+        # clearing row k's later pivot columns brings in no other pivot column.
+        pos = {p: k for k, p in enumerate(pivots)}
+        for k in range(len(done) - 2, -1, -1):
             row = done[k]
+            for c in [c for c in row if c in pos and c != pivots[k]]:
+                _eliminate(row, c, done[pos[c]])
+                _primitive(row)
+        R = SpMat(self.nrows, self.ncols)
+        for k, row in enumerate(done):
+            # row is primitive, so row / p is in lowest terms
             p = row[pivots[k]]
-            R.rows[newi] = row if p == 1 else {c: _quo(v, p) for c, v in row.items()}
-        return R, sorted(pivots)
+            if p < 0:
+                row = {c: -v for c, v in row.items()}
+                p = -p
+            R.rows[k] = row
+            if p != 1:
+                R.dens[k] = p
+        return R, pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -520,15 +611,13 @@ class SpMat:
         """Columns span {x : self @ x = 0}; canonical (free vars = identity)."""
         R, pivots = self.rref()
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
+        free = {f: k for k, f in enumerate(j for j in range(self.ncols) if j not in pivset)}
         out = SpMat(self.ncols, len(free))
-        pivrow = {p: i for i, p in enumerate(pivots)}
-        for k, f in enumerate(free):
-            out.rows.setdefault(f, {})[k] = 1
-            for p in pivots:
-                v = R.rows.get(pivrow[p], {}).get(f)
-                if v:
-                    out.rows.setdefault(p, {})[k] = -v
+        for f, k in free.items():
+            out.rows[f] = {k: 1}
+        for i, p in enumerate(pivots):
+            row = {free[c]: -v for c, v in R.rows[i].items() if c != p}
+            out._put(p, row, R.dens.get(i, 1))
         return out
 
     def solve(self, rhs: "SpMat") -> "SpMat":
@@ -538,18 +627,13 @@ class SpMat:
         """
         if rhs.nrows != self.nrows:
             raise LinAlgError("shape mismatch in solve")
-        aug = SpMat.hstack([self, rhs])
-        R, pivots = aug.rref()
-        for p in pivots:
-            if p >= self.ncols:
-                raise LinAlgError("inconsistent linear system")
-        X = SpMat(self.ncols, rhs.ncols)
-        pivrow = {p: i for i, p in enumerate(pivots)}
-        for p in pivots:
-            row = R.rows.get(pivrow[p], {})
-            xr = {j - self.ncols: v for j, v in row.items() if j >= self.ncols}
-            if xr:
-                X.rows[p] = xr
+        n = self.ncols
+        R, pivots = SpMat.hstack([self, rhs]).rref()
+        if pivots and pivots[-1] >= n:
+            raise LinAlgError("inconsistent linear system")
+        X = SpMat(n, rhs.ncols)
+        for i, p in enumerate(pivots):
+            X._put(p, {j - n: v for j, v in R.rows[i].items() if j >= n}, R.dens.get(i, 1))
         return X
 
     def independent_columns(self) -> list[int]:
@@ -574,7 +658,7 @@ class EchelonSpan:
 
     def _reduce(self, vec: dict) -> tuple[dict, int]:
         """(ints, den): vec minus its part along the pivots, as ints / den."""
-        red, den = _clear({j: v for j, v in vec.items() if v})
+        red, den = _from_values({j: v for j, v in vec.items() if v})
         # Rows vanish on every other row's pivot, so one pass clears them all.
         for p in sorted(p for p in red if p in self.rows):
             den *= _eliminate(red, p, self.rows[p])
@@ -600,19 +684,6 @@ class EchelonSpan:
         self.rows[p] = row
         return True
 
-    def contains(self, vec: dict) -> bool:
-        return not self._reduce(vec)[0]
-
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def basis_matrix(self) -> SpMat:
-        """Columns are the echelon basis vectors (pivot entry 1), ordered by
-        pivot."""
-        out = SpMat(self.dim, len(self.rows))
-        for k, p in enumerate(sorted(self.rows)):
-            row = self.rows[p]
-            for j, v in row.items():
-                out.rows.setdefault(j, {})[k] = _quo(v, row[p])
-        return out

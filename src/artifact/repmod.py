@@ -117,6 +117,33 @@ class GModule:
     gram: SpMat = field(repr=False)
 
 
+def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
+    """Coordinates of any word in its weight-space basis (zero vector when
+    the weight space is absent), memoised in ``coords``. Words reached by
+    deleting letters from a basis word were not always direct candidates,
+    hence the recursion. A module-level function, not a closure: a closure
+    that calls itself is a reference cycle, which would keep ``coords`` alive
+    until the cyclic collector runs."""
+    mu = wc.weight(word)
+    if not basis_by_weight.get(mu):
+        return []
+    hit = coords.get(word)
+    if hit is not None:
+        return hit
+    j, rest = word[0], word[1:]
+    rvec = _resolve(rest, wc, basis_by_weight, coords)
+    nu = wc.weight(rest)
+    out = [QZERO] * len(basis_by_weight[mu])
+    for k, c in enumerate(rvec):
+        if not c:
+            continue
+        child = coords[(j,) + basis_by_weight[nu][k]]
+        for t, v in enumerate(child):
+            out[t] += c * v
+    coords[word] = out
+    return out
+
+
 def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
     """Irreducible module of highest weight lam; raises NonDominant or
     DimensionOverBudget before doing any real work."""
@@ -192,31 +219,8 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
         for w in basis_by_weight[mu]:
             words.append(w)
             weights.append(mu)
-    def resolve(word: tuple) -> list:
-        """Coordinates of any word in its weight-space basis (zero vector when
-        the weight space is absent). Words reached by deleting letters from a
-        basis word were not always direct candidates, hence the recursion."""
-        mu = wc.weight(word)
-        if not basis_by_weight.get(mu):
-            return []
-        hit = coords.get(word)
-        if hit is not None:
-            return hit
-        j, rest = word[0], word[1:]
-        rvec = resolve(rest)
-        nu = wc.weight(rest)
-        out = [QZERO] * len(basis_by_weight[mu])
-        for k, c in enumerate(rvec):
-            if not c:
-                continue
-            child = coords[(j,) + basis_by_weight[nu][k]]
-            for t, v in enumerate(child):
-                out[t] += c * v
-        coords[word] = out
-        return out
-
     def global_coords(word: tuple, mu: Weight) -> dict[int, object]:
-        vec = resolve(word)
+        vec = _resolve(word, wc, basis_by_weight, coords)
         off = offset[mu]
         return {off + k: v for k, v in enumerate(vec) if v}
 

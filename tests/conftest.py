@@ -9,7 +9,7 @@ import functools
 
 from hypothesis import HealthCheck, settings
 
-from artifact.bggcore import build_bgg_diagram
+from artifact.bggcore import build_bgg_diagram, compose_splitter, generate_submodule
 from artifact.gradedla import build_graded_algebra
 from artifact.hodge import build_cochain_complex, cohomology_module
 from artifact.repmod import (
@@ -88,6 +88,19 @@ def components_for(label, sigma, weight):
     cohs = [cohomology_module(cc, n) for n in range(cc.top + 1)]
     comps = [decompose_completely_reducible(c.module) for c in cohs]
     return cc, cohs, comps
+
+
+@functools.lru_cache(maxsize=None)
+def splitters_for(label, sigma, weight):
+    """(gs, chain) for every component of every level below the top, in
+    level order: its generated submodule and its splitter chain."""
+    cc, cohs, comps = components_for(label, sigma, weight)
+    out = []
+    for n in range(cc.top):
+        for comp in comps[n]:
+            gs = generate_submodule(cc, cohs[n], comp)
+            out.append((gs, compose_splitter(gs)))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,24 +1,86 @@
-"""Reference kernels: the product and the row reduction in plain rational
-arithmetic, one scalar operation per term.
+"""Reference kernels: the linalg routines in plain rational arithmetic, one
+scalar operation per term, plus the small helpers only the tests need.
 
-``artifact.linalg`` runs both on Python ints (cleared rows, fraction-free
-elimination). These are the straightforward versions it replaced, kept so the
-tests can compare the integer kernels with an independent computation; the
-kernel and solve references are built on ``reference_rref`` the same way the
-``SpMat`` methods are built on ``SpMat.rref``.
+``artifact.linalg`` runs every kernel on integer rows over one denominator
+(cleared rows, fraction-free elimination). These are straightforward
+versions on dicts of ``Q`` values, kept so the tests can compare the integer
+kernels with an independent computation. They read a matrix only through
+``entries`` and build one only through ``from_entries``, so they do not
+depend on the stored row format; the kernel and solve references are built
+on ``reference_rref`` the same way the ``SpMat`` methods are built on
+``SpMat.rref``.
 """
 
 from __future__ import annotations
 
-from artifact.linalg import QONE, QZERO, LinAlgError, SpMat
+from fractions import Fraction
 
+from artifact.linalg import QONE, QZERO, LinAlgError, Q, SpMat
+
+
+# -- test-only helpers --------------------------------------------------------
+
+def qparse(s: str):
+    """Parse 'p' or 'p/q' back into a rational."""
+    f = Fraction(s.strip())
+    return Q(f.numerator, f.denominator)
+
+
+def to_dense(m: SpMat) -> list[list]:
+    out = [[QZERO] * m.ncols for _ in range(m.nrows)]
+    for i, j, v in m.entries():
+        out[i][j] = v
+    return out
+
+
+def nnz(m: SpMat) -> int:
+    return sum(1 for _ in m.entries())
+
+
+def row_dicts(m: SpMat) -> dict[int, dict[int, object]]:
+    """{i: {j: value}} over the nonzero rows, values as ``entries`` gives them."""
+    out: dict[int, dict[int, object]] = {}
+    for i, j, v in m.entries():
+        out.setdefault(i, {})[j] = v
+    return out
+
+
+def from_rows(nrows: int, ncols: int, rows: dict) -> SpMat:
+    return SpMat.from_entries(nrows, ncols, {
+        (i, j): v for i, r in rows.items() for j, v in r.items()
+    })
+
+
+def with_row(m: SpMat, i: int, row: dict) -> SpMat:
+    """m with row i replaced by the dict row."""
+    rows = row_dicts(m)
+    rows[i] = row
+    return from_rows(m.nrows, m.ncols, rows)
+
+
+def span_contains(span, vec: dict) -> bool:
+    """vec lies in the row space of the EchelonSpan span."""
+    return not span.reduce(vec)
+
+
+def span_basis_matrix(span) -> SpMat:
+    """Columns are the echelon basis vectors of span (pivot entry 1), ordered
+    by pivot."""
+    cols = []
+    for p in sorted(span.rows):
+        row = span.rows[p]
+        cols.append({j: Q(v, row[p]) for j, v in row.items()})
+    return SpMat.from_columns(span.dim, cols)
+
+
+# -- reference kernels --------------------------------------------------------
 
 def reference_matmul(a: SpMat, b: SpMat) -> SpMat:
     if a.ncols != b.nrows:
         raise LinAlgError("shape mismatch in matmul")
     out: dict[int, dict[int, object]] = {}
-    brows = b.rows
-    for i, r in a.rows.items():
+    brows = row_dicts(b)
+    for i, r in row_dicts(a).items():
         acc: dict[int, object] = {}
         for k, x in r.items():
             br = brows.get(k)
@@ -32,7 +94,36 @@ def reference_matmul(a: SpMat, b: SpMat) -> SpMat:
                     acc.pop(j, None)
         if acc:
             out[i] = acc
-    return SpMat(a.nrows, b.ncols, out)
+    return from_rows(a.nrows, b.ncols, out)
+
+
+def reference_assemble(nrows: int, ncols: int, blocks) -> SpMat:
+    acc: dict[tuple[int, int], object] = {}
+    for roff, coff, c, m in blocks:
+        if roff < 0 or coff < 0 or roff + m.nrows > nrows or coff + m.ncols > ncols:
+            raise LinAlgError("block outside the target")
+        for i, j, v in m.entries():
+            key = (roff + i, coff + j)
+            acc[key] = acc.get(key, QZERO) + Q(c) * v
+    return SpMat.from_entries(nrows, ncols, acc)
+
+
+def reference_merge_columns(m: SpMat, phi: list[int], ncols: int) -> SpMat:
+    acc: dict[tuple[int, int], object] = {}
+    for i, j, v in m.entries():
+        acc[(i, phi[j])] = acc.get((i, phi[j]), QZERO) + v
+    return SpMat.from_entries(m.nrows, ncols, acc)
+
+
+def reference_transpose(m: SpMat) -> SpMat:
+    return SpMat.from_entries(m.ncols, m.nrows, {(j, i): v for i, j, v in m.entries()})
+
+
+def reference_kron(a: SpMat, b: SpMat) -> SpMat:
+    return SpMat.from_entries(a.nrows * b.nrows, a.ncols * b.ncols, {
+        (i * b.nrows + k, j * b.ncols + l): x * y
+        for i, j, x in a.entries() for k, l, y in b.entries()
+    })
 
 
 def _subtract_multiple(r: dict, j: int, piv: dict) -> None:
@@ -50,7 +141,7 @@ def _subtract_multiple(r: dict, j: int, piv: dict) -> None:
 
 def reference_rref(m: SpMat) -> tuple[SpMat, list[int]]:
     """Canonical RREF: leftmost pivot, rows by pivot column, pivots 1."""
-    work = [dict(r) for r in m.rows.values()]
+    work = list(row_dicts(m).values())
     done: list[dict[int, object]] = []
     pivots: list[int] = []
     for j in range(m.ncols):
@@ -74,38 +165,38 @@ def reference_rref(m: SpMat) -> tuple[SpMat, list[int]]:
         done.append(piv)
         pivots.append(j)
     order = sorted(range(len(pivots)), key=lambda k: pivots[k])
-    R = SpMat(m.nrows, m.ncols)
-    for newi, k in enumerate(order):
-        R.rows[newi] = done[k]
+    R = from_rows(m.nrows, m.ncols, {newi: done[k] for newi, k in enumerate(order)})
     return R, sorted(pivots)
 
 
 def reference_kernel_basis(m: SpMat) -> SpMat:
     R, pivots = reference_rref(m)
+    rrows = row_dicts(R)
     pivset = set(pivots)
     free = [j for j in range(m.ncols) if j not in pivset]
-    out = SpMat(m.ncols, len(free))
+    out: dict[tuple[int, int], object] = {}
     pivrow = {p: i for i, p in enumerate(pivots)}
     for k, f in enumerate(free):
-        out.rows.setdefault(f, {})[k] = QONE
+        out[(f, k)] = QONE
         for p in pivots:
-            v = R.rows.get(pivrow[p], {}).get(f, QZERO)
+            v = rrows.get(pivrow[p], {}).get(f, QZERO)
             if v:
-                out.rows.setdefault(p, {})[k] = -v
-    return out
+                out[(p, k)] = -v
+    return SpMat.from_entries(m.ncols, len(free), out)
 
 
 def reference_solve(m: SpMat, rhs: SpMat) -> SpMat:
     if rhs.nrows != m.nrows:
         raise LinAlgError("shape mismatch in solve")
-    R, pivots = reference_rref(SpMat.hstack([m, rhs]))
+    aug = reference_assemble(m.nrows, m.ncols + rhs.ncols, [(0, 0, 1, m), (0, m.ncols, 1, rhs)])
+    R, pivots = reference_rref(aug)
     if any(p >= m.ncols for p in pivots):
         raise LinAlgError("inconsistent linear system")
-    X = SpMat(m.ncols, rhs.ncols)
+    rrows = row_dicts(R)
+    out: dict[tuple[int, int], object] = {}
     pivrow = {p: i for i, p in enumerate(pivots)}
     for p in pivots:
-        row = R.rows.get(pivrow[p], {})
-        xr = {j - m.ncols: v for j, v in row.items() if j >= m.ncols}
-        if xr:
-            X.rows[p] = xr
-    return X
+        for j, v in rrows.get(pivrow[p], {}).items():
+            if j >= m.ncols:
+                out[(p, j - m.ncols)] = v
+    return SpMat.from_entries(m.ncols, rhs.ncols, out)

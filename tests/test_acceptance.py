@@ -9,8 +9,7 @@ weight; see conftest.BATTERY.
 import os
 import random
 
-from artifact.bggcore import compose_splitter, generate_submodule
-from artifact.certify import tilde_jet_submodule, verify_tower_containments
+from artifact.certify import tilde_bases, tilde_jet_submodule, verify_tower_containments
 from artifact.hodge import hodge_decompose, wedge_insert_matrix
 from artifact.jetcalc import check_equivariance
 from artifact.linalg import Q, SpMat
@@ -19,8 +18,8 @@ from conftest import (
     BATTERY,
     GOLDEN_DIMS,
     complex_for,
-    components_for,
     diagram_for,
+    splitters_for,
     graded,
 )
 
@@ -170,19 +169,15 @@ def test_criterion_07_splitting_operator_identities():
     for label, sigma, w in battery_cases():
         v = diagram_for(label, sigma, w).verify
         ok &= v["splitter_projection"] and v["splitter_defect"]
-        g = graded(label, sigma)
-        cc, cohs, comps = components_for(label, sigma, w)
-        for n in range(cc.top):
-            for comp in comps[n]:
-                gs = generate_submodule(cc, cohs[n], comp)
-                chain = compose_splitter(gs)
-                ok &= chain.certificate.ok
-                # constrained jet spaces are P-submodules compatible with L
-                for i in range(gs.r + 1):
-                    T = tilde_jet_submodule(gs, i, chain.maps)
-                    ok &= check_equivariance(T.basis, T.module, T.ambient).ok
-                ok &= verify_tower_containments(gs, chain)
-                checked += 1
+        for gs, chain in splitters_for(label, sigma, w):
+            ok &= chain.certificate.ok
+            # constrained jet spaces are P-submodules compatible with L
+            bases = tilde_bases(gs, chain.maps, gs.r)
+            for i in range(gs.r + 1):
+                T = tilde_jet_submodule(gs, i, chain.maps, bases)
+                ok &= check_equivariance(T.basis, T.module, T.ambient).ok
+            ok &= verify_tower_containments(gs, chain, bases)
+            checked += 1
     _report(7, f"projection, defect, and prolongation-tower containment "
                f"identities for all {checked} battery components", ok)
 

@@ -20,6 +20,7 @@ from conftest import (
     components_for,
     graded,
 )
+from linalg_reference import row_dicts, to_dense, with_row
 
 CASES = [
     ("A1", (1,), (3,)),
@@ -104,8 +105,8 @@ def test_borel_sl3_normalization_pins():
 
 def test_sl2_box_pins():
     cc = complex_for("A1", (1,), (1,))
-    assert laplacian(cc, 0).to_dense() == [[Q(-1, 4), 0], [0, 0]]
-    assert laplacian(cc, 1).to_dense() == [[0, 0], [0, Q(-1, 4)]]
+    assert to_dense(laplacian(cc, 0)) == [[Q(-1, 4), 0], [0, 0]]
+    assert to_dense(laplacian(cc, 1)) == [[0, 0], [0, Q(-1, 4)]]
 
 
 def test_cohomology_module_structure():
@@ -168,29 +169,27 @@ def test_weight_block_certificate_refuses_moved_column():
     # column 0 moved onto a row of another weight: one block loses a column,
     # the other gains one, and the rank of the whole basis may not show it
     cols = basis.transpose()
-    mu = weights[min(cols.rows[0])]
+    rows = row_dicts(cols)
+    mu = weights[min(rows[0])]
     other = next(i for i, w in enumerate(weights) if w != mu)
-    moved = cols.copy()
-    moved.rows[0] = {other: 1}
+    moved = with_row(cols, 0, {other: 1})
     with pytest.raises(ComplexNotCertified, match="not a basis"):
         check_weight_blocks(weights, moved.transpose(), n)
     # one column too many: its block keeps full rank but is not square
     with pytest.raises(ComplexNotCertified, match="not a basis"):
         check_weight_blocks(weights, SpMat.hstack([basis, basis.column_vec(0)]), n)
     # column 0 spread over two weights
-    spread = cols.copy()
-    spread.rows[0] = {**cols.rows[0], other: 1}
+    spread = with_row(cols, 0, {**rows[0], other: 1})
     with pytest.raises(ComplexNotCertified, match="not a weight vector"):
         check_weight_blocks(weights, spread.transpose(), n)
     # a block of the right size but singular
     seen = {}
-    for c in sorted(cols.rows):
-        w = weights[min(cols.rows[c])]
+    for c in sorted(rows):
+        w = weights[min(rows[c])]
         if w in seen:
             break
         seen[w] = c
-    singular = cols.copy()
-    singular.rows[c] = dict(cols.rows[seen[w]])
+    singular = with_row(cols, c, dict(rows[seen[w]]))
     with pytest.raises(ComplexNotCertified, match="not a basis"):
         check_weight_blocks(weights, singular.transpose(), n)
 

@@ -2,6 +2,8 @@
 
 import os
 import random
+from fractions import Fraction
+from math import gcd
 import subprocess
 import sys
 
@@ -9,12 +11,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from artifact.linalg import EchelonSpan, LinAlgError, Q, SpMat, qparse, qstr
+import artifact.linalg as linalg
+from artifact.linalg import EchelonSpan, LinAlgError, Q, SpMat, qstr
 from linalg_reference import (
+    nnz,
+    qparse,
+    reference_assemble,
     reference_kernel_basis,
+    reference_kron,
     reference_matmul,
+    reference_merge_columns,
     reference_rref,
     reference_solve,
+    reference_transpose,
+    span_basis_matrix,
+    span_contains,
+    to_dense,
 )
 
 RNG = random.Random(20240817)
@@ -40,21 +52,21 @@ def test_basic_ops_match_dense():
     A = rand_mat(4, 5)
     B = rand_mat(4, 5)
     C = rand_mat(5, 3)
-    da, db, dc = A.to_dense(), B.to_dense(), C.to_dense()
-    assert (A + B).to_dense() == [
+    da, db, dc = to_dense(A), to_dense(B), to_dense(C)
+    assert to_dense(A + B) == [
         [da[i][j] + db[i][j] for j in range(5)] for i in range(4)
     ]
-    assert (A - B).to_dense() == [
+    assert to_dense(A - B) == [
         [da[i][j] - db[i][j] for j in range(5)] for i in range(4)
     ]
-    assert (A.scale(Q(-3, 2))).to_dense() == [
+    assert to_dense(A.scale(Q(-3, 2))) == [
         [Q(-3, 2) * da[i][j] for j in range(5)] for i in range(4)
     ]
-    assert (A @ C).to_dense() == [
+    assert to_dense(A @ C) == [
         [sum(da[i][k] * dc[k][j] for k in range(5)) for j in range(3)]
         for i in range(4)
     ]
-    assert A.transpose().to_dense() == [
+    assert to_dense(A.transpose()) == [
         [da[i][j] for i in range(4)] for j in range(5)
     ]
 
@@ -62,16 +74,16 @@ def test_basic_ops_match_dense():
 def test_identity_and_zero():
     I = SpMat.identity(4)
     A = rand_mat(4, 4)
-    assert (I @ A).to_dense() == A.to_dense()
-    assert (A @ I).to_dense() == A.to_dense()
+    assert to_dense(I @ A) == to_dense(A)
+    assert to_dense(A @ I) == to_dense(A)
     assert SpMat(3, 4).is_zero()
-    assert not A.is_zero() or A.nnz() == 0
+    assert not A.is_zero() or nnz(A) == 0
 
 
 def test_rectangular_identity_is_a_prefix():
     # truncation to the first two coordinates, and inclusion as them
-    assert SpMat.identity(2, 4).to_dense() == [[1, 0, 0, 0], [0, 1, 0, 0]]
-    assert SpMat.identity(3, 2).to_dense() == [[1, 0], [0, 1], [0, 0]]
+    assert to_dense(SpMat.identity(2, 4)) == [[1, 0, 0, 0], [0, 1, 0, 0]]
+    assert to_dense(SpMat.identity(3, 2)) == [[1, 0], [0, 1], [0, 0]]
     assert SpMat.identity(2, 4) @ SpMat.identity(4, 2) == SpMat.identity(2)
 
 
@@ -80,7 +92,7 @@ def test_kron_shapes_and_values():
     B = rand_mat(3, 2)
     K = SpMat.kron(A, B)
     assert (K.nrows, K.ncols) == (6, 6)
-    da, db = A.to_dense(), B.to_dense()
+    da, db = to_dense(A), to_dense(B)
     for i in range(6):
         for j in range(6):
             assert K.get(i, j) == da[i // 3][j // 2] * db[i % 3][j % 2]
@@ -110,7 +122,7 @@ def test_solve_consistent_and_inconsistent():
     X = rand_mat(3, 2)
     B = A @ X
     S = A.solve(B)
-    assert (A @ S).to_dense() == B.to_dense()
+    assert to_dense(A @ S) == to_dense(B)
     # loaded full-rank column outside a rank-deficient image
     bad = SpMat(2, 1)
     bad.set(1, 0, 1)
@@ -137,7 +149,7 @@ def test_stack_and_block_diag():
 def test_submatrix_and_select_columns():
     A = rand_mat(4, 4)
     S = A.submatrix([1, 3], [0, 2])
-    assert S.to_dense() == [
+    assert to_dense(S) == [
         [A.get(1, 0), A.get(1, 2)],
         [A.get(3, 0), A.get(3, 2)],
     ]
@@ -161,11 +173,11 @@ def test_echelon_span():
     v3 = {1: Q(1)}
     assert span.add(dict(v1))
     assert not span.add(dict(v2))
-    assert span.contains(dict(v1))
-    assert not span.contains(dict(v3))
+    assert span_contains(span, dict(v1))
+    assert not span_contains(span, dict(v3))
     assert span.add(dict(v3))
     assert span.rank == 2
-    assert span.basis_matrix().rank() == 2
+    assert span_basis_matrix(span).rank() == 2
 
 
 small_q = st.builds(
@@ -183,14 +195,12 @@ def mat_strategy(nr, nc):
 
 @given(mat_strategy(3, 3), mat_strategy(3, 3), mat_strategy(3, 3))
 def test_matmul_associative(A, B, C):
-    assert ((A @ B) @ C).to_dense() == (A @ (B @ C)).to_dense()
+    assert to_dense((A @ B) @ C) == to_dense(A @ (B @ C))
 
 
 @given(mat_strategy(3, 4), mat_strategy(4, 2))
 def test_transpose_antihomomorphism(A, B):
-    assert (A @ B).transpose().to_dense() == (
-        B.transpose() @ A.transpose()
-    ).to_dense()
+    assert to_dense((A @ B).transpose()) == to_dense(B.transpose() @ A.transpose())
 
 
 @given(mat_strategy(4, 5))
@@ -238,7 +248,7 @@ def test_stack_shape_check_survives_python_O():
 
 @given(mat_strategy(3, 5), st.lists(st.integers(0, 2), min_size=5, max_size=5))
 def test_merge_columns_is_matmul_by_index_map(A, phi):
-    M = SpMat(5, 3, {q: {c: Q(1)} for q, c in enumerate(phi)})
+    M = SpMat.from_entries(5, 3, {(q, c): Q(1) for q, c in enumerate(phi)})
     assert A.merge_columns(phi, 3) == A @ M
     with pytest.raises(LinAlgError):
         A.merge_columns(phi[:-1], 3)
@@ -253,31 +263,29 @@ scalar = st.one_of(
 
 
 @st.composite
-def raw_mat(draw, nrows=None, ncols=None):
-    """A matrix written straight into ``rows``: int and Q entries mixed as
-    drawn (integral Q values kept as Q), and some rows stored empty."""
+def mixed_mat(draw, nrows=None, ncols=None):
+    """A matrix built from drawn entries, int and Q mixed (integral Q too), so
+    rows come out integral or over assorted denominators."""
     nr = draw(st.integers(0, 5)) if nrows is None else nrows
     nc = draw(st.integers(0, 6)) if ncols is None else ncols
-    rows = {}
-    for i in range(nr):
-        row = {}
-        if nc:
-            row = draw(st.dictionaries(st.integers(0, nc - 1), scalar.filter(bool), max_size=nc))
-        if row or draw(st.booleans()):
-            rows[i] = row
-    return SpMat(nr, nc, rows)
+    entries = {}
+    if nr and nc:
+        entries = draw(st.dictionaries(
+            st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)), scalar,
+            max_size=nr * nc))
+    return SpMat.from_entries(nr, nc, entries)
 
 
 @st.composite
 def product_pair(draw):
     n = draw(st.integers(0, 5))
-    return draw(raw_mat(ncols=n)), draw(raw_mat(nrows=n))
+    return draw(mixed_mat(ncols=n)), draw(mixed_mat(nrows=n))
 
 
 @st.composite
 def system(draw):
-    A = draw(raw_mat())
-    return A, draw(raw_mat(nrows=A.nrows))
+    A = draw(mixed_mat())
+    return A, draw(mixed_mat(nrows=A.nrows))
 
 
 def canon(M):
@@ -285,7 +293,19 @@ def canon(M):
 
 
 def stored_form(M):
-    """Every entry nonzero, an int when integral and Q otherwise."""
+    """The stored form: each row a dict of nonzero ints over a denominator
+    > 1 kept in ``dens``, or over 1 and kept nowhere, with the gcd of the
+    entries and the denominator 1; no empty row. Entries come out as an int
+    when integral and as Q otherwise."""
+    for i, r in M.rows.items():
+        if not r or not 0 <= i < M.nrows:
+            return False
+        if any(type(v) is not int or not v or not 0 <= j < M.ncols for j, v in r.items()):
+            return False
+        if gcd(M.dens.get(i, 1), *r.values()) != 1:
+            return False
+    if any(i not in M.rows or type(d) is not int or d <= 1 for i, d in M.dens.items()):
+        return False
     for _, _, v in M.entries():
         if not v or isinstance(v, float):
             return False
@@ -295,9 +315,7 @@ def stored_form(M):
 
 
 def snapshot(M):
-    return M.nrows, M.ncols, [
-        (i, j, type(v), v) for i, r in M.rows.items() for j, v in r.items()
-    ], [i for i, r in M.rows.items() if not r]
+    return M.nrows, M.ncols, [(i, j, type(v), v) for i, j, v in M.entries()]
 
 
 @given(product_pair())
@@ -308,7 +326,7 @@ def test_matmul_matches_reference(pair):
     assert stored_form(P)
 
 
-@given(raw_mat())
+@given(mixed_mat())
 def test_rref_matches_reference(A):
     R, pivots = A.rref()
     want, want_pivots = reference_rref(A)
@@ -343,19 +361,19 @@ def test_echelon_span_is_the_rref_of_its_vectors(vecs, others):
     span = EchelonSpan(6)
     for v in vecs:
         span.add(v)
-    M = SpMat(len(vecs), 6, {i: {j: x for j, x in v.items() if x} for i, v in enumerate(vecs)})
+    M = SpMat.from_entries(len(vecs), 6, {(i, j): x for i, v in enumerate(vecs) for j, x in v.items()})
     R, pivots = reference_rref(M)
     assert span.rank == len(pivots)
-    assert canon(span.basis_matrix().transpose()) == canon(
-        SpMat(len(pivots), 6, dict(R.rows)))
+    assert canon(span_basis_matrix(span).transpose()) == canon(
+        R.gather_rows(list(range(len(pivots)))))
     for v in vecs + others:
         red = span.reduce(v)
         assert not set(red) & set(pivots)
         diff = {j: x for j, x in v.items() if x}
         for j, x in red.items():
             diff[j] = diff.get(j, 0) - x
-        assert span.contains(diff)
-        assert span.contains(v) == (not red)
+        assert span_contains(span, diff)
+        assert span_contains(span, v) == (not red)
 
 
 @given(product_pair(), system(), vectors)
@@ -378,7 +396,7 @@ def test_kernels_do_not_mutate_inputs(pair, sys_, vecs):
     span = EchelonSpan(6)
     for v in vecs:
         span.reduce(v)
-        span.contains(v)
+        span_contains(span, v)
         span.add(v)
     assert [snapshot(M) for M in (A, B, C, rhs)] == before
     assert [[(j, type(x), x) for j, x in v.items()] for v in vecs] == vec_before
@@ -405,11 +423,6 @@ def test_spmat_is_unhashable():
 
 # -- the block assembler and the index-map helpers ----------------------------
 
-def stored(M):
-    """M rebuilt through a constructor, so its entries are in stored form."""
-    return SpMat.from_entries(M.nrows, M.ncols, {(i, j): v for i, j, v in M.entries()})
-
-
 @st.composite
 def block_list(draw):
     """A target shape and blocks (row_off, col_off, coef, M) that fit in it;
@@ -421,7 +434,7 @@ def block_list(draw):
         mr, mc = draw(st.integers(0, nr)), draw(st.integers(0, nc))
         roff, coff = draw(st.integers(0, nr - mr)), draw(st.integers(0, nc - mc))
         c = draw(st.one_of(st.just(0), st.just(1), st.just(Q(2, 2)), scalar))
-        M = stored(draw(raw_mat(mr, mc)))
+        M = draw(mixed_mat(mr, mc))
         blocks.append((roff, coff, c, M))
         if draw(st.booleans()):
             blocks.append((roff, coff, -c, M))
@@ -442,14 +455,13 @@ def test_assemble_is_the_sum_of_placed_blocks(case):
     A = SpMat.assemble(nr, nc, blocks)
     assert [snapshot(M) for *_, M in blocks] == before
     assert (A.nrows, A.ncols) == (nr, nc)
-    assert stored_form(A)
-    assert all(r for r in A.rows.values())  # no empty row is stored
+    assert stored_form(A)  # no empty row is stored either
     # against dense rational sums, and against placed blocks added up
     dense = [[Q(0)] * nc for _ in range(nr)]
     for roff, coff, c, M in blocks:
         for i, j, v in M.entries():
             dense[roff + i][coff + j] += Q(c) * v
-    assert A.to_dense() == dense
+    assert to_dense(A) == dense
     total = SpMat(nr, nc)
     for block in blocks:
         total = total + placed(nr, nc, *block)
@@ -498,7 +510,7 @@ def test_assemble_shape_check_survives_python_O():
 def rows_and_index(draw):
     """A stored-form matrix and distinct row indices, one per row, into a
     taller matrix."""
-    M = stored(draw(raw_mat()))
+    M = draw(mixed_mat())
     n = M.nrows + draw(st.integers(0, 3))
     idx = draw(st.permutations(range(n)))[:M.nrows]
     return M, list(idx), n
@@ -513,7 +525,7 @@ def test_gather_and_place_invert_each_other(case):
     assert P.gather_rows(idx) == M
     for p, i in enumerate(idx):
         assert [P.get(i, j) for j in range(M.ncols)] == [M.get(p, j) for j in range(M.ncols)]
-    assert P.nnz() == M.nnz()
+    assert nnz(P) == nnz(M)
     # gathering first keeps exactly the rows idx
     G = P.gather_rows(idx).place_rows(idx, n)
     assert G == P
@@ -523,7 +535,10 @@ def test_gather_and_place_invert_each_other(case):
         P.set(idx[0], 0, 7)
         G.set(idx[-1], M.ncols - 1, 0)
         M.gather_rows([0]).set(0, 0, 5)
-        assert G.gather_rows(idx[:1]) == M.gather_rows([0])
+        expect = M.gather_rows([0])
+        if M.nrows == 1:  # then G's write went to this very row
+            expect.set(0, M.ncols - 1, 0)
+        assert G.gather_rows(idx[:1]) == expect
     assert snapshot(M) == before
 
 
@@ -541,9 +556,100 @@ def test_index_helpers_reject_bad_indices():
         SpMat.from_columns(2, [{2: 1}])
 
 
-@given(raw_mat())
+@given(mixed_mat())
 def test_from_columns_matches_entries(M):
     cols = [M.col_dict(j) for j in range(M.ncols)]
     C = SpMat.from_columns(M.nrows, cols)
-    assert canon(C) == canon(stored(M))
+    assert canon(C) == canon(M)
+    assert C == M
     assert stored_form(C)
+
+
+# -- the stored row form -------------------------------------------------------
+
+def test_rows_are_integers_over_one_denominator():
+    A = SpMat.from_dense([[Q(1, 2), Q(1, 3), 0], [2, 4, 0], [0, Q(2, 3), Q(4, 3)]])
+    assert A.rows == {0: {0: 3, 1: 2}, 1: {0: 2, 1: 4}, 2: {1: 2, 2: 4}}
+    assert A.dens == {0: 6, 2: 3}  # an integral row keeps no denominator
+    assert stored_form(A)
+    A.set(0, 0, Q(2, 3))
+    A.set(2, 1, 0)
+    assert (A.rows[0], A.dens[0], A.rows[2], A.dens[2]) == ({0: 2, 1: 1}, 3, {2: 4}, 3)
+    # writing over the entries that set the denominator brings the row to
+    # lowest terms, down to an integral row
+    A.set(0, 0, 1)
+    assert (A.rows[0], A.dens[0]) == ({0: 3, 1: 1}, 3)
+    A.set(0, 1, 2)
+    A.set(2, 2, 0)
+    assert (A.rows[0], 0 in A.dens, 2 in A.rows, 2 in A.dens) == ({0: 1, 1: 2}, False, False, False)
+    assert stored_form(A)
+    # a sum whose common denominator cancels stores an integral row
+    B = SpMat.from_dense([[Q(1, 2), Q(3, 2)]]) + SpMat.from_dense([[Q(1, 2), Q(1, 2)]])
+    assert (B.rows, B.dens) == ({0: {0: 1, 1: 2}}, {})
+    assert SpMat.from_dense([[Q(1, 2)]]) == SpMat.from_dense([[Q(2, 4)]])
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Mixed int / rational operands for every integer kernel at once."""
+    A, B = draw(product_pair())
+    C, rhs = draw(system())
+    phi = draw(st.lists(st.integers(0, 3), min_size=C.ncols, max_size=C.ncols))
+    K = draw(mixed_mat(draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+    return A, B, C, rhs, phi, K, draw(block_list())
+
+
+@given(kernel_inputs())
+def test_kernels_match_fraction_references(case):
+    A, B, C, rhs, phi, K, (nr, nc, blocks) = case
+    inputs = [A, B, C, rhs, K] + [M for *_, M in blocks]
+    before = [snapshot(M) for M in inputs]
+    results = [
+        (A @ B, reference_matmul(A, B)),
+        (SpMat.assemble(nr, nc, blocks), reference_assemble(nr, nc, blocks)),
+        (C.merge_columns(phi, 4), reference_merge_columns(C, phi, 4)),
+        (C.transpose(), reference_transpose(C)),
+        (C.kron(K), reference_kron(C, K)),
+        (K.kron(C), reference_kron(K, C)),
+        (C.rref()[0], reference_rref(C)[0]),
+        (C.kernel_basis(), reference_kernel_basis(C)),
+    ]
+    assert C.rref()[1] == reference_rref(C)[1]
+    try:
+        want = reference_solve(C, rhs)
+    except LinAlgError:
+        with pytest.raises(LinAlgError, match="inconsistent"):
+            C.solve(rhs)
+    else:
+        results.append((C.solve(rhs), want))
+    for got, want in results:
+        assert canon(got) == canon(want)
+        assert got == want  # the stored form is canonical
+        assert stored_form(got)
+    assert [snapshot(M) for M in inputs] == before
+
+
+def test_kernels_build_no_Q(monkeypatch):
+    """The kernels run on ints: on rational inputs, a product, an assembly,
+    a column merge and a row reduction construct no Q at all."""
+    A = SpMat.from_dense([[Q(1, 2), Q(2, 3), 0], [Q(-3, 4), 1, Q(5, 6)], [0, Q(7, 5), 2]])
+    B = SpMat.from_dense([[Q(1, 3), 0], [Q(2, 5), Q(-1, 7)], [4, Q(3, 2)]])
+    made = []
+
+    def counting_q(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(linalg, "Q", counting_q)
+    P = A @ B
+    S = SpMat.assemble(3, 5, [(0, 0, Q(2, 3), A), (0, 2, Q(-5, 4), B), (0, 1, 1, A)])
+    M = S.merge_columns([0, 1, 0, 1, 2], 3)
+    R, pivots = S.rref()
+    assert made == []
+    # the boundary still builds Q, so the wrapper is the live one
+    assert P.get(0, 0) == Q(1, 2) * Q(1, 3) + Q(2, 3) * Q(2, 5)
+    assert made
+    monkeypatch.undo()
+    assert canon(P) == canon(reference_matmul(A, B))
+    assert canon(M) == canon(reference_merge_columns(S, [0, 1, 0, 1, 2], 3))
+    assert (canon(R), pivots) == (canon(reference_rref(S)[0]), reference_rref(S)[1])

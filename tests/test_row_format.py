@@ -3,8 +3,8 @@
 Every other module builds matrices through `SpMat.assemble`, the index-map
 helpers and the constructors, and reads them through `get`, `col_dict`,
 `entries` and the arithmetic. So no module but `linalg` may touch an
-attribute named ``rows``, pass a rows dict to ``SpMat(...)``, or accumulate
-with ``m.set(i, j, m.get(i, j) + x)``.
+attribute named ``rows`` or ``dens`` (the row denominators), pass a rows
+dict to ``SpMat(...)``, or accumulate with ``m.set(i, j, m.get(i, j) + x)``.
 """
 
 import ast
@@ -51,13 +51,23 @@ def test_no_rows_attribute_outside_linalg():
     assert uses == [], f"{len(uses)} uses of .rows outside linalg: {uses}"
 
 
+def test_no_dens_attribute_outside_linalg():
+    uses = _sites(
+        (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "dens"
+    )
+    assert uses == [], f"{len(uses)} uses of .dens outside linalg: {uses}"
+
+
 def test_no_raw_rows_construction_outside_linalg():
     raw = _sites(
         (name, node.lineno)
         for name, tree in _trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _is_spmat(node.func) and (
-            len(node.args) >= 3 or any(k.arg == "rows" for k in node.keywords)
+            len(node.args) >= 3 or any(k.arg in ("rows", "dens") for k in node.keywords)
         )
     )
     assert raw == [], f"{len(raw)} SpMat(...) calls with a rows dict outside linalg: {raw}"

@@ -1,6 +1,6 @@
 """Every rational in `linalg` is built through `Q`, so that with gmpy2
 installed one scalar type runs: `Fraction` is named only to pick the
-fallback backend and to parse strings in `qparse`."""
+fallback backend."""
 
 import ast
 import os
@@ -14,8 +14,6 @@ def test_linalg_builds_rationals_through_Q():
         tree = ast.parse(fh.read(), filename=path)
     allowed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == "qparse":
-            allowed.update(id(n) for n in ast.walk(node))
         if isinstance(node, ast.Try) and any(
             isinstance(h.type, ast.Name) and h.type.id == "ImportError" for h in node.handlers
         ):
@@ -29,4 +27,4 @@ def test_linalg_builds_rationals_through_Q():
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Name) and node.id == "Fraction" and id(node) not in allowed
     ]
-    assert stray == [], f"linalg.py uses Fraction outside the fallback and qparse on lines {stray}"
+    assert stray == [], f"linalg.py uses Fraction outside the fallback on lines {stray}"
