@@ -223,11 +223,9 @@ def tilde_bases(gs, maps, top: int) -> list[SpMat]:
     return bases
 
 
-def tilde_jet_submodule(gs, i: int, maps=(), bases=None) -> TildeJet:
-    """The i-th tilde subspace of J^1(E/E^{i+1}) as a P-module. ``bases``,
-    a list `tilde_bases` returned for a top >= i, saves building it again."""
-    if bases is None:
-        bases = tilde_bases(gs, maps, i)
+def tilde_jet_submodule(gs, i: int, bases: list[SpMat]) -> TildeJet:
+    """The i-th tilde subspace of J^1(E/E^{i+1}) as a P-module, from
+    ``bases``, the list `tilde_bases` returns for a top >= i."""
     basis = bases[i]
     amb = jet1(gs.quotient(i + 1))
     acts = {}
@@ -263,12 +261,10 @@ def _second_tilde(first: SpMat, jet: SemiHolonomicJet) -> SpMat:
     return (blocks @ jet.iota).kernel_basis()
 
 
-def verify_tower_containments(gs, chain, bases=None) -> bool:
+def verify_tower_containments(gs, chain, bases: list[SpMat]) -> bool:
     """J^1(L_i) o iota maps the second tilde space of E/E^i into the first
-    tilde space of E/E^{i+1}, for 1 <= i <= r. ``bases`` is
-    ``tilde_bases(gs, chain.maps, gs.r)`` when the caller has it."""
-    if bases is None:
-        bases = tilde_bases(gs, chain.maps, gs.r)
+    tilde space of E/E^{i+1}, for 1 <= i <= r, with ``bases`` =
+    ``tilde_bases(gs, chain.maps, gs.r)``."""
     for i in range(1, gs.r + 1):
         jet = semiholonomic(gs.quotient(i), 2)
         t_src = _second_tilde(bases[i - 1], jet)

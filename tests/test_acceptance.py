@@ -174,7 +174,7 @@ def test_criterion_07_splitting_operator_identities():
             # constrained jet spaces are P-submodules compatible with L
             bases = tilde_bases(gs, chain.maps, gs.r)
             for i in range(gs.r + 1):
-                T = tilde_jet_submodule(gs, i, chain.maps, bases)
+                T = tilde_jet_submodule(gs, i, bases)
                 ok &= check_equivariance(T.basis, T.module, T.ambient).ok
             ok &= verify_tower_containments(gs, chain, bases)
             checked += 1

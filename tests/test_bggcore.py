@@ -17,7 +17,12 @@ from artifact.bggcore import (
     verify_splitter_defect,
     verify_splitter_projection,
 )
-from artifact.certify import tilde_jet_submodule, twisted_d_hom, verify_tower_containments
+from artifact.certify import (
+    tilde_bases,
+    tilde_jet_submodule,
+    twisted_d_hom,
+    verify_tower_containments,
+)
 from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
 from artifact.linalg import SpMat
 from artifact.repmod import DimensionOverBudget
@@ -127,8 +132,9 @@ def test_tilde_submodules(label, sigma, weight):
     g = graded(label, sigma)
     for gs in submodules_for(label, sigma, weight):
         chain = compose_splitter(gs)
+        bases = tilde_bases(gs, chain.maps, gs.r)
         for i in range(gs.r + 1):
-            T = tilde_jet_submodule(gs, i, chain.maps)
+            T = tilde_jet_submodule(gs, i, bases)
             res = check_equivariance(T.basis, T.module, T.ambient)
             assert res.ok, (gs.n, i)
             if i >= 1:
@@ -150,7 +156,7 @@ def test_tilde_submodules(label, sigma, weight):
 def test_tower_containments(label, sigma, weight):
     for gs in submodules_for(label, sigma, weight):
         chain = compose_splitter(gs)
-        assert verify_tower_containments(gs, chain)
+        assert verify_tower_containments(gs, chain, tilde_bases(gs, chain.maps, gs.r))
 
 
 def test_a1_family_single_arrow():
