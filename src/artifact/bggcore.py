@@ -340,11 +340,7 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
     H^{n+1}, and the values into C^{n+1} before pi_H."""
     cc, n = gs.cc, gs.n
     values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, gs.basis @ chain.composite)
-    split = coh_next.split
-    x = split.full_basis.solve(values)
-    off = split.im_del.ncols
-    h = split.ker_box.ncols
-    return x.submatrix(list(range(off, off + h)), list(range(x.ncols))), values
+    return coh_next.split.harmonic_projection() @ values, values
 
 
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,

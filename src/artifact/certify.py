@@ -5,6 +5,10 @@ raises on (`certify_map`), the identity battery `verify` reports, and, for
 the tests, the twisted derivative and the tilde prolongations on which the
 splitter chain is natural. Pipeline objects (a generated submodule ``gs``,
 a splitter ``chain``) come in as arguments; nothing here imports `bggcore`.
+
+Every check that compares products is one signed ``SpMat.assemble`` of
+product blocks, tested with ``is_zero``: the two sides are never built
+apart and subtracted.
 """
 
 from __future__ import annotations
@@ -66,7 +70,9 @@ def certify_from_left(dt: SpMat, W: PModule, phi: list[int] | None, ncols: int,
     mat = merge(dt)
     residuals = [
         lab for lab, right in jet1_left_action(dt, W).items()
-        if lab in target.actions and target.actions[lab] @ mat != merge(right)
+        if lab in target.actions and not SpMat.assemble(dt.nrows, ncols, [
+            (0, 0, 1, (target.actions[lab], mat)), (0, 0, -1, merge(right)),
+        ]).is_zero()
     ]
     if residuals:
         raise CertificationFailure(f"operator residuals on {sorted(residuals)}")
@@ -81,9 +87,11 @@ def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
             out["d_squared_zero"] = False
         if n + 1 < cc.top and not (cc.delstars[n] @ cc.delstars[n + 1]).is_zero():
             out["codifferential_squared_zero"] = False
-        lhs = cc.delstars[n].transpose() @ cc.inner[n]
-        rhs = cc.inner[n + 1] @ cc.dels[n]
-        if lhs != rhs:
+        # dstar^T G_n = G_{n+1} d
+        if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), [
+            (0, 0, 1, (cc.delstars[n].transpose(), cc.inner[n])),
+            (0, 0, -1, (cc.inner[n + 1], cc.dels[n])),
+        ]).is_zero():
             out["adjointness"] = False
     return out
 
@@ -92,36 +100,37 @@ def verify_codifferential_leibniz(cc: CochainComplex) -> bool:
     """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) for basis Z, all levels."""
     roots = cc.g.pplus_roots()
     for n in range(cc.top):
+        dim = cc.dim(n)
         for a, wa in enumerate(cc.unit_wedges(n)):
-            lhs = cc.delstars[n] @ wa
-            rhs = -cc.levels[n].actions[("e", roots[a])]
+            blocks = [
+                (0, 0, 1, (cc.delstars[n], wa)),
+                (0, 0, 1, cc.levels[n].actions[("e", roots[a])]),
+            ]
             if n >= 1:
-                rhs = rhs - cc.unit_wedges(n - 1)[a] @ cc.delstars[n - 1]
-            if lhs != rhs:
+                blocks.append((0, 0, 1, (cc.unit_wedges(n - 1)[a], cc.delstars[n - 1])))
+            if not SpMat.assemble(dim, dim, blocks).is_zero():
                 return False
     return True
 
 
 def verify_differential_commutator(cc: CochainComplex) -> bool:
-    """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f)."""
+    """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f), checked as
+    one signed sum of products for each level and label; the action of
+    [W, xi_a] is never assembled."""
     g = cc.g
     for n in range(cc.top):
         wedges = cc.unit_wedges(n)
         acts = cc.levels[n].actions
-        dim, dim1 = cc.dim(n), cc.dim(n + 1)
+        d = cc.dels[n]
         for lab in g.p_labels():
             if g.grade_of(lab) < 1:
                 continue
-            lhs = cc.levels[n + 1].actions[lab] @ cc.dels[n] - cc.dels[n] @ acts[lab]
-            # [W, xi_a] acting on C^n, for each a
-            brackets: dict[int, list] = {}
-            for a, blab, c in g.xi_brackets(lab):
-                brackets.setdefault(a, []).append((0, 0, c, acts[blab]))
-            terms = [
-                (0, 0, n + 1, wedges[a] @ SpMat.assemble(dim, dim, blocks))
-                for a, blocks in brackets.items()
-            ]
-            if lhs != SpMat.assemble(dim1, dim, terms):
+            blocks = [(0, 0, 1, (cc.levels[n + 1].actions[lab], d)), (0, 0, -1, (d, acts[lab]))]
+            blocks.extend(
+                (0, 0, -(n + 1) * c, (wedges[a], acts[blab]))
+                for a, blab, c in g.xi_brackets(lab)
+            )
+            if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks).is_zero():
                 return False
     return True
 
@@ -148,8 +157,11 @@ def oracle_agrees(g: GradedLieAlgebra, lam_mod: Weight, columns) -> bool:
 def verify_splitter_projection(gs, chain) -> bool:
     """pi^{i+1}_i o L_i = p_i for each i."""
     for lm in chain.maps:
+        trunc = gs.trunc(lm.i + 1, lm.i)
         foot = SpMat.identity(lm.source.base.dim, lm.source.dim)
-        if gs.trunc(lm.i + 1, lm.i) @ lm.mat != foot:
+        if not SpMat.assemble(foot.nrows, foot.ncols, [
+            (0, 0, 1, (trunc, lm.mat)), (0, 0, -1, foot),
+        ]).is_zero():
             return False
     return True
 
@@ -165,18 +177,22 @@ def verify_splitter_defect(gs, chain) -> bool:
         if i >= 2:
             qi = jq.base
             jpi = jet1_map_matrix(g, gs.trunc(i, i - 1))
-            inner = chain.maps[i - 2].mat @ jpi - SpMat.identity(qi.dim, jq.dim)
+            inner = SpMat.assemble(qi.dim, jq.dim, [
+                (0, 0, 1, (chain.maps[i - 2].mat, jpi)),
+                (0, 0, -1, SpMat.identity(qi.dim, jq.dim)),
+            ])
             idx = list(range(qn.dim))
             box_qn = gs.box_on_e().submatrix(idx, idx)
-            boxed = box_qn @ (SpMat.identity(qn.dim, qi.dim) @ inner)
+            boxed = box_qn @ inner.place_rows(list(range(qi.dim)), qn.dim)
         for lab in grade1:
-            defect = lm.mat @ jq.actions[lab] - qn.actions[lab] @ lm.mat
-            if i == 1:
-                if not defect.is_zero():
+            # the defect L_i A_Z - A'_Z L_i, less its expected value
+            blocks = [(0, 0, 1, (lm.mat, jq.actions[lab])), (0, 0, -1, (qn.actions[lab], lm.mat))]
+            if i >= 2:
+                lifted = gs.lift_top_block(i, qn.actions[lab] @ boxed)
+                if lifted is None:
                     return False
-                continue
-            lifted = gs.lift_top_block(i, qn.actions[lab] @ boxed)
-            if lifted is None or defect != lifted:
+                blocks.append((0, 0, -1, lifted))
+            if not SpMat.assemble(qn.dim, jq.dim, blocks).is_zero():
                 return False
     return True
 

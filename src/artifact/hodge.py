@@ -197,14 +197,15 @@ def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
 
 
 def laplacian(cc: CochainComplex, n: int) -> SpMat:
-    """box = d dstar + dstar d on C^n (signs included in the maps)."""
+    """box = d dstar + dstar d on C^n (signs included in the maps), summed in
+    one accumulation."""
     dim = cc.dim(n)
-    box = SpMat(dim, dim)
+    blocks = []
     if n >= 1:
-        box = box + cc.dels[n - 1] @ cc.delstars[n - 1]
+        blocks.append((0, 0, 1, (cc.dels[n - 1], cc.delstars[n - 1])))
     if n < cc.top:
-        box = box + cc.delstars[n] @ cc.dels[n]
-    return box
+        blocks.append((0, 0, 1, (cc.delstars[n], cc.dels[n])))
+    return SpMat.assemble(dim, dim, blocks)
 
 
 @dataclass
@@ -214,19 +215,40 @@ class HodgeSplit:
     ker_box: SpMat
     im_delstar: SpMat
     harmonic_weights: tuple[Weight, ...]
+    _projection: SpMat | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def full_basis(self) -> SpMat:
         return SpMat.hstack([self.im_del, self.ker_box, self.im_delstar])
+
+    def harmonic_projection(self) -> SpMat:
+        """pi_H: C^n -> harmonic coordinates, the ker box rows of
+        full_basis^{-1} (the basis is certified invertible), computed on
+        first use and kept. P is the solution of P @ full_basis = [0 | 1 | 0],
+        solved as full_basis^T @ P^T = the ker box columns of the identity."""
+        if self._projection is None:
+            dim = self.im_del.nrows
+            off, h = self.im_del.ncols, self.ker_box.ncols
+            unit = SpMat.identity(h).place_rows(list(range(off, off + h)), dim)
+            self._projection = self.full_basis.transpose().solve(unit).transpose()
+        return self._projection
+
+
+def _rows_by_weight(weights) -> dict[Weight, list[int]]:
+    """The coordinate positions of each weight, in order."""
+    out: dict[Weight, list[int]] = {}
+    for k, w in enumerate(weights):
+        out.setdefault(w, []).append(k)
+    return out
 
 
 def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     """C^n = im d + ker box + im dstar, bases blocked by full weight."""
     level = cc.levels[n]
     dim = level.dim
-    by_weight: dict[Weight, list[int]] = {}
-    for k, w in enumerate(level.weights):
-        by_weight.setdefault(w, []).append(k)
+    by_weight = _rows_by_weight(level.weights)
+    below = _rows_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
+    above = _rows_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
     box = laplacian(cc, n)
     im_del_cols: list[SpMat] = []
     ker_cols: list[SpMat] = []
@@ -236,10 +258,7 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     for mu in sorted(by_weight):
         rows = by_weight[mu]
         if n >= 1:
-            src = [
-                k for k, w in enumerate(cc.levels[n - 1].weights) if w == mu
-            ]
-            blk = cc.dels[n - 1].submatrix(rows, src)
+            blk = cc.dels[n - 1].submatrix(rows, below.get(mu, []))
             base = blk.column_space_basis()
             if base.ncols:
                 im_del_cols.append(base.place_rows(rows, dim))
@@ -249,10 +268,7 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
             ker_cols.append(kb.place_rows(rows, dim))
             ker_weights.extend([mu] * kb.ncols)
         if n < cc.top:
-            src = [
-                k for k, w in enumerate(cc.levels[n + 1].weights) if w == mu
-            ]
-            blk = cc.delstars[n].submatrix(rows, src)
+            blk = cc.delstars[n].submatrix(rows, above.get(mu, []))
             base = blk.column_space_basis()
             if base.ncols:
                 im_ds_cols.append(base.place_rows(rows, dim))
@@ -277,12 +293,10 @@ def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> No
     rows of one weight, and for each weight its columns, restricted to its
     rows, form a square block of full rank. Up to a permutation of rows and
     columns, ``basis`` is then block diagonal with invertible blocks."""
-    rows_of: dict[Weight, list[int]] = {}
-    for k, w in enumerate(weights):
-        rows_of.setdefault(w, []).append(k)
+    rows_of = _rows_by_weight(weights)
     cols_of: dict[Weight, list[int]] = {}
     col_weights: dict[int, set[Weight]] = {}
-    for i, c, _ in basis.entries():
+    for i, c in basis.support():
         col_weights.setdefault(c, set()).add(weights[i])
     for c in range(basis.ncols):
         ws = col_weights.get(c, set())

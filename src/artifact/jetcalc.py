@@ -100,7 +100,9 @@ def check_equivariance(mat: SpMat, source: PModule, target: PModule) -> PModMap:
     for lab in source.actions:
         if lab not in target.actions:
             continue
-        res = target.actions[lab] @ mat - mat @ source.actions[lab]
+        res = SpMat.assemble(mat.nrows, mat.ncols, [
+            (0, 0, 1, (target.actions[lab], mat)), (0, 0, -1, (mat, source.actions[lab])),
+        ])
         if not res.is_zero():
             residuals[lab] = res
     return PModMap(
@@ -177,7 +179,7 @@ def jet1_left_action(m: SpMat, V: PModule) -> dict[Label, SpMat]:
     cols = [m.select_columns(list(range(b * dv, (b + 1) * dv))) for b in range(1 + d)]
     return {
         lab: SpMat.assemble(m.nrows, m.ncols, [
-            (0, j * dv, c, cols[i] if M is None else cols[i] @ M)
+            (0, j * dv, c, cols[i] if M is None else (cols[i], M))
             for i, j, c, M in _jet1_terms(V, lab)
         ])
         for lab in V.g.p_labels()

@@ -28,17 +28,26 @@ replaces its row), so matrices share rows, and the index maps move them, and
 their denominators, without copying. The sums, scalings and stacks here are
 assembler calls too, so one loop accumulates and normalises rows.
 
-Every kernel runs on ints. A product brings the right rows it touches to one
-common denominator, accumulates integer products, and divides each result row
-by the gcd of its entries and its denominator. The assembler, the Kronecker
-product, column merging and the transpose bring the rows they combine to a
-common denominator the same way. Row reduction is fraction-free: it starts
-from the stored integer rows divided by their content, eliminates with
-r <- p_j r - r_j p and divides by the content again, sweeping the columns
-left to right with the rows bucketed by their leading column, then clears the
-entries above the pivots by back substitution; a finished row over its pivot
-is already in lowest terms. The RREF is unique and the pivot choice depends
-only on sparsity, so the result is the one plain rational elimination gives.
+Products accumulate in the assembler as well. A block M may be a product
+block (X, Y), standing for X @ Y: each row of X is multiplied out against
+Y's rows, brought to Y's common denominator, straight into the output row
+the other blocks write, so X @ Y is never built or normalised on its own;
+``X @ Y`` is the assembly of that one block, so there is one product loop. A
+certificate that compares products, such as A' M = M A, is one signed
+assembly of product blocks tested with ``is_zero``.
+
+Every kernel runs on ints. Rows are summed over the lcm of their
+denominators and each written row is divided once by the gcd of its entries
+and its denominator. Column merging, the Kronecker product and the transpose
+bring the rows they combine to a common denominator the same way. Row
+reduction is fraction-free: the forward pass starts from the stored integer
+rows divided by their content, eliminates with r <- p_j r - r_j p and
+divides by the content again, sweeping the columns left to right with the
+rows bucketed by their leading column; a rank and a set of independent
+columns read its pivots. The RREF then clears the entries above the pivots
+by back substitution; a finished row over its pivot is already in lowest
+terms. The RREF is unique and the pivot choice depends only on sparsity, so
+the result is the one plain rational elimination gives.
 """
 
 from __future__ import annotations
@@ -132,6 +141,17 @@ def _eliminate(row: dict, j: int, piv: dict) -> int:
     return a
 
 
+def _row_scales(y: "SpMat") -> tuple[dict[int, int] | None, int]:
+    """(scales, den): row k of y is y.rows[k] * scales[k] / den over one
+    common denominator den, the lcm of y's row denominators; scales is None
+    when y is integral."""
+    ydens = y.dens
+    if not ydens:
+        return None, 1
+    den = lcm(*ydens.values())
+    return {k: den // ydens.get(k, 1) for k in y.rows}, den
+
+
 class LinAlgError(Exception):
     """Inconsistent system or malformed shapes."""
 
@@ -219,22 +239,87 @@ class SpMat:
     def assemble(cls, nrows: int, ncols: int, blocks: Iterable[tuple]) -> "SpMat":
         """The nrows x ncols matrix sum of coef * M over the blocks
         (row_off, col_off, coef, M), with M's (0, 0) entry placed at
-        (row_off, col_off). Overlapping entries are summed and zeros dropped.
-        A row only one block writes, with a unit coefficient and no column
-        offset, is M's row itself, shared; a row two blocks hit, or one
-        scaled by a non-integral coefficient, is brought to lowest terms once
-        at the end."""
+        (row_off, col_off). M is a matrix or a product block (X, Y), which
+        stands for X @ Y: its rows are accumulated straight into the rows the
+        other blocks write, and X @ Y itself is never built. Overlapping
+        entries are summed and zeros dropped. A row only one plain block
+        writes, with a unit coefficient and no column offset, is M's row
+        itself, shared; a row two blocks hit, a product row, or a row scaled
+        by a non-integral coefficient is brought to lowest terms once at the
+        end."""
         out: dict[int, dict[int, int]] = {}
         odens: dict[int, int] = {}
         shared: set[int] = set()  # rows of out that are a block's own rows
         dirty: set[int] = set()
+
+        def common(i: int, d: int) -> int:
+            """Bring out row i (which exists) and a block row over d to their
+            common denominator; returns the factor the block row needs."""
+            orow = out[i]
+            if i in shared:
+                orow = out[i] = dict(orow)
+                shared.discard(i)
+            e = odens.get(i, 1)
+            if e == d:
+                return 1
+            den = lcm(e, d)
+            if den != e:
+                s = den // e
+                for j in orow:
+                    orow[j] *= s
+                odens[i] = den
+            return den // d
+
         for roff, coff, c, m in blocks:
-            if roff < 0 or coff < 0 or roff + m.nrows > nrows or coff + m.ncols > ncols:
+            if type(m) is tuple:
+                x, y = m
+                if x.ncols != y.nrows:
+                    raise LinAlgError(
+                        f"product block of {x.nrows}x{x.ncols} and {y.nrows}x{y.ncols}"
+                    )
+                mr, mc = x.nrows, y.ncols
+            else:
+                mr, mc = m.nrows, m.ncols
+            if roff < 0 or coff < 0 or roff + mr > nrows or coff + mc > ncols:
                 raise LinAlgError(
-                    f"{m.nrows}x{m.ncols} block at ({roff}, {coff}) outside {nrows}x{ncols}"
+                    f"{mr}x{mc} block at ({roff}, {coff}) outside {nrows}x{ncols}"
                 )
             cn, cd = _nd(c)
             if not cn:
+                continue
+            if type(m) is tuple:
+                # row i of this block is cn * (row i of x) @ (y over rden) / d,
+                # with d = x's denominator * rden * cd
+                yrows = y.rows
+                scales, rden = _row_scales(y)
+                xdens = x.dens
+                for i, r in x.rows.items():
+                    orow = None
+                    for k, a in r.items():
+                        br = yrows.get(k)
+                        if br is None:
+                            continue
+                        if orow is None:
+                            # the first term of a nonzero row: place it
+                            f, d = cn, xdens.get(i, 1) * rden * cd
+                            i += roff
+                            if i in out:
+                                f *= common(i, d)
+                            else:
+                                out[i] = {}
+                                if d != 1:
+                                    odens[i] = d
+                            orow = out[i]
+                            get = orow.get
+                            dirty.add(i)
+                        a *= f if scales is None else f * scales[k]
+                        if coff:
+                            for j, b in br.items():
+                                j += coff
+                                orow[j] = get(j, 0) + a * b
+                        else:
+                            for j, b in br.items():
+                                orow[j] = get(j, 0) + a * b
                 continue
             mdens = m.dens
             for i, r in m.rows.items():
@@ -246,8 +331,7 @@ class SpMat:
                     d //= g
                 d *= cd
                 i += roff
-                orow = out.get(i)
-                if orow is None:
+                if i not in out:
                     if f == 1 and cd == 1 and not coff:
                         out[i] = r
                         shared.add(i)
@@ -261,18 +345,8 @@ class SpMat:
                         dirty.add(i)
                     continue
                 # a second block in this row: sum over a common denominator
-                if i in shared:
-                    orow = out[i] = dict(orow)
-                    shared.discard(i)
-                e = odens.get(i, 1)
-                if e != d:
-                    den = lcm(e, d)
-                    if den != e:
-                        s = den // e
-                        for j in orow:
-                            orow[j] *= s
-                        odens[i] = den
-                    f *= den // d
+                f *= common(i, d)
+                orow = out[i]
                 get = orow.get
                 if coff:
                     for j, v in r.items():
@@ -287,6 +361,10 @@ class SpMat:
             row = out[i]
             if 0 in row.values():
                 row = {j: v for j, v in row.items() if v}
+                if not row:
+                    del out[i]
+                    odens.pop(i, None)
+                    continue
             result._put(i, row, odens.get(i, 1))
         return result
 
@@ -336,6 +414,13 @@ class SpMat:
             for j in sorted(r):
                 yield i, j, r[j] if d is None else _quo(r[j], d)
 
+    def support(self) -> Iterator[tuple[int, int]]:
+        """The positions (i, j) of the nonzero entries, read without building
+        an entry."""
+        for i, r in self.rows.items():
+            for j in r:
+                yield i, j
+
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -383,45 +468,7 @@ class SpMat:
     def __matmul__(self, other: "SpMat") -> "SpMat":
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch in matmul")
-        # The right rows this product reads, over one common denominator.
-        right = other.rows
-        rden = 1
-        if other.dens:
-            touched: set[int] = set()
-            for r in self.rows.values():
-                touched.update(r)
-            odens = other.dens
-            used = touched.intersection(odens)
-            if used:
-                rden = lcm(*(odens[k] for k in used))
-                right = {}
-                for k in touched.intersection(other.rows):
-                    r = other.rows[k]
-                    s = rden // odens.get(k, 1)
-                    right[k] = r if s == 1 else {j: s * v for j, v in r.items()}
-        out: dict[int, dict[int, int]] = {}
-        dens: dict[int, int] = {}
-        sdens = self.dens
-        for i, r in self.rows.items():
-            acc: dict[int, int] = {}
-            get = acc.get
-            for k, a in r.items():
-                br = right.get(k)
-                if br is None:
-                    continue
-                for j, b in br.items():
-                    acc[j] = get(j, 0) + a * b
-            if 0 in acc.values():
-                acc = {j: s for j, s in acc.items() if s}
-            if not acc:
-                continue
-            den = sdens.get(i, 1) * rden
-            if den != 1:
-                den = _lowest(acc, den)
-                if den != 1:
-                    dens[i] = den
-            out[i] = acc
-        return SpMat(self.nrows, other.ncols, out, dens)
+        return SpMat.assemble(self.nrows, other.ncols, [(0, 0, 1, (self, other))])
 
     def merge_columns(self, phi: list[int], ncols: int) -> "SpMat":
         """self @ M for the 0/1 matrix M with one 1 per row, M[q, phi[q]]:
@@ -554,12 +601,9 @@ class SpMat:
 
     # -- elimination ------------------------------------------------------
 
-    def rref(self) -> tuple["SpMat", list[int]]:
-        """Canonical reduced row echelon form.
-
-        Leftmost-pivot, rows ordered by pivot column, pivots normalized to 1.
-        Returns (R, pivot_columns).
-        """
+    def _forward(self) -> tuple[list[dict[int, int]], list[int]]:
+        """Forward elimination: (rows, pivots), the primitive integer rows
+        of an echelon form of self, row k leading with column pivots[k]."""
         # Work rows are bucketed by their leading column: the columns are
         # swept left to right and every work row is cleared of the columns
         # already swept, so the rows holding column j are those that lead
@@ -584,6 +628,15 @@ class SpMat:
                     lead.setdefault(min(r), []).append((len(r), pos, r))
             done.append(piv)
             pivots.append(j)
+        return done, pivots
+
+    def rref(self) -> tuple["SpMat", list[int]]:
+        """Canonical reduced row echelon form.
+
+        Leftmost-pivot, rows ordered by pivot column, pivots normalized to 1.
+        Returns (R, pivot_columns).
+        """
+        done, pivots = self._forward()
         # Back substitution, last row first: the rows below k are reduced, so
         # clearing row k's later pivot columns brings in no other pivot column.
         pos = {p: k for k, p in enumerate(pivots)}
@@ -605,7 +658,9 @@ class SpMat:
         return R, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        """The number of pivots of a forward elimination (no back
+        substitution, no result matrix)."""
+        return len(self._forward()[1])
 
     def kernel_basis(self) -> "SpMat":
         """Columns span {x : self @ x = 0}; canonical (free vars = identity)."""
@@ -637,8 +692,9 @@ class SpMat:
         return X
 
     def independent_columns(self) -> list[int]:
-        """Indices of the lexicographically first maximal independent column set."""
-        return self.rref()[1]
+        """Indices of the lexicographically first maximal independent column
+        set: the pivots of a forward elimination."""
+        return self._forward()[1]
 
     def column_space_basis(self) -> "SpMat":
         return self.select_columns(self.independent_columns())

@@ -358,13 +358,6 @@ class WeylElt:
             for i in range(self.rs.rank)
         )
 
-    def inverse(self) -> "WeylElt":
-        # (s_{i_1}...s_{i_k})^{-1} = s_{i_k}...s_{i_1}
-        w = identity_weyl(self.rs)
-        for i in self.word:
-            w = w.mul_simple_left(i)
-        return w
-
     def mul_simple_right(self, i: int) -> "WeylElt":
         s = simple_reflection(self.rs, i)
         return WeylElt(
@@ -372,15 +365,6 @@ class WeylElt:
             word=self.word + (i,),
             mat_root=_matmul_int(self.mat_root, s.mat_root),
             mat_weight=_matmul_int(self.mat_weight, s.mat_weight),
-        )
-
-    def mul_simple_left(self, i: int) -> "WeylElt":
-        s = simple_reflection(self.rs, i)
-        return WeylElt(
-            rs=self.rs,
-            word=(i,) + self.word,
-            mat_root=_matmul_int(s.mat_root, self.mat_root),
-            mat_weight=_matmul_int(s.mat_weight, self.mat_weight),
         )
 
     def inversion_count(self) -> int:
@@ -444,20 +428,16 @@ def enumerate_weyl(rs: RootSystem, max_elements: int = 200000) -> list[WeylElt]:
 def parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
     """W^p graded by length: w with w^{-1}(alpha_j) > 0 for every uncrossed j.
 
-    Level n holds the length-n elements, sorted by reduced word.
+    Level n holds the length-n elements, sorted by reduced word. Row j of
+    ``w.mat_weight`` holds the coroot coordinates of w^{-1}(alpha_j^vee),
+    which is positive exactly when w^{-1}(alpha_j) is; a root is positive or
+    negative, so the test is that the row has a positive entry, and no
+    inverse is built.
     """
-    rs = p.rs
     uncrossed0 = [j - 1 for j in p.uncrossed]
     levels: dict[int, list[WeylElt]] = {}
-    for w in enumerate_weyl(rs):
-        inv = w.inverse()
-        ok = True
-        for j in uncrossed0:
-            img = tuple(row[j] for row in inv.mat_root)
-            if not rs.is_positive(img):
-                ok = False
-                break
-        if ok:
+    for w in enumerate_weyl(p.rs):
+        if all(max(w.mat_weight[j]) > 0 for j in uncrossed0):
             levels.setdefault(w.length, []).append(w)
     if not levels:
         return []

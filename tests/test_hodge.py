@@ -124,6 +124,33 @@ def test_cohomology_module_structure():
         assert mod.weights == coh.split.harmonic_weights
 
 
+def test_harmonic_projection_inverts_the_hodge_basis():
+    """P_H @ full_basis = [0 | 1 | 0], so P_H is the ker box rows of the
+    inverse of the Hodge basis; it is computed once and kept."""
+    _, cohs, _ = components_for("A2", (1,), (1, 1))
+    for coh in cohs:
+        sp = coh.split
+        P = sp.harmonic_projection()
+        off, h = sp.im_del.ncols, sp.ker_box.ncols
+        want = SpMat.identity(h).transpose().place_rows(
+            list(range(off, off + h)), sp.full_basis.ncols).transpose()
+        assert P @ sp.full_basis == want
+        assert sp.harmonic_projection() is P
+
+
+def test_cohomology_command_computes_no_projection(monkeypatch, capsys):
+    import artifact.bggcli as bggcli
+    from artifact.hodge import HodgeSplit
+
+    def refuse(self):
+        raise AssertionError("harmonic projection computed")
+
+    monkeypatch.setattr(HodgeSplit, "harmonic_projection", refuse)
+    argv = ["--algebra", "A2", "--cross", "1", "--weight", "1,1", "cohomology"]
+    assert bggcli.main(argv) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "label,sigma,weight",
     [("A2", (1,), (1, 0)), ("B2", (1,), (0, 1)), ("A3", (1, 3), (0, 0, 0))],

@@ -86,6 +86,11 @@ def test_check_equivariance_rejects_non_maps():
     res = check_equivariance(raising, V, V)
     assert not res.ok
     assert res.residuals
+    # the stored residual is A'M - MA itself, and only nonzero ones are kept
+    for lab, A in V.actions.items():
+        expect = A @ raising - raising @ A
+        assert res.residuals.get(lab, SpMat(V.dim, V.dim)) == expect
+        assert (lab in res.residuals) == (not expect.is_zero())
     with pytest.raises(ShapeMismatch):
         check_equivariance(SpMat(V.dim + 1, V.dim), V, V)
 

@@ -476,6 +476,76 @@ def test_cancelling_blocks_leave_nothing(case):
     assert SpMat.assemble(nr, nc, [(r, c, 0, M) for r, c, _, M in blocks]) == SpMat(nr, nc)
 
 
+@st.composite
+def dense_mat(draw, nrows, ncols):
+    """A matrix with every entry drawn, int and Q mixed, about one in four
+    of them zero: denser than ``mixed_mat``, so products rarely vanish."""
+    vals = draw(st.lists(st.one_of(st.just(0), scalar, scalar, scalar),
+                         min_size=nrows * ncols, max_size=nrows * ncols))
+    return SpMat.from_entries(nrows, ncols, {
+        divmod(p, ncols): v for p, v in enumerate(vals)
+    })
+
+
+@st.composite
+def product_block_list(draw):
+    """A target shape and blocks that fit in it, plain ones and product
+    blocks (X, Y) with mixed int / rational factors; the inner dimension may
+    be 0, which leaves an empty factor. Coefficients are as in ``block_list``. Some
+    blocks repeat with the opposite coefficient, and some product blocks
+    come with the plain product X @ Y at the opposite coefficient, so that
+    the sum cancels exactly; the order is shuffled, so a product row lands
+    in rows other blocks wrote first, and the other way round."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        mr, mc = draw(st.integers(1, nr)), draw(st.integers(1, nc))
+        roff, coff = draw(st.integers(0, nr - mr)), draw(st.integers(0, nc - mc))
+        c = draw(st.one_of(st.just(1), st.just(Q(2, 2)), scalar))
+        if draw(st.booleans()):
+            inner = draw(st.integers(0, 3))
+            M = (draw(dense_mat(mr, inner)), draw(dense_mat(inner, mc)))
+            if draw(st.booleans()):
+                blocks.append((roff, coff, -c, reference_matmul(*M)))
+        else:
+            M = draw(dense_mat(mr, mc))
+        blocks.append((roff, coff, c, M))
+        if draw(st.integers(0, 3)) == 0:
+            blocks.append((roff, coff, -c, M))
+    return nr, nc, draw(st.permutations(blocks))
+
+
+def plain_blocks(blocks):
+    """The blocks with each product block (X, Y) replaced by the reference
+    product of X and Y."""
+    return [(r, c, v, reference_matmul(*M) if type(M) is tuple else M)
+            for r, c, v, M in blocks]
+
+
+@given(product_block_list())
+def test_product_blocks_match_the_references(case):
+    nr, nc, blocks = case
+    factors = [X for *_, M in blocks for X in (M if type(M) is tuple else (M,))]
+    before = [snapshot(X) for X in factors]
+    A = SpMat.assemble(nr, nc, blocks)
+    assert [snapshot(X) for X in factors] == before
+    want = reference_assemble(nr, nc, plain_blocks(blocks))
+    assert canon(A) == canon(want)
+    assert A == want and stored_form(A)
+    # the whole sum, less itself through the references, is exactly zero
+    undo = [(r, c, -v, M) for r, c, v, M in plain_blocks(blocks)]
+    assert SpMat.assemble(nr, nc, blocks + undo).is_zero()
+
+
+def test_product_blocks_reject_factors_that_do_not_chain():
+    with pytest.raises(LinAlgError, match="product block"):
+        SpMat.assemble(2, 2, [(0, 0, 1, (SpMat.identity(2), SpMat.identity(3)))])
+    # the product's shape, not a factor's, must fit
+    with pytest.raises(LinAlgError, match="outside 2x2"):
+        SpMat.assemble(2, 2, [(0, 0, 1, (SpMat.identity(2), SpMat(2, 3)))])
+    assert SpMat.assemble(2, 3, [(0, 0, 1, (SpMat.identity(2), SpMat(2, 3)))]).is_zero()
+
+
 def test_assemble_rejects_blocks_that_do_not_fit():
     M = SpMat.identity(2)
     for roff, coff in [(2, 0), (0, 2), (-1, 0), (0, -1)]:
@@ -615,6 +685,7 @@ def test_kernels_match_fraction_references(case):
         (C.kernel_basis(), reference_kernel_basis(C)),
     ]
     assert C.rref()[1] == reference_rref(C)[1]
+    assert C.rank() == len(reference_rref(C)[1])
     try:
         want = reference_solve(C, rhs)
     except LinAlgError:
@@ -630,8 +701,9 @@ def test_kernels_match_fraction_references(case):
 
 
 def test_kernels_build_no_Q(monkeypatch):
-    """The kernels run on ints: on rational inputs, a product, an assembly,
-    a column merge and a row reduction construct no Q at all."""
+    """The kernels run on ints: on rational inputs, a product, an assembly
+    with and without product blocks, a column merge, a row reduction and a
+    rank construct no Q at all."""
     A = SpMat.from_dense([[Q(1, 2), Q(2, 3), 0], [Q(-3, 4), 1, Q(5, 6)], [0, Q(7, 5), 2]])
     B = SpMat.from_dense([[Q(1, 3), 0], [Q(2, 5), Q(-1, 7)], [4, Q(3, 2)]])
     made = []
@@ -645,6 +717,10 @@ def test_kernels_build_no_Q(monkeypatch):
     S = SpMat.assemble(3, 5, [(0, 0, Q(2, 3), A), (0, 2, Q(-5, 4), B), (0, 1, 1, A)])
     M = S.merge_columns([0, 1, 0, 1, 2], 3)
     R, pivots = S.rref()
+    blocks = [(0, 0, Q(-7, 3), (A, B)), (0, 1, 2, (A, A @ B)), (0, 0, Q(1, 2), B)]
+    PB = SpMat.assemble(3, 3, blocks)
+    zero = SpMat.assemble(3, 2, [(0, 0, Q(3, 5), (A, B)), (0, 0, Q(-3, 5), P)])
+    rank = S.rank()
     assert made == []
     # the boundary still builds Q, so the wrapper is the live one
     assert P.get(0, 0) == Q(1, 2) * Q(1, 3) + Q(2, 3) * Q(2, 5)
@@ -653,3 +729,5 @@ def test_kernels_build_no_Q(monkeypatch):
     assert canon(P) == canon(reference_matmul(A, B))
     assert canon(M) == canon(reference_merge_columns(S, [0, 1, 0, 1, 2], 3))
     assert (canon(R), pivots) == (canon(reference_rref(S)[0]), reference_rref(S)[1])
+    assert canon(PB) == canon(reference_assemble(3, 3, plain_blocks(blocks)))
+    assert zero.is_zero() and rank == len(pivots)

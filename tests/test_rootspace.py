@@ -75,11 +75,20 @@ def test_reflections():
         assert rs.reflect_root(i, alpha) == tuple(-c for c in alpha)
 
 
+def weyl_inverse(w):
+    """w^{-1} = s_{i_k}...s_{i_1} for w = s_{i_1}...s_{i_k}: the reference
+    the package's tests of W^p compare with."""
+    out = identity_weyl(w.rs)
+    for i in reversed(w.word):
+        out = out.mul_simple_right(i)
+    return out
+
+
 def test_weyl_words_and_inverses():
     rs = build_root_system("A2")
     for w in enumerate_weyl(rs):
         assert w.length == w.inversion_count()
-        winv = w.inverse()
+        winv = weyl_inverse(w)
         lam = (2, 5)
         assert winv.act_weight(w.act_weight(lam)) == lam
 
@@ -130,12 +139,36 @@ def test_hasse_elements_are_minimal_coset_reps():
     p = parabolic(build_root_system("A3"), {1, 3})
     for lvl in parabolic_hasse(p):
         for w in lvl:
-            winv = w.inverse()
+            winv = weyl_inverse(w)
             for j in p.uncrossed:
                 alpha = tuple(
                     1 if k == j - 1 else 0 for k in range(p.rs.rank)
                 )
                 assert p.rs.is_positive(winv.act_root(alpha))
+
+
+def _hasse_by_inverse(p):
+    """W^p by its definition, w^{-1}(alpha_j) > 0 for every uncrossed j, with
+    the inverse built (``weyl_inverse``): the words of each length, sorted."""
+    levels = {}
+    for w in enumerate_weyl(p.rs):
+        winv = weyl_inverse(w)
+        if all(
+            p.rs.is_positive(winv.act_root(tuple(int(k == j - 1) for k in range(p.rs.rank))))
+            for j in p.uncrossed
+        ):
+            levels.setdefault(w.length, []).append(w.word)
+    return [sorted(levels[n]) for n in range(len(levels))]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
+def test_hasse_matches_the_inverse_definition(label):
+    rs = build_root_system(label)
+    for mask in range(2 ** rs.rank):
+        sigma = {i + 1 for i in range(rs.rank) if mask >> i & 1}
+        p = parabolic(rs, sigma)
+        got = [[w.word for w in lvl] for lvl in parabolic_hasse(p)]
+        assert got == _hasse_by_inverse(p), sigma
 
 
 def test_affine_dot_action():
