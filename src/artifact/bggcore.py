@@ -54,7 +54,6 @@ from .hodge import (
     CochainComplex,
     build_cochain_complex,
     cohomology_module,
-    laplacian,
     twisted_matrix,
 )
 from .jetcalc import (
@@ -141,10 +140,15 @@ class GeneratedSubmodule:
         return SpMat.identity(self.quotient(i).dim, self.quotient(j).dim)
 
     def box_on_e(self) -> SpMat:
-        """The Laplacian restricted to E, in E coordinates."""
+        """The Laplacian restricted to E, in E coordinates. E lies in
+        ker dstar_{n-1} (``generate_submodule`` checks it), so the
+        d_{n-1} dstar_{n-1} term of box = d dstar + dstar d vanishes on E,
+        and box on E is dstar_n d_n."""
         if self._box is None:
-            box = laplacian(self.cc, self.n)
-            self._box = self.basis.solve(box @ self.basis)
+            cc, n = self.cc, self.n
+            img = SpMat.assemble(cc.dim(n), self.basis.ncols,
+                                 [(0, 0, 1, (cc.delstars[n], cc.dels[n] @ self.basis))])
+            self._box = self.basis.solve(img)
         return self._box
 
     def box_inverse(self, i: int) -> SpMat:

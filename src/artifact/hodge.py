@@ -15,9 +15,12 @@ and the level inner products G_n = ((-1)^n / n!) diag(prod_a d_a) (x) Gram_V
 make dstar the exact adjoint of d. The sign (-1)^n is forced by that
 adjointness; the products are definite on each level, alternating in sign.
 
-The Laplacian, the Hodge splitting im d + ker box + im dstar, harmonic
-cohomology modules, and the weight-multiset oracle for their components all
-live here.
+The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
+and the weight-multiset oracle for their components live here. The
+splitting builds no Laplacian: its harmonic part ker box is ker d ∩ ker dstar,
+solved on the weights the two images leave uncovered (``hodge_decompose``).
+The Laplacian box = d dstar + dstar d appears only restricted to a generated
+submodule, where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 """
 
 from __future__ import annotations
@@ -196,18 +199,6 @@ def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
     return SpMat.assemble(len(tgt_tuples) * dv, len(src_tuples) * dv, blocks)
 
 
-def laplacian(cc: CochainComplex, n: int) -> SpMat:
-    """box = d dstar + dstar d on C^n (signs included in the maps), summed in
-    one accumulation."""
-    dim = cc.dim(n)
-    blocks = []
-    if n >= 1:
-        blocks.append((0, 0, 1, (cc.dels[n - 1], cc.delstars[n - 1])))
-    if n < cc.top:
-        blocks.append((0, 0, 1, (cc.delstars[n], cc.dels[n])))
-    return SpMat.assemble(dim, dim, blocks)
-
-
 @dataclass
 class HodgeSplit:
     n: int
@@ -243,13 +234,33 @@ def _rows_by_weight(weights) -> dict[Weight, list[int]]:
 
 
 def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
-    """C^n = im d + ker box + im dstar, bases blocked by full weight."""
+    """C^n = im d + ker box + im dstar, bases blocked by full weight.
+
+    No Laplacian is built. On each weight mu, the bases of im d_{n-1} and of
+    im dstar_n are the independent columns of the two weight blocks, and
+    the harmonic part ker box = ker d_n ∩ ker dstar_{n-1} is solved only on
+    the room they leave, |mu| - rank(im d) - rank(im dstar), as the kernel
+    of the stacked blocks [dstar_{n-1}; d_n] on the mu columns. A weight
+    with no room has no harmonic part, and nothing is eliminated for it.
+
+    Why skipping is exact: let v be in ker d_n ∩ ker dstar_{n-1} of weight
+    mu. By adjointness, dstar_k^T G_k = G_{k+1} d_k, so v is G_n-orthogonal
+    to im d_{n-1} and to im dstar_n. With no room, those two images span the
+    weight space of mu (``check_weight_blocks`` certifies that their bases
+    together are a basis). G_n = +-diag(prod_a d_a) (x) Gram_V pairs each
+    weight space with itself, and its block there is nondegenerate, since
+    ``build_irrep`` admits a basis word only on a nonzero Schur complement
+    of the contravariant Gram. So v = 0.
+
+    With room, the kernel must have exactly that many columns, or
+    ``ComplexNotCertified`` is raised. ``kernel_basis`` is canonical (it
+    depends only on the subspace), so the harmonic basis is the one the
+    kernel of each Laplacian block gives."""
     level = cc.levels[n]
     dim = level.dim
     by_weight = _rows_by_weight(level.weights)
     below = _rows_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
     above = _rows_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
-    box = laplacian(cc, n)
     im_del_cols: list[SpMat] = []
     ker_cols: list[SpMat] = []
     im_ds_cols: list[SpMat] = []
@@ -257,21 +268,33 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
 
     for mu in sorted(by_weight):
         rows = by_weight[mu]
+        room = len(rows)
+        conds: list[SpMat] = []
         if n >= 1:
-            blk = cc.dels[n - 1].submatrix(rows, below.get(mu, []))
-            base = blk.column_space_basis()
+            base = cc.dels[n - 1].submatrix(rows, below.get(mu, [])).column_space_basis()
+            room -= base.ncols
             if base.ncols:
                 im_del_cols.append(base.place_rows(rows, dim))
-        boxblk = box.submatrix(rows, rows)
-        kb = boxblk.kernel_basis()
-        if kb.ncols:
-            ker_cols.append(kb.place_rows(rows, dim))
-            ker_weights.extend([mu] * kb.ncols)
+            conds.append(cc.delstars[n - 1].submatrix(below.get(mu, []), rows))
         if n < cc.top:
-            blk = cc.delstars[n].submatrix(rows, above.get(mu, []))
-            base = blk.column_space_basis()
+            base = cc.delstars[n].submatrix(rows, above.get(mu, [])).column_space_basis()
+            room -= base.ncols
             if base.ncols:
                 im_ds_cols.append(base.place_rows(rows, dim))
+            conds.append(cc.dels[n].submatrix(above.get(mu, []), rows))
+        if room < 0:
+            raise ComplexNotCertified(
+                f"im d and im dstar overfill weight {mu} of C^{n}"
+            )
+        if room:
+            kb = SpMat.vstack(conds).kernel_basis()
+            if kb.ncols != room:
+                raise ComplexNotCertified(
+                    f"harmonic part of weight {mu} of C^{n} has dimension "
+                    f"{kb.ncols}, the images leave {room}"
+                )
+            ker_cols.append(kb.place_rows(rows, dim))
+            ker_weights.extend([mu] * room)
 
     def cat(cols):
         return SpMat.hstack(cols) if cols else SpMat(dim, 0)

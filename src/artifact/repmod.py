@@ -44,39 +44,47 @@ class ModuleNotCertified(Exception):
 
 
 class _WordCalc:
-    """Shapovalov evaluation on words of lowering operators."""
+    """Shapovalov evaluation on words of lowering operators. Every
+    coefficient is a weight coordinate or a sum of products of them, so the
+    words' combinations and pairings are computed in int."""
 
     def __init__(self, rs: RootSystem, lam: Weight):
         self.rs = rs
         self.lam = lam
-        self._ememo: dict[tuple[int, tuple], dict] = {}
-        self._pmemo: dict[tuple[tuple, tuple], object] = {}
+        self._ememo: dict[tuple[int, tuple], dict[tuple, int]] = {}
+        self._pmemo: dict[tuple[tuple, tuple], int] = {}
+        self._wmemo: dict[tuple, Weight] = {(): tuple(lam)}
 
     def weight(self, word: tuple) -> Weight:
-        out = list(self.lam)
-        for i in word:
-            for j in range(self.rs.rank):
-                out[j] -= self.rs.cartan[j][i]
-        return tuple(out)
+        """lam minus the simple roots of the word, memoised: a word's weight
+        is its tail's, less the root of its first letter."""
+        hit = self._wmemo.get(word)
+        if hit is None:
+            cartan = self.rs.cartan
+            i = word[0]
+            hit = self._wmemo[word] = tuple(
+                x - cartan[j][i] for j, x in enumerate(self.weight(word[1:]))
+            )
+        return hit
 
-    def raise_word(self, i: int, word: tuple) -> dict:
+    def raise_word(self, i: int, word: tuple) -> dict[tuple, int]:
         """e_i . word as a formal combination of shorter words."""
         key = (i, word)
         hit = self._ememo.get(key)
         if hit is not None:
             return hit
         if not word:
-            out: dict[tuple, object] = {}
+            out: dict[tuple, int] = {}
         else:
             j, rest = word[0], word[1:]
             out = {}
             if i == j:
-                c = Q(self.weight(rest)[i])
+                c = self.weight(rest)[i]
                 if c:
                     out[rest] = c
             for w, c in self.raise_word(i, rest).items():
                 k = (j,) + w
-                s = out.get(k, QZERO) + c
+                s = out.get(k, 0) + c
                 if s:
                     out[k] = s
                 else:
@@ -84,18 +92,18 @@ class _WordCalc:
         self._ememo[key] = out
         return out
 
-    def pair(self, w1: tuple, w2: tuple):
+    def pair(self, w1: tuple, w2: tuple) -> int:
         """Contravariant pairing <w1 . v, w2 . v>, normalized <v,v> = 1."""
         if len(w1) != len(w2):
-            return QZERO
+            return 0
         if not w1:
-            return QONE
+            return 1
         key = (w1, w2)
         hit = self._pmemo.get(key)
         if hit is not None:
             return hit
         i, rest = w1[0], w1[1:]
-        total = QZERO
+        total = 0
         for w, c in self.raise_word(i, w2).items():
             total += c * self.pair(rest, w)
         self._pmemo[key] = total

@@ -1,5 +1,7 @@
 """Cochain complexes, Hodge splits, harmonic cohomology."""
 
+from dataclasses import replace
+
 import pytest
 
 from artifact.hodge import (
@@ -8,7 +10,6 @@ from artifact.hodge import (
     check_weight_blocks,
     hodge_decompose,
     kostant_oracle,
-    laplacian,
     wedge_insert_matrix,
 )
 from artifact.linalg import Q, SpMat
@@ -20,6 +21,7 @@ from conftest import (
     components_for,
     graded,
 )
+from hodge_reference import laplacian, reference_hodge_decompose
 from linalg_reference import row_dicts, to_dense, with_row
 
 CASES = [
@@ -80,6 +82,73 @@ def test_harmonic_is_joint_kernel(label, sigma, weight):
             assert (cc.delstars[n - 1] @ K).is_zero()
         joint = SpMat.vstack(rows) if rows else SpMat(cc.dim(n), cc.dim(n))
         assert joint.kernel_basis().ncols == K.ncols
+
+
+BENCH_COHOMOLOGY = [("G2", (1,), (1, 1)), ("A4", (2,), (1, 0, 0, 1))]
+SPLIT_CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws] + BENCH_COHOMOLOGY
+
+
+@pytest.mark.parametrize("label,sigma,weight", SPLIT_CASES)
+def test_split_equals_laplacian_kernel_reference(label, sigma, weight):
+    """The split from the two images is the one the kernels of the Laplacian
+    blocks give: every matrix and the harmonic weights are equal."""
+    cc = complex_for(label, sigma, weight)
+    for n in range(cc.top + 1):
+        got, want = hodge_decompose(cc, n), reference_hodge_decompose(cc, n)
+        assert got.im_del == want.im_del
+        assert got.ker_box == want.ker_box
+        assert got.im_delstar == want.im_delstar
+        assert got.harmonic_weights == want.harmonic_weights
+
+
+def test_split_of_a_tampered_complex_is_refused():
+    """With one differential or codifferential zeroed, on some weight the
+    joint kernel no longer fills the room the images leave, or outgrows it;
+    the error names the level and the weight."""
+    cc = complex_for("A2", (1,), (1, 1))
+    for k in range(cc.top):
+        for field in ("dels", "delstars"):
+            mats = list(getattr(cc, field))
+            mats[k] = SpMat(mats[k].nrows, mats[k].ncols)
+            tampered = replace(cc, **{field: mats})
+            with pytest.raises(ComplexNotCertified, match=r"harmonic part of weight \(.*\) of C\^"):
+                for n in range(cc.top + 1):
+                    hodge_decompose(tampered, n)
+
+
+def test_split_of_an_overfilled_weight_is_refused():
+    """A d_1 whose weight block on (1, 1) has full rank, so that im d and
+    im dstar together outrank the weight space of C^2."""
+    cc = complex_for("A2", (1, 2), (1, 1))
+    n, mu = 2, (1, 1)
+    rows = [i for i, w in enumerate(cc.levels[n].weights) if w == mu]
+    below = [j for j, w in enumerate(cc.levels[n - 1].weights) if w == mu]
+    bump = SpMat.from_entries(cc.dim(n), cc.dim(n - 1), {(i, j): 1 for i, j in zip(rows, below)})
+    dels = list(cc.dels)
+    dels[n - 1] = dels[n - 1] + bump
+    assert dels[n - 1].submatrix(rows, below).rank() == len(rows)
+    with pytest.raises(ComplexNotCertified, match=r"overfill weight \(1, 1\) of C\^2"):
+        hodge_decompose(replace(cc, dels=dels), n)
+
+
+def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
+    """kernel_basis runs once per weight with a harmonic part, and on no
+    weight the two images cover."""
+    cc = complex_for("G2", (1,), (1, 1))
+    calls = []
+    kernel_basis = SpMat.kernel_basis
+
+    def counted(self):
+        calls.append(self.ncols)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(SpMat, "kernel_basis", counted)
+    harmonic = 0
+    for n in range(cc.top + 1):
+        harmonic += len(set(hodge_decompose(cc, n).harmonic_weights))
+    assert len(calls) == harmonic == 24
+    blocks = sum(len(set(cc.levels[n].weights)) for n in range(cc.top + 1))
+    assert blocks == 290
 
 
 def test_laplacian_selfadjoint_and_weight_diagonal():

@@ -1,7 +1,10 @@
 """Finite-dimensional modules: construction, restriction, functors."""
 
+from fractions import Fraction
+
 import pytest
 
+from artifact import repmod
 from artifact.linalg import Q, SpMat
 from artifact.repmod import (
     DimensionOverBudget,
@@ -85,6 +88,65 @@ def test_contravariant_gram():
         for c in range(m.dim):
             if m.weights[r] != m.weights[c]:
                 assert G.get(r, c) == 0
+
+
+class FractionWordCalc(repmod._WordCalc):
+    """The word calculator in ``Fraction`` arithmetic, one rational per
+    coefficient: a reference for the int one."""
+
+    def raise_word(self, i, word):
+        key = (i, word)
+        hit = self._ememo.get(key)
+        if hit is not None:
+            return hit
+        out = {}
+        if word:
+            j, rest = word[0], word[1:]
+            if i == j and self.weight(rest)[i]:
+                out[rest] = Fraction(self.weight(rest)[i])
+            for w, c in self.raise_word(i, rest).items():
+                k = (j,) + w
+                out[k] = out.get(k, Fraction(0)) + c
+                if not out[k]:
+                    del out[k]
+        self._ememo[key] = out
+        return out
+
+    def pair(self, w1, w2):
+        if len(w1) != len(w2):
+            return Fraction(0)
+        if not w1:
+            return Fraction(1)
+        key = (w1, w2)
+        if key not in self._pmemo:
+            self._pmemo[key] = sum(
+                (c * self.pair(w1[1:], w) for w, c in self.raise_word(w1[0], w2).items()),
+                Fraction(0),
+            )
+        return self._pmemo[key]
+
+
+IRREP_CASES = [("G2", (1, 1)), ("A4", (1, 0, 0, 1)), ("C3", (1, 0, 1)), ("B2", (2, 1))]
+
+
+@pytest.mark.parametrize("label,lam", IRREP_CASES)
+def test_shapovalov_values_are_int(label, lam):
+    rs = build_root_system(label)
+    m = build_irrep(rs, lam)
+    wc = repmod._WordCalc(rs, lam)
+    for w1 in m.words:
+        for w2 in m.words:
+            assert type(wc.pair(w1, w2)) is int
+        for i in range(rs.rank):
+            assert all(type(c) is int for c in wc.raise_word(i, w1).values())
+
+
+@pytest.mark.parametrize("label,lam", IRREP_CASES)
+def test_build_irrep_matches_fraction_reference(label, lam, monkeypatch):
+    rs = build_root_system(label)
+    got = build_irrep(rs, lam)
+    monkeypatch.setattr(repmod, "_WordCalc", FractionWordCalc)
+    assert build_irrep(rs, lam) == got
 
 
 def test_budget_and_dominance_guards():
