@@ -191,22 +191,6 @@ def validate(job: JobSpec) -> None:
             raise ValidationError(f"{flag} must be at least 1, got {budget}")
 
 
-def format_spec(job: JobSpec) -> list[str]:
-    """Canonical argv that parses back to the same JobSpec."""
-    argv = [
-        "--algebra", job.algebra,
-        "--cross", ",".join(str(s) for s in job.sigma),
-        "--weight", ",".join(str(w) for w in job.weight),
-        "--emit", ",".join(job.emit),
-        "--max-module-dim", str(job.max_module_dim),
-        "--max-jet-dim", str(job.max_jet_dim),
-    ]
-    if job.out is not None:
-        argv += ["--out", job.out]
-    argv.append(job.command)
-    return argv
-
-
 @dataclass
 class Report:
     job: JobSpec

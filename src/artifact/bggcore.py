@@ -58,13 +58,9 @@ from .hodge import (
 )
 from .jetcalc import (
     MAX_JET_DIM,
-    JetModule,
-    PModMap,
     SemiHolonomicJet,
-    check_jet_budget,
     equalizer_index_maps,
     jbar_dim,
-    jet1,
     jet1_map_matrix,
     prolong,
     semiholonomic,
@@ -78,7 +74,7 @@ from .repmod import (
     decompose_completely_reducible,
     restrict_to_parabolic,
 )
-from .rootspace import Weight, dominant_representative
+from .rootspace import Weight, dominant_representative_for
 
 
 class SingularLaplacianBlock(Exception):
@@ -239,11 +235,11 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
 
 @dataclass
 class LiMap:
-    """L_i: J^1(E/E^i) -> E/E^{i+1}."""
+    """L_i: J^1(E/E^i) -> E/E^{i+1}; ``source`` is E/E^i, and ``mat`` has
+    (1 + dim p_+) dim E/E^i columns, the coordinates of J^1(E/E^i)."""
 
     i: int
-    source: JetModule = field(repr=False)
-    target: PModule = field(repr=False)
+    source: PModule = field(repr=False)
     mat: SpMat = field(repr=False)
 
 
@@ -254,7 +250,7 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
     roots = g.pplus_roots()
     src_q = gs.quotient(i)
     tgt = gs.quotient(i + 1)
-    jmod = jet1(src_q)
+    width = (1 + len(roots)) * src_q.dim
     # the footpoint projection; the rows of block i take the corrections
     blocks = [(0, 0, 1, SpMat.identity(src_q.dim))]
     # batch all slot corrections into one solve against the E basis
@@ -274,9 +270,9 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
         y = gs.lift_top_block(i, x)
         if y is None:
             raise CertificationFailure(f"correction of L_{i} escaped the top block")
-        blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, jmod.dim)))
-    mat = SpMat.assemble(tgt.dim, jmod.dim, blocks)
-    return LiMap(i=i, source=jmod, target=tgt, mat=mat)
+        blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, width)))
+    mat = SpMat.assemble(tgt.dim, width, blocks)
+    return LiMap(i=i, source=src_q, mat=mat)
 
 
 @dataclass
@@ -286,11 +282,9 @@ class SplitterChain:
     ``jet`` is the Jbar^r(E/E^1) the composite is defined on (None when
     r == 0); the operator extends it to Jbar^{r+1}."""
 
-    gs: GeneratedSubmodule
     maps: tuple[LiMap, ...]
     composite: SpMat = field(repr=False)
     domain: PModule = field(repr=False)
-    certificate: PModMap = field(repr=False)
     jet: SemiHolonomicJet | None = field(default=None, repr=False)
 
 
@@ -308,15 +302,12 @@ def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = MAX_JET_DIM) -> 
             mat = maps[k - 1].mat
             composite = mat if k == 1 else mat @ prolong(composite, jet)
         domain = jet.module
-    cert = certify_map(composite, domain, gs.module, "splitter")
+    certify_map(composite, domain, gs.module, "splitter")
     # splitting property: the i0-block of L is the footpoint projection
     head = composite.gather_rows(list(range(q1.dim)))
     if head != SpMat.identity(q1.dim, composite.ncols):
         raise CertificationFailure("splitter does not split the projection")
-    return SplitterChain(
-        gs=gs, maps=maps, composite=composite, domain=domain, certificate=cert,
-        jet=jet,
-    )
+    return SplitterChain(maps=maps, composite=composite, domain=domain, jet=jet)
 
 
 @dataclass
@@ -349,12 +340,12 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
 
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                  coh_next: Cohomology, comps_next: list[IrrepLabel],
-                 source_index: int = 0,
-                 max_jet_dim: int = MAX_JET_DIM) -> BGGOperator:
+                 source_index: int = 0) -> BGGOperator:
     """D = Dt o iota on Jbar^{r+1}(E/E^1), certified from the left (module
-    docstring); its nonzero component blocks are the arrows."""
+    docstring); its nonzero component blocks are the arrows. The jet budget
+    is decided by the caller: `build_bgg_diagram` leaves a source partial
+    when dim Jbar^{r+1} exceeds it."""
     cc, n = gs.cc, gs.n
-    check_jet_budget(gs.quotient(1), gs.r + 1, max_jet_dim)
     dt, values = operator_on_jet1(gs, chain, coh_next)
     phi, ncols = None, dt.ncols
     if chain.jet is not None:
@@ -420,7 +411,9 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
     rs = g.rs
     if any(x < 0 for x in lam):
         raise ValueError("weight must be dominant integral")
-    lam_mod = dominant_representative(rs, tuple(-x for x in lam))
+    lam_mod = dominant_representative_for(
+        rs, range(1, rs.rank + 1), tuple(-x for x in lam)
+    )
     V = restrict_to_parabolic(build_irrep(rs, lam_mod, max_dim=max_module_dim), g)
     cc = build_cochain_complex(g, V)
     cohs = [cohomology_module(cc, n) for n in range(cc.top + 1)]
@@ -448,10 +441,7 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
                     partial.append((n, s))
                     continue
                 chain = compose_splitter(gs, max_jet_dim=max_jet_dim)
-                op = bgg_operator(
-                    gs, chain, cohs[n + 1], comps[n + 1],
-                    source_index=s, max_jet_dim=max_jet_dim,
-                )
+                op = bgg_operator(gs, chain, cohs[n + 1], comps[n + 1], source_index=s)
                 verify["splitter_projection"] &= verify_splitter_projection(gs, chain)
                 verify["splitter_defect"] &= verify_splitter_defect(gs, chain)
                 verify["splitter_values_kernel"] &= op.in_kernel

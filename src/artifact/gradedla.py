@@ -9,9 +9,9 @@ alpha_i-string through gamma - alpha_i. All remaining constants follow from
 the Jacobi identities for triples of root vectors; the bracket convention is
 [e_alpha, f_alpha] = h_{alpha^vee} (integral coroot coefficients).
 
-The Sigma-height grading g = g_{-k} + ... + g_k, the grading element E, the
-Killing form and the dual bases eta_a = e_a in p_+, xi_a = f_a / B(e_a, f_a)
-in g_- all live here.
+The Sigma-height grading g = g_{-k} + ... + g_k, the grading element E and
+its eigenvalue on weights, the Killing pairing B(e_a, f_a) and the dual bases
+eta_a = e_a in p_+, xi_a = f_a / B(e_a, f_a) in g_- all live here.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .linalg import Q, QONE, QZERO, SpMat
-from .rootspace import ParabolicSpec, Root, RootSystem, sigma_height
+from .rootspace import ParabolicSpec, Root, RootSystem, Weight, sigma_height
 
 Label = tuple  # ("e", root) | ("f", root) | ("h", i)  with i 0-based
 
@@ -170,10 +170,6 @@ class GradedLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def depth(self) -> int:
-        return max(self.grade) if self.grade else 0
-
     def grade_of(self, label: Label) -> int:
         return self.grade[self.index[label]]
 
@@ -238,46 +234,11 @@ class GradedLieAlgebra:
         lab = ("e", tot) if rs.is_positive(tot) else ("f", _neg(tot))
         return {lab: nval}
 
-    def bracket_vec(self, v1: dict, v2: dict) -> dict:
-        """Bracket of vectors given as {label: coeff} dicts."""
-        out: dict[Label, object] = {}
-        for l1, c1 in v1.items():
-            for l2, c2 in v2.items():
-                for l3, c3 in self.bracket_labels(l1, l2).items():
-                    s = out.get(l3, QZERO) + c1 * c2 * c3
-                    if s:
-                        out[l3] = s
-                    else:
-                        out.pop(l3, None)
-        return out
-
     def adjoint_matrix(self, label: Label) -> SpMat:
         out = SpMat(self.dim, self.dim)
         for j, l2 in enumerate(self.basis):
             for l3, c in self.bracket_labels(label, l2).items():
                 out.set(self.index[l3], j, c)
-        return out
-
-    def killing_form(self) -> SpMat:
-        """Gram matrix of B on the basis (trace form of the adjoint action)."""
-        rk = self.rs.rank
-        out = SpMat(self.dim, self.dim)
-        # h-block: B(h_i, h_j) = sum over roots of <alpha_i^vee, r><alpha_j^vee, r>
-        for i in range(rk):
-            for j in range(rk):
-                s = QZERO
-                for r in self.rs.pos_roots:
-                    s += 2 * self.rs.coroot_pairing(i, r) * self.rs.coroot_pairing(j, r)
-                out.set(self.index[("h", i)], self.index[("h", j)], s)
-        # root pairs: only B(e_a, f_a) survives by weight bookkeeping
-        for r in self.rs.pos_roots:
-            ade = self.adjoint_matrix(("e", r))
-            adf = self.adjoint_matrix(("f", r))
-            prod = ade @ adf
-            tr = sum(prod.get(i, i) for i in range(self.dim))
-            ie, jf = self.index[("e", r)], self.index[("f", r)]
-            out.set(ie, jf, tr)
-            out.set(jf, ie, tr)
         return out
 
     def killing_pairing(self, r: Root):
@@ -288,7 +249,17 @@ class GradedLieAlgebra:
         return sum(prod.get(i, i) for i in range(self.dim))
 
     def grading_element(self) -> dict[Label, object]:
-        """E in the Cartan with alpha_i(E) = 1 exactly at crossed nodes."""
+        """E in the Cartan with alpha_i(E) = 1 exactly at crossed nodes;
+        solved once per algebra, and the dict is shared by every caller."""
+        return self._grading_element
+
+    def e_eigenvalue(self, mu: Weight):
+        """The eigenvalue of E on the weight mu (fundamental coordinates)."""
+        E = self.grading_element()
+        return sum(E.get(("h", j), QZERO) * mu[j] for j in range(self.rs.rank))
+
+    @cached_property
+    def _grading_element(self) -> dict[Label, object]:
         rs = self.rs
         n = rs.rank
         target = SpMat.from_dense(

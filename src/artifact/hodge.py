@@ -30,9 +30,9 @@ from itertools import combinations
 from math import factorial
 
 from .gradedla import DualBasisPair, GradedLieAlgebra
-from .linalg import Q, QONE, QZERO, SpMat
-from .repmod import PModule, exterior_power, pplus_module, tensor
-from .rootspace import Weight, affine_dot_action, dominant_representative, parabolic_hasse
+from .linalg import Q, QONE, SpMat
+from .repmod import PModule, exterior_power, positions_by_weight, pplus_module, tensor
+from .rootspace import Weight, affine_dot_action, dominant_representative_for, parabolic_hasse
 
 
 class DegreeOverflow(Exception):
@@ -225,14 +225,6 @@ class HodgeSplit:
         return self._projection
 
 
-def _rows_by_weight(weights) -> dict[Weight, list[int]]:
-    """The coordinate positions of each weight, in order."""
-    out: dict[Weight, list[int]] = {}
-    for k, w in enumerate(weights):
-        out.setdefault(w, []).append(k)
-    return out
-
-
 def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     """C^n = im d + ker box + im dstar, bases blocked by full weight.
 
@@ -258,9 +250,9 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     kernel of each Laplacian block gives."""
     level = cc.levels[n]
     dim = level.dim
-    by_weight = _rows_by_weight(level.weights)
-    below = _rows_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
-    above = _rows_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
+    by_weight = positions_by_weight(level.weights)
+    below = positions_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
+    above = positions_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
     im_del_cols: list[SpMat] = []
     ker_cols: list[SpMat] = []
     im_ds_cols: list[SpMat] = []
@@ -316,7 +308,7 @@ def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> No
     rows of one weight, and for each weight its columns, restricted to its
     rows, form a square block of full rank. Up to a permutation of rows and
     columns, ``basis`` is then block diagonal with invertible blocks."""
-    rows_of = _rows_by_weight(weights)
+    rows_of = positions_by_weight(weights)
     cols_of: dict[Weight, list[int]] = {}
     col_weights: dict[int, set[Weight]] = {}
     for i, c in basis.support():
@@ -360,17 +352,10 @@ def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
         else:
             img = level.actions[lab] @ K
             acts[lab] = K.solve(img)  # consistent: g_0 preserves ker box
-    e_grades = []
-    E = cc.g.grading_element()
-    rank = cc.g.rs.rank
-    for mu in split.harmonic_weights:
-        e_grades.append(
-            sum((E.get(("h", j), QZERO)) * mu[j] for j in range(rank))
-        )
     mod = PModule(
         g=cc.g,
         dim=K.ncols,
-        e_grades=tuple(e_grades),
+        e_grades=tuple(cc.g.e_eigenvalue(mu) for mu in split.harmonic_weights),
         actions=acts,
         weights=split.harmonic_weights,
     )
@@ -409,7 +394,10 @@ def kostant_oracle(g: GradedLieAlgebra, lam_mod: Weight) -> list[list[Weight]]:
     Level n collects w.(lam*) for the length-n elements of W^p, where lam* is
     the dominant representative of -lam_mod; sorted lexicographically.
     """
-    lam_star = dominant_representative(g.rs, tuple(-x for x in lam_mod))
+    rs = g.rs
+    lam_star = dominant_representative_for(
+        rs, range(1, rs.rank + 1), tuple(-x for x in lam_mod)
+    )
     levels = parabolic_hasse(g.par)
     return [
         sorted(affine_dot_action(w, lam_star) for w in lvl) for lvl in levels

@@ -84,10 +84,6 @@ class PModMap:
     certified: bool = False
     residuals: dict = field(default_factory=dict, repr=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.certified
-
 
 def check_equivariance(mat: SpMat, source: PModule, target: PModule) -> PModMap:
     """Certify mat as a P-module map; labels checked are those the two
@@ -111,13 +107,6 @@ def check_equivariance(mat: SpMat, source: PModule, target: PModule) -> PModMap:
     )
 
 
-@dataclass
-class JetModule(PModule):
-    """J^1 of a PModule; coordinates [base; p_+ (x) base]."""
-
-    base: PModule = None
-
-
 def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:
     """The action of lab on J^1(V) as block terms (i, j, c, M): c M at block
     (i, j) of the (1 + d) x (1 + d) blocks of size dim V, M None for the
@@ -135,8 +124,8 @@ def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:
     return terms
 
 
-def jet1(V: PModule) -> JetModule:
-    """J^1(V), each action assembled from `_jet1_terms`."""
+def jet1(V: PModule) -> PModule:
+    """J^1(V) on [V; p_+ (x) V], each action assembled from `_jet1_terms`."""
     g = V.g
     roots = g.pplus_roots()
     d = len(roots)
@@ -159,10 +148,9 @@ def jet1(V: PModule) -> JetModule:
             weights.extend(
                 tuple(x + y for x, y in zip(wv, rw)) for wv in V.weights
             )
-    return JetModule(
+    return PModule(
         g=g, dim=dim, e_grades=tuple(e_grades), actions=acts,
         weights=None if weights is None else tuple(weights),
-        base=V,
     )
 
 
@@ -200,7 +188,7 @@ class SemiHolonomicJet:
     kept as its index map ``phi``: ambient row q carries a single 1, in DS
     column phi[q]. Footpoint rows keep their DS index; the row of slot a and
     DS coordinate t of Jbar^{r-1} goes to eta_a (x) t one tensor degree up.
-    ``iota`` is derived on demand, so a kept Jbar holds no ambient module
+    Only the index map is kept, so a kept Jbar holds no ambient module
     alive."""
 
     r: int
@@ -208,13 +196,6 @@ class SemiHolonomicJet:
     module: PModule = field(repr=False)
     slot_dims: tuple[int, ...] = ()
     phi: tuple[int, ...] | None = field(default=None, repr=False)
-
-    @property
-    def iota(self) -> SpMat | None:
-        """The embedding into J^1(Jbar^{r-1}) (None when r == 1)."""
-        if self.phi is None:
-            return None
-        return SpMat.identity(len(self.phi)).merge_columns(self.phi, self.module.dim)
 
 
 def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:

@@ -289,25 +289,25 @@ class PModule:
     weights: tuple[Weight, ...] | None = None
     gram: SpMat | None = field(default=None, repr=False)
 
-    def action(self, label: Label) -> SpMat:
-        return self.actions[label]
-
     def has_gminus(self) -> bool:
         return any(l[0] == "f" and self.g.grade_of(l) < 0 for l in self.actions)
+
+
+def positions_by_weight(weights) -> dict[Weight, list[int]]:
+    """The coordinate positions of each weight, in order."""
+    out: dict[Weight, list[int]] = {}
+    for k, w in enumerate(weights):
+        out.setdefault(w, []).append(k)
+    return out
 
 
 def restrict_to_parabolic(m: GModule, g: GradedLieAlgebra) -> PModule:
     """GModule as PModule: all Chevalley labels act, E-grades are rational."""
     acts = action_from_simples(g, list(m.e_mats), list(m.f_mats), list(m.h_mats))
-    E = g.grading_element()
-    e_grades = tuple(
-        sum((E.get(("h", j), QZERO)) * mu[j] for j in range(g.rs.rank))
-        for mu in m.weights
-    )
     return PModule(
         g=g,
         dim=m.dim,
-        e_grades=e_grades,
+        e_grades=tuple(g.e_eigenvalue(mu) for mu in m.weights),
         actions=acts,
         weights=m.weights,
         gram=m.gram,
@@ -364,20 +364,6 @@ def tensor(m1: PModule, m2: PModule) -> PModule:
     return PModule(
         g=m1.g, dim=m1.dim * m2.dim, e_grades=e_grades, actions=acts,
         weights=weights, gram=gram,
-    )
-
-
-def dual_module(m: PModule) -> PModule:
-    """Dual basis; X acts by -X^T."""
-    acts = {l: -(A.transpose()) for l, A in m.actions.items()}
-    return PModule(
-        g=m.g,
-        dim=m.dim,
-        e_grades=tuple(-x for x in m.e_grades),
-        actions=acts,
-        weights=None if m.weights is None else tuple(
-            tuple(-x for x in w) for w in m.weights
-        ),
     )
 
 
@@ -459,9 +445,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     g = m.g
     rs = g.rs
     uncrossed = g.par.uncrossed
-    by_weight: dict[Weight, list[int]] = {}
-    for k, w in enumerate(m.weights):
-        by_weight.setdefault(w, []).append(k)
+    by_weight = positions_by_weight(m.weights)
     alpha_w = {
         i: tuple(rs.cartan[j][i - 1] for j in range(rs.rank)) for i in uncrossed
     }

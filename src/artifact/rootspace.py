@@ -175,9 +175,6 @@ class RootSystem:
     def is_positive(self, c: Root) -> bool:
         return tuple(c) in self.pos_roots
 
-    def height(self, c: Root) -> int:
-        return sum(c)
-
     def coroot_pairing(self, i: int, c) -> object:
         """<alpha_i^vee, x> for x in simple-root coordinates, 0-based i."""
         return sum(self.cartan[i][j] * c[j] for j in range(self.rank))
@@ -200,18 +197,9 @@ class RootSystem:
     def rho(self) -> Weight:
         return (1,) * self.rank
 
-    @property
-    def highest_root(self) -> Root:
-        return self.pos_roots[-1]
-
     def reflect_weight(self, i: int, lam: Weight) -> Weight:
         """s_{i+1} acting on fundamental coordinates (0-based i)."""
         return tuple(lam[j] - self.cartan[j][i] * lam[i] for j in range(self.rank))
-
-    def reflect_root(self, i: int, c: Root) -> Root:
-        out = list(c)
-        out[i] -= self.coroot_pairing(i, c)
-        return tuple(out)
 
 
 def build_root_system(spec) -> RootSystem:
@@ -308,12 +296,6 @@ def sigma_height(p: ParabolicSpec, c: Root) -> int:
     return sum(c[i - 1] for i in p.sigma)
 
 
-def grading_depth(p: ParabolicSpec) -> int:
-    if not p.rs.pos_roots:
-        return 0
-    return max(sigma_height(p, r) for r in p.rs.pos_roots)
-
-
 def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     if len(lam) != rs.rank:
         raise NonDominant(f"weight has {len(lam)} coordinates, expected {rs.rank}")
@@ -346,12 +328,6 @@ class WeylElt:
     def length(self) -> int:
         return len(self.word)
 
-    def act_root(self, c: Root) -> Root:
-        return tuple(
-            sum(self.mat_root[i][j] * c[j] for j in range(self.rs.rank))
-            for i in range(self.rs.rank)
-        )
-
     def act_weight(self, lam: Weight) -> Weight:
         return tuple(
             sum(self.mat_weight[i][j] * lam[j] for j in range(self.rs.rank))
@@ -365,11 +341,6 @@ class WeylElt:
             word=self.word + (i,),
             mat_root=_matmul_int(self.mat_root, s.mat_root),
             mat_weight=_matmul_int(self.mat_weight, s.mat_weight),
-        )
-
-    def inversion_count(self) -> int:
-        return sum(
-            1 for beta in self.rs.pos_roots if sum(self.act_root(beta)) < 0
         )
 
 
@@ -455,18 +426,10 @@ def affine_dot_action(w: WeylElt, lam: Weight) -> Weight:
     return tuple(a - b for a, b in zip(img, rho))
 
 
-def dominant_representative(rs: RootSystem, lam: Weight) -> Weight:
-    """The dominant Weyl orbit representative (plain, unshifted action)."""
-    cur = tuple(lam)
-    while True:
-        i = next((j for j in range(rs.rank) if cur[j] < 0), None)
-        if i is None:
-            return cur
-        cur = rs.reflect_weight(i, cur)
-
-
 def dominant_representative_for(rs: RootSystem, nodes: tuple[int, ...], lam: Weight) -> Weight:
-    """Dominant representative under the subgroup generated by the given 1-based nodes."""
+    """Dominant representative under the subgroup generated by the given
+    1-based nodes (plain, unshifted action); under all of W for
+    ``range(1, rs.rank + 1)``."""
     cur = tuple(lam)
     while True:
         i = next((j for j in nodes if cur[j - 1] < 0), None)

@@ -17,7 +17,7 @@ from artifact.repmod import (
     decompose_completely_reducible,
     restrict_to_parabolic,
 )
-from artifact.rootspace import build_root_system, dominant_representative, parabolic
+from artifact.rootspace import build_root_system, dominant_representative_for, parabolic
 
 settings.register_profile(
     "exact",
@@ -78,7 +78,7 @@ def complex_for_module(label, sigma, lam_mod):
 def complex_for(label, sigma, weight):
     """Complex for the diagram convention: weight labels the zeroth column."""
     g = graded(label, sigma)
-    lam_mod = dominant_representative(g.rs, tuple(-x for x in weight))
+    lam_mod = dominant_representative_for(g.rs, range(1, g.rs.rank + 1), tuple(-x for x in weight))
     return complex_for_module(label, sigma, lam_mod)
 
 

@@ -10,13 +10,9 @@ of it is eliminated.
 
 from __future__ import annotations
 
-from artifact.hodge import (
-    CochainComplex,
-    HodgeSplit,
-    _rows_by_weight,
-    check_weight_blocks,
-)
+from artifact.hodge import CochainComplex, HodgeSplit, check_weight_blocks
 from artifact.linalg import SpMat
+from artifact.repmod import positions_by_weight
 
 
 def laplacian(cc: CochainComplex, n: int) -> SpMat:
@@ -36,9 +32,9 @@ def reference_hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     weight block of the Laplacian."""
     level = cc.levels[n]
     dim = level.dim
-    by_weight = _rows_by_weight(level.weights)
-    below = _rows_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
-    above = _rows_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
+    by_weight = positions_by_weight(level.weights)
+    below = positions_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
+    above = positions_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
     box = laplacian(cc, n)
     im_del_cols: list[SpMat] = []
     ker_cols: list[SpMat] = []

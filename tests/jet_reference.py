@@ -40,6 +40,14 @@ from artifact.linalg import SpMat
 from artifact.repmod import PModule, pplus_module, tensor
 
 
+def iota(sh: SemiHolonomicJet) -> SpMat | None:
+    """The embedding Jbar^r -> J^1(Jbar^{r-1}) as a matrix, from its index
+    map ``sh.phi`` (None when r == 1)."""
+    if sh.phi is None:
+        return None
+    return SpMat.identity(len(sh.phi)).merge_columns(sh.phi, sh.module.dim)
+
+
 def reference_jet1(V: PModule) -> PModule:
     """J^1(V) on [V; p_+ (x) V]: Z acts by Z on V and by the tensor-product
     action on p_+ (x) V, and for |eta_a| <= |Z| the footpoint v0 also goes to
@@ -172,9 +180,9 @@ def projection_pair(sh: SemiHolonomicJet):
     d = len(sh.V.g.pplus_roots())
     pdim = below.module.dim
     m_jet = SpMat.block_diag([truncation_matrix(d, sh.V.dim, below.r)] * (1 + d))
-    iota_prev = below.iota if below.iota is not None else SpMat.identity(pdim)
+    iota_prev = iota(below) if below.phi is not None else SpMat.identity(pdim)
     foot = SpMat.identity(pdim, (1 + d) * pdim)
-    return m_jet @ sh.iota, (iota_prev @ foot) @ sh.iota
+    return m_jet @ iota(sh), (iota_prev @ foot) @ iota(sh)
 
 
 def full_build_certificate(gs, chain, coh_next, mat: SpMat) -> PModMap:

@@ -14,7 +14,6 @@ from artifact.bggcli import (
     ParseError,
     ValidationError,
     emit_json,
-    format_spec,
     main,
     parse_spec,
     run,
@@ -28,6 +27,22 @@ from artifact.rootspace import RootSystemNotCertified
 from conftest import diagram_for
 
 BASE = ["--algebra", "A2", "--cross", "1", "--weight", "1,0"]
+
+
+def format_spec(job: JobSpec) -> list[str]:
+    """Canonical argv that parses back to the same JobSpec."""
+    argv = [
+        "--algebra", job.algebra,
+        "--cross", ",".join(str(s) for s in job.sigma),
+        "--weight", ",".join(str(w) for w in job.weight),
+        "--emit", ",".join(job.emit),
+        "--max-module-dim", str(job.max_module_dim),
+        "--max-jet-dim", str(job.max_jet_dim),
+    ]
+    if job.out is not None:
+        argv += ["--out", job.out]
+    argv.append(job.command)
+    return argv
 
 
 def test_parse_roundtrip():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -17,17 +18,16 @@ from artifact.bggcore import (
     verify_splitter_defect,
     verify_splitter_projection,
 )
-from artifact.certify import (
+from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
+from artifact.linalg import SpMat
+from conftest import components_for, diagram_for, graded, splitters_for
+from jet_reference import reference_splitter
+from tilde_reference import (
     tilde_bases,
     tilde_jet_submodule,
     twisted_d_hom,
     verify_tower_containments,
 )
-from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
-from artifact.linalg import SpMat
-from artifact.repmod import DimensionOverBudget
-from conftest import components_for, diagram_for, graded
-from jet_reference import reference_splitter
 
 SPLITTER_CASES = [
     ("A1", (1,), (3,)),
@@ -51,7 +51,7 @@ def test_generated_submodule_certified(label, sigma, weight):
     for gs in submodules_for(label, sigma, weight):
         level = cc.levels[gs.n]
         res = check_equivariance(gs.basis, gs.module, level)
-        assert res.ok
+        assert res.certified
         if gs.n >= 1:
             assert (cc.delstars[gs.n - 1] @ gs.basis).is_zero()
         # degree filtration starts at the harmonic degree and is exhaustive
@@ -65,7 +65,7 @@ def test_generated_submodule_certified(label, sigma, weight):
 def test_Li_projection_and_defect(label, sigma, weight):
     for gs in submodules_for(label, sigma, weight):
         chain = compose_splitter(gs)
-        assert chain.certificate.ok
+        assert check_equivariance(chain.composite, chain.domain, gs.module).certified
         assert verify_splitter_projection(gs, chain)
         assert verify_splitter_defect(gs, chain)
 
@@ -100,7 +100,7 @@ def test_splitter_splits_the_footpoint(label, sigma, weight):
 
 def test_li_equivariance_only_at_stage_one():
     # L_1 is a P-map; later stages have the controlled defect, which cancels
-    # in the semi-holonomic composite (chain.certificate above).
+    # in the semi-holonomic composite (test_Li_projection_and_defect).
     from artifact.jetcalc import jet1
 
     seen_defect = False
@@ -111,17 +111,48 @@ def test_li_equivariance_only_at_stage_one():
                 lm.mat, jet1(gs.quotient(i)), gs.quotient(i + 1)
             )
             if i == 1:
-                assert res.ok, (gs.n, i)
+                assert res.certified, (gs.n, i)
             else:
-                assert not res.ok, (gs.n, i)
+                assert not res.certified, (gs.n, i)
                 seen_defect = True
     assert seen_defect
+
+
+TAMPER_CASES = [("G2", (1,), (0, 0)), ("A3", (1, 3), (1, 0, 0)), ("B2", (1, 2), (1, 0))]
+
+
+def tamper_verdicts(check, row_of):
+    """For every L_i of every source of TAMPER_CASES, the verdicts of
+    ``check`` on the chain and on the chain with 1 added to L_i at
+    (row_of(gs, L_i), last column)."""
+    for case in TAMPER_CASES:
+        for gs, chain in splitters_for(*case):
+            for k, lm in enumerate(chain.maps):
+                bump = SpMat.from_entries(
+                    lm.mat.nrows, lm.mat.ncols, {(row_of(gs, lm), lm.mat.ncols - 1): 1}
+                )
+                maps = list(chain.maps)
+                maps[k] = replace(lm, mat=lm.mat + bump)
+                yield check(gs, chain), check(gs, replace(chain, maps=tuple(maps)))
+
+
+def test_tampered_splitter_fails_the_defect_check():
+    # the first row of block i, where L_i takes its corrections
+    verdicts = list(tamper_verdicts(
+        verify_splitter_defect, lambda gs, lm: gs.block_columns(lm.i)[0]
+    ))
+    assert verdicts == [(True, False)] * 46
+
+
+def test_tampered_splitter_fails_the_projection_check():
+    verdicts = list(tamper_verdicts(verify_splitter_projection, lambda gs, lm: 0))
+    assert verdicts == [(True, False)] * 46
 
 
 def test_twisted_d_hom_certified():
     cc, _, _ = components_for("A2", (1,), (1, 0))
     for n in range(cc.top):
-        assert twisted_d_hom(cc, n).ok
+        assert twisted_d_hom(cc, n).certified
 
 
 @pytest.mark.parametrize(
@@ -136,7 +167,7 @@ def test_tilde_submodules(label, sigma, weight):
         for i in range(gs.r + 1):
             T = tilde_jet_submodule(gs, i, bases)
             res = check_equivariance(T.basis, T.module, T.ambient)
-            assert res.ok, (gs.n, i)
+            assert res.certified, (gs.n, i)
             if i >= 1:
                 # defining equations of the constrained jet space
                 d = len(g.pplus_roots())
@@ -276,12 +307,19 @@ def test_bgg_operator_fields():
 
 
 def test_bgg_operator_budget():
+    # the diagram decides the jet budget once: source (0,0) of A2 {1} (1,0)
+    # has r = 1 and dim Jbar^2 = 7, so it is partial at 6 and has its
+    # order-2 arrow at 7
+    g = graded("A2", (1,))
     cc, cohs, comps = components_for("A2", (1,), (1, 0))
-    gs = generate_submodule(cc, cohs[0], comps[0][0])  # r = 1, dim Jbar^2 = 7
-    chain = compose_splitter(gs)
-    with pytest.raises(DimensionOverBudget, match="Jbar\\^2 = 7"):
-        bgg_operator(gs, chain, cohs[1], comps[1], max_jet_dim=6)
-    assert bgg_operator(gs, chain, cohs[1], comps[1], max_jet_dim=7).arrows
+    gs = generate_submodule(cc, cohs[0], comps[0][0])
+    assert (gs.r, jbar_dim(len(g.pplus_roots()), gs.quotient(1).dim, 2)) == (1, 7)
+    under = build_bgg_diagram(g, (1, 0), max_jet_dim=6)
+    assert (0, 0) in under.partial
+    assert not [a for a in under.arrows if (a.level, a.source) == (0, 0)]
+    at = build_bgg_diagram(g, (1, 0), max_jet_dim=7)
+    assert (0, 0) not in at.partial
+    assert [(a.target, a.order) for a in at.arrows if (a.level, a.source) == (0, 0)] == [(0, 2)]
 
 
 def test_diagram_rejects_nondominant():

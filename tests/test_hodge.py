@@ -225,11 +225,11 @@ def test_cohomology_command_computes_no_projection(monkeypatch, capsys):
     [("A2", (1,), (1, 0)), ("B2", (1,), (0, 1)), ("A3", (1, 3), (0, 0, 0))],
 )
 def test_kostant_oracle_matches_harmonics(label, sigma, weight):
-    from artifact.rootspace import dominant_representative
+    from artifact.rootspace import dominant_representative_for
 
     g = graded(label, sigma)
     cc, cohs, comps = components_for(label, sigma, weight)
-    lam_mod = dominant_representative(g.rs, tuple(-x for x in weight))
+    lam_mod = dominant_representative_for(g.rs, range(1, g.rs.rank + 1), tuple(-x for x in weight))
     predicted = kostant_oracle(g, lam_mod)
     assert len(predicted) == cc.top + 1
     for n in range(cc.top + 1):

@@ -12,7 +12,6 @@ from artifact.repmod import (
     PModule,
     build_irrep,
     decompose_completely_reducible,
-    dual_module,
     exterior_power,
     pplus_module,
     restrict_to_parabolic,
@@ -208,10 +207,6 @@ def test_tensor_and_dual_actions():
             SpMat.identity(V.dim), W.actions[l]
         )
         assert (T.actions[l] - expect).is_zero()
-    D = dual_module(W)
-    for l in g.p_labels():
-        assert (D.actions[l] + W.actions[l].transpose()).is_zero()
-    assert tuple(D.e_grades) == tuple(-e for e in W.e_grades)
 
 
 def test_exterior_power_of_standard():
