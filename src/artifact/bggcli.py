@@ -9,7 +9,8 @@ verify (diagram pipeline, reporting the identity battery). Output is
 deterministic: identical job specifications produce byte-identical reports.
 Exit status is 0 exactly when every verified identity passes, 1 on a failed
 identity, a budget refusal or a failed certificate (one `error:` line on
-stderr, no traceback), and 2 on malformed or invalid input.
+stderr, no traceback), and 2 on malformed or invalid input, an unknown
+config key or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from .rootspace import (
 
 
 class ParseError(Exception):
-    """Malformed command line or config file."""
+    """Malformed command line or config file, or an --out path that cannot
+    be written."""
 
 
 class ValidationError(Exception):
@@ -48,6 +50,9 @@ class ValidationError(Exception):
 
 
 COMMANDS = ("cohomology", "diagram", "verify")
+# the flag names; a config file takes each of them but "config" as a key
+FLAGS = ("algebra", "cross", "weight", "emit", "config",
+         "max-module-dim", "max-jet-dim", "out")
 FORMATS = ("text", "dot", "json")
 # failed certificates: exit 1 with one line naming the type
 CERTIFICATE_ERRORS = (
@@ -87,7 +92,10 @@ def _read_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ParseError(f"{path}:{ln}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
-                out[key.strip()] = val.strip()
+                key = key.strip()
+                if key not in FLAGS or key == "config":
+                    raise ParseError(f"{path}:{ln}: unknown key {key!r}")
+                out[key] = val.strip()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     return out
@@ -101,10 +109,7 @@ def parse_spec(argv: list[str]) -> JobSpec:
         tok = argv[i]
         if tok.startswith("--"):
             name = tok[2:]
-            if name not in {
-                "algebra", "cross", "weight", "emit", "config",
-                "max-module-dim", "max-jet-dim", "out",
-            }:
+            if name not in FLAGS:
                 raise ParseError(f"unknown flag {tok!r} at position {i}")
             if i + 1 >= len(argv):
                 raise ParseError(f"flag {tok!r} at position {i} needs a value")
@@ -328,8 +333,11 @@ def _write_outputs(report: Report) -> None:
     else:
         paths = {fmt: f"{job.out}.{ext[fmt]}" for fmt in job.emit}
     for fmt, path in paths.items():
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.rendered[fmt])
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(report.rendered[fmt])
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -338,6 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         job = parse_spec(list(argv))
         report = run(job)
+        _write_outputs(report)
     except (ParseError, ValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -347,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
     except CERTIFICATE_ERRORS as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    _write_outputs(report)
     return 0 if report.ok else 1
 
 

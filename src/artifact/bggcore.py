@@ -65,13 +65,14 @@ from .jetcalc import (
     prolong,
     semiholonomic,
 )
-from .linalg import EchelonSpan, LinAlgError, Q, SpMat, qstr
+from .linalg import LinAlgError, Q, SpMat, qstr
 from .repmod import (
     MAX_MODULE_DIM,
     IrrepLabel,
     PModule,
     build_irrep,
     decompose_completely_reducible,
+    layered_closure,
     restrict_to_parabolic,
 )
 from .rootspace import Weight, dominant_representative_for
@@ -174,7 +175,10 @@ class GeneratedSubmodule:
 
 def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) -> GeneratedSubmodule:
     """Close the harmonic component under the p_+ action, layering the basis
-    by E-eigenvalue offset."""
+    by E-eigenvalue offset: `layered_closure` with each raising action and
+    its grade. The component lies in E-grade i0, and an action of grade s
+    adds s to the E-grade, so layer j lies in E-grade i0 + j and the layers
+    are independent; the E-grade check of each basis vector certifies it."""
     if comp.multiplicity != 1:
         raise CertificationFailure(
             f"component {comp.label} has multiplicity {comp.multiplicity}"
@@ -182,29 +186,12 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     g = cc.g
     level = cc.levels[coh.n]
     n = coh.n
-    emb = coh.embedding @ comp.embedding
     i0 = comp.e_eigenvalue
-    raising = [l for l in g.p_labels() if g.grade_of(l) >= 1]
-    span = EchelonSpan(level.dim)
-    cols: list[tuple[int, dict]] = []
-    pending: dict[int, list[dict]] = {0: [emb.col_dict(k) for k in range(emb.ncols)]}
-    while pending:
-        j = min(pending)
-        for vec in pending.pop(j):
-            red = span.reduce(vec)
-            if not red:
-                continue
-            span.add(dict(red))
-            cols.append((j, red))
-            vm = SpMat.from_columns(level.dim, [red])
-            for lab in raising:
-                img = level.actions[lab] @ vm
-                if img.is_zero():
-                    continue
-                pending.setdefault(j + g.grade_of(lab), []).append(img.col_dict(0))
-    m = len(cols)
-    basis = SpMat.from_columns(level.dim, [vec for _, vec in cols])
-    offsets = tuple(j for j, _ in cols)
+    raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
+    layers = layered_closure(coh.embedding @ comp.embedding, raising)
+    basis = SpMat.hstack([b for _, b in layers])
+    m = basis.ncols
+    offsets = tuple(j for j, b in layers for _ in range(b.ncols))
     if any(a > b for a, b in zip(offsets, offsets[1:])):
         raise CertificationFailure("degree-adapted basis out of order")
     r = max(offsets)
@@ -213,14 +200,16 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     acts = {}
     for lab in g.p_labels():
         acts[lab] = basis.solve(level.actions[lab] @ basis)
+    supp: dict[int, list[int]] = {}
+    for i, k in basis.support():
+        supp.setdefault(k, []).append(i)
     weights = []
     for k in range(m):
-        supp = [i for i in range(level.dim) if basis.get(i, k)]
-        ws = {level.weights[i] for i in supp}
+        ws = {level.weights[i] for i in supp.get(k, ())}
         if len(ws) != 1:
             raise CertificationFailure(f"E basis vector {k} is not a weight vector")
         weights.append(ws.pop())
-        if any(level.e_grades[i] != i0 + offsets[k] for i in supp):
+        if any(level.e_grades[i] != i0 + offsets[k] for i in supp[k]):
             raise CertificationFailure(f"E basis vector {k} is off its E-grade")
     module = PModule(
         g=g, dim=m,

@@ -61,8 +61,8 @@ def certify_from_left(dt: SpMat, W: PModule, phi: list[int] | None, ncols: int,
 
     mat = merge(dt)
     residuals = [
-        lab for lab, right in jet1_left_action(dt, W).items()
-        if lab in target.actions and not SpMat.assemble(dt.nrows, ncols, [
+        lab for lab, right in jet1_left_action(dt, W, target.actions).items()
+        if not SpMat.assemble(dt.nrows, ncols, [
             (0, 0, 1, (target.actions[lab], mat)), (0, 0, -1, merge(right)),
         ]).is_zero()
     ]
@@ -171,7 +171,7 @@ def verify_splitter_defect(gs, chain) -> bool:
             idx = list(range(qn.dim))
             box_qn = gs.box_on_e().submatrix(idx, idx)
             boxed = box_qn @ inner.place_rows(list(range(qi.dim)), qn.dim)
-        left = jet1_left_action(lm.mat, qi)
+        left = jet1_left_action(lm.mat, qi, grade1)
         for lab in grade1:
             # the defect L_i A_Z - A'_Z L_i, less its expected value
             blocks = [(0, 0, 1, left[lab]), (0, 0, -1, (qn.actions[lab], lm.mat))]

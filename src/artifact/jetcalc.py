@@ -57,6 +57,7 @@ which both `_extend` and the left certificate call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .gradedla import GradedLieAlgebra, Label
 from .linalg import Q, SpMat
@@ -154,12 +155,12 @@ def jet1(V: PModule) -> PModule:
     )
 
 
-def jet1_left_action(m: SpMat, V: PModule) -> dict[Label, SpMat]:
-    """m @ A_Z for every Z in p, A_Z the action on J^1(V), for m with columns
-    on J^1(V), without building A_Z: each term c M at block (i, j) of
-    `_jet1_terms` adds c M_i @ M to column block j, M_i the column block i of
-    m. Block 0 gets M_0 A_Z + sum (c / d_a) M_{a+1} B, block 1 + j gets
-    M_{1+j} A_Z + sum_i (ad Z)_{ij} M_{1+i}."""
+def jet1_left_action(m: SpMat, V: PModule, labels: Iterable[Label]) -> dict[Label, SpMat]:
+    """m @ A_Z for each Z in labels (labels of p), A_Z the action on J^1(V),
+    for m with columns on J^1(V), without building A_Z: each term c M at
+    block (i, j) of `_jet1_terms` adds c M_i @ M to column block j, M_i the
+    column block i of m. Block 0 gets M_0 A_Z + sum (c / d_a) M_{a+1} B,
+    block 1 + j gets M_{1+j} A_Z + sum_i (ad Z)_{ij} M_{1+i}."""
     d = len(V.g.pplus_roots())
     dv = V.dim
     if m.ncols != (1 + d) * dv:
@@ -170,7 +171,7 @@ def jet1_left_action(m: SpMat, V: PModule) -> dict[Label, SpMat]:
             (0, j * dv, c, cols[i] if M is None else (cols[i], M))
             for i, j, c, M in _jet1_terms(V, lab)
         ])
-        for lab in V.g.p_labels()
+        for lab in labels
     }
 
 

@@ -4,8 +4,9 @@ Everything downstream (root systems, structure constants, cochain complexes,
 jet modules) runs through this layer, so it is deliberately small and boring:
 a dict-of-rows matrix with exact rational entries, Gaussian elimination with
 leftmost-pivot selection (canonical RREF, deterministic output), and the
-handful of derived routines (rank, kernel, solve, span bookkeeping) the rest
-of the package needs.
+handful of derived routines (rank, kernel, solve, a column basis) the rest
+of the package needs. It is the one home of elimination: every span, rank
+and closure elsewhere is a call to these.
 
 The scalar type Q is gmpy2.mpq when available, fractions.Fraction otherwise.
 A matrix stores each row as a dict of Python ints over one positive integer
@@ -699,47 +700,3 @@ class SpMat:
     def column_space_basis(self) -> "SpMat":
         return self.select_columns(self.independent_columns())
 
-
-class EchelonSpan:
-    """Incrementally maintained row space in reduced echelon form.
-
-    Used for closure computations (smallest invariant subspace containing a
-    seed) and for membership tests. Vectors are dicts {index: value}; the
-    span keeps each row as a primitive integer vector, keyed by its pivot.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: dict[int, dict[int, int]] = {}  # pivot index -> row
-
-    def _reduce(self, vec: dict) -> tuple[dict, int]:
-        """(ints, den): vec minus its part along the pivots, as ints / den."""
-        red, den = _from_values({j: v for j, v in vec.items() if v})
-        # Rows vanish on every other row's pivot, so one pass clears them all.
-        for p in sorted(p for p in red if p in self.rows):
-            den *= _eliminate(red, p, self.rows[p])
-        return red, den
-
-    def reduce(self, vec: dict) -> dict:
-        red, den = self._reduce(vec)
-        if den == 1:
-            return red
-        return {j: _quo(v, den) for j, v in red.items()}
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec; True when it enlarged the span."""
-        row = _primitive(self._reduce(vec)[0])
-        if not row:
-            return False
-        p = min(row)
-        # re-reduce existing rows against the new one
-        for r in self.rows.values():
-            if p in r:
-                _eliminate(r, p, row)
-                _primitive(r)
-        self.rows[p] = row
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

@@ -435,11 +435,49 @@ class IrrepLabel:
         return (self.e_eigenvalue, self.label)
 
 
+def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> list[tuple[int, SpMat]]:
+    """The span of the columns of seeds under the ops, layer by layer:
+    (j, basis) for each nonempty layer, j increasing. The seeds are layer 0,
+    an op (A, s), s >= 1, sends layer j into layer j + s, and layer j is a
+    column basis of the images landing in it, one product per op and layer.
+
+    The layers are independent when the seeds lie in one grade of a grading
+    that each op raises by its s, for then layer j lies in grade j; the
+    callers certify that. Layers of more columns in all than seeds has rows
+    raise ModuleNotCertified, so the loop ends even if an op is not
+    nilpotent."""
+    layers: list[tuple[int, SpMat]] = []
+    pending: dict[int, list[SpMat]] = {0: [seeds]}
+    total = 0
+    while pending:
+        j = min(pending)
+        basis = SpMat.hstack(pending.pop(j)).column_space_basis()
+        if not basis.ncols:
+            continue
+        total += basis.ncols
+        if total > seeds.nrows:
+            raise ModuleNotCertified(
+                f"closure layers of {total} columns overlap in dimension {seeds.nrows}"
+            )
+        layers.append((j, basis))
+        for A, s in ops:
+            img = A @ basis
+            if not img.is_zero():
+                pending.setdefault(j + s, []).append(img)
+    return layers
+
+
 def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     """Isotypic decomposition over g_0, deterministic order (E-eigenvalue,
     then label lex). Labels are rendered in the dual convention: the component
     with uncrossed-highest weight mu is labeled by the uncrossed-dominant
-    representative of -mu."""
+    representative of -mu.
+
+    Each highest weight vector is closed under the uncrossed simple
+    lowerings by `layered_closure`: f_i lowers the weight by alpha_i, so
+    layer j holds the weights j simple roots below mu, and the layers of
+    one closure are independent. The closures of one isotypic piece are
+    certified independent by the rank of their columns."""
     if m.weights is None:
         raise NotCompletelyReducibleInput("module carries no weight basis")
     g = m.g
@@ -449,7 +487,12 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     alpha_w = {
         i: tuple(rs.cartan[j][i - 1] for j in range(rs.rank)) for i in uncrossed
     }
-    comps: dict[Weight, list[dict[int, object]]] = {}
+    lowerings = [
+        (m.actions[("f", tuple(int(i - 1 == j) for j in range(rs.rank)))], 1)
+        for i in sorted(uncrossed)
+    ]
+    out: list[IrrepLabel] = []
+    covered = 0
     for mu in sorted(by_weight):
         cols = by_weight[mu]
         conds: list[SpMat] = []
@@ -460,72 +503,33 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
             conds.append(A.submatrix(rows, cols) if rows else SpMat(0, len(cols)))
         stacked = SpMat.vstack(conds) if conds else SpMat(0, len(cols))
         ker = stacked.kernel_basis()
+        if not ker.ncols:
+            continue
+        closures = []
         for c in range(ker.ncols):
-            vec = {cols[i]: v for i, v in ker.col_dict(c).items()}
-            comps.setdefault(mu, []).append(vec)
-    out: list[IrrepLabel] = []
-    f_simple = {
-        i: m.actions[("f", tuple(int(i - 1 == j) for j in range(rs.rank)))]
-        for i in uncrossed
-    }
-    covered = 0
-    for mu, vecs in sorted(comps.items()):
-        emb_cols: list[dict[int, object]] = []
-        per_dim = None
-        for vec in vecs:
-            closure = _lowering_closure(m, f_simple, vec)
-            if per_dim is None:
-                per_dim = len(closure)
-            elif per_dim != len(closure):
-                raise NotCompletelyReducibleInput("isotypic closures of unequal size")
-            emb_cols.extend(closure)
-        emb = SpMat.from_columns(m.dim, emb_cols)
+            top = {cols[i]: v for i, v in ker.col_dict(c).items()}
+            layers = layered_closure(SpMat.from_columns(m.dim, [top]), lowerings)
+            closures.append(SpMat.hstack([b for _, b in layers]))
+        per_dim = closures[0].ncols
+        if any(c.ncols != per_dim for c in closures):
+            raise NotCompletelyReducibleInput("isotypic closures of unequal size")
+        emb = SpMat.hstack(closures)
         if emb.rank() != emb.ncols:
             raise NotCompletelyReducibleInput("overlapping isotypic closures")
         label = dominant_representative_for(rs, uncrossed, tuple(-x for x in mu))
-        egr = m.e_grades[next(iter(vecs[0]))]
         out.append(
             IrrepLabel(
                 label=tuple(label),
-                e_eigenvalue=egr,
+                e_eigenvalue=m.e_grades[cols[0]],
                 dim=per_dim,
-                multiplicity=len(vecs),
+                multiplicity=ker.ncols,
                 embedding=emb,
             )
         )
-        covered += per_dim * len(vecs)
+        covered += emb.ncols
     if covered != m.dim:
         raise NotCompletelyReducibleInput(
             f"isotypic pieces cover {covered} of {m.dim} dimensions"
         )
     out.sort(key=lambda c: c.sort_key)
     return out
-
-
-def _lowering_closure(m: PModule, f_simple: dict, seed: dict) -> list[dict]:
-    """Orbit of a highest weight vector under the uncrossed lowerings,
-    echelon-reduced per weight space, deterministic."""
-    from .linalg import EchelonSpan
-
-    span = EchelonSpan(m.dim)
-    span.add(seed)
-    basis = [dict(seed)]
-    frontier = [dict(seed)]
-    while frontier:
-        new = []
-        for vec in frontier:
-            for i in sorted(f_simple):
-                img: dict[int, object] = {}
-                A = f_simple[i]
-                for k, v in vec.items():
-                    for r, a in A.col_dict(k).items():
-                        s = img.get(r, QZERO) + a * v
-                        if s:
-                            img[r] = s
-                        else:
-                            img.pop(r, None)
-                if img and span.add(img):
-                    basis.append(img)
-                    new.append(img)
-        frontier = new
-    return basis

@@ -58,19 +58,18 @@ def with_row(m: SpMat, i: int, row: dict) -> SpMat:
     return from_rows(m.nrows, m.ncols, rows)
 
 
-def span_contains(span, vec: dict) -> bool:
-    """vec lies in the row space of the EchelonSpan span."""
-    return not span.reduce(vec)
-
-
-def span_basis_matrix(span) -> SpMat:
-    """Columns are the echelon basis vectors of span (pivot entry 1), ordered
-    by pivot."""
-    cols = []
-    for p in sorted(span.rows):
-        row = span.rows[p]
-        cols.append({j: Q(v, row[p]) for j, v in row.items()})
-    return SpMat.from_columns(span.dim, cols)
+def reference_closure(seeds: SpMat, ops: list[SpMat]) -> SpMat:
+    """Independent columns spanning the smallest space that holds the
+    columns of seeds and is stable under every op: a naive fixpoint that
+    hstacks the images onto the span until its rank stops growing."""
+    span, rank = seeds, -1
+    while True:
+        span = SpMat.hstack([span] + [A @ span for A in ops])
+        pivots = reference_rref(span)[1]
+        span = span.select_columns(pivots)
+        if len(pivots) == rank:
+            return span
+        rank = len(pivots)
 
 
 # -- reference kernels --------------------------------------------------------

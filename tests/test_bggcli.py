@@ -228,6 +228,30 @@ def test_config_file_with_flag_override(tmp_path):
         parse_spec(["--config", str(bad), "diagram"])
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("algebra=A2\nemitt=json\nmax-jet-dimm=5\n")
+    with pytest.raises(ParseError, match=re.escape(f"{cfg}:2: unknown key 'emitt'")):
+        parse_spec(["--config", str(cfg), "--cross", "1", "--weight", "1,0", "diagram"])
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"config={cfg}\n")
+    with pytest.raises(ParseError, match="unknown key 'config'"):
+        parse_spec(["--config", str(nested), "diagram"])
+    assert main(["--config", str(cfg), "--cross", "1", "--weight", "1,0", "diagram"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'emitt'\n"
+
+
+@pytest.mark.parametrize("emit,written", [("json", ""), ("json,text", ".json")])
+def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, emit, written):
+    out = tmp_path / "absent" / "x"
+    argv = ["--algebra", "A1", "--cross", "1", "--weight", "0", "cohomology",
+            "--emit", emit, "--out", str(out)]
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: cannot write {out}{written}: No such file or directory\n"
+
+
 def test_module_entry_point_runs_without_warnings():
     # `python -m artifact.bggcli` must not find bggcli imported by the package
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -20,8 +20,10 @@ from artifact.bggcore import (
 )
 from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
 from artifact.linalg import SpMat
-from conftest import components_for, diagram_for, graded, splitters_for
+from artifact.repmod import layered_closure
+from conftest import BATTERY, components_for, diagram_for, graded, splitters_for
 from jet_reference import reference_splitter
+from linalg_reference import reference_closure
 from tilde_reference import (
     tilde_bases,
     tilde_jet_submodule,
@@ -59,6 +61,47 @@ def test_generated_submodule_certified(label, sigma, weight):
         assert gs.quotient(gs.r + 1).dim == gs.module.dim
         for i in range(1, gs.r + 1):
             assert gs.box_inverse(i) is not None
+
+
+@pytest.mark.parametrize("label,sigma,weight",
+                         [(l, s, w) for l, s, ws in BATTERY for w in ws],
+                         ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else x)
+def test_layered_closure_spans_the_naive_fixpoint(label, sigma, weight):
+    cc, cohs, comps = components_for(label, sigma, weight)
+    g = cc.g
+    for n in range(cc.top):
+        level = cc.levels[n]
+        raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
+        for comp in comps[n]:
+            seeds = cohs[n].embedding @ comp.embedding
+            layers = SpMat.hstack([b for _, b in layered_closure(seeds, raising)])
+            want = reference_closure(seeds, [A for A, _ in raising])
+            assert layers.rank() == layers.ncols == want.ncols
+            assert SpMat.hstack([layers, want]).rank() == want.ncols
+
+
+# dims of the layers of E, [len(gs.block_columns(j)) for j in range(gs.r + 1)],
+# for each source in level order, as recorded before the closure was layered
+LAYER_SIZES = {
+    ("A3", (1, 3), (1, 0, 1)): [
+        [1, 4, 5, 4, 1], [3, 6, 7, 4, 1], [3, 6, 7, 4, 1], [2, 4, 8, 7, 2],
+        [2, 4, 8, 7, 2], [5, 8, 9, 4], [5, 8, 3], [2, 1], [2, 1], [3, 2], [3, 2]],
+    ("G2", (1,), (1, 0)): [
+        [1, 2, 1, 2, 1], [3, 2, 4, 4, 4, 2], [4, 3, 6, 7, 4, 1], [4, 3, 2, 1], [3, 2]],
+    ("B2", (1, 2), (1, 0)): [
+        [1, 1, 1, 1, 1], [1, 1, 2, 2, 2, 2, 1], [1, 1, 1, 2, 2, 1], [1, 1, 1, 2, 2, 1],
+        [1, 1, 1], [1, 1], [1]],
+    ("A3", (1, 2, 3), (0, 0, 0)): [
+        [1], [1, 1, 1], [1, 1, 1], [1, 2, 1], [1, 1, 3, 2], [1, 1, 1], [1, 1, 1],
+        [1, 1, 1], [1, 1, 1], [1, 1, 2, 1], [1, 1, 2, 1], [1, 1, 1], [1, 2, 1], [1],
+        [1], [1, 1], [1, 1], [1, 1], [1, 1], [1], [1], [1], [1]],
+}
+
+
+@pytest.mark.parametrize("case", LAYER_SIZES, ids=lambda c: f"{c[0]}-{','.join(map(str, c[1]))}")
+def test_generated_submodule_layer_sizes(case):
+    got = [[len(gs.block_columns(j)) for j in range(gs.r + 1)] for gs in submodules_for(*case)]
+    assert got == LAYER_SIZES[case]
 
 
 @pytest.mark.parametrize("label,sigma,weight", SPLITTER_CASES)

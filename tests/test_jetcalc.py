@@ -136,12 +136,15 @@ def test_jet1_left_action_is_the_product(case):
         (i, j): Q(1 + j, 1 + i) for i in range(2) for j in range(jm.dim) if (i + j) % 3
     })
     for mat in (SpMat.identity(jm.dim), m):
-        left = jet1_left_action(mat, V)
+        left = jet1_left_action(mat, V, V.g.p_labels())
         assert left.keys() == jm.actions.keys()
         for lab, A in jm.actions.items():
             assert left[lab] == mat @ A, lab
+    # only the labels asked for are formed
+    last = V.g.p_labels()[-1]
+    assert jet1_left_action(m, V, [last]) == {last: m @ jm.actions[last]}
     with pytest.raises(ShapeMismatch):
-        jet1_left_action(SpMat(1, jm.dim - 1), V)
+        jet1_left_action(SpMat(1, jm.dim - 1), V, V.g.p_labels())
 
 
 @pytest.mark.parametrize("label,sigma,lam,r", TOWERS[:3])
