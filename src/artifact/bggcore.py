@@ -5,28 +5,39 @@ p_+-closure E carries the filtration E^i by E-eigenvalue offsets. The maps
 
   L_i(e, psi) = j_i(e) - (n+1) box^{-1} dstar((Alt psi)_i),
 
-composed through semi-holonomic prolongations, give the splitting operator
-L = L^(r): Jbar^r(E/E^1) -> E by the recursion
+composed through semi-holonomic prolongations, give the splitters
+L^(k): Jbar^k(E/E^1) -> E/E^{k+1} by the recursion
 
-  L^(1) = L_1,   L^(k) = L_k o J^1(L^(k-1)) o iota   (iota: Jbar^k in
-                                                       J^1(Jbar^{k-1})),
+  L^(0) = id,   L^(k) = L_k o J^1(L^(k-1)) o iota   (iota: Jbar^k in
+                                                     J^1(Jbar^{k-1})),
 
-and one more step of it,
+up to the full splitter L = L^(r), r the depth of the filtration. One more
+step of it,
 
   D = pi_H o d_V o J^1(L) o iota,   d_V(f0, Z (x) f1) = del(f0) + (n+1) Z ^ f1,
 
 is the level-to-level operator whose nonzero component blocks are the arrows
 of the diagram. Each step is `jetcalc.prolong`. All compositions are exact.
 
-The operator is built and certified on J^1(W), W = Jbar^r(E/E^1) the domain
-of L, whose action the splitter already has: Dt = pi_H o d_V o J^1(L) on
-J^1(W), D = Dt o iota (Dt with its columns merged by phi of Jbar^{r+1}), and
-D o A_Z = Dt o A^{J^1}_Z o iota by equalizer condition (4) for Jbar^{r+1}.
-That condition holds because Jbar^{r+1} is the equalizer of two P-maps, both
-certified at level r, and conditions (1)-(3) on phi are checked on every
-call; so checking A'_Z o D against Dt o A^{J^1}_Z merged by phi
-(`certify.certify_from_left`) certifies D, and the action of Jbar^{r+1} is
-never built.
+An arrow of order k reads only the k-jet of its section. pi_H kills im del,
+and every other term of d_V o J^1 raises the E-eigenvalue by the grade, at
+least 1, of its p_+ slot. So the parts of L at offset >= k reach a target of
+order k only through del, and the component of D into it needs only L^(k-1)
+and one J^1 step to Jbar^k. With K the highest target order, capped at
+r + 1, D = D_K o pi, for D_K = pi_H o d_V o J^1(L^(K-1)) o iota on Jbar^K
+and pi: Jbar^{r+1} -> Jbar^K the prefix projection in direct-sum
+coordinates. pi is a surjective P-map, so D_K is a P-map with the same
+arrows: `build_bgg_diagram` builds L^(K-1) and D_K only, and L_K..L_r never.
+
+The operator is built and certified on J^1(W), W = Jbar^{K-1}(E/E^1) the
+domain of L^(K-1), whose action the splitter already has:
+Dt = pi_H o d_V o J^1(L^(K-1)) on J^1(W), D_K = Dt o iota (Dt with its
+columns merged by phi of Jbar^K), and D_K o A_Z = Dt o A^{J^1}_Z o iota by
+equalizer condition (4) for Jbar^K. That condition holds because Jbar^K is
+the equalizer of two P-maps, both certified at level K - 1, and conditions
+(1)-(3) on phi are checked on every call; so checking A'_Z o D_K against
+Dt o A^{J^1}_Z merged by phi (`certify.certify_from_left`) certifies D_K,
+and the action of Jbar^K is never built.
 
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
@@ -197,9 +208,13 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     r = max(offsets)
     if n >= 1 and not (cc.delstars[n - 1] @ basis).is_zero():
         raise CertificationFailure(f"E is not inside ker dstar on C^{n}")
-    acts = {}
-    for lab in g.p_labels():
-        acts[lab] = basis.solve(level.actions[lab] @ basis)
+    # one elimination of the basis against every label's image, side by side
+    labels = g.p_labels()
+    images = basis.solve(SpMat.assemble(basis.nrows, m * len(labels), [
+        (0, t * m, 1, (level.actions[lab], basis)) for t, lab in enumerate(labels)
+    ]))
+    acts = {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
+            for t, lab in enumerate(labels)}
     supp: dict[int, list[int]] = {}
     for i, k in basis.support():
         supp.setdefault(k, []).append(i)
@@ -266,10 +281,11 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
 
 @dataclass
 class SplitterChain:
-    """L_1..L_r and their semi-holonomic composite L: Jbar^r(E/E^1) -> E.
+    """L_1..L_k and their semi-holonomic composite
+    L^(k): Jbar^k(E/E^1) -> E/E^{k+1}, for k = len(maps).
 
-    ``jet`` is the Jbar^r(E/E^1) the composite is defined on (None when
-    r == 0); the operator extends it to Jbar^{r+1}."""
+    ``jet`` is the Jbar^k(E/E^1) the composite is defined on (None when
+    k == 0); the operator extends it to Jbar^K, K = k + 1."""
 
     maps: tuple[LiMap, ...]
     composite: SpMat = field(repr=False)
@@ -277,21 +293,22 @@ class SplitterChain:
     jet: SemiHolonomicJet | None = field(default=None, repr=False)
 
 
-def compose_splitter(gs: GeneratedSubmodule, max_jet_dim: int = MAX_JET_DIM) -> SplitterChain:
-    r = gs.r
+def compose_splitter(gs: GeneratedSubmodule, k: int | None = None,
+                     max_jet_dim: int = MAX_JET_DIM) -> SplitterChain:
+    """L^(k): Jbar^k(E/E^1) -> E/E^{k+1}, certified as a P-map that splits
+    the footpoint projection; k defaults to r, the full splitter L."""
+    k = gs.r if k is None else k
+    if not 0 <= k <= gs.r:
+        raise ValueError(f"L^(k) needs 0 <= k <= {gs.r}, got {k}")
     q1 = gs.quotient(1)
-    maps = tuple(build_Li(gs, i) for i in range(1, r + 1))
+    maps = tuple(build_Li(gs, i) for i in range(1, k + 1))
     jet = None
-    if r == 0:
-        composite = SpMat.identity(gs.module.dim)
-        domain = q1
-    else:
-        for k in range(1, r + 1):
-            jet = semiholonomic(q1, k, max_dim=max_jet_dim, below=jet)
-            mat = maps[k - 1].mat
-            composite = mat if k == 1 else mat @ prolong(composite, jet)
-        domain = jet.module
-    certify_map(composite, domain, gs.module, "splitter")
+    composite = SpMat.identity(q1.dim)
+    for i, lm in enumerate(maps, 1):
+        jet = semiholonomic(q1, i, max_dim=max_jet_dim, below=jet)
+        composite = lm.mat if i == 1 else lm.mat @ prolong(composite, jet)
+    domain = q1 if jet is None else jet.module
+    certify_map(composite, domain, gs.quotient(k + 1), "splitter")
     # splitting property: the i0-block of L is the footpoint projection
     head = composite.gather_rows(list(range(q1.dim)))
     if head != SpMat.identity(q1.dim, composite.ncols):
@@ -320,20 +337,25 @@ class BGGOperator:
 def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
                      coh_next: Cohomology) -> tuple[SpMat, SpMat]:
     """(Dt, d_V o J^1(F)) on J^1(W), W = ``chain.domain``, for F = the
-    splitter into C^n: Dt = pi_H o d_V o J^1(F) in harmonic coordinates of
-    H^{n+1}, and the values into C^{n+1} before pi_H."""
+    splitter L^(K-1) into C^n (its target E/E^K is spanned by the leading
+    columns of the E basis): Dt = pi_H o d_V o J^1(F) in harmonic
+    coordinates of H^{n+1}, and the values into C^{n+1} before pi_H."""
     cc, n = gs.cc, gs.n
-    values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, gs.basis @ chain.composite)
+    lead = gs.basis.select_columns(list(range(chain.composite.nrows)))
+    values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, lead @ chain.composite)
     return coh_next.split.harmonic_projection() @ values, values
 
 
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                  coh_next: Cohomology, comps_next: list[IrrepLabel],
                  source_index: int = 0) -> BGGOperator:
-    """D = Dt o iota on Jbar^{r+1}(E/E^1), certified from the left (module
-    docstring); its nonzero component blocks are the arrows. The jet budget
-    is decided by the caller: `build_bgg_diagram` leaves a source partial
-    when dim Jbar^{r+1} exceeds it."""
+    """D_K = Dt o iota on Jbar^K(E/E^1), K = len(chain.maps) + 1, certified
+    from the left (module docstring); its nonzero component blocks are the
+    arrows. ``in_kernel`` is dstar_n o values = 0 on the rows of C^n whose
+    E-grade offset from i0 is below K; from K on the truncated values may
+    leave ker dstar. The jet budget is decided by the caller:
+    `build_bgg_diagram` leaves a source partial when dim Jbar^{r+1} exceeds
+    it."""
     cc, n = gs.cc, gs.n
     dt, values = operator_on_jet1(gs, chain, coh_next)
     phi, ncols = None, dt.ncols
@@ -341,7 +363,9 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
         phi, pick = equalizer_index_maps(chain.jet)
         ncols = len(pick)
         values = values.merge_columns(phi, ncols)
-    in_kernel = (cc.delstars[n] @ values).is_zero()
+    K = len(chain.maps) + 1
+    low = [i for i, e in enumerate(cc.levels[n].e_grades) if e - gs.i0 < K]
+    in_kernel = (cc.delstars[n].gather_rows(low) @ values).is_zero()
     dh = certify_from_left(dt, chain.domain, phi, ncols, coh_next.module)
     arrows = []
     if comps_next:
@@ -370,6 +394,14 @@ def operator_order(level_from: int, comp_from: IrrepLabel,
     if level_to != level_from + 1:
         raise NonAdjacentLevels(f"levels {level_from} -> {level_to}")
     return _as_int(comp_to.e_eigenvalue - comp_from.e_eigenvalue)
+
+
+def operator_jet_order(gs: GeneratedSubmodule, comps_next: list[IrrepLabel]) -> int:
+    """K = min(r + 1, the highest order of a target of positive order): the
+    operator out of gs is D_K on Jbar^K (module docstring). With no such
+    target every block of D is zero, and K = 1 still checks it."""
+    orders = [operator_order(gs.n, gs.comp, gs.n + 1, t) for t in comps_next]
+    return min(gs.r + 1, max((o for o in orders if o >= 1), default=1))
 
 
 @dataclass
@@ -429,7 +461,8 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
                 if jet_dim > max_jet_dim:
                     partial.append((n, s))
                     continue
-                chain = compose_splitter(gs, max_jet_dim=max_jet_dim)
+                k = operator_jet_order(gs, comps[n + 1]) - 1
+                chain = compose_splitter(gs, k, max_jet_dim=max_jet_dim)
                 op = bgg_operator(gs, chain, cohs[n + 1], comps[n + 1], source_index=s)
                 verify["splitter_projection"] &= verify_splitter_projection(gs, chain)
                 verify["splitter_defect"] &= verify_splitter_defect(gs, chain)

@@ -12,10 +12,16 @@ The first jet reference writes J^1(V) as V (+) (p_+ (x) V) with `repmod.tensor`
 footpoint corrections one matrix at a time with `+`, `scale` and `kron`,
 independently of the block list ``artifact.jetcalc.jet1`` assembles.
 
-The operator reference certifies D on Jbar^{r+1}(E/E^1) on the built action
-of Jbar^{r+1}, extending the splitter's Jbar^r, by A'_Z D = D A_Z label by
-label (`full_build_certificate`), independently of the left certificate
-``artifact.certify.certify_from_left`` that never builds that action.
+The operator reference certifies D on Jbar^{k+1}(E/E^1) on the built action
+of Jbar^{k+1}, extending the Jbar^k of the splitter L^(k), by A'_Z D = D A_Z
+label by label (`full_build_certificate`), independently of the left
+certificate ``artifact.certify.certify_from_left`` that never builds that
+action.
+
+The full-operator reference builds what the pipeline builds only up to the
+highest arrow order K: the full splitter L^(r) (`compose_splitter` at k = r)
+and the operator on Jbar^{r+1}, every component block and the values into
+C^{n+1} (`full_operator`), to compare against D_K o pi.
 
 The splitter reference composes stage by stage in direct-sum coordinates:
 Jbar^{k+1}(W) sits in Jbar^k(J^1 W) by index arithmetic (`chain_embedding`),
@@ -27,13 +33,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from artifact.bggcore import compose_splitter
 from artifact.gradedla import GradedLieAlgebra
+from artifact.hodge import twisted_matrix
 from artifact.jetcalc import (
     PModMap,
     SemiHolonomicJet,
     check_equivariance,
+    equalizer_index_maps,
     jbar_dim,
     jet1,
+    jet1_map_matrix,
     semiholonomic,
 )
 from artifact.linalg import SpMat
@@ -186,10 +196,31 @@ def projection_pair(sh: SemiHolonomicJet):
 
 
 def full_build_certificate(gs, chain, coh_next, mat: SpMat) -> PModMap:
-    """mat on Jbar^{r+1}(E/E^1) -> H^{n+1} checked against the built action of
-    Jbar^{r+1}, extended from the splitter's Jbar^r."""
-    sh = semiholonomic(gs.quotient(1), gs.r + 1, below=chain.jet)
+    """mat on Jbar^K(E/E^1) -> H^{n+1}, K = k + 1 for the splitter's
+    Jbar^k, checked against the built action of Jbar^K, extended from
+    Jbar^k."""
+    sh = semiholonomic(gs.quotient(1), len(chain.maps) + 1, below=chain.jet)
     return check_equivariance(mat, sh.module, coh_next.module)
+
+
+def full_operator(gs, coh_next, comps_next) -> tuple[list[SpMat], SpMat]:
+    """The operator on Jbar^{r+1}(E/E^1) out of the full splitter L^(r):
+    (its component block into each of comps_next, zero blocks included; the
+    values d_V o J^1(L) o iota into C^{n+1})."""
+    cc, n = gs.cc, gs.n
+    chain = compose_splitter(gs)
+    values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, gs.basis @ chain.composite)
+    if chain.jet is not None:
+        phi, pick = equalizer_index_maps(chain.jet)
+        values = values.merge_columns(phi, len(pick))
+    dh = coh_next.split.harmonic_projection() @ values
+    xc = SpMat.hstack([c.embedding for c in comps_next]).solve(dh)
+    blocks, row0 = [], 0
+    for c in comps_next:
+        w = c.dim * c.multiplicity
+        blocks.append(xc.submatrix(list(range(row0, row0 + w)), list(range(xc.ncols))))
+        row0 += w
+    return blocks, values
 
 
 def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:
