@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, replace
 
 from .bggcore import BGGDiagram, SingularLaplacianBlock, build_bgg_diagram
 from .certify import CertificationFailure
@@ -34,6 +33,7 @@ from .repmod import (
 from .rootspace import (
     NotFiniteType,
     NotIrreducible,
+    RootSystem,
     RootSystemNotCertified,
     build_root_system,
     parabolic,
@@ -62,16 +62,17 @@ CERTIFICATE_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
 class JobSpec:
-    algebra: str
-    sigma: tuple[int, ...]
-    weight: tuple[int, ...]
-    command: str
-    emit: tuple[str, ...] = ("text",)
-    max_module_dim: int = MAX_MODULE_DIM
-    max_jet_dim: int = MAX_JET_DIM
-    out: str | None = None
+    def __init__(self, algebra: str, sigma: tuple[int, ...], weight: tuple[int, ...],
+                 command: str, emit: tuple[str, ...] = ("text",),
+                 max_module_dim: int = MAX_MODULE_DIM, max_jet_dim: int = MAX_JET_DIM,
+                 out: str | None = None):
+        self.algebra, self.sigma, self.weight, self.command = algebra, sigma, weight, command
+        self.emit, self.out = emit, out
+        self.max_module_dim, self.max_jet_dim = max_module_dim, max_jet_dim
+
+    def __eq__(self, other) -> bool:
+        return type(other) is JobSpec and vars(self) == vars(other)
 
 
 def _ints(text: str, what: str) -> tuple[int, ...]:
@@ -159,9 +160,10 @@ def _root_system(text: str):
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad Cartan matrix {text!r}: {exc}") from exc
     rs = build_root_system(spec)
-    if not rs.label:
-        rs = replace(rs, label=json.dumps(spec, separators=(",", ":")))
-    return rs
+    if rs.label:
+        return rs
+    return RootSystem(cartan=rs.cartan, rank=rs.rank, d=rs.d, pos_roots=rs.pos_roots,
+                      label=json.dumps(spec, separators=(",", ":")))
 
 
 def validate(job: JobSpec) -> None:
@@ -196,11 +198,10 @@ def validate(job: JobSpec) -> None:
             raise ValidationError(f"{flag} must be at least 1, got {budget}")
 
 
-@dataclass
 class Report:
-    job: JobSpec
-    diagram: BGGDiagram
-    rendered: dict[str, str] = field(default_factory=dict)
+    def __init__(self, job: JobSpec, diagram: BGGDiagram):
+        self.job, self.diagram = job, diagram
+        self.rendered: dict[str, str] = {}
 
     @property
     def ok(self) -> bool:

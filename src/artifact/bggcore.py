@@ -46,8 +46,6 @@ identity battery `verify` reports runs there too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .certify import (
     CertificationFailure,
     certify_from_left,
@@ -104,22 +102,18 @@ def _as_int(x) -> int:
     return n
 
 
-@dataclass
 class GeneratedSubmodule:
     """The P-submodule E generated by one harmonic component, with its
-    eigenvalue filtration in degree-adapted coordinates."""
+    eigenvalue filtration in degree-adapted coordinates: ``basis`` is
+    C^n coords x dim E, and ``offsets`` holds eigenvalue - i0 per column."""
 
-    cc: CochainComplex
-    n: int
-    comp: IrrepLabel
-    i0: object
-    basis: SpMat = field(repr=False)       # C^n coords x dim E
-    offsets: tuple[int, ...] = ()          # per column: eigenvalue - i0
-    r: int = 0
-    module: PModule = field(default=None, repr=False)
-    _quotients: dict = field(default_factory=dict, repr=False)
-    _box: SpMat | None = field(default=None, repr=False)
-    _boxinv: dict = field(default_factory=dict, repr=False)
+    def __init__(self, cc: CochainComplex, n: int, comp: IrrepLabel, i0, basis: SpMat,
+                 offsets: tuple[int, ...], r: int, module: PModule):
+        self.cc, self.n, self.comp, self.i0, self.basis = cc, n, comp, i0, basis
+        self.offsets, self.r, self.module = offsets, r, module
+        self._quotients: dict[int, PModule] = {}
+        self._box: SpMat | None = None
+        self._boxinv: dict[int, SpMat] = {}
 
     def block_columns(self, j: int) -> list[int]:
         return [k for k, off in enumerate(self.offsets) if off == j]
@@ -237,14 +231,12 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     )
 
 
-@dataclass
 class LiMap:
     """L_i: J^1(E/E^i) -> E/E^{i+1}; ``source`` is E/E^i, and ``mat`` has
     (1 + dim p_+) dim E/E^i columns, the coordinates of J^1(E/E^i)."""
 
-    i: int
-    source: PModule = field(repr=False)
-    mat: SpMat = field(repr=False)
+    def __init__(self, i: int, source: PModule, mat: SpMat):
+        self.i, self.source, self.mat = i, source, mat
 
 
 def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
@@ -262,12 +254,11 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
     pieces: list[SpMat] = []
     for a, wa in enumerate(cc.unit_wedges(n)):
         ga = g.grade_of(("e", roots[a]))
-        dswa = cc.delstars[n] @ wa
-        for b in range(src_q.dim):
-            if gs.offsets[b] + ga != i:
-                continue
-            rhs_cols.append((1 + a) * src_q.dim + b)  # the jet column of (a, b)
-            pieces.append(dswa @ gs.basis.column_vec(b))
+        needed = [b for b in range(src_q.dim) if gs.offsets[b] + ga == i]
+        if not needed:
+            continue
+        rhs_cols.extend((1 + a) * src_q.dim + b for b in needed)  # the jet columns of (a, b)
+        pieces.append(cc.delstars[n] @ (wa @ gs.basis.select_columns(needed)))
     if rhs_cols:
         rhs = SpMat.hstack(pieces)
         x = gs.basis.solve(rhs)  # consistent: dstar of E-wedges stays in E
@@ -279,7 +270,6 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
     return LiMap(i=i, source=src_q, mat=mat)
 
 
-@dataclass
 class SplitterChain:
     """L_1..L_k and their semi-holonomic composite
     L^(k): Jbar^k(E/E^1) -> E/E^{k+1}, for k = len(maps).
@@ -287,10 +277,9 @@ class SplitterChain:
     ``jet`` is the Jbar^k(E/E^1) the composite is defined on (None when
     k == 0); the operator extends it to Jbar^K, K = k + 1."""
 
-    maps: tuple[LiMap, ...]
-    composite: SpMat = field(repr=False)
-    domain: PModule = field(repr=False)
-    jet: SemiHolonomicJet | None = field(default=None, repr=False)
+    def __init__(self, maps: tuple[LiMap, ...], composite: SpMat, domain: PModule,
+                 jet: SemiHolonomicJet | None):
+        self.maps, self.composite, self.domain, self.jet = maps, composite, domain, jet
 
 
 def compose_splitter(gs: GeneratedSubmodule, k: int | None = None,
@@ -316,22 +305,19 @@ def compose_splitter(gs: GeneratedSubmodule, k: int | None = None,
     return SplitterChain(maps=maps, composite=composite, domain=domain, jet=jet)
 
 
-@dataclass
 class BGGArrow:
-    level: int
-    source: int
-    target: int
-    order: int
-    block: SpMat = field(repr=False)
+    def __init__(self, level: int, source: int, target: int, order: int, block: SpMat):
+        self.level, self.source, self.target = level, source, target
+        self.order, self.block = order, block
 
 
-@dataclass
 class BGGOperator:
-    n: int
-    source: int
-    matrix: SpMat = field(repr=False)      # harmonic coords of H^{n+1}
-    in_kernel: bool = True
-    arrows: tuple[BGGArrow, ...] = ()
+    """``matrix`` lands in the harmonic coordinates of H^{n+1}."""
+
+    def __init__(self, n: int, source: int, matrix: SpMat, in_kernel: bool,
+                 arrows: tuple[BGGArrow, ...]):
+        self.n, self.source, self.matrix = n, source, matrix
+        self.in_kernel, self.arrows = in_kernel, arrows
 
 
 def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
@@ -404,22 +390,17 @@ def operator_jet_order(gs: GeneratedSubmodule, comps_next: list[IrrepLabel]) -> 
     return min(gs.r + 1, max((o for o in orders if o >= 1), default=1))
 
 
-@dataclass
 class DiagramComponent:
-    label: Weight
-    e_eigenvalue: object
-    dim: int
+    def __init__(self, label: Weight, e_eigenvalue, dim: int):
+        self.label, self.e_eigenvalue, self.dim = label, e_eigenvalue, dim
 
 
-@dataclass
 class BGGDiagram:
-    algebra: str
-    sigma: tuple[int, ...]
-    weight: Weight
-    columns: list[list[DiagramComponent]]
-    arrows: list[BGGArrow]
-    partial: list[tuple[int, int]]
-    verify: dict[str, bool]
+    def __init__(self, algebra: str, sigma: tuple[int, ...], weight: Weight,
+                 columns: list[list[DiagramComponent]], arrows: list[BGGArrow],
+                 partial: list[tuple[int, int]], verify: dict[str, bool]):
+        self.algebra, self.sigma, self.weight, self.columns = algebra, sigma, weight, columns
+        self.arrows, self.partial, self.verify = arrows, partial, verify
 
 
 def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,

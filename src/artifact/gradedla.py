@@ -16,7 +16,6 @@ eta_a = e_a in p_+, xi_a = f_a / B(e_a, f_a) in g_- all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .linalg import Q, QONE, QZERO, SpMat
@@ -142,25 +141,23 @@ class _ChevalleyTable:
         return self.N[(dpos, xi)] * self._len2(dpos) / self._len2(zeta)
 
 
-@dataclass(frozen=True)
 class DualBasisPair:
-    """p_+ basis eta_a = e_{beta_a} and its Killing-dual xi_a = f_{beta_a}/d_a."""
+    """p_+ basis eta_a = e_{beta_a} and its Killing-dual xi_a = f_{beta_a}/d_a:
+    ``roots`` the beta_a of Sigma-height >= 1 in positive-root order, ``d``
+    the positive rationals d_a = B(e_a, f_a)."""
 
-    roots: tuple[Root, ...]  # Sigma-height >= 1, positive-root order
-    d: tuple  # d_a = B(e_a, f_a), positive rationals
+    def __init__(self, roots: tuple[Root, ...], d: tuple):
+        self.roots, self.d = roots, d
 
     def __len__(self) -> int:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
 class GradedLieAlgebra:
-    par: ParabolicSpec
-    basis: tuple[Label, ...]
-    index: dict = field(repr=False)
-    grade: tuple[int, ...]
-    nfull: dict = field(repr=False)
-    defining: dict = field(repr=False)
+    def __init__(self, par: ParabolicSpec, basis: tuple[Label, ...], index: dict,
+                 grade: tuple[int, ...], nfull: dict, defining: dict):
+        self.par, self.basis, self.index, self.grade = par, basis, index, grade
+        self.nfull, self.defining = nfull, defining
 
     @property
     def rs(self) -> RootSystem:

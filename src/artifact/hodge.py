@@ -25,7 +25,6 @@ submodule, where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
@@ -43,19 +42,16 @@ class ComplexNotCertified(Exception):
     """A bracket left its part of g, or the Hodge splitting is not a basis."""
 
 
-@dataclass
 class CochainComplex:
-    g: GradedLieAlgebra
-    V: PModule
-    dual: DualBasisPair
-    levels: list[PModule] = field(repr=False)
-    wedge_tuples: list[list[tuple]] = field(repr=False)
-    dels: list[SpMat] = field(repr=False)  # dels[n]: C^n -> C^{n+1}
-    delstars: list[SpMat] = field(repr=False)  # delstars[n]: C^{n+1} -> C^n
-    inner: list[SpMat] = field(repr=False)  # G_n on C^n
-    _wedges: dict[int, list[SpMat]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    """``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n, and
+    ``inner[n]`` the inner product G_n on C^n."""
+
+    def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
+                 levels: list[PModule], wedge_tuples: list[list[tuple]],
+                 dels: list[SpMat], delstars: list[SpMat], inner: list[SpMat]):
+        self.g, self.V, self.dual, self.levels, self.wedge_tuples = g, V, dual, levels, wedge_tuples
+        self.dels, self.delstars, self.inner = dels, delstars, inner
+        self._wedges: dict[int, list[SpMat]] = {}
 
     @property
     def top(self) -> int:
@@ -199,14 +195,12 @@ def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
     return SpMat.assemble(len(tgt_tuples) * dv, len(src_tuples) * dv, blocks)
 
 
-@dataclass
 class HodgeSplit:
-    n: int
-    im_del: SpMat
-    ker_box: SpMat
-    im_delstar: SpMat
-    harmonic_weights: tuple[Weight, ...]
-    _projection: SpMat | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, n: int, im_del: SpMat, ker_box: SpMat, im_delstar: SpMat,
+                 harmonic_weights: tuple[Weight, ...]):
+        self.n, self.im_del, self.ker_box, self.im_delstar = n, im_del, ker_box, im_delstar
+        self.harmonic_weights = harmonic_weights
+        self._projection: SpMat | None = None
 
     @property
     def full_basis(self) -> SpMat:
@@ -330,28 +324,29 @@ def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> No
         raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
 
 
-@dataclass
 class Cohomology:
     """Harmonic model of H^n(g_-, V): a g_0-module with p_+ acting by zero,
     plus the embedding of the harmonic basis into C^n."""
 
-    n: int
-    module: PModule
-    embedding: SpMat = field(repr=False)
-    split: HodgeSplit = field(repr=False)
+    def __init__(self, n: int, module: PModule, embedding: SpMat, split: HodgeSplit):
+        self.n, self.module, self.embedding, self.split = n, module, embedding, split
 
 
 def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
     split = hodge_decompose(cc, n)
     K = split.ker_box
+    m = K.ncols
     level = cc.levels[n]
-    acts = {}
-    for lab in cc.g.p_labels():
-        if cc.g.grade_of(lab) > 0:
-            acts[lab] = SpMat(K.ncols, K.ncols)
-        else:
-            img = level.actions[lab] @ K
-            acts[lab] = K.solve(img)  # consistent: g_0 preserves ker box
+    labels = cc.g.p_labels()
+    g0 = [lab for lab in labels if cc.g.grade_of(lab) <= 0]
+    # one elimination of K against every g_0 image, side by side;
+    # consistent: g_0 preserves ker box
+    images = K.solve(SpMat.assemble(K.nrows, m * len(g0), [
+        (0, t * m, 1, (level.actions[lab], K)) for t, lab in enumerate(g0)
+    ]))
+    solved = {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
+              for t, lab in enumerate(g0)}
+    acts = {lab: solved[lab] if lab in solved else SpMat(m, m) for lab in labels}
     mod = PModule(
         g=cc.g,
         dim=K.ncols,

@@ -56,7 +56,6 @@ which both `_extend` and the left certificate call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .gradedla import GradedLieAlgebra, Label
@@ -75,15 +74,13 @@ class EqualizerNotCertified(Exception):
     """A semi-holonomic jet failed one of its equalizer certificates."""
 
 
-@dataclass
 class PModMap:
     """Linear map between PModules with an equivariance certificate."""
 
-    source: PModule
-    target: PModule
-    mat: SpMat = field(repr=False)
-    certified: bool = False
-    residuals: dict = field(default_factory=dict, repr=False)
+    def __init__(self, source: PModule, target: PModule, mat: SpMat,
+                 certified: bool, residuals: dict):
+        self.source, self.target, self.mat = source, target, mat
+        self.certified, self.residuals = certified, residuals
 
 
 def check_equivariance(mat: SpMat, source: PModule, target: PModule) -> PModMap:
@@ -181,7 +178,6 @@ def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
     return SpMat.block_diag([fmat] * (1 + d))
 
 
-@dataclass
 class SemiHolonomicJet:
     """Jbar^r(V) in direct-sum coordinates (+)_{j<=r} (x)^j p_+ (x) V.
 
@@ -192,11 +188,9 @@ class SemiHolonomicJet:
     Only the index map is kept, so a kept Jbar holds no ambient module
     alive."""
 
-    r: int
-    V: PModule
-    module: PModule = field(repr=False)
-    slot_dims: tuple[int, ...] = ()
-    phi: tuple[int, ...] | None = field(default=None, repr=False)
+    def __init__(self, r: int, V: PModule, module: PModule, slot_dims: tuple[int, ...],
+                 phi: tuple[int, ...] | None = None):
+        self.r, self.V, self.module, self.slot_dims, self.phi = r, V, module, slot_dims, phi
 
 
 def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:

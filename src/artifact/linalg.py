@@ -430,14 +430,6 @@ class SpMat:
         return {i: r[j] if i not in dens else _quo(r[j], dens[i])
                 for i, r in self.rows.items() if j in r}
 
-    def column_vec(self, j: int) -> "SpMat":
-        out = SpMat(self.nrows, 1)
-        dens = self.dens
-        for i, r in self.rows.items():
-            if j in r:
-                out._put(i, {0: r[j]}, dens.get(i, 1))
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpMat):
             return NotImplemented

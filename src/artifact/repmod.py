@@ -14,7 +14,6 @@ weights and a contravariant Gram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
@@ -110,19 +109,18 @@ class _WordCalc:
         return total
 
 
-@dataclass(frozen=True)
 class GModule:
-    """Irreducible g-module in a word basis grouped by weight."""
+    """Irreducible g-module in a word basis grouped by weight; ``e_mats`` are
+    the simple raising operators."""
 
-    rs: RootSystem
-    lam: Weight
-    dim: int
-    words: tuple[tuple, ...]
-    weights: tuple[Weight, ...]
-    e_mats: tuple[SpMat, ...]  # simple raising operators
-    f_mats: tuple[SpMat, ...]
-    h_mats: tuple[SpMat, ...]
-    gram: SpMat = field(repr=False)
+    def __init__(self, rs: RootSystem, lam: Weight, dim: int, words: tuple[tuple, ...],
+                 weights: tuple[Weight, ...], e_mats: tuple[SpMat, ...],
+                 f_mats: tuple[SpMat, ...], h_mats: tuple[SpMat, ...], gram: SpMat):
+        self.rs, self.lam, self.dim, self.words, self.weights = rs, lam, dim, words, weights
+        self.e_mats, self.f_mats, self.h_mats, self.gram = e_mats, f_mats, h_mats, gram
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GModule and vars(self) == vars(other)
 
 
 def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
@@ -278,16 +276,14 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
     )
 
 
-@dataclass
 class PModule:
     """Space with exact p-action (and optionally g_-), E-grades, weights."""
 
-    g: GradedLieAlgebra
-    dim: int
-    e_grades: tuple
-    actions: dict[Label, SpMat] = field(repr=False)
-    weights: tuple[Weight, ...] | None = None
-    gram: SpMat | None = field(default=None, repr=False)
+    def __init__(self, g: GradedLieAlgebra, dim: int, e_grades: tuple,
+                 actions: dict[Label, SpMat], weights: tuple[Weight, ...] | None = None,
+                 gram: SpMat | None = None):
+        self.g, self.dim, self.e_grades, self.actions = g, dim, e_grades, actions
+        self.weights, self.gram = weights, gram
 
     def has_gminus(self) -> bool:
         return any(l[0] == "f" and self.g.grade_of(l) < 0 for l in self.actions)
@@ -419,16 +415,14 @@ def _sort_sign(lst: list[int]) -> tuple[int, list[int]]:
     return sign, out
 
 
-@dataclass(frozen=True)
 class IrrepLabel:
     """One isotypic g_0-component: dual-rendered label, E-eigenvalue,
     per-copy dimension, multiplicity, and the embedding of all copies."""
 
-    label: Weight
-    e_eigenvalue: object
-    dim: int
-    multiplicity: int
-    embedding: SpMat = field(repr=False)
+    def __init__(self, label: Weight, e_eigenvalue, dim: int, multiplicity: int,
+                 embedding: SpMat):
+        self.label, self.e_eigenvalue, self.dim = label, e_eigenvalue, dim
+        self.multiplicity, self.embedding = multiplicity, embedding
 
     @property
     def sort_key(self):

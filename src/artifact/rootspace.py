@@ -15,7 +15,6 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import Q
@@ -160,13 +159,11 @@ def _check_connected(C: list[list[int]]) -> None:
         raise NotIrreducible("Dynkin diagram is disconnected")
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    cartan: tuple[tuple[int, ...], ...]
-    rank: int
-    d: tuple  # symmetrizers, (alpha_i, alpha_i) = 2 d_i
-    pos_roots: tuple[Root, ...] = field(repr=False)
-    label: str = ""
+    def __init__(self, cartan: tuple[tuple[int, ...], ...], rank: int, d: tuple,
+                 pos_roots: tuple[Root, ...], label: str = ""):
+        self.cartan, self.rank, self.pos_roots, self.label = cartan, rank, pos_roots, label
+        self.d = d  # symmetrizers, (alpha_i, alpha_i) = 2 d_i
 
     def is_root(self, c: Root) -> bool:
         cp = tuple(c)
@@ -268,17 +265,14 @@ def build_root_system(spec) -> RootSystem:
     )
 
 
-@dataclass(frozen=True)
 class ParabolicSpec:
     """A root system with a set of crossed nodes (1-based, Bourbaki)."""
 
-    rs: RootSystem
-    sigma: frozenset[int]
-
-    def __post_init__(self):
-        for i in self.sigma:
-            if not (1 <= i <= self.rs.rank):
-                raise ValueError(f"crossed node {i} outside 1..{self.rs.rank}")
+    def __init__(self, rs: RootSystem, sigma: frozenset[int]):
+        for i in sigma:
+            if not (1 <= i <= rs.rank):
+                raise ValueError(f"crossed node {i} outside 1..{rs.rank}")
+        self.rs, self.sigma = rs, sigma
 
     @property
     def uncrossed(self) -> tuple[int, ...]:
@@ -315,14 +309,14 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class WeylElt:
-    """Weyl group element with its action matrices and a lex-least reduced word."""
+    """Weyl group element with its action matrices and a lex-least reduced word:
+    ``word`` in 1-based simple reflection indices, ``mat_root`` the action on
+    simple-root coordinates, ``mat_weight`` on fundamental coordinates."""
 
-    rs: RootSystem
-    word: tuple[int, ...]  # 1-based simple reflection indices
-    mat_root: tuple[tuple[int, ...], ...]  # action on simple-root coordinates
-    mat_weight: tuple[tuple[int, ...], ...]  # action on fundamental coordinates
+    def __init__(self, rs: RootSystem, word: tuple[int, ...],
+                 mat_root: tuple[tuple[int, ...], ...], mat_weight: tuple[tuple[int, ...], ...]):
+        self.rs, self.word, self.mat_root, self.mat_weight = rs, word, mat_root, mat_weight
 
     @property
     def length(self) -> int:
@@ -332,15 +326,6 @@ class WeylElt:
         return tuple(
             sum(self.mat_weight[i][j] * lam[j] for j in range(self.rs.rank))
             for i in range(self.rs.rank)
-        )
-
-    def mul_simple_right(self, i: int) -> "WeylElt":
-        s = simple_reflection(self.rs, i)
-        return WeylElt(
-            rs=self.rs,
-            word=self.word + (i,),
-            mat_root=_matmul_int(self.mat_root, s.mat_root),
-            mat_weight=_matmul_int(self.mat_weight, s.mat_weight),
         )
 
 
@@ -373,24 +358,28 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
 
 
 def enumerate_weyl(rs: RootSystem, max_elements: int = 200000) -> list[WeylElt]:
-    """All of W, BFS by length, lex-least reduced word per element."""
+    """All of W, BFS by length, lex-least reduced word per element. The
+    root matrix of w s_i identifies it, so the weight matrix is multiplied
+    out only for an element not seen before."""
+    simples = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     e = identity_weyl(rs)
-    seen = {e.mat_root: e}
+    seen = {e.mat_root}
     frontier = [e]
     out = [e]
     while frontier:
         nxt: list[WeylElt] = []
         for w in frontier:
-            for i in range(1, rs.rank + 1):
-                w2 = w.mul_simple_right(i)
-                if w2.mat_root not in seen:
-                    seen[w2.mat_root] = w2
-                    nxt.append(w2)
-                    out.append(w2)
-                    if len(out) > max_elements:
-                        raise NotFiniteType(
-                            f"Weyl group larger than cap {max_elements}"
-                        )
+            for s in simples:
+                mat_root = _matmul_int(w.mat_root, s.mat_root)
+                if mat_root in seen:
+                    continue
+                seen.add(mat_root)
+                w2 = WeylElt(rs=rs, word=w.word + s.word, mat_root=mat_root,
+                             mat_weight=_matmul_int(w.mat_weight, s.mat_weight))
+                nxt.append(w2)
+                out.append(w2)
+                if len(out) > max_elements:
+                    raise NotFiniteType(f"Weyl group larger than cap {max_elements}")
         nxt.sort(key=lambda w: w.word)
         frontier = nxt
     return out

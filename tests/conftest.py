@@ -6,6 +6,7 @@ always (label, sigma, weight) with sigma and weight as tuples.
 """
 
 import functools
+import inspect
 
 from hypothesis import HealthCheck, settings
 
@@ -106,3 +107,14 @@ def splitters_for(label, sigma, weight):
 @functools.lru_cache(maxsize=None)
 def diagram_for(label, sigma, weight, with_arrows=True):
     return build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+
+
+def replaced(obj, **fields):
+    """A copy of ``obj`` with the given fields overridden, for tampering.
+
+    The copy is built by the class's own constructor from the attributes
+    named by its parameters, so the lazy caches the constructor starts
+    (wedges, projections, quotients) are empty and are recomputed from the
+    tampered fields, never read from ``obj``."""
+    params = inspect.signature(type(obj)).parameters
+    return type(obj)(**{**{name: getattr(obj, name) for name in params}, **fields})

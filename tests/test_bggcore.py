@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -21,7 +20,7 @@ from artifact.bggcore import (
 from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
 from artifact.linalg import SpMat
 from artifact.repmod import layered_closure
-from conftest import BATTERY, components_for, diagram_for, graded, splitters_for
+from conftest import BATTERY, components_for, diagram_for, graded, replaced, splitters_for
 from jet_reference import reference_splitter
 from linalg_reference import reference_closure
 from tilde_reference import (
@@ -175,8 +174,8 @@ def tamper_verdicts(check, row_of):
                     lm.mat.nrows, lm.mat.ncols, {(row_of(gs, lm), lm.mat.ncols - 1): 1}
                 )
                 maps = list(chain.maps)
-                maps[k] = replace(lm, mat=lm.mat + bump)
-                yield check(gs, chain), check(gs, replace(chain, maps=tuple(maps)))
+                maps[k] = replaced(lm, mat=lm.mat + bump)
+                yield check(gs, chain), check(gs, replaced(chain, maps=tuple(maps)))
 
 
 def test_tampered_splitter_fails_the_defect_check():

@@ -11,8 +11,6 @@ and a change of a grade >= 1 action on C^n when d_n has a nonzero column i
 or d_{n-1} a nonzero row j; the entries are chosen so that it does.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from artifact.certify import (
@@ -20,7 +18,7 @@ from artifact.certify import (
     verify_codifferential_leibniz,
     verify_differential_commutator,
 )
-from conftest import complex_for
+from conftest import complex_for, replaced
 from linalg_reference import row_dicts, with_row
 
 CASES = [("A2", (1,), (1, 1)), ("B2", (1,), (0, 1)), ("G2", (1,), (0, 0))]
@@ -63,7 +61,7 @@ def test_tampered_differential_fails(label, sigma, weight):
         i, j = (moved[0], 0) if moved else (0, reached[0])
         dels = list(cc.dels)
         dels[n] = bumped(dels[n], i, j)
-        res = battery(replace(cc, dels=dels))
+        res = battery(replaced(cc, dels=dels))
         assert not res["adjointness"], n
         assert not res["differential_commutator"], n
 
@@ -74,7 +72,7 @@ def test_tampered_codifferential_fails(label, sigma, weight):
     for n in range(cc.top):
         delstars = list(cc.delstars)
         delstars[n] = bumped(delstars[n], 0, 0)
-        res = battery(replace(cc, delstars=delstars))
+        res = battery(replaced(cc, delstars=delstars))
         assert not res["adjointness"], n
         assert not res["codifferential_leibniz"], n
 
@@ -91,8 +89,8 @@ def test_tampered_level_action_fails(label, sigma, weight):
         level = cc.levels[n]
         actions = {**level.actions, lab: bumped(level.actions[lab], i, j)}
         levels = list(cc.levels)
-        levels[n] = replace(level, actions=actions)
-        res = battery(replace(cc, levels=levels))
+        levels[n] = replaced(level, actions=actions)
+        res = battery(replaced(cc, levels=levels))
         assert not res["codifferential_leibniz"], n
         if cols or rows:
             assert not res["differential_commutator"], n

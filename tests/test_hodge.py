@@ -1,7 +1,5 @@
 """Cochain complexes, Hodge splits, harmonic cohomology."""
 
-from dataclasses import replace
-
 import pytest
 
 from artifact.hodge import (
@@ -20,6 +18,7 @@ from conftest import (
     complex_for_module,
     components_for,
     graded,
+    replaced,
 )
 from hodge_reference import laplacian, reference_hodge_decompose
 from linalg_reference import row_dicts, to_dense, with_row
@@ -110,7 +109,7 @@ def test_split_of_a_tampered_complex_is_refused():
         for field in ("dels", "delstars"):
             mats = list(getattr(cc, field))
             mats[k] = SpMat(mats[k].nrows, mats[k].ncols)
-            tampered = replace(cc, **{field: mats})
+            tampered = replaced(cc, **{field: mats})
             with pytest.raises(ComplexNotCertified, match=r"harmonic part of weight \(.*\) of C\^"):
                 for n in range(cc.top + 1):
                     hodge_decompose(tampered, n)
@@ -128,7 +127,7 @@ def test_split_of_an_overfilled_weight_is_refused():
     dels[n - 1] = dels[n - 1] + bump
     assert dels[n - 1].submatrix(rows, below).rank() == len(rows)
     with pytest.raises(ComplexNotCertified, match=r"overfill weight \(1, 1\) of C\^2"):
-        hodge_decompose(replace(cc, dels=dels), n)
+        hodge_decompose(replaced(cc, dels=dels), n)
 
 
 def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
@@ -273,7 +272,7 @@ def test_weight_block_certificate_refuses_moved_column():
         check_weight_blocks(weights, moved.transpose(), n)
     # one column too many: its block keeps full rank but is not square
     with pytest.raises(ComplexNotCertified, match="not a basis"):
-        check_weight_blocks(weights, SpMat.hstack([basis, basis.column_vec(0)]), n)
+        check_weight_blocks(weights, SpMat.hstack([basis, basis.select_columns([0])]), n)
     # column 0 spread over two weights
     spread = with_row(cols, 0, {**rows[0], other: 1})
     with pytest.raises(ComplexNotCertified, match="not a weight vector"):

@@ -4,6 +4,8 @@ import pytest
 
 from artifact.rootspace import (
     NotFiniteType,
+    WeylElt,
+    _matmul_int,
     affine_dot_action,
     build_root_system,
     cartan_matrix_from_series,
@@ -96,7 +98,10 @@ def weyl_inverse(w):
     the package's tests of W^p compare with."""
     out = identity_weyl(w.rs)
     for i in reversed(w.word):
-        out = out.mul_simple_right(i)
+        s = simple_reflection(w.rs, i)
+        out = WeylElt(rs=w.rs, word=out.word + (i,),
+                      mat_root=_matmul_int(out.mat_root, s.mat_root),
+                      mat_weight=_matmul_int(out.mat_weight, s.mat_weight))
     return out
 
 
