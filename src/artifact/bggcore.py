@@ -360,7 +360,7 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
         row0 = 0
         for t, compt in enumerate(comps_next):
             w = compt.dim * compt.multiplicity
-            blk = xc.submatrix(list(range(row0, row0 + w)), list(range(xc.ncols)))
+            blk = xc.gather_rows(range(row0, row0 + w))
             row0 += w
             if blk.is_zero():
                 continue

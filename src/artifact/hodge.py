@@ -1,19 +1,32 @@
 """Lie algebra cohomology of g_- with module coefficients, Hodge theory.
 
-Cochain spaces are C^n = Lambda^n p_+ (x) V with the wedge basis over the
-p_+ roots in positive-root order and V's own basis, row-major. Wedges are
-identified with alternating maps on g_- through the det-pairing with a 1/n!
-prefactor; under that identification the differential is the classical
-formula transported by the diagonal scaling S_n = diag(prod_a d_a / n!), and
-plain exterior multiplication is the alternation of Z (x) f. The
-codifferential acts on decomposables as
+Cochain spaces are C^n = Lambda^n p_+ (x) V with the wedge basis (increasing
+tuples of p_+ root positions, in lex order) and V's own basis, row-major.
+This module is the one home of the wedge. Every cochain matrix is a sum of
+Kronecker products of V's matrices with the unit wedges
+eps_a: Lambda^n -> Lambda^{n+1}, eps_a(I) = (-1)^k I', where I' is I with a
+inserted at position k (zero when a is in I), and with their transposes
+iota_a = eps_a^T, the contractions with the dual basis. Both are signed
+index maps, one +-1 per column, with eps_a eps_b + eps_b eps_a = 0 and
+iota_a eps_b + eps_b iota_a = delta_ab.
 
-  dstar(Z_0 ^ ... ^ Z_n (x) v) = sum_i (-1)^{i+1} (... ^ Z_i-hat ^ ...) (x) Z_i v
-      + sum_{i<j} (-1)^{i+j} [Z_i, Z_j] ^ (... i-hat ... j-hat ...) (x) v,
+Let ad(Z)_ij be the matrix of Z in p on p_+, let [f_a, f_b] = sum_m c^m_ab f_m
+and [e_a, e_b] = sum_m e^m_ab e_m, and let d_a = B(e_a, f_a). Then
 
-and the level inner products G_n = ((-1)^n / n!) diag(prod_a d_a) (x) Gram_V
-make dstar the exact adjoint of d. The sign (-1)^n is forced by that
-adjointness; the products are definite on each level, alternating in sign.
+  Z on C^n = (sum_ij ad(Z)_ij eps_i iota_j) (x) 1 + 1 (x) Z,
+  d_n      = S_{n+1}^{-1} [sum_a eps_a (x) f_a
+                           - sum_{a<b,m} c^m_ab eps_a eps_b iota_m (x) 1] S_n,
+  dstar_n  = -sum_a iota_a (x) e_a - sum_{a<b,m} e^m_ab eps_m iota_b iota_a (x) 1,
+  G_n      = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V,
+
+with S_n = diag(prod_{a in I} d_a / n!) on Lambda^n. Wedges are identified
+with alternating maps on g_- through the det-pairing with a 1/n! prefactor,
+and S_n transports the classical formula for d to that identification. It
+is never a matrix: S_{n+1}^{-1} eps_a S_n = ((n+1) / d_a) eps_a, so each term
+of d_n is a scalar times eps_a or eps_a eps_b iota_m. The level inner
+products G_n make dstar the exact adjoint of d. The sign (-1)^n is forced by
+that adjointness; the products are definite on each level, alternating in
+sign.
 
 The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
 and the weight-multiset oracle for their components live here. The
@@ -26,11 +39,11 @@ submodule, where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 from __future__ import annotations
 
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .gradedla import DualBasisPair, GradedLieAlgebra
-from .linalg import Q, QONE, SpMat
-from .repmod import PModule, exterior_power, positions_by_weight, pplus_module, tensor
+from .linalg import Q, SpMat, kron_blocks
+from .repmod import PModule, positions_by_weight, tensor
 from .rootspace import Weight, affine_dot_action, dominant_representative_for, parabolic_hasse
 
 
@@ -44,7 +57,8 @@ class ComplexNotCertified(Exception):
 
 class CochainComplex:
     """``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n, and
-    ``inner[n]`` the inner product G_n on C^n."""
+    ``inner[n]`` the inner product G_n on C^n; ``wedge_tuples[n]`` is the
+    wedge basis of Lambda^n."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
                  levels: list[PModule], wedge_tuples: list[list[tuple]],
@@ -61,25 +75,36 @@ class CochainComplex:
         return self.levels[n].dim if 0 <= n <= self.top else 0
 
     def unit_wedges(self, n: int) -> list[SpMat]:
-        """eta_a ^ . : C^n -> C^{n+1} for every p_+ root position a, built
-        once per level and kept."""
+        """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a, built
+        on first use of the level and kept."""
+        if not 0 <= n < self.top:
+            raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         wedges = self._wedges.get(n)
         if wedges is None:
+            one = SpMat.identity(self.V.dim)
             wedges = self._wedges[n] = [
-                wedge_insert_matrix(self, n, {a: QONE}) for a in range(len(self.dual))
+                eps.kron(one) for eps in
+                wedge_maps(self.wedge_tuples[n], self.wedge_tuples[n + 1], len(self.dual))
             ]
         return wedges
 
 
-def _tuple_scale(dual: DualBasisPair, t: tuple):
-    out = QONE
-    for a in t:
-        out = out * dual.d[a]
-    return out
+def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
+    """The unit wedges eps_a: Lambda^n -> Lambda^{n+1}, a < d, between the
+    wedge bases ``lower`` of Lambda^n and ``upper`` of Lambda^{n+1}: row J of
+    eps_a holds (-1)^k at the column of J less its k-th entry a."""
+    idx = {t: k for k, t in enumerate(lower)}
+    entries: list[dict] = [{} for _ in range(d)]
+    for row, J in enumerate(upper):
+        for k, a in enumerate(J):
+            entries[a][row, idx[J[:k] + J[k + 1:]]] = -1 if k & 1 else 1
+    return [SpMat.from_entries(len(upper), len(lower), e) for e in entries]
 
 
 def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
-    """All levels, differentials, codifferentials and inner products.
+    """All levels, differentials, codifferentials and inner products, in the
+    operator form of the module docstring. The unit wedges of only two
+    adjacent levels are alive at a time.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -89,31 +114,79 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     if V.gram is None:
         raise ValueError("coefficient module lacks a contravariant Gram")
     dual = g.dual_bases()
-    d = len(dual.roots)
-    pp = pplus_module(g)
-    levels = [tensor(exterior_power(pp, n), V) for n in range(d + 1)]
+    roots, dd = dual.roots, dual.d
+    d = len(roots)
+    fbr = _bracket_table(g, roots, "f")
+    ebr = _bracket_table(g, roots, "e")
+    f_act = [V.actions[("f", r)] for r in roots]
+    e_act = [V.actions[("e", r)] for r in roots]
+    one = SpMat.identity(V.dim)
     tuples = [list(combinations(range(d), n)) for n in range(d + 1)]
-
-    dels = [
-        _del_matrix(g, V, dual, tuples[n], tuples[n + 1]) if n < d
-        else SpMat(0, levels[d].dim)
-        for n in range(d + 1)
-    ]
-    delstars = [
-        _delstar_matrix(g, V, dual, tuples[n + 1], tuples[n]) if n < d
-        else SpMat(levels[d].dim, 0)
-        for n in range(d + 1)
-    ]
-    inner = []
+    levels, dels, delstars, inner = [], [], [], []
+    eps_lo: list[SpMat] = []  # eps_a: Lambda^{n-1} -> Lambda^n, and its transposes
+    iota_lo: list[SpMat] = []
     for n in range(d + 1):
-        scale = Q((-1) ** n, factorial(n))
-        gram_lam = SpMat.diagonal(
-            [_tuple_scale(dual, t) for t in tuples[n]]
-        )
-        inner.append(gram_lam.kron(V.gram).scale(scale))
+        lam = len(tuples[n])
+        level = tensor(_wedge_module(g, tuples[n], eps_lo, iota_lo), V)
+        levels.append(level)
+        diag = SpMat.diagonal([prod(dd[a] for a in t) for t in tuples[n]])
+        inner.append(SpMat.assemble(level.dim, level.dim,
+                                    kron_blocks(diag, V.gram, Q((-1) ** n, factorial(n)))))
+        if n == d:
+            break
+        up = len(tuples[n + 1])
+        eps_hi = wedge_maps(tuples[n], tuples[n + 1], d)
+        iota_hi = [e.transpose() for e in eps_hi]
+        # d_n: S_{n+1}^{-1} eps_a S_n = ((n + 1) / d_a) eps_a, and
+        # S_{n+1}^{-1} eps_a eps_b iota_m S_n = ((n + 1) d_m / (d_a d_b)) eps_a eps_b iota_m
+        blocks = [b for a in range(d) for b in kron_blocks(eps_hi[a], f_act[a], Q(n + 1) / dd[a])]
+        if n:
+            brackets = SpMat.assemble(up, lam, [
+                (0, 0, (n + 1) * c * dd[m] / (dd[a] * dd[b]),
+                 (eps_hi[a], eps_lo[b] @ iota_lo[m]))
+                for (a, b), out in fbr.items() for m, c in out.items()
+            ])
+            blocks.extend(kron_blocks(brackets, one, -1))
+        dels.append(SpMat.assemble(up * V.dim, level.dim, blocks))
+        # dstar_n
+        blocks = [b for a in range(d) for b in kron_blocks(iota_hi[a], e_act[a], -1)]
+        if n:
+            brackets = SpMat.assemble(lam, up, [
+                (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a]))
+                for (a, b), out in ebr.items() for m, c in out.items()
+            ])
+            blocks.extend(kron_blocks(brackets, one, -1))
+        delstars.append(SpMat.assemble(level.dim, up * V.dim, blocks))
+        eps_lo, iota_lo = eps_hi, iota_hi
+    dels.append(SpMat(0, levels[d].dim))
+    delstars.append(SpMat(levels[d].dim, 0))
     return CochainComplex(
         g=g, V=V, dual=dual, levels=levels, wedge_tuples=tuples,
         dels=dels, delstars=delstars, inner=inner,
+    )
+
+
+def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
+                  iota: list[SpMat]) -> PModule:
+    """Lambda^n p_+ on the wedge basis ``tuples``, with Z acting by
+    sum_ij ad(Z)_ij eps_i iota_j for the unit wedges eps_a:
+    Lambda^{n-1} -> Lambda^n and their transposes iota_a (none when n = 0)."""
+    roots = g.pplus_roots()
+    grades = [g.grade_of(("e", r)) for r in roots]
+    weights = [g.rs.root_to_weight(r) for r in roots]
+    dim = len(tuples)
+    return PModule(
+        g=g, dim=dim,
+        e_grades=tuple(Q(sum(grades[a] for a in t)) for t in tuples),
+        actions={
+            lab: SpMat.assemble(dim, dim, [
+                (0, 0, c, (eps[i], iota[j])) for i, j, c in ad.entries()
+            ] if eps else [])
+            for lab, ad in g.pplus_action().items()
+        },
+        weights=tuple(
+            tuple(sum(weights[a][j] for a in t) for j in range(g.rs.rank)) for t in tuples
+        ),
     )
 
 
@@ -134,65 +207,6 @@ def _bracket_table(g, roots, kind: str) -> dict[tuple[int, int], dict[int, objec
                 out[ridx[lab[1]]] = c
             table[(a, b)] = out
     return table
-
-
-def _del_matrix(g, V, dual, src_tuples, tgt_tuples):
-    """d: C^n -> C^{n+1} by value transport through S_n: each block
-    (J, I) of the classical formula is scaled by S_n(I) / S_{n+1}(J)."""
-    n = len(src_tuples[0]) if src_tuples else 0
-    dv = V.dim
-    roots = dual.roots
-    unit = SpMat.identity(dv)
-    f_act = {a: V.actions[("f", roots[a])] for a in range(len(roots))}
-    fbr = _bracket_table(g, roots, "f")
-    src_idx = {t: k for k, t in enumerate(src_tuples)}
-    s_src = [_tuple_scale(dual, t) / factorial(n) for t in src_tuples]
-    blocks = []
-    for J_k, J in enumerate(tgt_tuples):
-        row0 = J_k * dv
-        s_tgt = _tuple_scale(dual, J) / factorial(n + 1)
-        for k in range(len(J)):
-            I_k = src_idx[J[:k] + J[k + 1:]]
-            blocks.append((row0, I_k * dv, (-1) ** k * s_src[I_k] / s_tgt, f_act[J[k]]))
-        for k in range(len(J)):
-            for l in range(k + 1, len(J)):
-                rest = tuple(x for ii, x in enumerate(J) if ii not in (k, l))
-                for mm, c in fbr[(J[k], J[l])].items():
-                    if mm in rest:
-                        continue
-                    merged = sorted(rest + (mm,))
-                    pos = merged.index(mm)
-                    I_k = src_idx[tuple(merged)]
-                    sgn = ((-1) ** (k + l)) * ((-1) ** pos) * c
-                    blocks.append((row0, I_k * dv, sgn * s_src[I_k] / s_tgt, unit))
-    return SpMat.assemble(len(tgt_tuples) * dv, len(src_tuples) * dv, blocks)
-
-
-def _delstar_matrix(g, V, dual, src_tuples, tgt_tuples):
-    """dstar: C^{n+1} -> C^n, decomposable formula on the wedge basis."""
-    dv = V.dim
-    roots = dual.roots
-    unit = SpMat.identity(dv)
-    e_act = {a: V.actions[("e", roots[a])] for a in range(len(roots))}
-    ebr = _bracket_table(g, roots, "e")
-    tgt_idx = {t: k for k, t in enumerate(tgt_tuples)}
-    blocks = []
-    for A_k, A in enumerate(src_tuples):
-        col0 = A_k * dv
-        for i in range(len(A)):
-            rest = A[:i] + A[i + 1:]
-            blocks.append((tgt_idx[rest] * dv, col0, (-1) ** (i + 1), e_act[A[i]]))
-        for i in range(len(A)):
-            for j in range(i + 1, len(A)):
-                rest = tuple(x for ii, x in enumerate(A) if ii not in (i, j))
-                for mm, c in ebr[(A[i], A[j])].items():
-                    if mm in rest:
-                        continue
-                    merged = sorted((mm,) + rest)
-                    pos = merged.index(mm)
-                    sgn = ((-1) ** (i + j)) * ((-1) ** pos) * c
-                    blocks.append((tgt_idx[tuple(merged)] * dv, col0, sgn, unit))
-    return SpMat.assemble(len(tgt_tuples) * dv, len(src_tuples) * dv, blocks)
 
 
 class HodgeSplit:
@@ -357,30 +371,13 @@ def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
     return Cohomology(n=n, module=mod, embedding=K, split=split)
 
 
-def wedge_insert_matrix(cc: CochainComplex, n: int, zco: dict[int, object]) -> SpMat:
-    """Exterior multiplication e_Z ^ . : C^n -> C^{n+1}; zco maps p_+ root
-    positions to coefficients."""
-    if n >= cc.top:
-        raise DegreeOverflow(f"cannot wedge out of level {n} (top {cc.top})")
-    dv = cc.V.dim
-    unit = SpMat.identity(dv)
-    tgt_idx = {t: k for k, t in enumerate(cc.wedge_tuples[n + 1])}
-    blocks = []
-    for k, t in enumerate(cc.wedge_tuples[n]):
-        for a, c in zco.items():
-            if a in t:
-                continue
-            merged = sorted(t + (a,))
-            sgn = (-1) ** merged.index(a)
-            blocks.append((tgt_idx[tuple(merged)] * dv, k * dv, sgn * c, unit))
-    return SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks)
-
-
 def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
     """(f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of C^n."""
-    return SpMat.hstack(
-        [cc.dels[n]] + [w.scale(Q(n) + 1) for w in cc.unit_wedges(n)]
-    )
+    dim = cc.dim(n)
+    wedges = cc.unit_wedges(n)
+    return SpMat.assemble(cc.dim(n + 1), (1 + len(wedges)) * dim, [(0, 0, 1, cc.dels[n])] + [
+        (0, (1 + a) * dim, n + 1, w) for a, w in enumerate(wedges)
+    ])
 
 
 def kostant_oracle(g: GradedLieAlgebra, lam_mod: Weight) -> list[list[Weight]]:

@@ -26,8 +26,9 @@ which sums the scaled blocks, drops zeros and writes each row in stored form;
 ``gather_rows``, ``place_rows`` and ``from_columns`` move rows and columns by
 index maps. A row is never changed in place once a matrix holds it (``set``
 replaces its row), so matrices share rows, and the index maps move them, and
-their denominators, without copying. The sums, scalings and stacks here are
-assembler calls too, so one loop accumulates and normalises rows.
+their denominators, without copying. The sums, scalings, stacks and
+Kronecker products here are assembler calls too (``kron_blocks`` gives the
+blocks of L (x) M), so one loop accumulates and normalises rows.
 
 Products accumulate in the assembler as well. A block M may be a product
 block (X, Y), standing for X @ Y: each row of X is multiplied out against
@@ -39,10 +40,10 @@ assembly of product blocks tested with ``is_zero``.
 
 Every kernel runs on ints. Rows are summed over the lcm of their
 denominators and each written row is divided once by the gcd of its entries
-and its denominator. Column merging, the Kronecker product and the transpose
-bring the rows they combine to a common denominator the same way. Row
-reduction is fraction-free: the forward pass starts from the stored integer
-rows divided by their content, eliminates with r <- p_j r - r_j p and
+and its denominator. Column merging and the transpose bring the rows they
+combine to a common denominator the same way. Row reduction is
+fraction-free: the forward pass starts from the stored integer rows divided
+by their content, eliminates with r <- p_j r - r_j p and
 divides by the content again, sweeping the columns left to right with the
 rows bucketed by their leading column; a rank and a set of independent
 columns read its pivots. The RREF then clears the entries above the pivots
@@ -151,6 +152,19 @@ def _row_scales(y: "SpMat") -> tuple[dict[int, int] | None, int]:
         return None, 1
     den = lcm(*ydens.values())
     return {k: den // ydens.get(k, 1) for k in y.rows}, den
+
+
+def kron_blocks(L: "SpMat", M: "SpMat", c=1) -> Iterator[tuple]:
+    """The ``SpMat.assemble`` blocks of c * (L (x) M): c L_ij times M at
+    (i M.nrows, j M.ncols) for each entry of L. Summed with other blocks in
+    one assembly, they add a Kronecker product without building it. For a
+    1x1 M = (m) that is the one block c m L, not one 1x1 block per entry."""
+    nr, nc = M.nrows, M.ncols
+    if nr == nc == 1:
+        yield 0, 0, c * M.get(0, 0), L
+        return
+    for i, j, v in L.entries():
+        yield i * nr, j * nc, c * v, M
 
 
 class LinAlgError(Exception):
@@ -580,17 +594,9 @@ class SpMat:
     def select_columns(self, col_idx: list[int]) -> "SpMat":
         return self.submatrix(list(range(self.nrows)), col_idx)
 
-    # -- kronecker (for tensor-product actions) ---------------------------
-
     def kron(self, other: "SpMat") -> "SpMat":
-        nr, nc = other.nrows, other.ncols
-        out = SpMat(self.nrows * nr, self.ncols * nc)
-        for i, r in self.rows.items():
-            di = self.dens.get(i, 1)
-            for k, b in other.rows.items():
-                row = {j * nc + l: a * v for j, a in r.items() for l, v in b.items()}
-                out._put(i * nr + k, row, di * other.dens.get(k, 1))
-        return out
+        return SpMat.assemble(self.nrows * other.nrows, self.ncols * other.ncols,
+                              kron_blocks(self, other))
 
     # -- elimination ------------------------------------------------------
 

@@ -14,10 +14,8 @@ weights and a contravariant Gram.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
-from .linalg import Q, QONE, QZERO, SpMat
+from .linalg import QONE, QZERO, SpMat, kron_blocks
 from .rootspace import (
     RootSystem,
     Weight,
@@ -310,38 +308,16 @@ def restrict_to_parabolic(m: GModule, g: GradedLieAlgebra) -> PModule:
     )
 
 
-def pplus_module(g: GradedLieAlgebra) -> PModule:
-    """p_+ with the restricted adjoint action of p (`g.pplus_action`)."""
-    roots = g.pplus_roots()
-    return PModule(
-        g=g,
-        dim=len(roots),
-        e_grades=tuple(Q(g.grade_of(("e", r))) for r in roots),
-        actions=dict(g.pplus_action()),
-        weights=tuple(g.rs.root_to_weight(r) for r in roots),
-    )
-
-
-def tensor_blocks(a1: SpMat, a2: SpMat, off: int = 0) -> list[tuple]:
-    """The action X (x) 1 + 1 (x) X on m1 (x) m2 (row-major), for X acting
-    by a1 on m1 and by a2 on m2, as `SpMat.assemble` blocks placed at
-    (off, off): a2 on each diagonal block, and c times the identity at block
-    (i, j) for each entry c of a1."""
-    n2 = a2.nrows
-    unit = SpMat.identity(n2)
-    blocks = [(off + i * n2, off + i * n2, 1, a2) for i in range(a1.nrows)]
-    blocks.extend((off + i * n2, off + j * n2, c, unit) for i, j, c in a1.entries())
-    return blocks
-
-
 def tensor(m1: PModule, m2: PModule) -> PModule:
     """m1 (x) m2, basis row-major in the factors."""
     if m1.g is not m2.g:
         raise ValueError("tensor of modules over different algebras")
     common = [l for l in m1.actions if l in m2.actions]
     dim = m1.dim * m2.dim
+    one1, one2 = SpMat.identity(m1.dim), SpMat.identity(m2.dim)
     acts = {
-        l: SpMat.assemble(dim, dim, tensor_blocks(m1.actions[l], m2.actions[l]))
+        l: SpMat.assemble(dim, dim, [*kron_blocks(m1.actions[l], one2),
+                                     *kron_blocks(one1, m2.actions[l])])
         for l in common
     }
     e_grades = tuple(
@@ -361,58 +337,6 @@ def tensor(m1: PModule, m2: PModule) -> PModule:
         g=m1.g, dim=m1.dim * m2.dim, e_grades=e_grades, actions=acts,
         weights=weights, gram=gram,
     )
-
-
-def exterior_power(m: PModule, n: int) -> PModule:
-    """Lambda^n m on increasing index tuples in lex order."""
-    if not 0 <= n <= m.dim:
-        raise ValueError(f"exterior power {n} of a {m.dim}-dimensional module")
-    tuples = list(combinations(range(m.dim), n))
-    tidx = {t: k for k, t in enumerate(tuples)}
-    unit = SpMat.identity(1)
-    acts: dict[Label, SpMat] = {}
-    for lab, A in m.actions.items():
-        terms = []
-        for k, t in enumerate(tuples):
-            for pos in range(n):
-                col = A.col_dict(t[pos])
-                for i, v in col.items():
-                    if i in t and i != t[pos]:
-                        continue
-                    lst = list(t)
-                    lst[pos] = i
-                    sign, srt = _sort_sign(lst)
-                    if sign == 0:
-                        continue
-                    terms.append((tidx[tuple(srt)], k, sign * v, unit))
-        acts[lab] = SpMat.assemble(len(tuples), len(tuples), terms)
-    e_grades = tuple(sum((m.e_grades[i] for i in t), QZERO) for t in tuples)
-    weights = None
-    if m.weights is not None:
-        rank = m.g.rs.rank
-        weights = tuple(
-            tuple(sum(m.weights[i][j] for i in t) for j in range(rank))
-            for t in tuples
-        )
-    return PModule(
-        g=m.g, dim=len(tuples), e_grades=e_grades, actions=acts, weights=weights,
-    )
-
-
-def _sort_sign(lst: list[int]) -> tuple[int, list[int]]:
-    """Insertion sort sign; 0 on duplicates."""
-    sign = 1
-    out = list(lst)
-    for a in range(1, len(out)):
-        b = a
-        while b > 0 and out[b - 1] > out[b]:
-            out[b - 1], out[b] = out[b], out[b - 1]
-            sign = -sign
-            b -= 1
-    for a in range(1, len(out)):
-        if out[a - 1] == out[a]:
-            return 0, out
-    return sign, out
 
 
 class IrrepLabel:

@@ -209,7 +209,11 @@ def build_root_system(spec) -> RootSystem:
         label = spec.strip().upper().replace(" ", "")
         C = cartan_matrix_from_series(label)
     else:
-        C = [list(map(int, row)) for row in spec]
+        # int() would read 2.7 and "2" as 2; a bool, an int subclass, is refused too
+        if not all(isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+                   for row in spec):
+            raise NotFiniteType("Cartan matrix entries must be integers")
+        C = [list(row) for row in spec]
     n = len(C)
     if n == 0 or any(len(row) != n for row in C):
         raise NotFiniteType("Cartan matrix must be square and nonempty")

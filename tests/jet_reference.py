@@ -47,7 +47,8 @@ from artifact.jetcalc import (
     semiholonomic,
 )
 from artifact.linalg import SpMat
-from artifact.repmod import PModule, pplus_module, tensor
+from artifact.repmod import PModule, tensor
+from hodge_reference import pplus_module
 
 
 def iota(sh: SemiHolonomicJet) -> SpMat | None:

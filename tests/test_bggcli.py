@@ -182,6 +182,17 @@ def test_explicit_cartan_matrix_algebra():
                     "--weight", "1,0", "diagram"])
 
 
+@pytest.mark.parametrize("cartan,weight", [
+    ("[[2.7]]", "1"), ("[[2,-1.9],[-1,2]]", "1,0"), ('[["2",-1],[-1,2]]', "1,0"),
+])
+def test_non_integer_cartan_entries_exit_2(cartan, weight, capsys):
+    """Entries are not cast to int: cast, these would run as A1 and A2."""
+    assert main(["--algebra", cartan, "--cross", "1", "--weight", weight, "cohomology"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: bad algebra {cartan!r}: Cartan matrix entries must be integers\n"
+
+
 def test_main_exit_codes(capsys):
     assert main(BASE + ["diagram"]) == 0
     capsys.readouterr()

@@ -8,7 +8,6 @@ from artifact.hodge import (
     check_weight_blocks,
     hodge_decompose,
     kostant_oracle,
-    wedge_insert_matrix,
 )
 from artifact.linalg import Q, SpMat
 from conftest import (
@@ -20,7 +19,15 @@ from conftest import (
     graded,
     replaced,
 )
-from hodge_reference import laplacian, reference_hodge_decompose
+from hodge_reference import (
+    laplacian,
+    reference_del,
+    reference_delstar,
+    reference_hodge_decompose,
+    reference_inner,
+    reference_level,
+    reference_wedge,
+)
 from linalg_reference import row_dicts, to_dense, with_row
 
 CASES = [
@@ -237,22 +244,58 @@ def test_kostant_oracle_matches_harmonics(label, sigma, weight):
         assert all(c.multiplicity == 1 for c in comps[n])
 
 
-def test_wedge_insert_anticommutes():
-    cc = complex_for("B2", (1,), (0, 0))
-    d = len(cc.g.pplus_roots())
-    for a in range(d):
-        for b in range(d):
-            Wa0 = wedge_insert_matrix(cc, 0, {a: Q(1)})
-            Wb0 = wedge_insert_matrix(cc, 0, {b: Q(1)})
-            Wa1 = wedge_insert_matrix(cc, 1, {a: Q(1)})
-            Wb1 = wedge_insert_matrix(cc, 1, {b: Q(1)})
-            assert (Wa1 @ Wb0 + Wb1 @ Wa0).is_zero()
+def test_unit_wedges_satisfy_canonical_anticommutation():
+    """eps_a eps_b + eps_b eps_a = 0 and iota_a eps_b + eps_b iota_a =
+    delta_ab on every level, with iota_a = eps_a^T."""
+    for label, sigma, weight in [("B2", (1,), (0, 0)), ("A2", (1, 2), (1, 0)),
+                                 ("G2", (1,), (0, 0))]:
+        cc = complex_for(label, sigma, weight)
+        d = len(cc.dual)
+        for n in range(cc.top + 1):
+            dim = cc.dim(n)
+            eps = cc.unit_wedges(n) if n < cc.top else []
+            below = cc.unit_wedges(n - 1) if n >= 1 else []
+            above = cc.unit_wedges(n + 1) if n + 1 < cc.top else []
+            for a in range(d):
+                for b in range(d):
+                    if above:
+                        assert SpMat.assemble(cc.dim(n + 2), dim, [
+                            (0, 0, 1, (above[a], eps[b])), (0, 0, 1, (above[b], eps[a])),
+                        ]).is_zero()
+                    blocks = [(0, 0, -int(a == b), SpMat.identity(dim))]
+                    if eps:
+                        blocks.append((0, 0, 1, (eps[a].transpose(), eps[b])))
+                    if below:
+                        blocks.append((0, 0, 1, (below[b], below[a].transpose())))
+                    assert SpMat.assemble(dim, dim, blocks).is_zero(), (label, n, a, b)
 
 
 def test_wedge_overflow():
     cc = complex_for("A1", (1,), (0,))
     with pytest.raises(DegreeOverflow):
-        wedge_insert_matrix(cc, cc.top, {0: Q(1)})
+        cc.unit_wedges(cc.top)
+
+
+REFERENCE_CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws] + [
+    ("G2", (1,), (1, 1)), ("B3", (1, 2, 3), (0, 0, 0)), ("G2", (1, 2), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("label,sigma,weight", REFERENCE_CASES)
+def test_complex_equals_decomposable_reference(label, sigma, weight):
+    """Every level action, d, dstar, unit wedge and inner product built from
+    eps_a and iota_a equals the decomposable formula, entry for entry."""
+    cc = complex_for(label, sigma, weight)
+    for n in range(cc.top + 1):
+        want = reference_level(cc, n)
+        got = cc.levels[n]
+        assert got.actions == want.actions
+        assert (got.dim, got.e_grades, got.weights) == (want.dim, want.e_grades, want.weights)
+        assert cc.inner[n] == reference_inner(cc, n)
+        if n < cc.top:
+            assert cc.dels[n] == reference_del(cc, n)
+            assert cc.delstars[n] == reference_delstar(cc, n)
+            assert cc.unit_wedges(n) == [reference_wedge(cc, n, a) for a in range(len(cc.dual))]
 
 
 def test_weight_block_certificate_refuses_moved_column():

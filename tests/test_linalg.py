@@ -94,6 +94,10 @@ def test_kron_shapes_and_values():
     for i in range(6):
         for j in range(6):
             assert K.get(i, j) == da[i // 3][j // 2] * db[i % 3][j % 2]
+    # a 1x1 factor on either side, the one-block path included
+    for m in (SpMat.from_dense([[Q(-2, 3)]]), SpMat(1, 1), SpMat.identity(1)):
+        assert A.kron(m) == reference_kron(A, m)
+        assert m.kron(A) == reference_kron(m, A)
 
 
 def test_rref_shape_and_rank():

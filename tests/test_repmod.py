@@ -13,14 +13,13 @@ from artifact.repmod import (
     PModule,
     build_irrep,
     decompose_completely_reducible,
-    exterior_power,
     layered_closure,
-    pplus_module,
     restrict_to_parabolic,
     tensor,
 )
 from artifact.rootspace import NonDominant, build_root_system
 from conftest import graded
+from hodge_reference import pplus_module
 
 
 @pytest.mark.parametrize(
@@ -209,18 +208,6 @@ def test_tensor_and_dual_actions():
             SpMat.identity(V.dim), W.actions[l]
         )
         assert (T.actions[l] - expect).is_zero()
-
-
-def test_exterior_power_of_standard():
-    g = graded("A2", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1, 0)), g)
-    L2 = exterior_power(V, 2)
-    assert L2.dim == 3
-    assert sorted(L2.weights) == sorted([(0, 1), (1, -1), (-1, 0)])
-    L3 = exterior_power(V, 3)
-    assert L3.dim == 1
-    # top power of sl-standard is the trivial weight
-    assert L3.weights[0] == (0, 0)
 
 
 def test_decompose_weight_lines_on_borel_side():
