@@ -231,19 +231,21 @@ class GradedLieAlgebra:
         lab = ("e", tot) if rs.is_positive(tot) else ("f", _neg(tot))
         return {lab: nval}
 
-    def adjoint_matrix(self, label: Label) -> SpMat:
-        out = SpMat(self.dim, self.dim)
-        for j, l2 in enumerate(self.basis):
-            for l3, c in self.bracket_labels(label, l2).items():
-                out.set(self.index[l3], j, c)
-        return out
-
-    def killing_pairing(self, r: Root):
-        """B(e_r, f_r) without assembling the whole Gram matrix."""
-        ade = self.adjoint_matrix(("e", r))
-        adf = self.adjoint_matrix(("f", r))
-        prod = ade @ adf
-        return sum(prod.get(i, i) for i in range(self.dim))
+    def killing_pairing(self, r: Root) -> int:
+        """B(e_r, f_r) = tr(ad e_r ad f_r): the coefficient of each basis
+        label l in [e_r, [f_r, l]], summed. The structure constants are
+        integers, so the trace is one."""
+        e, f = ("e", r), ("f", r)
+        tr = sum(
+            c * c2
+            for l in self.basis
+            for l2, c in self.bracket_labels(f, l).items()
+            for l3, c2 in self.bracket_labels(e, l2).items()
+            if l3 == l
+        )
+        if tr.denominator != 1:
+            raise AlgebraNotCertified(f"Killing pairing of {r} is not an integer")
+        return int(tr)
 
     def grading_element(self) -> dict[Label, object]:
         """E in the Cartan with alpha_i(E) = 1 exactly at crossed nodes;

@@ -249,8 +249,8 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     weight space of mu (``check_weight_blocks`` certifies that their bases
     together are a basis). G_n = +-diag(prod_a d_a) (x) Gram_V pairs each
     weight space with itself, and its block there is nondegenerate, since
-    ``build_irrep`` admits a basis word only on a nonzero Schur complement
-    of the contravariant Gram. So v = 0.
+    ``build_irrep`` certifies the contravariant Gram of each weight space
+    nonsingular by its rank. So v = 0.
 
     With room, the kernel must have exactly that many columns, or
     ``ComplexNotCertified`` is raised. ``kernel_basis`` is canonical (it

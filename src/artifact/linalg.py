@@ -8,27 +8,26 @@ handful of derived routines (rank, kernel, solve, a column basis) the rest
 of the package needs. It is the one home of elimination: every span, rank
 and closure elsewhere is a call to these.
 
-The scalar type Q is gmpy2.mpq when available, fractions.Fraction otherwise.
-A matrix stores each row as a dict of Python ints over one positive integer
-denominator: row i is ``rows[i] / dens[i]``, and ``dens`` holds only the
-denominators that are not 1, so an integral matrix is stored as plain int
-rows. A stored row is in lowest terms (the gcd of its entries and its
-denominator is 1), holds no zero and is never empty, so the form is canonical
-and two matrices are equal exactly when their dicts are. Q is built only at
-the boundary: ``get``, ``entries`` and ``col_dict`` hand out an entry as an
-int when integral and as Q otherwise, and the constructors and ``set`` take
-any rational.
+The scalar type Q is fractions.Fraction. A matrix stores each row as a dict
+of Python ints over one positive integer denominator: row i is
+``rows[i] / dens[i]``, and ``dens`` holds only the denominators that are not
+1, so an integral matrix is stored as plain int rows. A stored row is in
+lowest terms (the gcd of its entries and its denominator is 1), holds no
+zero and is never empty, so the form is canonical and two matrices are equal
+exactly when their dicts are. Q is built only at the boundary: ``get``,
+``entries`` and ``col_dict`` hand out an entry as an int when integral and
+as Q otherwise, and the constructors take any rational.
 
 The row format is private to this module: no other module reads or writes
 ``rows`` or ``dens``. Code elsewhere builds a matrix from blocks with one
 assembler, ``SpMat.assemble(nrows, ncols, [(row_off, col_off, coef, M), ...])``,
 which sums the scaled blocks, drops zeros and writes each row in stored form;
 ``gather_rows``, ``place_rows`` and ``from_columns`` move rows and columns by
-index maps. A row is never changed in place once a matrix holds it (``set``
-replaces its row), so matrices share rows, and the index maps move them, and
-their denominators, without copying. The sums, scalings, stacks and
-Kronecker products here are assembler calls too (``kron_blocks`` gives the
-blocks of L (x) M), so one loop accumulates and normalises rows.
+index maps. A matrix is never changed after it is built, so matrices share
+rows, and the index maps move them, and their denominators, without
+copying. The sums, scalings, stacks and Kronecker products here are
+assembler calls too (``kron_blocks`` gives the blocks of L (x) M), so one
+loop accumulates and normalises rows.
 
 Products accumulate in the assembler as well. A block M may be a product
 block (X, Y), standing for X @ Y: each row of X is multiplied out against
@@ -54,15 +53,10 @@ the result is the one plain rational elimination gives.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import Fraction as Q
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Iterator
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:
-    Q = Fraction
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -78,7 +72,7 @@ def _nd(v) -> tuple[int, int]:
     lowest terms, positive denominator."""
     if type(v) is int:
         return v, 1
-    return int(v.numerator), int(v.denominator)
+    return v.numerator, v.denominator
 
 
 def _quo(num: int, den: int):
@@ -247,10 +241,6 @@ class SpMat:
         })
 
     @classmethod
-    def column(cls, vec: Iterable) -> "SpMat":
-        return cls.from_dense([[v] for v in vec])
-
-    @classmethod
     def assemble(cls, nrows: int, ncols: int, blocks: Iterable[tuple]) -> "SpMat":
         """The nrows x ncols matrix sum of coef * M over the blocks
         (row_off, col_off, coef, M), with M's (0, 0) entry placed at
@@ -404,23 +394,6 @@ class SpMat:
             return QZERO
         d = self.dens.get(i)
         return v if d is None else _quo(v, d)
-
-    def set(self, i: int, j: int, v) -> None:
-        """Write entry (i, j). The row is replaced, not changed in place:
-        matrices may share rows."""
-        row = dict(self.rows.get(i, ()))
-        den = self.dens.get(i, 1)
-        num, d = _nd(v)
-        if num:
-            if den % d:
-                s = lcm(den, d) // den
-                for c in row:
-                    row[c] *= s
-                den *= s
-            row[j] = num * (den // d)
-        else:
-            row.pop(j, None)
-        self._put(i, row, den)
 
     def entries(self) -> Iterator[tuple[int, int, object]]:
         for i in sorted(self.rows):

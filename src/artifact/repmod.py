@@ -1,11 +1,26 @@
 """Finite dimensional modules: irreducibles, contravariant forms, functors.
 
-Irreducibles are built from words in the lowering generators acting on a
-highest weight vector. The contravariant (Shapovalov) pairing of two words is
-evaluated by commuting raising generators through, and a word joins the basis
-of its weight space exactly when it enlarges the rank of the contravariant
-Gram there; expressing rejected words against that Gram realizes the radical
-quotient without ever writing down a Verma basis.
+The irreducible V(lam) is built from words in the lowering generators acting
+on a highest weight vector v, one weight space at a time, layer by layer in
+the depth of the weight below lam. The candidates of a weight nu are the
+words f_i . w, w a basis word of the last layer, in that layer's order, and
+they span V_nu. Their contravariant (Shapovalov) pairing P, evaluated on
+words by commuting raising generators through, is a Gram matrix of these
+vectors, and the form is nondegenerate on V(lam), so the columns of P have
+exactly the linear relations of the candidate vectors. The basis of V_nu is
+``P.independent_columns()``: the lexicographically first maximal
+independent candidates. The form is moreover positive definite on V(lam) for
+dominant integral lam (Kac, *Infinite-dimensional Lie algebras*, Thm 11.7),
+so a candidate is independent of the earlier ones exactly when its Schur
+complement against the Gram of the kept ones is nonzero: this basis is the
+one a candidate-by-candidate greedy choice gives.
+
+G_nu = P[keep, keep] is certified nonsingular by its rank (for a symmetric P
+that always holds, so the check guards the pairing's symmetry), and one
+``G_nu.solve(P[keep, :])`` gives the coordinates of every candidate, which
+are the columns of the f_i into V_nu. The Gram of V is the block diagonal of
+the G_nu, and contravariance, <e_i x, y> = <x, f_i y>, gives
+e_i = Gram^-1 f_i^T Gram. No Verma basis is ever written down.
 
 PModule is the common currency downstream: a space with exact action matrices
 keyed by Chevalley basis labels, rational E-grades, and (when meaningful) full
@@ -15,7 +30,7 @@ weights and a contravariant Gram.
 from __future__ import annotations
 
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
-from .linalg import QONE, QZERO, SpMat, kron_blocks
+from .linalg import SpMat, kron_blocks
 from .rootspace import (
     RootSystem,
     Weight,
@@ -65,46 +80,43 @@ class _WordCalc:
         return hit
 
     def raise_word(self, i: int, word: tuple) -> dict[tuple, int]:
-        """e_i . word as a formal combination of shorter words."""
+        """e_i . word as a formal combination of shorter words. e_i commutes
+        past f_j for j != i and kills v, and e_i f_i u = f_i e_i u + h_i u, so
+        each letter i of the word is deleted in turn, with the coefficient
+        <weight of the letters right of it, alpha_i^vee>."""
         key = (i, word)
         hit = self._ememo.get(key)
-        if hit is not None:
-            return hit
-        if not word:
+        if hit is None:
+            row = self.rs.cartan[i]
+            c = self.lam[i]
             out: dict[tuple, int] = {}
-        else:
-            j, rest = word[0], word[1:]
-            out = {}
-            if i == j:
-                c = self.weight(rest)[i]
-                if c:
-                    out[rest] = c
-            for w, c in self.raise_word(i, rest).items():
-                k = (j,) + w
-                s = out.get(k, 0) + c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        self._ememo[key] = out
-        return out
+            for q in range(len(word) - 1, -1, -1):
+                j = word[q]
+                if j == i:
+                    w = word[:q] + word[q + 1:]
+                    out[w] = out.get(w, 0) + c
+                c -= row[j]
+            hit = self._ememo[key] = {w: v for w, v in out.items() if v}
+        return hit
 
     def pair(self, w1: tuple, w2: tuple) -> int:
-        """Contravariant pairing <w1 . v, w2 . v>, normalized <v,v> = 1."""
+        """Contravariant pairing <w1 . v, w2 . v>, normalized <v,v> = 1. The
+        pairing is symmetric, so the memo holds each unordered pair once."""
         if len(w1) != len(w2):
             return 0
         if not w1:
             return 1
-        key = (w1, w2)
-        hit = self._pmemo.get(key)
-        if hit is not None:
-            return hit
-        i, rest = w1[0], w1[1:]
-        total = 0
-        for w, c in self.raise_word(i, w2).items():
-            total += c * self.pair(rest, w)
-        self._pmemo[key] = total
-        return total
+        key = (w1, w2) if w1 <= w2 else (w2, w1)
+        memo = self._pmemo
+        hit = memo.get(key)
+        if hit is None:
+            rest = w1[1:]
+            hit = 0
+            for w, c in self.raise_word(w1[0], w2).items():
+                v = memo.get((rest, w) if rest <= w else (w, rest))
+                hit += c * (self.pair(rest, w) if v is None else v)
+            memo[key] = hit
+        return hit
 
 
 class GModule:
@@ -121,36 +133,13 @@ class GModule:
         return type(other) is GModule and vars(self) == vars(other)
 
 
-def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
-    """Coordinates of any word in its weight-space basis (zero vector when
-    the weight space is absent), memoised in ``coords``. Words reached by
-    deleting letters from a basis word were not always direct candidates,
-    hence the recursion. A module-level function, not a closure: a closure
-    that calls itself is a reference cycle, which would keep ``coords`` alive
-    until the cyclic collector runs."""
-    mu = wc.weight(word)
-    if not basis_by_weight.get(mu):
-        return []
-    hit = coords.get(word)
-    if hit is not None:
-        return hit
-    j, rest = word[0], word[1:]
-    rvec = _resolve(rest, wc, basis_by_weight, coords)
-    nu = wc.weight(rest)
-    out = [QZERO] * len(basis_by_weight[mu])
-    for k, c in enumerate(rvec):
-        if not c:
-            continue
-        child = coords[(j,) + basis_by_weight[nu][k]]
-        for t, v in enumerate(child):
-            out[t] += c * v
-    coords[word] = out
-    return out
-
-
 def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
     """Irreducible module of highest weight lam; raises NonDominant or
-    DimensionOverBudget before doing any real work."""
+    DimensionOverBudget before doing any real work.
+
+    Weight spaces are built layer by layer, each from one pairing matrix of
+    its candidate words (module docstring). Each G_nu is certified
+    nonsingular by its rank, and the basis against the Weyl dimension."""
     total = weyl_dimension(rs, lam)  # validates dominance
     if total > max_dim:
         raise DimensionOverBudget(
@@ -158,118 +147,60 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
         )
     n = rs.rank
     wc = _WordCalc(rs, lam)
-
-    basis_by_weight: dict[Weight, list[tuple]] = {tuple(lam): [()]}
-    gram_by_weight: dict[Weight, list[list]] = {tuple(lam): [[QONE]]}
-    coords: dict[tuple, list] = {(): [QONE]}
-    layer = [()]
-    count = 1
-    while layer:
-        # candidates (i,)+w for w in the previous layer, grouped by weight
-        cands: dict[Weight, list[tuple]] = {}
-        for w in layer:
+    words: list[tuple] = [()]
+    weights: list[Weight] = [tuple(lam)]
+    grams = [SpMat.identity(1)]
+    f_blocks: list[list[tuple]] = [[] for _ in range(n)]
+    start = 0
+    while start < len(words):
+        # the candidates f_i . w, w in the last layer, grouped by weight;
+        # (i, k) stands for f_i applied to basis word k
+        cands: dict[Weight, list[tuple[int, int]]] = {}
+        for k in range(start, len(words)):
             for i in range(n):
-                nw = (i,) + w
-                cands.setdefault(wc.weight(nw), []).append(nw)
-        layer = []
-        for mu in sorted(cands):
-            for w in cands[mu]:
-                if w in coords:
-                    continue
-                cur = basis_by_weight.setdefault(mu, [])
-                G = gram_by_weight.setdefault(mu, [])
-                row = [wc.pair(w, b) for b in cur]
-                diag = wc.pair(w, w)
-                if cur:
-                    Gm = SpMat.from_dense(G)
-                    rv = SpMat.column(row)
-                    x = Gm.solve(rv)
-                    xs = [x.get(k, 0) for k in range(len(cur))]
-                    schur = diag - sum(a * b for a, b in zip(row, xs))
-                else:
-                    xs = []
-                    schur = diag
-                if schur:
-                    for k, r in enumerate(G):
-                        r.append(row[k])
-                    G.append(row + [diag])
-                    cur.append(w)
-                    coords[w] = [QZERO] * (len(cur) - 1) + [QONE]
-                    for ww in cur[:-1]:
-                        coords[ww] = coords[ww] + [QZERO]
-                    # previously expressed words at mu gain a zero coordinate
-                    for ww, vec in coords.items():
-                        if wc.weight(ww) == mu and len(vec) == len(cur) - 1 and ww not in cur:
-                            coords[ww] = vec + [QZERO]
-                    layer.append(w)
-                    count += 1
-                    if count > total:
-                        raise ModuleNotCertified("basis exceeded Weyl dimension")
-                else:
-                    coords[w] = xs
-    if count != total:
-        raise ModuleNotCertified(f"basis has {count} words, Weyl dimension is {total}")
-    basis_by_weight = {mu: ws for mu, ws in basis_by_weight.items() if ws}
-
-    # all words in one weight space share their length, which is the depth
-    weight_order = sorted(
-        basis_by_weight, key=lambda mu: (len(basis_by_weight[mu][0]), mu)
-    )
-    words: list[tuple] = []
-    weights: list[Weight] = []
-    offset: dict[Weight, int] = {}
-    for mu in weight_order:
-        offset[mu] = len(words)
-        for w in basis_by_weight[mu]:
-            words.append(w)
-            weights.append(mu)
-    def global_coords(word: tuple, mu: Weight) -> dict[int, object]:
-        vec = _resolve(word, wc, basis_by_weight, coords)
-        off = offset[mu]
-        return {off + k: v for k, v in enumerate(vec) if v}
-
-    f_mats = [SpMat(total, total) for _ in range(n)]
-    e_mats = [SpMat(total, total) for _ in range(n)]
-    h_mats = [SpMat(total, total) for _ in range(n)]
-    alpha_w = [
-        tuple(rs.cartan[j][i] for j in range(n)) for i in range(n)
-    ]  # alpha_i in fundamental coordinates
-    for k, w in enumerate(words):
-        mu = weights[k]
-        for i in range(n):
-            h_mats[i].set(k, k, mu[i])
-            low = tuple(a - b for a, b in zip(mu, alpha_w[i]))
-            if low in offset:
-                for r, v in global_coords((i,) + w, low).items():
-                    f_mats[i].set(r, k, v)
-            up = tuple(a + b for a, b in zip(mu, alpha_w[i]))
-            if up in offset:
-                acc: dict[int, object] = {}
-                for ww, c in wc.raise_word(i, w).items():
-                    for r, v in global_coords(ww, up).items():
-                        s = acc.get(r, QZERO) + c * v
-                        if s:
-                            acc[r] = s
-                        else:
-                            acc.pop(r, None)
-                for r, v in acc.items():
-                    e_mats[i].set(r, k, v)
-    gram = SpMat(total, total)
-    for mu, cur in basis_by_weight.items():
-        off = offset[mu]
-        G = gram_by_weight[mu]
-        for a in range(len(cur)):
-            for b in range(len(cur)):
-                gram.set(off + a, off + b, G[a][b])
+                cands.setdefault(wc.weight((i,) + words[k]), []).append((i, k))
+        start = len(words)
+        for nu in sorted(cands):
+            cw = [(i,) + words[k] for i, k in cands[nu]]
+            m = len(cw)
+            P = SpMat.from_entries(m, m, {
+                (a, b): wc.pair(wa, wb) for a, wa in enumerate(cw) for b, wb in enumerate(cw)
+            })
+            keep = P.independent_columns()
+            if not keep:
+                continue
+            G = P.submatrix(keep, keep)
+            if G.rank() != len(keep):
+                raise ModuleNotCertified(f"contravariant Gram of weight {nu} is singular")
+            # the coordinates of every candidate in the kept basis; the
+            # candidates f_i . w of one i are f_i on a whole weight space
+            X = G.solve(P.gather_rows(keep))
+            for i in range(n):
+                cols = [a for a, (j, _) in enumerate(cands[nu]) if j == i]
+                if cols:
+                    f_blocks[i].append(
+                        (len(words), cands[nu][cols[0]][1], 1, X.select_columns(cols))
+                    )
+            words.extend(cw[a] for a in keep)
+            weights.extend([nu] * len(keep))
+            grams.append(G)
+            if len(words) > total:
+                raise ModuleNotCertified("basis exceeded Weyl dimension")
+    if len(words) != total:
+        raise ModuleNotCertified(f"basis has {len(words)} words, Weyl dimension is {total}")
+    gram = SpMat.block_diag(grams)
+    gram_inv = gram.solve(SpMat.identity(total))
+    f_mats = tuple(SpMat.assemble(total, total, blocks) for blocks in f_blocks)
     return GModule(
         rs=rs,
         lam=tuple(lam),
         dim=total,
         words=tuple(words),
         weights=tuple(weights),
-        e_mats=tuple(e_mats),
-        f_mats=tuple(f_mats),
-        h_mats=tuple(h_mats),
+        # contravariance, <e_i x, y> = <x, f_i y>
+        e_mats=tuple(gram_inv @ (f.transpose() @ gram) for f in f_mats),
+        f_mats=f_mats,
+        h_mats=tuple(SpMat.diagonal(mu[i] for mu in weights) for i in range(n)),
         gram=gram,
     )
 

@@ -15,7 +15,6 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .linalg import Q
 
@@ -96,7 +95,7 @@ def _symmetrizers(C: list[list[int]]) -> list:
     for start in range(n):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        d[start] = Q(1)
         stack = [start]
         while stack:
             i = stack.pop()
@@ -105,14 +104,14 @@ def _symmetrizers(C: list[list[int]]) -> list:
                     continue
                 if C[j][i] == 0:
                     raise NotFiniteType("asymmetric zero pattern")
-                val = d[i] * Fraction(C[i][j], C[j][i])
+                val = d[i] * Q(C[i][j], C[j][i])
                 if d[j] is None:
                     d[j] = val
                     stack.append(j)
                 elif d[j] != val:
                     raise NotFiniteType("Cartan matrix is not symmetrizable")
     m = min(d)
-    return [Q((x / m).numerator, (x / m).denominator) for x in d]
+    return [x / m for x in d]
 
 
 def _check_positive_definite(C: list[list[int]], d: list) -> None:

@@ -1,10 +1,11 @@
-"""Reference brackets and the Killing form, on the structure constants of
-`artifact.gradedla`.
+"""Reference brackets, adjoint matrices and the Killing form, on the
+structure constants of `artifact.gradedla`.
 
 The pipeline needs only the Killing pairing B(e_r, f_r) of each p_+ root
-(`GradedLieAlgebra.killing_pairing`, for the dual bases). The tests check
-the structure constants against the Jacobi identity and the invariance of
-the whole Killing form, which are built here.
+(`GradedLieAlgebra.killing_pairing`, a trace over the brackets, for the dual
+bases). The tests check the structure constants against the Jacobi identity
+and the invariance of the whole Killing form, and the pairing against the
+trace of a product of adjoint matrices, which are built here.
 """
 
 from __future__ import annotations
@@ -27,22 +28,33 @@ def bracket_vec(g: GradedLieAlgebra, v1: dict, v2: dict) -> dict:
     return out
 
 
+def adjoint_matrix(g: GradedLieAlgebra, label: Label) -> SpMat:
+    """ad(label) on g, in the basis order of g."""
+    return SpMat.from_entries(g.dim, g.dim, {
+        (g.index[l3], j): c
+        for j, l2 in enumerate(g.basis)
+        for l3, c in g.bracket_labels(label, l2).items()
+    })
+
+
+def trace(m: SpMat):
+    return sum(m.get(i, i) for i in range(m.nrows))
+
+
 def killing_form(g: GradedLieAlgebra) -> SpMat:
     """Gram matrix of B on the basis (trace form of the adjoint action)."""
     rs = g.rs
-    out = SpMat(g.dim, g.dim)
+    entries = {}
     # h-block: B(h_i, h_j) = sum over roots of <alpha_i^vee, r><alpha_j^vee, r>
     for i in range(rs.rank):
         for j in range(rs.rank):
             s = QZERO
             for r in rs.pos_roots:
                 s += 2 * rs.coroot_pairing(i, r) * rs.coroot_pairing(j, r)
-            out.set(g.index[("h", i)], g.index[("h", j)], s)
+            entries[g.index[("h", i)], g.index[("h", j)]] = s
     # root pairs: only B(e_a, f_a) survives by weight bookkeeping
     for r in rs.pos_roots:
-        prod = g.adjoint_matrix(("e", r)) @ g.adjoint_matrix(("f", r))
-        tr = sum(prod.get(i, i) for i in range(g.dim))
+        tr = trace(adjoint_matrix(g, ("e", r)) @ adjoint_matrix(g, ("f", r)))
         ie, jf = g.index[("e", r)], g.index[("f", r)]
-        out.set(ie, jf, tr)
-        out.set(jf, ie, tr)
-    return out
+        entries[ie, jf] = entries[jf, ie] = tr
+    return SpMat.from_entries(g.dim, g.dim, entries)

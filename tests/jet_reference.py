@@ -113,30 +113,27 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
     pi_prev = truncation_matrix(d, dv, k - 1)
     m_jet = SpMat.block_diag([pi_prev] * (1 + d))
     iota_prev = prev.iota if prev.iota is not None else SpMat.identity(prev_dim)
-    foot = SpMat(prev_dim, amb.dim)
-    for i in range(prev_dim):
-        foot.set(i, i, 1)
-    m_foot = iota_prev @ foot
+    m_foot = iota_prev @ SpMat.identity(prev_dim, amb.dim)
     diff = m_jet - m_foot
 
     dims = [d**j * dv for j in range(k + 1)]
     new_dim = sum(dims)
     offs = [sum(dims[:j]) for j in range(k + 1)]
-    iota = SpMat(amb.dim, new_dim)
+    entries = {}
     for j in range(k):
         for i in range(dims[j]):
-            iota.set(offs[j] + i, offs[j] + i, 1)
+            entries[offs[j] + i, offs[j] + i] = 1
     for j in range(1, k + 1):
         for a in range(d):
             for t in range(dims[j - 1]):
                 amb_row = prev_dim * (1 + a) + offs[j - 1] + t
                 col = offs[j] + a * dims[j - 1] + t
-                iota.set(amb_row, col, iota.get(amb_row, col) + 1)
+                entries[amb_row, col] = entries.get((amb_row, col), 0) + 1
+    iota = SpMat.from_entries(amb.dim, new_dim, entries)
     if not (diff @ iota).is_zero():
         raise AssertionError("iota leaves the equalizer")
     if diff.rank() != amb.dim - new_dim:
         raise AssertionError("the equalizer is not the direct-sum model")
-    sel = SpMat(new_dim, amb.dim)
     pick = [0] * new_dim
     for j in range(k):
         for i in range(dims[j]):
@@ -144,8 +141,7 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
     for a in range(d):
         for t in range(dims[k - 1]):
             pick[offs[k] + a * dims[k - 1] + t] = prev_dim * (1 + a) + offs[k - 1] + t
-    for p, q in enumerate(pick):
-        sel.set(p, q, 1)
+    sel = SpMat.from_entries(new_dim, amb.dim, {(p, q): 1 for p, q in enumerate(pick)})
     if sel @ iota != SpMat.identity(new_dim):
         raise AssertionError("sel is not a left inverse of iota")
     acts = {}
@@ -242,17 +238,13 @@ def chain_embedding(g: GradedLieAlgebra, dv: int, k: int) -> SpMat:
     jdim = (1 + d) * dv
     tgt_dims = [d**j * jdim for j in range(k + 1)]
     tgt_offs = [sum(tgt_dims[:j]) for j in range(k + 1)]
-    out = SpMat(sum(tgt_dims), sum(src_dims))
+    entries = {}
     for j in range(k + 2):
         # footpoint chain: T_j(W) -> (x)^j p_+ (x) (W part of J^1 W), j <= k
         if j <= k:
             for m in range(d**j):
                 for s in range(dv):
-                    out.set(
-                        tgt_offs[j] + m * jdim + s,
-                        src_offs[j] + m * dv + s,
-                        1,
-                    )
+                    entries[tgt_offs[j] + m * jdim + s, src_offs[j] + m * dv + s] = 1
         # tensor chain: T_j(W) = (x)^{j-1} p_+ (x) (p_+ (x) W part), j >= 1
         if 1 <= j:
             for mprime in range(d ** (j - 1)):
@@ -260,8 +252,8 @@ def chain_embedding(g: GradedLieAlgebra, dv: int, k: int) -> SpMat:
                     for s in range(dv):
                         row = tgt_offs[j - 1] + mprime * jdim + dv + a * dv + s
                         col = src_offs[j] + (mprime * d + a) * dv + s
-                        out.set(row, col, out.get(row, col) + 1)
-    return out
+                        entries[row, col] = entries.get((row, col), 0) + 1
+    return SpMat.from_entries(sum(tgt_dims), sum(src_dims), entries)
 
 
 def reference_splitter(gs, maps) -> SpMat:

@@ -1,0 +1,176 @@
+"""The irreducible module built one candidate word at a time: a reference
+for `artifact.repmod.build_irrep`.
+
+This is the construction `build_irrep` used before it built each weight
+space from one contravariant Gram. A candidate word f_i . w joins the basis
+of its weight space when the Schur complement of its pairing against the
+words kept so far is nonzero, each rejected word is expressed against that
+Gram with one solve, the coordinates of any word are resolved recursively
+through its tail, and e_i is read off ``raise_word``. The matrices are
+collected entry by entry and built with ``SpMat.from_entries``. The tests
+check that both constructions give equal modules.
+"""
+
+from __future__ import annotations
+
+from artifact.linalg import QONE, QZERO, SpMat
+from artifact.repmod import (
+    MAX_MODULE_DIM,
+    DimensionOverBudget,
+    GModule,
+    ModuleNotCertified,
+    _WordCalc,
+)
+from artifact.rootspace import RootSystem, Weight, weyl_dimension
+
+
+def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
+    """Coordinates of any word in its weight-space basis (zero vector when
+    the weight space is absent), memoised in ``coords``. Words reached by
+    deleting letters from a basis word were not always direct candidates,
+    hence the recursion. A module-level function, not a closure: a closure
+    that calls itself is a reference cycle, which would keep ``coords`` alive
+    until the cyclic collector runs."""
+    mu = wc.weight(word)
+    if not basis_by_weight.get(mu):
+        return []
+    hit = coords.get(word)
+    if hit is not None:
+        return hit
+    j, rest = word[0], word[1:]
+    rvec = _resolve(rest, wc, basis_by_weight, coords)
+    nu = wc.weight(rest)
+    out = [QZERO] * len(basis_by_weight[mu])
+    for k, c in enumerate(rvec):
+        if not c:
+            continue
+        child = coords[(j,) + basis_by_weight[nu][k]]
+        for t, v in enumerate(child):
+            out[t] += c * v
+    coords[word] = out
+    return out
+
+
+def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
+    """Irreducible module of highest weight lam, one candidate word at a time."""
+    total = weyl_dimension(rs, lam)  # validates dominance
+    if total > max_dim:
+        raise DimensionOverBudget(
+            f"dim V({tuple(lam)}) = {total} exceeds budget {max_dim}"
+        )
+    n = rs.rank
+    wc = _WordCalc(rs, lam)
+
+    basis_by_weight: dict[Weight, list[tuple]] = {tuple(lam): [()]}
+    gram_by_weight: dict[Weight, list[list]] = {tuple(lam): [[QONE]]}
+    coords: dict[tuple, list] = {(): [QONE]}
+    layer = [()]
+    count = 1
+    while layer:
+        # candidates (i,)+w for w in the previous layer, grouped by weight
+        cands: dict[Weight, list[tuple]] = {}
+        for w in layer:
+            for i in range(n):
+                nw = (i,) + w
+                cands.setdefault(wc.weight(nw), []).append(nw)
+        layer = []
+        for mu in sorted(cands):
+            for w in cands[mu]:
+                if w in coords:
+                    continue
+                cur = basis_by_weight.setdefault(mu, [])
+                G = gram_by_weight.setdefault(mu, [])
+                row = [wc.pair(w, b) for b in cur]
+                diag = wc.pair(w, w)
+                if cur:
+                    Gm = SpMat.from_dense(G)
+                    rv = SpMat.from_dense([[v] for v in row])
+                    x = Gm.solve(rv)
+                    xs = [x.get(k, 0) for k in range(len(cur))]
+                    schur = diag - sum(a * b for a, b in zip(row, xs))
+                else:
+                    xs = []
+                    schur = diag
+                if schur:
+                    for k, r in enumerate(G):
+                        r.append(row[k])
+                    G.append(row + [diag])
+                    cur.append(w)
+                    coords[w] = [QZERO] * (len(cur) - 1) + [QONE]
+                    for ww in cur[:-1]:
+                        coords[ww] = coords[ww] + [QZERO]
+                    # previously expressed words at mu gain a zero coordinate
+                    for ww, vec in coords.items():
+                        if wc.weight(ww) == mu and len(vec) == len(cur) - 1 and ww not in cur:
+                            coords[ww] = vec + [QZERO]
+                    layer.append(w)
+                    count += 1
+                    if count > total:
+                        raise ModuleNotCertified("basis exceeded Weyl dimension")
+                else:
+                    coords[w] = xs
+    if count != total:
+        raise ModuleNotCertified(f"basis has {count} words, Weyl dimension is {total}")
+    basis_by_weight = {mu: ws for mu, ws in basis_by_weight.items() if ws}
+
+    # all words in one weight space share their length, which is the depth
+    weight_order = sorted(
+        basis_by_weight, key=lambda mu: (len(basis_by_weight[mu][0]), mu)
+    )
+    words: list[tuple] = []
+    weights: list[Weight] = []
+    offset: dict[Weight, int] = {}
+    for mu in weight_order:
+        offset[mu] = len(words)
+        for w in basis_by_weight[mu]:
+            words.append(w)
+            weights.append(mu)
+    def global_coords(word: tuple, mu: Weight) -> dict[int, object]:
+        vec = _resolve(word, wc, basis_by_weight, coords)
+        off = offset[mu]
+        return {off + k: v for k, v in enumerate(vec) if v}
+
+    f_mats = [{} for _ in range(n)]
+    e_mats = [{} for _ in range(n)]
+    h_mats = [{} for _ in range(n)]
+    alpha_w = [
+        tuple(rs.cartan[j][i] for j in range(n)) for i in range(n)
+    ]  # alpha_i in fundamental coordinates
+    for k, w in enumerate(words):
+        mu = weights[k]
+        for i in range(n):
+            h_mats[i][k, k] = mu[i]
+            low = tuple(a - b for a, b in zip(mu, alpha_w[i]))
+            if low in offset:
+                for r, v in global_coords((i,) + w, low).items():
+                    f_mats[i][r, k] = v
+            up = tuple(a + b for a, b in zip(mu, alpha_w[i]))
+            if up in offset:
+                acc: dict[int, object] = {}
+                for ww, c in wc.raise_word(i, w).items():
+                    for r, v in global_coords(ww, up).items():
+                        s = acc.get(r, QZERO) + c * v
+                        if s:
+                            acc[r] = s
+                        else:
+                            acc.pop(r, None)
+                for r, v in acc.items():
+                    e_mats[i][r, k] = v
+    gram = {}
+    for mu, cur in basis_by_weight.items():
+        off = offset[mu]
+        G = gram_by_weight[mu]
+        for a in range(len(cur)):
+            for b in range(len(cur)):
+                gram[off + a, off + b] = G[a][b]
+    return GModule(
+        rs=rs,
+        lam=tuple(lam),
+        dim=total,
+        words=tuple(words),
+        weights=tuple(weights),
+        e_mats=tuple(SpMat.from_entries(total, total, m) for m in e_mats),
+        f_mats=tuple(SpMat.from_entries(total, total, m) for m in f_mats),
+        h_mats=tuple(SpMat.from_entries(total, total, m) for m in h_mats),
+        gram=SpMat.from_entries(total, total, gram),
+    )

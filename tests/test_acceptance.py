@@ -198,10 +198,9 @@ def _sample_identities(cc, rng, trials):
     nd = len(droots)
     for _ in range(trials):
         n = rng.randrange(cc.top)
-        f = SpMat(cc.dim(n), 1)
-        for i in range(cc.dim(n)):
-            if rng.random() < 0.5:
-                f.set(i, 0, Q(rng.randint(-3, 3)))
+        f = SpMat.from_entries(cc.dim(n), 1, {
+            (i, 0): Q(rng.randint(-3, 3)) for i in range(cc.dim(n)) if rng.random() < 0.5
+        })
         # Leibniz rule for insertion against the codifferential
         zco = {a: Q(rng.randint(-2, 2)) for a in range(nd) if rng.random() < 0.6}
         zco = {a: c for a, c in zco.items() if c}

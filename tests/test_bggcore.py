@@ -214,13 +214,9 @@ def test_tilde_submodules(label, sigma, weight):
                 # defining equations of the constrained jet space
                 d = len(g.pplus_roots())
                 qn, qn1 = gs.quotient(i), gs.quotient(i + 1)
-                proj = SpMat(qn.dim, qn1.dim)
-                for k in range(qn.dim):
-                    proj.set(k, k, 1)
+                proj = SpMat.identity(qn.dim, qn1.dim)
                 jp = jet1_map_matrix(g, proj)
-                foot = SpMat(qn1.dim, (1 + d) * qn1.dim)
-                for k in range(qn1.dim):
-                    foot.set(k, k, 1)
+                foot = SpMat.identity(qn1.dim, (1 + d) * qn1.dim)
                 lhs = (chain.maps[i - 1].mat @ jp - foot) @ T.basis
                 assert lhs.is_zero(), (gs.n, i)
 

@@ -4,7 +4,7 @@ import pytest
 
 from artifact.linalg import Q
 from conftest import graded
-from gradedla_reference import bracket_vec, killing_form
+from gradedla_reference import adjoint_matrix, bracket_vec, killing_form, trace
 
 
 def vec(g, label):
@@ -60,20 +60,24 @@ def test_bracket_respects_grading():
 
 def test_killing_form_is_trace_form():
     g = graded("A1", (1,))
-    ads = {l: g.adjoint_matrix(l) for l in g.basis}
+    ads = {l: adjoint_matrix(g, l) for l in g.basis}
     K = killing_form(g)
     for i, l1 in enumerate(g.basis):
         for j, l2 in enumerate(g.basis):
-            tr = sum(
-                (ads[l1] @ ads[l2]).get(k, k) for k in range(g.dim)
-            )
-            assert K.get(i, j) == tr
+            assert K.get(i, j) == trace(ads[l1] @ ads[l2])
     # sl2 normalizations
     ih = g.index[("h", 0)]
     ie = g.index[("e", (1,))]
     iff = g.index[("f", (1,))]
     assert K.get(ih, ih) == 8
     assert K.get(ie, iff) == 4
+    # the pipeline's pairing of each root is the same trace, and an int
+    for label in ("A1", "A3", "B3", "C3", "D4", "G2", "F4"):
+        g = graded(label, (1,))
+        for r in g.rs.pos_roots:
+            tr = trace(adjoint_matrix(g, ("e", r)) @ adjoint_matrix(g, ("f", r)))
+            got = g.killing_pairing(r)
+            assert (got, type(got)) == (tr, int), (label, r)
 
 
 def test_killing_form_invariance():
@@ -120,7 +124,7 @@ def test_dual_bases_pairing():
 def test_adjoint_matrix_matches_bracket():
     g = graded("A2", (1, 2))
     for l in g.basis:
-        ad = g.adjoint_matrix(l)
+        ad = adjoint_matrix(g, l)
         for j, l2 in enumerate(g.basis):
             br = g.bracket_labels(l, l2)
             col = {g.index[k]: c for k, c in br.items()}

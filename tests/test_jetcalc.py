@@ -204,7 +204,7 @@ def expect_tampered_ambient_refused():
         if W is below.module:
             # slot 0, DS coordinate 0: a row sel does not read
             A = amb.actions[("h", 0)]
-            A.set(W.dim, 0, A.get(W.dim, 0) + 1)
+            amb.actions[("h", 0)] = A + SpMat.from_entries(A.nrows, A.ncols, {(W.dim, 0): 1})
         return amb
 
     jetcalc.jet1 = tampered

@@ -1,10 +1,14 @@
 """Finite-dimensional modules: construction, restriction, functors."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from artifact import repmod
+from artifact.bggcli import main
 from artifact.linalg import Q, SpMat
 from artifact.repmod import (
     DimensionOverBudget,
@@ -20,6 +24,7 @@ from artifact.repmod import (
 from artifact.rootspace import NonDominant, build_root_system
 from conftest import graded
 from hodge_reference import pplus_module
+import repmod_reference
 
 
 @pytest.mark.parametrize(
@@ -147,6 +152,70 @@ def test_build_irrep_matches_fraction_reference(label, lam, monkeypatch):
     got = build_irrep(rs, lam)
     monkeypatch.setattr(repmod, "_WordCalc", FractionWordCalc)
     assert build_irrep(rs, lam) == got
+
+
+REFERENCE_CASES = IRREP_CASES + [
+    ("A2", (2, 2)), ("A3", (2, 0, 1)), ("A4", (0, 1, 1, 0)), ("A5", (1, 0, 0, 0, 1)),
+    ("B3", (1, 0, 1)), ("C3", (1, 0, 1)), ("D4", (0, 1, 0, 0)), ("G2", (2, 1)),
+    ("F4", (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("label,lam", REFERENCE_CASES)
+def test_build_irrep_matches_word_by_word_reference(label, lam):
+    rs = build_root_system(label)
+    assert build_irrep(rs, lam) == repmod_reference.build_irrep(rs, lam)
+
+
+class SingularGramWordCalc(repmod._WordCalc):
+    """On A2 (1,1), the weight (-2, 1) has dimension 1 and the candidates
+    f_0 f_1 f_0 and f_0 f_0 f_1. Pairing the first with anything as 0 leaves
+    the pairing matrix [[0, 0], [b, c]], b != 0: its first column is
+    independent, but the Gram on it is the singular [[0]]."""
+
+    def pair(self, w1, w2):
+        return 0 if w1 == (0, 1, 0) else super().pair(w1, w2)
+
+
+def test_singular_weight_gram_is_refused(monkeypatch):
+    rs = build_root_system("A2")
+    monkeypatch.setattr(repmod, "_WordCalc", SingularGramWordCalc)
+    with pytest.raises(ModuleNotCertified, match=r"weight \(-2, 1\) is singular"):
+        build_irrep(rs, (1, 1))
+
+
+def test_singular_weight_gram_is_refused_under_python_O():
+    # the Gram certificate is an explicit check, so -O keeps it
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        "import sys\n"
+        "from artifact import repmod\n"
+        "from artifact.rootspace import build_root_system\n"
+        "from test_repmod import SingularGramWordCalc\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "repmod._WordCalc = SingularGramWordCalc\n"
+        "try:\n"
+        "    repmod.build_irrep(build_root_system('A2'), (1, 1))\n"
+        "except repmod.ModuleNotCertified as exc:\n"
+        "    sys.exit(0 if 'weight (-2, 1) is singular' in str(exc) else 5)\n"
+        "sys.exit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=here, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+def test_singular_weight_gram_exits_1_from_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(repmod, "_WordCalc", SingularGramWordCalc)
+    argv = ["--algebra", "A2", "--cross", "1", "--weight", "1,1", "cohomology"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ModuleNotCertified: contravariant Gram of weight (-2, 1) is singular\n"
 
 
 def test_budget_and_dominance_guards():

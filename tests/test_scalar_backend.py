@@ -1,6 +1,6 @@
-"""Every rational in `linalg` is built through `Q`, so that with gmpy2
-installed one scalar type runs: `Fraction` is named only to pick the
-fallback backend."""
+"""Every rational in `linalg` is built through `Q`, the one name of the
+scalar type (`fractions.Fraction`, imported as `Q`): no code names
+`Fraction` itself."""
 
 import ast
 import os

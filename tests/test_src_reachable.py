@@ -5,9 +5,11 @@ helpers of each test module), so `src/` keeps only what the pipeline runs.
 A function, class or non-dunder method that no other code of the package
 names is either dead or a test helper, and fails here.
 
-The scan is by name, as in `test_row_format`: a definition counts as used
-when its name occurs, as a name or as an attribute, anywhere in the package
-outside its own body. A name shared by two definitions is kept alive by a
+The scan is by name, as in `test_row_format`: a function or class counts as
+used when its name occurs, as a name or as an attribute, anywhere in the
+package outside its own body, and a method only when its name occurs as an
+attribute (``x.name``) there, so that a builtin of the same name (``set``)
+keeps no method alive. A name shared by two definitions is kept alive by a
 use of either.
 """
 
@@ -27,12 +29,14 @@ def _trees():
             yield os.path.basename(path), ast.parse(fh.read(), filename=path)
 
 
-def _names(node) -> Counter:
-    """How often each name occurs under ``node``, as a name or an attribute."""
+def _names(node, attributes_only=False) -> Counter:
+    """How often each name occurs under ``node``, as a name or an attribute
+    (only as an attribute, with ``attributes_only``)."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
+        if isinstance(sub, kinds)
     )
 
 
@@ -40,6 +44,12 @@ def unreached(trees) -> list[str]:
     """``file:line name`` of each definition whose name no other code uses."""
     trees = list(trees)
     total = sum((_names(tree) for _, tree in trees), Counter())
+    attrs = sum((_names(tree, True) for _, tree in trees), Counter())
+    methods = {
+        id(sub) for _, tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) for sub in node.body
+        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     found = []
     for name, tree in trees:
         for node in ast.walk(tree):
@@ -47,7 +57,9 @@ def unreached(trees) -> list[str]:
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
-            if total[node.name] == _names(node)[node.name]:
+            method = id(node) in methods
+            uses = attrs if method else total
+            if uses[node.name] == _names(node, method)[node.name]:
                 found.append((name, node.lineno, node.name))
     return [f"{name}:{line} {defn}" for name, line, defn in sorted(found)]
 
@@ -65,3 +77,14 @@ def test_scan_flags_definitions_named_only_by_themselves():
         "    def method(self):\n        return C\n"
     )
     assert unreached([("m.py", tree)]) == ["m.py:4 lonely", "m.py:7 C", "m.py:10 method"]
+
+
+def test_scan_counts_a_method_only_through_attributes():
+    tree = ast.parse(
+        "class M:\n"
+        "    def set(self):\n        return 1\n"
+        "    def get(self):\n        return 2\n\n"
+        "def use(m):\n    return set([m.get()])\n\n"
+        "use(M())\n"
+    )
+    assert unreached([("m.py", tree)]) == ["m.py:2 set"]
