@@ -46,6 +46,7 @@ class _ChevalleyTable:
         self.allroots = set(self.pos) | {_neg(r) for r in self.pos}
         self.N: dict[tuple[Root, Root], object] = {}
         self.defining: dict[Root, tuple[int, Root, int]] = {}
+        self.len2 = {r: rs.ip_root_root(r, r) for r in self.pos}  # (r, r), an int
         self._build()
 
     def _is_root(self, r) -> bool:
@@ -59,9 +60,6 @@ class _ChevalleyTable:
             p += 1
             cur = tuple(x - y for x, y in zip(cur, a))
         return p
-
-    def _len2(self, r: Root):
-        return self.rs.ip_root_root(r, r)
 
     def _build(self):
         rs = self.rs
@@ -136,9 +134,9 @@ class _ChevalleyTable:
         if not self._is_root(delta):
             return QZERO
         if delta in self.posset:
-            return -self.N[(zeta, delta)] * self._len2(delta) / self._len2(xi)
+            return -self.N[(zeta, delta)] * Q(self.len2[delta], self.len2[xi])
         dpos = _neg(delta)
-        return self.N[(dpos, xi)] * self._len2(dpos) / self._len2(zeta)
+        return self.N[(dpos, xi)] * Q(self.len2[dpos], self.len2[zeta])
 
 
 class DualBasisPair:
@@ -191,15 +189,15 @@ class GradedLieAlgebra:
         return self.g0_labels() + tuple(("e", r) for r in self.pplus_roots())
 
     def coroot_coeffs(self, beta: Root) -> dict[int, int]:
-        """h_{beta^vee} = sum c_i d_i / d_beta h_i, integral."""
+        """h_{beta^vee} = sum c_i d_i / d_beta h_i, integral; (beta, beta) =
+        2 d_beta, so each coefficient is an exact int quotient."""
         rs = self.rs
-        dbeta = rs.ip_root_root(beta, beta) / 2
+        len2 = rs.ip_root_root(beta, beta)
         out = {}
         for i, c in enumerate(beta):
             if c:
-                v = Q(c) * rs.d[i] / dbeta
-                iv = int(v)
-                if iv != v:
+                iv, rem = divmod(2 * c * rs.d[i], len2)
+                if rem:
                     raise AlgebraNotCertified(f"coroot of {beta} is not integral")
                 out[i] = iv
         return out

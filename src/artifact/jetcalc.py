@@ -188,9 +188,9 @@ class SemiHolonomicJet:
     Only the index map is kept, so a kept Jbar holds no ambient module
     alive."""
 
-    def __init__(self, r: int, V: PModule, module: PModule, slot_dims: tuple[int, ...],
+    def __init__(self, r: int, V: PModule, module: PModule,
                  phi: tuple[int, ...] | None = None):
-        self.r, self.V, self.module, self.slot_dims, self.phi = r, V, module, slot_dims, phi
+        self.r, self.V, self.module, self.phi = r, V, module, phi
 
 
 def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:
@@ -231,12 +231,9 @@ def semiholonomic(V: PModule, r: int, max_dim: int = MAX_JET_DIM,
     if below is not None and (below.V is not V or below.r > r):
         raise ValueError(f"cannot extend Jbar^{below.r} of another module to Jbar^{r}")
     check_jet_budget(V, r, max_dim)
-    d = len(V.g.pplus_roots())
     cur = below
     if cur is None:
-        cur = SemiHolonomicJet(
-            r=1, V=V, module=jet1(V), slot_dims=tuple(_ds_dims(d, V.dim, 1)),
-        )
+        cur = SemiHolonomicJet(r=1, V=V, module=jet1(V))
     while cur.r < r:
         cur = _extend(cur)
     return cur
@@ -341,7 +338,4 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
         actions=acts,
         weights=None if amb.weights is None else tuple(amb.weights[q] for q in pick),
     )
-    return SemiHolonomicJet(
-        r=k, V=V, module=mod, slot_dims=tuple(_ds_dims(len(g.pplus_roots()), V.dim, k)),
-        phi=tuple(phi),
-    )
+    return SemiHolonomicJet(r=k, V=V, module=mod, phi=tuple(phi))

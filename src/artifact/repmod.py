@@ -1,26 +1,36 @@
 """Finite dimensional modules: irreducibles, contravariant forms, functors.
 
-The irreducible V(lam) is built from words in the lowering generators acting
-on a highest weight vector v, one weight space at a time, layer by layer in
-the depth of the weight below lam. The candidates of a weight nu are the
-words f_i . w, w a basis word of the last layer, in that layer's order, and
-they span V_nu. Their contravariant (Shapovalov) pairing P, evaluated on
-words by commuting raising generators through, is a Gram matrix of these
-vectors, and the form is nondegenerate on V(lam), so the columns of P have
-exactly the linear relations of the candidate vectors. The basis of V_nu is
-``P.independent_columns()``: the lexicographically first maximal
-independent candidates. The form is moreover positive definite on V(lam) for
-dominant integral lam (Kac, *Infinite-dimensional Lie algebras*, Thm 11.7),
-so a candidate is independent of the earlier ones exactly when its Schur
-complement against the Gram of the kept ones is nonzero: this basis is the
-one a candidate-by-candidate greedy choice gives.
+The irreducible V(lam) is built one weight space at a time, layer by layer
+in the depth of the weight below lam, from a highest weight vector v with
+<v, v> = 1. A built weight space V_mu keeps its basis, its contravariant
+Gram G_mu and the blocks E_i^mu: V_mu -> V_{mu+alpha_i} of the raising
+generators. The candidates of a weight nu are the blocks f_i V_mu, one for
+each weight mu = nu + alpha_i of the last layer, in that layer's order; they
+span V_nu. Their pairing P is read off the layers already built:
+contravariance, <f_i x, z> = <x, e_i z>, and [e_i, f_j] = delta_ij h_i give,
+for x in V_mu_a and y in V_mu_b,
 
-G_nu = P[keep, keep] is certified nonsingular by its rank (for a symmetric P
-that always holds, so the check guards the pairing's symmetry), and one
-``G_nu.solve(P[keep, :])`` gives the coordinates of every candidate, which
-are the columns of the f_i into V_nu. The Gram of V is the block diagonal of
-the G_nu, and contravariance, <e_i x, y> = <x, f_i y>, gives
-e_i = Gram^-1 f_i^T Gram. No Verma basis is ever written down.
+    <f_i x, f_j y> = <e_j x, e_i y> + delta_ij <mu_a, alpha_i^vee> <x, y>,
+
+so the block of P is (E_j^mu_a)^T G_{mu_a+alpha_j} E_i^mu_b +
+delta_ij <mu_a, alpha_i^vee> G_mu_a, the first term absent when mu_a +
+alpha_j is not a weight. (E_j^mu_a)^T G_{mu_a+alpha_j} is a block of the
+pairing of mu_a, so P is one assembly of product blocks, and it is symmetric
+by construction.
+
+The form is nondegenerate on V(lam), so the columns of P have exactly the
+linear relations of the candidates, and the basis of V_nu is
+``P.independent_columns()``, the lexicographically first maximal independent
+candidates. The form is positive definite for dominant integral lam (Kac,
+*Infinite-dimensional Lie algebras*, Thm 11.7), so this is the basis a
+greedy choice by nonzero Schur complements gives. G_nu = P[keep, keep] is
+certified nonsingular by its rank; for a symmetric P that always holds, so
+the check guards the recursion, and a wrong block of an earlier layer shows
+as a singular G_nu or a basis off the Weyl dimension. One
+``G_nu.solve(P[keep, :])`` gives the f_i into V_nu, and contravariance,
+G_{nu+alpha_i} E_i^nu = P[cols_i, keep], gives each E_i^nu with one solve.
+The Gram of V is the block diagonal of the G_nu. No word in the f_i and no
+Verma basis is ever written down.
 
 PModule is the common currency downstream: a space with exact action matrices
 keyed by Chevalley basis labels, rational E-grades, and (when meaningful) full
@@ -28,6 +38,8 @@ weights and a contravariant Gram.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
 from .linalg import SpMat, kron_blocks
@@ -55,78 +67,14 @@ class ModuleNotCertified(Exception):
     the closure of p_+ under p)."""
 
 
-class _WordCalc:
-    """Shapovalov evaluation on words of lowering operators. Every
-    coefficient is a weight coordinate or a sum of products of them, so the
-    words' combinations and pairings are computed in int."""
-
-    def __init__(self, rs: RootSystem, lam: Weight):
-        self.rs = rs
-        self.lam = lam
-        self._ememo: dict[tuple[int, tuple], dict[tuple, int]] = {}
-        self._pmemo: dict[tuple[tuple, tuple], int] = {}
-        self._wmemo: dict[tuple, Weight] = {(): tuple(lam)}
-
-    def weight(self, word: tuple) -> Weight:
-        """lam minus the simple roots of the word, memoised: a word's weight
-        is its tail's, less the root of its first letter."""
-        hit = self._wmemo.get(word)
-        if hit is None:
-            cartan = self.rs.cartan
-            i = word[0]
-            hit = self._wmemo[word] = tuple(
-                x - cartan[j][i] for j, x in enumerate(self.weight(word[1:]))
-            )
-        return hit
-
-    def raise_word(self, i: int, word: tuple) -> dict[tuple, int]:
-        """e_i . word as a formal combination of shorter words. e_i commutes
-        past f_j for j != i and kills v, and e_i f_i u = f_i e_i u + h_i u, so
-        each letter i of the word is deleted in turn, with the coefficient
-        <weight of the letters right of it, alpha_i^vee>."""
-        key = (i, word)
-        hit = self._ememo.get(key)
-        if hit is None:
-            row = self.rs.cartan[i]
-            c = self.lam[i]
-            out: dict[tuple, int] = {}
-            for q in range(len(word) - 1, -1, -1):
-                j = word[q]
-                if j == i:
-                    w = word[:q] + word[q + 1:]
-                    out[w] = out.get(w, 0) + c
-                c -= row[j]
-            hit = self._ememo[key] = {w: v for w, v in out.items() if v}
-        return hit
-
-    def pair(self, w1: tuple, w2: tuple) -> int:
-        """Contravariant pairing <w1 . v, w2 . v>, normalized <v,v> = 1. The
-        pairing is symmetric, so the memo holds each unordered pair once."""
-        if len(w1) != len(w2):
-            return 0
-        if not w1:
-            return 1
-        key = (w1, w2) if w1 <= w2 else (w2, w1)
-        memo = self._pmemo
-        hit = memo.get(key)
-        if hit is None:
-            rest = w1[1:]
-            hit = 0
-            for w, c in self.raise_word(w1[0], w2).items():
-                v = memo.get((rest, w) if rest <= w else (w, rest))
-                hit += c * (self.pair(rest, w) if v is None else v)
-            memo[key] = hit
-        return hit
-
-
 class GModule:
-    """Irreducible g-module in a word basis grouped by weight; ``e_mats`` are
-    the simple raising operators."""
+    """Irreducible g-module in a weight basis, grouped by weight; ``e_mats``
+    are the simple raising operators."""
 
-    def __init__(self, rs: RootSystem, lam: Weight, dim: int, words: tuple[tuple, ...],
-                 weights: tuple[Weight, ...], e_mats: tuple[SpMat, ...],
-                 f_mats: tuple[SpMat, ...], h_mats: tuple[SpMat, ...], gram: SpMat):
-        self.rs, self.lam, self.dim, self.words, self.weights = rs, lam, dim, words, weights
+    def __init__(self, rs: RootSystem, lam: Weight, dim: int, weights: tuple[Weight, ...],
+                 e_mats: tuple[SpMat, ...], f_mats: tuple[SpMat, ...],
+                 h_mats: tuple[SpMat, ...], gram: SpMat):
+        self.rs, self.lam, self.dim, self.weights = rs, lam, dim, weights
         self.e_mats, self.f_mats, self.h_mats, self.gram = e_mats, f_mats, h_mats, gram
 
     def __eq__(self, other) -> bool:
@@ -138,70 +86,77 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
     DimensionOverBudget before doing any real work.
 
     Weight spaces are built layer by layer, each from one pairing matrix of
-    its candidate words (module docstring). Each G_nu is certified
-    nonsingular by its rank, and the basis against the Weyl dimension."""
+    its candidates, read off the layers before it (module docstring). Each
+    G_nu is certified nonsingular by its rank, and the basis against the
+    Weyl dimension."""
     total = weyl_dimension(rs, lam)  # validates dominance
     if total > max_dim:
         raise DimensionOverBudget(
             f"dim V({tuple(lam)}) = {total} exceeds budget {max_dim}"
         )
     n = rs.rank
-    wc = _WordCalc(rs, lam)
-    words: list[tuple] = [()]
-    weights: list[Weight] = [tuple(lam)]
-    grams = [SpMat.identity(1)]
+    alpha = [tuple(rs.cartan[j][i] for j in range(n)) for i in range(n)]  # fundamental coords
+    top = tuple(lam)
+    weights: list[Weight] = [top]
+    offset = {top: 0}
+    grams = {top: SpMat.identity(1)}
+    # (mu, i) -> (E_i^mu, (E_i^mu)^T G_{mu+alpha_i}) where mu + alpha_i is a weight
+    raising: dict[tuple[Weight, int], tuple[SpMat, SpMat]] = {}
     f_blocks: list[list[tuple]] = [[] for _ in range(n)]
-    start = 0
-    while start < len(words):
-        # the candidates f_i . w, w in the last layer, grouped by weight;
-        # (i, k) stands for f_i applied to basis word k
-        cands: dict[Weight, list[tuple[int, int]]] = {}
-        for k in range(start, len(words)):
+    e_blocks: list[list[tuple]] = [[] for _ in range(n)]
+    layer = [top]
+    while layer:
+        # the candidates of each weight: a block (mu, i), f_i on all of V_mu,
+        # for each weight mu of the last layer
+        cands: dict[Weight, list[tuple[Weight, int]]] = {}
+        for mu in layer:
             for i in range(n):
-                cands.setdefault(wc.weight((i,) + words[k]), []).append((i, k))
-        start = len(words)
+                cands.setdefault(tuple(x - y for x, y in zip(mu, alpha[i])), []).append((mu, i))
+        layer = []
         for nu in sorted(cands):
-            cw = [(i,) + words[k] for i, k in cands[nu]]
-            m = len(cw)
-            P = SpMat.from_entries(m, m, {
-                (a, b): wc.pair(wa, wb) for a, wa in enumerate(cw) for b, wb in enumerate(cw)
-            })
+            blocks = cands[nu]
+            starts = [0, *accumulate(grams[mu].nrows for mu, _ in blocks)]
+            pieces = []  # the blocks of P, as in the module docstring
+            for sa, (ma, i) in zip(starts, blocks):
+                for sb, (mb, j) in zip(starts, blocks):
+                    up = raising.get((ma, j))
+                    if up is not None:
+                        pieces.append((sa, sb, 1, (up[1], raising[mb, i][0])))
+                    if i == j:  # then ma == mb
+                        pieces.append((sa, sb, ma[i], grams[ma]))
+            P = SpMat.assemble(starts[-1], starts[-1], pieces)
             keep = P.independent_columns()
             if not keep:
                 continue
             G = P.submatrix(keep, keep)
             if G.rank() != len(keep):
                 raise ModuleNotCertified(f"contravariant Gram of weight {nu} is singular")
-            # the coordinates of every candidate in the kept basis; the
-            # candidates f_i . w of one i are f_i on a whole weight space
+            # the coordinates of every candidate in the kept basis
             X = G.solve(P.gather_rows(keep))
-            for i in range(n):
-                cols = [a for a, (j, _) in enumerate(cands[nu]) if j == i]
-                if cols:
-                    f_blocks[i].append(
-                        (len(words), cands[nu][cols[0]][1], 1, X.select_columns(cols))
-                    )
-            words.extend(cw[a] for a in keep)
+            here = len(weights)
+            for (mu, i), s, t in zip(blocks, starts, starts[1:]):
+                cols = list(range(s, t))
+                E = grams[mu].solve(P.submatrix(cols, keep))
+                raising[nu, i] = (E, P.submatrix(keep, cols))
+                f_blocks[i].append((here, offset[mu], 1, X.select_columns(cols)))
+                e_blocks[i].append((offset[mu], here, 1, E))
+            offset[nu] = here
+            grams[nu] = G
             weights.extend([nu] * len(keep))
-            grams.append(G)
-            if len(words) > total:
+            layer.append(nu)
+            if len(weights) > total:
                 raise ModuleNotCertified("basis exceeded Weyl dimension")
-    if len(words) != total:
-        raise ModuleNotCertified(f"basis has {len(words)} words, Weyl dimension is {total}")
-    gram = SpMat.block_diag(grams)
-    gram_inv = gram.solve(SpMat.identity(total))
-    f_mats = tuple(SpMat.assemble(total, total, blocks) for blocks in f_blocks)
+    if len(weights) != total:
+        raise ModuleNotCertified(f"basis has {len(weights)} vectors, Weyl dimension is {total}")
     return GModule(
         rs=rs,
-        lam=tuple(lam),
+        lam=top,
         dim=total,
-        words=tuple(words),
         weights=tuple(weights),
-        # contravariance, <e_i x, y> = <x, f_i y>
-        e_mats=tuple(gram_inv @ (f.transpose() @ gram) for f in f_mats),
-        f_mats=f_mats,
+        e_mats=tuple(SpMat.assemble(total, total, blocks) for blocks in e_blocks),
+        f_mats=tuple(SpMat.assemble(total, total, blocks) for blocks in f_blocks),
         h_mats=tuple(SpMat.diagonal(mu[i] for mu in weights) for i in range(n)),
-        gram=gram,
+        gram=SpMat.block_diag(list(grams.values())),
     )
 
 

@@ -88,8 +88,10 @@ def cartan_matrix_from_series(label: str) -> list[list[int]]:
     return C
 
 
-def _symmetrizers(C: list[list[int]]) -> list:
-    """Positive rationals d with d_i C_ij = d_j C_ji, short roots normalized to d=1."""
+def _symmetrizers(C: list[list[int]]) -> list[int]:
+    """Positive integers d with d_i C_ij = d_j C_ji, short roots normalized to
+    d=1. Every finite type has integral d (1, 2 or 3); any other ratio raises
+    NotFiniteType."""
     n = len(C)
     d = [None] * n
     for start in range(n):
@@ -111,7 +113,10 @@ def _symmetrizers(C: list[list[int]]) -> list:
                 elif d[j] != val:
                     raise NotFiniteType("Cartan matrix is not symmetrizable")
     m = min(d)
-    return [x / m for x in d]
+    d = [x / m for x in d]
+    if any(x.denominator != 1 for x in d):
+        raise NotFiniteType("symmetrizers are not integral")
+    return [int(x) for x in d]
 
 
 def _check_positive_definite(C: list[list[int]], d: list) -> None:
@@ -162,7 +167,7 @@ class RootSystem:
     def __init__(self, cartan: tuple[tuple[int, ...], ...], rank: int, d: tuple,
                  pos_roots: tuple[Root, ...], label: str = ""):
         self.cartan, self.rank, self.pos_roots, self.label = cartan, rank, pos_roots, label
-        self.d = d  # symmetrizers, (alpha_i, alpha_i) = 2 d_i
+        self.d = d  # int symmetrizers, (alpha_i, alpha_i) = 2 d_i
 
     def is_root(self, c: Root) -> bool:
         cp = tuple(c)
@@ -178,7 +183,7 @@ class RootSystem:
     def root_to_weight(self, c: Root) -> Weight:
         return tuple(self.coroot_pairing(i, c) for i in range(self.rank))
 
-    def ip_root_root(self, a: Root, b: Root):
+    def ip_root_root(self, a: Root, b: Root) -> int:
         return sum(
             self.d[i] * self.cartan[i][j] * a[i] * b[j]
             for i in range(self.rank)

@@ -2,13 +2,16 @@
 for `artifact.repmod.build_irrep`.
 
 This is the construction `build_irrep` used before it built each weight
-space from one contravariant Gram. A candidate word f_i . w joins the basis
-of its weight space when the Schur complement of its pairing against the
-words kept so far is nonzero, each rejected word is expressed against that
-Gram with one solve, the coordinates of any word are resolved recursively
-through its tail, and e_i is read off ``raise_word``. The matrices are
-collected entry by entry and built with ``SpMat.from_entries``. The tests
-check that both constructions give equal modules.
+space from one contravariant Gram. Its vectors are words in the lowering
+generators acting on the highest weight vector, and ``_WordCalc`` evaluates
+their Shapovalov pairings by commuting raising generators through, memoised
+per word. A candidate word f_i . w joins the basis of its weight space when
+the Schur complement of its pairing against the words kept so far is
+nonzero, each rejected word is expressed against that Gram with one solve,
+the coordinates of any word are resolved recursively through its tail, and
+e_i is read off ``raise_word``. The matrices are collected entry by entry
+and built with ``SpMat.from_entries``. The tests check that both
+constructions give equal modules.
 """
 
 from __future__ import annotations
@@ -19,9 +22,72 @@ from artifact.repmod import (
     DimensionOverBudget,
     GModule,
     ModuleNotCertified,
-    _WordCalc,
 )
 from artifact.rootspace import RootSystem, Weight, weyl_dimension
+
+
+class _WordCalc:
+    """Shapovalov evaluation on words of lowering operators. Every
+    coefficient is a weight coordinate or a sum of products of them, so the
+    words' combinations and pairings are computed in int."""
+
+    def __init__(self, rs: RootSystem, lam: Weight):
+        self.rs = rs
+        self.lam = lam
+        self._ememo: dict[tuple[int, tuple], dict[tuple, int]] = {}
+        self._pmemo: dict[tuple[tuple, tuple], int] = {}
+        self._wmemo: dict[tuple, Weight] = {(): tuple(lam)}
+
+    def weight(self, word: tuple) -> Weight:
+        """lam minus the simple roots of the word, memoised: a word's weight
+        is its tail's, less the root of its first letter."""
+        hit = self._wmemo.get(word)
+        if hit is None:
+            cartan = self.rs.cartan
+            i = word[0]
+            hit = self._wmemo[word] = tuple(
+                x - cartan[j][i] for j, x in enumerate(self.weight(word[1:]))
+            )
+        return hit
+
+    def raise_word(self, i: int, word: tuple) -> dict[tuple, int]:
+        """e_i . word as a formal combination of shorter words. e_i commutes
+        past f_j for j != i and kills v, and e_i f_i u = f_i e_i u + h_i u, so
+        each letter i of the word is deleted in turn, with the coefficient
+        <weight of the letters right of it, alpha_i^vee>."""
+        key = (i, word)
+        hit = self._ememo.get(key)
+        if hit is None:
+            row = self.rs.cartan[i]
+            c = self.lam[i]
+            out: dict[tuple, int] = {}
+            for q in range(len(word) - 1, -1, -1):
+                j = word[q]
+                if j == i:
+                    w = word[:q] + word[q + 1:]
+                    out[w] = out.get(w, 0) + c
+                c -= row[j]
+            hit = self._ememo[key] = {w: v for w, v in out.items() if v}
+        return hit
+
+    def pair(self, w1: tuple, w2: tuple) -> int:
+        """Contravariant pairing <w1 . v, w2 . v>, normalized <v,v> = 1. The
+        pairing is symmetric, so the memo holds each unordered pair once."""
+        if len(w1) != len(w2):
+            return 0
+        if not w1:
+            return 1
+        key = (w1, w2) if w1 <= w2 else (w2, w1)
+        memo = self._pmemo
+        hit = memo.get(key)
+        if hit is None:
+            rest = w1[1:]
+            hit = 0
+            for w, c in self.raise_word(w1[0], w2).items():
+                v = memo.get((rest, w) if rest <= w else (w, rest))
+                hit += c * (self.pair(rest, w) if v is None else v)
+            memo[key] = hit
+        return hit
 
 
 def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
@@ -53,6 +119,12 @@ def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
 
 def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
     """Irreducible module of highest weight lam, one candidate word at a time."""
+    return build_irrep_words(rs, lam, max_dim)[0]
+
+
+def build_irrep_words(rs: RootSystem, lam: Weight,
+                      max_dim: int = MAX_MODULE_DIM) -> tuple[GModule, tuple[tuple, ...]]:
+    """The module of `build_irrep` and its basis words, in basis order."""
     total = weyl_dimension(rs, lam)  # validates dominance
     if total > max_dim:
         raise DimensionOverBudget(
@@ -163,14 +235,14 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
         for a in range(len(cur)):
             for b in range(len(cur)):
                 gram[off + a, off + b] = G[a][b]
-    return GModule(
+    module = GModule(
         rs=rs,
         lam=tuple(lam),
         dim=total,
-        words=tuple(words),
         weights=tuple(weights),
         e_mats=tuple(SpMat.from_entries(total, total, m) for m in e_mats),
         f_mats=tuple(SpMat.from_entries(total, total, m) for m in f_mats),
         h_mats=tuple(SpMat.from_entries(total, total, m) for m in h_mats),
         gram=SpMat.from_entries(total, total, gram),
     )
+    return module, tuple(words)

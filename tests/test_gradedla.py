@@ -139,3 +139,20 @@ def test_p_labels_partition():
     n_nonneg = sum(1 for l in g.basis if g.grade_of(l) >= 0)
     assert len(p) == n_nonneg
     assert len(g.pplus_roots()) == sum(1 for l in p if g.grade_of(l) > 0)
+
+
+@pytest.mark.parametrize("label,sigma", [
+    ("A3", (1, 3)), ("B3", (1,)), ("C3", (2,)), ("D4", (2,)), ("E6", (1,)), ("F4", (4,)),
+    ("G2", (1, 2)),
+])
+def test_structure_constants_are_exact(label, sigma):
+    # the root lengths are ints (test_rootspace), and every quotient of
+    # them must stay exact: an int divided by an int with / is a float
+    g = graded(label, sigma)
+    exact = (int, Q)
+    assert all(type(c) is int for r in g.rs.pos_roots for c in g.coroot_coeffs(r).values())
+    assert all(type(v) in exact for v in g.nfull.values())
+    for lab in g.p_labels():
+        assert all(type(c) in exact for _, _, c in g.xi_brackets(lab))
+    for m in g.pplus_action().values():
+        assert all(type(v) in exact for _, _, v in m.entries())

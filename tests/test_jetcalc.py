@@ -14,6 +14,7 @@ from artifact.jetcalc import (
     jet1,
     jet1_left_action,
     jet1_map_matrix,
+    jbar_dim,
     semiholonomic,
 )
 from artifact.linalg import Q, SpMat
@@ -243,7 +244,8 @@ def _a1_index_maps():
     sh = semiholonomic(V, 3, below=prev)
     pdim = prev.module.dim
     pick = [list(sh.phi).index(p) if p >= pdim else p for p in range(sh.module.dim)]
-    return list(sh.phi), pick, list(prev.phi), pdim, sum(prev.slot_dims[:-1])
+    ppdim = jbar_dim(len(V.g.pplus_roots()), V.dim, 1)
+    return list(sh.phi), pick, list(prev.phi), pdim, ppdim
 
 
 def test_index_map_certificate_accepts_the_tower():

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from artifact import repmod
 from artifact.bggcli import main
 from artifact.linalg import Q, SpMat
 from artifact.repmod import (
@@ -49,7 +48,9 @@ def test_irrep_dimensions(label, lam, dim):
     assert len(m.weights) == dim
 
 
-@pytest.mark.parametrize("label,lam", [("A2", (1, 1)), ("B2", (1, 0))])
+@pytest.mark.parametrize("label,lam", [
+    ("A2", (1, 1)), ("B2", (1, 0)), ("G2", (2, 1)), ("C3", (1, 0, 1)), ("D4", (0, 1, 0, 0)),
+])
 def test_chevalley_relations(label, lam):
     rs = build_root_system(label)
     m = build_irrep(rs, lam)
@@ -95,7 +96,7 @@ def test_contravariant_gram():
                 assert G.get(r, c) == 0
 
 
-class FractionWordCalc(repmod._WordCalc):
+class FractionWordCalc(repmod_reference._WordCalc):
     """The word calculator in ``Fraction`` arithmetic, one rational per
     coefficient: a reference for the int one."""
 
@@ -137,10 +138,10 @@ IRREP_CASES = [("G2", (1, 1)), ("A4", (1, 0, 0, 1)), ("C3", (1, 0, 1)), ("B2", (
 @pytest.mark.parametrize("label,lam", IRREP_CASES)
 def test_shapovalov_values_are_int(label, lam):
     rs = build_root_system(label)
-    m = build_irrep(rs, lam)
-    wc = repmod._WordCalc(rs, lam)
-    for w1 in m.words:
-        for w2 in m.words:
+    _, words = repmod_reference.build_irrep_words(rs, lam)
+    wc = repmod_reference._WordCalc(rs, lam)
+    for w1 in words:
+        for w2 in words:
             assert type(wc.pair(w1, w2)) is int
         for i in range(rs.rank):
             assert all(type(c) is int for c in wc.raise_word(i, w1).values())
@@ -150,14 +151,14 @@ def test_shapovalov_values_are_int(label, lam):
 def test_build_irrep_matches_fraction_reference(label, lam, monkeypatch):
     rs = build_root_system(label)
     got = build_irrep(rs, lam)
-    monkeypatch.setattr(repmod, "_WordCalc", FractionWordCalc)
-    assert build_irrep(rs, lam) == got
+    monkeypatch.setattr(repmod_reference, "_WordCalc", FractionWordCalc)
+    assert repmod_reference.build_irrep(rs, lam) == got
 
 
 REFERENCE_CASES = IRREP_CASES + [
     ("A2", (2, 2)), ("A3", (2, 0, 1)), ("A4", (0, 1, 1, 0)), ("A5", (1, 0, 0, 0, 1)),
     ("B3", (1, 0, 1)), ("C3", (1, 0, 1)), ("D4", (0, 1, 0, 0)), ("G2", (2, 1)),
-    ("F4", (0, 0, 0, 1)),
+    ("F4", (0, 0, 0, 1)), ("B4", (1, 0, 0, 1)),
 ]
 
 
@@ -167,20 +168,20 @@ def test_build_irrep_matches_word_by_word_reference(label, lam):
     assert build_irrep(rs, lam) == repmod_reference.build_irrep(rs, lam)
 
 
-class SingularGramWordCalc(repmod._WordCalc):
-    """On A2 (1,1), the weight (-2, 1) has dimension 1 and the candidates
-    f_0 f_1 f_0 and f_0 f_0 f_1. Pairing the first with anything as 0 leaves
-    the pairing matrix [[0, 0], [b, c]], b != 0: its first column is
-    independent, but the Gram on it is the singular [[0]]."""
-
-    def pair(self, w1, w2):
-        return 0 if w1 == (0, 1, 0) else super().pair(w1, w2)
+def every_column(self):
+    """A tampered ``SpMat.independent_columns`` that keeps every column. The
+    pairing of A2 (1,1) at the weight (-3, 3) is the single candidate
+    f_0 f_0 v, and it pairs to [[0]], since that weight is not a weight of
+    the module: kept anyway, its Gram is the singular [[0]]. The pairing is
+    symmetric by construction, so no tamper of it alone can make a Gram
+    singular."""
+    return list(range(self.ncols))
 
 
 def test_singular_weight_gram_is_refused(monkeypatch):
     rs = build_root_system("A2")
-    monkeypatch.setattr(repmod, "_WordCalc", SingularGramWordCalc)
-    with pytest.raises(ModuleNotCertified, match=r"weight \(-2, 1\) is singular"):
+    monkeypatch.setattr(SpMat, "independent_columns", every_column)
+    with pytest.raises(ModuleNotCertified, match=r"weight \(-3, 3\) is singular"):
         build_irrep(rs, (1, 1))
 
 
@@ -191,14 +192,15 @@ def test_singular_weight_gram_is_refused_under_python_O():
     code = (
         "import sys\n"
         "from artifact import repmod\n"
+        "from artifact.linalg import SpMat\n"
         "from artifact.rootspace import build_root_system\n"
-        "from test_repmod import SingularGramWordCalc\n"
+        "from test_repmod import every_column\n"
         "if sys.flags.optimize < 1: sys.exit(3)\n"
-        "repmod._WordCalc = SingularGramWordCalc\n"
+        "SpMat.independent_columns = every_column\n"
         "try:\n"
         "    repmod.build_irrep(build_root_system('A2'), (1, 1))\n"
         "except repmod.ModuleNotCertified as exc:\n"
-        "    sys.exit(0 if 'weight (-2, 1) is singular' in str(exc) else 5)\n"
+        "    sys.exit(0 if 'weight (-3, 3) is singular' in str(exc) else 5)\n"
         "sys.exit(4)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
@@ -210,12 +212,12 @@ def test_singular_weight_gram_is_refused_under_python_O():
 
 
 def test_singular_weight_gram_exits_1_from_the_cli(monkeypatch, capsys):
-    monkeypatch.setattr(repmod, "_WordCalc", SingularGramWordCalc)
+    monkeypatch.setattr(SpMat, "independent_columns", every_column)
     argv = ["--algebra", "A2", "--cross", "1", "--weight", "1,1", "cohomology"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: ModuleNotCertified: contravariant Gram of weight (-2, 1) is singular\n"
+    assert err == "error: ModuleNotCertified: contravariant Gram of weight (-3, 3) is singular\n"
 
 
 def test_budget_and_dominance_guards():

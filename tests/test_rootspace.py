@@ -54,6 +54,15 @@ def test_rejects_non_finite_labels():
             build_root_system(bad)
 
 
+def test_symmetrizers_are_ints():
+    assert build_root_system("G2").d == (1, 3)
+    assert build_root_system("B3").d == (2, 2, 1)
+    assert all(type(x) is int for x in build_root_system("F4").d)
+    # d_0 C_01 = d_1 C_10 gives d = (3/2, 1): no finite type has that ratio
+    with pytest.raises(NotFiniteType, match="not integral"):
+        build_root_system([[2, -2], [-3, 2]])
+
+
 @pytest.mark.parametrize(
     "label,npos,worder,adjdim",
     [("A1", 1, 2, 3), ("A2", 3, 6, 8), ("A3", 6, 24, 15),

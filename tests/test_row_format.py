@@ -3,8 +3,8 @@
 Every other module builds matrices through `SpMat.assemble`, the index-map
 helpers and the constructors, and reads them through `get`, `col_dict`,
 `entries` and the arithmetic. So no module but `linalg` may touch an
-attribute named ``rows`` or ``dens`` (the row denominators), pass a rows
-dict to ``SpMat(...)``, or accumulate with ``m.set(i, j, m.get(i, j) + x)``.
+attribute named ``rows`` or ``dens`` (the row denominators), or pass a rows
+dict to ``SpMat(...)``.
 """
 
 import ast
@@ -31,14 +31,6 @@ def _is_spmat(func) -> bool:
     return (isinstance(func, ast.Name) and func.id == "SpMat") or (
         isinstance(func, ast.Attribute) and func.attr == "SpMat"
     )
-
-
-def _method_call(node, method):
-    """(receiver source, argument nodes) when node is `<receiver>.<method>(...)`."""
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == method):
-        return ast.unparse(node.func.value), node.args
-    return None
 
 
 def test_no_rows_attribute_outside_linalg():
@@ -72,20 +64,3 @@ def test_no_raw_rows_construction_outside_linalg():
     )
     assert raw == [], f"{len(raw)} SpMat(...) calls with a rows dict outside linalg: {raw}"
 
-
-def test_no_set_get_accumulation_outside_linalg():
-    found = []
-    for name, tree in _trees():
-        for node in ast.walk(tree):
-            setter = _method_call(node, "set")
-            if setter is None or len(setter[1]) != 3:
-                continue
-            target, (i, j, value) = setter
-            for sub in ast.walk(value):
-                getter = _method_call(sub, "get")
-                if getter is None or getter[0] != target:
-                    continue
-                if [ast.unparse(a) for a in getter[1]] == [ast.unparse(i), ast.unparse(j)]:
-                    found.append((name, node.lineno))
-    found = _sites(found)
-    assert found == [], f"{len(found)} set(i, j, get(i, j) + x) accumulations: {found}"
