@@ -99,6 +99,8 @@ def _read_config(path: str) -> dict[str, str]:
                 out[key] = val.strip()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return out
 
 
@@ -159,6 +161,8 @@ def _root_system(text: str):
             spec = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad Cartan matrix {text!r}: {exc}") from exc
+        except RecursionError as exc:
+            raise ValidationError("bad Cartan matrix: nested too deeply") from exc
     rs = build_root_system(spec)
     if rs.label:
         return rs

@@ -74,7 +74,7 @@ from .jetcalc import (
     prolong,
     semiholonomic,
 )
-from .linalg import LinAlgError, Q, SpMat, qstr
+from .linalg import LinAlgError, SpMat, qstr
 from .repmod import (
     MAX_MODULE_DIM,
     IrrepLabel,
@@ -82,6 +82,7 @@ from .repmod import (
     build_irrep,
     decompose_completely_reducible,
     layered_closure,
+    positions_by_weight,
     restrict_to_parabolic,
 )
 from .rootspace import Weight, dominant_representative_for
@@ -125,14 +126,10 @@ class GeneratedSubmodule:
             return self._quotients[i]
         cut = sum(1 for off in self.offsets if off < i)
         idx = list(range(cut))
-        mod = PModule(
-            g=self.module.g,
-            dim=cut,
-            e_grades=self.module.e_grades[:cut],
+        mod = self._quotients[i] = PModule(
+            g=self.module.g, dim=cut,
             actions={l: A.submatrix(idx, idx) for l, A in self.module.actions.items()},
-            weights=self.module.weights[:cut],
         )
-        self._quotients[i] = mod
         return mod
 
     def trunc(self, j: int, i: int) -> SpMat:
@@ -183,7 +180,8 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     by E-eigenvalue offset: `layered_closure` with each raising action and
     its grade. The component lies in E-grade i0, and an action of grade s
     adds s to the E-grade, so layer j lies in E-grade i0 + j and the layers
-    are independent; the E-grade check of each basis vector certifies it."""
+    are independent. Each basis vector is certified to have one weight, and
+    that weight's E-eigenvalue to be its layer's grade."""
     if comp.multiplicity != 1:
         raise CertificationFailure(
             f"component {comp.label} has multiplicity {comp.multiplicity}"
@@ -193,7 +191,7 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     n = coh.n
     i0 = comp.e_eigenvalue
     raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
-    layers = layered_closure(coh.embedding @ comp.embedding, raising)
+    layers = layered_closure(coh.split.ker_box @ comp.embedding, raising)
     basis = SpMat.hstack([b for _, b in layers])
     m = basis.ncols
     offsets = tuple(j for j, b in layers for _ in range(b.ncols))
@@ -218,13 +216,9 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
         if len(ws) != 1:
             raise CertificationFailure(f"E basis vector {k} is not a weight vector")
         weights.append(ws.pop())
-        if any(level.e_grades[i] != i0 + offsets[k] for i in supp[k]):
+        if g.e_eigenvalue(weights[k]) != i0 + offsets[k]:
             raise CertificationFailure(f"E basis vector {k} is off its E-grade")
-    module = PModule(
-        g=g, dim=m,
-        e_grades=tuple(i0 + Q(off) for off in offsets),
-        actions=acts, weights=tuple(weights),
-    )
+    module = PModule(g=g, dim=m, actions=acts, weights=tuple(weights))
     return GeneratedSubmodule(
         cc=cc, n=n, comp=comp, i0=i0, basis=basis,
         offsets=offsets, r=r, module=module,
@@ -350,7 +344,8 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
         ncols = len(pick)
         values = values.merge_columns(phi, ncols)
     K = len(chain.maps) + 1
-    low = [i for i, e in enumerate(cc.levels[n].e_grades) if e - gs.i0 < K]
+    low = [i for mu, rows in positions_by_weight(cc.levels[n].weights).items()
+           if cc.g.e_eigenvalue(mu) - gs.i0 < K for i in rows]
     in_kernel = (cc.delstars[n].gather_rows(low) @ values).is_zero()
     dh = certify_from_left(dt, chain.domain, phi, ncols, coh_next.module)
     arrows = []

@@ -17,6 +17,7 @@ eta_a = e_a in p_+, xi_a = f_a / B(e_a, f_a) in g_- all live here.
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 
 from .linalg import Q, QONE, QZERO, SpMat
 from .rootspace import ParabolicSpec, Root, RootSystem, Weight, sigma_height
@@ -251,9 +252,19 @@ class GradedLieAlgebra:
         return self._grading_element
 
     def e_eigenvalue(self, mu: Weight):
-        """The eigenvalue of E on the weight mu (fundamental coordinates)."""
+        """The eigenvalue of E on the weight mu (fundamental coordinates),
+        summed in ints over the common denominator of E's coordinates; an
+        int when it is integral."""
+        nums, den = self._grading_ints
+        top = sum(c * m for c, m in zip(nums, mu))
+        return top // den if top % den == 0 else Q(top, den)
+
+    @cached_property
+    def _grading_ints(self) -> tuple[tuple[int, ...], int]:
         E = self.grading_element()
-        return sum(E.get(("h", j), QZERO) * mu[j] for j in range(self.rs.rank))
+        coords = [Q(E.get(("h", j), 0)) for j in range(self.rs.rank)]
+        den = lcm(*(c.denominator for c in coords))
+        return tuple(int(c * den) for c in coords), den
 
     @cached_property
     def _grading_element(self) -> dict[Label, object]:

@@ -171,13 +171,10 @@ def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
     """Lambda^n p_+ on the wedge basis ``tuples``, with Z acting by
     sum_ij ad(Z)_ij eps_i iota_j for the unit wedges eps_a:
     Lambda^{n-1} -> Lambda^n and their transposes iota_a (none when n = 0)."""
-    roots = g.pplus_roots()
-    grades = [g.grade_of(("e", r)) for r in roots]
-    weights = [g.rs.root_to_weight(r) for r in roots]
+    weights = [g.rs.root_to_weight(r) for r in g.pplus_roots()]
     dim = len(tuples)
     return PModule(
         g=g, dim=dim,
-        e_grades=tuple(Q(sum(grades[a] for a in t)) for t in tuples),
         actions={
             lab: SpMat.assemble(dim, dim, [
                 (0, 0, c, (eps[i], iota[j])) for i, j, c in ad.entries()
@@ -339,11 +336,11 @@ def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> No
 
 
 class Cohomology:
-    """Harmonic model of H^n(g_-, V): a g_0-module with p_+ acting by zero,
-    plus the embedding of the harmonic basis into C^n."""
+    """Harmonic model of H^n(g_-, V): a g_0-module with p_+ acting by zero;
+    ``split.ker_box`` embeds its basis into C^n."""
 
-    def __init__(self, n: int, module: PModule, embedding: SpMat, split: HodgeSplit):
-        self.n, self.module, self.embedding, self.split = n, module, embedding, split
+    def __init__(self, n: int, module: PModule, split: HodgeSplit):
+        self.n, self.module, self.split = n, module, split
 
 
 def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
@@ -361,14 +358,8 @@ def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
     solved = {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
               for t, lab in enumerate(g0)}
     acts = {lab: solved[lab] if lab in solved else SpMat(m, m) for lab in labels}
-    mod = PModule(
-        g=cc.g,
-        dim=K.ncols,
-        e_grades=tuple(cc.g.e_eigenvalue(mu) for mu in split.harmonic_weights),
-        actions=acts,
-        weights=split.harmonic_weights,
-    )
-    return Cohomology(n=n, module=mod, embedding=K, split=split)
+    mod = PModule(g=cc.g, dim=m, actions=acts, weights=split.harmonic_weights)
+    return Cohomology(n=n, module=mod, split=split)
 
 
 def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:

@@ -59,7 +59,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .gradedla import GradedLieAlgebra, Label
-from .linalg import Q, SpMat
+from .linalg import SpMat
 from .repmod import DimensionOverBudget, PModule
 
 
@@ -125,31 +125,16 @@ def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:
 def jet1(V: PModule) -> PModule:
     """J^1(V) on [V; p_+ (x) V], each action assembled from `_jet1_terms`."""
     g = V.g
-    roots = g.pplus_roots()
-    d = len(roots)
     dv = V.dim
-    dim = (1 + d) * dv
+    dim = (1 + len(g.pplus_roots())) * dv
     unit = SpMat.identity(dv)
-    acts: dict[Label, SpMat] = {}
-    for lab in g.p_labels():
-        acts[lab] = SpMat.assemble(dim, dim, [
+    return PModule(g=g, dim=dim, actions={
+        lab: SpMat.assemble(dim, dim, [
             (i * dv, j * dv, c, unit if m is None else m)
             for i, j, c, m in _jet1_terms(V, lab)
         ])
-    e_grades = list(V.e_grades)
-    weights = list(V.weights) if V.weights is not None else None
-    for a in range(d):
-        ga = Q(g.grade_of(("e", roots[a])))
-        e_grades.extend([x + ga for x in V.e_grades])
-        if weights is not None:
-            rw = g.rs.root_to_weight(roots[a])
-            weights.extend(
-                tuple(x + y for x, y in zip(wv, rw)) for wv in V.weights
-            )
-    return PModule(
-        g=g, dim=dim, e_grades=tuple(e_grades), actions=acts,
-        weights=None if weights is None else tuple(weights),
-    )
+        for lab in g.p_labels()
+    })
 
 
 def jet1_left_action(m: SpMat, V: PModule, labels: Iterable[Label]) -> dict[Label, SpMat]:
@@ -314,9 +299,6 @@ def equalizer_index_maps(prev: SemiHolonomicJet) -> tuple[list[int], list[int]]:
 
 def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
     """One step Jbar^{k-1} -> Jbar^k, certified (module docstring)."""
-    V = prev.V
-    g = V.g
-    k = prev.r + 1
     phi, pick = equalizer_index_maps(prev)
     new_dim = len(pick)
     amb = jet1(prev.module)
@@ -331,11 +313,5 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
         acts[lab] = restricted.gather_rows(pick)
         if restricted.gather_rows(others) != acts[lab].gather_rows(images):
             raise EqualizerNotCertified(f"{lab} does not preserve the equalizer")
-    mod = PModule(
-        g=g,
-        dim=new_dim,
-        e_grades=tuple(amb.e_grades[q] for q in pick),
-        actions=acts,
-        weights=None if amb.weights is None else tuple(amb.weights[q] for q in pick),
-    )
-    return SemiHolonomicJet(r=k, V=V, module=mod, phi=tuple(phi))
+    return SemiHolonomicJet(r=prev.r + 1, V=prev.V, phi=tuple(phi),
+                            module=PModule(g=prev.V.g, dim=new_dim, actions=acts))

@@ -33,8 +33,10 @@ The Gram of V is the block diagonal of the G_nu. No word in the f_i and no
 Verma basis is ever written down.
 
 PModule is the common currency downstream: a space with exact action matrices
-keyed by Chevalley basis labels, rational E-grades, and (when meaningful) full
-weights and a contravariant Gram.
+keyed by Chevalley basis labels and, when something downstream reads them,
+the weights of its coordinates and a contravariant Gram. The E-grade of a
+coordinate is not stored: E lies in the Cartan, so it acts on a vector of
+weight mu by ``g.e_eigenvalue(mu)``, the one home of the grade.
 """
 
 from __future__ import annotations
@@ -161,12 +163,13 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
 
 
 class PModule:
-    """Space with exact p-action (and optionally g_-), E-grades, weights."""
+    """Space with exact p-action (and optionally g_-), and optionally the
+    weight of each coordinate and a contravariant Gram. A coordinate of
+    weight mu has E-grade ``g.e_eigenvalue(mu)``."""
 
-    def __init__(self, g: GradedLieAlgebra, dim: int, e_grades: tuple,
-                 actions: dict[Label, SpMat], weights: tuple[Weight, ...] | None = None,
-                 gram: SpMat | None = None):
-        self.g, self.dim, self.e_grades, self.actions = g, dim, e_grades, actions
+    def __init__(self, g: GradedLieAlgebra, dim: int, actions: dict[Label, SpMat],
+                 weights: tuple[Weight, ...] | None = None, gram: SpMat | None = None):
+        self.g, self.dim, self.actions = g, dim, actions
         self.weights, self.gram = weights, gram
 
     def has_gminus(self) -> bool:
@@ -182,20 +185,13 @@ def positions_by_weight(weights) -> dict[Weight, list[int]]:
 
 
 def restrict_to_parabolic(m: GModule, g: GradedLieAlgebra) -> PModule:
-    """GModule as PModule: all Chevalley labels act, E-grades are rational."""
+    """GModule as PModule: all Chevalley labels act."""
     acts = action_from_simples(g, list(m.e_mats), list(m.f_mats), list(m.h_mats))
-    return PModule(
-        g=g,
-        dim=m.dim,
-        e_grades=tuple(g.e_eigenvalue(mu) for mu in m.weights),
-        actions=acts,
-        weights=m.weights,
-        gram=m.gram,
-    )
+    return PModule(g=g, dim=m.dim, actions=acts, weights=m.weights, gram=m.gram)
 
 
 def tensor(m1: PModule, m2: PModule) -> PModule:
-    """m1 (x) m2, basis row-major in the factors."""
+    """m1 (x) m2, basis row-major in the factors; both factors carry weights."""
     if m1.g is not m2.g:
         raise ValueError("tensor of modules over different algebras")
     common = [l for l in m1.actions if l in m2.actions]
@@ -206,23 +202,10 @@ def tensor(m1: PModule, m2: PModule) -> PModule:
                                      *kron_blocks(one1, m2.actions[l])])
         for l in common
     }
-    e_grades = tuple(
-        a + b for a in m1.e_grades for b in m2.e_grades
+    weights = tuple(
+        tuple(x + y for x, y in zip(wa, wb)) for wa in m1.weights for wb in m2.weights
     )
-    weights = None
-    if m1.weights is not None and m2.weights is not None:
-        weights = tuple(
-            tuple(x + y for x, y in zip(wa, wb))
-            for wa in m1.weights
-            for wb in m2.weights
-        )
-    gram = None
-    if m1.gram is not None and m2.gram is not None:
-        gram = m1.gram.kron(m2.gram)
-    return PModule(
-        g=m1.g, dim=m1.dim * m2.dim, e_grades=e_grades, actions=acts,
-        weights=weights, gram=gram,
-    )
+    return PModule(g=m1.g, dim=dim, actions=acts, weights=weights)
 
 
 class IrrepLabel:
@@ -324,7 +307,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
         out.append(
             IrrepLabel(
                 label=tuple(label),
-                e_eigenvalue=m.e_grades[cols[0]],
+                e_eigenvalue=g.e_eigenvalue(mu),
                 dim=per_dim,
                 multiplicity=ker.ncols,
                 embedding=emb,

@@ -21,7 +21,7 @@ from math import factorial
 
 from artifact.gradedla import GradedLieAlgebra
 from artifact.hodge import CochainComplex, HodgeSplit, check_weight_blocks
-from artifact.linalg import Q, QONE, QZERO, SpMat
+from artifact.linalg import Q, QONE, SpMat
 from artifact.repmod import PModule, positions_by_weight, tensor
 
 
@@ -31,7 +31,6 @@ def pplus_module(g: GradedLieAlgebra) -> PModule:
     return PModule(
         g=g,
         dim=len(roots),
-        e_grades=tuple(Q(g.grade_of(("e", r))) for r in roots),
         actions=dict(g.pplus_action()),
         weights=tuple(g.rs.root_to_weight(r) for r in roots),
     )
@@ -76,17 +75,29 @@ def exterior_power(m: PModule, n: int) -> PModule:
                         continue
                     terms.append((tidx[tuple(srt)], k, sign * v, unit))
         acts[lab] = SpMat.assemble(len(tuples), len(tuples), terms)
-    e_grades = tuple(sum((m.e_grades[i] for i in t), QZERO) for t in tuples)
     weights = tuple(
         tuple(sum(m.weights[i][j] for i in t) for j in range(m.g.rs.rank))
         for t in tuples
     )
-    return PModule(g=m.g, dim=len(tuples), e_grades=e_grades, actions=acts, weights=weights)
+    return PModule(g=m.g, dim=len(tuples), actions=acts, weights=weights)
 
 
 def reference_level(cc: CochainComplex, n: int) -> PModule:
     """C^n = Lambda^n p_+ (x) V."""
     return tensor(exterior_power(pplus_module(cc.g), n), cc.V)
+
+
+def reference_grades(cc: CochainComplex, n: int) -> tuple:
+    """The E-grade of each coordinate of C^n, without its weight: the
+    grades of the p_+ roots of the wedge, summed, plus the E-eigenvalue of
+    the V coordinate."""
+    g = cc.g
+    grades = [g.grade_of(("e", r)) for r in g.pplus_roots()]
+    v_grades = [g.e_eigenvalue(mu) for mu in cc.V.weights]
+    return tuple(
+        sum(grades[a] for a in t) + e
+        for t in combinations(range(len(grades)), n) for e in v_grades
+    )
 
 
 def _tuple_scale(cc: CochainComplex, t: tuple):

@@ -79,10 +79,7 @@ def reference_jet1(V: PModule) -> PModule:
             for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
                 act = act + corner.kron(V.actions[blab].scale(c / dual.d[a]))
         acts[lab] = act
-    return PModule(
-        g=g, dim=(1 + d) * V.dim, e_grades=V.e_grades + pv.e_grades, actions=acts,
-        weights=None if V.weights is None else V.weights + pv.weights,
-    )
+    return PModule(g=g, dim=(1 + d) * V.dim, actions=acts, weights=V.weights + pv.weights)
 
 
 @dataclass
@@ -150,13 +147,7 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
         if not (diff @ restricted).is_zero():
             raise AssertionError(f"{lab} does not preserve the equalizer")
         acts[lab] = sel @ restricted
-    mod = PModule(
-        g=g,
-        dim=new_dim,
-        e_grades=tuple(amb.e_grades[i] for i in pick),
-        actions=acts,
-        weights=None if amb.weights is None else tuple(amb.weights[i] for i in pick),
-    )
+    mod = PModule(g=g, dim=new_dim, actions=acts)
     return ReferenceJet(r=k, V=V, module=mod, iota=iota)
 
 

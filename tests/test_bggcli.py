@@ -263,6 +263,25 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, emit, writte
     assert cap.err == f"error: cannot write {out}{written}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("case", ["non_utf8_config", "deeply_nested_algebra"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    """A config file that is not UTF-8, and an --algebra nested past the
+    JSON parser's recursion limit, are malformed input, not crashes."""
+    argv = ["--cross", "1", "--weight", "1", "cohomology"]
+    if case == "non_utf8_config":
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff")
+        argv += ["--config", str(cfg), "--algebra", "A1"]
+        want = f"error: config {cfg} is not UTF-8: invalid start byte at byte 0\n"
+    else:
+        argv += ["--algebra", "[" * 60000]
+        want = "error: bad Cartan matrix: nested too deeply\n"
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == want
+
+
 def test_module_entry_point_runs_without_warnings():
     # `python -m artifact.bggcli` must not find bggcli imported by the package
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

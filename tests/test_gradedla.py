@@ -110,6 +110,23 @@ def test_grading_element_eigenvalues():
             assert br == expect
 
 
+@pytest.mark.parametrize("label,sigma", [
+    ("A1", (1,)), ("A3", (2,)), ("B3", (1,)), ("C3", (2,)), ("G2", (1, 2)), ("D4", (1, 3)),
+])
+def test_e_eigenvalue_is_the_pairing_with_e(label, sigma):
+    """mu(E) summed over E's coordinates as Q, on a box of weights; the
+    integer path returns an int exactly when the value is integral."""
+    g = graded(label, sigma)
+    E = g.grading_element()
+    rank = g.rs.rank
+    for k in range(3 ** rank):
+        mu = tuple((k // 3 ** j) % 3 - 1 for j in range(rank))
+        want = sum((E.get(("h", j), Q(0)) * mu[j] for j in range(rank)), Q(0))
+        got = g.e_eigenvalue(mu)
+        assert got == want, mu
+        assert (type(got) is int) == (want.denominator == 1), mu
+
+
 def test_dual_bases_pairing():
     g = graded("B2", (1,))
     K = killing_form(g)

@@ -23,6 +23,7 @@ from hodge_reference import (
     laplacian,
     reference_del,
     reference_delstar,
+    reference_grades,
     reference_hodge_decompose,
     reference_inner,
     reference_level,
@@ -189,7 +190,7 @@ def test_cohomology_module_structure():
     cc = complex_for("A2", (1,), (1, 1))
     for coh in cohs:
         mod = coh.module
-        K = coh.embedding
+        K = coh.split.ker_box
         for l in cc.g.p_labels():
             if cc.g.grade_of(l) > 0:
                 assert mod.actions[l].is_zero()
@@ -290,7 +291,8 @@ def test_complex_equals_decomposable_reference(label, sigma, weight):
         want = reference_level(cc, n)
         got = cc.levels[n]
         assert got.actions == want.actions
-        assert (got.dim, got.e_grades, got.weights) == (want.dim, want.e_grades, want.weights)
+        assert (got.dim, got.weights) == (want.dim, want.weights)
+        assert tuple(cc.g.e_eigenvalue(mu) for mu in got.weights) == reference_grades(cc, n)
         assert cc.inner[n] == reference_inner(cc, n)
         if n < cc.top:
             assert cc.dels[n] == reference_del(cc, n)
@@ -341,9 +343,26 @@ def test_complex_entries_are_exact_and_normalized(label, sigma, weights):
         mats = cc.dels + cc.delstars + cc.inner
         for coh in cohs:
             sp = coh.split
-            mats += [sp.im_del, sp.ker_box, sp.im_delstar, coh.embedding]
+            mats += [sp.im_del, sp.ker_box, sp.im_delstar]
             mats += list(coh.module.actions.values())
         for M in mats:
             for _, _, v in M.entries():
                 assert not isinstance(v, float)
                 assert type(v) is int or v.denominator != 1, (label, weight, v)
+
+
+@pytest.mark.parametrize("label,sigma,weights", BATTERY,
+                         ids=[f"{l}-{','.join(map(str, s))}" for l, s, _ in BATTERY])
+def test_e_grade_is_the_eigenvalue_of_the_weight(label, sigma, weights):
+    """No E-grade is stored: the pipeline reads it as ``g.e_eigenvalue`` of a
+    coordinate's weight. On every level of C^n that agrees with the grade
+    summed from the wedge's p_+ roots, and on every harmonic module with the
+    grade of each C^n row its basis vector is supported on."""
+    for weight in weights:
+        cc, cohs, _ = components_for(label, sigma, weight)
+        g = cc.g
+        for coh in cohs:
+            want = reference_grades(cc, coh.n)
+            assert tuple(g.e_eigenvalue(mu) for mu in cc.levels[coh.n].weights) == want
+            for i, k in coh.split.ker_box.support():
+                assert g.e_eigenvalue(coh.module.weights[k]) == want[i], (coh.n, i, k)

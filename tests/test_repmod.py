@@ -240,8 +240,8 @@ def test_restriction_is_p_representation():
                 expect = expect + V.actions[k].scale(Q(c))
             assert (comm - expect).is_zero()
     E = g.grading_element()
-    for k, mu in enumerate(V.weights):
-        assert V.e_grades[k] == sum(
+    for mu in V.weights:
+        assert g.e_eigenvalue(mu) == sum(
             E.get(("h", j), Q(0)) * mu[j] for j in range(g.rs.rank)
         )
 
@@ -256,7 +256,7 @@ def test_pplus_module_is_adjoint_on_pplus():
     g = graded("B2", (1,))
     W = pplus_module(g)
     assert W.dim == len(g.pplus_roots())
-    assert tuple(W.e_grades) == tuple(
+    assert tuple(g.e_eigenvalue(w) for w in W.weights) == tuple(
         sum(r[i] for i in (0,)) for r in g.pplus_roots()
     )
     for l1 in g.p_labels():
@@ -310,9 +310,7 @@ def test_decompose_with_uncrossed_lowering():
 def test_decompose_requires_weight_basis():
     g = graded("A1", (1,))
     V = restrict_to_parabolic(build_irrep(g.rs, (1,)), g)
-    bare = PModule(
-        g=g, dim=V.dim, e_grades=V.e_grades, actions=V.actions, weights=None
-    )
+    bare = PModule(g=g, dim=V.dim, actions=V.actions, weights=None)
     with pytest.raises(NotCompletelyReducibleInput):
         decompose_completely_reducible(bare)
 

@@ -74,20 +74,26 @@ def tilde_jet_submodule(gs, i: int, bases: list[SpMat]) -> TildeJet:
             raise CertificationFailure(
                 f"tilde subspace not invariant under {lab}"
             ) from exc
-    e_grades, weights = [], []
+    amb_weights = _jet1_weights(gs, amb.dim // (1 + len(amb.g.pplus_roots())))
+    weights = []
     for k in range(basis.ncols):
-        supp = [p for p in range(amb.dim) if basis.get(p, k)]
-        gset = {amb.e_grades[p] for p in supp}
-        wset = {amb.weights[p] for p in supp}
-        if len(gset) != 1 or len(wset) != 1:
+        wset = {amb_weights[p] for p in range(amb.dim) if basis.get(p, k)}
+        if len(wset) != 1:
             raise CertificationFailure(f"tilde basis vector {k} is not homogeneous")
-        e_grades.append(gset.pop())
         weights.append(wset.pop())
-    mod = PModule(
-        g=amb.g, dim=basis.ncols, e_grades=tuple(e_grades),
-        actions=acts, weights=tuple(weights),
-    )
+    mod = PModule(g=amb.g, dim=basis.ncols, actions=acts, weights=tuple(weights))
     return TildeJet(i=i, basis=basis, module=mod, ambient=amb)
+
+
+def _jet1_weights(gs, cut: int) -> tuple:
+    """The weight of each coordinate of J^1(E/E^i), E/E^i the first ``cut``
+    coordinates of E: E/E^i's own, then one copy shifted by each p_+ root."""
+    g = gs.cc.g
+    ws = gs.module.weights[:cut]
+    return ws + tuple(
+        tuple(x + y for x, y in zip(w, g.rs.root_to_weight(r)))
+        for r in g.pplus_roots() for w in ws
+    )
 
 
 def _second_tilde(first: SpMat, jet: SemiHolonomicJet) -> SpMat:
