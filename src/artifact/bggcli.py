@@ -37,6 +37,7 @@ from .rootspace import (
     RootSystemNotCertified,
     build_root_system,
     parabolic,
+    spec_rank,
 )
 
 
@@ -153,16 +154,21 @@ def parse_spec(argv: list[str]) -> JobSpec:
     return job
 
 
+def _algebra_spec(text: str):
+    """A series label as given, or an explicit Cartan matrix read from JSON."""
+    if not text.lstrip().startswith("["):
+        return text
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad Cartan matrix {text!r}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError("bad Cartan matrix: nested too deeply") from exc
+
+
 def _root_system(text: str):
     """Accept a series label or an explicit Cartan matrix in JSON form."""
-    spec = text
-    if text.lstrip().startswith("["):
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad Cartan matrix {text!r}: {exc}") from exc
-        except RecursionError as exc:
-            raise ValidationError("bad Cartan matrix: nested too deeply") from exc
+    spec = _algebra_spec(text)
     rs = build_root_system(spec)
     if rs.label:
         return rs
@@ -171,21 +177,29 @@ def _root_system(text: str):
 
 
 def validate(job: JobSpec) -> None:
+    """Refuse an impossible job. The checks that need only the rank, read off
+    the spec, come before the root system is built, whose cost grows with
+    the rank."""
+    algebra_errors = (NotFiniteType, NotIrreducible, ValueError, TypeError)
     try:
-        rs = _root_system(job.algebra)
-    except (NotFiniteType, NotIrreducible, ValueError, TypeError) as exc:
+        rank = spec_rank(_algebra_spec(job.algebra))
+    except algebra_errors as exc:
         raise ValidationError(f"bad algebra {job.algebra!r}: {exc}") from exc
     if not job.sigma:
         raise ValidationError("empty crossed-node set")
     for s in job.sigma:
-        if not 1 <= s <= rs.rank:
-            raise ValidationError(f"crossed node {s} out of range 1..{rs.rank}")
+        if not 1 <= s <= rank:
+            raise ValidationError(f"crossed node {s} out of range 1..{rank}")
     if len(set(job.sigma)) != len(job.sigma):
         raise ValidationError("repeated crossed node")
-    if len(job.weight) != rs.rank:
+    if len(job.weight) != rank:
         raise ValidationError(
-            f"weight needs {rs.rank} entries, got {len(job.weight)}"
+            f"weight needs {rank} entries, got {len(job.weight)}"
         )
+    try:
+        _root_system(job.algebra)
+    except algebra_errors as exc:
+        raise ValidationError(f"bad algebra {job.algebra!r}: {exc}") from exc
     for node, w in enumerate(job.weight, 1):
         if w < 0:
             raise ValidationError(

@@ -31,9 +31,11 @@ sign.
 The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
 and the weight-multiset oracle for their components live here. The
 splitting builds no Laplacian: its harmonic part ker box is ker d ∩ ker dstar,
-solved on the weights the two images leave uncovered (``hodge_decompose``).
-The Laplacian box = d dstar + dstar d appears only restricted to a generated
-submodule, where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
+solved on the weights the two images leave uncovered (``hodge_decompose``),
+and it is certified a basis by one rank of the square weight blocks
+[im d | ker box | im dstar] it is built from. The Laplacian
+box = d dstar + dstar d appears only restricted to a generated submodule,
+where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 """
 
 from __future__ import annotations
@@ -238,21 +240,26 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     the harmonic part ker box = ker d_n ∩ ker dstar_{n-1} is solved only on
     the room they leave, |mu| - rank(im d) - rank(im dstar), as the kernel
     of the stacked blocks [dstar_{n-1}; d_n] on the mu columns. A weight
-    with no room has no harmonic part, and nothing is eliminated for it.
+    with no room has no harmonic part, and its kernel conditions are
+    neither sliced nor eliminated.
+
+    The certificate ranks the blocks the split is built from. Each weight's
+    block [im d | ker box | im dstar] is square (the kernel fills the room
+    exactly, or ``ComplexNotCertified`` is raised) and every column of it
+    lies on the rows of its own weight, so the three bases together are a
+    basis of C^n exactly when the block-diagonal matrix of these blocks has
+    rank dim C^n; otherwise ``ComplexNotCertified`` is raised.
 
     Why skipping is exact: let v be in ker d_n ∩ ker dstar_{n-1} of weight
     mu. By adjointness, dstar_k^T G_k = G_{k+1} d_k, so v is G_n-orthogonal
     to im d_{n-1} and to im dstar_n. With no room, those two images span the
-    weight space of mu (``check_weight_blocks`` certifies that their bases
-    together are a basis). G_n = +-diag(prod_a d_a) (x) Gram_V pairs each
-    weight space with itself, and its block there is nondegenerate, since
-    ``build_irrep`` certifies the contravariant Gram of each weight space
-    nonsingular by its rank. So v = 0.
+    weight space of mu (the certificate above). G_n = +-diag(prod_a d_a)
+    (x) Gram_V pairs each weight space with itself, and its block there is
+    nondegenerate, since ``build_irrep`` certifies the contravariant Gram of
+    each weight space nonsingular by its rank. So v = 0.
 
-    With room, the kernel must have exactly that many columns, or
-    ``ComplexNotCertified`` is raised. ``kernel_basis`` is canonical (it
-    depends only on the subspace), so the harmonic basis is the one the
-    kernel of each Laplacian block gives."""
+    ``kernel_basis`` is canonical (it depends only on the subspace), so the
+    harmonic basis is the one the kernel of each Laplacian block gives."""
     level = cc.levels[n]
     dim = level.dim
     by_weight = positions_by_weight(level.weights)
@@ -262,28 +269,30 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     ker_cols: list[SpMat] = []
     im_ds_cols: list[SpMat] = []
     ker_weights: list[Weight] = []
+    # the square weight blocks [im d | ker box | im dstar] down the diagonal,
+    # as assembler blocks, and the offset of the next one
+    blocks: list[tuple] = []
+    off = 0
 
     for mu in sorted(by_weight):
         rows = by_weight[mu]
-        room = len(rows)
-        conds: list[SpMat] = []
+        m = len(rows)
+        bd = bs = kb = SpMat(m, 0)
         if n >= 1:
-            base = cc.dels[n - 1].submatrix(rows, below.get(mu, [])).column_space_basis()
-            room -= base.ncols
-            if base.ncols:
-                im_del_cols.append(base.place_rows(rows, dim))
-            conds.append(cc.delstars[n - 1].submatrix(below.get(mu, []), rows))
+            bd = cc.dels[n - 1].submatrix(rows, below.get(mu, [])).column_space_basis()
         if n < cc.top:
-            base = cc.delstars[n].submatrix(rows, above.get(mu, [])).column_space_basis()
-            room -= base.ncols
-            if base.ncols:
-                im_ds_cols.append(base.place_rows(rows, dim))
-            conds.append(cc.dels[n].submatrix(above.get(mu, []), rows))
+            bs = cc.delstars[n].submatrix(rows, above.get(mu, [])).column_space_basis()
+        room = m - bd.ncols - bs.ncols
         if room < 0:
             raise ComplexNotCertified(
                 f"im d and im dstar overfill weight {mu} of C^{n}"
             )
         if room:
+            conds: list[SpMat] = []
+            if n >= 1:
+                conds.append(cc.delstars[n - 1].submatrix(below.get(mu, []), rows))
+            if n < cc.top:
+                conds.append(cc.dels[n].submatrix(above.get(mu, []), rows))
             kb = SpMat.vstack(conds).kernel_basis()
             if kb.ncols != room:
                 raise ComplexNotCertified(
@@ -292,47 +301,26 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
                 )
             ker_cols.append(kb.place_rows(rows, dim))
             ker_weights.extend([mu] * room)
+        if bd.ncols:
+            im_del_cols.append(bd.place_rows(rows, dim))
+        if bs.ncols:
+            im_ds_cols.append(bs.place_rows(rows, dim))
+        blocks += [(off, off, 1, bd), (off, off + bd.ncols, 1, kb),
+                   (off, off + m - bs.ncols, 1, bs)]
+        off += m
+    if SpMat.assemble(dim, dim, blocks).rank() != dim:
+        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
 
     def cat(cols):
         return SpMat.hstack(cols) if cols else SpMat(dim, 0)
 
-    split = HodgeSplit(
+    return HodgeSplit(
         n=n,
         im_del=cat(im_del_cols),
         ker_box=cat(ker_cols),
         im_delstar=cat(im_ds_cols),
         harmonic_weights=tuple(ker_weights),
     )
-    check_weight_blocks(level.weights, split.full_basis, n)
-    return split
-
-
-def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> None:
-    """Certify that the columns of ``basis`` are a basis of C^n, whose
-    coordinates have the given weights: every column is supported on the
-    rows of one weight, and for each weight its columns, restricted to its
-    rows, form a square block of full rank. Up to a permutation of rows and
-    columns, ``basis`` is then block diagonal with invertible blocks."""
-    rows_of = positions_by_weight(weights)
-    cols_of: dict[Weight, list[int]] = {}
-    col_weights: dict[int, set[Weight]] = {}
-    for i, c in basis.support():
-        col_weights.setdefault(c, set()).add(weights[i])
-    for c in range(basis.ncols):
-        ws = col_weights.get(c, set())
-        if len(ws) != 1:
-            raise ComplexNotCertified(
-                f"Hodge basis vector {c} of C^{n} is not a weight vector"
-            )
-        cols_of.setdefault(ws.pop(), []).append(c)
-    blocks = []
-    for mu, rows in rows_of.items():
-        cols = cols_of.get(mu, [])
-        if len(cols) != len(rows):
-            raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
-        blocks.append(basis.submatrix(rows, cols))
-    if SpMat.block_diag(blocks).rank() != len(weights):
-        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
 
 
 class Cohomology:

@@ -39,8 +39,10 @@ assembly of product blocks tested with ``is_zero``.
 
 Every kernel runs on ints. Rows are summed over the lcm of their
 denominators and each written row is divided once by the gcd of its entries
-and its denominator. Column merging and the transpose bring the rows they
-combine to a common denominator the same way. Row reduction is
+and its denominator; a block row added to an unshared output row over the
+same denominator is summed as it is, with no lcm and no rescaling. Column
+merging and the transpose bring the rows they combine to a common
+denominator the same way. Row reduction is
 fraction-free: the forward pass starts from the stored integer rows divided
 by their content, eliminates with r <- p_j r - r_j p and
 divides by the content again, sweeping the columns left to right with the
@@ -83,7 +85,10 @@ def _quo(num: int, den: int):
 
 def _from_values(vals: dict) -> tuple[dict, int]:
     """(ints, den) with vals == ints / den, for nonzero rationals vals: den is
-    the lcm of their denominators, which leaves the row in lowest terms."""
+    the lcm of their denominators, which leaves the row in lowest terms. An
+    all-int row is returned as it is, over 1."""
+    if all(type(v) is int for v in vals.values()):
+        return vals, 1
     nds = {j: _nd(v) for j, v in vals.items()}
     den = lcm(*(d for _, d in nds.values()))
     if den == 1:
@@ -259,7 +264,9 @@ class SpMat:
 
         def common(i: int, d: int) -> int:
             """Bring out row i (which exists) and a block row over d to their
-            common denominator; returns the factor the block row needs."""
+            common denominator; returns the factor the block row needs. A
+            caller skips it when row i is not shared and is over d already,
+            where it would return 1 and change nothing."""
             orow = out[i]
             if i in shared:
                 orow = out[i] = dict(orow)
@@ -309,7 +316,8 @@ class SpMat:
                             f, d = cn, xdens.get(i, 1) * rden * cd
                             i += roff
                             if i in out:
-                                f *= common(i, d)
+                                if i in shared or odens.get(i, 1) != d:
+                                    f *= common(i, d)
                             else:
                                 out[i] = {}
                                 if d != 1:
@@ -350,7 +358,8 @@ class SpMat:
                         dirty.add(i)
                     continue
                 # a second block in this row: sum over a common denominator
-                f *= common(i, d)
+                if i in shared or odens.get(i, 1) != d:
+                    f *= common(i, d)
                 orow = out[i]
                 get = orow.get
                 if coff:
@@ -365,11 +374,11 @@ class SpMat:
         for i in dirty:
             row = out[i]
             if 0 in row.values():
-                row = {j: v for j, v in row.items() if v}
-                if not row:
+                if not any(row.values()):
                     del out[i]
                     odens.pop(i, None)
                     continue
+                row = {j: v for j, v in row.items() if v}
             result._put(i, row, odens.get(i, 1))
         return result
 

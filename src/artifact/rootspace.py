@@ -45,8 +45,8 @@ class RootSystemNotCertified(Exception):
 _SERIES_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
 
-def cartan_matrix_from_series(label: str) -> list[list[int]]:
-    """Cartan matrix for a series label like 'A3', 'B2', 'E6', 'G2'."""
+def _series(label: str) -> tuple[str, int]:
+    """(letter, rank) of a series label like 'A3', read off its digits."""
     m = _SERIES_RE.match(label.strip())
     if not m:
         raise NotFiniteType(f"cannot parse series label {label!r}")
@@ -55,7 +55,12 @@ def cartan_matrix_from_series(label: str) -> list[list[int]]:
     high = {"A": 10**6, "B": 10**6, "C": 10**6, "D": 10**6, "E": 8, "F": 4, "G": 2}[letter]
     if not low <= n <= high:
         raise NotFiniteType(f"rank {n} out of range for series {letter}")
+    return letter, n
 
+
+def cartan_matrix_from_series(label: str) -> list[list[int]]:
+    """Cartan matrix for a series label like 'A3', 'B2', 'E6', 'G2'."""
+    letter, n = _series(label)
     C = [[2 * (i == j) for j in range(n)] for i in range(n)]
 
     def edge(i, j):  # simple edge, 0-based
@@ -203,6 +208,33 @@ class RootSystem:
         return tuple(lam[j] - self.cartan[j][i] * lam[i] for j in range(self.rank))
 
 
+def _label(spec: str) -> str:
+    return spec.strip().upper().replace(" ", "")
+
+
+def _matrix(spec) -> list[list[int]]:
+    """An explicit Cartan matrix as a list of int rows, square and nonempty."""
+    # int() would read 2.7 and "2" as 2; a bool, an int subclass, is refused too
+    if not all(isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
+               for row in spec):
+        raise NotFiniteType("Cartan matrix entries must be integers")
+    C = [list(row) for row in spec]
+    n = len(C)
+    if n == 0 or any(len(row) != n for row in C):
+        raise NotFiniteType("Cartan matrix must be square and nonempty")
+    return C
+
+
+def spec_rank(spec) -> int:
+    """The rank a series label or an explicit Cartan matrix names, read
+    before anything is built: the digits of the label, or the row count of
+    the matrix. Raises the NotFiniteType that ``build_root_system`` raises
+    first on a label that does not parse or a malformed matrix."""
+    if isinstance(spec, str):
+        return _series(_label(spec))[1]
+    return len(_matrix(spec))
+
+
 def build_root_system(spec) -> RootSystem:
     """Root system from a series label ('A3') or an explicit Cartan matrix.
 
@@ -210,17 +242,11 @@ def build_root_system(spec) -> RootSystem:
     """
     label = ""
     if isinstance(spec, str):
-        label = spec.strip().upper().replace(" ", "")
+        label = _label(spec)
         C = cartan_matrix_from_series(label)
     else:
-        # int() would read 2.7 and "2" as 2; a bool, an int subclass, is refused too
-        if not all(isinstance(row, (list, tuple)) and all(type(x) is int for x in row)
-                   for row in spec):
-            raise NotFiniteType("Cartan matrix entries must be integers")
-        C = [list(row) for row in spec]
+        C = _matrix(spec)
     n = len(C)
-    if n == 0 or any(len(row) != n for row in C):
-        raise NotFiniteType("Cartan matrix must be square and nonempty")
     for i in range(n):
         if C[i][i] != 2:
             raise NotFiniteType("diagonal entries must equal 2")
@@ -326,10 +352,6 @@ class WeylElt:
                  mat_root: tuple[tuple[int, ...], ...], mat_weight: tuple[tuple[int, ...], ...]):
         self.rs, self.word, self.mat_root, self.mat_weight = rs, word, mat_root, mat_weight
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
     def act_weight(self, lam: Weight) -> Weight:
         return tuple(
             sum(self.mat_weight[i][j] * lam[j] for j in range(self.rs.rank))
@@ -365,54 +387,51 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     return WeylElt(rs=rs, word=(i,), mat_root=mr, mat_weight=mw)
 
 
-def enumerate_weyl(rs: RootSystem, max_elements: int = 200000) -> list[WeylElt]:
-    """All of W, BFS by length, lex-least reduced word per element. The
-    root matrix of w s_i identifies it, so the weight matrix is multiplied
-    out only for an element not seen before."""
+def parabolic_hasse(p: ParabolicSpec, max_elements: int = 200000) -> list[list[WeylElt]]:
+    """W^p graded by length: w with w^{-1}(alpha_j) > 0 for every uncrossed j.
+
+    Level n holds the length-n elements, sorted by reduced word, each with
+    its lex-least reduced word. Row j of ``w.mat_weight`` holds the coroot
+    coordinates of w^{-1}(alpha_j^vee), which is positive exactly when
+    w^{-1}(alpha_j) is; a root is positive or negative, so the test is that
+    the row has a positive entry, and no inverse is built.
+
+    W^p is grown level by level and W is never enumerated: level n + 1
+    holds the new w s_i, for w on level n, that pass the test. Every prefix
+    of a reduced word of an element of W^p is in W^p (if s_j u < u for an
+    uncrossed j, then s_j u v < u v), so this reaches all of W^p, and the
+    lex-least reduced word of w s_i is found first from the level sorted by
+    word. The root matrix identifies an element, so the weight matrix is
+    multiplied out only for one not seen before. More than ``max_elements``
+    elements raise NotFiniteType.
+    """
+    rs = p.rs
+    uncrossed0 = [j - 1 for j in p.uncrossed]
     simples = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     e = identity_weyl(rs)
     seen = {e.mat_root}
-    frontier = [e]
-    out = [e]
-    while frontier:
+    levels = [[e]]
+    count = 1
+    while True:
         nxt: list[WeylElt] = []
-        for w in frontier:
+        for w in levels[-1]:
             for s in simples:
                 mat_root = _matmul_int(w.mat_root, s.mat_root)
                 if mat_root in seen:
                     continue
                 seen.add(mat_root)
-                w2 = WeylElt(rs=rs, word=w.word + s.word, mat_root=mat_root,
-                             mat_weight=_matmul_int(w.mat_weight, s.mat_weight))
-                nxt.append(w2)
-                out.append(w2)
-                if len(out) > max_elements:
-                    raise NotFiniteType(f"Weyl group larger than cap {max_elements}")
+                mat_weight = _matmul_int(w.mat_weight, s.mat_weight)
+                if not all(max(mat_weight[j]) > 0 for j in uncrossed0):
+                    continue
+                nxt.append(WeylElt(rs=rs, word=w.word + s.word, mat_root=mat_root,
+                                   mat_weight=mat_weight))
+                count += 1
+                if count > max_elements:
+                    raise NotFiniteType(f"W^p larger than cap {max_elements}")
+        if not nxt:
+            return levels
         nxt.sort(key=lambda w: w.word)
-        frontier = nxt
-    return out
-
-
-def parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
-    """W^p graded by length: w with w^{-1}(alpha_j) > 0 for every uncrossed j.
-
-    Level n holds the length-n elements, sorted by reduced word. Row j of
-    ``w.mat_weight`` holds the coroot coordinates of w^{-1}(alpha_j^vee),
-    which is positive exactly when w^{-1}(alpha_j) is; a root is positive or
-    negative, so the test is that the row has a positive entry, and no
-    inverse is built.
-    """
-    uncrossed0 = [j - 1 for j in p.uncrossed]
-    levels: dict[int, list[WeylElt]] = {}
-    for w in enumerate_weyl(p.rs):
-        if all(max(w.mat_weight[j]) > 0 for j in uncrossed0):
-            levels.setdefault(w.length, []).append(w)
-    if not levels:
-        return []
-    top = max(levels)
-    if set(levels) != set(range(top + 1)):
-        raise RootSystemNotCertified("Hasse diagram of W^p has a gap in lengths")
-    return [sorted(levels[n], key=lambda w: w.word) for n in range(top + 1)]
+        levels.append(nxt)
 
 
 def affine_dot_action(w: WeylElt, lam: Weight) -> Weight:

@@ -12,6 +12,12 @@ part of each weight as ker d ∩ ker dstar, and only on the weights the two
 images leave uncovered. ``reference_hodge_decompose`` is the construction it
 replaced: the whole Laplacian box = d dstar + dstar d of the level is built
 once, and every weight block of it is eliminated.
+
+``check_weight_blocks`` certifies an assembled basis from its entries alone:
+it reads each column's weight off its support and cuts the square weight
+blocks back out before it ranks them. ``hodge_decompose`` ranks the blocks
+it builds instead; the reference split, and the tests' tampered bases, are
+certified here.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from itertools import combinations
 from math import factorial
 
 from artifact.gradedla import GradedLieAlgebra
-from artifact.hodge import CochainComplex, HodgeSplit, check_weight_blocks
+from artifact.hodge import CochainComplex, ComplexNotCertified, HodgeSplit
 from artifact.linalg import Q, QONE, SpMat
 from artifact.repmod import PModule, positions_by_weight, tensor
+from artifact.rootspace import Weight
 
 
 def pplus_module(g: GradedLieAlgebra) -> PModule:
@@ -258,3 +265,31 @@ def reference_hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     )
     check_weight_blocks(level.weights, split.full_basis, n)
     return split
+
+
+def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> None:
+    """Certify that the columns of ``basis`` are a basis of C^n, whose
+    coordinates have the given weights: every column is supported on the
+    rows of one weight, and for each weight its columns, restricted to its
+    rows, form a square block of full rank. Up to a permutation of rows and
+    columns, ``basis`` is then block diagonal with invertible blocks."""
+    rows_of = positions_by_weight(weights)
+    cols_of: dict[Weight, list[int]] = {}
+    col_weights: dict[int, set[Weight]] = {}
+    for i, c in basis.support():
+        col_weights.setdefault(c, set()).add(weights[i])
+    for c in range(basis.ncols):
+        ws = col_weights.get(c, set())
+        if len(ws) != 1:
+            raise ComplexNotCertified(
+                f"Hodge basis vector {c} of C^{n} is not a weight vector"
+            )
+        cols_of.setdefault(ws.pop(), []).append(c)
+    blocks = []
+    for mu, rows in rows_of.items():
+        cols = cols_of.get(mu, [])
+        if len(cols) != len(rows):
+            raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
+        blocks.append(basis.submatrix(rows, cols))
+    if SpMat.block_diag(blocks).rank() != len(weights):
+        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")

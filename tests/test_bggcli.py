@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from artifact import bggcore
+from artifact import bggcli, bggcore
 from artifact.bggcli import (
     JobSpec,
     ParseError,
@@ -191,6 +191,24 @@ def test_non_integer_cartan_entries_exit_2(cartan, weight, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: bad algebra {cartan!r}: Cartan matrix entries must be integers\n"
+
+
+@pytest.mark.parametrize("algebra,cross,weight,err", [
+    ("A120", "1", "0", "weight needs 120 entries, got 1"),
+    ("a 120", "121", "0", "crossed node 121 out of range 1..120"),
+    ("[[2,-1],[-1,2]]", "1", "0,0,0", "weight needs 2 entries, got 3"),
+], ids=["label", "spaced-label", "matrix"])
+def test_rank_checks_build_no_root_system(monkeypatch, capsys, algebra, cross, weight, err):
+    """The crossed nodes and the weight length are checked against the rank
+    read off the spec, before the root system, whose build grows with the
+    rank, is started."""
+    def refuse(spec):
+        raise AssertionError(f"root system of {spec!r} built before the rank checks")
+
+    monkeypatch.setattr(bggcli, "build_root_system", refuse)
+    assert main(["--algebra", algebra, "--cross", cross, "--weight", weight, "cohomology"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {err}\n")
 
 
 def test_main_exit_codes(capsys):

@@ -5,11 +5,11 @@ import pytest
 from artifact.hodge import (
     ComplexNotCertified,
     DegreeOverflow,
-    check_weight_blocks,
     hodge_decompose,
     kostant_oracle,
 )
 from artifact.linalg import Q, SpMat
+from artifact.repmod import positions_by_weight
 from conftest import (
     BATTERY,
     GOLDEN_DIMS,
@@ -20,6 +20,7 @@ from conftest import (
     replaced,
 )
 from hodge_reference import (
+    check_weight_blocks,
     laplacian,
     reference_del,
     reference_delstar,
@@ -29,7 +30,7 @@ from hodge_reference import (
     reference_level,
     reference_wedge,
 )
-from linalg_reference import row_dicts, to_dense, with_row
+from linalg_reference import from_rows, row_dicts, to_dense, with_row
 
 CASES = [
     ("A1", (1,), (3,)),
@@ -138,22 +139,69 @@ def test_split_of_an_overfilled_weight_is_refused():
         hodge_decompose(replaced(cc, dels=dels), n)
 
 
+def test_split_with_a_singular_weight_block_is_refused():
+    """A dstar_n whose weight block keeps its rank but has im d's first basis
+    vector in place of its own first independent column: im d and im dstar
+    meet, every count still holds, and only the rank of the square block
+    [im d | ker box | im dstar] shows that the split is not a basis."""
+    cc = complex_for("A2", (1,), (1, 1))
+
+    def weight_blocks(n, mu):
+        rows = positions_by_weight(cc.levels[n].weights)[mu]
+        above = positions_by_weight(cc.levels[n + 1].weights).get(mu, [])
+        below = positions_by_weight(cc.levels[n - 1].weights).get(mu, [])
+        bd = cc.dels[n - 1].submatrix(rows, below).column_space_basis()
+        indep = cc.delstars[n].submatrix(rows, above).independent_columns()
+        return rows, above, bd, indep
+
+    # the first weight of a middle level with both images nonzero
+    n, (rows, above, bd, indep) = next(
+        (n, wb) for n in range(1, cc.top) for mu in sorted(set(cc.levels[n].weights))
+        if (wb := weight_blocks(n, mu))[2].ncols and wb[3]
+    )
+    # rows of the transpose are the columns of dstar_n
+    cols = row_dicts(cc.delstars[n].transpose())
+    for p, q in enumerate(above):
+        cols[q] = cols.get(q, {}) if p in indep else {}
+    cols[above[indep[0]]] = {rows[i]: v for i, v in bd.col_dict(0).items()}
+    delstars = list(cc.delstars)
+    delstars[n] = from_rows(cc.dim(n + 1), cc.dim(n), cols).transpose()
+    tampered = replaced(cc, delstars=delstars)
+    assert tampered.delstars[n].submatrix(rows, above).independent_columns() == indep
+    with pytest.raises(ComplexNotCertified, match=rf"Hodge splitting of C\^{n} is not a basis"):
+        hodge_decompose(tampered, n)
+
+
 def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
     """kernel_basis runs once per weight with a harmonic part, and on no
-    weight the two images cover."""
+    weight the two images cover; the kernel conditions, the weight blocks
+    of dstar_{n-1} and d_n, are sliced only on those weights too."""
     cc = complex_for("G2", (1,), (1, 1))
     calls = []
+    slices = []
     kernel_basis = SpMat.kernel_basis
+    submatrix = SpMat.submatrix
 
     def counted(self):
         calls.append(self.ncols)
         return kernel_basis(self)
 
+    def sliced(self, row_idx, col_idx):
+        if any(self is m for m in conditions):
+            slices.append(self)
+        return submatrix(self, row_idx, col_idx)
+
     monkeypatch.setattr(SpMat, "kernel_basis", counted)
+    monkeypatch.setattr(SpMat, "submatrix", sliced)
     harmonic = 0
+    want_slices = 0
     for n in range(cc.top + 1):
-        harmonic += len(set(hodge_decompose(cc, n).harmonic_weights))
+        conditions = ([cc.delstars[n - 1]] if n >= 1 else []) + ([cc.dels[n]] if n < cc.top else [])
+        weights = len(set(hodge_decompose(cc, n).harmonic_weights))
+        harmonic += weights
+        want_slices += weights * len(conditions)
     assert len(calls) == harmonic == 24
+    assert len(slices) == want_slices
     blocks = sum(len(set(cc.levels[n].weights)) for n in range(cc.top + 1))
     assert blocks == 290
 

@@ -498,6 +498,37 @@ def test_product_blocks_reject_factors_that_do_not_chain():
     assert SpMat.assemble(2, 3, [(0, 0, 1, (SpMat.identity(2), SpMat(2, 3)))]).is_zero()
 
 
+def test_assemble_denominator_paths_match_the_reference():
+    """Each way a row of the output is hit again, against reference_assemble:
+    a shared row (a plain block's own row) hit over an equal denominator and
+    over a different one, by a plain block and by a product block's row;
+    rows that cancel in part, and rows that cancel to zero. No input row is
+    changed, though the output shares them."""
+    A = SpMat.from_dense([[Q(1, 2), Q(3, 2), 0], [1, 2, 3]])
+    # row 0 over A's denominator 2, row 1 over 3 against A's 1
+    B = SpMat.from_dense([[Q(5, 2), 0, Q(1, 2)], [Q(1, 3), 0, 1]])
+    C = SpMat.from_dense([[Q(-1, 2), 0, 0], [-1, -2, 0]])
+    I2 = SpMat.identity(2)
+    cases = [
+        [(0, 0, 1, A), (0, 0, 1, B)],
+        [(0, 0, 1, A), (0, 0, 1, (I2, B))],
+        [(0, 0, 1, (I2, B)), (0, 0, 1, A)],
+        [(0, 0, 1, A), (0, 0, 1, C)],
+        [(0, 0, 1, A), (0, 0, -1, A)],
+        [(0, 0, 1, A), (0, 0, -1, (I2, A))],
+        [(0, 0, 1, A), (0, 0, 1, B), (0, 0, -1, (I2, B)), (0, 0, -1, A)],
+    ]
+    before = [snapshot(M) for M in (A, B, C)]
+    for blocks in cases:
+        got = SpMat.assemble(2, 3, blocks)
+        assert got == reference_assemble(2, 3, plain_blocks(blocks))
+        assert stored_form(got)
+    assert [snapshot(M) for M in (A, B, C)] == before
+    assert SpMat.assemble(2, 3, cases[4]) == SpMat(2, 3)
+    partial = SpMat.assemble(2, 3, cases[3])
+    assert (partial.rows, partial.dens) == ({0: {1: 3}, 1: {2: 3}}, {0: 2})
+
+
 def test_assemble_rejects_blocks_that_do_not_fit():
     M = SpMat.identity(2)
     for roff, coff in [(2, 0), (0, 2), (-1, 0), (0, -1)]:

@@ -10,7 +10,6 @@ from artifact.rootspace import (
     build_root_system,
     cartan_matrix_from_series,
     dominant_representative_for,
-    enumerate_weyl,
     identity_weyl,
     parabolic,
     parabolic_hasse,
@@ -19,7 +18,8 @@ from artifact.rootspace import (
     weyl_dimension,
 )
 
-from conftest import graded
+from conftest import BATTERY, graded
+from rootspace_reference import enumerate_weyl, reference_parabolic_hasse
 
 
 def reflect_root(rs, i, c):
@@ -73,7 +73,7 @@ def test_counts_and_adjoint_dim(label, npos, worder, adjdim):
     assert len(rs.pos_roots) == npos
     W = enumerate_weyl(rs)
     assert len(W) == worder
-    assert max(w.length for w in W) == npos
+    assert max(len(w.word) for w in W) == npos
     assert weyl_dimension(rs, rs.root_to_weight(rs.pos_roots[-1])) == adjdim
 
 
@@ -117,7 +117,7 @@ def weyl_inverse(w):
 def test_weyl_words_and_inverses():
     rs = build_root_system("A2")
     for w in enumerate_weyl(rs):
-        assert w.length == inversion_count(w)
+        assert len(w.word) == inversion_count(w)
         winv = weyl_inverse(w)
         lam = (2, 5)
         assert winv.act_weight(w.act_weight(lam)) == lam
@@ -162,7 +162,7 @@ def test_hasse_levels_and_depth(label, sigma, sizes, depth):
     assert max(sigma_height(p, r) for r in p.rs.pos_roots) == depth
     for n, lvl in enumerate(levels):
         for w in lvl:
-            assert w.length == n
+            assert len(w.word) == n
 
 
 def test_hasse_elements_are_minimal_coset_reps():
@@ -187,7 +187,7 @@ def _hasse_by_inverse(p):
             p.rs.is_positive(act_root(winv, tuple(int(k == j - 1) for k in range(p.rs.rank))))
             for j in p.uncrossed
         ):
-            levels.setdefault(w.length, []).append(w.word)
+            levels.setdefault(len(w.word), []).append(w.word)
     return [sorted(levels[n]) for n in range(len(levels))]
 
 
@@ -199,6 +199,31 @@ def test_hasse_matches_the_inverse_definition(label):
         p = parabolic(rs, sigma)
         got = [[w.word for w in lvl] for lvl in parabolic_hasse(p)]
         assert got == _hasse_by_inverse(p), sigma
+
+
+HASSE_CASES = [(l, s) for l, s, _ in BATTERY] + [("D4", (2,)), ("F4", (4,))]
+
+
+@pytest.mark.parametrize("label,sigma", HASSE_CASES,
+                         ids=[f"{l}-{','.join(map(str, s))}" for l, s in HASSE_CASES])
+def test_hasse_equals_the_full_weyl_filter(label, sigma):
+    """W^p grown level by level is the filter of all of W: the same levels,
+    words, and action matrices."""
+    p = parabolic(build_root_system(label), set(sigma))
+    want = reference_parabolic_hasse(p)
+    got = parabolic_hasse(p)
+    assert [[w.word for w in lvl] for lvl in got] == [[w.word for w in lvl] for lvl in want]
+    for lg, lw in zip(got, want):
+        for a, b in zip(lg, lw):
+            assert (a.mat_root, a.mat_weight) == (b.mat_root, b.mat_weight)
+
+
+def test_hasse_cap_raises_not_finite_type():
+    p = parabolic(build_root_system("A3"), {2})
+    assert sum(len(lvl) for lvl in parabolic_hasse(p)) == 6
+    parabolic_hasse(p, max_elements=6)
+    with pytest.raises(NotFiniteType, match="larger than cap 5"):
+        parabolic_hasse(p, max_elements=5)
 
 
 def test_affine_dot_action():
