@@ -64,6 +64,9 @@ CERTIFICATE_ERRORS = (
 
 
 class JobSpec:
+    """A job as given. ``root_system`` is the one ``validate`` builds from
+    ``algebra``, kept for ``run``; it is derived, so ``==`` skips it."""
+
     def __init__(self, algebra: str, sigma: tuple[int, ...], weight: tuple[int, ...],
                  command: str, emit: tuple[str, ...] = ("text",),
                  max_module_dim: int = MAX_MODULE_DIM, max_jet_dim: int = MAX_JET_DIM,
@@ -71,9 +74,12 @@ class JobSpec:
         self.algebra, self.sigma, self.weight, self.command = algebra, sigma, weight, command
         self.emit, self.out = emit, out
         self.max_module_dim, self.max_jet_dim = max_module_dim, max_jet_dim
+        self.root_system: RootSystem | None = None
 
     def __eq__(self, other) -> bool:
-        return type(other) is JobSpec and vars(self) == vars(other)
+        return type(other) is JobSpec and (
+            {**vars(self), "root_system": None} == {**vars(other), "root_system": None}
+        )
 
 
 def _ints(text: str, what: str) -> tuple[int, ...]:
@@ -177,9 +183,9 @@ def _root_system(text: str):
 
 
 def validate(job: JobSpec) -> None:
-    """Refuse an impossible job. The checks that need only the rank, read off
-    the spec, come before the root system is built, whose cost grows with
-    the rank."""
+    """Refuse an impossible job, and keep the root system it builds on the
+    job. The checks that need only the rank, read off the spec, come before
+    the root system is built, whose cost grows with the rank."""
     algebra_errors = (NotFiniteType, NotIrreducible, ValueError, TypeError)
     try:
         rank = spec_rank(_algebra_spec(job.algebra))
@@ -197,7 +203,7 @@ def validate(job: JobSpec) -> None:
             f"weight needs {rank} entries, got {len(job.weight)}"
         )
     try:
-        _root_system(job.algebra)
+        job.root_system = _root_system(job.algebra)
     except algebra_errors as exc:
         raise ValidationError(f"bad algebra {job.algebra!r}: {exc}") from exc
     for node, w in enumerate(job.weight, 1):
@@ -227,8 +233,8 @@ class Report:
 
 
 def run(job: JobSpec) -> Report:
-    rs = _root_system(job.algebra)
-    g = build_graded_algebra(parabolic(rs, set(job.sigma)))
+    """Run a job as ``parse_spec`` returns it: validated, with its root system."""
+    g = build_graded_algebra(parabolic(job.root_system, set(job.sigma)))
     diagram = build_bgg_diagram(
         g, job.weight,
         max_module_dim=job.max_module_dim,

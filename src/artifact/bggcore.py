@@ -79,6 +79,7 @@ from .repmod import (
     MAX_MODULE_DIM,
     IrrepLabel,
     PModule,
+    action_on_span,
     build_irrep,
     decompose_completely_reducible,
     layered_closure,
@@ -191,7 +192,7 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     n = coh.n
     i0 = comp.e_eigenvalue
     raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
-    layers = layered_closure(coh.split.ker_box @ comp.embedding, raising)
+    layers = layered_closure(coh.ker_box @ comp.embedding, raising)
     basis = SpMat.hstack([b for _, b in layers])
     m = basis.ncols
     offsets = tuple(j for j, b in layers for _ in range(b.ncols))
@@ -200,13 +201,7 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     r = max(offsets)
     if n >= 1 and not (cc.delstars[n - 1] @ basis).is_zero():
         raise CertificationFailure(f"E is not inside ker dstar on C^{n}")
-    # one elimination of the basis against every label's image, side by side
-    labels = g.p_labels()
-    images = basis.solve(SpMat.assemble(basis.nrows, m * len(labels), [
-        (0, t * m, 1, (level.actions[lab], basis)) for t, lab in enumerate(labels)
-    ]))
-    acts = {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
-            for t, lab in enumerate(labels)}
+    acts = action_on_span(basis, level.actions, g.p_labels())
     supp: dict[int, list[int]] = {}
     for i, k in basis.support():
         supp.setdefault(k, []).append(i)
@@ -323,7 +318,7 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
     cc, n = gs.cc, gs.n
     lead = gs.basis.select_columns(list(range(chain.composite.nrows)))
     values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, lead @ chain.composite)
-    return coh_next.split.harmonic_projection() @ values, values
+    return coh_next.harmonic_projection() @ values, values
 
 
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,

@@ -33,7 +33,10 @@ and the weight-multiset oracle for their components live here. The
 splitting builds no Laplacian: its harmonic part ker box is ker d ∩ ker dstar,
 solved on the weights the two images leave uncovered (``hodge_decompose``),
 and it is certified a basis by one rank of the square weight blocks
-[im d | ker box | im dstar] it is built from. The Laplacian
+[im d | ker box | im dstar] it is built from. Only ker box and the blocks
+of the weights with harmonic room are kept (``Cohomology``): the harmonic
+projection pi_H along im d + im dstar is block diagonal by weight, and is
+read per weight off the certificate's blocks. The Laplacian
 box = d dstar + dstar d appears only restricted to a generated submodule,
 where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 """
@@ -45,7 +48,7 @@ from math import factorial, prod
 
 from .gradedla import DualBasisPair, GradedLieAlgebra
 from .linalg import Q, SpMat, kron_blocks
-from .repmod import PModule, positions_by_weight, tensor
+from .repmod import PModule, action_on_span, positions_by_weight, tensor
 from .rootspace import Weight, affine_dot_action, dominant_representative_for, parabolic_hasse
 
 
@@ -208,32 +211,12 @@ def _bracket_table(g, roots, kind: str) -> dict[tuple[int, int], dict[int, objec
     return table
 
 
-class HodgeSplit:
-    def __init__(self, n: int, im_del: SpMat, ker_box: SpMat, im_delstar: SpMat,
-                 harmonic_weights: tuple[Weight, ...]):
-        self.n, self.im_del, self.ker_box, self.im_delstar = n, im_del, ker_box, im_delstar
-        self.harmonic_weights = harmonic_weights
-        self._projection: SpMat | None = None
-
-    @property
-    def full_basis(self) -> SpMat:
-        return SpMat.hstack([self.im_del, self.ker_box, self.im_delstar])
-
-    def harmonic_projection(self) -> SpMat:
-        """pi_H: C^n -> harmonic coordinates, the ker box rows of
-        full_basis^{-1} (the basis is certified invertible), computed on
-        first use and kept. P is the solution of P @ full_basis = [0 | 1 | 0],
-        solved as full_basis^T @ P^T = the ker box columns of the identity."""
-        if self._projection is None:
-            dim = self.im_del.nrows
-            off, h = self.im_del.ncols, self.ker_box.ncols
-            unit = SpMat.identity(h).place_rows(list(range(off, off + h)), dim)
-            self._projection = self.full_basis.transpose().solve(unit).transpose()
-        return self._projection
-
-
-def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
-    """C^n = im d + ker box + im dstar, bases blocked by full weight.
+def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ...], list[tuple]]:
+    """C^n = im d + ker box + im dstar, blocked by full weight, as
+    (ker_box, weights, blocks): the harmonic basis placed in C^n, the weight
+    of each of its columns, and for each weight mu with harmonic room one
+    (rows, bd, kb, bs), the positions of mu in C^n and the bases of
+    im d_{n-1}, ker box and im dstar_n on them, together a square block.
 
     No Laplacian is built. On each weight mu, the bases of im d_{n-1} and of
     im dstar_n are the independent columns of the two weight blocks, and
@@ -265,13 +248,11 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     by_weight = positions_by_weight(level.weights)
     below = positions_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
     above = positions_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
-    im_del_cols: list[SpMat] = []
-    ker_cols: list[SpMat] = []
-    im_ds_cols: list[SpMat] = []
-    ker_weights: list[Weight] = []
+    weights: list[Weight] = []
+    harmonic: list[tuple] = []
     # the square weight blocks [im d | ker box | im dstar] down the diagonal,
     # as assembler blocks, and the offset of the next one
-    blocks: list[tuple] = []
+    diagonal: list[tuple] = []
     off = 0
 
     for mu in sorted(by_weight):
@@ -299,55 +280,58 @@ def hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
                     f"harmonic part of weight {mu} of C^{n} has dimension "
                     f"{kb.ncols}, the images leave {room}"
                 )
-            ker_cols.append(kb.place_rows(rows, dim))
-            ker_weights.extend([mu] * room)
-        if bd.ncols:
-            im_del_cols.append(bd.place_rows(rows, dim))
-        if bs.ncols:
-            im_ds_cols.append(bs.place_rows(rows, dim))
-        blocks += [(off, off, 1, bd), (off, off + bd.ncols, 1, kb),
-                   (off, off + m - bs.ncols, 1, bs)]
+            weights.extend([mu] * room)
+            harmonic.append((rows, bd, kb, bs))
+        diagonal += [(off, off, 1, bd), (off, off + bd.ncols, 1, kb),
+                     (off, off + m - bs.ncols, 1, bs)]
         off += m
-    if SpMat.assemble(dim, dim, blocks).rank() != dim:
+    if SpMat.assemble(dim, dim, diagonal).rank() != dim:
         raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
-
-    def cat(cols):
-        return SpMat.hstack(cols) if cols else SpMat(dim, 0)
-
-    return HodgeSplit(
-        n=n,
-        im_del=cat(im_del_cols),
-        ker_box=cat(ker_cols),
-        im_delstar=cat(im_ds_cols),
-        harmonic_weights=tuple(ker_weights),
-    )
+    ker_box = SpMat.hstack([SpMat(dim, 0)] + [kb.place_rows(rows, dim)
+                                              for rows, _, kb, _ in harmonic])
+    return ker_box, tuple(weights), harmonic
 
 
 class Cohomology:
-    """Harmonic model of H^n(g_-, V): a g_0-module with p_+ acting by zero;
-    ``split.ker_box`` embeds its basis into C^n."""
+    """Harmonic model of H^n(g_-, V): a g_0-module with p_+ acting by zero.
+    ``ker_box`` embeds its basis into C^n, and ``blocks`` holds, for each
+    weight with harmonic room, the square certified block of the Hodge split
+    on it, as ``hodge_decompose`` returns them."""
 
-    def __init__(self, n: int, module: PModule, split: HodgeSplit):
-        self.n, self.module, self.split = n, module, split
+    def __init__(self, n: int, module: PModule, ker_box: SpMat, blocks: list[tuple]):
+        self.n, self.module, self.ker_box, self.blocks = n, module, ker_box, blocks
+        self._projection: SpMat | None = None
+
+    def harmonic_projection(self) -> SpMat:
+        """pi_H: C^n -> harmonic coordinates, along im d + im dstar, computed
+        on first use and kept. The Hodge basis is block diagonal by weight,
+        so pi_H is too, and it is read per weight off the certificate's
+        blocks: on weight mu it is the ker box rows of B_mu^{-1}, for the
+        square block B_mu = [im d | ker box | im dstar], solved as
+        B_mu^T X = the ker box columns of the identity. A weight with no
+        harmonic room has no ker box rows, so its columns of pi_H are zero."""
+        if self._projection is None:
+            dim = self.ker_box.nrows
+            cols = [SpMat(dim, 0)]
+            for rows, bd, kb, bs in self.blocks:
+                unit = SpMat.identity(kb.ncols).place_rows(
+                    list(range(bd.ncols, bd.ncols + kb.ncols)), len(rows))
+                x = SpMat.hstack([bd, kb, bs]).transpose().solve(unit)
+                cols.append(x.place_rows(rows, dim))
+            self._projection = SpMat.hstack(cols).transpose()
+        return self._projection
 
 
 def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
-    split = hodge_decompose(cc, n)
-    K = split.ker_box
+    K, weights, blocks = hodge_decompose(cc, n)
     m = K.ncols
-    level = cc.levels[n]
     labels = cc.g.p_labels()
-    g0 = [lab for lab in labels if cc.g.grade_of(lab) <= 0]
-    # one elimination of K against every g_0 image, side by side;
-    # consistent: g_0 preserves ker box
-    images = K.solve(SpMat.assemble(K.nrows, m * len(g0), [
-        (0, t * m, 1, (level.actions[lab], K)) for t, lab in enumerate(g0)
-    ]))
-    solved = {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
-              for t, lab in enumerate(g0)}
-    acts = {lab: solved[lab] if lab in solved else SpMat(m, m) for lab in labels}
-    mod = PModule(g=cc.g, dim=m, actions=acts, weights=split.harmonic_weights)
-    return Cohomology(n=n, module=mod, split=split)
+    # g_0 preserves ker box, and p_+ acts on its cohomology by zero
+    acts = action_on_span(K, cc.levels[n].actions,
+                          [lab for lab in labels if cc.g.grade_of(lab) <= 0])
+    mod = PModule(g=cc.g, dim=m, weights=weights,
+                  actions={lab: acts.get(lab, SpMat(m, m)) for lab in labels})
+    return Cohomology(n=n, module=mod, ker_box=K, blocks=blocks)
 
 
 def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:

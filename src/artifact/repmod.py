@@ -44,7 +44,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
-from .linalg import SpMat, kron_blocks
+from .linalg import LinAlgError, SpMat, kron_blocks
 from .rootspace import (
     RootSystem,
     Weight,
@@ -66,7 +66,7 @@ class NotCompletelyReducibleInput(Exception):
 
 class ModuleNotCertified(Exception):
     """A module failed a structural certificate (the Weyl dimension count,
-    the closure of p_+ under p)."""
+    the closure of p_+ under p, an invariant span)."""
 
 
 class GModule:
@@ -220,6 +220,26 @@ class IrrepLabel:
     @property
     def sort_key(self):
         return (self.e_eigenvalue, self.label)
+
+
+def action_on_span(basis: SpMat, actions: dict[Label, SpMat],
+                   labels: list[Label]) -> dict[Label, SpMat]:
+    """The matrix of each labelled action on the span of the columns of
+    basis, an invariant subspace: X with A basis = basis X. One elimination
+    of the basis against every image, side by side. An image that leaves the
+    span raises ModuleNotCertified."""
+    m = basis.ncols
+    rhs = SpMat.assemble(basis.nrows, m * len(labels), [
+        (0, t * m, 1, (actions[lab], basis)) for t, lab in enumerate(labels)
+    ])
+    try:
+        images = basis.solve(rhs)
+    except LinAlgError as exc:
+        raise ModuleNotCertified(
+            f"an action moves a basis of {m} vectors off its span"
+        ) from exc
+    return {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
+            for t, lab in enumerate(labels)}
 
 
 def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> list[tuple[int, SpMat]]:

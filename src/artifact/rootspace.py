@@ -43,6 +43,7 @@ class RootSystemNotCertified(Exception):
 
 
 _SERIES_RE = re.compile(r"^([A-G])\s*(\d+)$")
+MAX_HASSE_ELEMENTS = 200000  # cap on |W^p| in parabolic_hasse
 
 
 def _series(label: str) -> tuple[str, int]:
@@ -124,34 +125,22 @@ def _symmetrizers(C: list[list[int]]) -> list[int]:
     return [int(x) for x in d]
 
 
-def _check_positive_definite(C: list[list[int]], d: list) -> None:
+def _check_positive_definite(C: list[list[int]], d: list[int]) -> None:
+    """Sylvester's criterion on S = (d_i C_ij) by one fraction-free (Bareiss)
+    elimination with no row exchanges. Its k-th pivot is the k-th leading
+    principal minor of S, and every division is exact, so the pass stays in
+    the integers and stops at the first pivot <= 0."""
     n = len(C)
     S = [[d[i] * C[i][j] for j in range(n)] for i in range(n)]
-    # Sylvester: leading principal minors, exact fraction-free is overkill here
-    for k in range(1, n + 1):
-        minor = _det([row[:k] for row in S[:k]])
-        if minor <= 0:
+    prev = 1
+    for k in range(n):
+        piv = S[k][k]
+        if piv <= 0:
             raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
-
-
-def _det(M: list[list]) -> object:
-    n = len(M)
-    M = [[Q(v) for v in row] for row in M]
-    det = Q(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return Q(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                S[i][j] = (piv * S[i][j] - S[i][k] * S[k][j]) // prev
+        prev = piv
 
 
 def _check_connected(C: list[list[int]]) -> None:
@@ -387,7 +376,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     return WeylElt(rs=rs, word=(i,), mat_root=mr, mat_weight=mw)
 
 
-def parabolic_hasse(p: ParabolicSpec, max_elements: int = 200000) -> list[list[WeylElt]]:
+def parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
     """W^p graded by length: w with w^{-1}(alpha_j) > 0 for every uncrossed j.
 
     Level n holds the length-n elements, sorted by reduced word, each with
@@ -402,8 +391,8 @@ def parabolic_hasse(p: ParabolicSpec, max_elements: int = 200000) -> list[list[W
     uncrossed j, then s_j u v < u v), so this reaches all of W^p, and the
     lex-least reduced word of w s_i is found first from the level sorted by
     word. The root matrix identifies an element, so the weight matrix is
-    multiplied out only for one not seen before. More than ``max_elements``
-    elements raise NotFiniteType.
+    multiplied out only for one not seen before. More than
+    ``MAX_HASSE_ELEMENTS`` elements raise NotFiniteType.
     """
     rs = p.rs
     uncrossed0 = [j - 1 for j in p.uncrossed]
@@ -426,8 +415,8 @@ def parabolic_hasse(p: ParabolicSpec, max_elements: int = 200000) -> list[list[W
                 nxt.append(WeylElt(rs=rs, word=w.word + s.word, mat_root=mat_root,
                                    mat_weight=mat_weight))
                 count += 1
-                if count > max_elements:
-                    raise NotFiniteType(f"W^p larger than cap {max_elements}")
+                if count > MAX_HASSE_ELEMENTS:
+                    raise NotFiniteType(f"W^p larger than cap {MAX_HASSE_ELEMENTS}")
         if not nxt:
             return levels
         nxt.sort(key=lambda w: w.word)

@@ -11,7 +11,11 @@ the two matrix by matrix.
 part of each weight as ker d ∩ ker dstar, and only on the weights the two
 images leave uncovered. ``reference_hodge_decompose`` is the construction it
 replaced: the whole Laplacian box = d dstar + dstar d of the level is built
-once, and every weight block of it is eliminated.
+once, and every weight block of it is eliminated. It returns the three
+bases of the split placed in C^n, which the pipeline never assembles, and
+``reference_harmonic_projection`` gets pi_H from them by one solve against
+the whole Hodge basis, where ``Cohomology.harmonic_projection`` solves one
+weight block at a time.
 
 ``check_weight_blocks`` certifies an assembled basis from its entries alone:
 it reads each column's weight off its support and cuts the square weight
@@ -26,7 +30,7 @@ from itertools import combinations
 from math import factorial
 
 from artifact.gradedla import GradedLieAlgebra
-from artifact.hodge import CochainComplex, ComplexNotCertified, HodgeSplit
+from artifact.hodge import CochainComplex, ComplexNotCertified
 from artifact.linalg import Q, QONE, SpMat
 from artifact.repmod import PModule, positions_by_weight, tensor
 from artifact.rootspace import Weight
@@ -224,7 +228,21 @@ def laplacian(cc: CochainComplex, n: int) -> SpMat:
     return SpMat.assemble(dim, dim, blocks)
 
 
-def reference_hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
+class ReferenceSplit:
+    """C^n = im d + ker box + im dstar as three bases placed in C^n, and the
+    weight of each ker box column."""
+
+    def __init__(self, im_del: SpMat, ker_box: SpMat, im_delstar: SpMat,
+                 harmonic_weights: tuple[Weight, ...]):
+        self.im_del, self.ker_box, self.im_delstar = im_del, ker_box, im_delstar
+        self.harmonic_weights = harmonic_weights
+
+    @property
+    def full_basis(self) -> SpMat:
+        return SpMat.hstack([self.im_del, self.ker_box, self.im_delstar])
+
+
+def reference_hodge_decompose(cc: CochainComplex, n: int) -> ReferenceSplit:
     """C^n = im d + ker box + im dstar, with ker box the kernel of every
     weight block of the Laplacian."""
     level = cc.levels[n]
@@ -256,8 +274,7 @@ def reference_hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     def cat(cols):
         return SpMat.hstack(cols) if cols else SpMat(dim, 0)
 
-    split = HodgeSplit(
-        n=n,
+    split = ReferenceSplit(
         im_del=cat(im_del_cols),
         ker_box=cat(ker_cols),
         im_delstar=cat(im_ds_cols),
@@ -265,6 +282,16 @@ def reference_hodge_decompose(cc: CochainComplex, n: int) -> HodgeSplit:
     )
     check_weight_blocks(level.weights, split.full_basis, n)
     return split
+
+
+def reference_harmonic_projection(split: ReferenceSplit) -> SpMat:
+    """pi_H: C^n -> harmonic coordinates, the ker box rows of
+    full_basis^{-1}: the P with P @ full_basis = [0 | 1 | 0], solved as
+    full_basis^T @ P^T = the ker box columns of the identity."""
+    dim = split.im_del.nrows
+    off, h = split.im_del.ncols, split.ker_box.ncols
+    unit = SpMat.identity(h).place_rows(list(range(off, off + h)), dim)
+    return split.full_basis.transpose().solve(unit).transpose()
 
 
 def check_weight_blocks(weights: tuple[Weight, ...], basis: SpMat, n: int) -> None:

@@ -201,7 +201,7 @@ def full_operator(gs, coh_next, comps_next) -> tuple[list[SpMat], SpMat]:
     if chain.jet is not None:
         phi, pick = equalizer_index_maps(chain.jet)
         values = values.merge_columns(phi, len(pick))
-    dh = coh_next.split.harmonic_projection() @ values
+    dh = coh_next.harmonic_projection() @ values
     xc = SpMat.hstack([c.embedding for c in comps_next]).solve(dh)
     blocks, row0 = [], 0
     for c in comps_next:

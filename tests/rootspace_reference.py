@@ -6,9 +6,15 @@ identity and never enumerates W. The references here are what it replaced:
 reduced word, and ``reference_parabolic_hasse`` keeps the elements of W that
 pass the W^p test. The tests compare the two level by level and word by
 word, and use ``enumerate_weyl`` wherever they need all of W.
+
+``leading_minors`` is the Sylvester oracle for the positive-definiteness
+check of ``build_root_system``, which reads the minors off the pivots of one
+integer Bareiss pass: here each minor is its own ``Fraction`` elimination.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from artifact.rootspace import (
     NotFiniteType,
@@ -70,3 +76,29 @@ def reference_parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
     if set(levels) != set(range(top + 1)):
         raise RootSystemNotCertified("Hasse diagram of W^p has a gap in lengths")
     return [sorted(levels[n], key=lambda w: w.word) for n in range(top + 1)]
+
+
+def _det(M: list[list]) -> Fraction:
+    """Determinant by Fraction elimination with row exchanges."""
+    n = len(M)
+    M = [[Fraction(v) for v in row] for row in M]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if M[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            det = -det
+        det *= M[c][c]
+        for r in range(c + 1, n):
+            if M[r][c]:
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return det
+
+
+def leading_minors(S: list[list[int]]) -> list[Fraction]:
+    """The leading principal minors det S[:k, :k], k = 1..n, each from an
+    elimination of its own."""
+    return [_det([row[:k] for row in S[:k]]) for k in range(1, len(S) + 1)]

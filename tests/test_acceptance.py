@@ -51,20 +51,22 @@ def test_criterion_02_hodge_decomposition_counts():
     for label, sigma, w in battery_cases():
         cc = complex_for(label, sigma, w)
         for n in range(cc.top + 1):
-            sp = hodge_decompose(cc, n)
+            ker_box, _, blocks = hodge_decompose(cc, n)
             rank_prev = cc.dels[n - 1].rank() if n >= 1 else 0
             rank_next = cc.delstars[n].rank() if n < cc.top else 0
-            ok &= sp.im_del.ncols == rank_prev
-            ok &= sp.im_delstar.ncols == rank_next
-            ok &= rank_prev + sp.ker_box.ncols + rank_next == cc.dim(n)
+            ok &= rank_prev + ker_box.ncols + rank_next == cc.dim(n)
+            # on each weight with harmonic room, im d, ker box and im dstar
+            # fill the weight space
+            for rows, bd, kb, bs in blocks:
+                ok &= bd.ncols + kb.ncols + bs.ncols == len(rows)
             rows = []
             if n < cc.top:
                 rows.append(cc.dels[n])
             if n >= 1:
                 rows.append(cc.delstars[n - 1])
             joint = SpMat.vstack(rows)
-            ok &= joint.kernel_basis().ncols == sp.ker_box.ncols
-            ok &= (joint @ sp.ker_box).is_zero()
+            ok &= joint.kernel_basis().ncols == ker_box.ncols
+            ok &= (joint @ ker_box).is_zero()
     _report(2, "chain spaces split as im(del) + harmonic + im(delstar) with "
                "harmonic = ker(del) intersect ker(delstar), all battery cases", ok)
 
@@ -299,7 +301,7 @@ def test_criterion_09_kostant_oracle_agreement():
 
         cc = complex_for_module(label, sigma, lam_mod)
         ok &= [cc.dim(n) for n in range(cc.top + 1)] == chain
-        got = [hodge_decompose(cc, n).ker_box.ncols for n in range(cc.top + 1)]
+        got = [hodge_decompose(cc, n)[0].ncols for n in range(cc.top + 1)]
         ok &= got == harm
     _report(9, "every battery column matches the Weyl-group oracle in labels, "
                "grading eigenvalues, and component dimensions", ok)

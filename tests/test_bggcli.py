@@ -211,6 +211,45 @@ def test_rank_checks_build_no_root_system(monkeypatch, capsys, algebra, cross, w
     assert (out.out, out.err) == ("", f"error: {err}\n")
 
 
+def test_one_run_builds_the_root_system_once(monkeypatch, capsys):
+    """``validate`` builds the root system to check the algebra, and ``run``
+    reads it off the job instead of building it again."""
+    calls = []
+    build = bggcli.build_root_system
+
+    def counted(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(bggcli, "build_root_system", counted)
+    assert main(BASE + ["cohomology"]) == 0
+    capsys.readouterr()
+    assert calls == ["A2"]
+
+
+@pytest.mark.parametrize("cartan,weight", [
+    ("[[2,-2],[-2,2]]", "0,0"), ("[[2,-1,-1],[-1,2,-1],[-1,-1,2]]", "0,0,0"),
+    ("[[2,-3],[-3,2]]", "0,0"), ("[[2,-1],[-4,2]]", "0,0"),
+])
+def test_not_positive_definite_exits_2(cartan, weight, capsys):
+    assert main(["--algebra", cartan, "--cross", "1", "--weight", weight, "cohomology"]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (
+        "", f"error: bad algebra {cartan!r}: symmetrized Cartan matrix is not positive definite\n")
+
+
+def test_action_leaving_its_span_exits_1_without_traceback(monkeypatch, capsys):
+    """A generated submodule cut to its first layer is not p-invariant: the
+    action solve refuses it as ModuleNotCertified, one line, exit 1."""
+    closure = bggcore.layered_closure
+    monkeypatch.setattr(bggcore, "layered_closure", lambda *args: closure(*args)[:1])
+    assert main(["--algebra", "A2", "--cross", "1", "--weight", "1,1", "diagram"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ModuleNotCertified: ")
+    assert out.err.count("\n") == 1
+
+
 def test_main_exit_codes(capsys):
     assert main(BASE + ["diagram"]) == 0
     capsys.readouterr()

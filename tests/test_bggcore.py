@@ -72,7 +72,7 @@ def test_layered_closure_spans_the_naive_fixpoint(label, sigma, weight):
         level = cc.levels[n]
         raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
         for comp in comps[n]:
-            seeds = cohs[n].split.ker_box @ comp.embedding
+            seeds = cohs[n].ker_box @ comp.embedding
             layers = SpMat.hstack([b for _, b in layered_closure(seeds, raising)])
             want = reference_closure(seeds, [A for A, _ in raising])
             assert layers.rank() == layers.ncols == want.ncols

@@ -25,6 +25,7 @@ from hodge_reference import (
     reference_del,
     reference_delstar,
     reference_grades,
+    reference_harmonic_projection,
     reference_hodge_decompose,
     reference_inner,
     reference_level,
@@ -59,28 +60,30 @@ def test_golden_dimensions(key):
     chain, harm = GOLDEN_DIMS[key]
     cc = complex_for_module(label, sigma, lam_mod)
     assert [cc.dim(n) for n in range(cc.top + 1)] == chain
-    got = [hodge_decompose(cc, n).ker_box.ncols for n in range(cc.top + 1)]
+    got = [hodge_decompose(cc, n)[0].ncols for n in range(cc.top + 1)]
     assert got == harm
 
 
 @pytest.mark.parametrize("label,sigma,weight", CASES)
 def test_hodge_counting_identity(label, sigma, weight):
+    """rank d_{n-1} + dim ker box + rank dstar_n = dim C^n, and on each
+    weight with harmonic room the three bases fill the weight space."""
     cc = complex_for(label, sigma, weight)
     for n in range(cc.top + 1):
-        sp = hodge_decompose(cc, n)
+        ker_box, _, blocks = hodge_decompose(cc, n)
         rank_prev = cc.dels[n - 1].rank() if n >= 1 else 0
         rank_next = cc.delstars[n].rank() if n < cc.top else 0
-        assert sp.im_del.ncols == rank_prev
-        assert sp.im_delstar.ncols == rank_next
-        assert rank_prev + sp.ker_box.ncols + rank_next == cc.dim(n)
+        assert rank_prev + ker_box.ncols + rank_next == cc.dim(n)
+        assert sum(kb.ncols for _, _, kb, _ in blocks) == ker_box.ncols
+        for rows, bd, kb, bs in blocks:
+            assert kb.ncols and bd.ncols + kb.ncols + bs.ncols == len(rows)
 
 
 @pytest.mark.parametrize("label,sigma,weight", CASES)
 def test_harmonic_is_joint_kernel(label, sigma, weight):
     cc = complex_for(label, sigma, weight)
     for n in range(cc.top + 1):
-        sp = hodge_decompose(cc, n)
-        K = sp.ker_box
+        K = hodge_decompose(cc, n)[0]
         rows = []
         if n < cc.top:
             rows.append(cc.dels[n])
@@ -99,14 +102,35 @@ SPLIT_CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws] + BENCH_COHOMOLOGY
 @pytest.mark.parametrize("label,sigma,weight", SPLIT_CASES)
 def test_split_equals_laplacian_kernel_reference(label, sigma, weight):
     """The split from the two images is the one the kernels of the Laplacian
-    blocks give: every matrix and the harmonic weights are equal."""
+    blocks give: ker box and the harmonic weights are equal, and each kept
+    weight block holds the reference's three bases on its rows."""
     cc = complex_for(label, sigma, weight)
     for n in range(cc.top + 1):
-        got, want = hodge_decompose(cc, n), reference_hodge_decompose(cc, n)
-        assert got.im_del == want.im_del
-        assert got.ker_box == want.ker_box
-        assert got.im_delstar == want.im_delstar
-        assert got.harmonic_weights == want.harmonic_weights
+        ker_box, weights, blocks = hodge_decompose(cc, n)
+        want = reference_hodge_decompose(cc, n)
+        assert ker_box == want.ker_box
+        assert weights == want.harmonic_weights
+        for rows, bd, kb, bs in blocks:
+            on = set(rows)
+            for got, full in ((bd, want.im_del), (kb, want.ker_box), (bs, want.im_delstar)):
+                cols = sorted({c for i, c in full.support() if i in on})
+                assert full.submatrix(rows, cols) == got
+
+
+@pytest.mark.parametrize("label,sigma,weight", SPLIT_CASES)
+def test_harmonic_projection_equals_the_global_solve(label, sigma, weight):
+    """pi_H read per weight off the certificate's blocks is the global
+    transpose-solve of the whole Hodge basis, on every level; it kills
+    im d_{n-1} and im dstar_n and is the identity on ker box."""
+    cc, cohs, _ = components_for(label, sigma, weight)
+    for coh in cohs:
+        n, P = coh.n, coh.harmonic_projection()
+        assert P == reference_harmonic_projection(reference_hodge_decompose(cc, n))
+        if n >= 1:
+            assert (P @ cc.dels[n - 1]).is_zero()
+        if n < cc.top:
+            assert (P @ cc.delstars[n]).is_zero()
+        assert P @ coh.ker_box == SpMat.identity(coh.ker_box.ncols)
 
 
 def test_split_of_a_tampered_complex_is_refused():
@@ -197,7 +221,7 @@ def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
     want_slices = 0
     for n in range(cc.top + 1):
         conditions = ([cc.delstars[n - 1]] if n >= 1 else []) + ([cc.dels[n]] if n < cc.top else [])
-        weights = len(set(hodge_decompose(cc, n).harmonic_weights))
+        weights = len(set(hodge_decompose(cc, n)[1]))
         harmonic += weights
         want_slices += weights * len(conditions)
     assert len(calls) == harmonic == 24
@@ -238,38 +262,38 @@ def test_cohomology_module_structure():
     cc = complex_for("A2", (1,), (1, 1))
     for coh in cohs:
         mod = coh.module
-        K = coh.split.ker_box
+        K = coh.ker_box
         for l in cc.g.p_labels():
             if cc.g.grade_of(l) > 0:
                 assert mod.actions[l].is_zero()
             else:
                 # embedding intertwines the level action with the quotient
                 assert (cc.levels[coh.n].actions[l] @ K - K @ mod.actions[l]).is_zero()
-        assert mod.weights == coh.split.harmonic_weights
+        assert mod.weights == hodge_decompose(cc, coh.n)[1]
 
 
 def test_harmonic_projection_inverts_the_hodge_basis():
-    """P_H @ full_basis = [0 | 1 | 0], so P_H is the ker box rows of the
-    inverse of the Hodge basis; it is computed once and kept."""
-    _, cohs, _ = components_for("A2", (1,), (1, 1))
+    """P_H @ full_basis = [0 | 1 | 0] for the reference Hodge basis, so P_H
+    is the ker box rows of its inverse; it is computed once and kept."""
+    cc, cohs, _ = components_for("A2", (1,), (1, 1))
     for coh in cohs:
-        sp = coh.split
-        P = sp.harmonic_projection()
+        sp = reference_hodge_decompose(cc, coh.n)
+        P = coh.harmonic_projection()
         off, h = sp.im_del.ncols, sp.ker_box.ncols
         want = SpMat.identity(h).transpose().place_rows(
             list(range(off, off + h)), sp.full_basis.ncols).transpose()
         assert P @ sp.full_basis == want
-        assert sp.harmonic_projection() is P
+        assert coh.harmonic_projection() is P
 
 
 def test_cohomology_command_computes_no_projection(monkeypatch, capsys):
     import artifact.bggcli as bggcli
-    from artifact.hodge import HodgeSplit
+    from artifact.hodge import Cohomology
 
     def refuse(self):
         raise AssertionError("harmonic projection computed")
 
-    monkeypatch.setattr(HodgeSplit, "harmonic_projection", refuse)
+    monkeypatch.setattr(Cohomology, "harmonic_projection", refuse)
     argv = ["--algebra", "A2", "--cross", "1", "--weight", "1,1", "cohomology"]
     assert bggcli.main(argv) == 0
     capsys.readouterr()
@@ -352,7 +376,7 @@ def test_weight_block_certificate_refuses_moved_column():
     cc = complex_for("A2", (1,), (1, 1))
     n = 1
     weights = cc.levels[n].weights
-    basis = hodge_decompose(cc, n).full_basis
+    basis = reference_hodge_decompose(cc, n).full_basis
     check_weight_blocks(weights, basis, n)
     # column 0 moved onto a row of another weight: one block loses a column,
     # the other gains one, and the rank of the whole basis may not show it
@@ -390,8 +414,8 @@ def test_complex_entries_are_exact_and_normalized(label, sigma, weights):
         cc, cohs, _ = components_for(label, sigma, weight)
         mats = cc.dels + cc.delstars + cc.inner
         for coh in cohs:
-            sp = coh.split
-            mats += [sp.im_del, sp.ker_box, sp.im_delstar]
+            mats += [coh.ker_box, coh.harmonic_projection()]
+            mats += [m for rows, *bases in coh.blocks for m in bases]
             mats += list(coh.module.actions.values())
         for M in mats:
             for _, _, v in M.entries():
@@ -412,5 +436,5 @@ def test_e_grade_is_the_eigenvalue_of_the_weight(label, sigma, weights):
         for coh in cohs:
             want = reference_grades(cc, coh.n)
             assert tuple(g.e_eigenvalue(mu) for mu in cc.levels[coh.n].weights) == want
-            for i, k in coh.split.ker_box.support():
+            for i, k in coh.ker_box.support():
                 assert g.e_eigenvalue(coh.module.weights[k]) == want[i], (coh.n, i, k)

@@ -1,7 +1,10 @@
 """Root systems, Weyl groups, parabolic data."""
 
+import random
+
 import pytest
 
+from artifact import rootspace
 from artifact.rootspace import (
     NotFiniteType,
     WeylElt,
@@ -19,7 +22,7 @@ from artifact.rootspace import (
 )
 
 from conftest import BATTERY, graded
-from rootspace_reference import enumerate_weyl, reference_parabolic_hasse
+from rootspace_reference import enumerate_weyl, leading_minors, reference_parabolic_hasse
 
 
 def reflect_root(rs, i, c):
@@ -218,12 +221,68 @@ def test_hasse_equals_the_full_weyl_filter(label, sigma):
             assert (a.mat_root, a.mat_weight) == (b.mat_root, b.mat_weight)
 
 
-def test_hasse_cap_raises_not_finite_type():
+def test_hasse_cap_raises_not_finite_type(monkeypatch):
     p = parabolic(build_root_system("A3"), {2})
     assert sum(len(lvl) for lvl in parabolic_hasse(p)) == 6
-    parabolic_hasse(p, max_elements=6)
+    monkeypatch.setattr(rootspace, "MAX_HASSE_ELEMENTS", 6)
+    parabolic_hasse(p)
+    monkeypatch.setattr(rootspace, "MAX_HASSE_ELEMENTS", 5)
     with pytest.raises(NotFiniteType, match="larger than cap 5"):
-        parabolic_hasse(p, max_elements=5)
+        parabolic_hasse(p)
+
+
+NOT_POSITIVE_DEFINITE = [
+    [[2, -2], [-2, 2]],
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    [[2, -3], [-3, 2]],
+    [[2, -1], [-4, 2]],
+]
+
+
+@pytest.mark.parametrize("cartan", NOT_POSITIVE_DEFINITE, ids=str)
+def test_not_positive_definite_is_refused(cartan):
+    assert min(leading_minors([[d * c for c in row] for d, row in
+                               zip(rootspace._symmetrizers(cartan), cartan)])) <= 0
+    with pytest.raises(NotFiniteType, match="not positive definite"):
+        build_root_system(cartan)
+
+
+SERIES_UP_TO_RANK_8 = [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [
+    f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+POSITIVE_ROOTS = {"A": lambda n: n * (n + 1) // 2, "B": lambda n: n * n, "C": lambda n: n * n,
+                  "D": lambda n: n * (n - 1), "E": {6: 36, 7: 63, 8: 120}.get,
+                  "F": lambda n: 24, "G": lambda n: 6}
+
+
+@pytest.mark.parametrize("label", SERIES_UP_TO_RANK_8)
+def test_every_series_label_builds(label):
+    rs = build_root_system(label)
+    assert len(rs.pos_roots) == POSITIVE_ROOTS[label[0]](rs.rank)
+    S = [[d * c for c in row] for d, row in zip(rs.d, rs.cartan)]
+    assert min(leading_minors(S)) > 0
+
+
+def test_positive_definite_check_agrees_with_sylvester_minors():
+    """The Bareiss pass refuses a symmetric integer matrix exactly when one
+    of its leading principal minors, each eliminated on its own, is <= 0."""
+    rng = random.Random(20)
+    refused = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        S = [[0] * n for _ in range(n)]
+        for i in range(n):
+            S[i][i] = rng.randint(1, 8)
+            for j in range(i):
+                S[i][j] = S[j][i] = rng.randint(-3, 2)
+        want = min(leading_minors(S)) > 0
+        try:
+            rootspace._check_positive_definite(S, [1] * n)
+        except NotFiniteType:
+            assert not want, S
+            refused += 1
+        else:
+            assert want, S
+    assert 30 < refused < 270
 
 
 def test_affine_dot_action():
