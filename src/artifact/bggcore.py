@@ -416,8 +416,13 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
         for n in range(cc.top + 1)
     ]
     verify = verify_cochain_identities(cc)
-    verify["codifferential_leibniz"] = verify_codifferential_leibniz(cc)
-    verify["differential_commutator"] = verify_differential_commutator(cc)
+    # level by level, so each level's unit wedges are built once (the
+    # complex keeps two levels, and Leibniz reads n - 1 and n)
+    verify["codifferential_leibniz"] = True
+    verify["differential_commutator"] = True
+    for n in range(cc.top):
+        verify["codifferential_leibniz"] &= verify_codifferential_leibniz(cc, n)
+        verify["differential_commutator"] &= verify_differential_commutator(cc, n)
     verify["oracle_agreement"] = oracle_agrees(g, lam_mod, columns)
     arrows: list[BGGArrow] = []
     partial: list[tuple[int, int]] = []

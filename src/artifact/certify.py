@@ -72,58 +72,64 @@ def certify_from_left(dt: SpMat, W: PModule, phi: list[int] | None, ncols: int,
 
 
 def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
+    """d^2 = 0, dstar^2 = 0 and dstar^T G_n = G_{n+1} d on every level. Each
+    G_n is built once: G_{n+1} is carried into the next level's check."""
     out = {"d_squared_zero": True, "codifferential_squared_zero": True,
            "adjointness": True}
+    g_hi = cc.inner(0)
     for n in range(cc.top):
         if n + 1 < cc.top and not (cc.dels[n + 1] @ cc.dels[n]).is_zero():
             out["d_squared_zero"] = False
         if n + 1 < cc.top and not (cc.delstars[n] @ cc.delstars[n + 1]).is_zero():
             out["codifferential_squared_zero"] = False
+        g_lo, g_hi = g_hi, cc.inner(n + 1)
         # dstar^T G_n = G_{n+1} d
         if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), [
-            (0, 0, 1, (cc.delstars[n].transpose(), cc.inner[n])),
-            (0, 0, -1, (cc.inner[n + 1], cc.dels[n])),
+            (0, 0, 1, (cc.delstars[n].transpose(), g_lo)),
+            (0, 0, -1, (g_hi, cc.dels[n])),
         ]).is_zero():
             out["adjointness"] = False
     return out
 
 
-def verify_codifferential_leibniz(cc: CochainComplex) -> bool:
-    """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) for basis Z, all levels."""
+def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
+    """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z of p_+. Reads
+    the unit wedges of levels n and n - 1, the two the complex keeps; run
+    over n = 0, 1, ... in order, each level's wedges are built once."""
     roots = cc.g.pplus_roots()
-    for n in range(cc.top):
-        dim = cc.dim(n)
-        for a, wa in enumerate(cc.unit_wedges(n)):
-            blocks = [
-                (0, 0, 1, (cc.delstars[n], wa)),
-                (0, 0, 1, cc.levels[n].actions[("e", roots[a])]),
-            ]
-            if n >= 1:
-                blocks.append((0, 0, 1, (cc.unit_wedges(n - 1)[a], cc.delstars[n - 1])))
-            if not SpMat.assemble(dim, dim, blocks).is_zero():
-                return False
+    dim = cc.dim(n)
+    wedges = cc.unit_wedges(n)
+    below = cc.unit_wedges(n - 1) if n >= 1 else None
+    for a, wa in enumerate(wedges):
+        blocks = [
+            (0, 0, 1, (cc.delstars[n], wa)),
+            (0, 0, 1, cc.levels[n].actions[("e", roots[a])]),
+        ]
+        if below is not None:
+            blocks.append((0, 0, 1, (below[a], cc.delstars[n - 1])))
+        if not SpMat.assemble(dim, dim, blocks).is_zero():
+            return False
     return True
 
 
-def verify_differential_commutator(cc: CochainComplex) -> bool:
-    """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f), checked as
-    one signed sum of products for each level and label; the action of
-    [W, xi_a] is never assembled."""
+def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
+    """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f) on C^n,
+    checked as one signed sum of products for each label; the action of
+    [W, xi_a] is never assembled. Reads the unit wedges of level n."""
     g = cc.g
-    for n in range(cc.top):
-        wedges = cc.unit_wedges(n)
-        acts = cc.levels[n].actions
-        d = cc.dels[n]
-        for lab in g.p_labels():
-            if g.grade_of(lab) < 1:
-                continue
-            blocks = [(0, 0, 1, (cc.levels[n + 1].actions[lab], d)), (0, 0, -1, (d, acts[lab]))]
-            blocks.extend(
-                (0, 0, -(n + 1) * c, (wedges[a], acts[blab]))
-                for a, blab, c in g.xi_brackets(lab)
-            )
-            if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks).is_zero():
-                return False
+    wedges = cc.unit_wedges(n)
+    acts = cc.levels[n].actions
+    d = cc.dels[n]
+    for lab in g.p_labels():
+        if g.grade_of(lab) < 1:
+            continue
+        blocks = [(0, 0, 1, (cc.levels[n + 1].actions[lab], d)), (0, 0, -1, (d, acts[lab]))]
+        blocks.extend(
+            (0, 0, -(n + 1) * c, (wedges[a], acts[blab]))
+            for a, blab, c in g.xi_brackets(lab)
+        )
+        if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks).is_zero():
+            return False
     return True
 
 

@@ -170,23 +170,34 @@ class GradedLieAlgebra:
         return self.grade[self.index[label]]
 
     def pplus_roots(self) -> tuple[Root, ...]:
+        """The roots of Sigma-height >= 1 in positive-root order; computed
+        once per algebra."""
+        return self._pplus_roots
+
+    def g0_labels(self) -> tuple[Label, ...]:
+        """Cartan h_i first, then height-zero e/f pairs in root order;
+        computed once per algebra."""
+        return self._g0_labels
+
+    def p_labels(self) -> tuple[Label, ...]:
+        """Basis of p = g_0 + p_+, g_0 block first, then p_+ by grade order;
+        computed once per algebra."""
+        return self._p_labels
+
+    @cached_property
+    def _pplus_roots(self) -> tuple[Root, ...]:
         return tuple(
             r for r in self.rs.pos_roots if sigma_height(self.par, r) >= 1
         )
 
-    def g0_labels(self) -> tuple[Label, ...]:
-        """Cartan h_i first, then height-zero e/f pairs in root order."""
-        out: list[Label] = [("h", i) for i in range(self.rs.rank)]
-        for r in self.rs.pos_roots:
-            if sigma_height(self.par, r) == 0:
-                out.append(("e", r))
-        for r in self.rs.pos_roots:
-            if sigma_height(self.par, r) == 0:
-                out.append(("f", r))
-        return tuple(out)
+    @cached_property
+    def _g0_labels(self) -> tuple[Label, ...]:
+        level = [r for r in self.rs.pos_roots if sigma_height(self.par, r) == 0]
+        return (tuple(("h", i) for i in range(self.rs.rank))
+                + tuple(("e", r) for r in level) + tuple(("f", r) for r in level))
 
-    def p_labels(self) -> tuple[Label, ...]:
-        """Basis of p = g_0 + p_+, g_0 block first, then p_+ by grade order."""
+    @cached_property
+    def _p_labels(self) -> tuple[Label, ...]:
         return self.g0_labels() + tuple(("e", r) for r in self.pplus_roots())
 
     def coroot_coeffs(self, beta: Root) -> dict[int, int]:

@@ -61,15 +61,22 @@ class ComplexNotCertified(Exception):
 
 
 class CochainComplex:
-    """``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n, and
-    ``inner[n]`` the inner product G_n on C^n; ``wedge_tuples[n]`` is the
-    wedge basis of Lambda^n."""
+    """``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n;
+    ``wedge_tuples[n]`` is the wedge basis of Lambda^n.
+
+    The complex keeps across a job only what the job reads. The inner
+    product G_n is built where it is read, on each call of ``inner(n)``:
+    only the adjointness check reads it, one level after another. The unit
+    wedges eps_a (x) 1_V are kept for at most two levels, because the
+    Leibniz check reads levels n - 1 and n together; building a third drops
+    the level built first. Run level by level, as the identity battery is,
+    the two kept levels are n - 1 and n, and each level is built once."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
                  levels: list[PModule], wedge_tuples: list[list[tuple]],
-                 dels: list[SpMat], delstars: list[SpMat], inner: list[SpMat]):
+                 dels: list[SpMat], delstars: list[SpMat]):
         self.g, self.V, self.dual, self.levels, self.wedge_tuples = g, V, dual, levels, wedge_tuples
-        self.dels, self.delstars, self.inner = dels, delstars, inner
+        self.dels, self.delstars = dels, delstars
         self._wedges: dict[int, list[SpMat]] = {}
 
     @property
@@ -79,13 +86,24 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return self.levels[n].dim if 0 <= n <= self.top else 0
 
+    def inner(self, n: int) -> SpMat:
+        """G_n = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V on C^n,
+        built on each call and not kept."""
+        dd = self.dual.d
+        diag = SpMat.diagonal([prod(dd[a] for a in t) for t in self.wedge_tuples[n]])
+        dim = self.dim(n)
+        return SpMat.assemble(dim, dim, kron_blocks(diag, self.V.gram, Q((-1) ** n, factorial(n))))
+
     def unit_wedges(self, n: int) -> list[SpMat]:
         """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a, built
-        on first use of the level and kept."""
+        on first use of the level and kept with at most one other level (the
+        class docstring)."""
         if not 0 <= n < self.top:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         wedges = self._wedges.get(n)
         if wedges is None:
+            if len(self._wedges) == 2:
+                del self._wedges[next(iter(self._wedges))]
             one = SpMat.identity(self.V.dim)
             wedges = self._wedges[n] = [
                 eps.kron(one) for eps in
@@ -107,9 +125,12 @@ def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
 
 
 def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
-    """All levels, differentials, codifferentials and inner products, in the
-    operator form of the module docstring. The unit wedges of only two
-    adjacent levels are alive at a time.
+    """All levels, differentials and codifferentials, in the operator form of
+    the module docstring; the wedges eps_a on Lambda of only two adjacent
+    levels are alive at a time while it runs. No G_n is built here: the
+    complex builds G_n where it is read (``CochainComplex.inner``), and
+    builds its unit wedges eps_a (x) 1_V on use, holding at most two levels
+    of them, because the Leibniz check reads levels n - 1 and n together.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -127,16 +148,13 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     e_act = [V.actions[("e", r)] for r in roots]
     one = SpMat.identity(V.dim)
     tuples = [list(combinations(range(d), n)) for n in range(d + 1)]
-    levels, dels, delstars, inner = [], [], [], []
+    levels, dels, delstars = [], [], []
     eps_lo: list[SpMat] = []  # eps_a: Lambda^{n-1} -> Lambda^n, and its transposes
     iota_lo: list[SpMat] = []
     for n in range(d + 1):
         lam = len(tuples[n])
         level = tensor(_wedge_module(g, tuples[n], eps_lo, iota_lo), V)
         levels.append(level)
-        diag = SpMat.diagonal([prod(dd[a] for a in t) for t in tuples[n]])
-        inner.append(SpMat.assemble(level.dim, level.dim,
-                                    kron_blocks(diag, V.gram, Q((-1) ** n, factorial(n)))))
         if n == d:
             break
         up = len(tuples[n + 1])
@@ -167,7 +185,7 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     delstars.append(SpMat(levels[d].dim, 0))
     return CochainComplex(
         g=g, V=V, dual=dual, levels=levels, wedge_tuples=tuples,
-        dels=dels, delstars=delstars, inner=inner,
+        dels=dels, delstars=delstars,
     )
 
 

@@ -25,9 +25,12 @@ CASES = [("A2", (1,), (1, 1)), ("B2", (1,), (0, 1)), ("G2", (1,), (0, 0))]
 
 
 def battery(cc) -> dict[str, bool]:
+    """The three checks over all levels; the Leibniz and commutator checks
+    run level by level, as ``build_bgg_diagram`` runs them."""
     out = verify_cochain_identities(cc)
-    out["codifferential_leibniz"] = verify_codifferential_leibniz(cc)
-    out["differential_commutator"] = verify_differential_commutator(cc)
+    levels = range(cc.top)
+    out["codifferential_leibniz"] = all(verify_codifferential_leibniz(cc, n) for n in levels)
+    out["differential_commutator"] = all(verify_differential_commutator(cc, n) for n in levels)
     return out
 
 

@@ -1,0 +1,78 @@
+"""How long the exponential tables of a cochain complex live.
+
+The complex keeps the unit wedges of at most two levels, since the Leibniz
+check reads levels n - 1 and n together, and builds each G_n where it is
+read instead of keeping it. These tests watch the wedge cache during whole
+diagram builds, count the levels the identity battery builds, and look for
+a G_n among the complex's attributes.
+"""
+
+import pytest
+
+from artifact.bggcore import build_bgg_diagram
+from artifact.hodge import CochainComplex
+from artifact.linalg import SpMat
+from conftest import complex_for, graded
+
+
+@pytest.fixture
+def wedge_log(monkeypatch):
+    """Wrap ``CochainComplex.unit_wedges``; the log gets, for each call,
+    (level, built, number of levels the complex holds afterwards), where
+    ``built`` tells whether the call had to build the level."""
+    log = []
+    unit_wedges = CochainComplex.unit_wedges
+
+    def logged(cc, n):
+        built = n not in cc._wedges
+        out = unit_wedges(cc, n)
+        log.append((n, built, len(cc._wedges)))
+        return out
+
+    monkeypatch.setattr(CochainComplex, "unit_wedges", logged)
+    return log
+
+
+# G2 {1} (1,1) is a bench `cohomology` case (no arrows); A3 {1,2,3} (0,0,0)
+# is a bench `verify` case with 34 sources
+RUNS = [("G2", (1,), (1, 1), False), ("A3", (1, 2, 3), (0, 0, 0), True)]
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
+def test_complex_holds_at_most_two_wedge_levels(wedge_log, label, sigma, weight, with_arrows):
+    build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+    assert wedge_log
+    assert max(held for _, _, held in wedge_log) <= 2
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
+def test_identity_battery_builds_each_level_once(wedge_log, label, sigma, weight, with_arrows):
+    """Without arrows only the battery reads the wedges; with them, the
+    battery's builds come first."""
+    diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+    top = len(diagram.columns) - 1
+    builds = [n for n, built, _ in wedge_log if built]
+    if with_arrows:
+        builds = builds[:top]
+    assert builds == list(range(top))
+
+
+def test_no_attribute_holds_an_inner_product():
+    cc = complex_for("B2", (1,), (0, 1))
+    assert "inner" not in vars(cc)
+    grams = [cc.inner(n) for n in range(cc.top + 1)]
+    assert all(G.nrows == G.ncols == cc.dim(n) for n, G in enumerate(grams))
+
+    def matrices(value):
+        if isinstance(value, SpMat):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for v in value:
+                yield from matrices(v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from matrices(v)
+
+    held = [m for value in vars(cc).values() for m in matrices(value)]
+    assert held
+    assert not any(m == G for m in held for G in grams)

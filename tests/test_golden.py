@@ -25,6 +25,8 @@ OTHER_COMMANDS = [
     ("A4", "2", "1,0,0,1", "cohomology", "json,text"),
     ("B3", "1", "0,0,1", "verify", "json,text"),        # two root lengths: d_a differ
     ("B2", "1,2", "1,0", "verify", "json,text"),        # the same, one partial source
+    ("D4", "1,2,3,4", "0,0,0,0", "cohomology", "json,text"),  # 12 levels, chain dims up to 924
+    ("A4", "1,2,3,4", "1,0,0,0", "cohomology", "json,text"),  # chain dims up to 1260
 ]
 
 EXTENSION = {"json": "json", "text": "txt", "dot": "dot"}

@@ -2,7 +2,10 @@
 
 import pytest
 
+from artifact import gradedla
+from artifact.bggcli import main
 from artifact.linalg import Q
+from artifact.rootspace import sigma_height
 from conftest import graded
 from gradedla_reference import adjoint_matrix, bracket_vec, killing_form, trace
 
@@ -173,3 +176,35 @@ def test_structure_constants_are_exact(label, sigma):
         assert all(type(c) in exact for _, _, c in g.xi_brackets(lab))
     for m in g.pplus_action().values():
         assert all(type(v) in exact for _, _, v in m.entries())
+
+
+def test_label_tuples_are_built_once_per_algebra():
+    """``pplus_roots``, ``g0_labels`` and ``p_labels`` return one tuple per
+    algebra, in the order their definitions give."""
+    g = graded("B3", (2,))
+    assert g.p_labels() is g.p_labels()
+    assert g.g0_labels() is g.g0_labels()
+    assert g.pplus_roots() is g.pplus_roots()
+    level = {r: sigma_height(g.par, r) for r in g.rs.pos_roots}
+    assert g.pplus_roots() == tuple(r for r in g.rs.pos_roots if level[r] >= 1)
+    g0 = [r for r in g.rs.pos_roots if level[r] == 0]
+    assert g.g0_labels() == (tuple(("h", i) for i in range(g.rs.rank))
+                             + tuple(("e", r) for r in g0) + tuple(("f", r) for r in g0))
+    assert g.p_labels() == g.g0_labels() + tuple(("e", r) for r in g.pplus_roots())
+
+
+def test_one_run_reads_sigma_heights_once(monkeypatch, capsys):
+    """A ``verify`` run with 34 sources asks for the Sigma-height of each
+    root a bounded number of times (3486 calls when the label tuples were
+    rebuilt on every call)."""
+    calls = []
+    height = gradedla.sigma_height
+
+    def counted(par, r):
+        calls.append(r)
+        return height(par, r)
+
+    monkeypatch.setattr(gradedla, "sigma_height", counted)
+    assert main(["--algebra", "A3", "--cross", "1,2,3", "--weight", "0,0,0", "verify"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) < 100

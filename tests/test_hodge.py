@@ -49,8 +49,8 @@ def test_nilpotency_and_adjointness(label, sigma, weight):
         assert (cc.dels[n + 1] @ cc.dels[n]).is_zero()
         assert (cc.delstars[n] @ cc.delstars[n + 1]).is_zero()
     for n in range(cc.top):
-        lhs = cc.delstars[n].transpose() @ cc.inner[n]
-        rhs = cc.inner[n + 1] @ cc.dels[n]
+        lhs = cc.delstars[n].transpose() @ cc.inner(n)
+        rhs = cc.inner(n + 1) @ cc.dels[n]
         assert (lhs - rhs).is_zero()
 
 
@@ -234,7 +234,7 @@ def test_laplacian_selfadjoint_and_weight_diagonal():
     cc = complex_for("B2", (1,), (0, 1))
     for n in range(cc.top + 1):
         box = laplacian(cc, n)
-        gb = cc.inner[n] @ box
+        gb = cc.inner(n) @ box
         assert (gb - gb.transpose()).is_zero()
         ws = cc.levels[n].weights
         for r, c, _ in box.entries():
@@ -365,7 +365,7 @@ def test_complex_equals_decomposable_reference(label, sigma, weight):
         assert got.actions == want.actions
         assert (got.dim, got.weights) == (want.dim, want.weights)
         assert tuple(cc.g.e_eigenvalue(mu) for mu in got.weights) == reference_grades(cc, n)
-        assert cc.inner[n] == reference_inner(cc, n)
+        assert cc.inner(n) == reference_inner(cc, n)
         if n < cc.top:
             assert cc.dels[n] == reference_del(cc, n)
             assert cc.delstars[n] == reference_delstar(cc, n)
@@ -412,7 +412,7 @@ def test_complex_entries_are_exact_and_normalized(label, sigma, weights):
     """No stored entry is a float, and integral entries are stored as int."""
     for weight in weights:
         cc, cohs, _ = components_for(label, sigma, weight)
-        mats = cc.dels + cc.delstars + cc.inner
+        mats = cc.dels + cc.delstars + [cc.inner(n) for n in range(cc.top + 1)]
         for coh in cohs:
             mats += [coh.ker_box, coh.harmonic_projection()]
             mats += [m for rows, *bases in coh.blocks for m in bases]
