@@ -213,9 +213,10 @@ def validate(job: JobSpec) -> None:
             )
     if job.command not in COMMANDS:
         raise ValidationError(f"unknown command {job.command!r}")
-    for f in job.emit:
-        if f not in FORMATS:
-            raise ValidationError(f"unknown emit format {f!r}")
+    for i, f in enumerate(job.emit):
+        if f not in FORMATS or f in job.emit[:i]:
+            kind = "unknown" if f not in FORMATS else "repeated"
+            raise ValidationError(f"{kind} emit format {f!r}")
     for flag, budget in (("--max-module-dim", job.max_module_dim),
                          ("--max-jet-dim", job.max_jet_dim)):
         if budget < 1:

@@ -41,7 +41,10 @@ and the action of Jbar^K is never built.
 
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
-identity battery `verify` reports runs there too.
+identity battery `verify` reports runs there too. `build_bgg_diagram`
+makes one pass over the levels: level n's checks, then its sources. A
+source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is left partial, by
+`generate_submodule` at the first layer of E that shows it.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ from .hodge import (
 from .jetcalc import (
     MAX_JET_DIM,
     SemiHolonomicJet,
+    check_jet_budget,
     equalizer_index_maps,
-    jbar_dim,
     jet1_map_matrix,
     prolong,
     semiholonomic,
@@ -77,6 +80,7 @@ from .jetcalc import (
 from .linalg import LinAlgError, SpMat, qstr
 from .repmod import (
     MAX_MODULE_DIM,
+    DimensionOverBudget,
     IrrepLabel,
     PModule,
     action_on_span,
@@ -176,13 +180,19 @@ class GeneratedSubmodule:
         return (self.box_inverse(i) @ block).place_rows(top, self.quotient(i + 1).dim)
 
 
-def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) -> GeneratedSubmodule:
+def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
+                       max_jet_dim: int = MAX_JET_DIM) -> GeneratedSubmodule:
     """Close the harmonic component under the p_+ action, layering the basis
     by E-eigenvalue offset: `layered_closure` with each raising action and
     its grade. The component lies in E-grade i0, and an action of grade s
     adds s to the E-grade, so layer j lies in E-grade i0 + j and the layers
     are independent. Each basis vector is certified to have one weight, and
-    that weight's E-eigenvalue to be its layer's grade."""
+    that weight's E-eigenvalue to be its layer's grade.
+
+    The one home of the jet budget: a nonempty layer j means depth r >= j,
+    so layer j raises DimensionOverBudget when dim Jbar^{j+1}(E/E^1) exceeds
+    max_jet_dim, and nothing past it is built. That refuses exactly the
+    sources whose Jbar^{r+1} is over budget."""
     if comp.multiplicity != 1:
         raise CertificationFailure(
             f"component {comp.label} has multiplicity {comp.multiplicity}"
@@ -192,7 +202,10 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel) ->
     n = coh.n
     i0 = comp.e_eigenvalue
     raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
-    layers = layered_closure(coh.ker_box @ comp.embedding, raising)
+    layers: list[tuple[int, SpMat]] = []
+    for j, b in layered_closure(coh.ker_box @ comp.embedding, raising):
+        layers.append((j, b))
+        check_jet_budget(len(g.pplus_roots()), layers[0][1].ncols, j + 1, max_jet_dim)
     basis = SpMat.hstack([b for _, b in layers])
     m = basis.ncols
     offsets = tuple(j for j, b in layers for _ in range(b.ncols))
@@ -271,8 +284,7 @@ class SplitterChain:
         self.maps, self.composite, self.domain, self.jet = maps, composite, domain, jet
 
 
-def compose_splitter(gs: GeneratedSubmodule, k: int | None = None,
-                     max_jet_dim: int = MAX_JET_DIM) -> SplitterChain:
+def compose_splitter(gs: GeneratedSubmodule, k: int | None = None) -> SplitterChain:
     """L^(k): Jbar^k(E/E^1) -> E/E^{k+1}, certified as a P-map that splits
     the footpoint projection; k defaults to r, the full splitter L."""
     k = gs.r if k is None else k
@@ -283,7 +295,7 @@ def compose_splitter(gs: GeneratedSubmodule, k: int | None = None,
     jet = None
     composite = SpMat.identity(q1.dim)
     for i, lm in enumerate(maps, 1):
-        jet = semiholonomic(q1, i, max_dim=max_jet_dim, below=jet)
+        jet = semiholonomic(q1, i, below=jet)
         composite = lm.mat if i == 1 else lm.mat @ prolong(composite, jet)
     domain = q1 if jet is None else jet.module
     certify_map(composite, domain, gs.quotient(k + 1), "splitter")
@@ -328,9 +340,8 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     from the left (module docstring); its nonzero component blocks are the
     arrows. ``in_kernel`` is dstar_n o values = 0 on the rows of C^n whose
     E-grade offset from i0 is below K; from K on the truncated values may
-    leave ker dstar. The jet budget is decided by the caller:
-    `build_bgg_diagram` leaves a source partial when dim Jbar^{r+1} exceeds
-    it."""
+    leave ker dstar. It takes no jet budget: `generate_submodule` has
+    refused every source whose Jbar^{r+1} exceeds it, and K <= r + 1."""
     cc, n = gs.cc, gs.n
     dt, values = operator_on_jet1(gs, chain, coh_next)
     phi, ncols = None, dt.ncols
@@ -416,34 +427,29 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
         for n in range(cc.top + 1)
     ]
     verify = verify_cochain_identities(cc)
-    # level by level, so each level's unit wedges are built once (the
-    # complex keeps two levels, and Leibniz reads n - 1 and n)
-    verify["codifferential_leibniz"] = True
-    verify["differential_commutator"] = True
+    verify["oracle_agreement"] = oracle_agrees(g, lam_mod, columns)
+    verify.update(codifferential_leibniz=True, differential_commutator=True)
+    if with_arrows:
+        verify.update(splitter_projection=True, splitter_defect=True, splitter_values_kernel=True)
+    arrows: list[BGGArrow] = []
+    partial: list[tuple[int, int]] = []
+    # one pass: each level's checks, then its sources (module docstring)
     for n in range(cc.top):
         verify["codifferential_leibniz"] &= verify_codifferential_leibniz(cc, n)
         verify["differential_commutator"] &= verify_differential_commutator(cc, n)
-    verify["oracle_agreement"] = oracle_agrees(g, lam_mod, columns)
-    arrows: list[BGGArrow] = []
-    partial: list[tuple[int, int]] = []
-    if with_arrows:
-        verify["splitter_projection"] = True
-        verify["splitter_defect"] = True
-        verify["splitter_values_kernel"] = True
-        for n in range(cc.top):
-            for s, comp in enumerate(comps[n]):
-                gs = generate_submodule(cc, cohs[n], comp)
-                jet_dim = jbar_dim(len(g.pplus_roots()), gs.quotient(1).dim, gs.r + 1)
-                if jet_dim > max_jet_dim:
-                    partial.append((n, s))
-                    continue
-                k = operator_jet_order(gs, comps[n + 1]) - 1
-                chain = compose_splitter(gs, k, max_jet_dim=max_jet_dim)
-                op = bgg_operator(gs, chain, cohs[n + 1], comps[n + 1], source_index=s)
-                verify["splitter_projection"] &= verify_splitter_projection(gs, chain)
-                verify["splitter_defect"] &= verify_splitter_defect(gs, chain)
-                verify["splitter_values_kernel"] &= op.in_kernel
-                arrows.extend(op.arrows)
+        for s, comp in enumerate(comps[n] if with_arrows else ()):
+            try:
+                gs = generate_submodule(cc, cohs[n], comp, max_jet_dim)
+            except DimensionOverBudget:
+                partial.append((n, s))
+                continue
+            k = operator_jet_order(gs, comps[n + 1]) - 1
+            chain = compose_splitter(gs, k)
+            op = bgg_operator(gs, chain, cohs[n + 1], comps[n + 1], source_index=s)
+            verify["splitter_projection"] &= verify_splitter_projection(gs, chain)
+            verify["splitter_defect"] &= verify_splitter_defect(gs, chain)
+            verify["splitter_values_kernel"] &= op.in_kernel
+            arrows.extend(op.arrows)
     return BGGDiagram(
         algebra=rs.label,
         sigma=tuple(sorted(g.par.sigma)),

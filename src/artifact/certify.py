@@ -94,12 +94,12 @@ def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
 
 def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
     """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z of p_+. Reads
-    the unit wedges of levels n and n - 1, the two the complex keeps; run
-    over n = 0, 1, ... in order, each level's wedges are built once."""
+    the unit wedges of level n - 1 before level n, so that run over n in
+    order, n - 1 is the one level the complex holds, and each is built once."""
     roots = cc.g.pplus_roots()
     dim = cc.dim(n)
-    wedges = cc.unit_wedges(n)
     below = cc.unit_wedges(n - 1) if n >= 1 else None
+    wedges = cc.unit_wedges(n)
     for a, wa in enumerate(wedges):
         blocks = [
             (0, 0, 1, (cc.delstars[n], wa)),

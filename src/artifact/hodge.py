@@ -67,10 +67,10 @@ class CochainComplex:
     The complex keeps across a job only what the job reads. The inner
     product G_n is built where it is read, on each call of ``inner(n)``:
     only the adjointness check reads it, one level after another. The unit
-    wedges eps_a (x) 1_V are kept for at most two levels, because the
-    Leibniz check reads levels n - 1 and n together; building a third drops
-    the level built first. Run level by level, as the identity battery is,
-    the two kept levels are n - 1 and n, and each level is built once."""
+    wedges eps_a (x) 1_V are kept for one level, the last one asked for.
+    The Leibniz check on C^n reads n - 1 before n, so a level-by-level run,
+    as `build_bgg_diagram` makes, builds each level once, and n - 1 lives
+    on only while that one check reads it."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
                  levels: list[PModule], wedge_tuples: list[list[tuple]],
@@ -96,20 +96,15 @@ class CochainComplex:
 
     def unit_wedges(self, n: int) -> list[SpMat]:
         """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a, built
-        on first use of the level and kept with at most one other level (the
-        class docstring)."""
+        on first use of the level and kept until another level is asked for
+        (the class docstring)."""
         if not 0 <= n < self.top:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
-        wedges = self._wedges.get(n)
-        if wedges is None:
-            if len(self._wedges) == 2:
-                del self._wedges[next(iter(self._wedges))]
+        if n not in self._wedges:
+            eps = wedge_maps(self.wedge_tuples[n], self.wedge_tuples[n + 1], len(self.dual))
             one = SpMat.identity(self.V.dim)
-            wedges = self._wedges[n] = [
-                eps.kron(one) for eps in
-                wedge_maps(self.wedge_tuples[n], self.wedge_tuples[n + 1], len(self.dual))
-            ]
-        return wedges
+            self._wedges = {n: [e.kron(one) for e in eps]}
+        return self._wedges[n]
 
 
 def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
@@ -129,8 +124,7 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     the module docstring; the wedges eps_a on Lambda of only two adjacent
     levels are alive at a time while it runs. No G_n is built here: the
     complex builds G_n where it is read (``CochainComplex.inner``), and
-    builds its unit wedges eps_a (x) 1_V on use, holding at most two levels
-    of them, because the Leibniz check reads levels n - 1 and n together.
+    builds its unit wedges eps_a (x) 1_V on use, one level at a time.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).

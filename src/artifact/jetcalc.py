@@ -63,7 +63,7 @@ from .linalg import SpMat
 from .repmod import DimensionOverBudget, PModule
 
 
-MAX_JET_DIM = 20000  # default budget on dim Jbar^r
+MAX_JET_DIM = 20000  # default budget on dim Jbar^{r+1}(E/E^1) of a source
 
 
 class ShapeMismatch(Exception):
@@ -196,18 +196,18 @@ def jbar_dim(d: int, dv: int, r: int) -> int:
     return sum(_ds_dims(d, dv, r))
 
 
-def check_jet_budget(V: PModule, r: int, max_dim: int) -> None:
-    """Raise DimensionOverBudget when dim Jbar^r(V) exceeds max_dim."""
-    total = jbar_dim(len(V.g.pplus_roots()), V.dim, r)
+def check_jet_budget(d: int, dv: int, r: int, max_dim: int) -> None:
+    """Raise DimensionOverBudget when jbar_dim(d, dv, r) exceeds max_dim."""
+    total = jbar_dim(d, dv, r)
     if total > max_dim:
         raise DimensionOverBudget(
             f"dim Jbar^{r} = {total} exceeds budget {max_dim}"
         )
 
 
-def semiholonomic(V: PModule, r: int, max_dim: int = MAX_JET_DIM,
-                  below: SemiHolonomicJet | None = None) -> SemiHolonomicJet:
-    """Jbar^r(V); raises DimensionOverBudget before building anything big.
+def semiholonomic(V: PModule, r: int, below: SemiHolonomicJet | None = None) -> SemiHolonomicJet:
+    """Jbar^r(V). It takes no budget: `bggcore.generate_submodule` decides
+    each source's once, and a source it accepts needs no jet of higher order.
 
     With ``below``, a Jbar^s(V) with s <= r built earlier, the tower is
     extended from it instead of from V; the result is the same."""
@@ -215,7 +215,6 @@ def semiholonomic(V: PModule, r: int, max_dim: int = MAX_JET_DIM,
         raise ValueError(f"semi-holonomic order must be >= 1, got {r}")
     if below is not None and (below.V is not V or below.r > r):
         raise ValueError(f"cannot extend Jbar^{below.r} of another module to Jbar^{r}")
-    check_jet_budget(V, r, max_dim)
     cur = below
     if cur is None:
         cur = SemiHolonomicJet(r=1, V=V, module=jet1(V))

@@ -42,6 +42,7 @@ weight mu by ``g.e_eigenvalue(mu)``, the one home of the grade.
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Iterator
 
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
 from .linalg import LinAlgError, SpMat, kron_blocks
@@ -242,18 +243,18 @@ def action_on_span(basis: SpMat, actions: dict[Label, SpMat],
             for t, lab in enumerate(labels)}
 
 
-def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> list[tuple[int, SpMat]]:
+def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> Iterator[tuple[int, SpMat]]:
     """The span of the columns of seeds under the ops, layer by layer:
-    (j, basis) for each nonempty layer, j increasing. The seeds are layer 0,
-    an op (A, s), s >= 1, sends layer j into layer j + s, and layer j is a
-    column basis of the images landing in it, one product per op and layer.
+    yields (j, basis) for each nonempty layer, j increasing. The seeds are
+    layer 0, an op (A, s), s >= 1, sends layer j into layer j + s, and layer
+    j is a column basis of the images landing in it, one product per op and
+    layer, taken only when the next layer is asked for.
 
     The layers are independent when the seeds lie in one grade of a grading
     that each op raises by its s, for then layer j lies in grade j; the
     callers certify that. Layers of more columns in all than seeds has rows
     raise ModuleNotCertified, so the loop ends even if an op is not
     nilpotent."""
-    layers: list[tuple[int, SpMat]] = []
     pending: dict[int, list[SpMat]] = {0: [seeds]}
     total = 0
     while pending:
@@ -266,12 +267,11 @@ def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> list[tuple[in
             raise ModuleNotCertified(
                 f"closure layers of {total} columns overlap in dimension {seeds.nrows}"
             )
-        layers.append((j, basis))
+        yield j, basis
         for A, s in ops:
             img = A @ basis
             if not img.is_zero():
                 pending.setdefault(j + s, []).append(img)
-    return layers
 
 
 def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:

@@ -160,7 +160,7 @@ def prev(sh: SemiHolonomicJet) -> SemiHolonomicJet | None:
     """Jbar^{r-1}(V), rebuilt (None when r == 1)."""
     if sh.r == 1:
         return None
-    return semiholonomic(sh.V, sh.r - 1, max_dim=sh.module.dim)
+    return semiholonomic(sh.V, sh.r - 1)
 
 
 def ambient(sh: SemiHolonomicJet):

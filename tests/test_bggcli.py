@@ -242,7 +242,7 @@ def test_action_leaving_its_span_exits_1_without_traceback(monkeypatch, capsys):
     """A generated submodule cut to its first layer is not p-invariant: the
     action solve refuses it as ModuleNotCertified, one line, exit 1."""
     closure = bggcore.layered_closure
-    monkeypatch.setattr(bggcore, "layered_closure", lambda *args: closure(*args)[:1])
+    monkeypatch.setattr(bggcore, "layered_closure", lambda *args: [next(closure(*args))])
     assert main(["--algebra", "A2", "--cross", "1", "--weight", "1,1", "diagram"]) == 1
     out = capsys.readouterr()
     assert out.out == ""
@@ -318,6 +318,20 @@ def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, emit, writte
     cap = capsys.readouterr()
     assert cap.out == ""
     assert cap.err == f"error: cannot write {out}{written}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("emit", ["text,text", "json,text,json"])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_repeated_emit_format_exits_2_with_one_line(tmp_path, capsys, emit, to_file):
+    """A format named twice would print its report twice on stdout but
+    write one file with --out; it is refused as the crossed nodes are."""
+    out = tmp_path / "rep"
+    argv = BASE + ["diagram", "--emit", emit] + (["--out", str(out)] if to_file else [])
+    assert main(argv) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == f"error: repeated emit format {emit.split(',')[0]!r}\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("case", ["non_utf8_config", "deeply_nested_algebra"])

@@ -20,7 +20,15 @@ from artifact.bggcore import (
 from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
 from artifact.linalg import SpMat
 from artifact.repmod import layered_closure
-from conftest import BATTERY, components_for, diagram_for, graded, replaced, splitters_for
+from conftest import (
+    BATTERY,
+    NO_JET_BUDGET,
+    components_for,
+    diagram_for,
+    graded,
+    replaced,
+    splitters_for,
+)
 from jet_reference import reference_splitter
 from linalg_reference import reference_closure
 from tilde_reference import (
@@ -43,7 +51,7 @@ def submodules_for(label, sigma, weight):
     cc, cohs, comps = components_for(label, sigma, weight)
     for n in range(cc.top):
         for comp in comps[n]:
-            yield generate_submodule(cc, cohs[n], comp)
+            yield generate_submodule(cc, cohs[n], comp, max_jet_dim=NO_JET_BUDGET)
 
 
 @pytest.mark.parametrize("label,sigma,weight", SPLITTER_CASES)

@@ -1,10 +1,12 @@
 """How long the exponential tables of a cochain complex live.
 
-The complex keeps the unit wedges of at most two levels, since the Leibniz
-check reads levels n - 1 and n together, and builds each G_n where it is
-read instead of keeping it. These tests watch the wedge cache during whole
-diagram builds, count the levels the identity battery builds, and look for
-a G_n among the complex's attributes.
+The complex keeps the unit wedges of one level, the last one asked for,
+and builds each G_n where it is read instead of keeping it.
+`build_bgg_diagram` makes one pass over the levels (each level's checks,
+then its sources), and the Leibniz check on C^n reads level n - 1 before
+level n, so a whole run builds each level once. These tests watch the
+wedge cache during whole diagram builds, count the levels built, and look
+for a G_n among the complex's attributes.
 """
 
 import pytest
@@ -39,22 +41,24 @@ RUNS = [("G2", (1,), (1, 1), False), ("A3", (1, 2, 3), (0, 0, 0), True)]
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
-def test_complex_holds_at_most_two_wedge_levels(wedge_log, label, sigma, weight, with_arrows):
+def test_complex_holds_one_wedge_level(wedge_log, label, sigma, weight, with_arrows):
     build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     assert wedge_log
-    assert max(held for _, _, held in wedge_log) <= 2
+    assert max(held for _, _, held in wedge_log) == 1
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
 def test_identity_battery_builds_each_level_once(wedge_log, label, sigma, weight, with_arrows):
-    """Without arrows only the battery reads the wedges; with them, the
-    battery's builds come first."""
+    """And so does the whole run, with arrows too: the sources of level n
+    read only level n, which the level's checks have just built.
+    A3 {1,2,3} (0,0,0) builds 6 levels (12 when the checks ran over all
+    levels before the sources)."""
     diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     top = len(diagram.columns) - 1
     builds = [n for n, built, _ in wedge_log if built]
-    if with_arrows:
-        builds = builds[:top]
     assert builds == list(range(top))
+    if with_arrows:
+        assert len(builds) == 6
 
 
 def test_no_attribute_holds_an_inner_product():

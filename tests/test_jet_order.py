@@ -23,7 +23,7 @@ from artifact.bggcore import (
 )
 from artifact.jetcalc import MAX_JET_DIM, jbar_dim
 from artifact.linalg import SpMat
-from conftest import BATTERY, components_for, graded
+from conftest import BATTERY, NO_JET_BUDGET, components_for, graded
 from jet_reference import full_build_certificate, full_operator
 
 REFERENCE_CASES = [(label, sigma, w) for label, sigma, ws in BATTERY for w in ws]
@@ -36,7 +36,7 @@ def in_budget_sources(label, sigma, weight):
     d = len(cc.g.pplus_roots())
     for n in range(cc.top):
         for comp in comps[n]:
-            gs = generate_submodule(cc, cohs[n], comp)
+            gs = generate_submodule(cc, cohs[n], comp, max_jet_dim=NO_JET_BUDGET)
             if jbar_dim(d, gs.quotient(1).dim, gs.r + 1) > MAX_JET_DIM:
                 continue
             yield gs, operator_jet_order(gs, comps[n + 1]), cohs[n + 1], comps[n + 1]
@@ -88,12 +88,14 @@ def test_no_source_builds_a_jet_above_K_minus_1(monkeypatch, case):
     asked: dict[tuple[int, int], list[int]] = {}
     gen, sh = bggcore.generate_submodule, jetcalc.semiholonomic
 
-    def spy_generate(cc, coh, comp):
-        gs = gen(cc, coh, comp)
-        src = (gs.n, sum(1 for n, _ in sources if n == gs.n))
+    def spy_generate(cc, coh, comp, *args):
+        # a partial source's closure stops early, so its r and K are read
+        # off the closure with the budget lifted
+        full = gen(cc, coh, comp, NO_JET_BUDGET)
+        src = (full.n, sum(1 for n, _ in sources if n == full.n))
         sources.append(src)
-        r_and_k[src] = (gs.r, operator_jet_order(gs, comps[gs.n + 1]))
-        return gs
+        r_and_k[src] = (full.r, operator_jet_order(full, comps[full.n + 1]))
+        return gen(cc, coh, comp, *args)
 
     def spy_semiholonomic(V, r, *args, **kwargs):
         asked.setdefault(sources[-1], []).append(r)

@@ -11,6 +11,7 @@ from artifact.jetcalc import (
     EqualizerNotCertified,
     ShapeMismatch,
     check_equivariance,
+    check_jet_budget,
     jet1,
     jet1_left_action,
     jet1_map_matrix,
@@ -316,10 +317,14 @@ def test_jbar_of_map_functorial():
 
 
 def test_semiholonomic_budget():
+    # semiholonomic takes no budget: `generate_submodule` decides it once,
+    # with check_jet_budget. dim V = 8 and dim p_+ = 3, so
+    # dim Jbar^4 = 8 (1 + 3 + 9 + 27 + 81)
     V = module("A2", (1, 2), (1, 1))
-    with pytest.raises(DimensionOverBudget):
-        semiholonomic(V, 4, max_dim=500)
-    with pytest.raises(DimensionOverBudget):
-        semiholonomic(V, 4, max_dim=500, below=semiholonomic(V, 1))
+    d = len(V.g.pplus_roots())
+    assert jbar_dim(d, V.dim, 4) == 968
+    with pytest.raises(DimensionOverBudget, match="dim Jbar\\^4 = 968 exceeds budget 500"):
+        check_jet_budget(d, V.dim, 4, 500)
+    check_jet_budget(d, V.dim, 4, 968)
     with pytest.raises(ValueError):
         semiholonomic(V, 0)

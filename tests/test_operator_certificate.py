@@ -15,7 +15,7 @@ from artifact.bggcore import bgg_operator, compose_splitter, generate_submodule,
 from artifact.certify import CertificationFailure, certify_from_left
 from artifact.jetcalc import MAX_JET_DIM, equalizer_index_maps, jbar_dim
 from artifact.linalg import SpMat
-from conftest import BATTERY, components_for
+from conftest import BATTERY, NO_JET_BUDGET, components_for
 from jet_reference import full_build_certificate
 
 ACCEPT_CASES = [(label, sigma, w) for label, sigma, ws in BATTERY for w in ws]
@@ -30,7 +30,7 @@ def sources_for(label, sigma, weight):
     d = len(cc.g.pplus_roots())
     for n in range(cc.top):
         for comp in comps[n]:
-            gs = generate_submodule(cc, cohs[n], comp)
+            gs = generate_submodule(cc, cohs[n], comp, max_jet_dim=NO_JET_BUDGET)
             if jbar_dim(d, gs.quotient(1).dim, gs.r + 1) > MAX_JET_DIM:
                 continue
             yield gs, compose_splitter(gs), cohs[n + 1], comps[n + 1]
