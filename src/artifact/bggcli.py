@@ -184,8 +184,8 @@ def _root_system(text: str):
 
 def validate(job: JobSpec) -> None:
     """Refuse an impossible job, and keep the root system it builds on the
-    job. The checks that need only the rank, read off the spec, come before
-    the root system is built, whose cost grows with the rank."""
+    job. The checks that need only the rank, read off the spec, or the job as
+    parsed come before the root system, whose cost grows with the rank."""
     algebra_errors = (NotFiniteType, NotIrreducible, ValueError, TypeError)
     try:
         rank = spec_rank(_algebra_spec(job.algebra))
@@ -202,10 +202,6 @@ def validate(job: JobSpec) -> None:
         raise ValidationError(
             f"weight needs {rank} entries, got {len(job.weight)}"
         )
-    try:
-        job.root_system = _root_system(job.algebra)
-    except algebra_errors as exc:
-        raise ValidationError(f"bad algebra {job.algebra!r}: {exc}") from exc
     for node, w in enumerate(job.weight, 1):
         if w < 0:
             raise ValidationError(
@@ -221,6 +217,10 @@ def validate(job: JobSpec) -> None:
                          ("--max-jet-dim", job.max_jet_dim)):
         if budget < 1:
             raise ValidationError(f"{flag} must be at least 1, got {budget}")
+    try:
+        job.root_system = _root_system(job.algebra)
+    except algebra_errors as exc:
+        raise ValidationError(f"bad algebra {job.algebra!r}: {exc}") from exc
 
 
 class Report:

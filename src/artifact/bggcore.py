@@ -17,7 +17,8 @@ step of it,
   D = pi_H o d_V o J^1(L) o iota,   d_V(f0, Z (x) f1) = del(f0) + (n+1) Z ^ f1,
 
 is the level-to-level operator whose nonzero component blocks are the arrows
-of the diagram. Each step is `jetcalc.prolong`. All compositions are exact.
+of the diagram. Each step is `jetcalc.prolong` on the one jet tower, from
+Jbar^0 = E/E^1 (at k = 1 iota is the identity). All compositions are exact.
 
 An arrow of order k reads only the k-jet of its section. pi_H kills im del,
 and every other term of d_V o J^1 raises the E-eigenvalue by the grade, at
@@ -143,6 +144,14 @@ class GeneratedSubmodule:
             raise ValueError(f"no truncation E/E^{j} -> E/E^{i}")
         return SpMat.identity(self.quotient(i).dim, self.quotient(j).dim)
 
+    def e_coordinates(self, x: SpMat, what: str) -> SpMat:
+        """x (in C^n) in the E basis; raises CertificationFailure naming
+        ``what`` and the level when a column of x leaves span E."""
+        try:
+            return self.basis.solve(x)
+        except LinAlgError as exc:
+            raise CertificationFailure(f"{what} leaves E in C^{self.n}") from exc
+
     def box_on_e(self) -> SpMat:
         """The Laplacian restricted to E, in E coordinates. E lies in
         ker dstar_{n-1} (``generate_submodule`` checks it), so the
@@ -152,7 +161,7 @@ class GeneratedSubmodule:
             cc, n = self.cc, self.n
             img = SpMat.assemble(cc.dim(n), self.basis.ncols,
                                  [(0, 0, 1, (cc.delstars[n], cc.dels[n] @ self.basis))])
-            self._box = self.basis.solve(img)
+            self._box = self.e_coordinates(img, "box")
         return self._box
 
     def box_inverse(self, i: int) -> SpMat:
@@ -233,15 +242,9 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     )
 
 
-class LiMap:
-    """L_i: J^1(E/E^i) -> E/E^{i+1}; ``source`` is E/E^i, and ``mat`` has
-    (1 + dim p_+) dim E/E^i columns, the coordinates of J^1(E/E^i)."""
-
-    def __init__(self, i: int, source: PModule, mat: SpMat):
-        self.i, self.source, self.mat = i, source, mat
-
-
-def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
+def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
+    """L_i: J^1(E/E^i) -> E/E^{i+1}, with (1 + dim p_+) dim E/E^i columns,
+    the coordinates of J^1(E/E^i)."""
     if not 1 <= i <= gs.r:
         raise ValueError(f"L_i needs 1 <= i <= {gs.r}, got {i}")
     cc, n, g = gs.cc, gs.n, gs.cc.g
@@ -263,47 +266,47 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> LiMap:
         pieces.append(cc.delstars[n] @ (wa @ gs.basis.select_columns(needed)))
     if rhs_cols:
         rhs = SpMat.hstack(pieces)
-        x = gs.basis.solve(rhs)  # consistent: dstar of E-wedges stays in E
+        # dstar of E-wedges stays in E
+        x = gs.e_coordinates(rhs, f"correction of L_{i}")
         y = gs.lift_top_block(i, x)
         if y is None:
             raise CertificationFailure(f"correction of L_{i} escaped the top block")
         blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, width)))
-    mat = SpMat.assemble(tgt.dim, width, blocks)
-    return LiMap(i=i, source=src_q, mat=mat)
+    return SpMat.assemble(tgt.dim, width, blocks)
 
 
 class SplitterChain:
-    """L_1..L_k and their semi-holonomic composite
-    L^(k): Jbar^k(E/E^1) -> E/E^{k+1}, for k = len(maps).
+    """L_1..L_k (``maps[i - 1]`` is L_i, on J^1(E/E^i)) and their
+    semi-holonomic composite L^(k): Jbar^k(E/E^1) -> E/E^{k+1}.
 
-    ``jet`` is the Jbar^k(E/E^1) the composite is defined on (None when
-    k == 0); the operator extends it to Jbar^K, K = k + 1."""
+    ``jet`` is the Jbar^k(E/E^1) the composite is defined on, so
+    k = ``jet.r``, and Jbar^0 = E/E^1 when k == 0; the operator extends it
+    to Jbar^K, K = k + 1."""
 
-    def __init__(self, maps: tuple[LiMap, ...], composite: SpMat, domain: PModule,
-                 jet: SemiHolonomicJet | None):
-        self.maps, self.composite, self.domain, self.jet = maps, composite, domain, jet
+    def __init__(self, maps: tuple[SpMat, ...], composite: SpMat, jet: SemiHolonomicJet):
+        self.maps, self.composite, self.jet = maps, composite, jet
 
 
 def compose_splitter(gs: GeneratedSubmodule, k: int | None = None) -> SplitterChain:
     """L^(k): Jbar^k(E/E^1) -> E/E^{k+1}, certified as a P-map that splits
-    the footpoint projection; k defaults to r, the full splitter L."""
+    the footpoint projection; k defaults to r, the full splitter L. The
+    composite starts from L^(0) = id on Jbar^0 = E/E^1."""
     k = gs.r if k is None else k
     if not 0 <= k <= gs.r:
         raise ValueError(f"L^(k) needs 0 <= k <= {gs.r}, got {k}")
     q1 = gs.quotient(1)
     maps = tuple(build_Li(gs, i) for i in range(1, k + 1))
-    jet = None
+    jet = semiholonomic(q1, 0)
     composite = SpMat.identity(q1.dim)
-    for i, lm in enumerate(maps, 1):
+    for i, li in enumerate(maps, 1):
         jet = semiholonomic(q1, i, below=jet)
-        composite = lm.mat if i == 1 else lm.mat @ prolong(composite, jet)
-    domain = q1 if jet is None else jet.module
-    certify_map(composite, domain, gs.quotient(k + 1), "splitter")
+        composite = li @ prolong(composite, jet)
+    certify_map(composite, jet.module, gs.quotient(k + 1), "splitter")
     # splitting property: the i0-block of L is the footpoint projection
     head = composite.gather_rows(list(range(q1.dim)))
     if head != SpMat.identity(q1.dim, composite.ncols):
         raise CertificationFailure("splitter does not split the projection")
-    return SplitterChain(maps=maps, composite=composite, domain=domain, jet=jet)
+    return SplitterChain(maps=maps, composite=composite, jet=jet)
 
 
 class BGGArrow:
@@ -323,7 +326,7 @@ class BGGOperator:
 
 def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
                      coh_next: Cohomology) -> tuple[SpMat, SpMat]:
-    """(Dt, d_V o J^1(F)) on J^1(W), W = ``chain.domain``, for F = the
+    """(Dt, d_V o J^1(F)) on J^1(W), W = ``chain.jet.module``, for F = the
     splitter L^(K-1) into C^n (its target E/E^K is spanned by the leading
     columns of the E basis): Dt = pi_H o d_V o J^1(F) in harmonic
     coordinates of H^{n+1}, and the values into C^{n+1} before pi_H."""
@@ -336,7 +339,7 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
 def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
                  coh_next: Cohomology, comps_next: list[IrrepLabel],
                  source_index: int = 0) -> BGGOperator:
-    """D_K = Dt o iota on Jbar^K(E/E^1), K = len(chain.maps) + 1, certified
+    """D_K = Dt o iota on Jbar^K(E/E^1), K = ``chain.jet.r`` + 1, certified
     from the left (module docstring); its nonzero component blocks are the
     arrows. ``in_kernel`` is dstar_n o values = 0 on the rows of C^n whose
     E-grade offset from i0 is below K; from K on the truncated values may
@@ -344,16 +347,13 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     refused every source whose Jbar^{r+1} exceeds it, and K <= r + 1."""
     cc, n = gs.cc, gs.n
     dt, values = operator_on_jet1(gs, chain, coh_next)
-    phi, ncols = None, dt.ncols
-    if chain.jet is not None:
-        phi, pick = equalizer_index_maps(chain.jet)
-        ncols = len(pick)
-        values = values.merge_columns(phi, ncols)
-    K = len(chain.maps) + 1
+    phi, pick = equalizer_index_maps(chain.jet)
+    values = values.merge_columns(phi, len(pick))
+    K = chain.jet.r + 1
     low = [i for mu, rows in positions_by_weight(cc.levels[n].weights).items()
            if cc.g.e_eigenvalue(mu) - gs.i0 < K for i in rows]
     in_kernel = (cc.delstars[n].gather_rows(low) @ values).is_zero()
-    dh = certify_from_left(dt, chain.domain, phi, ncols, coh_next.module)
+    dh = certify_from_left(dt, chain.jet.module, phi, len(pick), coh_next.module)
     arrows = []
     if comps_next:
         stacked = SpMat.hstack([c.embedding for c in comps_next])

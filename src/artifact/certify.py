@@ -40,12 +40,12 @@ def certify_map(mat: SpMat, source: PModule, target: PModule, what: str) -> PMod
     return pm
 
 
-def certify_from_left(dt: SpMat, W: PModule, phi: list[int] | None, ncols: int,
+def certify_from_left(dt: SpMat, W: PModule, phi: list[int], ncols: int,
                       target: PModule) -> SpMat:
-    """The BGG operator D = Dt o iota (Dt with its columns merged by phi;
-    D = Dt when phi is None), certified as a P-module map Jbar -> target, for
-    Dt defined on J^1(W) and Jbar the module phi embeds in J^1(W) (J^1(W)
-    itself when phi is None). Returns D, or raises CertificationFailure as
+    """The BGG operator D = Dt o iota (Dt with its columns merged by phi),
+    certified as a P-module map Jbar -> target, for Dt defined on J^1(W) and
+    Jbar the module phi embeds in J^1(W) (J^1(W) itself, phi the identity,
+    when W = Jbar^0). Returns D, or raises CertificationFailure as
     `certify_map` does.
 
     For each label, A'_Z D must equal Dt A^{J^1}_Z merged by phi: by
@@ -56,14 +56,12 @@ def certify_from_left(dt: SpMat, W: PModule, phi: list[int] | None, ncols: int,
     if dt.nrows != target.dim:
         raise ShapeMismatch(f"map has {dt.nrows} rows, expected {target.dim}")
 
-    def merge(m: SpMat) -> SpMat:
-        return m if phi is None else m.merge_columns(phi, ncols)
-
-    mat = merge(dt)
+    mat = dt.merge_columns(phi, ncols)
     residuals = [
         lab for lab, right in jet1_left_action(dt, W, target.actions).items()
         if not SpMat.assemble(dt.nrows, ncols, [
-            (0, 0, 1, (target.actions[lab], mat)), (0, 0, -1, merge(right)),
+            (0, 0, 1, (target.actions[lab], mat)),
+            (0, 0, -1, right.merge_columns(phi, ncols)),
         ]).is_zero()
     ]
     if residuals:
@@ -149,11 +147,11 @@ def oracle_agrees(g: GradedLieAlgebra, lam_mod: Weight, columns) -> bool:
 
 def verify_splitter_projection(gs, chain) -> bool:
     """pi^{i+1}_i o L_i = p_i for each i."""
-    for lm in chain.maps:
-        trunc = gs.trunc(lm.i + 1, lm.i)
-        foot = SpMat.identity(lm.source.dim, lm.mat.ncols)
+    for i, li in enumerate(chain.maps, 1):
+        trunc = gs.trunc(i + 1, i)
+        foot = SpMat.identity(gs.quotient(i).dim, li.ncols)
         if not SpMat.assemble(foot.nrows, foot.ncols, [
-            (0, 0, 1, (trunc, lm.mat)), (0, 0, -1, foot),
+            (0, 0, 1, (trunc, li)), (0, 0, -1, foot),
         ]).is_zero():
             return False
     return True
@@ -165,22 +163,21 @@ def verify_splitter_defect(gs, chain) -> bool:
     `jet1_left_action`, so the action of J^1(E/E^i) is never built."""
     g = gs.cc.g
     grade1 = [l for l in g.p_labels() if g.grade_of(l) == 1]
-    for lm in chain.maps:
-        i, qi, width = lm.i, lm.source, lm.mat.ncols
-        qn = gs.quotient(i + 1)
+    for i, li in enumerate(chain.maps, 1):
+        qi, qn, width = gs.quotient(i), gs.quotient(i + 1), li.ncols
         if i >= 2:
             jpi = jet1_map_matrix(g, gs.trunc(i, i - 1))
             inner = SpMat.assemble(qi.dim, width, [
-                (0, 0, 1, (chain.maps[i - 2].mat, jpi)),
+                (0, 0, 1, (chain.maps[i - 2], jpi)),
                 (0, 0, -1, SpMat.identity(qi.dim, width)),
             ])
             idx = list(range(qn.dim))
             box_qn = gs.box_on_e().submatrix(idx, idx)
             boxed = box_qn @ inner.place_rows(list(range(qi.dim)), qn.dim)
-        left = jet1_left_action(lm.mat, qi, grade1)
+        left = jet1_left_action(li, qi, grade1)
         for lab in grade1:
             # the defect L_i A_Z - A'_Z L_i, less its expected value
-            blocks = [(0, 0, 1, left[lab]), (0, 0, -1, (qn.actions[lab], lm.mat))]
+            blocks = [(0, 0, 1, left[lab]), (0, 0, -1, (qn.actions[lab], li))]
             if i >= 2:
                 lifted = gs.lift_top_block(i, qn.actions[lab] @ boxed)
                 if lifted is None:

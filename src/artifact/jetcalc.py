@@ -10,9 +10,10 @@ formula,
 whose last sum is empty for grade zero; consistency of the induced higher
 grade actions with commutators is a test, not an assumption.
 
-Jbar^k(V) is the equalizer of the two maps J^1(Jbar^{k-1}) -> J^1(Jbar^{k-2})
-(J^1 of the truncation, and the footpoint followed by the embedding of
-Jbar^{k-1}); call their difference diff. It is built on the free direct sum
+The tower starts at Jbar^0(V) = V. For k >= 1, Jbar^k(V) is the equalizer of
+the two maps J^1(Jbar^{k-1}) -> J^1(Jbar^{k-2}) (J^1 of the truncation, and
+the footpoint followed by the embedding of Jbar^{k-1}); call their
+difference diff. It is built on the free direct sum
 DS_k = (+)_{j<=k} (x)^j p_+ (x) V. The structural embedding
 iota: DS_k -> J^1(Jbar^{k-1}) has a single 1 in every ambient row q, at
 column phi[q]: footpoint rows keep their DS index, and row (slot a, DS
@@ -36,7 +37,9 @@ fails,
 By (1) and (2) iota is an injection into ker diff, by (3) it spans it, and
 by (4) the gathered action is the restriction of the J^1 action to the
 equalizer. This is the equalizer-kernel construction exactly, with the
-kernel computed from index maps instead of by elimination.
+kernel computed from index maps instead of by elimination. At k = 1,
+Jbar^{-1} = 0, so diff = 0 and (1)-(3) hold trivially: Jbar^1 = J^1(V), and
+iota is the identity. So one step builds every order from Jbar^0.
 
 Maps prolong along the same embedding. For f defined on Jbar^{k-1},
 prolong(f, Jbar^k) = J^1(f) o iota is J^1(f) with its columns merged by phi,
@@ -166,25 +169,22 @@ def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
 class SemiHolonomicJet:
     """Jbar^r(V) in direct-sum coordinates (+)_{j<=r} (x)^j p_+ (x) V.
 
-    For r >= 2 the structural embedding iota: Jbar^r -> J^1(Jbar^{r-1}) is
-    kept as its index map ``phi``: ambient row q carries a single 1, in DS
-    column phi[q]. Footpoint rows keep their DS index; the row of slot a and
-    DS coordinate t of Jbar^{r-1} goes to eta_a (x) t one tensor degree up.
-    Only the index map is kept, so a kept Jbar holds no ambient module
-    alive."""
+    The structural embedding iota: Jbar^r -> J^1(Jbar^{r-1}) is kept as its
+    index map ``phi``: ambient row q carries a single 1, in DS column
+    phi[q]. Footpoint rows keep their DS index; the row of slot a and DS
+    coordinate t of Jbar^{r-1} goes to eta_a (x) t one tensor degree up.
+    So phi is the identity for r == 1, and empty for r == 0, where
+    J^1(Jbar^{-1}) = 0. Only the index map is kept, so a kept Jbar holds no
+    ambient module alive."""
 
-    def __init__(self, r: int, V: PModule, module: PModule,
-                 phi: tuple[int, ...] | None = None):
+    def __init__(self, r: int, V: PModule, module: PModule, phi: tuple[int, ...]):
         self.r, self.V, self.module, self.phi = r, V, module, phi
 
 
 def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:
-    """J^1(f) o iota on Jbar^r, for f defined on Jbar^{r-1} (on V when
-    r == 1, where this is J^1(f)): J^1(f) with its columns merged by phi."""
-    jf = jet1_map_matrix(jet.V.g, fmat)
-    if jet.phi is None:
-        return jf
-    return jf.merge_columns(jet.phi, jet.module.dim)
+    """J^1(f) o iota on Jbar^r, r >= 1, for f defined on Jbar^{r-1}: J^1(f)
+    with its columns merged by phi."""
+    return jet1_map_matrix(jet.V.g, fmat).merge_columns(jet.phi, jet.module.dim)
 
 
 def _ds_dims(d: int, dv: int, r: int) -> list[int]:
@@ -206,18 +206,19 @@ def check_jet_budget(d: int, dv: int, r: int, max_dim: int) -> None:
 
 
 def semiholonomic(V: PModule, r: int, below: SemiHolonomicJet | None = None) -> SemiHolonomicJet:
-    """Jbar^r(V). It takes no budget: `bggcore.generate_submodule` decides
-    each source's once, and a source it accepts needs no jet of higher order.
+    """Jbar^r(V), r >= 0: V with phi = () at r == 0, and one `_extend` step
+    per order above it. It takes no budget: `bggcore.generate_submodule`
+    decides each source's once, and a source it accepts needs no higher jet.
 
     With ``below``, a Jbar^s(V) with s <= r built earlier, the tower is
     extended from it instead of from V; the result is the same."""
-    if r < 1:
-        raise ValueError(f"semi-holonomic order must be >= 1, got {r}")
+    if r < 0:
+        raise ValueError(f"semi-holonomic order must be >= 0, got {r}")
     if below is not None and (below.V is not V or below.r > r):
         raise ValueError(f"cannot extend Jbar^{below.r} of another module to Jbar^{r}")
     cur = below
     if cur is None:
-        cur = SemiHolonomicJet(r=1, V=V, module=jet1(V))
+        cur = SemiHolonomicJet(r=0, V=V, module=V, phi=())
     while cur.r < r:
         cur = _extend(cur)
     return cur
@@ -229,7 +230,7 @@ def _certify_index_maps(phi: list[int], pick: list[int], phi_prev,
 
     phi: J^1(Jbar^{k-1}) rows -> Jbar^k columns (iota), pick: its section
     (sel), phi_prev: J^1(Jbar^{k-2}) rows -> Jbar^{k-1} columns (identity
-    when k == 2); pdim = dim Jbar^{k-1}, ppdim = dim Jbar^{k-2}."""
+    at k = 2, empty at k = 1); pdim = dim Jbar^{k-1}, ppdim = dim Jbar^{k-2}."""
     amb_dim = (1 + d) * pdim
     new_dim = len(pick)
     if len(phi) != amb_dim:
@@ -291,8 +292,7 @@ def equalizer_index_maps(prev: SemiHolonomicJet) -> tuple[list[int], list[int]]:
     for a in range(d):
         start = pdim * (1 + a) + offs[k - 1]
         pick.extend(range(start, start + dims[k - 1]))
-    phi_prev = prev.phi if prev.phi is not None else range(pdim)
-    _certify_index_maps(phi, pick, phi_prev, pdim, offs[k - 1], d)
+    _certify_index_maps(phi, pick, prev.phi, pdim, offs[k - 1], d)
     return phi, pick
 
 
@@ -307,7 +307,8 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
     others = [q for q, c in enumerate(phi) if pick[c] != q]
     images = [phi[q] for q in others]
     acts = {}
-    for lab, A in amb.actions.items():
+    for lab in list(amb.actions):
+        A = amb.actions.pop(lab)  # freed once restricted: J^1 is not held whole
         restricted = A.merge_columns(phi, new_dim)  # A @ iota
         acts[lab] = restricted.gather_rows(pick)
         if restricted.gather_rows(others) != acts[lab].gather_rows(images):

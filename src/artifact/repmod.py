@@ -283,8 +283,9 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     Each highest weight vector is closed under the uncrossed simple
     lowerings by `layered_closure`: f_i lowers the weight by alpha_i, so
     layer j holds the weights j simple roots below mu, and the layers of
-    one closure are independent. The closures of one isotypic piece are
-    certified independent by the rank of their columns."""
+    one closure are independent. The closures of all isotypic pieces are
+    certified independent, and to span the module, by one rank of their
+    columns side by side."""
     if m.weights is None:
         raise NotCompletelyReducibleInput("module carries no weight basis")
     g = m.g
@@ -299,7 +300,6 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
         for i in sorted(uncrossed)
     ]
     out: list[IrrepLabel] = []
-    covered = 0
     for mu in sorted(by_weight):
         cols = by_weight[mu]
         conds: list[SpMat] = []
@@ -320,9 +320,6 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
         per_dim = closures[0].ncols
         if any(c.ncols != per_dim for c in closures):
             raise NotCompletelyReducibleInput("isotypic closures of unequal size")
-        emb = SpMat.hstack(closures)
-        if emb.rank() != emb.ncols:
-            raise NotCompletelyReducibleInput("overlapping isotypic closures")
         label = dominant_representative_for(rs, uncrossed, tuple(-x for x in mu))
         out.append(
             IrrepLabel(
@@ -330,13 +327,14 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
                 e_eigenvalue=g.e_eigenvalue(mu),
                 dim=per_dim,
                 multiplicity=ker.ncols,
-                embedding=emb,
+                embedding=SpMat.hstack(closures),
             )
         )
-        covered += emb.ncols
-    if covered != m.dim:
+    every = SpMat.hstack([c.embedding for c in out]) if out else SpMat(m.dim, 0)
+    rank = every.rank()
+    if rank != m.dim or every.ncols != m.dim:
         raise NotCompletelyReducibleInput(
-            f"isotypic pieces cover {covered} of {m.dim} dimensions"
+            f"isotypic closures of {every.ncols} columns span {rank} of {m.dim} dimensions"
         )
     out.sort(key=lambda c: c.sort_key)
     return out

@@ -51,11 +51,9 @@ from artifact.repmod import PModule, tensor
 from hodge_reference import pplus_module
 
 
-def iota(sh: SemiHolonomicJet) -> SpMat | None:
+def iota(sh: SemiHolonomicJet) -> SpMat:
     """The embedding Jbar^r -> J^1(Jbar^{r-1}) as a matrix, from its index
-    map ``sh.phi`` (None when r == 1)."""
-    if sh.phi is None:
-        return None
+    map ``sh.phi`` (the identity when r == 1, with no rows when r == 0)."""
     return SpMat.identity(len(sh.phi)).merge_columns(sh.phi, sh.module.dim)
 
 
@@ -87,11 +85,12 @@ class ReferenceJet:
     r: int
     V: PModule
     module: PModule
-    iota: SpMat | None = None
+    iota: SpMat
 
 
 def reference_semiholonomic(V: PModule, r: int) -> ReferenceJet:
-    cur = ReferenceJet(r=1, V=V, module=jet1(V))
+    amb = jet1(V)
+    cur = ReferenceJet(r=1, V=V, module=amb, iota=SpMat.identity(amb.dim))
     for _ in range(2, r + 1):
         cur = reference_extend(cur)
     return cur
@@ -109,8 +108,7 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
     # two maps J^1(Jbar^{k-1}) -> J^1(Jbar^{k-2})
     pi_prev = truncation_matrix(d, dv, k - 1)
     m_jet = SpMat.block_diag([pi_prev] * (1 + d))
-    iota_prev = prev.iota if prev.iota is not None else SpMat.identity(prev_dim)
-    m_foot = iota_prev @ SpMat.identity(prev_dim, amb.dim)
+    m_foot = prev.iota @ SpMat.identity(prev_dim, amb.dim)
     diff = m_jet - m_foot
 
     dims = [d**j * dv for j in range(k + 1)]
@@ -156,38 +154,32 @@ def truncation_matrix(d: int, dv: int, r: int) -> SpMat:
     return SpMat.identity(jbar_dim(d, dv, r - 1), jbar_dim(d, dv, r))
 
 
-def prev(sh: SemiHolonomicJet) -> SemiHolonomicJet | None:
-    """Jbar^{r-1}(V), rebuilt (None when r == 1)."""
-    if sh.r == 1:
-        return None
+def prev(sh: SemiHolonomicJet) -> SemiHolonomicJet:
+    """Jbar^{r-1}(V), rebuilt, for r >= 1."""
     return semiholonomic(sh.V, sh.r - 1)
 
 
 def ambient(sh: SemiHolonomicJet):
-    """J^1(Jbar^{r-1}), rebuilt (None when r == 1)."""
-    below = prev(sh)
-    return None if below is None else jet1(below.module)
+    """J^1(Jbar^{r-1}), rebuilt, for r >= 1."""
+    return jet1(prev(sh).module)
 
 
 def projection_pair(sh: SemiHolonomicJet):
     """The two maps Jbar^r -> J^1(Jbar^{r-2}) whose equality cuts out the
-    semi-holonomic subspace (None when r < 2)."""
+    semi-holonomic subspace, for r >= 1 (with no rows when r == 1)."""
     below = prev(sh)
-    if below is None:
-        return None
     d = len(sh.V.g.pplus_roots())
     pdim = below.module.dim
     m_jet = SpMat.block_diag([truncation_matrix(d, sh.V.dim, below.r)] * (1 + d))
-    iota_prev = iota(below) if below.phi is not None else SpMat.identity(pdim)
     foot = SpMat.identity(pdim, (1 + d) * pdim)
-    return m_jet @ iota(sh), (iota_prev @ foot) @ iota(sh)
+    return m_jet @ iota(sh), (iota(below) @ foot) @ iota(sh)
 
 
 def full_build_certificate(gs, chain, coh_next, mat: SpMat) -> PModMap:
     """mat on Jbar^K(E/E^1) -> H^{n+1}, K = k + 1 for the splitter's
     Jbar^k, checked against the built action of Jbar^K, extended from
     Jbar^k."""
-    sh = semiholonomic(gs.quotient(1), len(chain.maps) + 1, below=chain.jet)
+    sh = semiholonomic(gs.quotient(1), chain.jet.r + 1, below=chain.jet)
     return check_equivariance(mat, sh.module, coh_next.module)
 
 
@@ -198,9 +190,8 @@ def full_operator(gs, coh_next, comps_next) -> tuple[list[SpMat], SpMat]:
     cc, n = gs.cc, gs.n
     chain = compose_splitter(gs)
     values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, gs.basis @ chain.composite)
-    if chain.jet is not None:
-        phi, pick = equalizer_index_maps(chain.jet)
-        values = values.merge_columns(phi, len(pick))
+    phi, pick = equalizer_index_maps(chain.jet)
+    values = values.merge_columns(phi, len(pick))
     dh = coh_next.harmonic_projection() @ values
     xc = SpMat.hstack([c.embedding for c in comps_next]).solve(dh)
     blocks, row0 = [], 0
@@ -255,7 +246,7 @@ def reference_splitter(gs, maps) -> SpMat:
     composite = None
     for j in range(1, r + 1):
         k = r - j
-        stage = jbar_of_map(g, maps[j - 1].mat, k) @ chain_embedding(
+        stage = jbar_of_map(g, maps[j - 1], k) @ chain_embedding(
             g, gs.quotient(j).dim, k
         )
         composite = stage if composite is None else stage @ composite

@@ -176,7 +176,7 @@ def test_criterion_07_splitting_operator_identities():
     for label, sigma, w in battery_cases():
         for gs, chain in splitters_for(label, sigma, w):
             ok &= verify_splitter_projection(gs, chain) and verify_splitter_defect(gs, chain)
-            ok &= check_equivariance(chain.composite, chain.domain, gs.module).certified
+            ok &= check_equivariance(chain.composite, chain.jet.module, gs.module).certified
             # constrained jet spaces are P-submodules compatible with L
             bases = tilde_bases(gs, chain.maps, gs.r)
             for i in range(gs.r + 1):

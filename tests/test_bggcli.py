@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from artifact import bggcli, bggcore
+from artifact import bggcli, bggcore, repmod
 from artifact.bggcli import (
     JobSpec,
     ParseError,
@@ -22,9 +22,10 @@ from artifact.bggcore import CertificationFailure, SingularLaplacianBlock
 from artifact.gradedla import AlgebraNotCertified
 from artifact.hodge import ComplexNotCertified
 from artifact.jetcalc import EqualizerNotCertified
+from artifact.linalg import SpMat
 from artifact.repmod import ModuleNotCertified, NotCompletelyReducibleInput
 from artifact.rootspace import RootSystemNotCertified
-from conftest import diagram_for
+from conftest import diagram_for, replaced
 
 BASE = ["--algebra", "A2", "--cross", "1", "--weight", "1,0"]
 
@@ -193,20 +194,30 @@ def test_non_integer_cartan_entries_exit_2(cartan, weight, capsys):
     assert out.err == f"error: bad algebra {cartan!r}: Cartan matrix entries must be integers\n"
 
 
-@pytest.mark.parametrize("algebra,cross,weight,err", [
-    ("A120", "1", "0", "weight needs 120 entries, got 1"),
-    ("a 120", "121", "0", "crossed node 121 out of range 1..120"),
-    ("[[2,-1],[-1,2]]", "1", "0,0,0", "weight needs 2 entries, got 3"),
-], ids=["label", "spaced-label", "matrix"])
-def test_rank_checks_build_no_root_system(monkeypatch, capsys, algebra, cross, weight, err):
+@pytest.mark.parametrize("algebra,cross,weight,extra,err", [
+    ("A120", "1", "0", [], "weight needs 120 entries, got 1"),
+    ("a 120", "121", "0", [], "crossed node 121 out of range 1..120"),
+    ("[[2,-1],[-1,2]]", "1", "0,0,0", [], "weight needs 2 entries, got 3"),
+    ("A60", "1", "0," * 59 + "-1", [], "weight must be dominant: node 60 is negative"),
+    ("A60", "1", "0," * 59 + "0", ["--emit", "text,text"], "repeated emit format 'text'"),
+    ("A60", "1", "0," * 59 + "0", ["--max-jet-dim", "0"],
+     "--max-jet-dim must be at least 1, got 0"),
+    ("A60", "1", "0," * 59 + "0", ["--max-module-dim", "0"],
+     "--max-module-dim must be at least 1, got 0"),
+], ids=["label", "spaced-label", "matrix", "negative-weight", "repeated-emit",
+        "jet-budget", "module-budget"])
+def test_rank_checks_build_no_root_system(monkeypatch, capsys, algebra, cross, weight,
+                                          extra, err):
     """The crossed nodes and the weight length are checked against the rank
-    read off the spec, before the root system, whose build grows with the
-    rank, is started."""
+    read off the spec, and the weight signs, the --emit formats and the
+    budgets against the parsed job, before the root system, whose build
+    grows with the rank, is started."""
     def refuse(spec):
-        raise AssertionError(f"root system of {spec!r} built before the rank checks")
+        raise AssertionError(f"root system of {spec!r} built before the job checks")
 
     monkeypatch.setattr(bggcli, "build_root_system", refuse)
-    assert main(["--algebra", algebra, "--cross", cross, "--weight", weight, "cohomology"]) == 2
+    argv = ["--algebra", algebra, "--cross", cross, "--weight", weight, "cohomology"]
+    assert main(argv + extra) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: {err}\n")
 
@@ -247,6 +258,58 @@ def test_action_leaving_its_span_exits_1_without_traceback(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ModuleNotCertified: ")
+    assert out.err.count("\n") == 1
+
+
+def test_failed_membership_solve_exits_1_without_traceback(monkeypatch, capsys):
+    """An E basis with its last column zeroed no longer holds dstar of the
+    E-wedges L_i solves for: the solve against the E basis refuses it as
+    CertificationFailure naming the map and the level, one line, exit 1."""
+    generate = bggcore.generate_submodule
+
+    def cut(*args):
+        gs = generate(*args)
+        if gs.r < 1:
+            return gs
+        b = gs.basis
+        kept = b.select_columns(list(range(b.ncols - 1)))
+        return replaced(gs, basis=SpMat.hstack([kept, SpMat(b.nrows, 1)]))
+
+    monkeypatch.setattr(bggcore, "generate_submodule", cut)
+    assert main(["--algebra", "A3", "--cross", "1,3", "--weight", "1,0,0", "verify"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert re.fullmatch(r"error: CertificationFailure: correction of L_\d+ leaves E in C\^\d+\n",
+                        out.err), out.err
+
+
+@pytest.mark.parametrize("algebra,cross,weight", [
+    ("A2", "1,2", "1,1"), ("A3", "1,2,3", "0,0,0"),
+], ids=["A2", "A3"])
+def test_dependent_isotypic_pieces_exit_1(monkeypatch, capsys, algebra, cross, weight):
+    """Every closure of one module made the closure of its first seed: each
+    piece keeps its size and the pieces still count up to the dimension,
+    but they are not independent of each other, so the one rank of all
+    embeddings side by side refuses the module, one line, exit 1."""
+    decompose, closure = repmod.decompose_completely_reducible, repmod.layered_closure
+
+    def first_seed_only(m):
+        first = []
+
+        def same(seeds, ops):
+            first.append(seeds)
+            return closure(first[0], ops)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(repmod, "layered_closure", same)
+            return decompose(m)
+
+    monkeypatch.setattr(bggcore, "decompose_completely_reducible", first_seed_only)
+    assert main(["--algebra", algebra, "--cross", cross, "--weight", weight,
+                 "cohomology"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: NotCompletelyReducibleInput: isotypic closures of ")
     assert out.err.count("\n") == 1
 
 

@@ -142,7 +142,9 @@ EVERY_EDGE_CARRIED = {
     "A3_1-2_0-0-0_verify.json": True,
     "A3_1-3_1-0-0_verify.json": True,
     "B3_1_0-0-1_verify.json": True,
+    "C3_2_1-0-1_verify.json": True,
     "G2_1_1-0_verify.json": True,
+    "G2_2_2-1_verify.json": True,
 }
 
 

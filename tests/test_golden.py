@@ -27,6 +27,8 @@ OTHER_COMMANDS = [
     ("B2", "1,2", "1,0", "verify", "json,text"),        # the same, one partial source
     ("D4", "1,2,3,4", "0,0,0,0", "cohomology", "json,text"),  # 12 levels, chain dims up to 924
     ("A4", "1,2,3,4", "1,0,0,0", "cohomology", "json,text"),  # chain dims up to 1260
+    ("C3", "2", "1,0,1", "verify", "json,text"),        # 3 arrows of order 1-2, 8 of 11 partial
+    ("G2", "2", "2,1", "verify", "json,text"),          # 2 arrows of order 2-3, 3 of 5 partial
 ]
 
 EXTENSION = {"json": "json", "text": "txt", "dot": "dot"}

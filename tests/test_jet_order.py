@@ -107,7 +107,7 @@ def test_no_source_builds_a_jet_above_K_minus_1(monkeypatch, case):
     diagram = build_bgg_diagram(graded(label, sigma), weight)
     assert r_and_k == R_AND_K[case]
     for src, (_, K) in r_and_k.items():
-        want = [] if src in diagram.partial else list(range(1, K))
+        want = [] if src in diagram.partial else list(range(K))
         assert asked.get(src, []) == want, src
 
 

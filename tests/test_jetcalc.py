@@ -12,6 +12,7 @@ from artifact.jetcalc import (
     ShapeMismatch,
     check_equivariance,
     check_jet_budget,
+    equalizer_index_maps,
     jet1,
     jet1_left_action,
     jet1_map_matrix,
@@ -92,14 +93,37 @@ def test_check_equivariance_rejects_non_maps():
         check_equivariance(SpMat(V.dim + 1, V.dim), V, V)
 
 
+def test_semiholonomic_r0_is_V():
+    # the tower starts at Jbar^0 = V, whose iota into J^1(Jbar^{-1}) = 0 is
+    # empty; no order below 0 exists
+    V = module("A1", (1,), (1,))
+    sh = semiholonomic(V, 0)
+    assert (sh.r, sh.V, sh.module, sh.phi) == (0, V, V, ())
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        semiholonomic(V, -1)
+
+
 def test_semiholonomic_r1_is_jet1():
     V = module("A1", (1,), (1,))
     sh = semiholonomic(V, 1)
     jm = jet1(V)
     assert sh.module.dim == jm.dim
-    for l, A in jm.actions.items():
-        assert (sh.module.actions[l] - A).is_zero()
-    assert iota(sh) is None
+    assert sh.module.actions == jm.actions
+    # Jbar^1 = J^1(V): iota is the identity
+    assert sh.phi == tuple(range(jm.dim))
+    assert iota(sh) == SpMat.identity(jm.dim)
+
+
+def test_index_maps_over_jbar0_are_the_identity():
+    # the step Jbar^0 -> Jbar^1: phi and pick are the identity on J^1(V),
+    # and conditions (1)-(3) hold with Jbar^{-1} = 0 (phi_prev empty)
+    V = module("A2", (1,), (1, 0))
+    d = len(V.g.pplus_roots())
+    phi, pick = equalizer_index_maps(semiholonomic(V, 0))
+    assert phi == pick == list(range((1 + d) * V.dim))
+    jetcalc._certify_index_maps(phi, pick, (), V.dim, 0, d)
+    with pytest.raises(EqualizerNotCertified, match="sel o iota"):
+        jetcalc._certify_index_maps(phi, pick[::-1], (), V.dim, 0, d)
 
 
 TOWERS = [
@@ -172,7 +196,7 @@ def test_semiholonomic_matches_equalizer_kernel(label, sigma, lam, r):
 def test_semiholonomic_extends_from_below(label, sigma, lam, r):
     V = module(label, sigma, lam)
     scratch = semiholonomic(V, r)
-    for s in range(1, r + 1):
+    for s in range(r + 1):
         ext = semiholonomic(V, r, below=semiholonomic(V, s))
         assert ext.module.actions == scratch.module.actions
         assert ext.phi == scratch.phi
@@ -327,4 +351,4 @@ def test_semiholonomic_budget():
         check_jet_budget(d, V.dim, 4, 500)
     check_jet_budget(d, V.dim, 4, 968)
     with pytest.raises(ValueError):
-        semiholonomic(V, 0)
+        semiholonomic(V, -1)

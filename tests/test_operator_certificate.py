@@ -37,20 +37,15 @@ def sources_for(label, sigma, weight):
 
 
 def left_certificate_accepts(dt, chain, coh_next) -> bool:
-    phi, ncols = None, dt.ncols
-    if chain.jet is not None:
-        phi, pick = equalizer_index_maps(chain.jet)
-        ncols = len(pick)
+    phi, pick = equalizer_index_maps(chain.jet)
     try:
-        certify_from_left(dt, chain.domain, phi, ncols, coh_next.module)
+        certify_from_left(dt, chain.jet.module, phi, len(pick), coh_next.module)
     except CertificationFailure:
         return False
     return True
 
 
 def merged(dt, chain):
-    if chain.jet is None:
-        return dt
     phi, pick = equalizer_index_maps(chain.jet)
     return dt.merge_columns(phi, len(pick))
 
@@ -76,11 +71,12 @@ def test_both_certificates_refuse_a_tampered_operator(label, sigma, weight):
         # 1 added to the first harmonic coordinate of D at the footpoint
         # column 0, which no other column of Dt merges with
         tampered = [plus_one(dt, 0)]
-        if chain.jet is not None:
-            # a column of Dt that phi merges with another one
+        if chain.jet.r >= 1:
+            # a column of Dt that phi merges with another one (phi of
+            # Jbar^1, over chain.jet = Jbar^0, merges none)
             phi, _ = equalizer_index_maps(chain.jet)
             count = Counter(phi)
-            q = next(q for q in range(chain.domain.dim, len(phi)) if count[phi[q]] > 1)
+            q = next(q for q in range(chain.jet.module.dim, len(phi)) if count[phi[q]] > 1)
             tampered.append(plus_one(dt, q))
             merged_columns += 1
         for bad in tampered:
@@ -95,7 +91,7 @@ def test_left_certificate_names_the_failing_labels():
     dt, _ = operator_on_jet1(gs, chain, coh_next)
     phi, pick = equalizer_index_maps(chain.jet)  # r = 1
     with pytest.raises(CertificationFailure, match=r"^operator residuals on \[\("):
-        certify_from_left(plus_one(dt, 0), chain.domain, phi, len(pick), coh_next.module)
+        certify_from_left(plus_one(dt, 0), chain.jet.module, phi, len(pick), coh_next.module)
 
 
 @pytest.mark.parametrize("label,sigma,weight,level,source", [

@@ -56,7 +56,7 @@ def tilde_bases(gs, maps, top: int) -> list[SpMat]:
         qn = gs.quotient(i + 1)
         jpi = jet1_map_matrix(g, gs.trunc(i + 1, i))
         cond1 = _left_annihilator(bases[-1]) @ jpi
-        cond2 = maps[i - 1].mat @ jpi - SpMat.identity(qn.dim, jpi.ncols)
+        cond2 = maps[i - 1] @ jpi - SpMat.identity(qn.dim, jpi.ncols)
         bases.append(SpMat.vstack([cond1, cond2]).kernel_basis())
     return bases
 
@@ -112,7 +112,7 @@ def verify_tower_containments(gs, chain, bases: list[SpMat]) -> bool:
     for i in range(1, gs.r + 1):
         jet = semiholonomic(gs.quotient(i), 2)
         t_src = _second_tilde(bases[i - 1], jet)
-        m = prolong(chain.maps[i - 1].mat, jet)
+        m = prolong(chain.maps[i - 1], jet)
         if not (_left_annihilator(bases[i]) @ (m @ t_src)).is_zero():
             return False
     return True
