@@ -272,7 +272,7 @@ def emit_text(diagram: BGGDiagram, verify_only: bool = False) -> str:
             lines.append(f"level {n}: {cells}")
         if diagram.arrows:
             lines.append("arrows:")
-            for a in sorted(diagram.arrows, key=lambda a: (a.level, a.source, a.target)):
+            for a in diagram.arrows:
                 src = diagram.columns[a.level][a.source].label
                 tgt = diagram.columns[a.level + 1][a.target].label
                 lines.append(
@@ -307,7 +307,7 @@ def emit_dot(diagram: BGGDiagram) -> str:
         if len(col) > 1:
             names = "; ".join(f"n{n}_{k}" for k in range(len(col)))
             lines.append(f"  {{ rank=same; {names}; }}")
-    for a in sorted(diagram.arrows, key=lambda a: (a.level, a.source, a.target)):
+    for a in diagram.arrows:
         lines.append(
             f"  n{a.level}_{a.source} -> n{a.level + 1}_{a.target} "
             f"[label=\"{a.order}\"];"
@@ -337,7 +337,7 @@ def emit_json(diagram: BGGDiagram) -> str:
         ],
         "arrows": [
             {"from": [a.level, a.source], "to": [a.level + 1, a.target], "order": a.order}
-            for a in sorted(diagram.arrows, key=lambda a: (a.level, a.source, a.target))
+            for a in diagram.arrows
         ],
         "partial": [list(p) for p in diagram.partial],
         "verify": {

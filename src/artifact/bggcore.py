@@ -196,7 +196,8 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     its grade. The component lies in E-grade i0, and an action of grade s
     adds s to the E-grade, so layer j lies in E-grade i0 + j and the layers
     are independent. Each basis vector is certified to have one weight, and
-    that weight's E-eigenvalue to be its layer's grade.
+    that weight's E-eigenvalue to be its layer's grade, and E to lie in
+    ker dstar_{n-1} (on C^0, dstar_{-1} is the zero map into C^{-1} = 0).
 
     The one home of the jet budget: a nonempty layer j means depth r >= j,
     so layer j raises DimensionOverBudget when dim Jbar^{j+1}(E/E^1) exceeds
@@ -221,7 +222,7 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     if any(a > b for a, b in zip(offsets, offsets[1:])):
         raise CertificationFailure("degree-adapted basis out of order")
     r = max(offsets)
-    if n >= 1 and not (cc.delstars[n - 1] @ basis).is_zero():
+    if not (cc.delstars[n - 1] @ basis).is_zero():
         raise CertificationFailure(f"E is not inside ker dstar on C^{n}")
     acts = action_on_span(basis, level.actions, g.p_labels())
     supp: dict[int, list[int]] = {}
@@ -256,7 +257,7 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
     blocks = [(0, 0, 1, SpMat.identity(src_q.dim))]
     # batch all slot corrections into one solve against the E basis
     rhs_cols: list[int] = []
-    pieces: list[SpMat] = []
+    pieces = [SpMat(cc.dim(n), 0)]
     for a, wa in enumerate(cc.unit_wedges(n)):
         ga = g.grade_of(("e", roots[a]))
         needed = [b for b in range(src_q.dim) if gs.offsets[b] + ga == i]
@@ -264,14 +265,12 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
             continue
         rhs_cols.extend((1 + a) * src_q.dim + b for b in needed)  # the jet columns of (a, b)
         pieces.append(cc.delstars[n] @ (wa @ gs.basis.select_columns(needed)))
-    if rhs_cols:
-        rhs = SpMat.hstack(pieces)
-        # dstar of E-wedges stays in E
-        x = gs.e_coordinates(rhs, f"correction of L_{i}")
-        y = gs.lift_top_block(i, x)
-        if y is None:
-            raise CertificationFailure(f"correction of L_{i} escaped the top block")
-        blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, width)))
+    # dstar of E-wedges stays in E
+    x = gs.e_coordinates(SpMat.hstack(pieces), f"correction of L_{i}")
+    y = gs.lift_top_block(i, x)
+    if y is None:
+        raise CertificationFailure(f"correction of L_{i} escaped the top block")
+    blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, width)))
     return SpMat.assemble(tgt.dim, width, blocks)
 
 
@@ -355,22 +354,20 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     in_kernel = (cc.delstars[n].gather_rows(low) @ values).is_zero()
     dh = certify_from_left(dt, chain.jet.module, phi, len(pick), coh_next.module)
     arrows = []
-    if comps_next:
-        stacked = SpMat.hstack([c.embedding for c in comps_next])
-        xc = stacked.solve(dh)
-        row0 = 0
-        for t, compt in enumerate(comps_next):
-            w = compt.dim * compt.multiplicity
-            blk = xc.gather_rows(range(row0, row0 + w))
-            row0 += w
-            if blk.is_zero():
-                continue
-            order = operator_order(n, gs.comp, n + 1, compt)
-            if order < 1:
-                raise CertificationFailure(f"arrow of order {order} from level {n}")
-            arrows.append(BGGArrow(
-                level=n, source=source_index, target=t, order=order, block=blk,
-            ))
+    xc = SpMat.hstack([SpMat(dh.nrows, 0)] + [c.embedding for c in comps_next]).solve(dh)
+    row0 = 0
+    for t, compt in enumerate(comps_next):
+        w = compt.dim * compt.multiplicity
+        blk = xc.gather_rows(range(row0, row0 + w))
+        row0 += w
+        if blk.is_zero():
+            continue
+        order = operator_order(n, gs.comp, n + 1, compt)
+        if order < 1:
+            raise CertificationFailure(f"arrow of order {order} from level {n}")
+        arrows.append(BGGArrow(
+            level=n, source=source_index, target=t, order=order, block=blk,
+        ))
     return BGGOperator(
         n=n, source=source_index, matrix=dh, in_kernel=in_kernel, arrows=tuple(arrows),
     )
@@ -397,6 +394,9 @@ class DiagramComponent:
 
 
 class BGGDiagram:
+    """The columns, one list of components per level, and the arrows in
+    (level, source, target) order: `build_bgg_diagram` appends them so."""
+
     def __init__(self, algebra: str, sigma: tuple[int, ...], weight: Weight,
                  columns: list[list[DiagramComponent]], arrows: list[BGGArrow],
                  partial: list[tuple[int, int]], verify: dict[str, bool]):

@@ -2,6 +2,8 @@
 
 Cochain spaces are C^n = Lambda^n p_+ (x) V with the wedge basis (increasing
 tuples of p_+ root positions, in lex order) and V's own basis, row-major.
+The complex is zero outside 0..top = dim p_+, and ``CochainComplex`` stores
+both zero ends, so every level reads its neighbours the same way.
 This module is the one home of the wedge. Every cochain matrix is a sum of
 Kronecker products of V's matrices with the unit wedges
 eps_a: Lambda^n -> Lambda^{n+1}, eps_a(I) = (-1)^k I', where I' is I with a
@@ -61,8 +63,12 @@ class ComplexNotCertified(Exception):
 
 
 class CochainComplex:
-    """``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n;
-    ``wedge_tuples[n]`` is the wedge basis of Lambda^n.
+    """``levels[n]`` is C^n, ``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``:
+    C^{n+1} -> C^n, and ``wedge_tuples[n]`` is the wedge basis of Lambda^n,
+    each keyed by the level n. The complex is zero outside 0..top and holds
+    both zero ends: C^{-1} = C^{top+1} = 0 (dim 0, no weights, no wedge
+    tuples), with d_{-1}, dstar_{-1}, d_top and dstar_top zero maps. So
+    every level reads n - 1 and n + 1 alike, and no reader branches on an end.
 
     The complex keeps across a job only what the job reads. The inner
     product G_n is built where it is read, on each call of ``inner(n)``:
@@ -73,18 +79,18 @@ class CochainComplex:
     on only while that one check reads it."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
-                 levels: list[PModule], wedge_tuples: list[list[tuple]],
-                 dels: list[SpMat], delstars: list[SpMat]):
+                 levels: dict[int, PModule], wedge_tuples: dict[int, list[tuple]],
+                 dels: dict[int, SpMat], delstars: dict[int, SpMat]):
         self.g, self.V, self.dual, self.levels, self.wedge_tuples = g, V, dual, levels, wedge_tuples
         self.dels, self.delstars = dels, delstars
         self._wedges: dict[int, list[SpMat]] = {}
 
     @property
     def top(self) -> int:
-        return len(self.levels) - 1
+        return len(self.dual)
 
     def dim(self, n: int) -> int:
-        return self.levels[n].dim if 0 <= n <= self.top else 0
+        return self.levels[n].dim
 
     def inner(self, n: int) -> SpMat:
         """G_n = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V on C^n,
@@ -95,10 +101,11 @@ class CochainComplex:
         return SpMat.assemble(dim, dim, kron_blocks(diag, self.V.gram, Q((-1) ** n, factorial(n))))
 
     def unit_wedges(self, n: int) -> list[SpMat]:
-        """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a, built
-        on first use of the level and kept until another level is asked for
-        (the class docstring)."""
-        if not 0 <= n < self.top:
+        """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a, for
+        -1 <= n <= top (zero maps at both ends), built on first use of the
+        level and kept until another level is asked for (the class
+        docstring)."""
+        if not -1 <= n <= self.top:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         if n not in self._wedges:
             eps = wedge_maps(self.wedge_tuples[n], self.wedge_tuples[n + 1], len(self.dual))
@@ -121,10 +128,12 @@ def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
 
 def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     """All levels, differentials and codifferentials, in the operator form of
-    the module docstring; the wedges eps_a on Lambda of only two adjacent
-    levels are alive at a time while it runs. No G_n is built here: the
-    complex builds G_n where it is read (``CochainComplex.inner``), and
-    builds its unit wedges eps_a (x) 1_V on use, one level at a time.
+    the module docstring, with the zero ends of ``CochainComplex``: one loop
+    from n = -1, starting from C^{-1} = 0 and the zero maps eps_a:
+    Lambda^{-2} -> Lambda^{-1}, builds d_n and dstar_n, then C^{n+1}, so the
+    wedges eps_a on only two adjacent levels are alive at a time. No G_n is
+    built here: the complex builds G_n where it is read
+    (``CochainComplex.inner``), and its unit wedges on use, a level at a time.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -141,42 +150,33 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     f_act = [V.actions[("f", r)] for r in roots]
     e_act = [V.actions[("e", r)] for r in roots]
     one = SpMat.identity(V.dim)
-    tuples = [list(combinations(range(d), n)) for n in range(d + 1)]
-    levels, dels, delstars = [], [], []
-    eps_lo: list[SpMat] = []  # eps_a: Lambda^{n-1} -> Lambda^n, and its transposes
-    iota_lo: list[SpMat] = []
-    for n in range(d + 1):
-        lam = len(tuples[n])
-        level = tensor(_wedge_module(g, tuples[n], eps_lo, iota_lo), V)
-        levels.append(level)
-        if n == d:
-            break
-        up = len(tuples[n + 1])
+    tuples = {-1: [], **{n: list(combinations(range(d), n)) for n in range(d + 2)}}
+    eps_lo = iota_lo = wedge_maps([], [], d)  # eps_a: Lambda^{n-1} -> Lambda^n, and iota_a
+    levels = {-1: tensor(_wedge_module(g, tuples[-1], eps_lo, iota_lo), V)}
+    dels, delstars = {}, {}
+    for n in range(-1, d + 1):
+        lam, up = len(tuples[n]), len(tuples[n + 1])
         eps_hi = wedge_maps(tuples[n], tuples[n + 1], d)
         iota_hi = [e.transpose() for e in eps_hi]
         # d_n: S_{n+1}^{-1} eps_a S_n = ((n + 1) / d_a) eps_a, and
         # S_{n+1}^{-1} eps_a eps_b iota_m S_n = ((n + 1) d_m / (d_a d_b)) eps_a eps_b iota_m
         blocks = [b for a in range(d) for b in kron_blocks(eps_hi[a], f_act[a], Q(n + 1) / dd[a])]
-        if n:
-            brackets = SpMat.assemble(up, lam, [
-                (0, 0, (n + 1) * c * dd[m] / (dd[a] * dd[b]),
-                 (eps_hi[a], eps_lo[b] @ iota_lo[m]))
-                for (a, b), out in fbr.items() for m, c in out.items()
-            ])
-            blocks.extend(kron_blocks(brackets, one, -1))
-        dels.append(SpMat.assemble(up * V.dim, level.dim, blocks))
+        brackets = SpMat.assemble(up, lam, [
+            (0, 0, (n + 1) * c * dd[m] / (dd[a] * dd[b]), (eps_hi[a], eps_lo[b] @ iota_lo[m]))
+            for (a, b), out in fbr.items() for m, c in out.items()
+        ])
+        blocks.extend(kron_blocks(brackets, one, -1))
+        dels[n] = SpMat.assemble(up * V.dim, lam * V.dim, blocks)
         # dstar_n
         blocks = [b for a in range(d) for b in kron_blocks(iota_hi[a], e_act[a], -1)]
-        if n:
-            brackets = SpMat.assemble(lam, up, [
-                (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a]))
-                for (a, b), out in ebr.items() for m, c in out.items()
-            ])
-            blocks.extend(kron_blocks(brackets, one, -1))
-        delstars.append(SpMat.assemble(level.dim, up * V.dim, blocks))
+        brackets = SpMat.assemble(lam, up, [
+            (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a]))
+            for (a, b), out in ebr.items() for m, c in out.items()
+        ])
+        blocks.extend(kron_blocks(brackets, one, -1))
+        delstars[n] = SpMat.assemble(lam * V.dim, up * V.dim, blocks)
         eps_lo, iota_lo = eps_hi, iota_hi
-    dels.append(SpMat(0, levels[d].dim))
-    delstars.append(SpMat(levels[d].dim, 0))
+        levels[n + 1] = tensor(_wedge_module(g, tuples[n + 1], eps_lo, iota_lo), V)
     return CochainComplex(
         g=g, V=V, dual=dual, levels=levels, wedge_tuples=tuples,
         dels=dels, delstars=delstars,
@@ -187,15 +187,15 @@ def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
                   iota: list[SpMat]) -> PModule:
     """Lambda^n p_+ on the wedge basis ``tuples``, with Z acting by
     sum_ij ad(Z)_ij eps_i iota_j for the unit wedges eps_a:
-    Lambda^{n-1} -> Lambda^n and their transposes iota_a (none when n = 0)."""
+    Lambda^{n-1} -> Lambda^n and their transposes iota_a (zero maps when
+    n <= 0, so Lambda^0 and Lambda^{-1} = 0 take the same sum)."""
     weights = [g.rs.root_to_weight(r) for r in g.pplus_roots()]
     dim = len(tuples)
     return PModule(
         g=g, dim=dim,
         actions={
-            lab: SpMat.assemble(dim, dim, [
-                (0, 0, c, (eps[i], iota[j])) for i, j, c in ad.entries()
-            ] if eps else [])
+            lab: SpMat.assemble(dim, dim, [(0, 0, c, (eps[i], iota[j]))
+                                           for i, j, c in ad.entries()])
             for lab, ad in g.pplus_action().items()
         },
         weights=tuple(
@@ -236,7 +236,9 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     the room they leave, |mu| - rank(im d) - rank(im dstar), as the kernel
     of the stacked blocks [dstar_{n-1}; d_n] on the mu columns. A weight
     with no room has no harmonic part, and its kernel conditions are
-    neither sliced nor eliminated.
+    neither sliced nor eliminated. Levels 0 and top take the same code: the
+    maps out of and into C^{-1} = C^{top+1} = 0 are stored zero maps, whose
+    weight blocks have no rows or no columns.
 
     The certificate ranks the blocks the split is built from. Each weight's
     block [im d | ker box | im dstar] is square (the kernel fills the room
@@ -258,8 +260,8 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     level = cc.levels[n]
     dim = level.dim
     by_weight = positions_by_weight(level.weights)
-    below = positions_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
-    above = positions_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
+    below = positions_by_weight(cc.levels[n - 1].weights)
+    above = positions_by_weight(cc.levels[n + 1].weights)
     weights: list[Weight] = []
     harmonic: list[tuple] = []
     # the square weight blocks [im d | ker box | im dstar] down the diagonal,
@@ -270,23 +272,18 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     for mu in sorted(by_weight):
         rows = by_weight[mu]
         m = len(rows)
-        bd = bs = kb = SpMat(m, 0)
-        if n >= 1:
-            bd = cc.dels[n - 1].submatrix(rows, below.get(mu, [])).column_space_basis()
-        if n < cc.top:
-            bs = cc.delstars[n].submatrix(rows, above.get(mu, [])).column_space_basis()
+        lo, hi = below.get(mu, []), above.get(mu, [])
+        bd = cc.dels[n - 1].submatrix(rows, lo).column_space_basis()
+        bs = cc.delstars[n].submatrix(rows, hi).column_space_basis()
+        kb = SpMat(m, 0)
         room = m - bd.ncols - bs.ncols
         if room < 0:
             raise ComplexNotCertified(
                 f"im d and im dstar overfill weight {mu} of C^{n}"
             )
         if room:
-            conds: list[SpMat] = []
-            if n >= 1:
-                conds.append(cc.delstars[n - 1].submatrix(below.get(mu, []), rows))
-            if n < cc.top:
-                conds.append(cc.dels[n].submatrix(above.get(mu, []), rows))
-            kb = SpMat.vstack(conds).kernel_basis()
+            kb = SpMat.vstack([cc.delstars[n - 1].submatrix(lo, rows),
+                               cc.dels[n].submatrix(hi, rows)]).kernel_basis()
             if kb.ncols != room:
                 raise ComplexNotCertified(
                     f"harmonic part of weight {mu} of C^{n} has dimension "

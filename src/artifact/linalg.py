@@ -461,7 +461,9 @@ class SpMat:
 
     def merge_columns(self, phi: list[int], ncols: int) -> "SpMat":
         """self @ M for the 0/1 matrix M with one 1 per row, M[q, phi[q]]:
-        column q is added into column phi[q], and nothing is multiplied."""
+        column q is added into column phi[q], and nothing is multiplied. A
+        row whose columns phi all leaves in place is the output row itself,
+        shared as ``gather_rows`` shares rows."""
         if len(phi) != self.ncols:
             raise LinAlgError("shape mismatch in merge_columns")
         out = SpMat(self.nrows, ncols)
@@ -479,7 +481,7 @@ class SpMat:
             if merged:
                 out._put(i, {c: v for c, v in acc.items() if v}, dens.get(i, 1))
             else:
-                out.rows[i] = acc
+                out.rows[i] = r if list(acc) == list(r) else acc
                 if i in dens:
                     out.dens[i] = dens[i]
         return out

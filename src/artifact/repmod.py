@@ -302,14 +302,12 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     out: list[IrrepLabel] = []
     for mu in sorted(by_weight):
         cols = by_weight[mu]
-        conds: list[SpMat] = []
+        conds = [SpMat(0, len(cols))]
         for i in uncrossed:
             up = tuple(a + b for a, b in zip(mu, alpha_w[i]))
-            rows = by_weight.get(up, [])
             A = m.actions[("e", tuple(int(i - 1 == j) for j in range(rs.rank)))]
-            conds.append(A.submatrix(rows, cols) if rows else SpMat(0, len(cols)))
-        stacked = SpMat.vstack(conds) if conds else SpMat(0, len(cols))
-        ker = stacked.kernel_basis()
+            conds.append(A.submatrix(by_weight.get(up, []), cols))
+        ker = SpMat.vstack(conds).kernel_basis()
         if not ker.ncols:
             continue
         closures = []
@@ -330,7 +328,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
                 embedding=SpMat.hstack(closures),
             )
         )
-    every = SpMat.hstack([c.embedding for c in out]) if out else SpMat(m.dim, 0)
+    every = SpMat.hstack([SpMat(m.dim, 0)] + [c.embedding for c in out])
     rank = every.rank()
     if rank != m.dim or every.ncols != m.dim:
         raise NotCompletelyReducibleInput(

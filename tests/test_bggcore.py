@@ -292,6 +292,14 @@ def test_a2_projective_orders():
     assert [a.order for a in sorted(d.arrows, key=lambda a: a.level)] == [2, 1]
 
 
+@pytest.mark.parametrize("label,sigma,weight", [(l, s, w) for l, s, ws in BATTERY for w in ws])
+def test_arrows_come_out_in_report_order(label, sigma, weight):
+    """The diagram holds its arrows by level, then source, then target, the
+    order the reports print them in without sorting."""
+    keys = [(a.level, a.source, a.target) for a in diagram_for(label, sigma, weight).arrows]
+    assert keys == sorted(set(keys))
+
+
 def test_operator_order_api():
     _, _, comps = components_for("A2", (1, 2), (1, 1))
     assert operator_order(0, comps[0][0], 1, comps[1][0]) == 2

@@ -62,7 +62,7 @@ def test_tampered_differential_fails(label, sigma, weight):
         moved = sorted(j for _, j in raising_support(cc, n + 1))
         reached = sorted(i for i, _ in raising_support(cc, n))
         i, j = (moved[0], 0) if moved else (0, reached[0])
-        dels = list(cc.dels)
+        dels = dict(cc.dels)
         dels[n] = bumped(dels[n], i, j)
         res = battery(replaced(cc, dels=dels))
         assert not res["adjointness"], n
@@ -73,7 +73,7 @@ def test_tampered_differential_fails(label, sigma, weight):
 def test_tampered_codifferential_fails(label, sigma, weight):
     cc = complex_for(label, sigma, weight)
     for n in range(cc.top):
-        delstars = list(cc.delstars)
+        delstars = dict(cc.delstars)
         delstars[n] = bumped(delstars[n], 0, 0)
         res = battery(replaced(cc, delstars=delstars))
         assert not res["adjointness"], n
@@ -91,7 +91,7 @@ def test_tampered_level_action_fails(label, sigma, weight):
         i, j = (cols[0], 0) if cols else (rows[0], rows[0]) if rows else (0, 0)
         level = cc.levels[n]
         actions = {**level.actions, lab: bumped(level.actions[lab], i, j)}
-        levels = list(cc.levels)
+        levels = dict(cc.levels)
         levels[n] = replaced(level, actions=actions)
         res = battery(replaced(cc, levels=levels))
         assert not res["codifferential_leibniz"], n

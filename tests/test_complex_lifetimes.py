@@ -50,15 +50,15 @@ def test_complex_holds_one_wedge_level(wedge_log, label, sigma, weight, with_arr
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
 def test_identity_battery_builds_each_level_once(wedge_log, label, sigma, weight, with_arrows):
     """And so does the whole run, with arrows too: the sources of level n
-    read only level n, which the level's checks have just built.
-    A3 {1,2,3} (0,0,0) builds 6 levels (12 when the checks ran over all
-    levels before the sources)."""
+    read only level n, which the level's checks have just built. The
+    Leibniz check on C^0 reads level -1, whose wedges are zero maps.
+    A3 {1,2,3} (0,0,0) builds 7 levels, -1 to 5."""
     diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     top = len(diagram.columns) - 1
     builds = [n for n, built, _ in wedge_log if built]
-    assert builds == list(range(top))
+    assert builds == list(range(-1, top))
     if with_arrows:
-        assert len(builds) == 6
+        assert len(builds) == 7
 
 
 def test_no_attribute_holds_an_inner_product():

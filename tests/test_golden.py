@@ -19,6 +19,7 @@ CASES = [
 ]
 
 OTHER_COMMANDS = [
+    ("A1", "1", "2", "diagram", "json,text,dot"),     # top = 1: every level is at an end
     ("A2", "1", "1,1", "cohomology", "json,text"),
     ("A2", "1,2", "1,1", "diagram", "json,text,dot"),   # arrows in text and dot
     ("G2", "1", "1,1", "cohomology", "json,text"),

@@ -140,7 +140,7 @@ def test_split_of_a_tampered_complex_is_refused():
     cc = complex_for("A2", (1,), (1, 1))
     for k in range(cc.top):
         for field in ("dels", "delstars"):
-            mats = list(getattr(cc, field))
+            mats = dict(getattr(cc, field))
             mats[k] = SpMat(mats[k].nrows, mats[k].ncols)
             tampered = replaced(cc, **{field: mats})
             with pytest.raises(ComplexNotCertified, match=r"harmonic part of weight \(.*\) of C\^"):
@@ -156,7 +156,7 @@ def test_split_of_an_overfilled_weight_is_refused():
     rows = [i for i, w in enumerate(cc.levels[n].weights) if w == mu]
     below = [j for j, w in enumerate(cc.levels[n - 1].weights) if w == mu]
     bump = SpMat.from_entries(cc.dim(n), cc.dim(n - 1), {(i, j): 1 for i, j in zip(rows, below)})
-    dels = list(cc.dels)
+    dels = dict(cc.dels)
     dels[n - 1] = dels[n - 1] + bump
     assert dels[n - 1].submatrix(rows, below).rank() == len(rows)
     with pytest.raises(ComplexNotCertified, match=r"overfill weight \(1, 1\) of C\^2"):
@@ -188,7 +188,7 @@ def test_split_with_a_singular_weight_block_is_refused():
     for p, q in enumerate(above):
         cols[q] = cols.get(q, {}) if p in indep else {}
     cols[above[indep[0]]] = {rows[i]: v for i, v in bd.col_dict(0).items()}
-    delstars = list(cc.delstars)
+    delstars = dict(cc.delstars)
     delstars[n] = from_rows(cc.dim(n + 1), cc.dim(n), cols).transpose()
     tampered = replaced(cc, delstars=delstars)
     assert tampered.delstars[n].submatrix(rows, above).independent_columns() == indep
@@ -346,7 +346,7 @@ def test_unit_wedges_satisfy_canonical_anticommutation():
 def test_wedge_overflow():
     cc = complex_for("A1", (1,), (0,))
     with pytest.raises(DegreeOverflow):
-        cc.unit_wedges(cc.top)
+        cc.unit_wedges(cc.top + 1)
 
 
 REFERENCE_CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws] + [
@@ -412,7 +412,7 @@ def test_complex_entries_are_exact_and_normalized(label, sigma, weights):
     """No stored entry is a float, and integral entries are stored as int."""
     for weight in weights:
         cc, cohs, _ = components_for(label, sigma, weight)
-        mats = cc.dels + cc.delstars + [cc.inner(n) for n in range(cc.top + 1)]
+        mats = [*cc.dels.values(), *cc.delstars.values()] + [cc.inner(n) for n in range(cc.top + 1)]
         for coh in cohs:
             mats += [coh.ker_box, coh.harmonic_projection()]
             mats += [m for rows, *bases in coh.blocks for m in bases]

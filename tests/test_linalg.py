@@ -238,6 +238,19 @@ def test_merge_columns_is_matmul_by_index_map(A, phi):
         A.merge_columns(phi[:-1], 3)
 
 
+def test_merge_columns_shares_the_rows_it_leaves_in_place():
+    """Under an identity phi every output row is the input row itself; a row
+    that a merge or a move touches is a new row."""
+    A = SpMat.from_dense([[1, Q(1, 2), 0], [0, 0, 3], [2, 0, 5]])
+    same = A.merge_columns([0, 1, 2], 4)
+    assert all(same.rows[i] is A.rows[i] for i in A.rows)
+    assert same.dens == A.dens
+    assert same == A @ SpMat.identity(3, 4)
+    merged = A.merge_columns([0, 1, 0], 2)
+    assert merged.rows[1] is not A.rows[1] and merged.rows[2] is not A.rows[2]
+    assert merged.rows[0] is A.rows[0]
+
+
 # -- the integer kernels against the plain rational references ---------------
 
 scalar = st.one_of(
