@@ -43,7 +43,11 @@ and the action of Jbar^K is never built.
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
 identity battery `verify` reports runs there too. `build_bgg_diagram`
-makes one pass over the levels: level n's checks, then its sources. A
+runs the cochain identities first, while no level's p-action exists, then
+builds H^0 and makes one pass over the levels: step n builds H^{n+1} and
+its components, then runs level n's checks, then level n's sources, so
+every reader finds C^n and C^{n+1} among the complex's two levels and each
+level is built once. The columns and the oracle check come last. A
 source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is left partial, by
 `generate_submodule` at the first layer of E that shows it.
 """
@@ -208,7 +212,7 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
             f"component {comp.label} has multiplicity {comp.multiplicity}"
         )
     g = cc.g
-    level = cc.levels[coh.n]
+    level = cc.level(coh.n)
     n = coh.n
     i0 = comp.e_eigenvalue
     raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
@@ -349,7 +353,7 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     phi, pick = equalizer_index_maps(chain.jet)
     values = values.merge_columns(phi, len(pick))
     K = chain.jet.r + 1
-    low = [i for mu, rows in positions_by_weight(cc.levels[n].weights).items()
+    low = [i for mu, rows in positions_by_weight(cc.weights[n]).items()
            if cc.g.e_eigenvalue(mu) - gs.i0 < K for i in rows]
     in_kernel = (cc.delstars[n].gather_rows(low) @ values).is_zero()
     dh = certify_from_left(dt, chain.jet.module, phi, len(pick), coh_next.module)
@@ -410,7 +414,14 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
                       with_arrows: bool = True) -> BGGDiagram:
     """Full pipeline: dual-convention module, cohomology columns, splitting
     operators, arrows. The input weight labels the zeroth column; the module
-    acted on is the irreducible with highest weight dominant_rep(-lam)."""
+    acted on is the irreducible with highest weight dominant_rep(-lam).
+
+    The pass order: the cochain identities, which read only d, dstar and
+    G_n, before any level's p-action is built; H^0 and its components; then
+    for each n < top, H^{n+1} and its components, the Leibniz and commutator
+    checks at n, and level n's sources; the columns and the oracle check
+    last. So C^n and C^{n+1} are the complex's two levels whenever level n
+    is read, and each level's action is built once (``CochainComplex``)."""
     rs = g.rs
     if any(x < 0 for x in lam):
         raise ValueError("weight must be dominant integral")
@@ -419,22 +430,20 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
     )
     V = restrict_to_parabolic(build_irrep(rs, lam_mod, max_dim=max_module_dim), g)
     cc = build_cochain_complex(g, V)
-    cohs = [cohomology_module(cc, n) for n in range(cc.top + 1)]
-    comps = [decompose_completely_reducible(c.module) for c in cohs]
-    columns = [
-        [DiagramComponent(label=c.label, e_eigenvalue=c.e_eigenvalue, dim=c.dim)
-         for c in comps[n]]
-        for n in range(cc.top + 1)
-    ]
+    # before any level's action exists: G_n is built and dropped level by level
     verify = verify_cochain_identities(cc)
-    verify["oracle_agreement"] = oracle_agrees(g, lam_mod, columns)
     verify.update(codifferential_leibniz=True, differential_commutator=True)
     if with_arrows:
         verify.update(splitter_projection=True, splitter_defect=True, splitter_values_kernel=True)
     arrows: list[BGGArrow] = []
     partial: list[tuple[int, int]] = []
-    # one pass: each level's checks, then its sources (module docstring)
+    cohs = [cohomology_module(cc, 0)]
+    comps = [decompose_completely_reducible(cohs[0].module)]
+    # one pass (module docstring): step n builds H^{n+1}, so C^n and C^{n+1}
+    # are the complex's two levels while level n's checks and sources run
     for n in range(cc.top):
+        cohs.append(cohomology_module(cc, n + 1))
+        comps.append(decompose_completely_reducible(cohs[n + 1].module))
         verify["codifferential_leibniz"] &= verify_codifferential_leibniz(cc, n)
         verify["differential_commutator"] &= verify_differential_commutator(cc, n)
         for s, comp in enumerate(comps[n] if with_arrows else ()):
@@ -450,6 +459,12 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
             verify["splitter_defect"] &= verify_splitter_defect(gs, chain)
             verify["splitter_values_kernel"] &= op.in_kernel
             arrows.extend(op.arrows)
+    columns = [
+        [DiagramComponent(label=c.label, e_eigenvalue=c.e_eigenvalue, dim=c.dim)
+         for c in comps[n]]
+        for n in range(cc.top + 1)
+    ]
+    verify["oracle_agreement"] = oracle_agrees(g, lam_mod, columns)
     return BGGDiagram(
         algebra=rs.label,
         sigma=tuple(sorted(g.par.sigma)),

@@ -94,15 +94,17 @@ def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
     """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z of p_+. Reads
     the unit wedges of level n - 1 before level n, so that run over n in
     order, n - 1 is the one level the complex holds, and each is built once.
+    Of the level actions it reads C^n's only: C^{n-1} is never built for it.
     On C^0 the last term is a product through C^{-1} = 0, so it is zero."""
     roots = cc.g.pplus_roots()
     dim = cc.dim(n)
+    acts = cc.level(n).actions
     below = cc.unit_wedges(n - 1)
     wedges = cc.unit_wedges(n)
     for a, wa in enumerate(wedges):
         if not SpMat.assemble(dim, dim, [
             (0, 0, 1, (cc.delstars[n], wa)),
-            (0, 0, 1, cc.levels[n].actions[("e", roots[a])]),
+            (0, 0, 1, acts[("e", roots[a])]),
             (0, 0, 1, (below[a], cc.delstars[n - 1])),
         ]).is_zero():
             return False
@@ -112,15 +114,17 @@ def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
 def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
     """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f) on C^n,
     checked as one signed sum of products for each label; the action of
-    [W, xi_a] is never assembled. Reads the unit wedges of level n."""
+    [W, xi_a] is never assembled. Reads the unit wedges of level n, and the
+    actions of C^n and C^{n+1}."""
     g = cc.g
     wedges = cc.unit_wedges(n)
-    acts = cc.levels[n].actions
+    acts = cc.level(n).actions
+    above = cc.level(n + 1).actions
     d = cc.dels[n]
     for lab in g.p_labels():
         if g.grade_of(lab) < 1:
             continue
-        blocks = [(0, 0, 1, (cc.levels[n + 1].actions[lab], d)), (0, 0, -1, (d, acts[lab]))]
+        blocks = [(0, 0, 1, (above[lab], d)), (0, 0, -1, (d, acts[lab]))]
         blocks.extend(
             (0, 0, -(n + 1) * c, (wedges[a], acts[blab]))
             for a, blab, c in g.xi_brackets(lab)

@@ -3,7 +3,9 @@
 Cochain spaces are C^n = Lambda^n p_+ (x) V with the wedge basis (increasing
 tuples of p_+ root positions, in lex order) and V's own basis, row-major.
 The complex is zero outside 0..top = dim p_+, and ``CochainComplex`` stores
-both zero ends, so every level reads its neighbours the same way.
+both zero ends, so every level reads its neighbours the same way. It holds
+every level's weights, d and dstar for the whole job, and builds a level's
+p-action only where it is read, two adjacent levels at a time.
 This module is the one home of the wedge. Every cochain matrix is a sum of
 Kronecker products of V's matrices with the unit wedges
 eps_a: Lambda^n -> Lambda^{n+1}, eps_a(I) = (-1)^k I', where I' is I with a
@@ -50,12 +52,12 @@ from math import factorial, prod
 
 from .gradedla import DualBasisPair, GradedLieAlgebra
 from .linalg import Q, SpMat, kron_blocks
-from .repmod import PModule, action_on_span, positions_by_weight, tensor
+from .repmod import PModule, action_on_span, positions_by_weight, tensor, tensor_weights
 from .rootspace import Weight, affine_dot_action, dominant_representative_for, parabolic_hasse
 
 
 class DegreeOverflow(Exception):
-    """Wedge insertion out of the top of the complex."""
+    """A level, or a wedge insertion, outside the complex."""
 
 
 class ComplexNotCertified(Exception):
@@ -63,26 +65,37 @@ class ComplexNotCertified(Exception):
 
 
 class CochainComplex:
-    """``levels[n]`` is C^n, ``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``:
-    C^{n+1} -> C^n, and ``wedge_tuples[n]`` is the wedge basis of Lambda^n,
-    each keyed by the level n. The complex is zero outside 0..top and holds
-    both zero ends: C^{-1} = C^{top+1} = 0 (dim 0, no weights, no wedge
-    tuples), with d_{-1}, dstar_{-1}, d_top and dstar_top zero maps. So
-    every level reads n - 1 and n + 1 alike, and no reader branches on an end.
+    """``weights[n]`` is the weight of each coordinate of C^n,
+    ``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n, and
+    ``wedge_tuples[n]`` is the wedge basis of Lambda^n, each keyed by the
+    level n; ``level(n)`` is C^n with its p-action. The complex is zero
+    outside 0..top and holds both zero ends: C^{-1} = C^{top+1} = 0 (dim 0,
+    no weights, no wedge tuples, 0x0 actions), with d_{-1}, dstar_{-1},
+    d_top and dstar_top zero maps. So every level reads n - 1 and n + 1
+    alike, and no reader branches on an end.
 
-    The complex keeps across a job only what the job reads. The inner
-    product G_n is built where it is read, on each call of ``inner(n)``:
-    only the adjointness check reads it, one level after another. The unit
-    wedges eps_a (x) 1_V are kept for one level, the last one asked for.
-    The Leibniz check on C^n reads n - 1 before n, so a level-by-level run,
-    as `build_bgg_diagram` makes, builds each level once, and n - 1 lives
-    on only while that one check reads it."""
+    The complex keeps across a job only what the job reads. The weights,
+    d and dstar of every level are always held. A level's p-action is built
+    on the first call of ``level(n)`` and kept for two levels: building a
+    level drops every level but the one built last. `build_bgg_diagram`
+    asks for C^{n+1} before it runs the checks and the sources of level n,
+    which read C^n and C^{n+1} only, so a whole run builds each level once.
+    The inner product G_n is built where it is read, on each call of
+    ``inner(n)``: only the adjointness check reads it, one level after
+    another. The unit wedges eps_a (x) 1_V are kept for one level, the last
+    one asked for. The Leibniz check on C^n reads n - 1 before n, so a
+    level-by-level run builds each level's wedges once, and n - 1 lives on
+    only while that one check reads it. The bare eps_a: Lambda^n ->
+    Lambda^{n+1} are kept for one level as well: building C^{n+1} makes
+    them, and the unit wedges of level n, asked for next, reuse them."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
-                 levels: dict[int, PModule], wedge_tuples: dict[int, list[tuple]],
+                 weights: dict[int, tuple[Weight, ...]], wedge_tuples: dict[int, list[tuple]],
                  dels: dict[int, SpMat], delstars: dict[int, SpMat]):
-        self.g, self.V, self.dual, self.levels, self.wedge_tuples = g, V, dual, levels, wedge_tuples
+        self.g, self.V, self.dual, self.weights, self.wedge_tuples = g, V, dual, weights, wedge_tuples
         self.dels, self.delstars = dels, delstars
+        self._levels: dict[int, PModule] = {}
+        self._bare: dict[int, list[SpMat]] = {}
         self._wedges: dict[int, list[SpMat]] = {}
 
     @property
@@ -90,7 +103,33 @@ class CochainComplex:
         return len(self.dual)
 
     def dim(self, n: int) -> int:
-        return self.levels[n].dim
+        return len(self.weights[n])
+
+    def level(self, n: int) -> PModule:
+        """C^n = Lambda^n p_+ (x) V with its p-action, for -1 <= n <= top + 1
+        (the zero module at both ends), built on first use and kept while it
+        is one of the two levels built last (the class docstring)."""
+        if not -1 <= n <= self.top + 1:
+            raise DegreeOverflow(f"no level {n} in the complex (top {self.top})")
+        if n not in self._levels:
+            # the older level goes before n is built, so two are alive at most
+            self._levels = dict(list(self._levels.items())[-1:])
+            eps = self._eps(n - 1)
+            wedge = _wedge_module(self.g, self.wedge_tuples[n], eps, [e.transpose() for e in eps])
+            self._levels[n] = tensor(wedge, self.V)
+        return self._levels[n]
+
+    def _eps(self, n: int) -> list[SpMat]:
+        """The bare unit wedges eps_a: Lambda^n -> Lambda^{n+1}, kept for one
+        level, the last one asked for: ``level(n + 1)`` builds them, and
+        ``unit_wedges(n)``, which a pass asks for next, reuses them. (At
+        n = 0 the Leibniz check asks for level -1 in between, so the two
+        smallest, the zero maps and Lambda^0 -> Lambda^1, are built twice.)"""
+        if n not in self._bare:
+            # Lambda^{-2} = 0 as well
+            lower = self.wedge_tuples.get(n, [])
+            self._bare = {n: wedge_maps(lower, self.wedge_tuples[n + 1], self.top)}
+        return self._bare[n]
 
     def inner(self, n: int) -> SpMat:
         """G_n = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V on C^n,
@@ -108,9 +147,8 @@ class CochainComplex:
         if not -1 <= n <= self.top:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         if n not in self._wedges:
-            eps = wedge_maps(self.wedge_tuples[n], self.wedge_tuples[n + 1], len(self.dual))
             one = SpMat.identity(self.V.dim)
-            self._wedges = {n: [e.kron(one) for e in eps]}
+            self._wedges = {n: [e.kron(one) for e in self._eps(n)]}
         return self._wedges[n]
 
 
@@ -127,13 +165,13 @@ def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
 
 
 def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
-    """All levels, differentials and codifferentials, in the operator form of
-    the module docstring, with the zero ends of ``CochainComplex``: one loop
-    from n = -1, starting from C^{-1} = 0 and the zero maps eps_a:
-    Lambda^{-2} -> Lambda^{-1}, builds d_n and dstar_n, then C^{n+1}, so the
-    wedges eps_a on only two adjacent levels are alive at a time. No G_n is
-    built here: the complex builds G_n where it is read
-    (``CochainComplex.inner``), and its unit wedges on use, a level at a time.
+    """The weights of every level, and all differentials and codifferentials,
+    in the operator form of the module docstring, with the zero ends of
+    ``CochainComplex``: one loop from n = -1, starting from the zero maps
+    eps_a: Lambda^{-2} -> Lambda^{-1}, builds d_n and dstar_n, so the wedges
+    eps_a on only two adjacent levels are alive at a time. No p-action and
+    no G_n is built here: the complex builds each level's action
+    (``CochainComplex.level``), its unit wedges and G_n where they are read.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -151,8 +189,8 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     e_act = [V.actions[("e", r)] for r in roots]
     one = SpMat.identity(V.dim)
     tuples = {-1: [], **{n: list(combinations(range(d), n)) for n in range(d + 2)}}
+    weights = {n: tensor_weights(_wedge_weights(g, t), V.weights) for n, t in tuples.items()}
     eps_lo = iota_lo = wedge_maps([], [], d)  # eps_a: Lambda^{n-1} -> Lambda^n, and iota_a
-    levels = {-1: tensor(_wedge_module(g, tuples[-1], eps_lo, iota_lo), V)}
     dels, delstars = {}, {}
     for n in range(-1, d + 1):
         lam, up = len(tuples[n]), len(tuples[n + 1])
@@ -176,9 +214,8 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
         blocks.extend(kron_blocks(brackets, one, -1))
         delstars[n] = SpMat.assemble(lam * V.dim, up * V.dim, blocks)
         eps_lo, iota_lo = eps_hi, iota_hi
-        levels[n + 1] = tensor(_wedge_module(g, tuples[n + 1], eps_lo, iota_lo), V)
     return CochainComplex(
-        g=g, V=V, dual=dual, levels=levels, wedge_tuples=tuples,
+        g=g, V=V, dual=dual, weights=weights, wedge_tuples=tuples,
         dels=dels, delstars=delstars,
     )
 
@@ -189,7 +226,6 @@ def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
     sum_ij ad(Z)_ij eps_i iota_j for the unit wedges eps_a:
     Lambda^{n-1} -> Lambda^n and their transposes iota_a (zero maps when
     n <= 0, so Lambda^0 and Lambda^{-1} = 0 take the same sum)."""
-    weights = [g.rs.root_to_weight(r) for r in g.pplus_roots()]
     dim = len(tuples)
     return PModule(
         g=g, dim=dim,
@@ -198,10 +234,15 @@ def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
                                            for i, j, c in ad.entries()])
             for lab, ad in g.pplus_action().items()
         },
-        weights=tuple(
-            tuple(sum(weights[a][j] for a in t) for j in range(g.rs.rank)) for t in tuples
-        ),
+        weights=_wedge_weights(g, tuples),
     )
+
+
+def _wedge_weights(g: GradedLieAlgebra, tuples: list[tuple]) -> tuple[Weight, ...]:
+    """The weight of each wedge of ``tuples``: the sum of its p_+ roots."""
+    weights = [g.rs.root_to_weight(r) for r in g.pplus_roots()]
+    zero = (0,) * g.rs.rank
+    return tuple(tuple(map(sum, zip(zero, *(weights[a] for a in t)))) for t in tuples)
 
 
 def _bracket_table(g, roots, kind: str) -> dict[tuple[int, int], dict[int, object]]:
@@ -257,11 +298,10 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
 
     ``kernel_basis`` is canonical (it depends only on the subspace), so the
     harmonic basis is the one the kernel of each Laplacian block gives."""
-    level = cc.levels[n]
-    dim = level.dim
-    by_weight = positions_by_weight(level.weights)
-    below = positions_by_weight(cc.levels[n - 1].weights)
-    above = positions_by_weight(cc.levels[n + 1].weights)
+    dim = cc.dim(n)
+    by_weight = positions_by_weight(cc.weights[n])
+    below = positions_by_weight(cc.weights[n - 1])
+    above = positions_by_weight(cc.weights[n + 1])
     weights: list[Weight] = []
     harmonic: list[tuple] = []
     # the square weight blocks [im d | ker box | im dstar] down the diagonal,
@@ -336,7 +376,7 @@ def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
     m = K.ncols
     labels = cc.g.p_labels()
     # g_0 preserves ker box, and p_+ acts on its cohomology by zero
-    acts = action_on_span(K, cc.levels[n].actions,
+    acts = action_on_span(K, cc.level(n).actions,
                           [lab for lab in labels if cc.g.grade_of(lab) <= 0])
     mod = PModule(g=cc.g, dim=m, weights=weights,
                   actions={lab: acts.get(lab, SpMat(m, m)) for lab in labels})

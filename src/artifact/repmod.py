@@ -203,10 +203,13 @@ def tensor(m1: PModule, m2: PModule) -> PModule:
                                      *kron_blocks(one1, m2.actions[l])])
         for l in common
     }
-    weights = tuple(
-        tuple(x + y for x, y in zip(wa, wb)) for wa in m1.weights for wb in m2.weights
-    )
-    return PModule(g=m1.g, dim=dim, actions=acts, weights=weights)
+    return PModule(g=m1.g, dim=dim, actions=acts, weights=tensor_weights(m1.weights, m2.weights))
+
+
+def tensor_weights(w1, w2) -> tuple[Weight, ...]:
+    """The weight of each coordinate of a tensor product, basis row-major in
+    the factors, from the weights ``w1`` and ``w2`` of the two factors."""
+    return tuple(tuple(x + y for x, y in zip(wa, wb)) for wa in w1 for wb in w2)
 
 
 class IrrepLabel:

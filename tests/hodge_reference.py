@@ -245,11 +245,10 @@ class ReferenceSplit:
 def reference_hodge_decompose(cc: CochainComplex, n: int) -> ReferenceSplit:
     """C^n = im d + ker box + im dstar, with ker box the kernel of every
     weight block of the Laplacian."""
-    level = cc.levels[n]
-    dim = level.dim
-    by_weight = positions_by_weight(level.weights)
-    below = positions_by_weight(cc.levels[n - 1].weights) if n >= 1 else {}
-    above = positions_by_weight(cc.levels[n + 1].weights) if n < cc.top else {}
+    dim = cc.dim(n)
+    by_weight = positions_by_weight(cc.weights[n])
+    below = positions_by_weight(cc.weights[n - 1]) if n >= 1 else {}
+    above = positions_by_weight(cc.weights[n + 1]) if n < cc.top else {}
     box = laplacian(cc, n)
     im_del_cols: list[SpMat] = []
     ker_cols: list[SpMat] = []
@@ -280,7 +279,7 @@ def reference_hodge_decompose(cc: CochainComplex, n: int) -> ReferenceSplit:
         im_delstar=cat(im_ds_cols),
         harmonic_weights=tuple(ker_weights),
     )
-    check_weight_blocks(level.weights, split.full_basis, n)
+    check_weight_blocks(cc.weights[n], split.full_basis, n)
     return split
 
 

@@ -58,7 +58,7 @@ def submodules_for(label, sigma, weight):
 def test_generated_submodule_certified(label, sigma, weight):
     cc, _, _ = components_for(label, sigma, weight)
     for gs in submodules_for(label, sigma, weight):
-        level = cc.levels[gs.n]
+        level = cc.level(gs.n)
         res = check_equivariance(gs.basis, gs.module, level)
         assert res.certified
         if gs.n >= 1:
@@ -77,7 +77,7 @@ def test_layered_closure_spans_the_naive_fixpoint(label, sigma, weight):
     cc, cohs, comps = components_for(label, sigma, weight)
     g = cc.g
     for n in range(cc.top):
-        level = cc.levels[n]
+        level = cc.level(n)
         raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
         for comp in comps[n]:
             seeds = cohs[n].ker_box @ comp.embedding

@@ -1,7 +1,8 @@
 """The cochain complex is zero outside 0..top, and it holds both zero ends.
 
-`CochainComplex` keys its levels, maps and wedge tuples by the level n and
-stores C^{-1} = C^{top+1} = 0 with the zero maps into and out of it, so the
+`CochainComplex` keys its weights, maps and wedge tuples by the level n,
+builds C^{-1} = C^{top+1} = 0 like any level when asked, and stores the zero
+maps into and out of it, so the
 first and the last level read their neighbours as every other level does.
 The tests below pin those ends on every `BATTERY` case, and a scan of the
 modules that read the complex keeps them from testing a level against an
@@ -28,12 +29,12 @@ def test_complex_is_zero_at_both_ends(label, sigma, weight):
     cc = complex_for(label, sigma, weight)
     top = cc.top
     assert top == len(cc.dual)
-    assert sorted(cc.levels) == sorted(cc.wedge_tuples) == list(range(-1, top + 2))
+    assert sorted(cc.weights) == sorted(cc.wedge_tuples) == list(range(-1, top + 2))
     assert sorted(cc.dels) == sorted(cc.delstars) == list(range(-1, top + 1))
     for n in (-1, top + 1):
-        end = cc.levels[n]
+        end = cc.level(n)
         assert cc.dim(n) == end.dim == 0
-        assert end.weights == ()
+        assert end.weights == cc.weights[n] == ()
         assert all(A.nrows == A.ncols == 0 for A in end.actions.values())
         assert cc.wedge_tuples[n] == []
     first, last = cc.dim(0), cc.dim(top)

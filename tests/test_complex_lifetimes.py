@@ -1,18 +1,20 @@
 """How long the exponential tables of a cochain complex live.
 
-The complex keeps the unit wedges of one level, the last one asked for,
-and builds each G_n where it is read instead of keeping it.
-`build_bgg_diagram` makes one pass over the levels (each level's checks,
-then its sources), and the Leibniz check on C^n reads level n - 1 before
-level n, so a whole run builds each level once. These tests watch the
-wedge cache during whole diagram builds, count the levels built, and look
-for a G_n among the complex's attributes.
+The complex keeps the p-actions of two levels, the two built last, and the
+unit wedges of one level, the last one asked for, and builds each G_n where
+it is read instead of keeping it. `build_bgg_diagram` makes one pass over
+the levels: step n builds H^{n+1}, then runs level n's checks and sources,
+which read C^n and C^{n+1} only; and the Leibniz check on C^n reads the
+wedges of level n - 1 before level n. So a whole run builds each level's
+action and its wedges once. These tests watch both caches during whole
+diagram builds, count the levels built, and look for a G_n among the
+complex's attributes.
 """
 
 import pytest
 
 from artifact.bggcore import build_bgg_diagram
-from artifact.hodge import CochainComplex
+from artifact.hodge import CochainComplex, DegreeOverflow
 from artifact.linalg import SpMat
 from conftest import complex_for, graded
 
@@ -32,6 +34,23 @@ def wedge_log(monkeypatch):
         return out
 
     monkeypatch.setattr(CochainComplex, "unit_wedges", logged)
+    return log
+
+
+@pytest.fixture
+def level_log(monkeypatch):
+    """Wrap ``CochainComplex.level``; the log gets, for each call, (level,
+    built, number of levels the complex holds afterwards)."""
+    log = []
+    level = CochainComplex.level
+
+    def logged(cc, n):
+        built = n not in cc._levels
+        out = level(cc, n)
+        log.append((n, built, len(cc._levels)))
+        return out
+
+    monkeypatch.setattr(CochainComplex, "level", logged)
     return log
 
 
@@ -80,3 +99,29 @@ def test_no_attribute_holds_an_inner_product():
     held = [m for value in vars(cc).values() for m in matrices(value)]
     assert held
     assert not any(m == G for m in held for G in grams)
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
+def test_complex_holds_two_levels(level_log, label, sigma, weight, with_arrows):
+    build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+    assert level_log
+    assert max(held for _, _, held in level_log) == 2
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
+def test_run_builds_each_level_action_once(level_log, label, sigma, weight, with_arrows):
+    """Levels 0..top, each once and in order; the zero ends C^{-1} and
+    C^{top+1} are never built, since no reader needs their actions."""
+    diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+    top = len(diagram.columns) - 1
+    builds = [n for n, built, _ in level_log if built]
+    assert builds == list(range(0, top + 1))
+    assert not {-1, top + 1} & {n for n, _, _ in level_log}
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
+def test_levels_outside_the_complex_are_refused(label, sigma, weight, with_arrows):
+    cc = complex_for(label, sigma, weight)
+    for n in (-2, cc.top + 2):
+        with pytest.raises(DegreeOverflow):
+            cc.level(n)

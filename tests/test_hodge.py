@@ -153,8 +153,8 @@ def test_split_of_an_overfilled_weight_is_refused():
     im dstar together outrank the weight space of C^2."""
     cc = complex_for("A2", (1, 2), (1, 1))
     n, mu = 2, (1, 1)
-    rows = [i for i, w in enumerate(cc.levels[n].weights) if w == mu]
-    below = [j for j, w in enumerate(cc.levels[n - 1].weights) if w == mu]
+    rows = [i for i, w in enumerate(cc.weights[n]) if w == mu]
+    below = [j for j, w in enumerate(cc.weights[n - 1]) if w == mu]
     bump = SpMat.from_entries(cc.dim(n), cc.dim(n - 1), {(i, j): 1 for i, j in zip(rows, below)})
     dels = dict(cc.dels)
     dels[n - 1] = dels[n - 1] + bump
@@ -171,16 +171,16 @@ def test_split_with_a_singular_weight_block_is_refused():
     cc = complex_for("A2", (1,), (1, 1))
 
     def weight_blocks(n, mu):
-        rows = positions_by_weight(cc.levels[n].weights)[mu]
-        above = positions_by_weight(cc.levels[n + 1].weights).get(mu, [])
-        below = positions_by_weight(cc.levels[n - 1].weights).get(mu, [])
+        rows = positions_by_weight(cc.weights[n])[mu]
+        above = positions_by_weight(cc.weights[n + 1]).get(mu, [])
+        below = positions_by_weight(cc.weights[n - 1]).get(mu, [])
         bd = cc.dels[n - 1].submatrix(rows, below).column_space_basis()
         indep = cc.delstars[n].submatrix(rows, above).independent_columns()
         return rows, above, bd, indep
 
     # the first weight of a middle level with both images nonzero
     n, (rows, above, bd, indep) = next(
-        (n, wb) for n in range(1, cc.top) for mu in sorted(set(cc.levels[n].weights))
+        (n, wb) for n in range(1, cc.top) for mu in sorted(set(cc.weights[n]))
         if (wb := weight_blocks(n, mu))[2].ncols and wb[3]
     )
     # rows of the transpose are the columns of dstar_n
@@ -226,7 +226,7 @@ def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
         want_slices += weights * len(conditions)
     assert len(calls) == harmonic == 24
     assert len(slices) == want_slices
-    blocks = sum(len(set(cc.levels[n].weights)) for n in range(cc.top + 1))
+    blocks = sum(len(set(cc.weights[n])) for n in range(cc.top + 1))
     assert blocks == 290
 
 
@@ -236,7 +236,7 @@ def test_laplacian_selfadjoint_and_weight_diagonal():
         box = laplacian(cc, n)
         gb = cc.inner(n) @ box
         assert (gb - gb.transpose()).is_zero()
-        ws = cc.levels[n].weights
+        ws = cc.weights[n]
         for r, c, _ in box.entries():
             assert ws[r] == ws[c]
 
@@ -268,7 +268,7 @@ def test_cohomology_module_structure():
                 assert mod.actions[l].is_zero()
             else:
                 # embedding intertwines the level action with the quotient
-                assert (cc.levels[coh.n].actions[l] @ K - K @ mod.actions[l]).is_zero()
+                assert (cc.level(coh.n).actions[l] @ K - K @ mod.actions[l]).is_zero()
         assert mod.weights == hodge_decompose(cc, coh.n)[1]
 
 
@@ -361,7 +361,7 @@ def test_complex_equals_decomposable_reference(label, sigma, weight):
     cc = complex_for(label, sigma, weight)
     for n in range(cc.top + 1):
         want = reference_level(cc, n)
-        got = cc.levels[n]
+        got = cc.level(n)
         assert got.actions == want.actions
         assert (got.dim, got.weights) == (want.dim, want.weights)
         assert tuple(cc.g.e_eigenvalue(mu) for mu in got.weights) == reference_grades(cc, n)
@@ -375,7 +375,7 @@ def test_complex_equals_decomposable_reference(label, sigma, weight):
 def test_weight_block_certificate_refuses_moved_column():
     cc = complex_for("A2", (1,), (1, 1))
     n = 1
-    weights = cc.levels[n].weights
+    weights = cc.weights[n]
     basis = reference_hodge_decompose(cc, n).full_basis
     check_weight_blocks(weights, basis, n)
     # column 0 moved onto a row of another weight: one block loses a column,
@@ -435,6 +435,6 @@ def test_e_grade_is_the_eigenvalue_of_the_weight(label, sigma, weights):
         g = cc.g
         for coh in cohs:
             want = reference_grades(cc, coh.n)
-            assert tuple(g.e_eigenvalue(mu) for mu in cc.levels[coh.n].weights) == want
+            assert tuple(g.e_eigenvalue(mu) for mu in cc.weights[coh.n]) == want
             for i, k in coh.ker_box.support():
                 assert g.e_eigenvalue(coh.module.weights[k]) == want[i], (coh.n, i, k)

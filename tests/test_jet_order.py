@@ -125,7 +125,7 @@ def tamper_values(monkeypatch):
         K = len(chain.maps) + 1
         cc, n = gs.cc, gs.n
         dstar_cols = {j for _, j in cc.delstars[n].support()}
-        row = next(i for i, mu in enumerate(cc.levels[n + 1].weights)
+        row = next(i for i, mu in enumerate(cc.weights[n + 1])
                    if cc.g.e_eigenvalue(mu) - gs.i0 < K and i in dstar_cols)
         return dt, values + SpMat.from_entries(values.nrows, values.ncols, {(row, 0): 1})
 

@@ -24,7 +24,7 @@ def twisted_d_hom(cc: CochainComplex, n: int) -> PModMap:
     if not 0 <= n < cc.top:
         raise ValueError(f"twisted derivative needs 0 <= n < {cc.top}, got {n}")
     return certify_map(
-        twisted_matrix(cc, n), jet1(cc.levels[n]), cc.levels[n + 1],
+        twisted_matrix(cc, n), jet1(cc.level(n)), cc.level(n + 1),
         "twisted derivative",
     )
 
