@@ -379,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionOverBudget as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return 1
     except CERTIFICATE_ERRORS as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -32,13 +32,14 @@ arrows: `build_bgg_diagram` builds L^(K-1) and D_K only, and L_K..L_r never.
 
 The operator is built and certified on J^1(W), W = Jbar^{K-1}(E/E^1) the
 domain of L^(K-1), whose action the splitter already has:
-Dt = pi_H o d_V o J^1(L^(K-1)) on J^1(W), D_K = Dt o iota (Dt with its
-columns merged by phi of Jbar^K), and D_K o A_Z = Dt o A^{J^1}_Z o iota by
-equalizer condition (4) for Jbar^K. That condition holds because Jbar^K is
-the equalizer of two P-maps, both certified at level K - 1, and conditions
-(1)-(3) on phi are checked on every call; so checking A'_Z o D_K against
-Dt o A^{J^1}_Z merged by phi (`certify.certify_from_left`) certifies D_K,
-and the action of Jbar^K is never built.
+Dt = pi_H o d_V o J^1(L^(K-1)) on J^1(W), D_K = Dt o iota (Dt placed
+through phi of Jbar^K, in one assembly), and D_K o A_Z = Dt o A^{J^1}_Z o
+iota by equalizer condition (4) for Jbar^K. That condition holds because
+Jbar^K is the equalizer of two P-maps, both certified at level K - 1, and
+conditions (1)-(3) on phi are checked on every call; so checking A'_Z o D_K
+against Dt o A^{J^1}_Z placed through phi (`certify.certify_from_left`)
+certifies D_K, and the action of Jbar^K is never built; nor are d_V and
+J^1(L^(K-1)), whose composite is assembled from product blocks.
 
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
@@ -71,14 +72,12 @@ from .hodge import (
     CochainComplex,
     build_cochain_complex,
     cohomology_module,
-    twisted_matrix,
 )
 from .jetcalc import (
     MAX_JET_DIM,
     SemiHolonomicJet,
     check_jet_budget,
     equalizer_index_maps,
-    jet1_map_matrix,
     prolong,
     semiholonomic,
 )
@@ -100,10 +99,6 @@ from .rootspace import Weight, dominant_representative_for
 
 class SingularLaplacianBlock(Exception):
     """The Laplacian failed to be invertible on a filtration block."""
-
-
-class NonAdjacentLevels(Exception):
-    """Operator order requested between non-adjacent cohomology levels."""
 
 
 def _as_int(x) -> int:
@@ -274,7 +269,7 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
     y = gs.lift_top_block(i, x)
     if y is None:
         raise CertificationFailure(f"correction of L_{i} escaped the top block")
-    blocks.append((0, 0, -(n + 1), y.merge_columns(rhs_cols, width)))
+    blocks.append((0, rhs_cols, -(n + 1), y))
     return SpMat.assemble(tgt.dim, width, blocks)
 
 
@@ -332,10 +327,16 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
     """(Dt, d_V o J^1(F)) on J^1(W), W = ``chain.jet.module``, for F = the
     splitter L^(K-1) into C^n (its target E/E^K is spanned by the leading
     columns of the E basis): Dt = pi_H o d_V o J^1(F) in harmonic
-    coordinates of H^{n+1}, and the values into C^{n+1} before pi_H."""
+    coordinates of H^{n+1}, and the values into C^{n+1} before pi_H. The
+    values are the product blocks del F at column block 0 and (n+1) eps_a F
+    at block 1 + a (eps_a the unit wedges): neither d_V nor J^1(F) is built."""
     cc, n = gs.cc, gs.n
-    lead = gs.basis.select_columns(list(range(chain.composite.nrows)))
-    values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, lead @ chain.composite)
+    F = gs.basis.select_columns(list(range(chain.composite.nrows))) @ chain.composite
+    wedges = cc.unit_wedges(n)
+    w = F.ncols
+    values = SpMat.assemble(cc.dim(n + 1), (1 + len(wedges)) * w, [(0, 0, 1, (cc.dels[n], F))] + [
+        (0, (1 + a) * w, n + 1, (eps, F)) for a, eps in enumerate(wedges)
+    ])
     return coh_next.harmonic_projection() @ values, values
 
 
@@ -351,7 +352,7 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     cc, n = gs.cc, gs.n
     dt, values = operator_on_jet1(gs, chain, coh_next)
     phi, pick = equalizer_index_maps(chain.jet)
-    values = values.merge_columns(phi, len(pick))
+    values = SpMat.assemble(values.nrows, len(pick), [(0, phi, 1, values)])
     K = chain.jet.r + 1
     low = [i for mu, rows in positions_by_weight(cc.weights[n]).items()
            if cc.g.e_eigenvalue(mu) - gs.i0 < K for i in rows]
@@ -366,7 +367,7 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
         row0 += w
         if blk.is_zero():
             continue
-        order = operator_order(n, gs.comp, n + 1, compt)
+        order = operator_order(gs.comp, compt)
         if order < 1:
             raise CertificationFailure(f"arrow of order {order} from level {n}")
         arrows.append(BGGArrow(
@@ -377,10 +378,9 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     )
 
 
-def operator_order(level_from: int, comp_from: IrrepLabel,
-                   level_to: int, comp_to: IrrepLabel) -> int:
-    if level_to != level_from + 1:
-        raise NonAdjacentLevels(f"levels {level_from} -> {level_to}")
+def operator_order(comp_from: IrrepLabel, comp_to: IrrepLabel) -> int:
+    """The order of an arrow from comp_from at level n to comp_to at level
+    n + 1: the difference of their E-eigenvalues, certified integral."""
     return _as_int(comp_to.e_eigenvalue - comp_from.e_eigenvalue)
 
 
@@ -388,7 +388,7 @@ def operator_jet_order(gs: GeneratedSubmodule, comps_next: list[IrrepLabel]) -> 
     """K = min(r + 1, the highest order of a target of positive order): the
     operator out of gs is D_K on Jbar^K (module docstring). With no such
     target every block of D is zero, and K = 1 still checks it."""
-    orders = [operator_order(gs.n, gs.comp, gs.n + 1, t) for t in comps_next]
+    orders = [operator_order(gs.comp, t) for t in comps_next]
     return min(gs.r + 1, max((o for o in orders if o >= 1), default=1))
 
 

@@ -19,7 +19,6 @@ from .jetcalc import (
     ShapeMismatch,
     check_equivariance,
     jet1_left_action,
-    jet1_map_matrix,
 )
 from .linalg import SpMat
 from .repmod import PModule
@@ -42,26 +41,26 @@ def certify_map(mat: SpMat, source: PModule, target: PModule, what: str) -> PMod
 
 def certify_from_left(dt: SpMat, W: PModule, phi: list[int], ncols: int,
                       target: PModule) -> SpMat:
-    """The BGG operator D = Dt o iota (Dt with its columns merged by phi),
-    certified as a P-module map Jbar -> target, for Dt defined on J^1(W) and
-    Jbar the module phi embeds in J^1(W) (J^1(W) itself, phi the identity,
-    when W = Jbar^0). Returns D, or raises CertificationFailure as
+    """The BGG operator D = Dt o iota (Dt placed through phi, the column map
+    of iota), certified as a P-module map Jbar -> target, for Dt defined on
+    J^1(W) and Jbar the module phi embeds in J^1(W) (J^1(W) itself, phi the
+    identity, when W = Jbar^0). Returns D, or raises CertificationFailure as
     `certify_map` does.
 
-    For each label, A'_Z D must equal Dt A^{J^1}_Z merged by phi: by
+    For each label, A'_Z D must equal Dt A^{J^1}_Z placed through phi: by
     equalizer condition (4) that is D A_Z, and (4) holds because Jbar is the
     equalizer of two P-maps certified with W (the `jetcalc` module
-    docstring). The action of Jbar is never built; phi is certified by
-    `jetcalc.equalizer_index_maps`."""
+    docstring). Each Dt A^{J^1}_Z goes through phi inside its residual's
+    assembly, so no copy of it is placed apart. The action of Jbar is never
+    built; phi is certified by `jetcalc.equalizer_index_maps`."""
     if dt.nrows != target.dim:
         raise ShapeMismatch(f"map has {dt.nrows} rows, expected {target.dim}")
 
-    mat = dt.merge_columns(phi, ncols)
+    mat = SpMat.assemble(dt.nrows, ncols, [(0, phi, 1, dt)])
     residuals = [
         lab for lab, right in jet1_left_action(dt, W, target.actions).items()
         if not SpMat.assemble(dt.nrows, ncols, [
-            (0, 0, 1, (target.actions[lab], mat)),
-            (0, 0, -1, right.merge_columns(phi, ncols)),
+            (0, 0, 1, (target.actions[lab], mat)), (0, phi, -1, right),
         ]).is_zero()
     ]
     if residuals:
@@ -161,32 +160,33 @@ def verify_splitter_projection(gs, chain) -> bool:
 
 
 def verify_splitter_defect(gs, chain) -> bool:
-    """L_1 commutes with grade-one generators; for i >= 2 the defect of L_i
-    equals box^{-1}(W.(box o j_i o (L_{i-1} o J^1(pi) - p_i))). L_i A_Z is
-    `jet1_left_action`, so the action of J^1(E/E^i) is never built."""
+    """The defect of L_i equals box^{-1}(W.(box o j_i o (L_{i-1} o J^1(pi) -
+    p_i))) for grade-one W, L_0 the zero map on J^1(E/E^0) = 0: at i = 1 box
+    kills -p_1 on the harmonic block, so L_1 commutes with W. L_{i-1} o J^1(pi) is
+    L_{i-1} through the slot-prefix map (slot b, column t) -> b dim E/E^i + t,
+    and L_i A_Z is `jet1_left_action`: no J^1 matrix is built."""
     g = gs.cc.g
+    d = len(g.pplus_roots())
     grade1 = [l for l in g.p_labels() if g.grade_of(l) == 1]
+    below = [SpMat(gs.quotient(1).dim, 0), *chain.maps]
     for i, li in enumerate(chain.maps, 1):
         qi, qn, width = gs.quotient(i), gs.quotient(i + 1), li.ncols
-        if i >= 2:
-            jpi = jet1_map_matrix(g, gs.trunc(i, i - 1))
-            inner = SpMat.assemble(qi.dim, width, [
-                (0, 0, 1, (chain.maps[i - 2], jpi)),
-                (0, 0, -1, SpMat.identity(qi.dim, width)),
-            ])
-            idx = list(range(qn.dim))
-            box_qn = gs.box_on_e().submatrix(idx, idx)
-            boxed = box_qn @ inner.place_rows(list(range(qi.dim)), qn.dim)
+        prefix = [b * qi.dim + t for b in range(1 + d) for t in range(gs.quotient(i - 1).dim)]
+        inner = SpMat.assemble(qi.dim, width, [
+            (0, prefix, 1, below[i - 1]),
+            (0, 0, -1, SpMat.identity(qi.dim, width)),
+        ])
+        idx = list(range(qn.dim))
+        box_qn = gs.box_on_e().submatrix(idx, idx)
+        boxed = box_qn @ inner.place_rows(list(range(qi.dim)), qn.dim)
         left = jet1_left_action(li, qi, grade1)
         for lab in grade1:
             # the defect L_i A_Z - A'_Z L_i, less its expected value
-            blocks = [(0, 0, 1, left[lab]), (0, 0, -1, (qn.actions[lab], li))]
-            if i >= 2:
-                lifted = gs.lift_top_block(i, qn.actions[lab] @ boxed)
-                if lifted is None:
-                    return False
-                blocks.append((0, 0, -1, lifted))
-            if not SpMat.assemble(qn.dim, width, blocks).is_zero():
+            lifted = gs.lift_top_block(i, qn.actions[lab] @ boxed)
+            if lifted is None:
+                return False
+            if not SpMat.assemble(qn.dim, width, [
+                (0, 0, 1, left[lab]), (0, 0, -1, (qn.actions[lab], li)), (0, 0, -1, lifted),
+            ]).is_zero():
                 return False
     return True
-

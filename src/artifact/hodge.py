@@ -383,15 +383,6 @@ def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
     return Cohomology(n=n, module=mod, ker_box=K, blocks=blocks)
 
 
-def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
-    """(f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of C^n."""
-    dim = cc.dim(n)
-    wedges = cc.unit_wedges(n)
-    return SpMat.assemble(cc.dim(n + 1), (1 + len(wedges)) * dim, [(0, 0, 1, cc.dels[n])] + [
-        (0, (1 + a) * dim, n + 1, w) for a, w in enumerate(wedges)
-    ])
-
-
 def kostant_oracle(g: GradedLieAlgebra, lam_mod: Weight) -> list[list[Weight]]:
     """Predicted component labels of H^n(g_-, V(lam_mod)) per level n.
 

@@ -21,9 +21,11 @@ coordinate t) goes to eta_a (x) t. Its section sel reads the footpoint for
 DS slots 0..k-1 and the tensor part for slot k (ambient rows pick[p]).
 
 So A @ iota is the J^1 action A with its columns renamed by phi (collisions
-summed), and the action on Jbar^k is the rows pick[p] of it: a gather, with
-nothing multiplied. Each extension certifies, with a named error when one
-fails,
+summed). It is assembled straight from the terms of the J^1 formula
+(`_jet1_terms`), each placed through the slice of phi that its column block
+reads, so J^1(Jbar^{k-1}) is never built. The action on Jbar^k is the rows
+pick[p] of A @ iota: a gather, with nothing multiplied. Each extension
+certifies, with a named error when one fails,
 
   (1) diff o iota = 0: for each row (b, l) of J^1(Jbar^{k-2}), its two unit
       vectors e_{b, l} and e_{phi_{k-1}(b, l)} land on one DS column;
@@ -42,11 +44,13 @@ Jbar^{-1} = 0, so diff = 0 and (1)-(3) hold trivially: Jbar^1 = J^1(V), and
 iota is the identity. So one step builds every order from Jbar^0.
 
 Maps prolong along the same embedding. For f defined on Jbar^{k-1},
-prolong(f, Jbar^k) = J^1(f) o iota is J^1(f) with its columns merged by phi,
-so phi is the one encoding of iota that both the modules and the maps use.
+prolong(f, Jbar^k) = J^1(f) o iota is the 1 + d copies of f on the diagonal
+of J^1(f), each placed through its slice of phi, in one assembly, so phi is
+the one encoding of iota that both the modules and the maps use, and J^1(f)
+is never built.
 
 A map on Jbar^k can be certified from the left, without the action of
-Jbar^k. Let D = Dt o iota (Dt with its columns merged by phi) for Dt defined
+Jbar^k. Let D = Dt o iota (Dt placed through phi) for Dt defined
 on J^1(Jbar^{k-1}). Then D o A_Z = Dt o A^{J^1}_Z o iota by (4), and
 Dt o A^{J^1}_Z is `jet1_left_action`: the J^1 formula evaluated on the
 column blocks of Dt, on the actions Jbar^{k-1} already has. Condition (4)
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .gradedla import GradedLieAlgebra, Label
+from .gradedla import Label
 from .linalg import SpMat
 from .repmod import DimensionOverBudget, PModule
 
@@ -125,21 +129,6 @@ def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:
     return terms
 
 
-def jet1(V: PModule) -> PModule:
-    """J^1(V) on [V; p_+ (x) V], each action assembled from `_jet1_terms`."""
-    g = V.g
-    dv = V.dim
-    dim = (1 + len(g.pplus_roots())) * dv
-    unit = SpMat.identity(dv)
-    return PModule(g=g, dim=dim, actions={
-        lab: SpMat.assemble(dim, dim, [
-            (i * dv, j * dv, c, unit if m is None else m)
-            for i, j, c, m in _jet1_terms(V, lab)
-        ])
-        for lab in g.p_labels()
-    })
-
-
 def jet1_left_action(m: SpMat, V: PModule, labels: Iterable[Label]) -> dict[Label, SpMat]:
     """m @ A_Z for each Z in labels (labels of p), A_Z the action on J^1(V),
     for m with columns on J^1(V), without building A_Z: each term c M at
@@ -160,12 +149,6 @@ def jet1_left_action(m: SpMat, V: PModule, labels: Iterable[Label]) -> dict[Labe
     }
 
 
-def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
-    """The matrix of J^1(f) without building modules."""
-    d = len(g.pplus_roots())
-    return SpMat.block_diag([fmat] * (1 + d))
-
-
 class SemiHolonomicJet:
     """Jbar^r(V) in direct-sum coordinates (+)_{j<=r} (x)^j p_+ (x) V.
 
@@ -182,9 +165,14 @@ class SemiHolonomicJet:
 
 
 def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:
-    """J^1(f) o iota on Jbar^r, r >= 1, for f defined on Jbar^{r-1}: J^1(f)
-    with its columns merged by phi."""
-    return jet1_map_matrix(jet.V.g, fmat).merge_columns(jet.phi, jet.module.dim)
+    """J^1(f) o iota on Jbar^r, r >= 1, for f defined on Jbar^{r-1}: one
+    assembly of the 1 + d copies of f that J^1(f) holds on its diagonal, copy
+    b placed through slice b of phi. J^1(f) is never built."""
+    m, w = fmat.nrows, fmat.ncols
+    d = len(jet.V.g.pplus_roots())
+    return SpMat.assemble((1 + d) * m, jet.module.dim, [
+        (b * m, jet.phi[b * w:(b + 1) * w], 1, fmat) for b in range(1 + d)
+    ])
 
 
 def _ds_dims(d: int, dv: int, r: int) -> list[int]:
@@ -300,16 +288,22 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
     """One step Jbar^{k-1} -> Jbar^k, certified (module docstring)."""
     phi, pick = equalizer_index_maps(prev)
     new_dim = len(pick)
-    amb = jet1(prev.module)
+    W = prev.module
+    unit = SpMat.identity(W.dim)
+    # iota on column block j of J^1(Jbar^{k-1}): slice j of phi
+    slices = [phi[j:j + W.dim] for j in range(0, len(phi), W.dim)]
     # (4) A o iota = iota o A_new, where A_new is the rows pick of A o iota.
     # Row q = pick[p] holds by (2), as phi[q] = p; the other rows q must
     # equal row phi[q] of A_new.
     others = [q for q, c in enumerate(phi) if pick[c] != q]
     images = [phi[q] for q in others]
     acts = {}
-    for lab in list(amb.actions):
-        A = amb.actions.pop(lab)  # freed once restricted: J^1 is not held whole
-        restricted = A.merge_columns(phi, new_dim)  # A @ iota
+    for lab in W.g.p_labels():
+        # A @ iota, each term of the J^1 formula placed through its slice
+        restricted = SpMat.assemble(len(phi), new_dim, [
+            (i * W.dim, slices[j], c, unit if m is None else m)
+            for i, j, c, m in _jet1_terms(W, lab)
+        ])
         acts[lab] = restricted.gather_rows(pick)
         if restricted.gather_rows(others) != acts[lab].gather_rows(images):
             raise EqualizerNotCertified(f"{lab} does not preserve the equalizer")

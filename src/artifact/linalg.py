@@ -22,10 +22,11 @@ The row format is private to this module: no other module reads or writes
 ``rows`` or ``dens``. Code elsewhere builds a matrix from blocks with one
 assembler, ``SpMat.assemble(nrows, ncols, [(row_off, col_off, coef, M), ...])``,
 which sums the scaled blocks, drops zeros and writes each row in stored form;
-``gather_rows``, ``place_rows`` and ``from_columns`` move rows and columns by
-index maps. A matrix is never changed after it is built, so matrices share
-rows, and the index maps move them, and their denominators, without
-copying. The sums, scalings, stacks and Kronecker products here are
+col_off may be a column map, so M composed with an index map on the right is
+one more block of the same loop. ``gather_rows``, ``place_rows`` and
+``from_columns`` move rows and columns by index maps. A matrix is never
+changed after it is built, so matrices share rows, and the index maps move
+them, and their denominators, without copying. The sums, scalings, stacks and Kronecker products here are
 assembler calls too (``kron_blocks`` gives the blocks of L (x) M), so one
 loop accumulates and normalises rows.
 
@@ -40,9 +41,9 @@ assembly of product blocks tested with ``is_zero``.
 Every kernel runs on ints. Rows are summed over the lcm of their
 denominators and each written row is divided once by the gcd of its entries
 and its denominator; a block row added to an unshared output row over the
-same denominator is summed as it is, with no lcm and no rescaling. Column
-merging and the transpose bring the rows they combine to a common
-denominator the same way. Row reduction is
+same denominator is summed as it is, with no lcm and no rescaling. The
+transpose brings the rows it combines to a common denominator the same way.
+Row reduction is
 fraction-free: the forward pass starts from the stored integer rows divided
 by their content, eliminates with r <- p_j r - r_j p and
 divides by the content again, sweeping the columns left to right with the
@@ -251,12 +252,16 @@ class SpMat:
         (row_off, col_off, coef, M), with M's (0, 0) entry placed at
         (row_off, col_off). M is a matrix or a product block (X, Y), which
         stands for X @ Y: its rows are accumulated straight into the rows the
-        other blocks write, and X @ Y itself is never built. Overlapping
-        entries are summed and zeros dropped. A row only one plain block
-        writes, with a unit coefficient and no column offset, is M's row
-        itself, shared; a row two blocks hit, a product row, or a row scaled
-        by a non-integral coefficient is brought to lowest terms once at the
-        end."""
+        other blocks write, and X @ Y itself is never built. For a matrix M,
+        col_off may instead be a column map, a sequence of M.ncols columns of
+        the output: column j of M lands in column col_off[j], so the block is
+        M @ P for the 0/1 matrix P with P[j, col_off[j]] = 1, and nothing is
+        multiplied. Overlapping entries are summed and zeros dropped. A row
+        only one plain block writes, with a unit coefficient and either no
+        column offset or a map that leaves each of its columns in place, is
+        M's row itself, shared; a row two blocks hit, a product row, a row
+        whose columns a map collides, or a row scaled by a non-integral
+        coefficient is brought to lowest terms once at the end."""
         out: dict[int, dict[int, int]] = {}
         odens: dict[int, int] = {}
         shared: set[int] = set()  # rows of out that are a block's own rows
@@ -292,6 +297,14 @@ class SpMat:
                 mr, mc = x.nrows, y.ncols
             else:
                 mr, mc = m.nrows, m.ncols
+            cols = None
+            if type(coff) is not int:  # a column map: column j lands in cols[j]
+                cols, coff = coff, 0
+                if (type(m) is tuple or len(cols) != mc
+                        or cols and not 0 <= min(cols) <= max(cols) < ncols):
+                    raise LinAlgError(f"{mr}x{mc} {'product ' * (type(m) is tuple)}block "
+                                      f"through a map of {len(cols)} columns into {ncols}")
+                mc = 0
             if roff < 0 or coff < 0 or roff + mr > nrows or coff + mc > ncols:
                 raise LinAlgError(
                     f"{mr}x{mc} block at ({roff}, {coff}) outside {nrows}x{ncols}"
@@ -345,7 +358,18 @@ class SpMat:
                 d *= cd
                 i += roff
                 if i not in out:
-                    if f == 1 and cd == 1 and not coff:
+                    if cols is not None:
+                        row = {}
+                        for j, v in r.items():
+                            j = cols[j]
+                            row[j] = row.get(j, 0) + f * v
+                        if len(row) < len(r):
+                            dirty.add(i)  # columns collided: the sum may cancel
+                        elif f == 1 and cd == 1 and list(row) == list(r):
+                            row = r  # the map left every column in place
+                            shared.add(i)
+                        out[i] = row
+                    elif f == 1 and cd == 1 and not coff:
                         out[i] = r
                         shared.add(i)
                     elif f == 1:
@@ -362,7 +386,11 @@ class SpMat:
                     f *= common(i, d)
                 orow = out[i]
                 get = orow.get
-                if coff:
+                if cols is not None:
+                    for j, v in r.items():
+                        j = cols[j]
+                        orow[j] = get(j, 0) + f * v
+                elif coff:
                     for j, v in r.items():
                         j += coff
                         orow[j] = get(j, 0) + f * v
@@ -458,33 +486,6 @@ class SpMat:
         if self.ncols != other.nrows:
             raise LinAlgError("shape mismatch in matmul")
         return SpMat.assemble(self.nrows, other.ncols, [(0, 0, 1, (self, other))])
-
-    def merge_columns(self, phi: list[int], ncols: int) -> "SpMat":
-        """self @ M for the 0/1 matrix M with one 1 per row, M[q, phi[q]]:
-        column q is added into column phi[q], and nothing is multiplied. A
-        row whose columns phi all leaves in place is the output row itself,
-        shared as ``gather_rows`` shares rows."""
-        if len(phi) != self.ncols:
-            raise LinAlgError("shape mismatch in merge_columns")
-        out = SpMat(self.nrows, ncols)
-        dens = self.dens
-        for i, r in self.rows.items():
-            acc: dict[int, int] = {}
-            merged = False
-            for j, v in r.items():
-                c = phi[j]
-                if c in acc:
-                    acc[c] += v
-                    merged = True
-                else:
-                    acc[c] = v
-            if merged:
-                out._put(i, {c: v for c, v in acc.items() if v}, dens.get(i, 1))
-            else:
-                out.rows[i] = r if list(acc) == list(r) else acc
-                if i in dens:
-                    out.dens[i] = dens[i]
-        return out
 
     def transpose(self) -> "SpMat":
         rows, dens = self.rows, self.dens

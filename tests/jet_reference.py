@@ -7,10 +7,14 @@ elimination, and every action is restricted by the products sel @ A @ iota.
 Slow, but independent of the index-map certificate in ``artifact.jetcalc``,
 against which the tests compare it.
 
-The first jet reference writes J^1(V) as V (+) (p_+ (x) V) with `repmod.tensor`
-(itself checked against Kronecker products in ``test_repmod``) and adds the
-footpoint corrections one matrix at a time with `+`, `scale` and `kron`,
-independently of the block list ``artifact.jetcalc.jet1`` assembles.
+The pipeline never builds J^1(V), J^1(f) or the twisted derivative d_V: it
+places their blocks through index maps. `jet1`, `jet1_map_matrix` and
+`twisted_matrix` build them here in full, from the J^1 formula's block list
+``artifact.jetcalc._jet1_terms``, from `block_diag`, and from the complex's
+d and unit wedges. The first jet reference writes J^1(V) as
+V (+) (p_+ (x) V) with `repmod.tensor` (itself checked against Kronecker
+products in ``test_repmod``) and adds the footpoint corrections one matrix
+at a time with `+`, `scale` and `kron`, independently of that block list.
 
 The operator reference certifies D on Jbar^{k+1}(E/E^1) on the built action
 of Jbar^{k+1}, extending the Jbar^k of the splitter L^(k), by A'_Z D = D A_Z
@@ -35,15 +39,14 @@ from dataclasses import dataclass
 
 from artifact.bggcore import compose_splitter
 from artifact.gradedla import GradedLieAlgebra
-from artifact.hodge import twisted_matrix
+from artifact.hodge import CochainComplex
 from artifact.jetcalc import (
     PModMap,
     SemiHolonomicJet,
+    _jet1_terms,
     check_equivariance,
     equalizer_index_maps,
     jbar_dim,
-    jet1,
-    jet1_map_matrix,
     semiholonomic,
 )
 from artifact.linalg import SpMat
@@ -51,10 +54,41 @@ from artifact.repmod import PModule, tensor
 from hodge_reference import pplus_module
 
 
+def jet1(V: PModule) -> PModule:
+    """J^1(V) on [V; p_+ (x) V], each action assembled from `_jet1_terms`."""
+    g = V.g
+    dv = V.dim
+    dim = (1 + len(g.pplus_roots())) * dv
+    unit = SpMat.identity(dv)
+    return PModule(g=g, dim=dim, actions={
+        lab: SpMat.assemble(dim, dim, [
+            (i * dv, j * dv, c, unit if m is None else m)
+            for i, j, c, m in _jet1_terms(V, lab)
+        ])
+        for lab in g.p_labels()
+    })
+
+
+def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
+    """The matrix of J^1(f): f on each of the 1 + dim p_+ diagonal blocks."""
+    return SpMat.block_diag([fmat] * (1 + len(g.pplus_roots())))
+
+
+def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
+    """d_V: (f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of
+    C^n, as the row of blocks [del, (n+1) eps_1, ..., (n+1) eps_d]."""
+    return SpMat.hstack([cc.dels[n]] + [w.scale(n + 1) for w in cc.unit_wedges(n)])
+
+
+def index_matrix(phi, ncols: int) -> SpMat:
+    """The 0/1 matrix with one 1 per row, at (q, phi[q])."""
+    return SpMat.from_entries(len(phi), ncols, {(q, c): 1 for q, c in enumerate(phi)})
+
+
 def iota(sh: SemiHolonomicJet) -> SpMat:
     """The embedding Jbar^r -> J^1(Jbar^{r-1}) as a matrix, from its index
     map ``sh.phi`` (the identity when r == 1, with no rows when r == 0)."""
-    return SpMat.identity(len(sh.phi)).merge_columns(sh.phi, sh.module.dim)
+    return index_matrix(sh.phi, sh.module.dim)
 
 
 def reference_jet1(V: PModule) -> PModule:
@@ -191,7 +225,7 @@ def full_operator(gs, coh_next, comps_next) -> tuple[list[SpMat], SpMat]:
     chain = compose_splitter(gs)
     values = twisted_matrix(cc, n) @ jet1_map_matrix(cc.g, gs.basis @ chain.composite)
     phi, pick = equalizer_index_maps(chain.jet)
-    values = values.merge_columns(phi, len(pick))
+    values = values @ index_matrix(phi, len(pick))
     dh = coh_next.harmonic_projection() @ values
     xc = SpMat.hstack([c.embedding for c in comps_next]).solve(dh)
     blocks, row0 = [], 0

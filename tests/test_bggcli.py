@@ -452,3 +452,18 @@ def test_certificate_failures_exit_1_without_traceback(monkeypatch, capsys, exc)
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {exc.__name__}: refused for the test\n"
+
+
+@pytest.mark.parametrize("stage", ["build_cochain_complex", "compose_splitter"])
+def test_memory_exhaustion_exits_1_with_one_line(monkeypatch, capsys, stage):
+    """A stage that runs out of memory ends the run with exit 1 and one
+    `error:` line. The stage raises MemoryError itself: nothing here
+    allocates to exhaustion."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(bggcore, stage, exhausted)
+    assert main(BASE + ["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory\n"

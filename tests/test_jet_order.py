@@ -57,7 +57,7 @@ def test_full_operator_is_the_truncated_one_after_the_prefix(label, sigma, weigh
         built = {a.target: a.block for a in op.arrows}
         width = jbar_dim(d, dv, K)
         for t, blk in enumerate(full):
-            k = operator_order(gs.n, gs.comp, gs.n + 1, comps_next[t])
+            k = operator_order(gs.comp, comps_next[t])
             own = jbar_dim(d, dv, k) if k >= 1 else 0
             assert blk.select_columns(list(range(own, blk.ncols))).is_zero(), (gs.n, t, k)
             lead = blk.select_columns(list(range(width)))

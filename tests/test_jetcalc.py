@@ -13,9 +13,7 @@ from artifact.jetcalc import (
     check_equivariance,
     check_jet_budget,
     equalizer_index_maps,
-    jet1,
     jet1_left_action,
-    jet1_map_matrix,
     jbar_dim,
     semiholonomic,
 )
@@ -27,6 +25,8 @@ from jet_reference import (
     chain_embedding,
     iota,
     jbar_of_map,
+    jet1,
+    jet1_map_matrix,
     projection_pair,
     reference_jet1,
     reference_semiholonomic,
@@ -208,26 +208,26 @@ def test_semiholonomic_extends_from_below(label, sigma, lam, r):
 
 def expect_tampered_ambient_refused():
     """Extend Jbar^1 to Jbar^2 through a J^1(Jbar^1) whose action has one
-    ambient row changed; the equalizer certificate must refuse it. Uses no
-    assert, so it also checks under python -O."""
+    ambient row changed, by one more term in the J^1 formula `_extend`
+    assembles; the equalizer certificate must refuse it. Uses no assert, so
+    it also checks under python -O."""
     V = module("A1", (1,), (1,))
     below = semiholonomic(V, 1)
-    honest = jetcalc.jet1
+    honest = jetcalc._jet1_terms
 
-    def tampered(W):
-        amb = honest(W)
-        if W is below.module:
-            # slot 0, DS coordinate 0: a row sel does not read
-            A = amb.actions[("h", 0)]
-            amb.actions[("h", 0)] = A + SpMat.from_entries(A.nrows, A.ncols, {(W.dim, 0): 1})
-        return amb
+    def tampered(W, lab):
+        terms = honest(W, lab)
+        if W is below.module and lab == ("h", 0):
+            # 1 at (slot 0, DS coordinate 0; footpoint 0): a row sel does not read
+            terms.append((1, 0, 1, SpMat.from_entries(W.dim, W.dim, {(0, 0): 1})))
+        return terms
 
-    jetcalc.jet1 = tampered
+    jetcalc._jet1_terms = tampered
     try:
         with pytest.raises(EqualizerNotCertified, match="does not preserve"):
             semiholonomic(V, 2, below=below)
     finally:
-        jetcalc.jet1 = honest
+        jetcalc._jet1_terms = honest
 
 
 def test_tampered_ambient_action_is_refused():

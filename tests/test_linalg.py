@@ -230,25 +230,60 @@ def test_stack_shape_check_survives_python_O():
     assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
+def through(A, phi, ncols):
+    """A placed through the column map phi: one assembler block."""
+    return SpMat.assemble(A.nrows, ncols, [(0, phi, 1, A)])
+
+
 @given(mat_strategy(3, 5), st.lists(st.integers(0, 2), min_size=5, max_size=5))
-def test_merge_columns_is_matmul_by_index_map(A, phi):
+def test_column_map_is_matmul_by_index_map(A, phi):
     M = SpMat.from_entries(5, 3, {(q, c): Q(1) for q, c in enumerate(phi)})
-    assert A.merge_columns(phi, 3) == A @ M
+    assert through(A, phi, 3) == A @ M == reference_merge_columns(A, phi, 3)
+    assert stored_form(through(A, phi, 3))
     with pytest.raises(LinAlgError):
-        A.merge_columns(phi[:-1], 3)
+        through(A, phi[:-1], 3)
 
 
-def test_merge_columns_shares_the_rows_it_leaves_in_place():
-    """Under an identity phi every output row is the input row itself; a row
-    that a merge or a move touches is a new row."""
+def test_column_map_shares_the_rows_it_leaves_in_place():
+    """Under an identity map every output row is the input row itself; a row
+    that a collision or a move touches is a new row, which the output owns."""
     A = SpMat.from_dense([[1, Q(1, 2), 0], [0, 0, 3], [2, 0, 5]])
-    same = A.merge_columns([0, 1, 2], 4)
+    same = through(A, [0, 1, 2], 4)
     assert all(same.rows[i] is A.rows[i] for i in A.rows)
     assert same.dens == A.dens
     assert same == A @ SpMat.identity(3, 4)
-    merged = A.merge_columns([0, 1, 0], 2)
+    merged = through(A, [0, 1, 0], 2)
     assert merged.rows[1] is not A.rows[1] and merged.rows[2] is not A.rows[2]
     assert merged.rows[0] is A.rows[0]
+    # a scaled block, or one under a map that moves a column, owns its rows
+    assert SpMat.assemble(3, 3, [(0, [0, 1, 2], 3, A)]).rows[0] is not A.rows[0]
+    assert through(A, [1, 0, 2], 3).rows[0] is not A.rows[0]
+
+
+def test_column_map_sums_collisions_in_lowest_terms():
+    A = SpMat.from_dense([[Q(1, 2), Q(1, 2), 0], [1, -1, 2], [Q(1, 3), Q(-1, 3), 0]])
+    M = through(A, [0, 0, 1], 2)
+    # 1/2 + 1/2 = 1 is an integral row; 1 - 1 leaves only the 2; 1/3 - 1/3 = 0
+    assert (M.rows, M.dens) == ({0: {0: 1}, 1: {1: 2}}, {})
+    assert stored_form(M)
+    # a collision on top of a row another block wrote first
+    S = SpMat.assemble(3, 2, [(0, 0, Q(1, 2), SpMat.identity(3, 2)), (0, [0, 0, 1], 1, A)])
+    assert canon(S) == canon(reference_merge_columns(A, [0, 0, 1], 2)
+                             + SpMat.identity(3, 2).scale(Q(1, 2)))
+    assert stored_form(S)
+
+
+@pytest.mark.parametrize("phi", [[0, 1], [0, 1, 2, 0], [0, 1, 3], [-1, 0, 1]])
+def test_column_map_is_checked(phi):
+    A = SpMat.from_dense([[1, 2, 3]])
+    with pytest.raises(LinAlgError, match="through a map of"):
+        through(A, phi, 3)
+
+
+def test_product_block_takes_no_column_map():
+    A = SpMat.identity(2)
+    with pytest.raises(LinAlgError, match="product block through a map"):
+        SpMat.assemble(2, 2, [(0, [1, 0], 1, (A, A))])
 
 
 # -- the integer kernels against the plain rational references ---------------
@@ -375,7 +410,7 @@ def test_entries_are_stored_as_int_when_integral():
     assert stored_form(A.scale(2))
     assert stored_form(A + A)
     assert stored_form(A.kron(A))
-    assert stored_form(A.merge_columns([0, 0], 1))
+    assert stored_form(through(A, [0, 0], 1))
     assert stored_form(SpMat.diagonal([Q(3, 3), Q(1, 3)]))
     assert stored_form(SpMat.identity(3))
 
@@ -404,6 +439,30 @@ def block_list(draw):
         if draw(st.booleans()):
             blocks.append((roff, coff, -c, M))
     return nr, nc, blocks
+
+
+@given(block_list(), st.data())
+def test_mapped_blocks_sum_with_placed_ones(case, data):
+    """Blocks through column maps, summed in one assembly with blocks at
+    offsets, in any order: the reference sum, and no input row changed."""
+    nr, nc, blocks = case
+    if not nc:
+        return
+    mapped = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        M = data.draw(mixed_mat(data.draw(st.integers(0, nr)), data.draw(st.integers(0, 5))))
+        phi = data.draw(st.lists(st.integers(0, nc - 1), min_size=M.ncols, max_size=M.ncols))
+        c = data.draw(st.one_of(st.just(1), scalar))
+        mapped.append((data.draw(st.integers(0, nr - M.nrows)), phi, c, M))
+    order = data.draw(st.permutations(blocks + mapped))
+    before = [snapshot(M) for *_, M in order]
+    got = SpMat.assemble(nr, nc, order)
+    assert [snapshot(M) for *_, M in order] == before
+    want = reference_assemble(nr, nc, blocks + [
+        (r, 0, c, reference_merge_columns(M, phi, nc)) for r, phi, c, M in mapped
+    ])
+    assert canon(got) == canon(want)
+    assert got == want and stored_form(got)
 
 
 def placed(nr, nc, roff, coff, c, M):
@@ -652,7 +711,7 @@ def test_kernels_match_fraction_references(case):
     results = [
         (A @ B, reference_matmul(A, B)),
         (SpMat.assemble(nr, nc, blocks), reference_assemble(nr, nc, blocks)),
-        (C.merge_columns(phi, 4), reference_merge_columns(C, phi, 4)),
+        (through(C, phi, 4), reference_merge_columns(C, phi, 4)),
         (C.transpose(), reference_transpose(C)),
         (C.kron(K), reference_kron(C, K)),
         (K.kron(C), reference_kron(K, C)),
@@ -677,8 +736,8 @@ def test_kernels_match_fraction_references(case):
 
 def test_kernels_build_no_Q(monkeypatch):
     """The kernels run on ints: on rational inputs, a product, an assembly
-    with and without product blocks, a column merge, a row reduction and a
-    rank construct no Q at all."""
+    with and without product blocks, a block through a column map, a row
+    reduction and a rank construct no Q at all."""
     A = SpMat.from_dense([[Q(1, 2), Q(2, 3), 0], [Q(-3, 4), 1, Q(5, 6)], [0, Q(7, 5), 2]])
     B = SpMat.from_dense([[Q(1, 3), 0], [Q(2, 5), Q(-1, 7)], [4, Q(3, 2)]])
     made = []
@@ -690,7 +749,7 @@ def test_kernels_build_no_Q(monkeypatch):
     monkeypatch.setattr(linalg, "Q", counting_q)
     P = A @ B
     S = SpMat.assemble(3, 5, [(0, 0, Q(2, 3), A), (0, 2, Q(-5, 4), B), (0, 1, 1, A)])
-    M = S.merge_columns([0, 1, 0, 1, 2], 3)
+    M = through(S, [0, 1, 0, 1, 2], 3)
     R, pivots = S.rref()
     blocks = [(0, 0, Q(-7, 3), (A, B)), (0, 1, 2, (A, A @ B)), (0, 0, Q(1, 2), B)]
     PB = SpMat.assemble(3, 3, blocks)

@@ -16,7 +16,7 @@ from artifact.certify import CertificationFailure, certify_from_left
 from artifact.jetcalc import MAX_JET_DIM, equalizer_index_maps, jbar_dim
 from artifact.linalg import SpMat
 from conftest import BATTERY, NO_JET_BUDGET, components_for
-from jet_reference import full_build_certificate
+from jet_reference import full_build_certificate, index_matrix
 
 ACCEPT_CASES = [(label, sigma, w) for label, sigma, ws in BATTERY for w in ws]
 ACCEPT_CASES.append(("G2", (1,), (1, 0)))
@@ -47,7 +47,7 @@ def left_certificate_accepts(dt, chain, coh_next) -> bool:
 
 def merged(dt, chain):
     phi, pick = equalizer_index_maps(chain.jet)
-    return dt.merge_columns(phi, len(pick))
+    return dt @ index_matrix(phi, len(pick))
 
 
 def plus_one(dt, col):
@@ -104,7 +104,7 @@ def test_operator_builds_no_jet_action(monkeypatch, label, sigma, weight, level,
     chain = compose_splitter(gs)
     assert gs.r == (0 if level == 1 else 2)
     calls = Counter()
-    for name in ("jet1", "semiholonomic"):
+    for name in ("_extend", "semiholonomic"):
         original = getattr(jetcalc, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):

@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from artifact.certify import CertificationFailure, certify_map
-from artifact.hodge import CochainComplex, twisted_matrix
-from artifact.jetcalc import PModMap, SemiHolonomicJet, jet1, jet1_map_matrix, prolong, semiholonomic
+from artifact.hodge import CochainComplex
+from artifact.jetcalc import PModMap, SemiHolonomicJet, prolong, semiholonomic
 from artifact.linalg import LinAlgError, SpMat
 from artifact.repmod import PModule
-from jet_reference import iota
+from jet_reference import iota, jet1, jet1_map_matrix, twisted_matrix
 
 
 def twisted_d_hom(cc: CochainComplex, n: int) -> PModMap:
