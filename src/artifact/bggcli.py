@@ -25,6 +25,7 @@ from .hodge import ComplexNotCertified
 from .jetcalc import MAX_JET_DIM, EqualizerNotCertified
 from .linalg import qstr
 from .repmod import (
+    MAX_CHAIN_DIM,
     MAX_MODULE_DIM,
     DimensionOverBudget,
     ModuleNotCertified,
@@ -53,7 +54,7 @@ class ValidationError(Exception):
 COMMANDS = ("cohomology", "diagram", "verify")
 # the flag names; a config file takes each of them but "config" as a key
 FLAGS = ("algebra", "cross", "weight", "emit", "config",
-         "max-module-dim", "max-jet-dim", "out")
+         "max-module-dim", "max-jet-dim", "max-chain-dim", "out")
 FORMATS = ("text", "dot", "json")
 # failed certificates: exit 1 with one line naming the type
 CERTIFICATE_ERRORS = (
@@ -70,10 +71,11 @@ class JobSpec:
     def __init__(self, algebra: str, sigma: tuple[int, ...], weight: tuple[int, ...],
                  command: str, emit: tuple[str, ...] = ("text",),
                  max_module_dim: int = MAX_MODULE_DIM, max_jet_dim: int = MAX_JET_DIM,
-                 out: str | None = None):
+                 out: str | None = None, max_chain_dim: int = MAX_CHAIN_DIM):
         self.algebra, self.sigma, self.weight, self.command = algebra, sigma, weight, command
         self.emit, self.out = emit, out
         self.max_module_dim, self.max_jet_dim = max_module_dim, max_jet_dim
+        self.max_chain_dim = max_chain_dim
         self.root_system: RootSystem | None = None
 
     def __eq__(self, other) -> bool:
@@ -149,12 +151,13 @@ def parse_spec(argv: list[str]) -> JobSpec:
     try:
         mmd = int(merged.get("max-module-dim", MAX_MODULE_DIM))
         mjd = int(merged.get("max-jet-dim", MAX_JET_DIM))
+        mcd = int(merged.get("max-chain-dim", MAX_CHAIN_DIM))
     except ValueError as exc:
         raise ParseError(f"budgets must be integers: {exc}") from exc
     job = JobSpec(
         algebra=merged["algebra"], sigma=sigma, weight=weight, command=command,
         emit=emit, max_module_dim=mmd, max_jet_dim=mjd,
-        out=merged.get("out"),
+        out=merged.get("out"), max_chain_dim=mcd,
     )
     validate(job)
     return job
@@ -214,7 +217,8 @@ def validate(job: JobSpec) -> None:
             kind = "unknown" if f not in FORMATS else "repeated"
             raise ValidationError(f"{kind} emit format {f!r}")
     for flag, budget in (("--max-module-dim", job.max_module_dim),
-                         ("--max-jet-dim", job.max_jet_dim)):
+                         ("--max-jet-dim", job.max_jet_dim),
+                         ("--max-chain-dim", job.max_chain_dim)):
         if budget < 1:
             raise ValidationError(f"{flag} must be at least 1, got {budget}")
     try:
@@ -241,6 +245,7 @@ def run(job: JobSpec) -> Report:
         max_module_dim=job.max_module_dim,
         max_jet_dim=job.max_jet_dim,
         with_arrows=job.command in ("diagram", "verify"),
+        max_chain_dim=job.max_chain_dim,
     )
     report = Report(job=job, diagram=diagram)
     for fmt in job.emit:

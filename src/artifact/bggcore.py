@@ -44,13 +44,14 @@ J^1(L^(K-1)), whose composite is assembled from product blocks.
 This module computes; `certify` checks. Every splitter and operator is
 certified there to commute with the p-action before it is used, and the
 identity battery `verify` reports runs there too. `build_bgg_diagram`
-runs the cochain identities first, while no level's p-action exists, then
+runs the cochain identities first, while no Lambda^n p_+ exists, then
 builds H^0 and makes one pass over the levels: step n builds H^{n+1} and
 its components, then runs level n's checks, then level n's sources, so
-every reader finds C^n and C^{n+1} among the complex's two levels and each
-level is built once. The columns and the oracle check come last. A
-source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is left partial, by
-`generate_submodule` at the first layer of E that shows it.
+every reader finds Lambda^n and Lambda^{n+1} among the complex's two
+levels, each is built once, and each reader places the p-action on C^n as
+blocks of them and of V's matrices. The columns and the oracle check come
+last. A source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is left
+partial, by `generate_submodule` at the first layer of E that shows it.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .jetcalc import (
 )
 from .linalg import LinAlgError, SpMat, qstr
 from .repmod import (
+    MAX_CHAIN_DIM,
     MAX_MODULE_DIM,
     DimensionOverBudget,
     IrrepLabel,
@@ -192,7 +194,8 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
                        max_jet_dim: int = MAX_JET_DIM) -> GeneratedSubmodule:
     """Close the harmonic component under the p_+ action, layering the basis
     by E-eigenvalue offset: `layered_closure` with each raising action and
-    its grade. The component lies in E-grade i0, and an action of grade s
+    its grade, the actions of one grade in one assembly of product blocks
+    (``cc.act``), as is the p-action on E. The component lies in E-grade i0, and an action of grade s
     adds s to the E-grade, so layer j lies in E-grade i0 + j and the layers
     are independent. Each basis vector is certified to have one weight, and
     that weight's E-eigenvalue to be its layer's grade, and E to lie in
@@ -207,10 +210,15 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
             f"component {comp.label} has multiplicity {comp.multiplicity}"
         )
     g = cc.g
-    level = cc.level(coh.n)
     n = coh.n
     i0 = comp.e_eigenvalue
-    raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
+    # one op per grade s >= 1, the images of its raising actions side by side:
+    # they all land in the same layer, in the order the labels come
+    by_grade: dict[int, list] = {}
+    for lab in g.p_labels():
+        if g.grade_of(lab) >= 1:
+            by_grade.setdefault(g.grade_of(lab), []).append(lab)
+    raising = [(lambda x, labs=labs: cc.act(n, labs, x), s) for s, labs in by_grade.items()]
     layers: list[tuple[int, SpMat]] = []
     for j, b in layered_closure(coh.ker_box @ comp.embedding, raising):
         layers.append((j, b))
@@ -223,13 +231,13 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     r = max(offsets)
     if not (cc.delstars[n - 1] @ basis).is_zero():
         raise CertificationFailure(f"E is not inside ker dstar on C^{n}")
-    acts = action_on_span(basis, level.actions, g.p_labels())
+    acts = action_on_span(basis, cc.act(n, g.p_labels(), basis), g.p_labels())
     supp: dict[int, list[int]] = {}
     for i, k in basis.support():
         supp.setdefault(k, []).append(i)
     weights = []
     for k in range(m):
-        ws = {level.weights[i] for i in supp.get(k, ())}
+        ws = {cc.weights[n][i] for i in supp.get(k, ())}
         if len(ws) != 1:
             raise CertificationFailure(f"E basis vector {k} is not a weight vector")
         weights.append(ws.pop())
@@ -411,17 +419,20 @@ class BGGDiagram:
 def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
                       max_module_dim: int = MAX_MODULE_DIM,
                       max_jet_dim: int = MAX_JET_DIM,
-                      with_arrows: bool = True) -> BGGDiagram:
+                      with_arrows: bool = True,
+                      max_chain_dim: int = MAX_CHAIN_DIM) -> BGGDiagram:
     """Full pipeline: dual-convention module, cohomology columns, splitting
     operators, arrows. The input weight labels the zeroth column; the module
     acted on is the irreducible with highest weight dominant_rep(-lam).
 
     The pass order: the cochain identities, which read only d, dstar and
-    G_n, before any level's p-action is built; H^0 and its components; then
-    for each n < top, H^{n+1} and its components, the Leibniz and commutator
+    G_n, before any Lambda^n p_+ is built; H^0 and its components; then for
+    each n < top, H^{n+1} and its components, the Leibniz and commutator
     checks at n, and level n's sources; the columns and the oracle check
-    last. So C^n and C^{n+1} are the complex's two levels whenever level n
-    is read, and each level's action is built once (``CochainComplex``)."""
+    last. So Lambda^n and Lambda^{n+1} are the complex's two levels whenever
+    level n is read, and each is built once (``CochainComplex``).
+    ``max_chain_dim`` caps the largest dim C^n before the complex is built
+    (`hodge.build_cochain_complex`)."""
     rs = g.rs
     if any(x < 0 for x in lam):
         raise ValueError("weight must be dominant integral")
@@ -429,8 +440,8 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
         rs, range(1, rs.rank + 1), tuple(-x for x in lam)
     )
     V = restrict_to_parabolic(build_irrep(rs, lam_mod, max_dim=max_module_dim), g)
-    cc = build_cochain_complex(g, V)
-    # before any level's action exists: G_n is built and dropped level by level
+    cc = build_cochain_complex(g, V, max_chain_dim)
+    # before any Lambda^n exists: G_n is built and dropped level by level
     verify = verify_cochain_identities(cc)
     verify.update(codifferential_leibniz=True, differential_commutator=True)
     if with_arrows:
@@ -439,8 +450,9 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
     partial: list[tuple[int, int]] = []
     cohs = [cohomology_module(cc, 0)]
     comps = [decompose_completely_reducible(cohs[0].module)]
-    # one pass (module docstring): step n builds H^{n+1}, so C^n and C^{n+1}
-    # are the complex's two levels while level n's checks and sources run
+    # one pass (module docstring): step n builds H^{n+1}, so Lambda^n and
+    # Lambda^{n+1} are the complex's two levels while level n's checks and
+    # sources run
     for n in range(cc.top):
         cohs.append(cohomology_module(cc, n + 1))
         comps.append(decompose_completely_reducible(cohs[n + 1].module))

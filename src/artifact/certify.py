@@ -12,6 +12,8 @@ apart and subtracted.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .gradedla import GradedLieAlgebra
 from .hodge import CochainComplex, kostant_oracle
 from .jetcalc import (
@@ -20,7 +22,7 @@ from .jetcalc import (
     check_equivariance,
     jet1_left_action,
 )
-from .linalg import SpMat
+from .linalg import SpMat, kron_blocks
 from .repmod import PModule
 from .rootspace import Weight
 
@@ -93,17 +95,17 @@ def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
     """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z of p_+. Reads
     the unit wedges of level n - 1 before level n, so that run over n in
     order, n - 1 is the one level the complex holds, and each is built once.
-    Of the level actions it reads C^n's only: C^{n-1} is never built for it.
-    On C^0 the last term is a product through C^{-1} = 0, so it is zero."""
+    Z.f is A^n_Z placed as plain blocks in the signed sum, from Lambda^n p_+
+    and V: Lambda^{n-1} is never built for it. On C^0 the last term is a
+    product through C^{-1} = 0, so it is zero."""
     roots = cc.g.pplus_roots()
     dim = cc.dim(n)
-    acts = cc.level(n).actions
     below = cc.unit_wedges(n - 1)
     wedges = cc.unit_wedges(n)
     for a, wa in enumerate(wedges):
         if not SpMat.assemble(dim, dim, [
             (0, 0, 1, (cc.delstars[n], wa)),
-            (0, 0, 1, acts[("e", roots[a])]),
+            *cc.action_blocks(n, ("e", roots[a])),
             (0, 0, 1, (below[a], cc.delstars[n - 1])),
         ]).is_zero():
             return False
@@ -113,20 +115,34 @@ def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
 def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
     """W.(del f) - del(W.f) = (n+1) sum_a eta_a ^ ([W, xi_a].f) on C^n,
     checked as one signed sum of products for each label; the action of
-    [W, xi_a] is never assembled. Reads the unit wedges of level n, and the
-    actions of C^n and C^{n+1}."""
-    g = cc.g
-    wedges = cc.unit_wedges(n)
-    acts = cc.level(n).actions
-    above = cc.level(n + 1).actions
+    [W, xi_a] is never assembled. A^{n+1}_W d_n is placed as product blocks
+    with d_n on the right. d_n A^n_W is one product block, with A^n_W
+    assembled for this label only and dropped after it. Each bracket term
+    is (eps_a (x) 1) A^n_B = (eps_a L_B) (x) 1 + eps_a (x) M_B, for the bare
+    wedges eps_a: Lambda^n -> Lambda^{n+1} and B's matrices L_B on
+    Lambda^n p_+ and M_B on V, so no unit wedge is read. The first parts of
+    a label's terms are placed as (sum of c eps_a L_B) (x) 1, a sum that
+    lives only while its blocks are placed (on a one-dimensional V it is
+    product blocks, never built). Reads Lambda^n and Lambda^{n+1}."""
+    g, V = cc.g, cc.V
+    lam = cc.wedge_module(n).actions
+    eps = cc.bare_wedges(n)
+    one = SpMat.identity(V.dim)
     d = cc.dels[n]
+
+    def brackets(lab):
+        terms = [(-(n + 1) * c, a, blab) for a, blab, c in g.xi_brackets(lab)]
+        yield from kron_blocks([(c, eps[a], lam[blab]) for c, a, blab in terms], one)
+        for c, a, blab in terms:
+            yield from kron_blocks(eps[a], V.actions[blab], c)
+
     for lab in g.p_labels():
         if g.grade_of(lab) < 1:
             continue
-        blocks = [(0, 0, 1, (above[lab], d)), (0, 0, -1, (d, acts[lab]))]
-        blocks.extend(
-            (0, 0, -(n + 1) * c, (wedges[a], acts[blab]))
-            for a, blab, c in g.xi_brackets(lab)
+        blocks = chain(
+            cc.action_blocks(n + 1, lab, right=d),
+            cc.action_blocks(n, lab, -1, left=d),
+            brackets(lab),
         )
         if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks).is_zero():
             return False

@@ -4,8 +4,10 @@ Cochain spaces are C^n = Lambda^n p_+ (x) V with the wedge basis (increasing
 tuples of p_+ root positions, in lex order) and V's own basis, row-major.
 The complex is zero outside 0..top = dim p_+, and ``CochainComplex`` stores
 both zero ends, so every level reads its neighbours the same way. It holds
-every level's weights, d and dstar for the whole job, and builds a level's
-p-action only where it is read, two adjacent levels at a time.
+every level's weights, d and dstar for the whole job, and the p-action of
+Lambda^n p_+ on two adjacent levels at a time. The p-action on C^n is the
+Kronecker sum of that and V's, and is placed as assembler blocks where it
+is read; it is never stored.
 This module is the one home of the wedge. Every cochain matrix is a sum of
 Kronecker products of V's matrices with the unit wedges
 eps_a: Lambda^n -> Lambda^{n+1}, eps_a(I) = (-1)^k I', where I' is I with a
@@ -48,11 +50,18 @@ where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 from __future__ import annotations
 
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .gradedla import DualBasisPair, GradedLieAlgebra
-from .linalg import Q, SpMat, kron_blocks
-from .repmod import PModule, action_on_span, positions_by_weight, tensor, tensor_weights
+from .linalg import Q, SpMat, kron_blocks, kron_sum_blocks
+from .repmod import (
+    MAX_CHAIN_DIM,
+    DimensionOverBudget,
+    PModule,
+    action_on_span,
+    positions_by_weight,
+    tensor_weights,
+)
 from .rootspace import Weight, affine_dot_action, dominant_representative_for, parabolic_hasse
 
 
@@ -68,33 +77,44 @@ class CochainComplex:
     """``weights[n]`` is the weight of each coordinate of C^n,
     ``dels[n]``: C^n -> C^{n+1}, ``delstars[n]``: C^{n+1} -> C^n, and
     ``wedge_tuples[n]`` is the wedge basis of Lambda^n, each keyed by the
-    level n; ``level(n)`` is C^n with its p-action. The complex is zero
-    outside 0..top and holds both zero ends: C^{-1} = C^{top+1} = 0 (dim 0,
-    no weights, no wedge tuples, 0x0 actions), with d_{-1}, dstar_{-1},
-    d_top and dstar_top zero maps. So every level reads n - 1 and n + 1
-    alike, and no reader branches on an end.
+    level n. The complex is zero outside 0..top and holds both zero ends:
+    C^{-1} = C^{top+1} = 0 (dim 0, no weights, no wedge tuples, 0x0
+    actions), with d_{-1}, dstar_{-1}, d_top and dstar_top zero maps. So
+    every level reads n - 1 and n + 1 alike, and no reader branches on an
+    end.
+
+    The p-action on C^n is never a stored matrix. P acts on
+    Lambda^n p_+ (x) V through the tensor product, so
+    A^n_Z = L_Z (x) 1 + 1 (x) M_Z, the Kronecker sum of Z's matrix L_Z on
+    Lambda^n p_+ (``wedge_module(n)``) and its matrix M_Z on V. Every reader
+    places it as assembler blocks (``action_blocks``,
+    `linalg.kron_sum_blocks`): as plain blocks inside a signed sum, as
+    A^n_Z X for a matrix X on the right (``act``), or as X A^n_Z, one
+    product block whose right factor is assembled for that one label and
+    dropped with the block.
 
     The complex keeps across a job only what the job reads. The weights,
-    d and dstar of every level are always held. A level's p-action is built
-    on the first call of ``level(n)`` and kept for two levels: building a
-    level drops every level but the one built last. `build_bgg_diagram`
-    asks for C^{n+1} before it runs the checks and the sources of level n,
-    which read C^n and C^{n+1} only, so a whole run builds each level once.
-    The inner product G_n is built where it is read, on each call of
-    ``inner(n)``: only the adjointness check reads it, one level after
-    another. The unit wedges eps_a (x) 1_V are kept for one level, the last
-    one asked for. The Leibniz check on C^n reads n - 1 before n, so a
-    level-by-level run builds each level's wedges once, and n - 1 lives on
-    only while that one check reads it. The bare eps_a: Lambda^n ->
-    Lambda^{n+1} are kept for one level as well: building C^{n+1} makes
-    them, and the unit wedges of level n, asked for next, reuse them."""
+    d and dstar of every level are always held, and V's matrices with V.
+    Lambda^n p_+ is built on the first call of ``wedge_module(n)`` and kept
+    for two levels: building a level drops every level but the one built
+    last. `build_bgg_diagram` asks for Lambda^{n+1} before it runs the
+    checks and the sources of level n, which read Lambda^n and
+    Lambda^{n+1} only, so a whole run builds each level once. The inner product G_n is built where
+    it is read, on each call of ``inner(n)``: only the adjointness check
+    reads it, one level after another. The unit wedges eps_a (x) 1_V are
+    kept for one level, the last one asked for. The Leibniz check on C^n
+    reads n - 1 before n, so a level-by-level run builds each level's
+    wedges once, and n - 1 lives on only while that one check reads it. The
+    bare eps_a: Lambda^n -> Lambda^{n+1} (``bare_wedges``) are kept for one
+    level as well: building Lambda^{n+1} makes them, and the unit wedges of
+    level n, asked for next, reuse them."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
                  weights: dict[int, tuple[Weight, ...]], wedge_tuples: dict[int, list[tuple]],
                  dels: dict[int, SpMat], delstars: dict[int, SpMat]):
         self.g, self.V, self.dual, self.weights, self.wedge_tuples = g, V, dual, weights, wedge_tuples
         self.dels, self.delstars = dels, delstars
-        self._levels: dict[int, PModule] = {}
+        self._lambdas: dict[int, PModule] = {}
         self._bare: dict[int, list[SpMat]] = {}
         self._wedges: dict[int, list[SpMat]] = {}
 
@@ -105,24 +125,41 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return len(self.weights[n])
 
-    def level(self, n: int) -> PModule:
-        """C^n = Lambda^n p_+ (x) V with its p-action, for -1 <= n <= top + 1
-        (the zero module at both ends), built on first use and kept while it
-        is one of the two levels built last (the class docstring)."""
+    def wedge_module(self, n: int) -> PModule:
+        """Lambda^n p_+ with its p-action, for -1 <= n <= top + 1 (the zero
+        module at both ends), built on first use and kept while it is one of
+        the two levels built last (the class docstring)."""
         if not -1 <= n <= self.top + 1:
             raise DegreeOverflow(f"no level {n} in the complex (top {self.top})")
-        if n not in self._levels:
+        if n not in self._lambdas:
             # the older level goes before n is built, so two are alive at most
-            self._levels = dict(list(self._levels.items())[-1:])
-            eps = self._eps(n - 1)
-            wedge = _wedge_module(self.g, self.wedge_tuples[n], eps, [e.transpose() for e in eps])
-            self._levels[n] = tensor(wedge, self.V)
-        return self._levels[n]
+            self._lambdas = dict(list(self._lambdas.items())[-1:])
+            eps = self.bare_wedges(n - 1)
+            self._lambdas[n] = _wedge_module(self.g, len(self.wedge_tuples[n]), eps,
+                                             [e.transpose() for e in eps])
+        return self._lambdas[n]
 
-    def _eps(self, n: int) -> list[SpMat]:
+    def action_blocks(self, n: int, lab, c=1, right: SpMat | None = None,
+                      col_off: int = 0, left: SpMat | None = None):
+        """The assembler blocks of c A^n_Z, Z = ``lab``, on C^n, of
+        c A^n_Z @ right, or of c left @ A^n_Z: `linalg.kron_sum_blocks` of
+        Z's matrices on Lambda^n p_+ and on V."""
+        return kron_sum_blocks(self.wedge_module(n).actions[lab], self.V.actions[lab],
+                               c, right, col_off, left)
+
+    def act(self, n: int, labels: list, x: SpMat) -> SpMat:
+        """A^n_Z @ x for each Z in ``labels``, side by side (x.ncols columns
+        each), in one assembly."""
+        w = x.ncols
+        return SpMat.assemble(self.dim(n), w * len(labels), (
+            b for t, lab in enumerate(labels)
+            for b in self.action_blocks(n, lab, right=x, col_off=t * w)
+        ))
+
+    def bare_wedges(self, n: int) -> list[SpMat]:
         """The bare unit wedges eps_a: Lambda^n -> Lambda^{n+1}, kept for one
-        level, the last one asked for: ``level(n + 1)`` builds them, and
-        ``unit_wedges(n)``, which a pass asks for next, reuses them. (At
+        level, the last one asked for: ``wedge_module(n + 1)`` builds them,
+        and ``unit_wedges(n)``, which a pass asks for next, reuses them. (At
         n = 0 the Leibniz check asks for level -1 in between, so the two
         smallest, the zero maps and Lambda^0 -> Lambda^1, are built twice.)"""
         if n not in self._bare:
@@ -148,7 +185,7 @@ class CochainComplex:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         if n not in self._wedges:
             one = SpMat.identity(self.V.dim)
-            self._wedges = {n: [e.kron(one) for e in self._eps(n)]}
+            self._wedges = {n: [e.kron(one) for e in self.bare_wedges(n)]}
         return self._wedges[n]
 
 
@@ -164,14 +201,20 @@ def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
     return [SpMat.from_entries(len(upper), len(lower), e) for e in entries]
 
 
-def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
+def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
+                          max_chain_dim: int = MAX_CHAIN_DIM) -> CochainComplex:
     """The weights of every level, and all differentials and codifferentials,
     in the operator form of the module docstring, with the zero ends of
     ``CochainComplex``: one loop from n = -1, starting from the zero maps
     eps_a: Lambda^{-2} -> Lambda^{-1}, builds d_n and dstar_n, so the wedges
     eps_a on only two adjacent levels are alive at a time. No p-action and
-    no G_n is built here: the complex builds each level's action
-    (``CochainComplex.level``), its unit wedges and G_n where they are read.
+    no G_n is built here: the complex builds each Lambda^n p_+
+    (``CochainComplex.wedge_module``), its unit wedges and G_n where they
+    are read.
+
+    The largest level, dim C^{d // 2} = C(d, d // 2) dim V for d = dim p_+,
+    is checked against ``max_chain_dim`` before any wedge tuple is listed;
+    over it, DimensionOverBudget is raised.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -180,9 +223,14 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
         raise ValueError("coefficient module lacks g_- actions")
     if V.gram is None:
         raise ValueError("coefficient module lacks a contravariant Gram")
+    d = len(g.pplus_roots())
+    widest = comb(d, d // 2) * V.dim
+    if widest > max_chain_dim:
+        raise DimensionOverBudget(
+            f"dim C^{d // 2} = {widest} exceeds budget {max_chain_dim}"
+        )
     dual = g.dual_bases()
     roots, dd = dual.roots, dual.d
-    d = len(roots)
     fbr = _bracket_table(g, roots, "f")
     ebr = _bracket_table(g, roots, "e")
     f_act = [V.actions[("f", r)] for r in roots]
@@ -220,13 +268,13 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     )
 
 
-def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
+def _wedge_module(g: GradedLieAlgebra, dim: int, eps: list[SpMat],
                   iota: list[SpMat]) -> PModule:
-    """Lambda^n p_+ on the wedge basis ``tuples``, with Z acting by
+    """Lambda^n p_+, of dimension ``dim``, with Z acting by
     sum_ij ad(Z)_ij eps_i iota_j for the unit wedges eps_a:
     Lambda^{n-1} -> Lambda^n and their transposes iota_a (zero maps when
-    n <= 0, so Lambda^0 and Lambda^{-1} = 0 take the same sum)."""
-    dim = len(tuples)
+    n <= 0, so Lambda^0 and Lambda^{-1} = 0 take the same sum). Its weights
+    are not kept: the complex holds those of C^n."""
     return PModule(
         g=g, dim=dim,
         actions={
@@ -234,7 +282,6 @@ def _wedge_module(g: GradedLieAlgebra, tuples: list[tuple], eps: list[SpMat],
                                            for i, j, c in ad.entries()])
             for lab, ad in g.pplus_action().items()
         },
-        weights=_wedge_weights(g, tuples),
     )
 
 
@@ -372,12 +419,15 @@ class Cohomology:
 
 
 def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
+    """H^n as the g_0-module ker box, with p_+ acting by zero. The g_0
+    images of ker box are one assembly of product blocks (``cc.act``), and
+    `action_on_span` solves them against it at once."""
     K, weights, blocks = hodge_decompose(cc, n)
     m = K.ncols
     labels = cc.g.p_labels()
     # g_0 preserves ker box, and p_+ acts on its cohomology by zero
-    acts = action_on_span(K, cc.level(n).actions,
-                          [lab for lab in labels if cc.g.grade_of(lab) <= 0])
+    levi = [lab for lab in labels if cc.g.grade_of(lab) <= 0]
+    acts = action_on_span(K, cc.act(n, levi, K), levi)
     mod = PModule(g=cc.g, dim=m, weights=weights,
                   actions={lab: acts.get(lab, SpMat(m, m)) for lab in labels})
     return Cohomology(n=n, module=mod, ker_box=K, blocks=blocks)

@@ -27,8 +27,9 @@ one more block of the same loop. ``gather_rows``, ``place_rows`` and
 ``from_columns`` move rows and columns by index maps. A matrix is never
 changed after it is built, so matrices share rows, and the index maps move
 them, and their denominators, without copying. The sums, scalings, stacks and Kronecker products here are
-assembler calls too (``kron_blocks`` gives the blocks of L (x) M), so one
-loop accumulates and normalises rows.
+assembler calls too (``kron_blocks`` gives the blocks of L (x) M, and
+``kron_sum_blocks`` those of L (x) 1 + 1 (x) M, alone or times a matrix on
+either side), so one loop accumulates and normalises rows.
 
 Products accumulate in the assembler as well. A block M may be a product
 block (X, Y), standing for X @ Y: each row of X is multiplied out against
@@ -154,17 +155,81 @@ def _row_scales(y: "SpMat") -> tuple[dict[int, int] | None, int]:
     return {k: den // ydens.get(k, 1) for k in y.rows}, den
 
 
-def kron_blocks(L: "SpMat", M: "SpMat", c=1) -> Iterator[tuple]:
+def kron_blocks(L: "SpMat | list", M: "SpMat", c=1) -> Iterator[tuple]:
     """The ``SpMat.assemble`` blocks of c * (L (x) M): c L_ij times M at
     (i M.nrows, j M.ncols) for each entry of L. Summed with other blocks in
     one assembly, they add a Kronecker product without building it. For a
-    1x1 M = (m) that is the one block c m L, not one 1x1 block per entry."""
+    1x1 M = (m) that is the one block c m L, not one 1x1 block per entry.
+    L may be given as a list of terms (coef, X, Y), standing for the sum of
+    coef X @ Y: with a 1x1 M each term is a product block and the sum is
+    never built, and otherwise the sum is assembled here."""
     nr, nc = M.nrows, M.ncols
     if nr == nc == 1:
-        yield 0, 0, c * M.get(0, 0), L
+        if M.rows:
+            mu = c * M.get(0, 0)
+            if type(L) is list:
+                for coef, X, Y in L:
+                    yield 0, 0, mu * coef, (X, Y)
+            else:
+                yield 0, 0, mu, L
         return
+    if type(L) is list:
+        if not L:
+            return
+        L = SpMat.assemble(L[0][1].nrows, L[0][2].ncols,
+                           [(0, 0, coef, (X, Y)) for coef, X, Y in L])
     for i, j, v in L.entries():
         yield i * nr, j * nc, c * v, M
+
+
+def kron_sum_blocks(L: "SpMat", M: "SpMat", c=1, right: "SpMat | None" = None,
+                    col_off: int = 0, left: "SpMat | None" = None) -> Iterator[tuple]:
+    """The ``SpMat.assemble`` blocks of c (L (x) 1_m + 1_l (x) M), for square
+    L (l x l) and M (m x m), placed at (0, col_off); or, given ``right``
+    (l m rows), of c (L (x) 1_m + 1_l (x) M) @ right; or, given ``left``
+    (l m columns), of c left @ (L (x) 1_m + 1_l (x) M).
+
+    The plain form is the blocks of L (x) 1_m, as `kron_blocks` gives them,
+    and M on the diagonal at each row block I. In the right product form,
+    row block I of the result is c (sum_J L_IJ right_J + M right_I), right_J
+    the J-th block of m rows of right: each entry of L is a plain block of
+    the rows of right_J, and each I a product block (M, right_I). Each
+    nonzero right_J is gathered once per call, its rows shared, not copied,
+    and a zero right_J places no block. The left product form is one
+    product block, with the Kronecker sum assembled as its right factor; it
+    lives as long as the block does. For m = 1, M = (mu), the sum is
+    c (L + mu 1), and nothing is assembled: the block L (the product block
+    (L, right), or (left, L)) and mu times the identity (right, or left)."""
+    l, m = L.nrows, M.nrows
+    if m == 1:
+        mu = M.get(0, 0)
+        if right is not None:
+            yield 0, col_off, c, (L, right)
+        elif left is not None:
+            yield 0, col_off, c, (left, L)
+        else:
+            yield 0, col_off, c, L
+        if mu:
+            unit = right if right is not None else left if left is not None else SpMat.identity(l)
+            yield 0, col_off, c * mu, unit
+        return
+    if left is not None:
+        yield 0, col_off, c, (left, SpMat.assemble(l * m, l * m, kron_sum_blocks(L, M)))
+        return
+    if right is None:
+        one = SpMat.identity(m)
+        for i, j, v in L.entries():
+            yield i * m, col_off + j * m, c * v, one
+        for i in range(l):
+            yield i * m, col_off + i * m, c, M
+        return
+    parts = {j: right.gather_rows(range(j * m, (j + 1) * m))
+             for j in sorted({k // m for k in right.rows})}
+    for i, j, v in L.entries():
+        if j in parts:
+            yield i * m, col_off, c * v, parts[j]
+    for i, part in parts.items():
+        yield i * m, col_off, c, (M, part)
 
 
 class LinAlgError(Exception):

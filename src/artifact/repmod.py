@@ -42,10 +42,10 @@ weight mu by ``g.e_eigenvalue(mu)``, the one home of the grade.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .gradedla import GradedLieAlgebra, Label, action_from_simples
-from .linalg import LinAlgError, SpMat, kron_blocks
+from .linalg import LinAlgError, SpMat
 from .rootspace import (
     RootSystem,
     Weight,
@@ -55,6 +55,7 @@ from .rootspace import (
 
 
 MAX_MODULE_DIM = 500  # default budget on dim V
+MAX_CHAIN_DIM = 20000  # default budget on the largest dim C^n = C(dim p_+, n) dim V
 
 
 class DimensionOverBudget(Exception):
@@ -191,21 +192,6 @@ def restrict_to_parabolic(m: GModule, g: GradedLieAlgebra) -> PModule:
     return PModule(g=g, dim=m.dim, actions=acts, weights=m.weights, gram=m.gram)
 
 
-def tensor(m1: PModule, m2: PModule) -> PModule:
-    """m1 (x) m2, basis row-major in the factors; both factors carry weights."""
-    if m1.g is not m2.g:
-        raise ValueError("tensor of modules over different algebras")
-    common = [l for l in m1.actions if l in m2.actions]
-    dim = m1.dim * m2.dim
-    one1, one2 = SpMat.identity(m1.dim), SpMat.identity(m2.dim)
-    acts = {
-        l: SpMat.assemble(dim, dim, [*kron_blocks(m1.actions[l], one2),
-                                     *kron_blocks(one1, m2.actions[l])])
-        for l in common
-    }
-    return PModule(g=m1.g, dim=dim, actions=acts, weights=tensor_weights(m1.weights, m2.weights))
-
-
 def tensor_weights(w1, w2) -> tuple[Weight, ...]:
     """The weight of each coordinate of a tensor product, basis row-major in
     the factors, from the weights ``w1`` and ``w2`` of the two factors."""
@@ -226,32 +212,33 @@ class IrrepLabel:
         return (self.e_eigenvalue, self.label)
 
 
-def action_on_span(basis: SpMat, actions: dict[Label, SpMat],
+def action_on_span(basis: SpMat, images: SpMat,
                    labels: list[Label]) -> dict[Label, SpMat]:
     """The matrix of each labelled action on the span of the columns of
-    basis, an invariant subspace: X with A basis = basis X. One elimination
-    of the basis against every image, side by side. An image that leaves the
-    span raises ModuleNotCertified."""
+    basis, an invariant subspace: X with A basis = basis X, from ``images``,
+    the A basis of each label side by side (basis.ncols columns each, in
+    the order of ``labels``). One elimination of the basis against every
+    image. An image that leaves the span raises ModuleNotCertified."""
     m = basis.ncols
-    rhs = SpMat.assemble(basis.nrows, m * len(labels), [
-        (0, t * m, 1, (actions[lab], basis)) for t, lab in enumerate(labels)
-    ])
     try:
-        images = basis.solve(rhs)
+        solved = basis.solve(images)
     except LinAlgError as exc:
         raise ModuleNotCertified(
             f"an action moves a basis of {m} vectors off its span"
         ) from exc
-    return {lab: images.select_columns(list(range(t * m, (t + 1) * m)))
+    return {lab: solved.select_columns(list(range(t * m, (t + 1) * m)))
             for t, lab in enumerate(labels)}
 
 
-def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> Iterator[tuple[int, SpMat]]:
+def layered_closure(seeds: SpMat, ops: list[tuple[Callable[[SpMat], SpMat], int]]
+                    ) -> Iterator[tuple[int, SpMat]]:
     """The span of the columns of seeds under the ops, layer by layer:
     yields (j, basis) for each nonempty layer, j increasing. The seeds are
-    layer 0, an op (A, s), s >= 1, sends layer j into layer j + s, and layer
-    j is a column basis of the images landing in it, one product per op and
-    layer, taken only when the next layer is asked for.
+    layer 0, an op (apply, s), s >= 1, sends layer j into layer j + s, where
+    apply(basis) is A @ basis for the op's matrix A (which the caller may
+    place as blocks and never build), and layer j is a column basis of the
+    images landing in it, one product per op and layer, taken only when the
+    next layer is asked for.
 
     The layers are independent when the seeds lie in one grade of a grading
     that each op raises by its s, for then layer j lies in grade j; the
@@ -271,8 +258,8 @@ def layered_closure(seeds: SpMat, ops: list[tuple[SpMat, int]]) -> Iterator[tupl
                 f"closure layers of {total} columns overlap in dimension {seeds.nrows}"
             )
         yield j, basis
-        for A, s in ops:
-            img = A @ basis
+        for apply, s in ops:
+            img = apply(basis)
             if not img.is_zero():
                 pending.setdefault(j + s, []).append(img)
 
@@ -299,7 +286,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
         i: tuple(rs.cartan[j][i - 1] for j in range(rs.rank)) for i in uncrossed
     }
     lowerings = [
-        (m.actions[("f", tuple(int(i - 1 == j) for j in range(rs.rank)))], 1)
+        (m.actions[("f", tuple(int(i - 1 == j) for j in range(rs.rank)))].__matmul__, 1)
         for i in sorted(uncrossed)
     ]
     out: list[IrrepLabel] = []

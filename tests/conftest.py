@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, settings
 from artifact.bggcore import build_bgg_diagram, compose_splitter, generate_submodule
 from artifact.gradedla import build_graded_algebra
 from artifact.hodge import build_cochain_complex, cohomology_module
+from artifact.linalg import SpMat
 from artifact.repmod import (
     build_irrep,
     decompose_completely_reducible,
@@ -113,6 +114,13 @@ def splitters_for(label, sigma, weight):
 @functools.lru_cache(maxsize=None)
 def diagram_for(label, sigma, weight, with_arrows=True):
     return build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+
+
+def level_action(cc, n, lab):
+    """A^n_Z on C^n, assembled from the blocks the complex places; the
+    complex itself never builds it."""
+    dim = cc.dim(n)
+    return SpMat.assemble(dim, dim, cc.action_blocks(n, lab))
 
 
 def replaced(obj, **fields):

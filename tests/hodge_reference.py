@@ -32,7 +32,8 @@ from math import factorial
 from artifact.gradedla import GradedLieAlgebra
 from artifact.hodge import CochainComplex, ComplexNotCertified
 from artifact.linalg import Q, QONE, SpMat
-from artifact.repmod import PModule, positions_by_weight, tensor
+from artifact.repmod import PModule, positions_by_weight
+from repmod_reference import tensor
 from artifact.rootspace import Weight
 
 

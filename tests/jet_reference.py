@@ -12,9 +12,9 @@ places their blocks through index maps. `jet1`, `jet1_map_matrix` and
 `twisted_matrix` build them here in full, from the J^1 formula's block list
 ``artifact.jetcalc._jet1_terms``, from `block_diag`, and from the complex's
 d and unit wedges. The first jet reference writes J^1(V) as
-V (+) (p_+ (x) V) with `repmod.tensor` (itself checked against Kronecker
-products in ``test_repmod``) and adds the footpoint corrections one matrix
-at a time with `+`, `scale` and `kron`, independently of that block list.
+V (+) (p_+ (x) V) with `repmod_reference.tensor` (itself checked against
+Kronecker products in ``test_repmod``) and adds the footpoint corrections
+one matrix at a time with `+`, `scale` and `kron`, independently of that block list.
 
 The operator reference certifies D on Jbar^{k+1}(E/E^1) on the built action
 of Jbar^{k+1}, extending the Jbar^k of the splitter L^(k), by A'_Z D = D A_Z
@@ -50,7 +50,8 @@ from artifact.jetcalc import (
     semiholonomic,
 )
 from artifact.linalg import SpMat
-from artifact.repmod import PModule, tensor
+from artifact.repmod import PModule
+from repmod_reference import tensor
 from hodge_reference import pplus_module
 
 

@@ -12,16 +12,23 @@ the coordinates of any word are resolved recursively through its tail, and
 e_i is read off ``raise_word``. The matrices are collected entry by entry
 and built with ``SpMat.from_entries``. The tests check that both
 constructions give equal modules.
+
+``tensor`` builds m1 (x) m2 with every action stored as one matrix, the
+Kronecker sum A_1 (x) 1 + 1 (x) A_2. The pipeline never builds a tensor
+module: the cochain complex places its Kronecker sums as assembler blocks
+(`artifact.linalg.kron_sum_blocks`). The tests compare against it.
 """
 
 from __future__ import annotations
 
-from artifact.linalg import QONE, QZERO, SpMat
+from artifact.linalg import QONE, QZERO, SpMat, kron_blocks
 from artifact.repmod import (
     MAX_MODULE_DIM,
     DimensionOverBudget,
     GModule,
     ModuleNotCertified,
+    PModule,
+    tensor_weights,
 )
 from artifact.rootspace import RootSystem, Weight, weyl_dimension
 
@@ -246,3 +253,18 @@ def build_irrep_words(rs: RootSystem, lam: Weight,
         gram=SpMat.from_entries(total, total, gram),
     )
     return module, tuple(words)
+
+
+def tensor(m1: PModule, m2: PModule) -> PModule:
+    """m1 (x) m2, basis row-major in the factors; both factors carry weights."""
+    if m1.g is not m2.g:
+        raise ValueError("tensor of modules over different algebras")
+    common = [l for l in m1.actions if l in m2.actions]
+    dim = m1.dim * m2.dim
+    one1, one2 = SpMat.identity(m1.dim), SpMat.identity(m2.dim)
+    acts = {
+        l: SpMat.assemble(dim, dim, [*kron_blocks(m1.actions[l], one2),
+                                     *kron_blocks(one1, m2.actions[l])])
+        for l in common
+    }
+    return PModule(g=m1.g, dim=dim, actions=acts, weights=tensor_weights(m1.weights, m2.weights))

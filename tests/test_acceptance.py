@@ -21,6 +21,7 @@ from conftest import (
     diagram_for,
     splitters_for,
     graded,
+    level_action,
 )
 from tilde_reference import tilde_bases, tilde_jet_submodule, verify_tower_containments
 
@@ -213,7 +214,7 @@ def _sample_identities(cc, rng, trials):
         if zco:
             act = SpMat(cc.dim(n), cc.dim(n))
             for a, c in zco.items():
-                act = act + cc.level(n).actions[("e", droots[a])].scale(c)
+                act = act + level_action(cc, n, ("e", droots[a])).scale(c)
             lhs = cc.delstars[n] @ (_wedge(cc, n, zco) @ f)
             rhs = -(act @ f)
             if n >= 1:
@@ -223,8 +224,8 @@ def _sample_identities(cc, rng, trials):
         a = rng.randrange(nd)
         wlab = ("e", droots[a])
         gw = g.grade_of(wlab)
-        lhs = cc.level(n + 1).actions[wlab] @ (cc.dels[n] @ f) - cc.dels[n] @ (
-            cc.level(n).actions[wlab] @ f
+        lhs = level_action(cc, n + 1, wlab) @ (cc.dels[n] @ f) - cc.dels[n] @ (
+            level_action(cc, n, wlab) @ f
         )
         rhs = SpMat(cc.dim(n + 1), 1)
         for b in range(nd):
@@ -235,7 +236,7 @@ def _sample_identities(cc, rng, trials):
                 continue
             img = SpMat(cc.dim(n), 1)
             for lab, coeff in br.items():
-                img = img + cc.level(n).actions[lab].scale(
+                img = img + level_action(cc, n, lab).scale(
                     Q(coeff) / dual.d[b]
                 ) @ f
             rhs = rhs + cc.unit_wedges(n)[b] @ img.scale(n + 1)

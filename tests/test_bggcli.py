@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 
@@ -23,9 +25,9 @@ from artifact.gradedla import AlgebraNotCertified
 from artifact.hodge import ComplexNotCertified
 from artifact.jetcalc import EqualizerNotCertified
 from artifact.linalg import SpMat
-from artifact.repmod import ModuleNotCertified, NotCompletelyReducibleInput
-from artifact.rootspace import RootSystemNotCertified
-from conftest import diagram_for, replaced
+from artifact.repmod import MAX_CHAIN_DIM, ModuleNotCertified, NotCompletelyReducibleInput
+from artifact.rootspace import RootSystemNotCertified, dominant_representative_for, weyl_dimension
+from conftest import diagram_for, graded, replaced
 
 BASE = ["--algebra", "A2", "--cross", "1", "--weight", "1,0"]
 
@@ -39,6 +41,7 @@ def format_spec(job: JobSpec) -> list[str]:
         "--emit", ",".join(job.emit),
         "--max-module-dim", str(job.max_module_dim),
         "--max-jet-dim", str(job.max_jet_dim),
+        "--max-chain-dim", str(job.max_chain_dim),
     ]
     if job.out is not None:
         argv += ["--out", job.out]
@@ -55,6 +58,7 @@ def test_parse_roundtrip():
              "verify", "--emit", "text,dot,json", "--max-module-dim", "100",
              "--max-jet-dim", "5000", "--out", "report"]
         ),
+        parse_spec(BASE + ["cohomology", "--max-chain-dim", "30"]),
     ]
     for job in jobs:
         assert parse_spec(format_spec(job)) == job
@@ -329,6 +333,51 @@ def test_main_exit_codes(capsys):
          "--max-module-dim", "20", "diagram"]
     ) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_chain_budget_refuses_before_the_complex(capsys):
+    """The largest cochain space of E7 {1}, C(33, 16) = 1166803110 with the
+    trivial V, is refused by the default chain budget, one line and exit 1,
+    before any wedge tuple is listed."""
+    start = time.perf_counter()
+    assert main(["--algebra", "E7", "--cross", "1", "--weight", "0,0,0,0,0,0,0",
+                 "cohomology"]) == 1
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: dim C^16 = 1166803110 exceeds budget {MAX_CHAIN_DIM}\n"
+
+
+def test_chain_budget_flag(tmp_path, capsys):
+    """G2 {1} (1,1): dim C^2 = 10 * 64 = 640, the largest level."""
+    argv = ["--algebra", "G2", "--cross", "1", "--weight", "1,1", "cohomology"]
+    assert main(argv + ["--max-chain-dim", "639"]) == 1
+    assert capsys.readouterr().err == "error: dim C^2 = 640 exceeds budget 639\n"
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("max-chain-dim = 639\n")
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: dim C^2 = 640 exceeds budget 639\n"
+    assert main(argv + ["--max-chain-dim", "0"]) == 2
+    assert capsys.readouterr().err == "error: --max-chain-dim must be at least 1, got 0\n"
+    assert main(argv + ["--max-chain-dim", "640", "--emit", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["adjointness"] == "pass"
+
+
+@pytest.mark.parametrize("algebra,cross,weight,widest", [
+    ("D4", (1, 2, 3, 4), (0, 0, 0, 0), 924),
+    ("A4", (1, 2, 3, 4), (1, 0, 0, 0), 1260),
+    ("C3", (2,), (1, 0, 1), 2450),
+    ("A5", (1, 2, 3, 4, 5), (0, 0, 0, 0, 0), 6435),
+    ("B4", (1, 2, 3, 4), (0, 0, 0, 0), 12870),
+])
+def test_default_chain_budget_admits(algebra, cross, weight, widest):
+    """The largest golden cases, and the all-crossed A5 and B4, whose largest
+    levels the default admits; they are checked here on the budget alone."""
+    g = graded(algebra, cross)
+    d = len(g.pplus_roots())
+    lam_mod = dominant_representative_for(g.rs, range(1, g.rs.rank + 1),
+                                          tuple(-x for x in weight))
+    assert comb(d, d // 2) * weyl_dimension(g.rs, lam_mod) == widest <= MAX_CHAIN_DIM
 
 
 def test_out_paths(tmp_path, capsys):

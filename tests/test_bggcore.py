@@ -28,6 +28,7 @@ from conftest import (
     replaced,
     splitters_for,
 )
+from hodge_reference import reference_level
 from jet_reference import jet1, jet1_map_matrix, reference_splitter
 from linalg_reference import reference_closure
 from tilde_reference import (
@@ -57,7 +58,7 @@ def submodules_for(label, sigma, weight):
 def test_generated_submodule_certified(label, sigma, weight):
     cc, _, _ = components_for(label, sigma, weight)
     for gs in submodules_for(label, sigma, weight):
-        level = cc.level(gs.n)
+        level = reference_level(cc, gs.n)
         res = check_equivariance(gs.basis, gs.module, level)
         assert res.certified
         if gs.n >= 1:
@@ -76,11 +77,12 @@ def test_layered_closure_spans_the_naive_fixpoint(label, sigma, weight):
     cc, cohs, comps = components_for(label, sigma, weight)
     g = cc.g
     for n in range(cc.top):
-        level = cc.level(n)
+        level = reference_level(cc, n)
         raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
+        ops = [(A.__matmul__, s) for A, s in raising]
         for comp in comps[n]:
             seeds = cohs[n].ker_box @ comp.embedding
-            layers = SpMat.hstack([b for _, b in layered_closure(seeds, raising)])
+            layers = SpMat.hstack([b for _, b in layered_closure(seeds, ops)])
             want = reference_closure(seeds, [A for A, _ in raising])
             assert layers.rank() == layers.ncols == want.ncols
             assert SpMat.hstack([layers, want]).rank() == want.ncols

@@ -1,9 +1,10 @@
 """The cochain complex is zero outside 0..top, and it holds both zero ends.
 
 `CochainComplex` keys its weights, maps and wedge tuples by the level n,
-builds C^{-1} = C^{top+1} = 0 like any level when asked, and stores the zero
-maps into and out of it, so the
-first and the last level read their neighbours as every other level does.
+builds Lambda^{-1} = Lambda^{top+1} = 0, and with it the action on
+C^{-1} = C^{top+1} = 0, like any level when asked, and stores the zero maps
+into and out of it, so the first and the last level read their neighbours
+as every other level does.
 The tests below pin those ends on every `BATTERY` case, and a scan of the
 modules that read the complex keeps them from testing a level against an
 end again: outside `CochainComplex`, no code in `hodge`, `certify` or
@@ -17,7 +18,8 @@ import os
 import pytest
 
 from artifact.hodge import DegreeOverflow
-from conftest import BATTERY, complex_for
+from artifact.linalg import SpMat
+from conftest import BATTERY, complex_for, level_action
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "artifact")
 SCANNED = ("hodge.py", "certify.py", "bggcore.py")
@@ -32,10 +34,11 @@ def test_complex_is_zero_at_both_ends(label, sigma, weight):
     assert sorted(cc.weights) == sorted(cc.wedge_tuples) == list(range(-1, top + 2))
     assert sorted(cc.dels) == sorted(cc.delstars) == list(range(-1, top + 1))
     for n in (-1, top + 1):
-        end = cc.level(n)
+        end = cc.wedge_module(n)
         assert cc.dim(n) == end.dim == 0
-        assert end.weights == cc.weights[n] == ()
+        assert cc.weights[n] == ()
         assert all(A.nrows == A.ncols == 0 for A in end.actions.values())
+        assert all(level_action(cc, n, lab) == SpMat(0, 0) for lab in end.actions)
         assert cc.wedge_tuples[n] == []
     first, last = cc.dim(0), cc.dim(top)
     for m, shape in [(cc.dels[-1], (first, 0)), (cc.delstars[-1], (0, first)),

@@ -1,21 +1,29 @@
 """How long the exponential tables of a cochain complex live.
 
-The complex keeps the p-actions of two levels, the two built last, and the
-unit wedges of one level, the last one asked for, and builds each G_n where
-it is read instead of keeping it. `build_bgg_diagram` makes one pass over
-the levels: step n builds H^{n+1}, then runs level n's checks and sources,
-which read C^n and C^{n+1} only; and the Leibniz check on C^n reads the
-wedges of level n - 1 before level n. So a whole run builds each level's
-action and its wedges once. These tests watch both caches during whole
-diagram builds, count the levels built, and look for a G_n among the
-complex's attributes.
+The complex never stores the p-action of a level: each reader places
+A^n_Z = L_Z (x) 1 + 1 (x) M_Z as blocks of Lambda^n p_+'s matrices and V's.
+It keeps Lambda^n p_+ for two levels, the two built last, and the unit
+wedges of one level, the last one asked for, and builds each G_n where it
+is read instead of keeping it. `build_bgg_diagram` makes one pass over the
+levels: step n builds H^{n+1}, then runs level n's checks and sources,
+which read Lambda^n and Lambda^{n+1} only; and the Leibniz check on C^n
+reads the wedges of level n - 1 before level n. So a whole run builds each
+Lambda^n and each level's wedges once. These tests watch both caches during
+whole diagram builds, count the levels built, look for a G_n among the
+complex's attributes, and look, whenever a reader asks for a level, for a
+held matrix of the shape of a level's action. The bench `cohomology` cases
+run under ``tracemalloc`` with a bound on the traced peak.
 """
+
+import tracemalloc
 
 import pytest
 
+from artifact.bggcli import main
 from artifact.bggcore import build_bgg_diagram
 from artifact.hodge import CochainComplex, DegreeOverflow
 from artifact.linalg import SpMat
+from artifact.repmod import PModule
 from conftest import complex_for, graded
 
 
@@ -39,19 +47,34 @@ def wedge_log(monkeypatch):
 
 @pytest.fixture
 def level_log(monkeypatch):
-    """Wrap ``CochainComplex.level``; the log gets, for each call, (level,
-    built, number of levels the complex holds afterwards)."""
+    """Wrap ``CochainComplex.wedge_module``; the log gets, for each call,
+    (level, built, number of levels the complex holds afterwards)."""
     log = []
-    level = CochainComplex.level
+    wedge_module = CochainComplex.wedge_module
 
     def logged(cc, n):
-        built = n not in cc._levels
-        out = level(cc, n)
-        log.append((n, built, len(cc._levels)))
+        built = n not in cc._lambdas
+        out = wedge_module(cc, n)
+        log.append((n, built, len(cc._lambdas)))
         return out
 
-    monkeypatch.setattr(CochainComplex, "level", logged)
+    monkeypatch.setattr(CochainComplex, "wedge_module", logged)
     return log
+
+
+def held_matrices(value, path=()):
+    """(path, matrix) for each SpMat reachable from ``value`` through lists,
+    tuples, dicts and the attributes of a PModule."""
+    if isinstance(value, SpMat):
+        yield path, value
+    elif isinstance(value, (list, tuple)):
+        for k, v in enumerate(value):
+            yield from held_matrices(v, (*path, k))
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            yield from held_matrices(v, (*path, k))
+    elif isinstance(value, PModule):
+        yield from held_matrices(vars(value), path)
 
 
 # G2 {1} (1,1) is a bench `cohomology` case (no arrows); A3 {1,2,3} (0,0,0)
@@ -85,24 +108,14 @@ def test_no_attribute_holds_an_inner_product():
     assert "inner" not in vars(cc)
     grams = [cc.inner(n) for n in range(cc.top + 1)]
     assert all(G.nrows == G.ncols == cc.dim(n) for n, G in enumerate(grams))
-
-    def matrices(value):
-        if isinstance(value, SpMat):
-            yield value
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                yield from matrices(v)
-        elif isinstance(value, dict):
-            for v in value.values():
-                yield from matrices(v)
-
-    held = [m for value in vars(cc).values() for m in matrices(value)]
+    held = [m for _, m in held_matrices({k: v for k, v in vars(cc).items() if k != "V"})]
     assert held
     assert not any(m == G for m in held for G in grams)
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
 def test_complex_holds_two_levels(level_log, label, sigma, weight, with_arrows):
+    """Of Lambda^n p_+, the factor of C^n's action the complex keeps."""
     build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     assert level_log
     assert max(held for _, _, held in level_log) == 2
@@ -110,8 +123,9 @@ def test_complex_holds_two_levels(level_log, label, sigma, weight, with_arrows):
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
 def test_run_builds_each_level_action_once(level_log, label, sigma, weight, with_arrows):
-    """Levels 0..top, each once and in order; the zero ends C^{-1} and
-    C^{top+1} are never built, since no reader needs their actions."""
+    """Lambda^n p_+ for levels 0..top, each once and in order; the zero ends
+    Lambda^{-1} and Lambda^{top+1} are never built, since no reader needs
+    their actions."""
     diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     top = len(diagram.columns) - 1
     builds = [n for n, built, _ in level_log if built]
@@ -119,9 +133,62 @@ def test_run_builds_each_level_action_once(level_log, label, sigma, weight, with
     assert not {-1, top + 1} & {n for n, _, _ in level_log}
 
 
+# cases with dim V > 1, where no matrix the complex is meant to hold has the
+# shape of an action on a level of dim Lambda^n > 1: G2 {1} (1,1) is a bench
+# `cohomology` case, and A2 {1,2} (1,1) has arrows
+SHAPE_RUNS = [("G2", (1,), (1, 1), False), ("A2", (1, 2), (1, 1), True)]
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", SHAPE_RUNS)
+def test_no_attribute_holds_a_level_action(monkeypatch, label, sigma, weight, with_arrows):
+    """Whenever a reader asks for Lambda^n p_+ or a level's wedges during a
+    whole run, no matrix reachable from the complex's attributes is
+    dim C^k x dim C^k for a level k with dim Lambda^k > 1, but d, dstar and
+    the unit wedges, which map C^k to a neighbour of the same dimension."""
+    scans = []
+
+    def scanning(method):
+        def wrapper(cc, n):
+            out = method(cc, n)
+            squares = {cc.dim(k) for k in range(cc.top + 1)
+                       if len(cc.wedge_tuples[k]) > 1}
+            scans.append([
+                path for path, m in held_matrices(vars(cc))
+                if path[0] not in ("dels", "delstars", "_wedges")
+                and m.nrows == m.ncols and m.nrows in squares
+            ])
+            return out
+        return wrapper
+
+    for name in ("wedge_module", "unit_wedges"):
+        monkeypatch.setattr(CochainComplex, name, scanning(getattr(CochainComplex, name)))
+    build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+    assert len(scans) > 10
+    assert not any(scans), [p for p in scans if p][:3]
+
+
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
 def test_levels_outside_the_complex_are_refused(label, sigma, weight, with_arrows):
     cc = complex_for(label, sigma, weight)
     for n in (-2, cc.top + 2):
         with pytest.raises(DegreeOverflow):
-            cc.level(n)
+            cc.wedge_module(n)
+
+
+# the bench `cohomology` cases; traced peaks 3.9 and 3.1 MB with the level
+# actions placed as blocks, 6.6 and 5.7 MB when each level's were stored
+GUARDED = [["--algebra", "G2", "--cross", "1", "--weight", "1,1", "cohomology"],
+           ["--algebra", "A4", "--cross", "2", "--weight", "1,0,0,1", "cohomology"]]
+
+
+@pytest.mark.parametrize("argv", GUARDED, ids=["G2", "A4"])
+def test_cohomology_peak_memory(capsys, argv):
+    """A stored level action shows here as a traced peak over the bound."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 4.5e6, f"traced peak {peak / 1e6:.2f} MB"

