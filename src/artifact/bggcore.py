@@ -49,9 +49,10 @@ builds H^0 and makes one pass over the levels: step n builds H^{n+1} and
 its components, then runs level n's checks, then level n's sources, so
 every reader finds Lambda^n and Lambda^{n+1} among the complex's two
 levels, each is built once, and each reader places the p-action on C^n as
-blocks of them and of V's matrices. The columns and the oracle check come
-last. A source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is left
-partial, by `generate_submodule` at the first layer of E that shows it.
+blocks of them and of V's matrices. The pass keeps the cohomology of levels
+n and n + 1 only, and every level's components. The columns and the oracle
+check come last. A source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is
+left partial, by `generate_submodule` at the first layer of E that shows it.
 """
 
 from __future__ import annotations
@@ -430,7 +431,10 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
     each n < top, H^{n+1} and its components, the Leibniz and commutator
     checks at n, and level n's sources; the columns and the oracle check
     last. So Lambda^n and Lambda^{n+1} are the complex's two levels whenever
-    level n is read, and each is built once (``CochainComplex``).
+    level n is read, and each is built once (``CochainComplex``). Level n's
+    checks and sources read the cohomology records of H^n and H^{n+1} only,
+    and the columns only the components of each level, so the pass holds
+    two ``Cohomology`` records: H^{n-1} is dropped before H^{n+1} is built.
     ``max_chain_dim`` caps the largest dim C^n before the complex is built
     (`hodge.build_cochain_complex`)."""
     rs = g.rs
@@ -448,25 +452,26 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
         verify.update(splitter_projection=True, splitter_defect=True, splitter_values_kernel=True)
     arrows: list[BGGArrow] = []
     partial: list[tuple[int, int]] = []
-    cohs = [cohomology_module(cc, 0)]
-    comps = [decompose_completely_reducible(cohs[0].module)]
+    coh_next = cohomology_module(cc, 0)
+    comps = [decompose_completely_reducible(coh_next.module)]
     # one pass (module docstring): step n builds H^{n+1}, so Lambda^n and
     # Lambda^{n+1} are the complex's two levels while level n's checks and
-    # sources run
+    # sources run; H^{n-1} is dropped before H^{n+1} is built
     for n in range(cc.top):
-        cohs.append(cohomology_module(cc, n + 1))
-        comps.append(decompose_completely_reducible(cohs[n + 1].module))
+        coh = coh_next
+        coh_next = cohomology_module(cc, n + 1)
+        comps.append(decompose_completely_reducible(coh_next.module))
         verify["codifferential_leibniz"] &= verify_codifferential_leibniz(cc, n)
         verify["differential_commutator"] &= verify_differential_commutator(cc, n)
         for s, comp in enumerate(comps[n] if with_arrows else ()):
             try:
-                gs = generate_submodule(cc, cohs[n], comp, max_jet_dim)
+                gs = generate_submodule(cc, coh, comp, max_jet_dim)
             except DimensionOverBudget:
                 partial.append((n, s))
                 continue
             k = operator_jet_order(gs, comps[n + 1]) - 1
             chain = compose_splitter(gs, k)
-            op = bgg_operator(gs, chain, cohs[n + 1], comps[n + 1], source_index=s)
+            op = bgg_operator(gs, chain, coh_next, comps[n + 1], source_index=s)
             verify["splitter_projection"] &= verify_splitter_projection(gs, chain)
             verify["splitter_defect"] &= verify_splitter_defect(gs, chain)
             verify["splitter_values_kernel"] &= op.in_kernel

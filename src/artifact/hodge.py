@@ -38,11 +38,12 @@ The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
 and the weight-multiset oracle for their components live here. The
 splitting builds no Laplacian: its harmonic part ker box is ker d ∩ ker dstar,
 solved on the weights the two images leave uncovered (``hodge_decompose``),
-and it is certified a basis by one rank of the square weight blocks
-[im d | ker box | im dstar] it is built from. Only ker box and the blocks
-of the weights with harmonic room are kept (``Cohomology``): the harmonic
-projection pi_H along im d + im dstar is block diagonal by weight, and is
-read per weight off the certificate's blocks. The Laplacian
+and it is certified a basis one weight at a time, by the rank of each square
+weight block [im d | ker box | im dstar] it is built from, before the next
+weight is sliced. Only ker box and the blocks of the weights with harmonic
+room are kept (``Cohomology``): the harmonic projection pi_H along
+im d + im dstar is block diagonal by weight, and is read per weight off the
+certificate's blocks. The Laplacian
 box = d dstar + dstar d appears only restricted to a generated submodule,
 where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 """
@@ -328,12 +329,16 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     maps out of and into C^{-1} = C^{top+1} = 0 are stored zero maps, whose
     weight blocks have no rows or no columns.
 
-    The certificate ranks the blocks the split is built from. Each weight's
-    block [im d | ker box | im dstar] is square (the kernel fills the room
+    The certificate ranks the blocks the split is built from, each in the
+    loop, as soon as it is built. Each weight's block
+    [im d | ker box | im dstar] is square (the kernel fills the room
     exactly, or ``ComplexNotCertified`` is raised) and every column of it
     lies on the rows of its own weight, so the three bases together are a
     basis of C^n exactly when the block-diagonal matrix of these blocks has
-    rank dim C^n; otherwise ``ComplexNotCertified`` is raised.
+    full rank, that is when every block has; a block of lower rank raises
+    ``ComplexNotCertified`` at its weight. No dim C^n x dim C^n matrix is
+    assembled, and the image bases of a weight with no harmonic room are
+    dropped once their block is certified.
 
     Why skipping is exact: let v be in ker d_n ∩ ker dstar_{n-1} of weight
     mu. By adjointness, dstar_k^T G_k = G_{k+1} d_k, so v is G_n-orthogonal
@@ -351,10 +356,6 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     above = positions_by_weight(cc.weights[n + 1])
     weights: list[Weight] = []
     harmonic: list[tuple] = []
-    # the square weight blocks [im d | ker box | im dstar] down the diagonal,
-    # as assembler blocks, and the offset of the next one
-    diagonal: list[tuple] = []
-    off = 0
 
     for mu in sorted(by_weight):
         rows = by_weight[mu]
@@ -378,11 +379,8 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
                 )
             weights.extend([mu] * room)
             harmonic.append((rows, bd, kb, bs))
-        diagonal += [(off, off, 1, bd), (off, off + bd.ncols, 1, kb),
-                     (off, off + m - bs.ncols, 1, bs)]
-        off += m
-    if SpMat.assemble(dim, dim, diagonal).rank() != dim:
-        raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
+        if SpMat.hstack([bd, kb, bs]).rank() != m:
+            raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
     ker_box = SpMat.hstack([SpMat(dim, 0)] + [kb.place_rows(rows, dim)
                                               for rows, _, kb, _ in harmonic])
     return ker_box, tuple(weights), harmonic
@@ -392,7 +390,9 @@ class Cohomology:
     """Harmonic model of H^n(g_-, V): a g_0-module with p_+ acting by zero.
     ``ker_box`` embeds its basis into C^n, and ``blocks`` holds, for each
     weight with harmonic room, the square certified block of the Hodge split
-    on it, as ``hodge_decompose`` returns them."""
+    on it, as ``hodge_decompose`` returns them. A diagram holds two records
+    at a time, H^n and H^{n+1}, while level n is read
+    (`bggcore.build_bgg_diagram`)."""
 
     def __init__(self, n: int, module: PModule, ker_box: SpMat, blocks: list[tuple]):
         self.n, self.module, self.ker_box, self.blocks = n, module, ker_box, blocks

@@ -123,6 +123,20 @@ def level_action(cc, n, lab):
     return SpMat.assemble(dim, dim, cc.action_blocks(n, lab))
 
 
+def record_assembled_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap `SpMat.assemble` in-process; the list it returns fills with the
+    shape of every matrix assembled from then on, products included."""
+    shapes = []
+    original = SpMat.assemble
+
+    def recording(cls, nrows, ncols, blocks):
+        shapes.append((nrows, ncols))
+        return original(nrows, ncols, blocks)
+
+    monkeypatch.setattr(SpMat, "assemble", classmethod(recording))
+    return shapes
+
+
 def replaced(obj, **fields):
     """A copy of ``obj`` with the given fields overridden, for tampering.
 

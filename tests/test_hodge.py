@@ -18,6 +18,7 @@ from conftest import (
     components_for,
     graded,
     level_action,
+    record_assembled_shapes,
     replaced,
 )
 from hodge_reference import (
@@ -231,6 +232,22 @@ def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
     assert len(slices) == want_slices
     blocks = sum(len(set(cc.weights[n])) for n in range(cc.top + 1))
     assert blocks == 290
+
+
+@pytest.mark.parametrize("label,sigma,weight", [("G2", (1,), (1, 1)), ("A4", (2,), (1, 0, 0, 1))],
+                         ids=["G2", "A4"])
+def test_split_assembles_no_level_square(monkeypatch, label, sigma, weight):
+    """The certificate ranks each weight's square block on its own: no
+    dim C^n x dim C^n matrix is assembled on any level (the bench
+    `cohomology` cases, where every level has more than one weight)."""
+    cc = complex_for(label, sigma, weight)
+    shapes = record_assembled_shapes(monkeypatch)
+    for n in range(cc.top + 1):
+        assert len(set(cc.weights[n])) > 1
+        shapes.clear()
+        hodge_decompose(cc, n)
+        assert shapes
+        assert (cc.dim(n), cc.dim(n)) not in shapes, n
 
 
 def test_laplacian_selfadjoint_and_weight_diagonal():

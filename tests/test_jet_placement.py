@@ -24,22 +24,8 @@ from artifact.bggcore import (
 from artifact.jetcalc import jbar_dim, semiholonomic
 from artifact.linalg import SpMat
 from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
-from conftest import BATTERY, components_for, graded
+from conftest import BATTERY, components_for, graded, record_assembled_shapes
 from jet_reference import iota, jet1_map_matrix, twisted_matrix
-
-
-def record_assembled_shapes(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap `SpMat.assemble` in-process; the list it returns fills with the
-    shape of every matrix assembled from then on, products included."""
-    shapes = []
-    original = SpMat.assemble
-
-    def recording(cls, nrows, ncols, blocks):
-        shapes.append((nrows, ncols))
-        return original(nrows, ncols, blocks)
-
-    monkeypatch.setattr(SpMat, "assemble", classmethod(recording))
-    return shapes
 
 
 def ambient_sides(d: int, dv: int, r: int) -> set[int]:
