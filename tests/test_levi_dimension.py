@@ -10,7 +10,9 @@ serves: rho - rho_0 is half the sum of the roots of p_+, which the Levi
 Weyl group permutes, so it is orthogonal to every uncrossed root.
 (`rootspace.weyl_dimension` is the same product over every positive root.)
 
-The columns checked are every `BATTERY` case and every golden report.
+The columns checked are every `BATTERY` case and every golden report. The
+components of every `GOLDEN_DIMS` module settle the label convention: their
+Levi dimensions add up to the pinned harmonic dimensions.
 """
 
 import glob
