@@ -105,6 +105,8 @@ def _read_config(path: str) -> dict[str, str]:
                 key = key.strip()
                 if key not in FLAGS or key == "config":
                     raise ParseError(f"{path}:{ln}: unknown key {key!r}")
+                if key in out:
+                    raise ParseError(f"{path}:{ln}: duplicate key {key!r}")
                 out[key] = val.strip()
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc

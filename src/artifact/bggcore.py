@@ -49,7 +49,8 @@ builds H^0 and makes one pass over the levels: step n builds H^{n+1} and
 its components, then runs level n's checks, then level n's sources, so
 every reader finds Lambda^n and Lambda^{n+1} among the complex's two
 levels, each is built once, and each reader places the p-action on C^n as
-blocks of them and of V's matrices. The pass keeps the cohomology of levels
+blocks of them and of V's matrices, and the wedge eps_a (x) 1_V as blocks
+of their bare wedges. The pass keeps the cohomology of levels
 n and n + 1 only, and every level's components. The columns and the oracle
 check come last. A source whose Jbar^{r+1}(E/E^1) exceeds the jet budget is
 left partial, by `generate_submodule` at the first layer of E that shows it.
@@ -83,7 +84,7 @@ from .jetcalc import (
     prolong,
     semiholonomic,
 )
-from .linalg import LinAlgError, SpMat, qstr
+from .linalg import LinAlgError, SpMat, kron_unit_blocks, qstr
 from .repmod import (
     MAX_CHAIN_DIM,
     MAX_MODULE_DIM,
@@ -196,11 +197,12 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     """Close the harmonic component under the p_+ action, layering the basis
     by E-eigenvalue offset: `layered_closure` with each raising action and
     its grade, the actions of one grade in one assembly of product blocks
-    (``cc.act``), as is the p-action on E. The component lies in E-grade i0, and an action of grade s
-    adds s to the E-grade, so layer j lies in E-grade i0 + j and the layers
-    are independent. Each basis vector is certified to have one weight, and
-    that weight's E-eigenvalue to be its layer's grade, and E to lie in
-    ker dstar_{n-1} (on C^0, dstar_{-1} is the zero map into C^{-1} = 0).
+    (``cc.act``), as is the p-action on E. The component lies in E-grade
+    i0, and an action of grade s adds s to the E-grade, so layer j lies in
+    E-grade i0 + j and the layers are independent. Each basis vector is
+    certified to have one weight, and that weight's E-eigenvalue to be its
+    layer's grade, and E to lie in ker dstar_{n-1} (on C^0, dstar_{-1} is
+    the zero map into C^{-1} = 0).
 
     The one home of the jet budget: a nonempty layer j means depth r >= j,
     so layer j raises DimensionOverBudget when dim Jbar^{j+1}(E/E^1) exceeds
@@ -266,13 +268,16 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
     # batch all slot corrections into one solve against the E basis
     rhs_cols: list[int] = []
     pieces = [SpMat(cc.dim(n), 0)]
-    for a, wa in enumerate(cc.unit_wedges(n)):
+    for a, eps in enumerate(cc.bare_wedges(n)):
         ga = g.grade_of(("e", roots[a]))
         needed = [b for b in range(src_q.dim) if gs.offsets[b] + ga == i]
         if not needed:
             continue
         rhs_cols.extend((1 + a) * src_q.dim + b for b in needed)  # the jet columns of (a, b)
-        pieces.append(cc.delstars[n] @ (wa @ gs.basis.select_columns(needed)))
+        # (eps_a (x) 1_V) on the needed E columns, placed as blocks
+        wedged = SpMat.assemble(cc.dim(n + 1), len(needed), kron_unit_blocks(
+            eps, cc.V.dim, 1, gs.basis.select_columns(needed), 0))
+        pieces.append(cc.delstars[n] @ wedged)
     # dstar of E-wedges stays in E
     x = gs.e_coordinates(SpMat.hstack(pieces), f"correction of L_{i}")
     y = gs.lift_top_block(i, x)
@@ -337,15 +342,20 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
     splitter L^(K-1) into C^n (its target E/E^K is spanned by the leading
     columns of the E basis): Dt = pi_H o d_V o J^1(F) in harmonic
     coordinates of H^{n+1}, and the values into C^{n+1} before pi_H. The
-    values are the product blocks del F at column block 0 and (n+1) eps_a F
-    at block 1 + a (eps_a the unit wedges): neither d_V nor J^1(F) is built."""
+    values are the product block del F at column block 0 and
+    (n+1) (eps_a (x) 1_V) F at block 1 + a, placed from the bare wedge eps_a
+    (`linalg.kron_unit_blocks`): neither d_V nor J^1(F) is built."""
     cc, n = gs.cc, gs.n
     F = gs.basis.select_columns(list(range(chain.composite.nrows))) @ chain.composite
-    wedges = cc.unit_wedges(n)
+    eps = cc.bare_wedges(n)
     w = F.ncols
-    values = SpMat.assemble(cc.dim(n + 1), (1 + len(wedges)) * w, [(0, 0, 1, (cc.dels[n], F))] + [
-        (0, (1 + a) * w, n + 1, (eps, F)) for a, eps in enumerate(wedges)
-    ])
+
+    def blocks():
+        yield 0, 0, 1, (cc.dels[n], F)
+        for a, e in enumerate(eps):
+            yield from kron_unit_blocks(e, cc.V.dim, n + 1, F, (1 + a) * w)
+
+    values = SpMat.assemble(cc.dim(n + 1), (1 + len(eps)) * w, blocks())
     return coh_next.harmonic_projection() @ values, values
 
 

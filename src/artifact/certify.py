@@ -22,9 +22,9 @@ from .jetcalc import (
     check_equivariance,
     jet1_left_action,
 )
-from .linalg import SpMat, kron_blocks
+from .linalg import SpMat, kron_blocks, kron_unit_blocks
 from .repmod import PModule
-from .rootspace import Weight
+from .rootspace import Weight, levi_weyl_dimension
 
 
 class CertificationFailure(Exception):
@@ -92,21 +92,27 @@ def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
 
 
 def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
-    """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z of p_+. Reads
-    the unit wedges of level n - 1 before level n, so that run over n in
-    order, n - 1 is the one level the complex holds, and each is built once.
-    Z.f is A^n_Z placed as plain blocks in the signed sum, from Lambda^n p_+
-    and V: Lambda^{n-1} is never built for it. On C^0 the last term is a
-    product through C^{-1} = 0, so it is zero."""
+    """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z = eta_a of p_+,
+    as one signed sum per a. The wedge on C^k is eps_a (x) 1_V, placed from
+    the bare wedges of the complex's window, never stored:
+    (eps_a (x) 1) dstar_{n-1} as plain blocks of dstar_{n-1}'s row blocks
+    (`linalg.kron_unit_blocks`), and dstar_n (eps_a (x) 1) as one product
+    block whose right factor is assembled for that a and dropped with the
+    block. Z.f is A^n_Z placed as plain blocks, from Lambda^n p_+ and V.
+    Reads the window's records n and n + 1, n first, so that run over n in
+    order each record is built once. On C^0 the last term is a product
+    through C^{-1} = 0, so it is zero."""
     roots = cc.g.pplus_roots()
-    dim = cc.dim(n)
-    below = cc.unit_wedges(n - 1)
-    wedges = cc.unit_wedges(n)
-    for a, wa in enumerate(wedges):
+    dim, m = cc.dim(n), cc.V.dim
+    below = cc.bare_wedges(n - 1)
+    eps = cc.bare_wedges(n)
+    one = SpMat.identity(m)
+    for a in range(len(roots)):
         if not SpMat.assemble(dim, dim, [
-            (0, 0, 1, (cc.delstars[n], wa)),
+            (0, 0, 1, (cc.delstars[n],
+                       SpMat.assemble(cc.dim(n + 1), dim, kron_blocks(eps[a], one)))),
             *cc.action_blocks(n, ("e", roots[a])),
-            (0, 0, 1, (below[a], cc.delstars[n - 1])),
+            *kron_unit_blocks(below[a], m, 1, cc.delstars[n - 1], 0),
         ]).is_zero():
             return False
     return True
@@ -150,8 +156,9 @@ def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
 
 
 def oracle_agrees(g: GradedLieAlgebra, lam_mod: Weight, columns) -> bool:
-    """The diagram columns (per level, components with ``label`` and
-    ``e_eigenvalue``) are the ones Kostant's theorem predicts."""
+    """The diagram columns (per level, components with ``label``,
+    ``e_eigenvalue`` and ``dim``) are the ones Kostant's theorem predicts,
+    and each component's dim is the Levi Weyl dimension of its label."""
     expected = kostant_oracle(g, lam_mod)
     if len(expected) != len(columns):
         return False
@@ -159,6 +166,8 @@ def oracle_agrees(g: GradedLieAlgebra, lam_mod: Weight, columns) -> bool:
         got = sorted((c.label, c.e_eigenvalue) for c in columns[lvl])
         want = sorted((l, -g.e_eigenvalue(l)) for l in labels)
         if got != want:
+            return False
+        if any(c.dim != levi_weyl_dimension(g.par, c.label) for c in columns[lvl]):
             return False
     return True
 

@@ -4,10 +4,11 @@ Cochain spaces are C^n = Lambda^n p_+ (x) V with the wedge basis (increasing
 tuples of p_+ root positions, in lex order) and V's own basis, row-major.
 The complex is zero outside 0..top = dim p_+, and ``CochainComplex`` stores
 both zero ends, so every level reads its neighbours the same way. It holds
-every level's weights, d and dstar for the whole job, and the p-action of
-Lambda^n p_+ on two adjacent levels at a time. The p-action on C^n is the
-Kronecker sum of that and V's, and is placed as assembler blocks where it
-is read; it is never stored.
+every level's weights, d and dstar for the whole job, and a window of two
+adjacent levels, each Lambda^n p_+ with its p-action and the bare wedges
+eps_a: Lambda^{n-1} -> Lambda^n. The p-action on C^n is the Kronecker sum
+of Lambda^n's and V's, and the wedge on C^n is eps_a (x) 1_V; both are
+placed as assembler blocks where they are read, and neither is stored.
 This module is the one home of the wedge. Every cochain matrix is a sum of
 Kronecker products of V's matrices with the unit wedges
 eps_a: Lambda^n -> Lambda^{n+1}, eps_a(I) = (-1)^k I', where I' is I with a
@@ -84,40 +85,39 @@ class CochainComplex:
     every level reads n - 1 and n + 1 alike, and no reader branches on an
     end.
 
-    The p-action on C^n is never a stored matrix. P acts on
-    Lambda^n p_+ (x) V through the tensor product, so
-    A^n_Z = L_Z (x) 1 + 1 (x) M_Z, the Kronecker sum of Z's matrix L_Z on
+    Neither the p-action on C^n nor the wedge eps_a (x) 1_V on it is ever a
+    stored matrix. P acts on Lambda^n p_+ (x) V through the tensor product,
+    so A^n_Z = L_Z (x) 1 + 1 (x) M_Z, the Kronecker sum of Z's matrix L_Z on
     Lambda^n p_+ (``wedge_module(n)``) and its matrix M_Z on V. Every reader
     places it as assembler blocks (``action_blocks``,
     `linalg.kron_sum_blocks`): as plain blocks inside a signed sum, as
     A^n_Z X for a matrix X on the right (``act``), or as X A^n_Z, one
     product block whose right factor is assembled for that one label and
-    dropped with the block.
+    dropped with the block. Likewise every reader places (eps_a (x) 1_V) X
+    from the bare wedge eps_a (``bare_wedges``) with
+    `linalg.kron_unit_blocks`.
 
     The complex keeps across a job only what the job reads. The weights,
     d and dstar of every level are always held, and V's matrices with V.
-    Lambda^n p_+ is built on the first call of ``wedge_module(n)`` and kept
-    for two levels: building a level drops every level but the one built
-    last. `build_bgg_diagram` asks for Lambda^{n+1} before it runs the
-    checks and the sources of level n, which read Lambda^n and
-    Lambda^{n+1} only, so a whole run builds each level once. The inner product G_n is built where
-    it is read, on each call of ``inner(n)``: only the adjointness check
-    reads it, one level after another. The unit wedges eps_a (x) 1_V are
-    kept for one level, the last one asked for. The Leibniz check on C^n
-    reads n - 1 before n, so a level-by-level run builds each level's
-    wedges once, and n - 1 lives on only while that one check reads it. The
-    bare eps_a: Lambda^n -> Lambda^{n+1} (``bare_wedges``) are kept for one
-    level as well: building Lambda^{n+1} makes them, and the unit wedges of
-    level n, asked for next, reuse them."""
+    Besides those it keeps one cache: a window of two levels. Record n of
+    the window holds Lambda^n p_+ and the bare wedges
+    eps_a: Lambda^{n-1} -> Lambda^n its action is built from, both built on
+    the first use of either, and building a record drops every record but
+    the one built last. ``wedge_module(n)`` reads record n, and
+    ``bare_wedges(n)`` record n + 1. `build_bgg_diagram` asks for level
+    n + 1 before it runs the checks and the sources of level n, which read
+    records n and n + 1 only, so a whole run builds each level once, from 0
+    to top. The inner product G_n is built where it is read, on each call
+    of ``inner(n)``: only the adjointness check reads it, one level after
+    another."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
                  weights: dict[int, tuple[Weight, ...]], wedge_tuples: dict[int, list[tuple]],
                  dels: dict[int, SpMat], delstars: dict[int, SpMat]):
-        self.g, self.V, self.dual, self.weights, self.wedge_tuples = g, V, dual, weights, wedge_tuples
+        self.g, self.V, self.dual = g, V, dual
+        self.weights, self.wedge_tuples = weights, wedge_tuples
         self.dels, self.delstars = dels, delstars
-        self._lambdas: dict[int, PModule] = {}
-        self._bare: dict[int, list[SpMat]] = {}
-        self._wedges: dict[int, list[SpMat]] = {}
+        self._window: dict[int, tuple[PModule, list[SpMat]]] = {}
 
     @property
     def top(self) -> int:
@@ -126,19 +126,35 @@ class CochainComplex:
     def dim(self, n: int) -> int:
         return len(self.weights[n])
 
-    def wedge_module(self, n: int) -> PModule:
-        """Lambda^n p_+ with its p-action, for -1 <= n <= top + 1 (the zero
-        module at both ends), built on first use and kept while it is one of
-        the two levels built last (the class docstring)."""
+    def _level(self, n: int) -> tuple[PModule, list[SpMat]]:
+        """Record n of the window, (Lambda^n p_+, [eps_a: Lambda^{n-1} ->
+        Lambda^n]), for -1 <= n <= top + 1 (zero maps and the zero module at
+        both ends), built on first use and kept while it is one of the two
+        records built last (the class docstring)."""
         if not -1 <= n <= self.top + 1:
             raise DegreeOverflow(f"no level {n} in the complex (top {self.top})")
-        if n not in self._lambdas:
-            # the older level goes before n is built, so two are alive at most
-            self._lambdas = dict(list(self._lambdas.items())[-1:])
-            eps = self.bare_wedges(n - 1)
-            self._lambdas[n] = _wedge_module(self.g, len(self.wedge_tuples[n]), eps,
-                                             [e.transpose() for e in eps])
-        return self._lambdas[n]
+        if n not in self._window:
+            # the older record goes before n is built, so two are alive at most
+            self._window = dict(list(self._window.items())[-1:])
+            # Lambda^{-2} = 0 as well
+            eps = wedge_maps(self.wedge_tuples.get(n - 1, []), self.wedge_tuples[n], self.top)
+            lam = _wedge_module(self.g, len(self.wedge_tuples[n]), eps,
+                                [e.transpose() for e in eps])
+            self._window[n] = (lam, eps)
+        return self._window[n]
+
+    def wedge_module(self, n: int) -> PModule:
+        """Lambda^n p_+ with its p-action, for -1 <= n <= top + 1: record n
+        of the window."""
+        return self._level(n)[0]
+
+    def bare_wedges(self, n: int) -> list[SpMat]:
+        """The bare wedges eps_a: Lambda^n -> Lambda^{n+1} for every p_+ root
+        position a, for -1 <= n <= top (zero maps at both ends): record
+        n + 1 of the window."""
+        if not -1 <= n <= self.top:
+            raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
+        return self._level(n + 1)[1]
 
     def action_blocks(self, n: int, lab, c=1, right: SpMat | None = None,
                       col_off: int = 0, left: SpMat | None = None):
@@ -157,18 +173,6 @@ class CochainComplex:
             for b in self.action_blocks(n, lab, right=x, col_off=t * w)
         ))
 
-    def bare_wedges(self, n: int) -> list[SpMat]:
-        """The bare unit wedges eps_a: Lambda^n -> Lambda^{n+1}, kept for one
-        level, the last one asked for: ``wedge_module(n + 1)`` builds them,
-        and ``unit_wedges(n)``, which a pass asks for next, reuses them. (At
-        n = 0 the Leibniz check asks for level -1 in between, so the two
-        smallest, the zero maps and Lambda^0 -> Lambda^1, are built twice.)"""
-        if n not in self._bare:
-            # Lambda^{-2} = 0 as well
-            lower = self.wedge_tuples.get(n, [])
-            self._bare = {n: wedge_maps(lower, self.wedge_tuples[n + 1], self.top)}
-        return self._bare[n]
-
     def inner(self, n: int) -> SpMat:
         """G_n = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V on C^n,
         built on each call and not kept."""
@@ -176,18 +180,6 @@ class CochainComplex:
         diag = SpMat.diagonal([prod(dd[a] for a in t) for t in self.wedge_tuples[n]])
         dim = self.dim(n)
         return SpMat.assemble(dim, dim, kron_blocks(diag, self.V.gram, Q((-1) ** n, factorial(n))))
-
-    def unit_wedges(self, n: int) -> list[SpMat]:
-        """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a, for
-        -1 <= n <= top (zero maps at both ends), built on first use of the
-        level and kept until another level is asked for (the class
-        docstring)."""
-        if not -1 <= n <= self.top:
-            raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
-        if n not in self._wedges:
-            one = SpMat.identity(self.V.dim)
-            self._wedges = {n: [e.kron(one) for e in self.bare_wedges(n)]}
-        return self._wedges[n]
 
 
 def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
@@ -209,9 +201,9 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
     ``CochainComplex``: one loop from n = -1, starting from the zero maps
     eps_a: Lambda^{-2} -> Lambda^{-1}, builds d_n and dstar_n, so the wedges
     eps_a on only two adjacent levels are alive at a time. No p-action and
-    no G_n is built here: the complex builds each Lambda^n p_+
-    (``CochainComplex.wedge_module``), its unit wedges and G_n where they
-    are read.
+    no G_n is built here: the complex builds each Lambda^n p_+ with its bare
+    wedges in its window (``CochainComplex.wedge_module``), and G_n where it
+    is read.
 
     The largest level, dim C^{d // 2} = C(d, d // 2) dim V for d = dim p_+,
     is checked against ``max_chain_dim`` before any wedge tuple is listed;

@@ -26,10 +26,11 @@ col_off may be a column map, so M composed with an index map on the right is
 one more block of the same loop. ``gather_rows``, ``place_rows`` and
 ``from_columns`` move rows and columns by index maps. A matrix is never
 changed after it is built, so matrices share rows, and the index maps move
-them, and their denominators, without copying. The sums, scalings, stacks and Kronecker products here are
-assembler calls too (``kron_blocks`` gives the blocks of L (x) M, and
-``kron_sum_blocks`` those of L (x) 1 + 1 (x) M, alone or times a matrix on
-either side), so one loop accumulates and normalises rows.
+them, and their denominators, without copying. The sums, scalings, stacks
+and Kronecker products here are assembler calls too (``kron_blocks`` gives
+the blocks of L (x) M, ``kron_unit_blocks`` those of (L (x) 1) @ right,
+and ``kron_sum_blocks`` those of L (x) 1 + 1 (x) M, alone or times a matrix
+on either side), so one loop accumulates and normalises rows.
 
 Products accumulate in the assembler as well. A block M may be a product
 block (X, Y), standing for X @ Y: each row of X is multiplied out against
@@ -60,7 +61,7 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -182,6 +183,28 @@ def kron_blocks(L: "SpMat | list", M: "SpMat", c=1) -> Iterator[tuple]:
         yield i * nr, j * nc, c * v, M
 
 
+def kron_unit_blocks(L: "SpMat", m: int, c, right: "SpMat",
+                     col_off: int) -> Generator[tuple, None, dict]:
+    """The ``SpMat.assemble`` blocks of c (L (x) 1_m) @ right, for right of
+    L.ncols * m rows, placed at column col_off. Row block I of the result is
+    c sum_J L_IJ right_J, right_J the J-th block of m rows of right: each
+    entry of L is a plain block of the rows of right_J. Each nonzero right_J
+    is gathered once per call, its rows shared, not copied, and a zero
+    right_J places no block. For m = 1 that is the one product block
+    (L, right). The generator returns the gathered right_J by J (none for
+    m = 1), for a caller that places more blocks of them
+    (`kron_sum_blocks`)."""
+    if m == 1:
+        yield 0, col_off, c, (L, right)
+        return {}
+    parts = {j: right.gather_rows(range(j * m, (j + 1) * m))
+             for j in sorted({k // m for k in right.rows})}
+    for i, j, v in L.entries():
+        if j in parts:
+            yield i * m, col_off, c * v, parts[j]
+    return parts
+
+
 def kron_sum_blocks(L: "SpMat", M: "SpMat", c=1, right: "SpMat | None" = None,
                     col_off: int = 0, left: "SpMat | None" = None) -> Iterator[tuple]:
     """The ``SpMat.assemble`` blocks of c (L (x) 1_m + 1_l (x) M), for square
@@ -192,12 +215,11 @@ def kron_sum_blocks(L: "SpMat", M: "SpMat", c=1, right: "SpMat | None" = None,
     The plain form is the blocks of L (x) 1_m, as `kron_blocks` gives them,
     and M on the diagonal at each row block I. In the right product form,
     row block I of the result is c (sum_J L_IJ right_J + M right_I), right_J
-    the J-th block of m rows of right: each entry of L is a plain block of
-    the rows of right_J, and each I a product block (M, right_I). Each
-    nonzero right_J is gathered once per call, its rows shared, not copied,
-    and a zero right_J places no block. The left product form is one
-    product block, with the Kronecker sum assembled as its right factor; it
-    lives as long as the block does. For m = 1, M = (mu), the sum is
+    the J-th block of m rows of right: the blocks of `kron_unit_blocks`, and
+    a product block (M, right_I) for each I, of the right_J it gathered. The
+    left product form is one product block, with the Kronecker sum
+    assembled as its right factor; it lives as long as the block does. For
+    m = 1, M = (mu), the sum is
     c (L + mu 1), and nothing is assembled: the block L (the product block
     (L, right), or (left, L)) and mu times the identity (right, or left)."""
     l, m = L.nrows, M.nrows
@@ -223,11 +245,7 @@ def kron_sum_blocks(L: "SpMat", M: "SpMat", c=1, right: "SpMat | None" = None,
         for i in range(l):
             yield i * m, col_off + i * m, c, M
         return
-    parts = {j: right.gather_rows(range(j * m, (j + 1) * m))
-             for j in sorted({k // m for k in right.rows})}
-    for i, j, v in L.entries():
-        if j in parts:
-            yield i * m, col_off, c * v, parts[j]
+    parts = yield from kron_unit_blocks(L, m, c, right, col_off)
     for i, part in parts.items():
         yield i * m, col_off, c, (M, part)
 
@@ -643,10 +661,6 @@ class SpMat:
 
     def select_columns(self, col_idx: list[int]) -> "SpMat":
         return self.submatrix(list(range(self.nrows)), col_idx)
-
-    def kron(self, other: "SpMat") -> "SpMat":
-        return SpMat.assemble(self.nrows * other.nrows, self.ncols * other.ncols,
-                              kron_blocks(self, other))
 
     # -- elimination ------------------------------------------------------
 

@@ -313,16 +313,14 @@ def sigma_height(p: ParabolicSpec, c: Root) -> int:
     return sum(c[i - 1] for i in p.sigma)
 
 
-def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    if len(lam) != rs.rank:
-        raise NonDominant(f"weight has {len(lam)} coordinates, expected {rs.rank}")
-    if any(x < 0 for x in lam):
-        raise NonDominant(f"{tuple(lam)} is not dominant")
+def _weyl_product(rs: RootSystem, lam: Weight, roots) -> int:
+    """Weyl's product over ``roots`` of (lam + rho, beta) / (rho, beta),
+    certified a positive integer."""
     rho = rs.rho
     shifted = tuple(a + b for a, b in zip(lam, rho))
     num = Q(1)
     den = Q(1)
-    for beta in rs.pos_roots:
+    for beta in roots:
         num *= rs.ip_weight_root(shifted, beta)
         den *= rs.ip_weight_root(rho, beta)
     val = num / den
@@ -330,6 +328,22 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
     if out != val or out <= 0:
         raise RootSystemNotCertified(f"Weyl dimension of {tuple(lam)} is {val}")
     return out
+
+
+def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
+    if len(lam) != rs.rank:
+        raise NonDominant(f"weight has {len(lam)} coordinates, expected {rs.rank}")
+    if any(x < 0 for x in lam):
+        raise NonDominant(f"{tuple(lam)} is not dominant")
+    return _weyl_product(rs, lam, rs.pos_roots)
+
+
+def levi_weyl_dimension(p: ParabolicSpec, label: Weight) -> int:
+    """The dimension of the irreducible g_0-module of highest weight
+    ``label``: Weyl's product over the positive roots of sigma height 0.
+    The rho of g serves, since rho - rho_0 is orthogonal to every root of
+    g_0."""
+    return _weyl_product(p.rs, label, [a for a in p.rs.pos_roots if sigma_height(p, a) == 0])
 
 
 class WeylElt:

@@ -32,6 +32,7 @@ from math import factorial
 from artifact.gradedla import GradedLieAlgebra
 from artifact.hodge import CochainComplex, ComplexNotCertified
 from artifact.linalg import Q, QONE, SpMat
+from linalg_reference import reference_kron
 from artifact.repmod import PModule, positions_by_weight
 from repmod_reference import tensor
 from artifact.rootspace import Weight
@@ -214,7 +215,7 @@ def reference_inner(cc: CochainComplex, n: int) -> SpMat:
     """G_n = ((-1)^n / n!) diag(prod_a d_a) (x) Gram_V."""
     d = len(cc.dual.roots)
     lam = SpMat.diagonal([_tuple_scale(cc, t) for t in combinations(range(d), n)])
-    return lam.kron(cc.V.gram).scale(Q((-1) ** n, factorial(n)))
+    return reference_kron(lam, cc.V.gram).scale(Q((-1) ** n, factorial(n)))
 
 
 def laplacian(cc: CochainComplex, n: int) -> SpMat:

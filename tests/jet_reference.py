@@ -11,10 +11,11 @@ The pipeline never builds J^1(V), J^1(f) or the twisted derivative d_V: it
 places their blocks through index maps. `jet1`, `jet1_map_matrix` and
 `twisted_matrix` build them here in full, from the J^1 formula's block list
 ``artifact.jetcalc._jet1_terms``, from `block_diag`, and from the complex's
-d and unit wedges. The first jet reference writes J^1(V) as
+d and bare wedges. The first jet reference writes J^1(V) as
 V (+) (p_+ (x) V) with `repmod_reference.tensor` (itself checked against
 Kronecker products in ``test_repmod``) and adds the footpoint corrections
-one matrix at a time with `+`, `scale` and `kron`, independently of that block list.
+one matrix at a time with `+`, `scale` and `reference_kron`, independently
+of that block list.
 
 The operator reference certifies D on Jbar^{k+1}(E/E^1) on the built action
 of Jbar^{k+1}, extending the Jbar^k of the splitter L^(k), by A'_Z D = D A_Z
@@ -50,6 +51,7 @@ from artifact.jetcalc import (
     semiholonomic,
 )
 from artifact.linalg import SpMat
+from linalg_reference import reference_kron
 from artifact.repmod import PModule
 from repmod_reference import tensor
 from hodge_reference import pplus_module
@@ -77,8 +79,11 @@ def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
 
 def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
     """d_V: (f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of
-    C^n, as the row of blocks [del, (n+1) eps_1, ..., (n+1) eps_d]."""
-    return SpMat.hstack([cc.dels[n]] + [w.scale(n + 1) for w in cc.unit_wedges(n)])
+    C^n, as the row of blocks [del, (n+1) eps_1, ..., (n+1) eps_d], each
+    eps_a (x) 1_V built in full from the bare wedge."""
+    one = SpMat.identity(cc.V.dim)
+    return SpMat.hstack([cc.dels[n]] + [reference_kron(e, one).scale(n + 1)
+                                        for e in cc.bare_wedges(n)])
 
 
 def index_matrix(phi, ncols: int) -> SpMat:
@@ -110,7 +115,7 @@ def reference_jet1(V: PModule) -> PModule:
                 continue
             corner = SpMat.from_entries(1 + d, 1 + d, {(1 + a, 0): 1})
             for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                act = act + corner.kron(V.actions[blab].scale(c / dual.d[a]))
+                act = act + reference_kron(corner, V.actions[blab].scale(c / dual.d[a]))
         acts[lab] = act
     return PModule(g=g, dim=(1 + d) * V.dim, actions=acts, weights=V.weights + pv.weights)
 
@@ -242,7 +247,7 @@ def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:
     d = len(g.pplus_roots())
     blocks = [fmat]
     for j in range(1, k + 1):
-        blocks.append(SpMat.identity(d**j).kron(fmat))
+        blocks.append(reference_kron(SpMat.identity(d**j), fmat))
     return SpMat.block_diag(blocks)
 
 

@@ -22,6 +22,7 @@ from conftest import (
     splitters_for,
     graded,
     level_action,
+    unit_wedges,
 )
 from tilde_reference import tilde_bases, tilde_jet_submodule, verify_tower_containments
 
@@ -192,7 +193,7 @@ def test_criterion_07_splitting_operator_identities():
 def _wedge(cc, n, zco):
     """Z ^ . : C^n -> C^{n+1} for Z = sum_a c_a eta_a, zco = {a: c_a}: the
     sum of c_a times the unit wedges."""
-    wedges = cc.unit_wedges(n)
+    wedges = unit_wedges(cc, n)
     return SpMat.assemble(cc.dim(n + 1), cc.dim(n), [(0, 0, c, wedges[a]) for a, c in zco.items()])
 
 
@@ -239,7 +240,7 @@ def _sample_identities(cc, rng, trials):
                 img = img + level_action(cc, n, lab).scale(
                     Q(coeff) / dual.d[b]
                 ) @ f
-            rhs = rhs + cc.unit_wedges(n)[b] @ img.scale(n + 1)
+            rhs = rhs + unit_wedges(cc, n)[b] @ img.scale(n + 1)
         ok &= (lhs - rhs).is_zero()
     return ok
 

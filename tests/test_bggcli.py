@@ -421,6 +421,16 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'emitt'\n"
 
 
+def test_config_file_refuses_a_key_given_twice(tmp_path, capsys):
+    """As a flag given twice is: the second value is not taken silently."""
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("algebra=A2\ncross=1\nweight=1,0\n# again\nweight=0,1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{cfg}:5: duplicate key 'weight'")):
+        parse_spec(["--config", str(cfg), "cohomology"])
+    assert main(["--config", str(cfg), "cohomology"]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:5: duplicate key 'weight'\n"
+
+
 @pytest.mark.parametrize("emit,written", [("json", ""), ("json,text", ".json")])
 def test_unwritable_out_exits_2_without_traceback(tmp_path, capsys, emit, written):
     out = tmp_path / "absent" / "x"

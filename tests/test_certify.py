@@ -34,14 +34,15 @@ def battery(cc, tampered=None) -> dict[str, bool]:
     the commutator at n, which read Lambda^n and Lambda^{n+1} from the
     complex's two levels. ``tampered`` = (n, module) puts ``module`` in the
     complex's own window in place of Lambda^n p_+ when the pass first asks
-    for it, so every check that reads C^n's action reads it."""
+    for it, next to the record's own wedges, so every check that reads
+    C^n's action reads it."""
     out = verify_cochain_identities(cc)
     out.update(codifferential_leibniz=True, differential_commutator=True)
 
     def ask(m):
         cc.wedge_module(m)
         if tampered is not None and tampered[0] == m:
-            cc._lambdas[m] = tampered[1]
+            cc._window[m] = (tampered[1], cc._window[m][1])
 
     ask(0)
     for n in range(cc.top):

@@ -19,7 +19,7 @@ import pytest
 
 from artifact.hodge import DegreeOverflow
 from artifact.linalg import SpMat
-from conftest import BATTERY, complex_for, level_action
+from conftest import BATTERY, complex_for, level_action, unit_wedges
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "artifact")
 SCANNED = ("hodge.py", "certify.py", "bggcore.py")
@@ -49,14 +49,16 @@ def test_complex_is_zero_at_both_ends(label, sigma, weight):
 
 @pytest.mark.parametrize("label,sigma,weight", CASES)
 def test_unit_wedges_are_zero_at_both_ends(label, sigma, weight):
+    """eps_a (x) 1_V, placed from the bare wedges as every reader places it,
+    out of C^{-1} and out of C^top."""
     cc = complex_for(label, sigma, weight)
     for n, shape in [(-1, (cc.dim(0), 0)), (cc.top, (0, cc.dim(cc.top)))]:
-        wedges = cc.unit_wedges(n)
+        wedges = unit_wedges(cc, n)
         assert len(wedges) == len(cc.dual)
         assert all((w.nrows, w.ncols) == shape and w.is_zero() for w in wedges)
     for n in (-2, cc.top + 1):
         with pytest.raises(DegreeOverflow):
-            cc.unit_wedges(n)
+            unit_wedges(cc, n)
 
 
 def _shifted(node, base) -> bool:

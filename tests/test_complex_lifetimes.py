@@ -1,23 +1,26 @@
 """How long the exponential tables of a cochain complex live.
 
-The complex never stores the p-action of a level: each reader places
-A^n_Z = L_Z (x) 1 + 1 (x) M_Z as blocks of Lambda^n p_+'s matrices and V's.
-It keeps Lambda^n p_+ for two levels, the two built last, and the unit
-wedges of one level, the last one asked for, and builds each G_n where it
-is read instead of keeping it. `build_bgg_diagram` makes one pass over the
-levels: step n builds H^{n+1}, then runs level n's checks and sources,
-which read Lambda^n and Lambda^{n+1} only; and the Leibniz check on C^n
-reads the wedges of level n - 1 before level n. So a whole run builds each
-Lambda^n and each level's wedges once. The pass holds two cohomology
-records, H^n and H^{n+1}, since level n reads no other. These tests watch
-both caches during whole diagram builds, count the levels built, count the
-live cohomology records, look for a G_n among the complex's attributes, and
-look, whenever a reader asks for a level, for a held matrix of the shape of
-a level's action. The bench `cohomology` cases run under ``tracemalloc``,
-each with its own bound on the traced peak.
+The complex never stores the p-action of a level, nor the wedge on it:
+each reader places A^n_Z = L_Z (x) 1 + 1 (x) M_Z as blocks of
+Lambda^n p_+'s matrices and V's, and eps_a (x) 1_V as blocks of the bare
+wedge eps_a. It keeps one cache, a window of two levels, the two built
+last: record n holds Lambda^n p_+ and the bare wedges
+eps_a: Lambda^{n-1} -> Lambda^n, built together (``CochainComplex._level``).
+It builds each G_n where it is read instead of keeping it.
+`build_bgg_diagram` makes one pass over the levels: step n builds H^{n+1},
+then runs level n's checks and sources, which read records n and n + 1
+only. So a whole run builds each record once, from 0 to top. The pass holds
+two cohomology records, H^n and H^{n+1}, since level n reads no other.
+These tests watch the window during whole diagram builds, count the levels
+built, count the live cohomology records, look for a G_n among the
+complex's attributes, and look, whenever a reader asks for a level, for a
+held matrix of the shape of a level's action or of a wedge on C^n. The
+bench `cohomology` cases run under ``tracemalloc``, each with its own bound
+on the traced peak.
 """
 
 import gc
+import inspect
 import tracemalloc
 import weakref
 
@@ -33,37 +36,21 @@ from conftest import complex_for, graded
 
 
 @pytest.fixture
-def wedge_log(monkeypatch):
-    """Wrap ``CochainComplex.unit_wedges``; the log gets, for each call,
-    (level, built, number of levels the complex holds afterwards), where
-    ``built`` tells whether the call had to build the level."""
+def window_log(monkeypatch):
+    """Wrap ``CochainComplex._level``, through which every reader of the
+    window goes; the log gets, for each call, (level, built, number of
+    levels the window holds afterwards), where ``built`` tells whether the
+    call had to build the level."""
     log = []
-    unit_wedges = CochainComplex.unit_wedges
+    level = CochainComplex._level
 
     def logged(cc, n):
-        built = n not in cc._wedges
-        out = unit_wedges(cc, n)
-        log.append((n, built, len(cc._wedges)))
+        built = n not in cc._window
+        out = level(cc, n)
+        log.append((n, built, len(cc._window)))
         return out
 
-    monkeypatch.setattr(CochainComplex, "unit_wedges", logged)
-    return log
-
-
-@pytest.fixture
-def level_log(monkeypatch):
-    """Wrap ``CochainComplex.wedge_module``; the log gets, for each call,
-    (level, built, number of levels the complex holds afterwards)."""
-    log = []
-    wedge_module = CochainComplex.wedge_module
-
-    def logged(cc, n):
-        built = n not in cc._lambdas
-        out = wedge_module(cc, n)
-        log.append((n, built, len(cc._lambdas)))
-        return out
-
-    monkeypatch.setattr(CochainComplex, "wedge_module", logged)
+    monkeypatch.setattr(CochainComplex, "_level", logged)
     return log
 
 
@@ -88,21 +75,16 @@ RUNS = [("G2", (1,), (1, 1), False), ("A3", (1, 2, 3), (0, 0, 0), True)]
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
-def test_complex_holds_one_wedge_level(wedge_log, label, sigma, weight, with_arrows):
-    build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
-    assert wedge_log
-    assert max(held for _, _, held in wedge_log) == 1
-
-
-@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
-def test_identity_battery_builds_each_level_once(wedge_log, label, sigma, weight, with_arrows):
-    """And so does the whole run, with arrows too: the sources of level n
-    read only level n, which the level's checks have just built. The
-    Leibniz check on C^0 reads level -1, whose wedges are zero maps.
-    A3 {1,2,3} (0,0,0) builds 7 levels, -1 to 5."""
+def test_identity_battery_builds_each_level_once(window_log, label, sigma, weight, with_arrows):
+    """The wedges out of each level are built once in the whole run, with
+    arrows too: those out of level k live in record k + 1, which the pass
+    builds once, and the sources of level n read only records n and n + 1,
+    which the level's checks have just read. The Leibniz check on C^0 reads
+    the wedges out of level -1, zero maps. A3 {1,2,3} (0,0,0) builds the
+    wedges out of 7 levels, -1 to 5."""
     diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     top = len(diagram.columns) - 1
-    builds = [n for n, built, _ in wedge_log if built]
+    builds = [n - 1 for n, built, _ in window_log if built]
     assert builds == list(range(-1, top))
     if with_arrows:
         assert len(builds) == 7
@@ -119,23 +101,34 @@ def test_no_attribute_holds_an_inner_product():
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
-def test_complex_holds_two_levels(level_log, label, sigma, weight, with_arrows):
-    """Of Lambda^n p_+, the factor of C^n's action the complex keeps."""
+def test_complex_holds_two_levels(window_log, label, sigma, weight, with_arrows):
+    """The window, of Lambda^n p_+ (the factor of C^n's action) and the bare
+    wedges into it, holds at most two levels whoever reads it."""
     build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
-    assert level_log
-    assert max(held for _, _, held in level_log) == 2
+    assert window_log
+    assert max(held for _, _, held in window_log) == 2
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
-def test_run_builds_each_level_action_once(level_log, label, sigma, weight, with_arrows):
-    """Lambda^n p_+ for levels 0..top, each once and in order; the zero ends
-    Lambda^{-1} and Lambda^{top+1} are never built, since no reader needs
-    their actions."""
+def test_run_builds_each_level_action_once(window_log, label, sigma, weight, with_arrows):
+    """The window's records for levels 0..top, each once and in order; the
+    zero ends Lambda^{-1} and Lambda^{top+1} are never built, since no
+    reader needs their actions, and no reader of the wedges asks for them:
+    the wedges out of C^{-1} are in record 0, and those out of C^top are
+    never read."""
     diagram = build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     top = len(diagram.columns) - 1
-    builds = [n for n, built, _ in level_log if built]
+    builds = [n for n, built, _ in window_log if built]
     assert builds == list(range(0, top + 1))
-    assert not {-1, top + 1} & {n for n, _, _ in level_log}
+    assert not {-1, top + 1} & {n for n, _, _ in window_log}
+
+
+def test_complex_keeps_one_cache():
+    """Of the complex's attributes, all but the constructor's are its one
+    cache, the window."""
+    cc = complex_for("G2", (1,), (1, 1))
+    params = inspect.signature(CochainComplex).parameters
+    assert [k for k in vars(cc) if k not in params] == ["_window"]
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
@@ -176,24 +169,26 @@ SHAPE_RUNS = [("G2", (1,), (1, 1), False), ("A2", (1, 2), (1, 1), True)]
 def test_no_attribute_holds_a_level_action(monkeypatch, label, sigma, weight, with_arrows):
     """Whenever a reader asks for Lambda^n p_+ or a level's wedges during a
     whole run, no matrix reachable from the complex's attributes is
-    dim C^k x dim C^k for a level k with dim Lambda^k > 1, but d, dstar and
-    the unit wedges, which map C^k to a neighbour of the same dimension."""
+    dim C^k x dim C^k for a level k with dim Lambda^k > 1, or
+    dim C^{k+1} x dim C^k, the shape of a wedge eps_a (x) 1_V on C^k, but d
+    and dstar (dstar_k has the shape of d_{top-1-k}, and d_k may be square)."""
     scans = []
 
     def scanning(method):
         def wrapper(cc, n):
             out = method(cc, n)
-            squares = {cc.dim(k) for k in range(cc.top + 1)
+            squares = {(cc.dim(k), cc.dim(k)) for k in range(cc.top + 1)
                        if len(cc.wedge_tuples[k]) > 1}
+            wedges = {(cc.dim(k + 1), cc.dim(k)) for k in range(cc.top)}
             scans.append([
                 path for path, m in held_matrices(vars(cc))
-                if path[0] not in ("dels", "delstars", "_wedges")
-                and m.nrows == m.ncols and m.nrows in squares
+                if path[0] not in ("dels", "delstars")
+                and (m.nrows, m.ncols) in squares | wedges
             ])
             return out
         return wrapper
 
-    for name in ("wedge_module", "unit_wedges"):
+    for name in ("wedge_module", "bare_wedges"):
         monkeypatch.setattr(CochainComplex, name, scanning(getattr(CochainComplex, name)))
     build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
     assert len(scans) > 10
@@ -209,18 +204,20 @@ def test_levels_outside_the_complex_are_refused(label, sigma, weight, with_arrow
 
 
 # the bench `cohomology` cases, each with its bound on the traced peak, in
-# bytes. Traced peaks: 3.63 and 2.71 MB with each weight block certified on
-# its own and two cohomology records held; 3.88 and 3.13 MB with one
-# level-wide certificate and every record held; 6.6 and 5.7 MB when each
+# bytes. Traced peaks: 3.31 and 2.03 MB with no unit wedge stored and one
+# window of Lambda^n and its bare wedges; 3.63 and 2.71 MB with the unit
+# wedges of one level stored; 3.88 and 3.13 MB with one level-wide
+# certificate and every cohomology record held; 6.6 and 5.7 MB when each
 # level's action was stored
-GUARDED = [(["--algebra", "G2", "--cross", "1", "--weight", "1,1", "cohomology"], 3.70e6),
-           (["--algebra", "A4", "--cross", "2", "--weight", "1,0,0,1", "cohomology"], 2.85e6)]
+GUARDED = [(["--algebra", "G2", "--cross", "1", "--weight", "1,1", "cohomology"], 3.45e6),
+           (["--algebra", "A4", "--cross", "2", "--weight", "1,0,0,1", "cohomology"], 2.35e6)]
 
 
 @pytest.mark.parametrize("argv,bound", GUARDED, ids=["G2", "A4"])
 def test_cohomology_peak_memory(capsys, argv, bound):
-    """A stored level action, a level-wide certificate matrix or a held
-    cohomology record shows here as a traced peak over the bound."""
+    """A stored level action or unit wedge, a level-wide certificate matrix
+    or a held cohomology record shows here as a traced peak over the
+    bound."""
     tracemalloc.start()
     try:
         assert main(argv) == 0

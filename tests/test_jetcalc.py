@@ -21,6 +21,7 @@ from artifact.linalg import Q, SpMat
 from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
 from conftest import complex_for, graded
 from hodge_reference import reference_level
+from linalg_reference import reference_kron
 from jet_reference import (
     ambient,
     chain_embedding,
@@ -75,7 +76,7 @@ def test_jet1_of_map_identity_and_shape():
     F = SpMat.from_dense([[Q(i == j) * 3 for j in range(V.dim)] for i in range(V.dim)])
     JM = jet1_map_matrix(g, F)
     d = len(g.pplus_roots())
-    expect = SpMat.block_diag([F, SpMat.identity(d).kron(F)])
+    expect = SpMat.block_diag([F, reference_kron(SpMat.identity(d), F)])
     assert (JM - expect).is_zero()
 
 

@@ -1,4 +1,5 @@
-"""The p-action on C^n is placed as blocks of a Kronecker sum.
+"""The p-action on C^n is placed as blocks of a Kronecker sum, and the
+wedge on C^n as blocks of a Kronecker product.
 
 P acts on C^n = Lambda^n p_+ (x) V through the tensor product, so
 A^n_Z = L_Z (x) 1 + 1 (x) M_Z. The complex stores neither A^n_Z nor any
@@ -6,14 +7,16 @@ matrix of its size: every reader places it with `linalg.kron_sum_blocks`,
 as plain blocks or as blocks of A^n_Z @ X or X @ A^n_Z. These tests check
 the three forms against dense Kronecker products, and, on every `BATTERY`
 case and level (both zero ends included), against the tensor module of
-``hodge_reference.reference_level``.
+``hodge_reference.reference_level``. The wedge eps_a (x) 1_V is placed the
+same way, with `linalg.kron_unit_blocks`, checked against the dense
+product too.
 """
 
 import random
 
 import pytest
 
-from artifact.linalg import Q, SpMat, kron_blocks, kron_sum_blocks
+from artifact.linalg import Q, SpMat, kron_blocks, kron_sum_blocks, kron_unit_blocks
 from conftest import BATTERY, complex_for
 from hodge_reference import reference_level
 from linalg_reference import reference_kron, reference_matmul
@@ -59,6 +62,28 @@ def test_both_forms_match_the_dense_kronecker_sum(l, m):
         Y = rand_mat(3, dim)
         assert SpMat.assemble(3, dim, kron_sum_blocks(L, M, c, left=Y)) == \
             reference_matmul(Y, want).scale(c)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("l,k", [(3, 2), (2, 4), (1, 1), (0, 2), (2, 0)])
+def test_unit_blocks_are_the_kronecker_product_times_right(l, k, m):
+    """The blocks of c (L (x) 1_m) @ right, for rectangular L (l x k), at a
+    column offset, equal the dense product, for a right with empty row
+    blocks (rows of block 0 and of the last block cleared), a zero right,
+    and a full one; m = 1 is one product block."""
+    c = Q(-5, 3)
+    one = SpMat.identity(m)
+    for L in (rand_mat(l, k), SpMat(l, k)):
+        full = rand_mat(k * m, 3, density=1.0)
+        holes = SpMat.from_entries(k * m, 3, {
+            (i, j): v for i, j, v in full.entries() if not (i < m or i >= (k - 1) * m)
+        })
+        for right in (full, holes, SpMat(k * m, 3)):
+            want = reference_matmul(reference_kron(L, one), right).scale(c)
+            got = SpMat.assemble(l * m, 5, kron_unit_blocks(L, m, c, right, 2))
+            assert got == SpMat.hstack([SpMat(l * m, 2), want]), (L, right)
+            if m == 1:
+                assert [b[3] for b in kron_unit_blocks(L, m, c, right, 2)] == [(L, right)]
 
 
 @pytest.mark.parametrize("m", [1, 3])

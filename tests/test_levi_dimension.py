@@ -12,7 +12,9 @@ Weyl group permutes, so it is orthogonal to every uncrossed root.
 
 The columns checked are every `BATTERY` case and every golden report. The
 components of every `GOLDEN_DIMS` module settle the label convention: their
-Levi dimensions add up to the pinned harmonic dimensions.
+Levi dimensions add up to the pinned harmonic dimensions. The helper here is
+the reference for `rootspace.levi_weyl_dimension`, which the run-time
+oracle (`certify.oracle_agrees`) compares each component's dim with.
 """
 
 import glob
@@ -21,10 +23,18 @@ import os
 
 import pytest
 
+from artifact.bggcore import DiagramComponent
+from artifact.certify import oracle_agrees
 from artifact.hodge import cohomology_module
 from artifact.linalg import Q
 from artifact.repmod import decompose_completely_reducible
-from artifact.rootspace import build_root_system, parabolic, sigma_height
+from artifact.rootspace import (
+    build_root_system,
+    dominant_representative_for,
+    levi_weyl_dimension as run_time_dimension,
+    parabolic,
+    sigma_height,
+)
 from conftest import BATTERY, GOLDEN_DIMS, complex_for_module, diagram_for, graded
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -90,3 +100,30 @@ def test_golden_columns_have_levi_weyl_dimensions(name):
                for column in report["columns"]]
     assert any(columns)
     assert mismatches(p, columns) == []
+
+
+@pytest.mark.parametrize("label,sigma,weight",
+                         [(l, s, w) for l, s, ws in BATTERY for w in ws])
+def test_run_time_dimension_agrees_with_the_reference(label, sigma, weight):
+    p = graded(label, sigma).par
+    labels = [c.label for column in diagram_for(label, sigma, weight).columns for c in column]
+    assert labels
+    assert [run_time_dimension(p, l) for l in labels] == \
+        [levi_weyl_dimension(p, l) for l in labels]
+
+
+@pytest.mark.parametrize("label,sigma,weight", [("A2", (1,), (1, 1)), ("B2", (1, 2), (1, 0)),
+                                                ("G2", (1,), (1, 0))])
+def test_oracle_refuses_a_tampered_dim(label, sigma, weight):
+    """Every label and E-eigenvalue as Kostant predicts, but one component's
+    dim raised by one: the oracle fails it."""
+    g = graded(label, sigma)
+    lam_mod = dominant_representative_for(g.rs, range(1, g.rs.rank + 1), tuple(-x for x in weight))
+    columns = [[DiagramComponent(c.label, c.e_eigenvalue, c.dim) for c in column]
+               for column in diagram_for(label, sigma, weight).columns]
+    assert oracle_agrees(g, lam_mod, columns)
+    for n, column in enumerate(columns):
+        for k, c in enumerate(column):
+            tampered = [list(col) for col in columns]
+            tampered[n][k] = DiagramComponent(c.label, c.e_eigenvalue, c.dim + 1)
+            assert not oracle_agrees(g, lam_mod, tampered), (n, k)

@@ -22,6 +22,7 @@ from artifact.repmod import (
 from artifact.rootspace import NonDominant, build_root_system
 from conftest import graded
 from hodge_reference import pplus_module
+from linalg_reference import reference_kron
 import repmod_reference
 from repmod_reference import tensor
 
@@ -275,7 +276,7 @@ def test_tensor_and_dual_actions():
     T = tensor(V, W)
     assert T.dim == V.dim * W.dim
     for l in g.p_labels():
-        expect = SpMat.kron(V.actions[l], SpMat.identity(W.dim)) + SpMat.kron(
+        expect = reference_kron(V.actions[l], SpMat.identity(W.dim)) + reference_kron(
             SpMat.identity(V.dim), W.actions[l]
         )
         assert (T.actions[l] - expect).is_zero()
