@@ -75,6 +75,37 @@ RUNS = [("G2", (1,), (1, 1), False), ("A3", (1, 2, 3), (0, 0, 0), True)]
 
 
 @pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
+def test_complex_holds_one_wedge_level(monkeypatch, label, sigma, weight, with_arrows):
+    """The wedges out of a level are held in one place: whenever a reader
+    asks for those out of level n during a whole run, each is held once, in
+    record n + 1 of the window, and no attribute but d, dstar and the window
+    holds a matrix dim C^{k+1} x dim C^k, the shape of a wedge
+    eps_a (x) 1_V on C^k, for any level k."""
+    reads = []
+    bare_wedges = CochainComplex.bare_wedges
+
+    def logged(cc, n):
+        out = bare_wedges(cc, n)
+        held = list(held_matrices(vars(cc)))
+        shapes = {(cc.dim(k + 1), cc.dim(k)) for k in range(-1, cc.top + 1)}
+        reads.append((
+            n,
+            [path for path, m in held if any(m is e for e in out)],
+            [path for path, m in held if path[0] not in ("dels", "delstars", "_window")
+             and (m.nrows, m.ncols) in shapes],
+            [("_window", n + 1, 1, a) for a in range(len(out))],
+        ))
+        return out
+
+    monkeypatch.setattr(CochainComplex, "bare_wedges", logged)
+    build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+    assert reads
+    for n, places, strays, record in reads:
+        assert places == record, n
+        assert strays == [], n
+
+
+@pytest.mark.parametrize("label,sigma,weight,with_arrows", RUNS)
 def test_identity_battery_builds_each_level_once(window_log, label, sigma, weight, with_arrows):
     """The wedges out of each level are built once in the whole run, with
     arrows too: those out of level k live in record k + 1, which the pass
