@@ -218,14 +218,14 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     # one op per grade s >= 1, the images of its raising actions side by side:
     # they all land in the same layer, in the order the labels come
     by_grade: dict[int, list] = {}
-    for lab in g.p_labels():
+    for lab in g.p_labels:
         if g.grade_of(lab) >= 1:
             by_grade.setdefault(g.grade_of(lab), []).append(lab)
     raising = [(lambda x, labs=labs: cc.act(n, labs, x), s) for s, labs in by_grade.items()]
     layers: list[tuple[int, SpMat]] = []
     for j, b in layered_closure(coh.ker_box @ comp.embedding, raising):
         layers.append((j, b))
-        check_jet_budget(len(g.pplus_roots()), layers[0][1].ncols, j + 1, max_jet_dim)
+        check_jet_budget(len(g.pplus_roots), layers[0][1].ncols, j + 1, max_jet_dim)
     basis = SpMat.hstack([b for _, b in layers])
     m = basis.ncols
     offsets = tuple(j for j, b in layers for _ in range(b.ncols))
@@ -234,7 +234,7 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     r = max(offsets)
     if not (cc.delstars[n - 1] @ basis).is_zero():
         raise CertificationFailure(f"E is not inside ker dstar on C^{n}")
-    acts = action_on_span(basis, cc.act(n, g.p_labels(), basis), g.p_labels())
+    acts = action_on_span(basis, cc.act(n, g.p_labels, basis), g.p_labels)
     supp: dict[int, list[int]] = {}
     for i, k in basis.support():
         supp.setdefault(k, []).append(i)
@@ -259,7 +259,7 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
     if not 1 <= i <= gs.r:
         raise ValueError(f"L_i needs 1 <= i <= {gs.r}, got {i}")
     cc, n, g = gs.cc, gs.n, gs.cc.g
-    roots = g.pplus_roots()
+    roots = g.pplus_roots
     src_q = gs.quotient(i)
     tgt = gs.quotient(i + 1)
     width = (1 + len(roots)) * src_q.dim

@@ -102,7 +102,7 @@ def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
     Reads the window's records n and n + 1, n first, so that run over n in
     order each record is built once. On C^0 the last term is a product
     through C^{-1} = 0, so it is zero."""
-    roots = cc.g.pplus_roots()
+    roots = cc.g.pplus_roots
     dim, m = cc.dim(n), cc.V.dim
     below = cc.bare_wedges(n - 1)
     eps = cc.bare_wedges(n)
@@ -137,12 +137,12 @@ def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
     d = cc.dels[n]
 
     def brackets(lab):
-        terms = [(-(n + 1) * c, a, blab) for a, blab, c in g.xi_brackets(lab)]
+        terms = [(-(n + 1) * c, a, blab) for a, blab, c in g.xi_brackets[lab]]
         yield from kron_blocks([(c, eps[a], lam[blab]) for c, a, blab in terms], one)
         for c, a, blab in terms:
             yield from kron_blocks(eps[a], V.actions[blab], c)
 
-    for lab in g.p_labels():
+    for lab in g.p_labels:
         if g.grade_of(lab) < 1:
             continue
         blocks = chain(
@@ -191,8 +191,8 @@ def verify_splitter_defect(gs, chain) -> bool:
     L_{i-1} through the slot-prefix map (slot b, column t) -> b dim E/E^i + t,
     and L_i A_Z is `jet1_left_action`: no J^1 matrix is built."""
     g = gs.cc.g
-    d = len(g.pplus_roots())
-    grade1 = [l for l in g.p_labels() if g.grade_of(l) == 1]
+    d = len(g.pplus_roots)
+    grade1 = [l for l in g.p_labels if g.grade_of(l) == 1]
     below = [SpMat(gs.quotient(1).dim, 0), *chain.maps]
     for i, li in enumerate(chain.maps, 1):
         qi, qn, width = gs.quotient(i), gs.quotient(i + 1), li.ncols

@@ -5,13 +5,17 @@ roots in height-lex order. Structure constants are integers, with signs fixed
 by a deterministic choice of defining pairs: for non-simple gamma the pair is
 (alpha_i, gamma - alpha_i) with i the smallest node index that works, and
 N_{alpha_i, gamma-alpha_i} = +(p+1) where p is the length of the downward
-alpha_i-string through gamma - alpha_i. All remaining constants follow from
-the Jacobi identities for triples of root vectors; the bracket convention is
-[e_alpha, f_alpha] = h_{alpha^vee} (integral coroot coefficients).
+alpha_i-string through gamma - alpha_i. The remaining constants on pairs of
+positive roots follow from the Jacobi identities for triples of root
+vectors, and are the one table kept; a pair with a negative root is read
+off it by sign rules. The bracket convention is [e_alpha, f_alpha] =
+h_{alpha^vee} (integral coroot coefficients).
 
 The Sigma-height grading g = g_{-k} + ... + g_k, the grading element E and
-its eigenvalue on weights, the Killing pairing B(e_a, f_a) and the dual bases
-eta_a = e_a in p_+, xi_a = f_a / B(e_a, f_a) in g_- all live here.
+its eigenvalue on weights, and the Killing pairings d_a = B(e_a, f_a) of the
+p_+ roots, which make xi_a = f_a / d_a in g_- dual to eta_a = e_a in p_+,
+all live here. Each derived table is a cached attribute, built once per
+algebra on first read.
 """
 
 from __future__ import annotations
@@ -38,26 +42,22 @@ def _neg(r: Root) -> Root:
 
 
 class _ChevalleyTable:
-    """N_{r,s} for all ordered pairs of roots with r+s a root."""
+    """N_{r,s} on the ordered pairs of positive roots with r+s a root, built
+    by the Jacobi pass; every other pair is read through the sign rules
+    ``_general`` and ``_mixed``."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.pos = list(rs.pos_roots)
-        self.posset = set(self.pos)
-        self.allroots = set(self.pos) | {_neg(r) for r in self.pos}
         self.N: dict[tuple[Root, Root], object] = {}
         self.defining: dict[Root, tuple[int, Root, int]] = {}
-        self.len2 = {r: rs.ip_root_root(r, r) for r in self.pos}  # (r, r), an int
+        self.len2 = {r: rs.ip_root_root(r, r) for r in rs.pos_roots}  # (r, r), an int
         self._build()
-
-    def _is_root(self, r) -> bool:
-        return r in self.allroots
 
     def _p_down(self, a: Root, b: Root) -> int:
         # length of the a-string below b
         p = 0
         cur = tuple(x - y for x, y in zip(b, a))
-        while self._is_root(cur):
+        while self.rs.is_root(cur):
             p += 1
             cur = tuple(x - y for x, y in zip(cur, a))
         return p
@@ -66,12 +66,12 @@ class _ChevalleyTable:
         rs = self.rs
         n = rs.rank
         simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        for gamma in self.pos:
+        for gamma in rs.pos_roots:
             if sum(gamma) == 1:
                 continue
             i = next(
                 j for j in range(n)
-                if tuple(a - b for a, b in zip(gamma, simples[j])) in self.posset
+                if rs.is_positive(tuple(a - b for a, b in zip(gamma, simples[j])))
             )
             a = simples[i]
             b = tuple(x - y for x, y in zip(gamma, a))
@@ -82,9 +82,9 @@ class _ChevalleyTable:
             # remaining positive pairs summing to gamma, via Jacobi on
             # (e_a, f_alpha, f_beta)
             seen = {frozenset((a, b))}
-            for alpha in self.pos:
+            for alpha in rs.pos_roots:
                 beta = tuple(x - y for x, y in zip(gamma, alpha))
-                if beta not in self.posset:
+                if not rs.is_positive(beta):
                     continue
                 key = frozenset((alpha, beta))
                 if key in seen or alpha == beta:
@@ -97,29 +97,21 @@ class _ChevalleyTable:
                     )
                 t2 = QZERO
                 amb = tuple(x - y for x, y in zip(a, beta))
-                if self._is_root(amb):
+                if rs.is_root(amb):
                     t2 = self._general(_neg(beta), a) * self._general(_neg(alpha), amb)
                 t3 = QZERO
                 ama = tuple(x - y for x, y in zip(a, alpha))
-                if self._is_root(ama):
+                if rs.is_root(ama):
                     t3 = self._general(a, _neg(alpha)) * self._general(_neg(beta), ama)
                 nneg = -(t2 + t3) / denom  # N(-alpha,-beta)
                 val = -nneg
                 self.N[(alpha, beta)] = val
                 self.N[(beta, alpha)] = -val
-        # extend to every ordered pair of roots with root sum
-        full: dict[tuple[Root, Root], object] = {}
-        for r in self.allroots:
-            for s in self.allroots:
-                t = tuple(x + y for x, y in zip(r, s))
-                if not self._is_root(t):
-                    continue
-                full[(r, s)] = self._general(r, s)
-        self.N = full
 
     def _general(self, r: Root, s: Root):
-        rpos = r in self.posset
-        spos = s in self.posset
+        """N(r, s) for roots r, s with r + s a root."""
+        rpos = self.rs.is_positive(r)
+        spos = self.rs.is_positive(s)
         if rpos and spos:
             return self.N[(r, s)]
         if not rpos and not spos:
@@ -132,31 +124,19 @@ class _ChevalleyTable:
         """N(xi, -zeta) for positive xi, zeta with xi - zeta a root (or 0 -> absent)."""
         zeta = _neg(nzeta)
         delta = tuple(x - y for x, y in zip(xi, zeta))
-        if not self._is_root(delta):
+        if not self.rs.is_root(delta):
             return QZERO
-        if delta in self.posset:
+        if self.rs.is_positive(delta):
             return -self.N[(zeta, delta)] * Q(self.len2[delta], self.len2[xi])
         dpos = _neg(delta)
         return self.N[(dpos, xi)] * Q(self.len2[dpos], self.len2[zeta])
 
 
-class DualBasisPair:
-    """p_+ basis eta_a = e_{beta_a} and its Killing-dual xi_a = f_{beta_a}/d_a:
-    ``roots`` the beta_a of Sigma-height >= 1 in positive-root order, ``d``
-    the positive rationals d_a = B(e_a, f_a)."""
-
-    def __init__(self, roots: tuple[Root, ...], d: tuple):
-        self.roots, self.d = roots, d
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
 class GradedLieAlgebra:
     def __init__(self, par: ParabolicSpec, basis: tuple[Label, ...], index: dict,
-                 grade: tuple[int, ...], nfull: dict, defining: dict):
+                 grade: tuple[int, ...], table: _ChevalleyTable):
         self.par, self.basis, self.index, self.grade = par, basis, index, grade
-        self.nfull, self.defining = nfull, defining
+        self.table = table
 
     @property
     def rs(self) -> RootSystem:
@@ -169,36 +149,24 @@ class GradedLieAlgebra:
     def grade_of(self, label: Label) -> int:
         return self.grade[self.index[label]]
 
-    def pplus_roots(self) -> tuple[Root, ...]:
-        """The roots of Sigma-height >= 1 in positive-root order; computed
-        once per algebra."""
-        return self._pplus_roots
-
-    def g0_labels(self) -> tuple[Label, ...]:
-        """Cartan h_i first, then height-zero e/f pairs in root order;
-        computed once per algebra."""
-        return self._g0_labels
-
-    def p_labels(self) -> tuple[Label, ...]:
-        """Basis of p = g_0 + p_+, g_0 block first, then p_+ by grade order;
-        computed once per algebra."""
-        return self._p_labels
-
     @cached_property
-    def _pplus_roots(self) -> tuple[Root, ...]:
+    def pplus_roots(self) -> tuple[Root, ...]:
+        """The roots of Sigma-height >= 1 in positive-root order."""
         return tuple(
             r for r in self.rs.pos_roots if sigma_height(self.par, r) >= 1
         )
 
     @cached_property
-    def _g0_labels(self) -> tuple[Label, ...]:
+    def g0_labels(self) -> tuple[Label, ...]:
+        """Cartan h_i first, then height-zero e/f pairs in root order."""
         level = [r for r in self.rs.pos_roots if sigma_height(self.par, r) == 0]
         return (tuple(("h", i) for i in range(self.rs.rank))
                 + tuple(("e", r) for r in level) + tuple(("f", r) for r in level))
 
     @cached_property
-    def _p_labels(self) -> tuple[Label, ...]:
-        return self.g0_labels() + tuple(("e", r) for r in self.pplus_roots())
+    def p_labels(self) -> tuple[Label, ...]:
+        """Basis of p = g_0 + p_+, g_0 block first, then p_+ by grade order."""
+        return self.g0_labels + tuple(("e", r) for r in self.pplus_roots)
 
     def coroot_coeffs(self, beta: Root) -> dict[int, int]:
         """h_{beta^vee} = sum c_i d_i / d_beta h_i, integral; (beta, beta) =
@@ -235,32 +203,33 @@ class GradedLieAlgebra:
             return {
                 ("h", i): Q(sign * c) for i, c in self.coroot_coeffs(beta).items()
             }
-        nval = self.nfull.get((r, s))
-        if not nval:
+        if not rs.is_root(tot):
             return {}
         lab = ("e", tot) if rs.is_positive(tot) else ("f", _neg(tot))
-        return {lab: nval}
+        return {lab: self.table._general(r, s)}
 
-    def killing_pairing(self, r: Root) -> int:
-        """B(e_r, f_r) = tr(ad e_r ad f_r): the coefficient of each basis
-        label l in [e_r, [f_r, l]], summed. The structure constants are
-        integers, so the trace is one."""
-        e, f = ("e", r), ("f", r)
-        tr = sum(
-            c * c2
-            for l in self.basis
-            for l2, c in self.bracket_labels(f, l).items()
-            for l3, c2 in self.bracket_labels(e, l2).items()
-            if l3 == l
-        )
-        if tr.denominator != 1:
-            raise AlgebraNotCertified(f"Killing pairing of {r} is not an integer")
-        return int(tr)
+    def killing_pairing(self, beta: Root) -> int:
+        """B(e_beta, f_beta) = sum over positive alpha of <alpha, beta^vee>^2,
+        with <alpha, beta^vee> = sum_i c_i <alpha, alpha_i^vee> for the
+        integral coroot coefficients c of ``coroot_coeffs``: the form
+        sum_j w_j alpha_j, w_j = sum_i c_i C_ij, read once per beta."""
+        rs = self.rs
+        c = self.coroot_coeffs(beta)
+        w = [sum(ci * rs.cartan[i][j] for i, ci in c.items()) for j in range(rs.rank)]
+        return sum(sum(x * a for x, a in zip(w, alpha)) ** 2 for alpha in rs.pos_roots)
 
+    @cached_property
     def grading_element(self) -> dict[Label, object]:
         """E in the Cartan with alpha_i(E) = 1 exactly at crossed nodes;
-        solved once per algebra, and the dict is shared by every caller."""
-        return self._grading_element
+        solved once per algebra, and the dict is shared by every reader."""
+        rs = self.rs
+        n = rs.rank
+        target = SpMat.from_dense(
+            [[1 if (i + 1) in self.par.sigma else 0] for i in range(n)]
+        )
+        CT = SpMat.from_dense(rs.cartan).transpose()
+        x = CT.solve(target)
+        return {("h", j): x.get(j, 0) for j in range(n) if x.get(j, 0)}
 
     def e_eigenvalue(self, mu: Weight):
         """The eigenvalue of E on the weight mu (fundamental coordinates),
@@ -272,37 +241,28 @@ class GradedLieAlgebra:
 
     @cached_property
     def _grading_ints(self) -> tuple[tuple[int, ...], int]:
-        E = self.grading_element()
+        E = self.grading_element
         coords = [Q(E.get(("h", j), 0)) for j in range(self.rs.rank)]
         den = lcm(*(c.denominator for c in coords))
         return tuple(int(c * den) for c in coords), den
 
     @cached_property
-    def _grading_element(self) -> dict[Label, object]:
-        rs = self.rs
-        n = rs.rank
-        target = SpMat.from_dense(
-            [[1 if (i + 1) in self.par.sigma else 0] for i in range(n)]
-        )
-        CT = SpMat.from_dense(rs.cartan).transpose()
-        x = CT.solve(target)
-        return {("h", j): x.get(j, 0) for j in range(n) if x.get(j, 0)}
-
-    def dual_bases(self) -> DualBasisPair:
-        """The Killing-dual bases of p_+, computed once per algebra."""
-        return self._dual_bases
-
-    def pplus_action(self) -> dict[Label, SpMat]:
-        """ad Z on p_+ in the basis eta_a, for each Z in p; computed once per
-        algebra, and the matrices are shared by every caller."""
-        return self._pplus_action
+    def killing_d(self) -> tuple[int, ...]:
+        """d_a = B(e_a, f_a) for each root of ``pplus_roots``: the Killing
+        dual of eta_a = e_a in p_+ is xi_a = f_a / d_a in g_-."""
+        d = tuple(self.killing_pairing(r) for r in self.pplus_roots)
+        if any(v <= 0 for v in d):
+            raise AlgebraNotCertified("Killing pairing of p_+ is not positive")
+        return d
 
     @cached_property
-    def _pplus_action(self) -> dict[Label, SpMat]:
-        roots = self.pplus_roots()
+    def pplus_action(self) -> dict[Label, SpMat]:
+        """ad Z on p_+ in the basis eta_a, for each Z in p; the matrices are
+        shared by every reader."""
+        roots = self.pplus_roots
         idx = {r: k for k, r in enumerate(roots)}
         acts = {}
-        for lab in self.p_labels():
+        for lab in self.p_labels:
             entries = {}
             for k, r in enumerate(roots):
                 for out_lab, c in self.bracket_labels(lab, ("e", r)).items():
@@ -312,38 +272,26 @@ class GradedLieAlgebra:
             acts[lab] = SpMat.from_entries(len(roots), len(roots), entries)
         return acts
 
-    def xi_brackets(self, label: Label) -> tuple[tuple[int, Label, object], ...]:
-        """[Z, xi_a] = sum (c / d_a) B as terms (a, B, c / d_a), for Z = label
-        and each a with |eta_a| <= |Z| (none when |Z| = 0); computed once per
-        algebra."""
-        return self._xi_brackets[label]
-
     @cached_property
-    def _xi_brackets(self) -> dict[Label, tuple]:
-        dual = self.dual_bases()
+    def xi_brackets(self) -> dict[Label, tuple[tuple[int, Label, object], ...]]:
+        """For each Z in p, [Z, xi_a] = sum (c / d_a) B as terms
+        (a, B, c / d_a), over each a with |eta_a| <= |Z| (none when
+        |Z| = 0)."""
+        d = self.killing_d
         out = {}
-        for lab in self.p_labels():
+        for lab in self.p_labels:
             w = self.grade_of(lab)
             out[lab] = tuple(
-                (a, blab, c / dual.d[a])
-                for a, root in enumerate(dual.roots)
+                (a, blab, c / d[a])
+                for a, root in enumerate(self.pplus_roots)
                 if w >= 1 and self.grade_of(("e", root)) <= w
                 for blab, c in self.bracket_labels(lab, ("f", root)).items()
             )
         return out
 
-    @cached_property
-    def _dual_bases(self) -> DualBasisPair:
-        roots = self.pplus_roots()
-        d = tuple(self.killing_pairing(r) for r in roots)
-        if any(v <= 0 for v in d):
-            raise AlgebraNotCertified("Killing pairing of p_+ is not positive")
-        return DualBasisPair(roots=roots, d=d)
-
 
 def build_graded_algebra(par: ParabolicSpec) -> GradedLieAlgebra:
     rs = par.rs
-    table = _ChevalleyTable(rs)
     basis: list[Label] = []
     grade: list[int] = []
     for r in rs.pos_roots:
@@ -360,8 +308,7 @@ def build_graded_algebra(par: ParabolicSpec) -> GradedLieAlgebra:
         basis=tuple(basis),
         index={l: i for i, l in enumerate(basis)},
         grade=tuple(grade),
-        nfull=table.N,
-        defining=table.defining,
+        table=_ChevalleyTable(rs),
     )
 
 
@@ -395,10 +342,10 @@ def action_from_simples(
     for r in rs.pos_roots:
         if sum(r) == 1:
             continue
-        i, delta, nval = g.defining[r]
+        i, delta, nval = g.table.defining[r]
         ei, fi = out[("e", simples[i])], out[("f", simples[i])]
         ed, fd = out[("e", delta)], out[("f", delta)]
         inv = QONE / Q(nval)
-        out[("e", r)] = (ei @ ed - ed @ ei).scale(inv)
-        out[("f", r)] = (fi @ fd - fd @ fi).scale(-inv)
+        out[("e", r)] = SpMat.assemble(dim, dim, [(0, 0, inv, (ei, ed)), (0, 0, -inv, (ed, ei))])
+        out[("f", r)] = SpMat.assemble(dim, dim, [(0, 0, -inv, (fi, fd)), (0, 0, inv, (fd, fi))])
     return out

@@ -18,7 +18,7 @@ index maps, one +-1 per column, with eps_a eps_b + eps_b eps_a = 0 and
 iota_a eps_b + eps_b iota_a = delta_ab.
 
 Let ad(Z)_ij be the matrix of Z in p on p_+, let [f_a, f_b] = sum_m c^m_ab f_m
-and [e_a, e_b] = sum_m e^m_ab e_m, and let d_a = B(e_a, f_a). Then
+and [e_a, e_b] = sum_m e^m_ab e_m, and let d_a = B(e_a, f_a) (``g.killing_d``). Then
 
   Z on C^n = (sum_ij ad(Z)_ij eps_i iota_j) (x) 1 + 1 (x) Z,
   d_n      = S_{n+1}^{-1} [sum_a eps_a (x) f_a
@@ -54,7 +54,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb, factorial, prod
 
-from .gradedla import DualBasisPair, GradedLieAlgebra
+from .gradedla import GradedLieAlgebra
 from .linalg import Q, SpMat, kron_blocks, kron_sum_blocks
 from .repmod import (
     MAX_CHAIN_DIM,
@@ -111,17 +111,17 @@ class CochainComplex:
     of ``inner(n)``: only the adjointness check reads it, one level after
     another."""
 
-    def __init__(self, g: GradedLieAlgebra, V: PModule, dual: DualBasisPair,
+    def __init__(self, g: GradedLieAlgebra, V: PModule,
                  weights: dict[int, tuple[Weight, ...]], wedge_tuples: dict[int, list[tuple]],
                  dels: dict[int, SpMat], delstars: dict[int, SpMat]):
-        self.g, self.V, self.dual = g, V, dual
+        self.g, self.V = g, V
         self.weights, self.wedge_tuples = weights, wedge_tuples
         self.dels, self.delstars = dels, delstars
         self._window: dict[int, tuple[PModule, list[SpMat]]] = {}
 
     @property
     def top(self) -> int:
-        return len(self.dual)
+        return len(self.g.pplus_roots)
 
     def dim(self, n: int) -> int:
         return len(self.weights[n])
@@ -176,7 +176,7 @@ class CochainComplex:
     def inner(self, n: int) -> SpMat:
         """G_n = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V on C^n,
         built on each call and not kept."""
-        dd = self.dual.d
+        dd = self.g.killing_d
         diag = SpMat.diagonal([prod(dd[a] for a in t) for t in self.wedge_tuples[n]])
         dim = self.dim(n)
         return SpMat.assemble(dim, dim, kron_blocks(diag, self.V.gram, Q((-1) ** n, factorial(n))))
@@ -216,14 +216,13 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
         raise ValueError("coefficient module lacks g_- actions")
     if V.gram is None:
         raise ValueError("coefficient module lacks a contravariant Gram")
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     widest = comb(d, d // 2) * V.dim
     if widest > max_chain_dim:
         raise DimensionOverBudget(
             f"dim C^{d // 2} = {widest} exceeds budget {max_chain_dim}"
         )
-    dual = g.dual_bases()
-    roots, dd = dual.roots, dual.d
+    roots, dd = g.pplus_roots, g.killing_d
     fbr = _bracket_table(g, roots, "f")
     ebr = _bracket_table(g, roots, "e")
     f_act = [V.actions[("f", r)] for r in roots]
@@ -256,7 +255,7 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
         delstars[n] = SpMat.assemble(lam * V.dim, up * V.dim, blocks)
         eps_lo, iota_lo = eps_hi, iota_hi
     return CochainComplex(
-        g=g, V=V, dual=dual, weights=weights, wedge_tuples=tuples,
+        g=g, V=V, weights=weights, wedge_tuples=tuples,
         dels=dels, delstars=delstars,
     )
 
@@ -273,14 +272,14 @@ def _wedge_module(g: GradedLieAlgebra, dim: int, eps: list[SpMat],
         actions={
             lab: SpMat.assemble(dim, dim, [(0, 0, c, (eps[i], iota[j]))
                                            for i, j, c in ad.entries()])
-            for lab, ad in g.pplus_action().items()
+            for lab, ad in g.pplus_action.items()
         },
     )
 
 
 def _wedge_weights(g: GradedLieAlgebra, tuples: list[tuple]) -> tuple[Weight, ...]:
     """The weight of each wedge of ``tuples``: the sum of its p_+ roots."""
-    weights = [g.rs.root_to_weight(r) for r in g.pplus_roots()]
+    weights = [g.rs.root_to_weight(r) for r in g.pplus_roots]
     zero = (0,) * g.rs.rank
     return tuple(tuple(map(sum, zip(zero, *(weights[a] for a in t)))) for t in tuples)
 
@@ -416,7 +415,7 @@ def cohomology_module(cc: CochainComplex, n: int) -> Cohomology:
     `action_on_span` solves them against it at once."""
     K, weights, blocks = hodge_decompose(cc, n)
     m = K.ncols
-    labels = cc.g.p_labels()
+    labels = cc.g.p_labels
     # g_0 preserves ker box, and p_+ acts on its cohomology by zero
     levi = [lab for lab in labels if cc.g.grade_of(lab) <= 0]
     acts = action_on_span(K, cc.act(n, levi, K), levi)

@@ -120,12 +120,12 @@ def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:
     block (1 + i, 1 + j); for |eta_a| <= |Z|, (c / d_a) B at block (1 + a, 0)
     for each term c B of [Z, xi_a]."""
     g = V.g
-    ad = g.pplus_action()[lab]
+    ad = g.pplus_action[lab]
     act = V.actions[lab]
     terms = [(0, 0, 1, act)]
     terms.extend((1 + a, 1 + a, 1, act) for a in range(ad.nrows))
     terms.extend((1 + i, 1 + j, c, None) for i, j, c in ad.entries())
-    terms.extend((1 + a, 0, c, V.actions[blab]) for a, blab, c in g.xi_brackets(lab))
+    terms.extend((1 + a, 0, c, V.actions[blab]) for a, blab, c in g.xi_brackets[lab])
     return terms
 
 
@@ -135,7 +135,7 @@ def jet1_left_action(m: SpMat, V: PModule, labels: Iterable[Label]) -> dict[Labe
     block (i, j) of `_jet1_terms` adds c M_i @ M to column block j, M_i the
     column block i of m. Block 0 gets M_0 A_Z + sum (c / d_a) M_{a+1} B,
     block 1 + j gets M_{1+j} A_Z + sum_i (ad Z)_{ij} M_{1+i}."""
-    d = len(V.g.pplus_roots())
+    d = len(V.g.pplus_roots)
     dv = V.dim
     if m.ncols != (1 + d) * dv:
         raise ShapeMismatch(f"{m.ncols} columns do not lie on J^1 of a {dv}-dim module")
@@ -169,7 +169,7 @@ def prolong(fmat: SpMat, jet: SemiHolonomicJet) -> SpMat:
     assembly of the 1 + d copies of f that J^1(f) holds on its diagonal, copy
     b placed through slice b of phi. J^1(f) is never built."""
     m, w = fmat.nrows, fmat.ncols
-    d = len(jet.V.g.pplus_roots())
+    d = len(jet.V.g.pplus_roots)
     return SpMat.assemble((1 + d) * m, jet.module.dim, [
         (b * m, jet.phi[b * w:(b + 1) * w], 1, fmat) for b in range(1 + d)
     ])
@@ -262,7 +262,7 @@ def equalizer_index_maps(prev: SemiHolonomicJet) -> tuple[list[int], list[int]]:
     """phi (iota) and pick (sel) of Jbar^k in J^1(Jbar^{k-1}), for prev =
     Jbar^{k-1}, certified by conditions (1)-(3) of the module docstring.
     Index arithmetic only; dim Jbar^k = len(pick)."""
-    d = len(prev.V.g.pplus_roots())
+    d = len(prev.V.g.pplus_roots)
     dv = prev.V.dim
     k = prev.r + 1
     pdim = prev.module.dim
@@ -298,7 +298,7 @@ def _extend(prev: SemiHolonomicJet) -> SemiHolonomicJet:
     others = [q for q, c in enumerate(phi) if pick[c] != q]
     images = [phi[q] for q in others]
     acts = {}
-    for lab in W.g.p_labels():
+    for lab in W.g.p_labels:
         # A @ iota, each term of the J^1 formula placed through its slice
         restricted = SpMat.assemble(len(phi), new_dim, [
             (i * W.dim, slices[j], c, unit if m is None else m)

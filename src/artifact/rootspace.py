@@ -162,13 +162,14 @@ class RootSystem:
                  pos_roots: tuple[Root, ...], label: str = ""):
         self.cartan, self.rank, self.pos_roots, self.label = cartan, rank, pos_roots, label
         self.d = d  # int symmetrizers, (alpha_i, alpha_i) = 2 d_i
+        self._positive = frozenset(pos_roots)  # what is_root and is_positive read
 
     def is_root(self, c: Root) -> bool:
         cp = tuple(c)
-        return cp in self.pos_roots or tuple(-x for x in cp) in self.pos_roots
+        return cp in self._positive or tuple(-x for x in cp) in self._positive
 
     def is_positive(self, c: Root) -> bool:
-        return tuple(c) in self.pos_roots
+        return tuple(c) in self._positive
 
     def coroot_pairing(self, i: int, c) -> object:
         """<alpha_i^vee, x> for x in simple-root coordinates, 0-based i."""
@@ -226,12 +227,15 @@ def spec_rank(spec) -> int:
 
 def build_root_system(spec) -> RootSystem:
     """Root system from a series label ('A3') or an explicit Cartan matrix.
+    The label kept is the letter and the rank the series label names, so
+    'a 3' and 'A03' are both 'A3'.
 
     Raises NotFiniteType / NotIrreducible on bad input.
     """
     label = ""
     if isinstance(spec, str):
-        label = _label(spec)
+        letter, rank = _series(_label(spec))
+        label = f"{letter}{rank}"
         C = cartan_matrix_from_series(label)
     else:
         C = _matrix(spec)

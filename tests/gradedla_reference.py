@@ -2,10 +2,11 @@
 structure constants of `artifact.gradedla`.
 
 The pipeline needs only the Killing pairing B(e_r, f_r) of each p_+ root
-(`GradedLieAlgebra.killing_pairing`, a trace over the brackets, for the dual
-bases). The tests check the structure constants against the Jacobi identity
-and the invariance of the whole Killing form, and the pairing against the
-trace of a product of adjoint matrices, which are built here.
+(`GradedLieAlgebra.killing_pairing`, the sum over the positive roots alpha
+of <alpha, r^vee>^2, read off the root system with no bracket). The tests
+check the structure constants against the Jacobi identity and the
+invariance of the whole Killing form, and the pairing against the trace
+tr(ad e_r ad f_r) of a product of adjoint matrices, which are built here.
 """
 
 from __future__ import annotations

@@ -40,11 +40,11 @@ from artifact.rootspace import Weight
 
 def pplus_module(g: GradedLieAlgebra) -> PModule:
     """p_+ with the restricted adjoint action of p (`g.pplus_action`)."""
-    roots = g.pplus_roots()
+    roots = g.pplus_roots
     return PModule(
         g=g,
         dim=len(roots),
-        actions=dict(g.pplus_action()),
+        actions=dict(g.pplus_action),
         weights=tuple(g.rs.root_to_weight(r) for r in roots),
     )
 
@@ -105,7 +105,7 @@ def reference_grades(cc: CochainComplex, n: int) -> tuple:
     grades of the p_+ roots of the wedge, summed, plus the E-eigenvalue of
     the V coordinate."""
     g = cc.g
-    grades = [g.grade_of(("e", r)) for r in g.pplus_roots()]
+    grades = [g.grade_of(("e", r)) for r in g.pplus_roots]
     v_grades = [g.e_eigenvalue(mu) for mu in cc.V.weights]
     return tuple(
         sum(grades[a] for a in t) + e
@@ -116,7 +116,7 @@ def reference_grades(cc: CochainComplex, n: int) -> tuple:
 def _tuple_scale(cc: CochainComplex, t: tuple):
     out = QONE
     for a in t:
-        out = out * cc.dual.d[a]
+        out = out * cc.g.killing_d[a]
     return out
 
 
@@ -133,7 +133,7 @@ def _brackets(g, roots, kind: str) -> dict[tuple[int, int], dict[int, object]]:
 def reference_del(cc: CochainComplex, n: int) -> SpMat:
     """d: C^n -> C^{n+1} by value transport through S_n: each block (J, I)
     of the classical formula is scaled by S_n(I) / S_{n+1}(J)."""
-    g, V, roots = cc.g, cc.V, cc.dual.roots
+    g, V, roots = cc.g, cc.V, cc.g.pplus_roots
     src_tuples = list(combinations(range(len(roots)), n))
     tgt_tuples = list(combinations(range(len(roots)), n + 1))
     dv = V.dim
@@ -168,7 +168,7 @@ def reference_delstar(cc: CochainComplex, n: int) -> SpMat:
 
       dstar(Z_0 ^ ... ^ Z_n (x) v) = sum_i (-1)^{i+1} (... ^ Z_i-hat ^ ...) (x) Z_i v
           + sum_{i<j} (-1)^{i+j} [Z_i, Z_j] ^ (... i-hat ... j-hat ...) (x) v."""
-    g, V, roots = cc.g, cc.V, cc.dual.roots
+    g, V, roots = cc.g, cc.V, cc.g.pplus_roots
     src_tuples = list(combinations(range(len(roots)), n + 1))
     tgt_tuples = list(combinations(range(len(roots)), n))
     dv = V.dim
@@ -197,7 +197,7 @@ def reference_delstar(cc: CochainComplex, n: int) -> SpMat:
 
 def reference_wedge(cc: CochainComplex, n: int, a: int) -> SpMat:
     """eta_a ^ . : C^n -> C^{n+1}, by sorting a into each wedge tuple."""
-    d = len(cc.dual.roots)
+    d = len(cc.g.pplus_roots)
     src_tuples = list(combinations(range(d), n))
     tgt_idx = {t: k for k, t in enumerate(combinations(range(d), n + 1))}
     dv = cc.V.dim
@@ -213,7 +213,7 @@ def reference_wedge(cc: CochainComplex, n: int, a: int) -> SpMat:
 
 def reference_inner(cc: CochainComplex, n: int) -> SpMat:
     """G_n = ((-1)^n / n!) diag(prod_a d_a) (x) Gram_V."""
-    d = len(cc.dual.roots)
+    d = len(cc.g.pplus_roots)
     lam = SpMat.diagonal([_tuple_scale(cc, t) for t in combinations(range(d), n)])
     return reference_kron(lam, cc.V.gram).scale(Q((-1) ** n, factorial(n)))
 

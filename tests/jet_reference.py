@@ -61,20 +61,20 @@ def jet1(V: PModule) -> PModule:
     """J^1(V) on [V; p_+ (x) V], each action assembled from `_jet1_terms`."""
     g = V.g
     dv = V.dim
-    dim = (1 + len(g.pplus_roots())) * dv
+    dim = (1 + len(g.pplus_roots)) * dv
     unit = SpMat.identity(dv)
     return PModule(g=g, dim=dim, actions={
         lab: SpMat.assemble(dim, dim, [
             (i * dv, j * dv, c, unit if m is None else m)
             for i, j, c, m in _jet1_terms(V, lab)
         ])
-        for lab in g.p_labels()
+        for lab in g.p_labels
     })
 
 
 def jet1_map_matrix(g: GradedLieAlgebra, fmat: SpMat) -> SpMat:
     """The matrix of J^1(f): f on each of the 1 + dim p_+ diagonal blocks."""
-    return SpMat.block_diag([fmat] * (1 + len(g.pplus_roots())))
+    return SpMat.block_diag([fmat] * (1 + len(g.pplus_roots)))
 
 
 def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
@@ -102,12 +102,11 @@ def reference_jet1(V: PModule) -> PModule:
     action on p_+ (x) V, and for |eta_a| <= |Z| the footpoint v0 also goes to
     eta_a (x) [Z, xi_a].v0 (xi_a = f_a / d_a), the block (a + 1, 0)."""
     g = V.g
-    roots = g.pplus_roots()
+    roots = g.pplus_roots
     d = len(roots)
-    dual = g.dual_bases()
     pv = tensor(pplus_module(g), V)
     acts = {}
-    for lab in g.p_labels():
+    for lab in g.p_labels:
         act = SpMat.block_diag([V.actions[lab], pv.actions[lab]])
         w = g.grade_of(lab)
         for a in range(d):
@@ -115,7 +114,7 @@ def reference_jet1(V: PModule) -> PModule:
                 continue
             corner = SpMat.from_entries(1 + d, 1 + d, {(1 + a, 0): 1})
             for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                act = act + reference_kron(corner, V.actions[blab].scale(c / dual.d[a]))
+                act = act + reference_kron(corner, V.actions[blab].scale(c / g.killing_d[a]))
         acts[lab] = act
     return PModule(g=g, dim=(1 + d) * V.dim, actions=acts, weights=V.weights + pv.weights)
 
@@ -140,7 +139,7 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
     """One step Jbar^{k-1} -> Jbar^k."""
     V = prev.V
     g = V.g
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     dv = V.dim
     k = prev.r + 1
     amb = jet1(prev.module)
@@ -208,7 +207,7 @@ def projection_pair(sh: SemiHolonomicJet):
     """The two maps Jbar^r -> J^1(Jbar^{r-2}) whose equality cuts out the
     semi-holonomic subspace, for r >= 1 (with no rows when r == 1)."""
     below = prev(sh)
-    d = len(sh.V.g.pplus_roots())
+    d = len(sh.V.g.pplus_roots)
     pdim = below.module.dim
     m_jet = SpMat.block_diag([truncation_matrix(d, sh.V.dim, below.r)] * (1 + d))
     foot = SpMat.identity(pdim, (1 + d) * pdim)
@@ -244,7 +243,7 @@ def full_operator(gs, coh_next, comps_next) -> tuple[list[SpMat], SpMat]:
 
 def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:
     """Jbar^k(f) in DS coordinates: blockdiag(id_{(x)^j p_+} (x) f)."""
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     blocks = [fmat]
     for j in range(1, k + 1):
         blocks.append(reference_kron(SpMat.identity(d**j), fmat))
@@ -254,7 +253,7 @@ def jbar_of_map(g: GradedLieAlgebra, fmat: SpMat, k: int) -> SpMat:
 def chain_embedding(g: GradedLieAlgebra, dv: int, k: int) -> SpMat:
     """DS_{k+1}(W) -> DS_k(J^1 W): the inclusion Jbar^{k+1}(W) in
     Jbar^k(J^1 W) in direct-sum coordinates (dv = dim W)."""
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     src_dims = [d**j * dv for j in range(k + 2)]
     src_offs = [sum(src_dims[:j]) for j in range(k + 2)]
     jdim = (1 + d) * dv

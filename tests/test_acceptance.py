@@ -201,8 +201,7 @@ def _sample_identities(cc, rng, trials):
     """Vector-level Leibniz and commutator identities on random cochains."""
     ok = True
     g = cc.g
-    dual = cc.dual
-    droots = dual.roots
+    droots = g.pplus_roots
     nd = len(droots)
     for _ in range(trials):
         n = rng.randrange(cc.top)
@@ -238,7 +237,7 @@ def _sample_identities(cc, rng, trials):
             img = SpMat(cc.dim(n), 1)
             for lab, coeff in br.items():
                 img = img + level_action(cc, n, lab).scale(
-                    Q(coeff) / dual.d[b]
+                    Q(coeff) / g.killing_d[b]
                 ) @ f
             rhs = rhs + unit_wedges(cc, n)[b] @ img.scale(n + 1)
         ok &= (lhs - rhs).is_zero()

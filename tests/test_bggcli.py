@@ -187,6 +187,17 @@ def test_explicit_cartan_matrix_algebra():
                     "--weight", "1,0", "diagram"])
 
 
+@pytest.mark.parametrize("label", ["A02", "A002", "a2", "A 2", " A2 ", "a 02"])
+def test_series_label_has_one_spelling(capsys, label):
+    """A series label is reported as its letter and rank, so every spelling
+    of one algebra gives the report of ``A2``, byte for byte."""
+    tail = ["--cross", "1", "--weight", "1,0", "verify", "--emit", "json,text,dot"]
+    assert main(["--algebra", "A2", *tail]) == 0
+    want = capsys.readouterr()
+    assert main(["--algebra", label, *tail]) == 0
+    assert capsys.readouterr() == want
+
+
 @pytest.mark.parametrize("cartan,weight", [
     ("[[2.7]]", "1"), ("[[2,-1.9],[-1,2]]", "1,0"), ('[["2",-1],[-1,2]]', "1,0"),
 ])
@@ -374,7 +385,7 @@ def test_default_chain_budget_admits(algebra, cross, weight, widest):
     """The largest golden cases, and the all-crossed A5 and B4, whose largest
     levels the default admits; they are checked here on the budget alone."""
     g = graded(algebra, cross)
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     lam_mod = dominant_representative_for(g.rs, range(1, g.rs.rank + 1),
                                           tuple(-x for x in weight))
     assert comb(d, d // 2) * weyl_dimension(g.rs, lam_mod) == widest <= MAX_CHAIN_DIM

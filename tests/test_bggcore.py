@@ -78,7 +78,7 @@ def test_layered_closure_spans_the_naive_fixpoint(label, sigma, weight):
     g = cc.g
     for n in range(cc.top):
         level = reference_level(cc, n)
-        raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels() if g.grade_of(l) >= 1]
+        raising = [(level.actions[l], g.grade_of(l)) for l in g.p_labels if g.grade_of(l) >= 1]
         ops = [(A.__matmul__, s) for A, s in raising]
         for comp in comps[n]:
             seeds = cohs[n].ker_box @ comp.embedding
@@ -125,7 +125,7 @@ def test_Li_projection_and_defect(label, sigma, weight):
     "label,sigma,weight", SPLITTER_CASES + [("A3", (1, 3), (1, 0, 0))]
 )
 def test_splitter_matches_stagewise_reference(label, sigma, weight):
-    d = len(graded(label, sigma).pplus_roots())
+    d = len(graded(label, sigma).pplus_roots)
     for gs in submodules_for(label, sigma, weight):
         if gs.r == 0 or jbar_dim(d, gs.quotient(1).dim, gs.r + 1) > MAX_JET_DIM:
             continue  # no stages, or a source the diagram leaves partial
@@ -218,7 +218,7 @@ def test_tilde_submodules(label, sigma, weight):
             assert res.certified, (gs.n, i)
             if i >= 1:
                 # defining equations of the constrained jet space
-                d = len(g.pplus_roots())
+                d = len(g.pplus_roots)
                 qn, qn1 = gs.quotient(i), gs.quotient(i + 1)
                 proj = SpMat.identity(qn.dim, qn1.dim)
                 jp = jet1_map_matrix(g, proj)
@@ -363,7 +363,7 @@ def test_bgg_operator_budget():
     g = graded("A2", (1,))
     cc, cohs, comps = components_for("A2", (1,), (1, 0))
     gs = generate_submodule(cc, cohs[0], comps[0][0])
-    assert (gs.r, jbar_dim(len(g.pplus_roots()), gs.quotient(1).dim, 2)) == (1, 7)
+    assert (gs.r, jbar_dim(len(g.pplus_roots), gs.quotient(1).dim, 2)) == (1, 7)
     under = build_bgg_diagram(g, (1, 0), max_jet_dim=6)
     assert (0, 0) in under.partial
     assert not [a for a in under.arrows if (a.level, a.source) == (0, 0)]

@@ -63,7 +63,7 @@ def raising_support(cc, n) -> set[tuple[int, int]]:
     g = cc.g
     return {
         (i, j)
-        for lab in g.p_labels() if g.grade_of(lab) >= 1
+        for lab in g.p_labels if g.grade_of(lab) >= 1
         for i, j in level_action(cc, n, lab).support()
     }
 
@@ -104,7 +104,7 @@ def test_tampered_level_action_fails(label, sigma, weight):
     block I and the columns of block J of C^n, V's dim rows and columns
     each."""
     cc = complex_for(label, sigma, weight)
-    lab = ("e", cc.g.pplus_roots()[0])
+    lab = ("e", cc.g.pplus_roots[0])
     m = cc.V.dim
     seen = 0
     for n in range(cc.top):
@@ -129,7 +129,7 @@ def test_tampered_coefficient_action_fails(label, sigma, weight):
     eps_a (x) M_Z; so it sees it on a one-dimensional V too."""
     cc = complex_for(label, sigma, weight)
     V = cc.V
-    lab = ("e", cc.g.pplus_roots()[0])
+    lab = ("e", cc.g.pplus_roots[0])
     actions = {**V.actions, lab: bumped(V.actions[lab], 0, 0)}
     res = battery(replaced(cc, V=replaced(V, actions=actions)))
     assert not res["codifferential_leibniz"]

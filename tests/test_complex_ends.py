@@ -30,7 +30,7 @@ CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws]
 def test_complex_is_zero_at_both_ends(label, sigma, weight):
     cc = complex_for(label, sigma, weight)
     top = cc.top
-    assert top == len(cc.dual)
+    assert top == len(cc.g.pplus_roots)
     assert sorted(cc.weights) == sorted(cc.wedge_tuples) == list(range(-1, top + 2))
     assert sorted(cc.dels) == sorted(cc.delstars) == list(range(-1, top + 1))
     for n in (-1, top + 1):
@@ -54,7 +54,7 @@ def test_unit_wedges_are_zero_at_both_ends(label, sigma, weight):
     cc = complex_for(label, sigma, weight)
     for n, shape in [(-1, (cc.dim(0), 0)), (cc.top, (0, cc.dim(cc.top)))]:
         wedges = unit_wedges(cc, n)
-        assert len(wedges) == len(cc.dual)
+        assert len(wedges) == len(cc.g.pplus_roots)
         assert all((w.nrows, w.ncols) == shape and w.is_zero() for w in wedges)
     for n in (-2, cc.top + 1):
         with pytest.raises(DegreeOverflow):

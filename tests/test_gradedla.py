@@ -75,7 +75,8 @@ def test_killing_form_is_trace_form():
     assert K.get(ih, ih) == 8
     assert K.get(ie, iff) == 4
     # the pipeline's pairing of each root is the same trace, and an int
-    for label in ("A1", "A3", "B3", "C3", "D4", "G2", "F4"):
+    for label in ("A1", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "E6", "G2",
+                  "F4"):
         g = graded(label, (1,))
         for r in g.rs.pos_roots:
             tr = trace(adjoint_matrix(g, ("e", r)) @ adjoint_matrix(g, ("f", r)))
@@ -106,7 +107,7 @@ def test_killing_form_invariance():
 def test_grading_element_eigenvalues():
     for label, sigma in [("A2", (1,)), ("A3", (1, 3)), ("G2", (1,)), ("B2", (1,))]:
         g = graded(label, sigma)
-        E = g.grading_element()
+        E = g.grading_element
         for l in g.basis:
             br = bracket_vec(g, E, vec(g, l))
             expect = scale_vec(vec(g, l), Q(g.grade_of(l)))
@@ -120,7 +121,7 @@ def test_e_eigenvalue_is_the_pairing_with_e(label, sigma):
     """mu(E) summed over E's coordinates as Q, on a box of weights; the
     integer path returns an int exactly when the value is integral."""
     g = graded(label, sigma)
-    E = g.grading_element()
+    E = g.grading_element
     rank = g.rs.rank
     for k in range(3 ** rank):
         mu = tuple((k // 3 ** j) % 3 - 1 for j in range(rank))
@@ -133,11 +134,10 @@ def test_e_eigenvalue_is_the_pairing_with_e(label, sigma):
 def test_dual_bases_pairing():
     g = graded("B2", (1,))
     K = killing_form(g)
-    dual = g.dual_bases()
-    for a, ra in enumerate(dual.roots):
-        for b, rb in enumerate(dual.roots):
+    for a, ra in enumerate(g.pplus_roots):
+        for b, rb in enumerate(g.pplus_roots):
             # B(eta_a, xi_b) = B(e_{ra}, f_{rb}) / d_b
-            val = K.get(g.index[("e", ra)], g.index[("f", rb)]) / dual.d[b]
+            val = K.get(g.index[("e", ra)], g.index[("f", rb)]) / g.killing_d[b]
             assert val == (1 if a == b else 0)
 
 
@@ -153,12 +153,12 @@ def test_adjoint_matrix_matches_bracket():
 
 def test_p_labels_partition():
     g = graded("A3", (2,))
-    p = g.p_labels()
+    p = g.p_labels
     assert len(set(p)) == len(p)
     assert all(g.grade_of(l) >= 0 for l in p)
     n_nonneg = sum(1 for l in g.basis if g.grade_of(l) >= 0)
     assert len(p) == n_nonneg
-    assert len(g.pplus_roots()) == sum(1 for l in p if g.grade_of(l) > 0)
+    assert len(g.pplus_roots) == sum(1 for l in p if g.grade_of(l) > 0)
 
 
 @pytest.mark.parametrize("label,sigma", [
@@ -171,26 +171,39 @@ def test_structure_constants_are_exact(label, sigma):
     g = graded(label, sigma)
     exact = (int, Q)
     assert all(type(c) is int for r in g.rs.pos_roots for c in g.coroot_coeffs(r).values())
-    assert all(type(v) in exact for v in g.nfull.values())
-    for lab in g.p_labels():
-        assert all(type(c) in exact for _, _, c in g.xi_brackets(lab))
-    for m in g.pplus_action().values():
+    roots = [(kind, r) for kind in "ef" for r in g.rs.pos_roots]
+    assert all(type(v) in exact for l1 in roots for l2 in roots
+               for v in g.bracket_labels(l1, l2).values())
+    for lab in g.p_labels:
+        assert all(type(c) in exact for _, _, c in g.xi_brackets[lab])
+    for m in g.pplus_action.values():
         assert all(type(v) in exact for _, _, v in m.entries())
+
+
+@pytest.mark.parametrize("label", ["A1", "A4", "B3", "C4", "D5", "E6", "F4", "G2"])
+def test_table_keeps_only_positive_pairs_with_root_sum(label):
+    """The one structure-constant table holds N_{r,s} on exactly the ordered
+    pairs of positive roots whose sum is a root; every other pair is read
+    through the sign rules."""
+    g = graded(label, (1,))
+    pos = g.rs.pos_roots
+    want = {(r, s) for r in pos for s in pos if tuple(x + y for x, y in zip(r, s)) in pos}
+    assert set(g.table.N) == want
 
 
 def test_label_tuples_are_built_once_per_algebra():
     """``pplus_roots``, ``g0_labels`` and ``p_labels`` return one tuple per
     algebra, in the order their definitions give."""
     g = graded("B3", (2,))
-    assert g.p_labels() is g.p_labels()
-    assert g.g0_labels() is g.g0_labels()
-    assert g.pplus_roots() is g.pplus_roots()
+    assert g.p_labels is g.p_labels
+    assert g.g0_labels is g.g0_labels
+    assert g.pplus_roots is g.pplus_roots
     level = {r: sigma_height(g.par, r) for r in g.rs.pos_roots}
-    assert g.pplus_roots() == tuple(r for r in g.rs.pos_roots if level[r] >= 1)
+    assert g.pplus_roots == tuple(r for r in g.rs.pos_roots if level[r] >= 1)
     g0 = [r for r in g.rs.pos_roots if level[r] == 0]
-    assert g.g0_labels() == (tuple(("h", i) for i in range(g.rs.rank))
-                             + tuple(("e", r) for r in g0) + tuple(("f", r) for r in g0))
-    assert g.p_labels() == g.g0_labels() + tuple(("e", r) for r in g.pplus_roots())
+    assert g.g0_labels == (tuple(("h", i) for i in range(g.rs.rank))
+                           + tuple(("e", r) for r in g0) + tuple(("f", r) for r in g0))
+    assert g.p_labels == g.g0_labels + tuple(("e", r) for r in g.pplus_roots)
 
 
 def test_one_run_reads_sigma_heights_once(monkeypatch, capsys):

@@ -284,7 +284,7 @@ def test_cohomology_module_structure():
     for coh in cohs:
         mod = coh.module
         K = coh.ker_box
-        for l in cc.g.p_labels():
+        for l in cc.g.p_labels:
             if cc.g.grade_of(l) > 0:
                 assert mod.actions[l].is_zero()
             else:
@@ -346,7 +346,7 @@ def test_unit_wedges_satisfy_canonical_anticommutation():
     for label, sigma, weight in [("B2", (1,), (0, 0)), ("A2", (1, 2), (1, 0)),
                                  ("G2", (1,), (0, 0))]:
         cc = complex_for(label, sigma, weight)
-        d = len(cc.dual)
+        d = len(cc.g.pplus_roots)
         for n in range(cc.top + 1):
             dim = cc.dim(n)
             eps = unit_wedges(cc, n) if n < cc.top else []
@@ -395,7 +395,8 @@ def test_complex_equals_decomposable_reference(label, sigma, weight):
         if n < cc.top:
             assert cc.dels[n] == reference_del(cc, n)
             assert cc.delstars[n] == reference_delstar(cc, n)
-            assert unit_wedges(cc, n) == [reference_wedge(cc, n, a) for a in range(len(cc.dual))]
+            assert unit_wedges(cc, n) == [reference_wedge(cc, n, a)
+                                          for a in range(len(cc.g.pplus_roots))]
 
 
 def test_weight_block_certificate_refuses_moved_column():

@@ -33,7 +33,7 @@ REFERENCE_CASES += [("G2", (1,), (1, 0)), ("A3", (1, 2, 3), (0, 0, 0))]
 def in_budget_sources(label, sigma, weight):
     """(gs, K, coh_next, comps_next) for each source the diagram builds."""
     cc, cohs, comps = components_for(label, sigma, weight)
-    d = len(cc.g.pplus_roots())
+    d = len(cc.g.pplus_roots)
     for n in range(cc.top):
         for comp in comps[n]:
             gs = generate_submodule(cc, cohs[n], comp, max_jet_dim=NO_JET_BUDGET)
@@ -44,7 +44,7 @@ def in_budget_sources(label, sigma, weight):
 
 @pytest.mark.parametrize("label,sigma,weight", REFERENCE_CASES)
 def test_full_operator_is_the_truncated_one_after_the_prefix(label, sigma, weight):
-    d = len(graded(label, sigma).pplus_roots())
+    d = len(graded(label, sigma).pplus_roots)
     arrows = 0
     for gs, K, coh_next, comps_next in in_budget_sources(label, sigma, weight):
         dv = gs.quotient(1).dim
@@ -157,7 +157,7 @@ def test_tampered_values_fail_the_kernel_check(monkeypatch, capsys):
 @pytest.mark.parametrize("case", [("G2", (1,), (0, 0)), ("A3", (1, 3), (1, 0, 0))])
 def test_splitter_at_k_is_the_full_one_truncated(case):
     # pi^{r+1}_{k+1} o L^(r) = L^(k) o pi^r_k, from pi^{i+1}_i o L_i = p_i
-    d = len(graded(case[0], case[1]).pplus_roots())
+    d = len(graded(case[0], case[1]).pplus_roots)
     for gs in (src[0] for src in in_budget_sources(*case)):
         full = compose_splitter(gs).composite
         for k in range(gs.r + 1):

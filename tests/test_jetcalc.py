@@ -42,8 +42,8 @@ def module(label, sigma, lam):
 
 
 def assert_representation(g, m):
-    for l1 in g.p_labels():
-        for l2 in g.p_labels():
+    for l1 in g.p_labels:
+        for l2 in g.p_labels:
             comm = m.actions[l1] @ m.actions[l2] - m.actions[l2] @ m.actions[l1]
             expect = SpMat(m.dim, m.dim)
             for k, c in g.bracket_labels(l1, l2).items():
@@ -64,7 +64,7 @@ def test_jet1_is_representation(label, sigma, lam):
 def test_jet1_bookkeeping():
     g = graded("A2", (1,))
     V = module("A2", (1,), (1, 0))
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     jm = jet1(V)
     assert jm.dim == V.dim * (1 + d)
     assert jm.weights is None
@@ -75,7 +75,7 @@ def test_jet1_of_map_identity_and_shape():
     V = module("A1", (1,), (2,))
     F = SpMat.from_dense([[Q(i == j) * 3 for j in range(V.dim)] for i in range(V.dim)])
     JM = jet1_map_matrix(g, F)
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     expect = SpMat.block_diag([F, reference_kron(SpMat.identity(d), F)])
     assert (JM - expect).is_zero()
 
@@ -120,7 +120,7 @@ def test_index_maps_over_jbar0_are_the_identity():
     # the step Jbar^0 -> Jbar^1: phi and pick are the identity on J^1(V),
     # and conditions (1)-(3) hold with Jbar^{-1} = 0 (phi_prev empty)
     V = module("A2", (1,), (1, 0))
-    d = len(V.g.pplus_roots())
+    d = len(V.g.pplus_roots)
     phi, pick = equalizer_index_maps(semiholonomic(V, 0))
     assert phi == pick == list(range((1 + d) * V.dim))
     jetcalc._certify_index_maps(phi, pick, (), V.dim, 0, d)
@@ -158,22 +158,22 @@ def test_jet1_left_action_is_the_product(case):
         (i, j): Q(1 + j, 1 + i) for i in range(2) for j in range(jm.dim) if (i + j) % 3
     })
     for mat in (SpMat.identity(jm.dim), m):
-        left = jet1_left_action(mat, V, V.g.p_labels())
+        left = jet1_left_action(mat, V, V.g.p_labels)
         assert left.keys() == jm.actions.keys()
         for lab, A in jm.actions.items():
             assert left[lab] == mat @ A, lab
     # only the labels asked for are formed
-    last = V.g.p_labels()[-1]
+    last = V.g.p_labels[-1]
     assert jet1_left_action(m, V, [last]) == {last: m @ jm.actions[last]}
     with pytest.raises(ShapeMismatch):
-        jet1_left_action(SpMat(1, jm.dim - 1), V, V.g.p_labels())
+        jet1_left_action(SpMat(1, jm.dim - 1), V, V.g.p_labels)
 
 
 @pytest.mark.parametrize("label,sigma,lam,r", TOWERS[:3])
 def test_semiholonomic_tower(label, sigma, lam, r):
     g = graded(label, sigma)
     V = module(label, sigma, lam)
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     sh = semiholonomic(V, r)
     assert sh.module.dim == sum(d**j * V.dim for j in range(r + 1))
     assert_representation(g, sh.module)
@@ -261,7 +261,7 @@ def _a1_index_maps():
     sh = semiholonomic(V, 3, below=prev)
     pdim = prev.module.dim
     pick = [list(sh.phi).index(p) if p >= pdim else p for p in range(sh.module.dim)]
-    ppdim = jbar_dim(len(V.g.pplus_roots()), V.dim, 1)
+    ppdim = jbar_dim(len(V.g.pplus_roots), V.dim, 1)
     return list(sh.phi), pick, list(prev.phi), pdim, ppdim
 
 
@@ -348,7 +348,7 @@ def test_semiholonomic_budget():
     # with check_jet_budget. dim V = 8 and dim p_+ = 3, so
     # dim Jbar^4 = 8 (1 + 3 + 9 + 27 + 81)
     V = module("A2", (1, 2), (1, 1))
-    d = len(V.g.pplus_roots())
+    d = len(V.g.pplus_roots)
     assert jbar_dim(d, V.dim, 4) == 968
     with pytest.raises(DimensionOverBudget, match="dim Jbar\\^4 = 968 exceeds budget 500"):
         check_jet_budget(d, V.dim, 4, 500)

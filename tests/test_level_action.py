@@ -108,7 +108,7 @@ def test_placed_action_is_the_tensor_action(label, sigma, weight):
     side by side (``cc.act``), and its transpose times A^n_Z, for every
     label of p and every level -1 <= n <= top + 1."""
     cc = complex_for(label, sigma, weight)
-    labels = cc.g.p_labels()
+    labels = cc.g.p_labels
     for n in range(-1, cc.top + 2):
         dim = cc.dim(n)
         if n >= 0:

@@ -27,7 +27,7 @@ REFUSE_CASES = [("A3", (1, 3), (1, 0, 0)), ("G2", (1,), (1, 0)), ("A2", (1, 2), 
 def sources_for(label, sigma, weight):
     """(gs, chain, coh_next, comps_next) for each source within the jet budget."""
     cc, cohs, comps = components_for(label, sigma, weight)
-    d = len(cc.g.pplus_roots())
+    d = len(cc.g.pplus_roots)
     for n in range(cc.top):
         for comp in comps[n]:
             gs = generate_submodule(cc, cohs[n], comp, max_jet_dim=NO_JET_BUDGET)

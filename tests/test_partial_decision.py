@@ -40,7 +40,7 @@ def reference_decision(label, sigma, weight, budget):
     """(partial sources in level order, (n, s) -> the layers the closure
     should consume): all of them for a built source, and up to the first
     layer j with dim Jbar^{j+1} over budget for a partial one."""
-    d = len(graded(label, sigma).pplus_roots())
+    d = len(graded(label, sigma).pplus_roots)
     partial, consumed = [], {}
     for src, (e, layers, r) in full_closures(label, sigma, weight).items():
         if jbar_dim(d, e, r + 1) > budget:

@@ -317,8 +317,8 @@ def test_dominant_representative_for_subgroup():
 
 def test_grading_element_pairs_with_sigma_height():
     g = graded("A3", (1, 3))
-    E = g.grading_element()
-    for r in g.pplus_roots():
+    E = g.grading_element
+    for r in g.pplus_roots:
         mu = g.rs.root_to_weight(r)
         val = sum(E.get(("h", j), 0) * mu[j] for j in range(g.rs.rank))
         assert val == r[0] + r[2]  # height over the crossed nodes

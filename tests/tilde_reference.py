@@ -51,7 +51,7 @@ def tilde_bases(gs, maps, top: int) -> list[SpMat]:
     i = 0, then the preimage of the previous one intersected with
     Ker(L_i o J^1(pi) - p)."""
     g = gs.cc.g
-    d = len(g.pplus_roots())
+    d = len(g.pplus_roots)
     bases = [SpMat.identity((1 + d) * gs.quotient(1).dim)]
     for i in range(1, top + 1):
         qn = gs.quotient(i + 1)
@@ -75,7 +75,7 @@ def tilde_jet_submodule(gs, i: int, bases: list[SpMat]) -> TildeJet:
             raise CertificationFailure(
                 f"tilde subspace not invariant under {lab}"
             ) from exc
-    amb_weights = _jet1_weights(gs, amb.dim // (1 + len(amb.g.pplus_roots())))
+    amb_weights = _jet1_weights(gs, amb.dim // (1 + len(amb.g.pplus_roots)))
     weights = []
     for k in range(basis.ncols):
         wset = {amb_weights[p] for p in range(amb.dim) if basis.get(p, k)}
@@ -93,7 +93,7 @@ def _jet1_weights(gs, cut: int) -> tuple:
     ws = gs.module.weights[:cut]
     return ws + tuple(
         tuple(x + y for x, y in zip(w, g.rs.root_to_weight(r)))
-        for r in g.pplus_roots() for w in ws
+        for r in g.pplus_roots for w in ws
     )
 
 
@@ -101,7 +101,7 @@ def _second_tilde(first: SpMat, jet: SemiHolonomicJet) -> SpMat:
     """Basis of the second tilde prolongation of E/E^i inside the direct-sum
     coordinates of jet = Jbar^2(E/E^i), from ``first``, the basis of the
     first one inside J^1(E/E^i)."""
-    d = len(jet.V.g.pplus_roots())
+    d = len(jet.V.g.pplus_roots)
     blocks = SpMat.block_diag([_left_annihilator(first)] * (1 + d))
     return (blocks @ iota(jet)).kernel_basis()
 
