@@ -12,10 +12,15 @@ off it by sign rules. The bracket convention is [e_alpha, f_alpha] =
 h_{alpha^vee} (integral coroot coefficients).
 
 The Sigma-height grading g = g_{-k} + ... + g_k, the grading element E and
-its eigenvalue on weights, and the Killing pairings d_a = B(e_a, f_a) of the
-p_+ roots, which make xi_a = f_a / d_a in g_- dual to eta_a = e_a in p_+,
-all live here. Each derived table is a cached attribute, built once per
-algebra on first read.
+its eigenvalue on weights, and the pairings d_a of the p_+ roots all live
+here. g_- is paired with p_+ by the normalised invariant form
+(x|y) = B(x, y) / 2h^vee (Kac, Infinite-dimensional Lie algebras, 6.2),
+under which a long root has (e_a|f_a) = 1: d_a = (e_a|f_a) is 1 on every
+root of A, D and E, and 1 or k on B, C and F (k = 2) and G (k = 3), so
+xi_a = f_a / d_a in g_- is dual to eta_a = e_a in p_+ and the pipeline's
+simply-laced arithmetic is integral. Any nonzero multiple of B gives the
+same operators: the raw Killing pairing B(e_a, f_a) is 2h^vee d_a. Each
+derived table is a cached attribute, built once per algebra on first read.
 """
 
 from __future__ import annotations
@@ -247,13 +252,19 @@ class GradedLieAlgebra:
         return tuple(int(c * den) for c in coords), den
 
     @cached_property
-    def killing_d(self) -> tuple[int, ...]:
-        """d_a = B(e_a, f_a) for each root of ``pplus_roots``: the Killing
-        dual of eta_a = e_a in p_+ is xi_a = f_a / d_a in g_-."""
-        d = tuple(self.killing_pairing(r) for r in self.pplus_roots)
-        if any(v <= 0 for v in d):
-            raise AlgebraNotCertified("Killing pairing of p_+ is not positive")
-        return d
+    def pairing_d(self) -> tuple[int, ...]:
+        """d_a = B(e_a, f_a) / 2h^vee for each root of ``pplus_roots``: the
+        dual of eta_a = e_a in p_+ under B / 2h^vee is xi_a = f_a / d_a in
+        g_-. The divisor is the pairing of the highest root, which is long,
+        so it is 2h^vee, the least pairing and their gcd; each quotient is
+        certified a positive int."""
+        unit = self.killing_pairing(self.rs.pos_roots[-1])
+        raw = [self.killing_pairing(r) for r in self.pplus_roots]
+        if unit <= 0 or any(v <= 0 or v % unit for v in raw):
+            raise AlgebraNotCertified(
+                f"the long-root pairing {unit} does not divide the Killing pairings of p_+"
+            )
+        return tuple(v // unit for v in raw)
 
     @cached_property
     def pplus_action(self) -> dict[Label, SpMat]:
@@ -276,8 +287,9 @@ class GradedLieAlgebra:
     def xi_brackets(self) -> dict[Label, tuple[tuple[int, Label, object], ...]]:
         """For each Z in p, [Z, xi_a] = sum (c / d_a) B as terms
         (a, B, c / d_a), over each a with |eta_a| <= |Z| (none when
-        |Z| = 0)."""
-        d = self.killing_d
+        |Z| = 0); d_a = ``pairing_d``, so every c / d_a of A, D and E is
+        integral."""
+        d = self.pairing_d
         out = {}
         for lab in self.p_labels:
             w = self.grade_of(lab)

@@ -18,7 +18,9 @@ index maps, one +-1 per column, with eps_a eps_b + eps_b eps_a = 0 and
 iota_a eps_b + eps_b iota_a = delta_ab.
 
 Let ad(Z)_ij be the matrix of Z in p on p_+, let [f_a, f_b] = sum_m c^m_ab f_m
-and [e_a, e_b] = sum_m e^m_ab e_m, and let d_a = B(e_a, f_a) (``g.killing_d``). Then
+and [e_a, e_b] = sum_m e^m_ab e_m, and let d_a = (e_a|f_a) (``g.pairing_d``)
+for the normalised invariant form (x|y) = B(x, y) / 2h^vee, which pairs g_-
+with p_+ (d_a = 1 on a long root). Then
 
   Z on C^n = (sum_ij ad(Z)_ij eps_i iota_j) (x) 1 + 1 (x) Z,
   d_n      = S_{n+1}^{-1} [sum_a eps_a (x) f_a
@@ -33,7 +35,10 @@ is never a matrix: S_{n+1}^{-1} eps_a S_n = ((n+1) / d_a) eps_a, so each term
 of d_n is a scalar times eps_a or eps_a eps_b iota_m. The level inner
 products G_n make dstar the exact adjoint of d. The sign (-1)^n is forced by
 that adjointness; the products are definite on each level, alternating in
-sign.
+sign. On A, D and E every d_a is 1: S_n = 1 / n!, every scalar of d_n is an
+int and G_n = ((-1)^n / n!) 1 (x) Gram_V. Pairing by B itself would divide
+d_n by 2h^vee and multiply G_n by (2h^vee)^n, and leave dstar, every kernel,
+image and rank, and so the Hodge split and the harmonic basis, as they are.
 
 The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
 and the weight-multiset oracle for their components live here. The
@@ -176,7 +181,7 @@ class CochainComplex:
     def inner(self, n: int) -> SpMat:
         """G_n = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V on C^n,
         built on each call and not kept."""
-        dd = self.g.killing_d
+        dd = self.g.pairing_d
         diag = SpMat.diagonal([prod(dd[a] for a in t) for t in self.wedge_tuples[n]])
         dim = self.dim(n)
         return SpMat.assemble(dim, dim, kron_blocks(diag, self.V.gram, Q((-1) ** n, factorial(n))))
@@ -222,7 +227,7 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
         raise DimensionOverBudget(
             f"dim C^{d // 2} = {widest} exceeds budget {max_chain_dim}"
         )
-    roots, dd = g.pplus_roots, g.killing_d
+    roots, dd = g.pplus_roots, g.pairing_d
     fbr = _bracket_table(g, roots, "f")
     ebr = _bracket_table(g, roots, "e")
     f_act = [V.actions[("f", r)] for r in roots]

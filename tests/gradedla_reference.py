@@ -3,7 +3,8 @@ structure constants of `artifact.gradedla`.
 
 The pipeline needs only the Killing pairing B(e_r, f_r) of each p_+ root
 (`GradedLieAlgebra.killing_pairing`, the sum over the positive roots alpha
-of <alpha, r^vee>^2, read off the root system with no bracket). The tests
+of <alpha, r^vee>^2, read off the root system with no bracket), divided by
+the long-root value 2h^vee (`GradedLieAlgebra.pairing_d`). The tests
 check the structure constants against the Jacobi identity and the
 invariance of the whole Killing form, and the pairing against the trace
 tr(ad e_r ad f_r) of a product of adjoint matrices, which are built here.

@@ -116,7 +116,7 @@ def reference_grades(cc: CochainComplex, n: int) -> tuple:
 def _tuple_scale(cc: CochainComplex, t: tuple):
     out = QONE
     for a in t:
-        out = out * cc.g.killing_d[a]
+        out = out * cc.g.pairing_d[a]
     return out
 
 

@@ -114,7 +114,7 @@ def reference_jet1(V: PModule) -> PModule:
                 continue
             corner = SpMat.from_entries(1 + d, 1 + d, {(1 + a, 0): 1})
             for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                act = act + reference_kron(corner, V.actions[blab].scale(c / g.killing_d[a]))
+                act = act + reference_kron(corner, V.actions[blab].scale(c / g.pairing_d[a]))
         acts[lab] = act
     return PModule(g=g, dim=(1 + d) * V.dim, actions=acts, weights=V.weights + pv.weights)
 

@@ -237,7 +237,7 @@ def _sample_identities(cc, rng, trials):
             img = SpMat(cc.dim(n), 1)
             for lab, coeff in br.items():
                 img = img + level_action(cc, n, lab).scale(
-                    Q(coeff) / g.killing_d[b]
+                    Q(coeff) / g.pairing_d[b]
                 ) @ f
             rhs = rhs + unit_wedges(cc, n)[b] @ img.scale(n + 1)
         ok &= (lhs - rhs).is_zero()

@@ -131,14 +131,57 @@ def test_e_eigenvalue_is_the_pairing_with_e(label, sigma):
         assert (type(got) is int) == (want.denominator == 1), mu
 
 
+# h^vee of each type, as tabulated in Kac, Infinite-dimensional Lie algebras, 6.1
+DUAL_COXETER = {
+    "A1": 2, "A2": 3, "A3": 4, "A4": 5, "A5": 6, "A6": 7, "A7": 8, "A8": 9,
+    "B2": 3, "B3": 5, "B4": 7, "B5": 9, "B6": 11, "B7": 13, "B8": 15,
+    "C2": 3, "C3": 4, "C4": 5, "C5": 6, "C6": 7, "C7": 8, "C8": 9,
+    "D4": 6, "D5": 8, "D6": 10, "D7": 12, "D8": 14,
+    "E6": 12, "E7": 18, "E8": 30, "F4": 9, "G2": 4,
+}
+
+
 def test_dual_bases_pairing():
-    g = graded("B2", (1,))
-    K = killing_form(g)
-    for a, ra in enumerate(g.pplus_roots):
-        for b, rb in enumerate(g.pplus_roots):
-            # B(eta_a, xi_b) = B(e_{ra}, f_{rb}) / d_b
-            val = K.get(g.index[("e", ra)], g.index[("f", rb)]) / g.killing_d[b]
-            assert val == (1 if a == b else 0)
+    # Re-pinned when the pairing moved from B to (x|y) = B(x, y) / 2h^vee:
+    # (eta_a|xi_b) = B(e_{ra}, f_{rb}) / (2h^vee d_b) is the Kronecker delta.
+    for label in ("B2", "G2", "A3"):
+        g = graded(label, (1,))
+        K = killing_form(g)
+        two_hv = 2 * DUAL_COXETER[label]
+        for a, ra in enumerate(g.pplus_roots):
+            for b, rb in enumerate(g.pplus_roots):
+                val = Q(K.get(g.index[("e", ra)], g.index[("f", rb)]), two_hv * g.pairing_d[b])
+                assert val == (1 if a == b else 0), (label, ra, rb)
+
+
+@pytest.mark.parametrize("label", sorted(DUAL_COXETER))
+def test_pairing_is_normalised_by_the_long_root(label):
+    """B(e_r, f_r) = 2h^vee on every long root r, and d_r = B(e_r, f_r) / 2h^vee
+    is 1 on long roots, 2 on the short roots of B, C and F and 3 on those
+    of G2; p_+ is every positive root, since every node is crossed."""
+    g = graded(label, tuple(range(1, int(label[1:]) + 1)))
+    rs = g.rs
+    assert g.pplus_roots == rs.pos_roots
+    long2 = max(rs.ip_root_root(r, r) for r in rs.pos_roots)
+    short_d = {"B": 2, "C": 2, "F": 2, "G": 3}.get(label[0], 1)
+    for r, d in zip(g.pplus_roots, g.pairing_d):
+        if rs.ip_root_root(r, r) == long2:
+            assert (g.killing_pairing(r), d) == (2 * DUAL_COXETER[label], 1), r
+        else:
+            assert d == short_d, r
+    assert set(g.pairing_d) == {1, short_d}
+
+
+def test_pairing_refuses_a_pairing_the_long_root_does_not_divide(monkeypatch):
+    """An explicit check, kept under python -O: a Killing pairing of p_+
+    that 2h^vee does not divide raises AlgebraNotCertified."""
+    g = gradedla.build_graded_algebra(graded("A3", (1, 3)).par)
+    top = g.rs.pos_roots[-1]
+    raw = gradedla.GradedLieAlgebra.killing_pairing
+    monkeypatch.setattr(gradedla.GradedLieAlgebra, "killing_pairing",
+                        lambda self, r: raw(self, r) + (r != top))
+    with pytest.raises(gradedla.AlgebraNotCertified, match="does not divide"):
+        g.pairing_d
 
 
 def test_adjoint_matrix_matches_bracket():

@@ -263,19 +263,21 @@ def test_laplacian_selfadjoint_and_weight_diagonal():
 
 
 def test_borel_sl3_normalization_pins():
-    # regression pins for the chosen dual-basis normalization
+    # regression pins for the chosen dual-basis normalization, (x|y) = B / 2h^vee:
+    # d_n moved by 2h^vee = 6 from the pairing by B (-1/3 -> -2), dstar did not
     cc = complex_for("A2", (1, 2), (0, 0))
     assert cc.wedge_tuples[1] == [(0,), (1,), (2,)]
     assert cc.wedge_tuples[2] == [(0, 1), (0, 2), (1, 2)]
     # theta = alpha_1 + alpha_2 sits at slot 2
-    assert cc.dels[1].col_dict(2) == {0: Q(-1, 3)}
+    assert cc.dels[1].col_dict(2) == {0: -2}
     assert cc.delstars[1].col_dict(0) == {2: Q(1)}
 
 
 def test_sl2_box_pins():
+    # box = d dstar + dstar d moved with d by 2h^vee = 4 (-1/4 -> -1)
     cc = complex_for("A1", (1,), (1,))
-    assert to_dense(laplacian(cc, 0)) == [[Q(-1, 4), 0], [0, 0]]
-    assert to_dense(laplacian(cc, 1)) == [[0, 0], [0, Q(-1, 4)]]
+    assert to_dense(laplacian(cc, 0)) == [[-1, 0], [0, 0]]
+    assert to_dense(laplacian(cc, 1)) == [[0, 0], [0, -1]]
 
 
 def test_cohomology_module_structure():
