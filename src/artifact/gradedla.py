@@ -15,12 +15,13 @@ The Sigma-height grading g = g_{-k} + ... + g_k, the grading element E and
 its eigenvalue on weights, and the pairings d_a of the p_+ roots all live
 here. g_- is paired with p_+ by the normalised invariant form
 (x|y) = B(x, y) / 2h^vee (Kac, Infinite-dimensional Lie algebras, 6.2),
-under which a long root has (e_a|f_a) = 1: d_a = (e_a|f_a) is 1 on every
-root of A, D and E, and 1 or k on B, C and F (k = 2) and G (k = 3), so
-xi_a = f_a / d_a in g_- is dual to eta_a = e_a in p_+ and the pipeline's
-simply-laced arithmetic is integral. Any nonzero multiple of B gives the
-same operators: the raw Killing pairing B(e_a, f_a) is 2h^vee d_a. Each
-derived table is a cached attribute, built once per algebra on first read.
+under which a long root has (e_a|f_a) = 1. So d_a = (e_a|f_a) is 1 on
+every root of A, D and E, and 2 (B, C, F) or 3 (G) on a short root;
+xi_a = f_a / d_a in g_- is dual to eta_a = e_a in p_+, and the cochain
+complexes and jet towers of A, D and E are integral. Any nonzero multiple
+of B gives the same BGG sequence: the raw Killing pairing B(e_a, f_a) is
+2h^vee d_a. Each derived table is a cached attribute, built once per
+algebra on first read.
 """
 
 from __future__ import annotations
