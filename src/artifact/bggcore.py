@@ -84,7 +84,7 @@ from .jetcalc import (
     prolong,
     semiholonomic,
 )
-from .linalg import LinAlgError, SpMat, kron_unit_blocks, qstr
+from .linalg import LinAlgError, SpMat, kron_blocks, qstr
 from .repmod import (
     MAX_CHAIN_DIM,
     MAX_MODULE_DIM,
@@ -275,8 +275,8 @@ def build_Li(gs: GeneratedSubmodule, i: int) -> SpMat:
             continue
         rhs_cols.extend((1 + a) * src_q.dim + b for b in needed)  # the jet columns of (a, b)
         # (eps_a (x) 1_V) on the needed E columns, placed as blocks
-        wedged = SpMat.assemble(cc.dim(n + 1), len(needed), kron_unit_blocks(
-            eps, cc.V.dim, 1, gs.basis.select_columns(needed), 0))
+        wedged = SpMat.assemble(cc.dim(n + 1), len(needed), kron_blocks(
+            (eps, cc.V.dim), right=gs.basis.select_columns(needed)))
         pieces.append(cc.delstars[n] @ wedged)
     # dstar of E-wedges stays in E
     x = gs.e_coordinates(SpMat.hstack(pieces), f"correction of L_{i}")
@@ -344,7 +344,8 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
     coordinates of H^{n+1}, and the values into C^{n+1} before pi_H. The
     values are the product block del F at column block 0 and
     (n+1) (eps_a (x) 1_V) F at block 1 + a, placed from the bare wedge eps_a
-    (`linalg.kron_unit_blocks`): neither d_V nor J^1(F) is built."""
+    (`linalg.kron_blocks` of the pair (eps_a, dim V) with F on the right):
+    neither d_V nor J^1(F) is built."""
     cc, n = gs.cc, gs.n
     F = gs.basis.select_columns(list(range(chain.composite.nrows))) @ chain.composite
     eps = cc.bare_wedges(n)
@@ -353,7 +354,7 @@ def operator_on_jet1(gs: GeneratedSubmodule, chain: SplitterChain,
     def blocks():
         yield 0, 0, 1, (cc.dels[n], F)
         for a, e in enumerate(eps):
-            yield from kron_unit_blocks(e, cc.V.dim, n + 1, F, (1 + a) * w)
+            yield from kron_blocks((e, cc.V.dim), c=n + 1, right=F, col_off=(1 + a) * w)
 
     values = SpMat.assemble(cc.dim(n + 1), (1 + len(eps)) * w, blocks())
     return coh_next.harmonic_projection() @ values, values

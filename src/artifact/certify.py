@@ -22,7 +22,7 @@ from .jetcalc import (
     check_equivariance,
     jet1_left_action,
 )
-from .linalg import SpMat, kron_blocks, kron_unit_blocks
+from .linalg import SpMat, kron_blocks
 from .repmod import PModule
 from .rootspace import Weight, levi_weyl_dimension
 
@@ -94,11 +94,11 @@ def verify_cochain_identities(cc: CochainComplex) -> dict[str, bool]:
 def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
     """dstar(Z ^ f) = -Z.f - Z ^ dstar(f) on C^n for basis Z = eta_a of p_+,
     as one signed sum per a. The wedge on C^k is eps_a (x) 1_V, placed from
-    the bare wedges of the complex's window, never stored:
-    (eps_a (x) 1) dstar_{n-1} as plain blocks of dstar_{n-1}'s row blocks
-    (`linalg.kron_unit_blocks`), and dstar_n (eps_a (x) 1) as one product
-    block whose right factor is assembled for that a and dropped with the
-    block. Z.f is A^n_Z placed as plain blocks, from Lambda^n p_+ and V.
+    the bare wedges of the complex's window with `linalg.kron_blocks`, never
+    stored: (eps_a (x) 1) dstar_{n-1} as plain blocks of dstar_{n-1}'s row
+    blocks, and dstar_n (eps_a (x) 1) as one product block whose right
+    factor is assembled for that a and dropped with the block. Z.f is A^n_Z
+    placed as plain blocks, from Lambda^n p_+ and V.
     Reads the window's records n and n + 1, n first, so that run over n in
     order each record is built once. On C^0 the last term is a product
     through C^{-1} = 0, so it is zero."""
@@ -106,13 +106,12 @@ def verify_codifferential_leibniz(cc: CochainComplex, n: int) -> bool:
     dim, m = cc.dim(n), cc.V.dim
     below = cc.bare_wedges(n - 1)
     eps = cc.bare_wedges(n)
-    one = SpMat.identity(m)
     for a in range(len(roots)):
         if not SpMat.assemble(dim, dim, [
             (0, 0, 1, (cc.delstars[n],
-                       SpMat.assemble(cc.dim(n + 1), dim, kron_blocks(eps[a], one)))),
+                       SpMat.assemble(cc.dim(n + 1), dim, kron_blocks((eps[a], m))))),
             *cc.action_blocks(n, ("e", roots[a])),
-            *kron_unit_blocks(below[a], m, 1, cc.delstars[n - 1], 0),
+            *kron_blocks((below[a], m), right=cc.delstars[n - 1]),
         ]).is_zero():
             return False
     return True
@@ -133,21 +132,21 @@ def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
     g, V = cc.g, cc.V
     lam = cc.wedge_module(n).actions
     eps = cc.bare_wedges(n)
-    one = SpMat.identity(V.dim)
     d = cc.dels[n]
+    dim = cc.dim(n)
 
     def brackets(lab):
         terms = [(-(n + 1) * c, a, blab) for a, blab, c in g.xi_brackets[lab]]
-        yield from kron_blocks([(c, eps[a], lam[blab]) for c, a, blab in terms], one)
+        yield from kron_blocks(([(c, eps[a], lam[blab]) for c, a, blab in terms], V.dim))
         for c, a, blab in terms:
-            yield from kron_blocks(eps[a], V.actions[blab], c)
+            yield from kron_blocks((eps[a], V.actions[blab]), c=c)
 
     for lab in g.p_labels:
         if g.grade_of(lab) < 1:
             continue
         blocks = chain(
             cc.action_blocks(n + 1, lab, right=d),
-            cc.action_blocks(n, lab, -1, left=d),
+            [(0, 0, -1, (d, SpMat.assemble(dim, dim, cc.action_blocks(n, lab))))],
             brackets(lab),
         )
         if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks).is_zero():

@@ -60,7 +60,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 from .gradedla import GradedLieAlgebra
-from .linalg import Q, SpMat, kron_blocks, kron_sum_blocks
+from .linalg import Q, SpMat, kron_blocks
 from .repmod import (
     MAX_CHAIN_DIM,
     DimensionOverBudget,
@@ -94,13 +94,11 @@ class CochainComplex:
     stored matrix. P acts on Lambda^n p_+ (x) V through the tensor product,
     so A^n_Z = L_Z (x) 1 + 1 (x) M_Z, the Kronecker sum of Z's matrix L_Z on
     Lambda^n p_+ (``wedge_module(n)``) and its matrix M_Z on V. Every reader
-    places it as assembler blocks (``action_blocks``,
-    `linalg.kron_sum_blocks`): as plain blocks inside a signed sum, as
-    A^n_Z X for a matrix X on the right (``act``), or as X A^n_Z, one
-    product block whose right factor is assembled for that one label and
-    dropped with the block. Likewise every reader places (eps_a (x) 1_V) X
-    from the bare wedge eps_a (``bare_wedges``) with
-    `linalg.kron_unit_blocks`.
+    places it as assembler blocks (``action_blocks``, `linalg.kron_blocks`):
+    as plain blocks inside a signed sum, or as A^n_Z X for a matrix X on the
+    right (``act``). Likewise every reader places eps_a (x) 1_V, or
+    (eps_a (x) 1_V) X, from the bare wedge eps_a (``bare_wedges``) with
+    `linalg.kron_blocks`.
 
     The complex keeps across a job only what the job reads. The weights,
     d and dstar of every level are always held, and V's matrices with V.
@@ -161,13 +159,13 @@ class CochainComplex:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         return self._level(n + 1)[1]
 
-    def action_blocks(self, n: int, lab, c=1, right: SpMat | None = None,
-                      col_off: int = 0, left: SpMat | None = None):
-        """The assembler blocks of c A^n_Z, Z = ``lab``, on C^n, of
-        c A^n_Z @ right, or of c left @ A^n_Z: `linalg.kron_sum_blocks` of
-        Z's matrices on Lambda^n p_+ and on V."""
-        return kron_sum_blocks(self.wedge_module(n).actions[lab], self.V.actions[lab],
-                               c, right, col_off, left)
+    def action_blocks(self, n: int, lab, c=1, right: SpMat | None = None, col_off: int = 0):
+        """The assembler blocks of c A^n_Z, Z = ``lab``, on C^n, or of
+        c A^n_Z @ right: `linalg.kron_blocks` of the pairs (L_Z, dim V) and
+        (dim Lambda^n, M_Z), for Z's matrices L_Z on Lambda^n p_+ and M_Z on V."""
+        lam, V = self.wedge_module(n), self.V
+        return kron_blocks((lam.actions[lab], V.dim), (lam.dim, V.actions[lab]),
+                           c=c, right=right, col_off=col_off)
 
     def act(self, n: int, labels: list, x: SpMat) -> SpMat:
         """A^n_Z @ x for each Z in ``labels``, side by side (x.ncols columns
@@ -184,7 +182,8 @@ class CochainComplex:
         dd = self.g.pairing_d
         diag = SpMat.diagonal([prod(dd[a] for a in t) for t in self.wedge_tuples[n]])
         dim = self.dim(n)
-        return SpMat.assemble(dim, dim, kron_blocks(diag, self.V.gram, Q((-1) ** n, factorial(n))))
+        return SpMat.assemble(dim, dim, kron_blocks((diag, self.V.gram),
+                                                    c=Q((-1) ** n, factorial(n))))
 
 
 def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
@@ -232,7 +231,6 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
     ebr = _bracket_table(g, roots, "e")
     f_act = [V.actions[("f", r)] for r in roots]
     e_act = [V.actions[("e", r)] for r in roots]
-    one = SpMat.identity(V.dim)
     tuples = {-1: [], **{n: list(combinations(range(d), n)) for n in range(d + 2)}}
     weights = {n: tensor_weights(_wedge_weights(g, t), V.weights) for n, t in tuples.items()}
     eps_lo = iota_lo = wedge_maps([], [], d)  # eps_a: Lambda^{n-1} -> Lambda^n, and iota_a
@@ -243,20 +241,21 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
         iota_hi = [e.transpose() for e in eps_hi]
         # d_n: S_{n+1}^{-1} eps_a S_n = ((n + 1) / d_a) eps_a, and
         # S_{n+1}^{-1} eps_a eps_b iota_m S_n = ((n + 1) d_m / (d_a d_b)) eps_a eps_b iota_m
-        blocks = [b for a in range(d) for b in kron_blocks(eps_hi[a], f_act[a], Q(n + 1) / dd[a])]
+        blocks = [b for a in range(d)
+                  for b in kron_blocks((eps_hi[a], f_act[a]), c=Q(n + 1) / dd[a])]
         brackets = SpMat.assemble(up, lam, [
             (0, 0, (n + 1) * c * dd[m] / (dd[a] * dd[b]), (eps_hi[a], eps_lo[b] @ iota_lo[m]))
             for (a, b), out in fbr.items() for m, c in out.items()
         ])
-        blocks.extend(kron_blocks(brackets, one, -1))
+        blocks.extend(kron_blocks((brackets, V.dim), c=-1))
         dels[n] = SpMat.assemble(up * V.dim, lam * V.dim, blocks)
         # dstar_n
-        blocks = [b for a in range(d) for b in kron_blocks(iota_hi[a], e_act[a], -1)]
+        blocks = list(kron_blocks(*zip(iota_hi, e_act), c=-1))
         brackets = SpMat.assemble(lam, up, [
             (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a]))
             for (a, b), out in ebr.items() for m, c in out.items()
         ])
-        blocks.extend(kron_blocks(brackets, one, -1))
+        blocks.extend(kron_blocks((brackets, V.dim), c=-1))
         delstars[n] = SpMat.assemble(lam * V.dim, up * V.dim, blocks)
         eps_lo, iota_lo = eps_hi, iota_hi
     return CochainComplex(

@@ -27,10 +27,11 @@ one more block of the same loop. ``gather_rows``, ``place_rows`` and
 ``from_columns`` move rows and columns by index maps. A matrix is never
 changed after it is built, so matrices share rows, and the index maps move
 them, and their denominators, without copying. The sums, scalings, stacks
-and Kronecker products here are assembler calls too (``kron_blocks`` gives
-the blocks of L (x) M, ``kron_unit_blocks`` those of (L (x) 1) @ right,
-and ``kron_sum_blocks`` those of L (x) 1 + 1 (x) M, alone or times a matrix
-on either side), so one loop accumulates and normalises rows.
+and Kronecker products here are assembler calls too: ``kron_blocks`` gives
+the blocks of a sum of Kronecker products L (x) M, alone or times a matrix
+on the right, with 1_n written as the int n and never built, so
+L (x) 1 + 1 (x) M and (L (x) 1) @ right are blocks of the same helper. One
+loop accumulates and normalises rows.
 
 Products accumulate in the assembler as well. A block M may be a product
 block (X, Y), standing for X @ Y: each row of X is multiplied out against
@@ -59,9 +60,10 @@ the result is the one plain rational elimination gives.
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Generator, Iterable, Iterator
+from typing import Iterable, Iterator
 
 QZERO = Q(0)
 QONE = Q(1)
@@ -156,98 +158,80 @@ def _row_scales(y: "SpMat") -> tuple[dict[int, int] | None, int]:
     return {k: den // ydens.get(k, 1) for k in y.rows}, den
 
 
-def kron_blocks(L: "SpMat | list", M: "SpMat", c=1) -> Iterator[tuple]:
-    """The ``SpMat.assemble`` blocks of c * (L (x) M): c L_ij times M at
-    (i M.nrows, j M.ncols) for each entry of L. Summed with other blocks in
-    one assembly, they add a Kronecker product without building it. For a
-    1x1 M = (m) that is the one block c m L, not one 1x1 block per entry.
-    L may be given as a list of terms (coef, X, Y), standing for the sum of
-    coef X @ Y: with a 1x1 M each term is a product block and the sum is
-    never built, and otherwise the sum is assembled here."""
-    nr, nc = M.nrows, M.ncols
-    if nr == nc == 1:
-        if M.rows:
-            mu = c * M.get(0, 0)
-            if type(L) is list:
-                for coef, X, Y in L:
-                    yield 0, 0, mu * coef, (X, Y)
-            else:
-                yield 0, 0, mu, L
-        return
-    if type(L) is list:
-        if not L:
-            return
-        L = SpMat.assemble(L[0][1].nrows, L[0][2].ncols,
-                           [(0, 0, coef, (X, Y)) for coef, X, Y in L])
-    for i, j, v in L.entries():
-        yield i * nr, j * nc, c * v, M
+def kron_blocks(*pairs, c=1, right: "SpMat | None" = None, col_off: int = 0) -> Iterator[tuple]:
+    """The ``SpMat.assemble`` blocks of c sum_t L_t (x) M_t, placed at
+    (0, col_off), or, given ``right``, of (c sum_t L_t (x) M_t) @ right, for
+    the ``pairs`` (L_t, M_t). Summed with other blocks in one assembly, they
+    add the sum without building it. Either factor may be an int n, standing
+    for 1_n, which is never built: the Kronecker sum L (x) 1_m + 1_l (x) M is
+    the pairs (L, m) and (l, M). L may also be a list of terms (coef, X, Y),
+    standing for the sum of coef X @ Y.
 
+    Without right, each entry v of L places c v M. With right, row block I
+    of the result is c sum_J L_IJ M right_J, right_J the J-th block of
+    M.ncols rows of right: each nonzero right_J is gathered once per call,
+    its rows shared, not copied, and every pair reads it; an entry of L
+    places right_J itself when M is 1_m, and the product block (M, right_J)
+    otherwise, and a zero right_J places no block.
 
-def kron_unit_blocks(L: "SpMat", m: int, c, right: "SpMat",
-                     col_off: int) -> Generator[tuple, None, dict]:
-    """The ``SpMat.assemble`` blocks of c (L (x) 1_m) @ right, for right of
-    L.ncols * m rows, placed at column col_off. Row block I of the result is
-    c sum_J L_IJ right_J, right_J the J-th block of m rows of right: each
-    entry of L is a plain block of the rows of right_J. Each nonzero right_J
-    is gathered once per call, its rows shared, not copied, and a zero
-    right_J places no block. For m = 1 that is the one product block
-    (L, right). The generator returns the gathered right_J by J (none for
-    m = 1), for a caller that places more blocks of them
-    (`kron_sum_blocks`)."""
-    if m == 1:
-        yield 0, col_off, c, (L, right)
-        return {}
-    parts = {j: right.gather_rows(range(j * m, (j + 1) * m))
-             for j in sorted({k // m for k in right.rows})}
-    for i, j, v in L.entries():
-        if j in parts:
-            yield i * m, col_off, c * v, parts[j]
-    return parts
-
-
-def kron_sum_blocks(L: "SpMat", M: "SpMat", c=1, right: "SpMat | None" = None,
-                    col_off: int = 0, left: "SpMat | None" = None) -> Iterator[tuple]:
-    """The ``SpMat.assemble`` blocks of c (L (x) 1_m + 1_l (x) M), for square
-    L (l x l) and M (m x m), placed at (0, col_off); or, given ``right``
-    (l m rows), of c (L (x) 1_m + 1_l (x) M) @ right; or, given ``left``
-    (l m columns), of c left @ (L (x) 1_m + 1_l (x) M).
-
-    The plain form is the blocks of L (x) 1_m, as `kron_blocks` gives them,
-    and M on the diagonal at each row block I. In the right product form,
-    row block I of the result is c (sum_J L_IJ right_J + M right_I), right_J
-    the J-th block of m rows of right: the blocks of `kron_unit_blocks`, and
-    a product block (M, right_I) for each I, of the right_J it gathered. The
-    left product form is one product block, with the Kronecker sum
-    assembled as its right factor; it lives as long as the block does. For
-    m = 1, M = (mu), the sum is
-    c (L + mu 1), and nothing is assembled: the block L (the product block
-    (L, right), or (left, L)) and mu times the identity (right, or left)."""
-    l, m = L.nrows, M.nrows
-    if m == 1:
-        mu = M.get(0, 0)
-        if right is not None:
-            yield 0, col_off, c, (L, right)
-        elif left is not None:
-            yield 0, col_off, c, (left, L)
+    A 1x1 M = (mu) is one block, mu L or the product block (L, right), never
+    one block per entry, and a zero one places nothing. Without right, each
+    term of a list L is then a product block; any other list L is assembled
+    here, and lives as long as its blocks."""
+    parts = None
+    for L, M in pairs:
+        if type(M) is int:
+            m = n = M
         else:
-            yield 0, col_off, c, L
-        if mu:
-            unit = right if right is not None else left if left is not None else SpMat.identity(l)
-            yield 0, col_off, c * mu, unit
-        return
-    if left is not None:
-        yield 0, col_off, c, (left, SpMat.assemble(l * m, l * m, kron_sum_blocks(L, M)))
-        return
-    if right is None:
-        one = SpMat.identity(m)
-        for i, j, v in L.entries():
-            yield i * m, col_off + j * m, c * v, one
-        for i in range(l):
-            yield i * m, col_off + i * m, c, M
-        return
-    parts = yield from kron_unit_blocks(L, m, c, right, col_off)
-    for i, part in parts.items():
-        yield i * m, col_off, c, (M, part)
+            m, n = M.nrows, M.ncols
+        if type(L) is list:
+            if not L:
+                continue
+            if right is not None or m != 1 or n != 1:
+                L = SpMat.assemble(L[0][1].nrows, L[0][2].ncols,
+                                   [(0, 0, coef, (X, Y)) for coef, X, Y in L])
+        if m == 1 == n:
+            if type(M) is int:
+                mu = c
+            elif M.rows:
+                mu = c * M.get(0, 0)
+            else:
+                continue
+            if type(L) is int:
+                yield 0, col_off, mu, SpMat.identity(L) if right is None else right
+            elif type(L) is list:
+                for coef, X, Y in L:
+                    yield 0, col_off, mu * coef, (X, Y)
+            else:
+                yield 0, col_off, mu, L if right is None else (L, right)
+        elif right is None:
+            if type(M) is int:
+                M = _unit(m)
+            if type(L) is int:
+                for i in range(L):
+                    yield i * m, col_off + i * n, c, M
+            else:
+                for i, j, v in L.entries():
+                    yield i * m, col_off + j * n, c * v, M
+        else:
+            if parts is None:
+                parts = {j: right.gather_rows(range(j * n, (j + 1) * n))
+                         for j in sorted({k // n for k in right.rows})}
+            if type(L) is int:
+                for i, part in parts.items():
+                    yield i * m, col_off, c, part if type(M) is int else (M, part)
+            else:
+                for i, j, v in L.entries():
+                    part = parts.get(j)
+                    if part is not None:
+                        yield i * m, col_off, c * v, part if type(M) is int else (M, part)
+
+
+@lru_cache(maxsize=None)
+def _unit(m: int) -> "SpMat":
+    """1_m, built once per size: a matrix is never changed, so every block
+    that places 1_m shares it."""
+    return SpMat.identity(m)
 
 
 class LinAlgError(Exception):

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, settings
 from artifact.bggcore import build_bgg_diagram, compose_splitter, generate_submodule
 from artifact.gradedla import build_graded_algebra
 from artifact.hodge import build_cochain_complex, cohomology_module
-from artifact.linalg import SpMat, kron_unit_blocks
+from artifact.linalg import SpMat, kron_blocks
 from artifact.repmod import (
     build_irrep,
     decompose_completely_reducible,
@@ -126,11 +126,11 @@ def level_action(cc, n, lab):
 def unit_wedges(cc, n):
     """eps_a (x) 1_V: C^n -> C^{n+1} for every p_+ root position a,
     assembled from the blocks the complex's readers place
-    (`linalg.kron_unit_blocks` of the bare wedges); the complex itself
-    never builds them."""
+    (`linalg.kron_blocks` of each bare wedge and 1_V, times a matrix on the
+    right, here the identity); the complex itself never builds them."""
     eps = cc.bare_wedges(n)
     one = SpMat.identity(cc.dim(n))
-    return [SpMat.assemble(cc.dim(n + 1), cc.dim(n), kron_unit_blocks(e, cc.V.dim, 1, one, 0))
+    return [SpMat.assemble(cc.dim(n + 1), cc.dim(n), kron_blocks((e, cc.V.dim), right=one))
             for e in eps]
 
 

@@ -16,7 +16,7 @@ constructions give equal modules.
 ``tensor`` builds m1 (x) m2 with every action stored as one matrix, the
 Kronecker sum A_1 (x) 1 + 1 (x) A_2. The pipeline never builds a tensor
 module: the cochain complex places its Kronecker sums as assembler blocks
-(`artifact.linalg.kron_sum_blocks`). The tests compare against it.
+(`artifact.linalg.kron_blocks`). The tests compare against it.
 """
 
 from __future__ import annotations
@@ -261,10 +261,8 @@ def tensor(m1: PModule, m2: PModule) -> PModule:
         raise ValueError("tensor of modules over different algebras")
     common = [l for l in m1.actions if l in m2.actions]
     dim = m1.dim * m2.dim
-    one1, one2 = SpMat.identity(m1.dim), SpMat.identity(m2.dim)
     acts = {
-        l: SpMat.assemble(dim, dim, [*kron_blocks(m1.actions[l], one2),
-                                     *kron_blocks(one1, m2.actions[l])])
+        l: SpMat.assemble(dim, dim, kron_blocks((m1.actions[l], m2.dim), (m1.dim, m2.actions[l])))
         for l in common
     }
     return PModule(g=m1.g, dim=dim, actions=acts, weights=tensor_weights(m1.weights, m2.weights))

@@ -85,7 +85,7 @@ def test_rectangular_identity_is_a_prefix():
 
 def kron(L, M):
     """L (x) M, assembled from `kron_blocks`."""
-    return SpMat.assemble(L.nrows * M.nrows, L.ncols * M.ncols, kron_blocks(L, M))
+    return SpMat.assemble(L.nrows * M.nrows, L.ncols * M.ncols, kron_blocks((L, M)))
 
 
 def test_kron_shapes_and_values():
