@@ -74,6 +74,7 @@ from .hodge import (
     Cohomology,
     CochainComplex,
     build_cochain_complex,
+    check_chain_budget,
     cohomology_module,
 )
 from .jetcalc import (
@@ -446,16 +447,20 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
     checks and sources read the cohomology records of H^n and H^{n+1} only,
     and the columns only the components of each level, so the pass holds
     two ``Cohomology`` records: H^{n-1} is dropped before H^{n+1} is built.
-    ``max_chain_dim`` caps the largest dim C^n before the complex is built
-    (`hodge.build_cochain_complex`)."""
+    ``max_module_dim`` caps dim V before V is built (`repmod.build_irrep`),
+    and ``max_chain_dim`` the largest dim C^n once dim V is known, before V's
+    p-action and the structure constants it reads are built
+    (`hodge.check_chain_budget`)."""
     rs = g.rs
     if any(x < 0 for x in lam):
         raise ValueError("weight must be dominant integral")
     lam_mod = dominant_representative_for(
         rs, range(1, rs.rank + 1), tuple(-x for x in lam)
     )
-    V = restrict_to_parabolic(build_irrep(rs, lam_mod, max_dim=max_module_dim), g)
-    cc = build_cochain_complex(g, V, max_chain_dim)
+    module = build_irrep(rs, lam_mod, max_dim=max_module_dim)
+    check_chain_budget(len(g.pplus_roots), module.dim, max_chain_dim)
+    V = restrict_to_parabolic(module, g)
+    cc = build_cochain_complex(g, V)
     # before any Lambda^n exists: G_n is built and dropped level by level
     verify = verify_cochain_identities(cc)
     verify.update(codifferential_leibniz=True, differential_commutator=True)

@@ -140,9 +140,14 @@ class _ChevalleyTable:
 
 class GradedLieAlgebra:
     def __init__(self, par: ParabolicSpec, basis: tuple[Label, ...], index: dict,
-                 grade: tuple[int, ...], table: _ChevalleyTable):
+                 grade: tuple[int, ...]):
         self.par, self.basis, self.index, self.grade = par, basis, index, grade
-        self.table = table
+
+    @cached_property
+    def table(self) -> _ChevalleyTable:
+        """The structure constants, built on first read: a job refused by a
+        budget never builds them."""
+        return _ChevalleyTable(self.rs)
 
     @property
     def rs(self) -> RootSystem:
@@ -321,7 +326,6 @@ def build_graded_algebra(par: ParabolicSpec) -> GradedLieAlgebra:
         basis=tuple(basis),
         index={l: i for i, l in enumerate(basis)},
         grade=tuple(grade),
-        table=_ChevalleyTable(rs),
     )
 
 

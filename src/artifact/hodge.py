@@ -62,7 +62,6 @@ from math import comb, factorial, prod
 from .gradedla import GradedLieAlgebra
 from .linalg import Q, SpMat, kron_blocks
 from .repmod import (
-    MAX_CHAIN_DIM,
     DimensionOverBudget,
     PModule,
     action_on_span,
@@ -198,8 +197,17 @@ def wedge_maps(lower: list[tuple], upper: list[tuple], d: int) -> list[SpMat]:
     return [SpMat.from_entries(len(upper), len(lower), e) for e in entries]
 
 
-def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
-                          max_chain_dim: int = MAX_CHAIN_DIM) -> CochainComplex:
+def check_chain_budget(d: int, dim_v: int, max_dim: int) -> None:
+    """Raise DimensionOverBudget when the largest level of the complex over
+    a p_+ of dimension d, dim C^{d // 2} = C(d, d // 2) dim_v, exceeds
+    max_dim. It reads no wedge and no structure constant, so a job is
+    refused before either is built."""
+    widest = comb(d, d // 2) * dim_v
+    if widest > max_dim:
+        raise DimensionOverBudget(f"dim C^{d // 2} = {widest} exceeds budget {max_dim}")
+
+
+def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     """The weights of every level, and all differentials and codifferentials,
     in the operator form of the module docstring, with the zero ends of
     ``CochainComplex``: one loop from n = -1, starting from the zero maps
@@ -207,11 +215,8 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
     eps_a on only two adjacent levels are alive at a time. No p-action and
     no G_n is built here: the complex builds each Lambda^n p_+ with its bare
     wedges in its window (``CochainComplex.wedge_module``), and G_n where it
-    is read.
-
-    The largest level, dim C^{d // 2} = C(d, d // 2) dim V for d = dim p_+,
-    is checked against ``max_chain_dim`` before any wedge tuple is listed;
-    over it, DimensionOverBudget is raised.
+    is read. It takes no budget: `bggcore.build_bgg_diagram` checks the
+    chain budget (``check_chain_budget``) before V's p-action exists.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -221,11 +226,6 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule,
     if V.gram is None:
         raise ValueError("coefficient module lacks a contravariant Gram")
     d = len(g.pplus_roots)
-    widest = comb(d, d // 2) * V.dim
-    if widest > max_chain_dim:
-        raise DimensionOverBudget(
-            f"dim C^{d // 2} = {widest} exceeds budget {max_chain_dim}"
-        )
     roots, dd = g.pplus_roots, g.pairing_d
     fbr = _bracket_table(g, roots, "f")
     ebr = _bracket_table(g, roots, "e")
