@@ -10,12 +10,14 @@ deterministic: identical job specifications produce byte-identical reports.
 Exit status is 0 exactly when every verified identity passes, 1 on a failed
 identity, a budget refusal or a failed certificate (one `error:` line on
 stderr, no traceback), and 2 on malformed or invalid input, an unknown
-config key or an --out path that cannot be written.
+config key, or an --out path or a standard output that cannot be written.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import sys
 
 from .bggcore import BGGDiagram, SingularLaplacianBlock, build_bgg_diagram
@@ -43,8 +45,8 @@ from .rootspace import (
 
 
 class ParseError(Exception):
-    """Malformed command line or config file, or an --out path that cannot
-    be written."""
+    """Malformed command line or config file, or an --out path or a standard
+    output that cannot be written."""
 
 
 class ValidationError(Exception):
@@ -354,12 +356,29 @@ def emit_json(diagram: BGGDiagram) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write_stdout(texts: list[str]) -> None:
+    """Write and flush the texts to stdout; ParseError when stdout is closed
+    or a write fails (a pipe whose reader has exited). After a failed write
+    the rest of the buffer goes to the null device, so the flush at exit
+    does not fail again."""
+    out = sys.stdout
+    if out is None:
+        raise ParseError("cannot write stdout: stdout is closed")
+    try:
+        for text in texts:
+            out.write(text)
+        out.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        raise ParseError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 def _write_outputs(report: Report) -> None:
     job = report.job
     ext = {"text": "txt", "dot": "dot", "json": "json"}
     if job.out is None:
-        for fmt in job.emit:
-            sys.stdout.write(report.rendered[fmt])
+        _write_stdout([report.rendered[fmt] for fmt in job.emit])
         return
     if len(job.emit) == 1:
         paths = {job.emit[0]: job.out}

@@ -499,6 +499,37 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.stdout.startswith("algebra A1")
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_closed_stdout_pipe_exits_2_with_one_line(buffered):
+    """The reader of stdout has exited before the run: the report cannot be
+    written, which is one `error:` line and exit 2, as for an --out path,
+    with no traceback and no complaint from the flush at exit. Buffered and
+    unbuffered stdout fail at different calls."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "artifact.bggcli", *BASE, "cohomology", "--emit", "json"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Broken pipe\n")
+
+
+def test_a_closed_stdout_exits_2_with_one_line():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m artifact.bggcli "$@" >&-', sys.executable,
+         *BASE, "cohomology", "--emit", "json"],
+        stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: stdout is closed\n")
+
+
 def test_byte_identical_across_processes(tmp_path):
     # same job, two fresh invocations through main, identical bytes
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
