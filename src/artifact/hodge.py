@@ -227,8 +227,9 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
         raise ValueError("coefficient module lacks a contravariant Gram")
     d = len(g.pplus_roots)
     roots, dd = g.pplus_roots, g.pairing_d
-    fbr = _bracket_table(g, roots, "f")
-    ebr = _bracket_table(g, roots, "e")
+    fbr = _bracket_table(g, roots)
+    # ad e_a on p_+: its entry (m, b) is e^m_ab
+    ad_e = [g.pplus_action[("e", r)] for r in roots]
     f_act = [V.actions[("f", r)] for r in roots]
     e_act = [V.actions[("e", r)] for r in roots]
     tuples = {-1: [], **{n: list(combinations(range(d), n)) for n in range(d + 2)}}
@@ -253,7 +254,7 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
         blocks = list(kron_blocks(*zip(iota_hi, e_act), c=-1))
         brackets = SpMat.assemble(lam, up, [
             (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a]))
-            for (a, b), out in ebr.items() for m, c in out.items()
+            for a in range(d) for m, b, c in ad_e[a].entries() if b > a
         ])
         blocks.extend(kron_blocks((brackets, V.dim), c=-1))
         delstars[n] = SpMat.assemble(lam * V.dim, up * V.dim, blocks)
@@ -288,19 +289,18 @@ def _wedge_weights(g: GradedLieAlgebra, tuples: list[tuple]) -> tuple[Weight, ..
     return tuple(tuple(map(sum, zip(zero, *(weights[a] for a in t)))) for t in tuples)
 
 
-def _bracket_table(g, roots, kind: str) -> dict[tuple[int, int], dict[int, object]]:
-    """[x_a, x_b] for a < b over the x basis, where x_a = (kind, roots[a]):
-    kind "f" spans g_-, kind "e" spans p_+."""
-    part = "g_-" if kind == "f" else "p_+"
+def _bracket_table(g, roots) -> dict[tuple[int, int], dict[int, object]]:
+    """[f_a, f_b] for a < b over the f basis of g_-, f_a = ("f", roots[a]).
+    The brackets [e_a, e_b] on p_+ are read off ``g.pplus_action``."""
     ridx = {r: a for a, r in enumerate(roots)}
     table = {}
     for a in range(len(roots)):
         for b in range(a + 1, len(roots)):
             out = {}
-            for lab, c in g.bracket_labels((kind, roots[a]), (kind, roots[b])).items():
-                if lab[0] != kind or lab[1] not in ridx:
+            for lab, c in g.bracket_labels(("f", roots[a]), ("f", roots[b])).items():
+                if lab[0] != "f" or lab[1] not in ridx:
                     raise ComplexNotCertified(
-                        f"[{kind}_{a}, {kind}_{b}] has a component {lab} outside {part}"
+                        f"[f_{a}, f_{b}] has a component {lab} outside g_-"
                     )
                 out[ridx[lab[1]]] = c
             table[(a, b)] = out
