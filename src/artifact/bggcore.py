@@ -142,12 +142,6 @@ class GeneratedSubmodule:
         )
         return mod
 
-    def trunc(self, j: int, i: int) -> SpMat:
-        """pi^j_i: E/E^j -> E/E^i for i <= j."""
-        if i > j:
-            raise ValueError(f"no truncation E/E^{j} -> E/E^{i}")
-        return SpMat.identity(self.quotient(i).dim, self.quotient(j).dim)
-
     def e_coordinates(self, x: SpMat, what: str) -> SpMat:
         """x (in C^n) in the E basis; raises CertificationFailure naming
         ``what`` and the level when a column of x leaves span E."""

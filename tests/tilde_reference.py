@@ -55,7 +55,8 @@ def tilde_bases(gs, maps, top: int) -> list[SpMat]:
     bases = [SpMat.identity((1 + d) * gs.quotient(1).dim)]
     for i in range(1, top + 1):
         qn = gs.quotient(i + 1)
-        jpi = jet1_map_matrix(g, gs.trunc(i + 1, i))
+        # pi^{i+1}_i: E/E^{i+1} -> E/E^i keeps the leading coordinates
+        jpi = jet1_map_matrix(g, SpMat.identity(gs.quotient(i).dim, qn.dim))
         cond1 = _left_annihilator(bases[-1]) @ jpi
         cond2 = maps[i - 1] @ jpi - SpMat.identity(qn.dim, jpi.ncols)
         bases.append(SpMat.vstack([cond1, cond2]).kernel_basis())
