@@ -60,7 +60,6 @@ the result is the one plain rational elimination gives.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -206,7 +205,7 @@ def kron_blocks(*pairs, c=1, right: "SpMat | None" = None, col_off: int = 0) -> 
                 yield 0, col_off, mu, L if right is None else (L, right)
         elif right is None:
             if type(M) is int:
-                M = _unit(m)
+                M = SpMat.identity(m)
             if type(L) is int:
                 for i in range(L):
                     yield i * m, col_off + i * n, c, M
@@ -225,13 +224,6 @@ def kron_blocks(*pairs, c=1, right: "SpMat | None" = None, col_off: int = 0) -> 
                     part = parts.get(j)
                     if part is not None:
                         yield i * m, col_off, c * v, part if type(M) is int else (M, part)
-
-
-@lru_cache(maxsize=None)
-def _unit(m: int) -> "SpMat":
-    """1_m, built once per size: a matrix is never changed, so every block
-    that places 1_m shares it."""
-    return SpMat.identity(m)
 
 
 class LinAlgError(Exception):
