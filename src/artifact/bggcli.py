@@ -356,29 +356,21 @@ def emit_json(diagram: BGGDiagram) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_stdout(texts: list[str]) -> None:
-    """Write and flush the texts to stdout; ParseError when stdout is closed
-    or a write fails (a pipe whose reader has exited). After a failed write
-    the rest of the buffer goes to the null device, so the flush at exit
-    does not fail again."""
-    out = sys.stdout
-    if out is None:
-        raise ParseError("cannot write stdout: stdout is closed")
-    try:
-        for text in texts:
-            out.write(text)
-        out.flush()
-    except OSError as exc:
-        with contextlib.suppress(OSError, ValueError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-        raise ParseError(f"cannot write stdout: {exc.strerror or exc}") from exc
-
-
 def _write_outputs(report: Report) -> None:
     job = report.job
     ext = {"text": "txt", "dot": "dot", "json": "json"}
     if job.out is None:
-        _write_stdout([report.rendered[fmt] for fmt in job.emit])
+        if sys.stdout is None:
+            raise ParseError("cannot write stdout: stdout is closed")
+        try:
+            for fmt in job.emit:
+                sys.stdout.write(report.rendered[fmt])
+            sys.stdout.flush()
+        except OSError as exc:  # a pipe whose reader has exited
+            # send the rest of the buffer nowhere, or the flush at exit fails again
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ParseError(f"cannot write stdout: {exc.strerror or exc}") from exc
         return
     if len(job.emit) == 1:
         paths = {job.emit[0]: job.out}

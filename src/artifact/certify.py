@@ -149,7 +149,7 @@ def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
             [(0, 0, -1, (d, SpMat.assemble(dim, dim, cc.action_blocks(n, lab))))],
             brackets(lab),
         )
-        if not SpMat.assemble(cc.dim(n + 1), cc.dim(n), blocks).is_zero():
+        if not SpMat.assemble(cc.dim(n + 1), dim, blocks).is_zero():
             return False
     return True
 
