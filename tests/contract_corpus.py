@@ -8,11 +8,14 @@ it in-process. The jobs:
 * ``diagram --emit json,text,dot`` on A1, A2, A3, B2, C2 and G2 with every
   crossed-node set and every weight in {0,1}^rank, except the two that take
   over 0.3 s in-process (``SLOW``);
+* the 37 ``diagram`` jobs of B3 and C3, weights in {0,1}^3, that run in
+  under 0.3 s in-process (``RANK3``);
 * refusals by the module budget (``B3 {1,2,3} (1,1,1)``) and by the chain
   budget (``E7 {1}``, ``A17 {1}``);
 * inputs refused with exit 2: a malformed weight, an unknown flag and a
   crossed node out of range;
-* a few ``cohomology`` and ``verify`` commands.
+* a few ``cohomology`` and ``verify`` commands, among them both cases of the
+  benchmark's ``cohomology`` workload.
 
 ``python tests/contract_corpus.py`` runs every job and rewrites the file. A
 change that alters output re-records it in the same commit and names every
@@ -34,6 +37,24 @@ EMIT = ["--emit", "json,text,dot"]
 SERIES = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "C2": 2, "G2": 2}
 # over 0.3 s in-process (0.54 and 0.62 s; Python 3.11, Fraction backend)
 SLOW = {("A3", "1,2,3", "1,1,1"), ("G2", "1,2", "1,1")}
+# the rank-3 diagram jobs under 0.3 s in-process, weights by crossed-node set
+# (Python 3.11, Fraction backend; 6.4 s together)
+RANK3 = {
+    ("B3", "1"): ["0,0,0", "0,0,1", "0,1,0", "1,0,0"],
+    ("B3", "2"): ["0,0,0", "0,0,1"],
+    ("B3", "3"): ["0,0,0", "0,0,1", "0,1,0", "1,0,0"],
+    ("B3", "1,2"): ["0,0,0", "0,0,1", "1,0,0"],
+    ("B3", "1,3"): ["0,0,0", "0,0,1", "1,0,0"],
+    ("B3", "2,3"): ["0,0,0", "1,0,0"],
+    ("B3", "1,2,3"): ["0,0,0"],
+    ("C3", "1"): ["0,0,0", "0,0,1", "0,1,0", "1,0,0", "1,0,1", "1,1,0"],
+    ("C3", "2"): ["0,0,0", "0,0,1", "1,0,0"],
+    ("C3", "3"): ["0,0,0", "0,0,1", "0,1,0", "1,0,0"],
+    ("C3", "1,2"): ["0,0,0"],
+    ("C3", "1,3"): ["0,0,0"],
+    ("C3", "2,3"): ["0,0,0", "1,0,0"],
+    ("C3", "1,2,3"): ["0,0,0"],
+}
 
 
 def _argv(algebra: str, cross: str, weight: str, command: str) -> list[str]:
@@ -51,6 +72,8 @@ def jobs() -> list[list[str]]:
                     job = (algebra, ",".join(map(str, sigma)), ",".join(map(str, weight)))
                     if job not in SLOW:
                         out.append(_argv(*job, "diagram"))
+    out += [_argv(algebra, cross, weight, "diagram")
+            for (algebra, cross), weights in RANK3.items() for weight in weights]
     out += [
         _argv("B3", "1,2,3", "1,1,1", "cohomology"),    # module budget
         _argv("E7", "1", ",".join("0" * 7), "cohomology"),    # chain budget
@@ -60,6 +83,7 @@ def jobs() -> list[list[str]]:
         _argv("A2", "3", "1,1", "diagram"),             # crossed node out of range
         _argv("A2", "1", "1,1", "cohomology"),
         _argv("G2", "1", "1,1", "cohomology"),
+        _argv("A4", "2", "1,0,0,1", "cohomology"),
         _argv("A3", "1,2", "0,0,0", "verify"),
         _argv("A3", "1,3", "1,0,0", "verify"),
         _argv("B2", "1,2", "1,0", "verify"),
