@@ -43,13 +43,16 @@ image and rank, and so the Hodge split and the harmonic basis, as they are.
 The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
 and the weight-multiset oracle for their components live here. The
 splitting builds no Laplacian: its harmonic part ker box is ker d ∩ ker dstar,
-solved on the weights the two images leave uncovered (``hodge_decompose``),
-and it is certified a basis one weight at a time, by the rank of each square
-weight block [im d | ker box | im dstar] it is built from, before the next
-weight is sliced. Only ker box and the blocks of the weights with harmonic
-room are kept (``Cohomology``): the harmonic projection pi_H along
-im d + im dstar is block diagonal by weight, and is read per weight off the
-certificate's blocks. The Laplacian
+solved on the weights the two images leave uncovered (``hodge_decompose``).
+The maps it reads are certified to preserve weight, so the image bases of
+every weight are read off one elimination of the whole d_{n-1} and one of
+the whole dstar_n. The split is certified a basis one weight at a time, by
+the rank of each square weight block [im d | ker box | im dstar] it is built
+from, on every weight where two or more of the three bases meet (one basis
+alone is independent by construction). Only ker box and the blocks of the
+weights with harmonic room are kept (``Cohomology``): the harmonic
+projection pi_H along im d + im dstar is block diagonal by weight, and is
+read per weight off the certificate's blocks. The Laplacian
 box = d dstar + dstar d appears only restricted to a generated submodule,
 where it is dstar d (``bggcore.GeneratedSubmodule.box_on_e``).
 """
@@ -76,7 +79,8 @@ class DegreeOverflow(Exception):
 
 
 class ComplexNotCertified(Exception):
-    """A bracket left its part of g, or the Hodge splitting is not a basis."""
+    """A bracket left its part of g, a map of the complex does not preserve
+    weight, or the Hodge splitting is not a basis."""
 
 
 class CochainComplex:
@@ -314,15 +318,22 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     (rows, bd, kb, bs), the positions of mu in C^n and the bases of
     im d_{n-1}, ker box and im dstar_n on them, together a square block.
 
-    No Laplacian is built. On each weight mu, the bases of im d_{n-1} and of
-    im dstar_n are the independent columns of the two weight blocks, and
-    the harmonic part ker box = ker d_n ∩ ker dstar_{n-1} is solved only on
-    the room they leave, |mu| - rank(im d) - rank(im dstar), as the kernel
-    of the stacked blocks [dstar_{n-1}; d_n] on the mu columns. A weight
-    with no room has no harmonic part, and its kernel conditions are
-    neither sliced nor eliminated. Levels 0 and top take the same code: the
-    maps out of and into C^{-1} = C^{top+1} = 0 are stored zero maps, whose
-    weight blocks have no rows or no columns.
+    No Laplacian is built. The maps the split reads, d_k and dstar_k for
+    k = n - 1 and n, are first certified to preserve weight
+    (``_check_weight_preserving``), so each is block diagonal by weight
+    after a permutation. The image bases then come from one forward
+    elimination of the whole d_{n-1} and one of the whole dstar_n: a column
+    is a pivot exactly when it is not in the span of the columns before it,
+    and on a block-diagonal map that holds block by block, so the level's
+    pivots of weight mu are the first independent columns of the mu block,
+    and the basis on mu is that block's submatrix on them. The harmonic part
+    ker box = ker d_n ∩ ker dstar_{n-1} is solved only on the room the two
+    images leave, |mu| - rank(im d) - rank(im dstar), as the kernel of the
+    stacked blocks [dstar_{n-1}; d_n] on the mu columns. A weight with no
+    room has no harmonic part, and its kernel conditions are neither sliced
+    nor eliminated. Levels 0 and top take the same code: the maps out of and
+    into C^{-1} = C^{top+1} = 0 are stored zero maps, whose weight blocks
+    have no rows or no columns.
 
     The certificate ranks the blocks the split is built from, each in the
     loop, as soon as it is built. Each weight's block
@@ -335,6 +346,13 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     assembled, and the image bases of a weight with no harmonic room are
     dropped once their block is certified.
 
+    Why the rank runs only where two or more bases meet: a weight that one
+    basis fills alone has that basis as its block, and each basis is
+    independent by construction. The image bases are pivot columns of a
+    weight-preserving map, independent on the rows of their weight, and
+    ``kernel_basis`` is the identity on the free variables. Ranking such a
+    block would repeat the elimination that chose its columns.
+
     Why skipping is exact: let v be in ker d_n ∩ ker dstar_{n-1} of weight
     mu. By adjointness, dstar_k^T G_k = G_{k+1} d_k, so v is G_n-orthogonal
     to im d_{n-1} and to im dstar_n. With no room, those two images span the
@@ -346,9 +364,11 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     ``kernel_basis`` is canonical (it depends only on the subspace), so the
     harmonic basis is the one the kernel of each Laplacian block gives."""
     dim = cc.dim(n)
-    by_weight = positions_by_weight(cc.weights[n])
-    below = positions_by_weight(cc.weights[n - 1])
-    above = positions_by_weight(cc.weights[n + 1])
+    pos = {k: positions_by_weight(cc.weights[k]) for k in (n - 1, n, n + 1)}
+    _check_weight_preserving(cc, n, pos)
+    by_weight, below, above = pos[n], pos[n - 1], pos[n + 1]
+    d_piv = set(cc.dels[n - 1].independent_columns())
+    s_piv = set(cc.delstars[n].independent_columns())
     weights: list[Weight] = []
     harmonic: list[tuple] = []
 
@@ -356,8 +376,8 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
         rows = by_weight[mu]
         m = len(rows)
         lo, hi = below.get(mu, []), above.get(mu, [])
-        bd = cc.dels[n - 1].submatrix(rows, lo).column_space_basis()
-        bs = cc.delstars[n].submatrix(rows, hi).column_space_basis()
+        bd = cc.dels[n - 1].submatrix(rows, [j for j in lo if j in d_piv])
+        bs = cc.delstars[n].submatrix(rows, [j for j in hi if j in s_piv])
         kb = SpMat(m, 0)
         room = m - bd.ncols - bs.ncols
         if room < 0:
@@ -374,11 +394,30 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
                 )
             weights.extend([mu] * room)
             harmonic.append((rows, bd, kb, bs))
-        if SpMat.hstack([bd, kb, bs]).rank() != m:
+        # one basis filling the weight alone is independent (the docstring)
+        if max(bd.ncols, kb.ncols, bs.ncols) < m and SpMat.hstack([bd, kb, bs]).rank() != m:
             raise ComplexNotCertified(f"Hodge splitting of C^{n} is not a basis")
     ker_box = SpMat.hstack([SpMat(dim, 0)] + [kb.place_rows(rows, dim)
                                               for rows, _, kb, _ in harmonic])
     return ker_box, tuple(weights), harmonic
+
+
+def _check_weight_preserving(cc: CochainComplex, n: int,
+                             pos: dict[int, dict[Weight, list[int]]]) -> None:
+    """Raise ComplexNotCertified, naming the map and its level, unless d_k
+    and dstar_k preserve weight for k = n - 1 and n, the maps the split of
+    C^n reads: every row of weight mu has its entries on the columns of
+    weight mu only, compared as sets. ``pos[k]`` is the positions of each
+    weight of C^k, for k = n - 1, n and n + 1. The split slices the maps by
+    weight and reads each weight's pivots off the whole level, so an entry
+    off the weight blocks would otherwise be dropped unseen."""
+    cols = {k: {mu: set(p) for mu, p in by.items()} for k, by in pos.items()}
+    none = frozenset()
+    for k in (n - 1, n):
+        for name, mat, src, dst in (("d", cc.dels[k], k, k + 1),
+                                    ("dstar", cc.delstars[k], k + 1, k)):
+            if not mat.rows_within([cols[src].get(mu, none) for mu in cc.weights[dst]]):
+                raise ComplexNotCertified(f"{name}_{k} does not preserve weight")
 
 
 class Cohomology:

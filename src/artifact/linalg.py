@@ -508,6 +508,12 @@ class SpMat:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def rows_within(self, allowed: list) -> bool:
+        """Whether each row i has its nonzero entries only in the columns of
+        the set allowed[i]: one set comparison per stored row, no entry
+        read."""
+        return all(r.keys() <= allowed[i] for i, r in self.rows.items())
+
     def col_dict(self, j: int) -> dict[int, object]:
         dens = self.dens
         return {i: r[j] if i not in dens else _quo(r[j], dens[i])

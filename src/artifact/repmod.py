@@ -270,6 +270,15 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     with uncrossed-highest weight mu is labeled by the uncrossed-dominant
     representative of -mu.
 
+    The highest weight vectors are one kernel: ``kernel_basis`` of the
+    uncrossed simple raisings e_i stacked, on the whole module. Each e_i
+    sends weight mu to mu + alpha_i, so every row of the stack lies on the
+    columns of one weight, the row space is the direct sum of the weights'
+    row spaces, and the unique RREF is the union of theirs. So the canonical
+    kernel vectors are exactly those of each weight's own kernel, in the
+    same order within a weight; they are grouped by weight, and a vector
+    over two weights raises NotCompletelyReducibleInput.
+
     Each highest weight vector is closed under the uncrossed simple
     lowerings by `layered_closure`: f_i lowers the weight by alpha_i, so
     layer j holds the weights j simple roots below mu, and the layers of
@@ -281,28 +290,24 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     g = m.g
     rs = g.rs
     uncrossed = g.par.uncrossed
-    by_weight = positions_by_weight(m.weights)
-    alpha_w = {
-        i: tuple(rs.cartan[j][i - 1] for j in range(rs.rank)) for i in uncrossed
-    }
-    lowerings = [
-        (m.actions[("f", tuple(int(i - 1 == j) for j in range(rs.rank)))].__matmul__, 1)
-        for i in sorted(uncrossed)
-    ]
+    simple = {i: tuple(int(i - 1 == j) for j in range(rs.rank)) for i in uncrossed}
+    lowerings = [(m.actions[("f", simple[i])].__matmul__, 1) for i in uncrossed]
+    # the highest weight vectors: one kernel of the stacked raisings, read by weight
+    ker = SpMat.vstack([SpMat(0, m.dim)] + [m.actions[("e", simple[i])]
+                                            for i in uncrossed]).kernel_basis()
+    tops: dict[Weight, list[dict]] = {}
+    for c in range(ker.ncols):
+        top = ker.col_dict(c)
+        mus = {m.weights[i] for i in top}
+        if len(mus) != 1:
+            raise NotCompletelyReducibleInput(
+                f"a highest weight vector spans the weights {sorted(mus)}"
+            )
+        tops.setdefault(mus.pop(), []).append(top)
     out: list[IrrepLabel] = []
-    for mu in sorted(by_weight):
-        cols = by_weight[mu]
-        conds = [SpMat(0, len(cols))]
-        for i in uncrossed:
-            up = tuple(a + b for a, b in zip(mu, alpha_w[i]))
-            A = m.actions[("e", tuple(int(i - 1 == j) for j in range(rs.rank)))]
-            conds.append(A.submatrix(by_weight.get(up, []), cols))
-        ker = SpMat.vstack(conds).kernel_basis()
-        if not ker.ncols:
-            continue
+    for mu in sorted(tops):
         closures = []
-        for c in range(ker.ncols):
-            top = {cols[i]: v for i, v in ker.col_dict(c).items()}
+        for top in tops[mu]:
             layers = layered_closure(SpMat.from_columns(m.dim, [top]), lowerings)
             closures.append(SpMat.hstack([b for _, b in layers]))
         per_dim = closures[0].ncols
@@ -314,7 +319,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
                 label=tuple(label),
                 e_eigenvalue=g.e_eigenvalue(mu),
                 dim=per_dim,
-                multiplicity=ker.ncols,
+                multiplicity=len(tops[mu]),
                 embedding=SpMat.hstack(closures),
             )
         )

@@ -186,8 +186,9 @@ class RootSystem:
         )
 
     def ip_weight_root(self, lam: Weight, c: Root):
-        """(lambda, beta) for lambda in fundamental, beta in root coordinates."""
-        return sum(Q(lam[j]) * c[j] * self.d[j] for j in range(self.rank))
+        """(lambda, beta) for lambda in fundamental, beta in root coordinates:
+        an int for an integral lambda."""
+        return sum(lam[j] * c[j] * self.d[j] for j in range(self.rank))
 
     @property
     def rho(self) -> Weight:
@@ -319,15 +320,15 @@ def sigma_height(p: ParabolicSpec, c: Root) -> int:
 
 def _weyl_product(rs: RootSystem, lam: Weight, roots) -> int:
     """Weyl's product over ``roots`` of (lam + rho, beta) / (rho, beta),
-    certified a positive integer."""
+    certified a positive integer. Both products are taken in ints, and
+    divided once."""
     rho = rs.rho
     shifted = tuple(a + b for a, b in zip(lam, rho))
-    num = Q(1)
-    den = Q(1)
+    num = den = 1
     for beta in roots:
         num *= rs.ip_weight_root(shifted, beta)
         den *= rs.ip_weight_root(rho, beta)
-    val = num / den
+    val = Q(num, den)
     out = int(val)
     if out != val or out <= 0:
         raise RootSystemNotCertified(f"Weyl dimension of {tuple(lam)} is {val}")

@@ -13,6 +13,10 @@ e_i is read off ``raise_word``. The matrices are collected entry by entry
 and built with ``SpMat.from_entries``. The tests check that both
 constructions give equal modules.
 
+``highest_weight_vectors`` is the search `decompose_completely_reducible`
+made before it took one kernel of the whole module: on each weight mu, the
+kernel of the uncrossed raisings e_i sliced from mu to mu + alpha_i.
+
 ``tensor`` builds m1 (x) m2 with every action stored as one matrix, the
 Kronecker sum A_1 (x) 1 + 1 (x) A_2. The pipeline never builds a tensor
 module: the cochain complex places its Kronecker sums as assembler blocks
@@ -28,6 +32,7 @@ from artifact.repmod import (
     GModule,
     ModuleNotCertified,
     PModule,
+    positions_by_weight,
     tensor_weights,
 )
 from artifact.rootspace import RootSystem, Weight, weyl_dimension
@@ -266,3 +271,23 @@ def tensor(m1: PModule, m2: PModule) -> PModule:
         for l in common
     }
     return PModule(g=m1.g, dim=dim, actions=acts, weights=tensor_weights(m1.weights, m2.weights))
+
+
+def highest_weight_vectors(m: PModule) -> dict[Weight, SpMat]:
+    """For each weight mu of m with one, the canonical basis of the vectors
+    of weight mu that every uncrossed e_i kills, placed in m: kernel_basis
+    of the blocks of the e_i from mu to mu + alpha_i, stacked."""
+    rs = m.g.rs
+    by_weight = positions_by_weight(m.weights)
+    out = {}
+    for mu in sorted(by_weight):
+        cols = by_weight[mu]
+        conds = [SpMat(0, len(cols))]
+        for i in m.g.par.uncrossed:
+            up = tuple(a + rs.cartan[j][i - 1] for j, a in enumerate(mu))
+            e = m.actions[("e", tuple(int(i - 1 == j) for j in range(rs.rank)))]
+            conds.append(e.submatrix(by_weight.get(up, []), cols))
+        ker = SpMat.vstack(conds).kernel_basis()
+        if ker.ncols:
+            out[mu] = ker.place_rows(cols, m.dim)
+    return out

@@ -1,7 +1,13 @@
 """Cochain complexes, Hodge splits, harmonic cohomology."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from artifact import bggcore
+from artifact.bggcli import main
 from artifact.hodge import (
     ComplexNotCertified,
     DegreeOverflow,
@@ -204,12 +210,28 @@ def test_split_with_a_singular_weight_block_is_refused():
 def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
     """kernel_basis runs once per weight with a harmonic part, and on no
     weight the two images cover; the kernel conditions, the weight blocks
-    of dstar_{n-1} and d_n, are sliced only on those weights too."""
+    of dstar_{n-1} and d_n, are sliced only on those weights too. The image
+    bases come from two eliminations per level, of the whole d_{n-1} and
+    the whole dstar_n, and the block rank runs exactly on the weights where
+    two or more of the three bases are nonempty."""
     cc = complex_for("G2", (1,), (1, 1))
+    # the weights where two or more bases meet, from the ranks of the blocks
+    meeting = 0
+    for n in range(cc.top + 1):
+        below = positions_by_weight(cc.weights[n - 1])
+        above = positions_by_weight(cc.weights[n + 1])
+        for mu, rows in positions_by_weight(cc.weights[n]).items():
+            rd = cc.dels[n - 1].submatrix(rows, below.get(mu, [])).rank()
+            rs = cc.delstars[n].submatrix(rows, above.get(mu, [])).rank()
+            meeting += sum(map(bool, (rd, len(rows) - rd - rs, rs))) > 1
     calls = []
     slices = []
+    pivoted = []
+    ranks = []
     kernel_basis = SpMat.kernel_basis
     submatrix = SpMat.submatrix
+    independent_columns = SpMat.independent_columns
+    rank = SpMat.rank
 
     def counted(self):
         calls.append(self.ncols)
@@ -220,19 +242,96 @@ def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
             slices.append(self)
         return submatrix(self, row_idx, col_idx)
 
+    def pivots(self):
+        pivoted.append(self)
+        return independent_columns(self)
+
+    def ranked(self):
+        ranks.append(self.ncols)
+        return rank(self)
+
     monkeypatch.setattr(SpMat, "kernel_basis", counted)
     monkeypatch.setattr(SpMat, "submatrix", sliced)
+    monkeypatch.setattr(SpMat, "independent_columns", pivots)
+    monkeypatch.setattr(SpMat, "rank", ranked)
     harmonic = 0
     want_slices = 0
     for n in range(cc.top + 1):
         conditions = ([cc.delstars[n - 1]] if n >= 1 else []) + ([cc.dels[n]] if n < cc.top else [])
+        pivoted.clear()
         weights = len(set(hodge_decompose(cc, n)[1]))
+        assert len(pivoted) == 2
+        assert pivoted[0] is cc.dels[n - 1] and pivoted[1] is cc.delstars[n]
         harmonic += weights
         want_slices += weights * len(conditions)
     assert len(calls) == harmonic == 24
     assert len(slices) == want_slices
+    assert len(ranks) == meeting == 126
     blocks = sum(len(set(cc.weights[n])) for n in range(cc.top + 1))
     assert blocks == 290
+
+
+def cross_weight_tampered(field):
+    """The complex of A2 {1} (1,1) with one entry of d_1 (``field`` "dels")
+    or of dstar_1 ("delstars") set off its weight blocks: at the first
+    position whose row and column weights differ."""
+    cc = complex_for("A2", (1,), (1, 1))
+    mats = dict(getattr(cc, field))
+    rows, cols = (2, 1) if field == "dels" else (1, 2)
+    i, j = next((i, j) for i, ri in enumerate(cc.weights[rows])
+                for j, cj in enumerate(cc.weights[cols]) if ri != cj)
+    assert mats[1].get(i, j) == 0
+    mats[1] = mats[1] + SpMat.from_entries(cc.dim(rows), cc.dim(cols), {(i, j): 1})
+    return replaced(cc, **{field: mats})
+
+
+@pytest.mark.parametrize("field,name", [("dels", "d"), ("delstars", "dstar")])
+def test_a_map_off_its_weight_blocks_is_refused(field, name):
+    """The split relies on every map it reads preserving weight, and
+    certifies it: a d_1 or dstar_1 with one cross-weight entry is refused,
+    naming the map, by the splits of C^1 and C^2, which read it; the split
+    of C^0 does not read it."""
+    tampered = cross_weight_tampered(field)
+    for n in (1, 2):
+        with pytest.raises(ComplexNotCertified, match=rf"^{name}_1 does not preserve weight$"):
+            hodge_decompose(tampered, n)
+    hodge_decompose(tampered, 0)
+
+
+def test_weight_check_survives_python_O():
+    # the weight certificate is an explicit check, so -O keeps it
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        "import sys\n"
+        "from artifact.hodge import ComplexNotCertified, hodge_decompose\n"
+        "from test_hodge import cross_weight_tampered\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "try:\n"
+        "    hodge_decompose(cross_weight_tampered('dels'), 1)\n"
+        "except ComplexNotCertified as exc:\n"
+        "    sys.exit(0 if str(exc) == 'd_1 does not preserve weight' else 5)\n"
+        "sys.exit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=here, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+def test_a_cross_weight_map_exits_1_from_the_cli(monkeypatch, capsys):
+    """Through the CLI the refusal is one error line. (Without the weight
+    check the cohomology job went on to a report whose chain identities
+    fail.)"""
+    monkeypatch.setattr(bggcore, "build_cochain_complex",
+                        lambda g, V: cross_weight_tampered("dels"))
+    argv = ["--algebra", "A2", "--cross", "1", "--weight", "1,1", "cohomology"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: ComplexNotCertified: d_1 does not preserve weight\n"
 
 
 @pytest.mark.parametrize("label,sigma,weight", [("G2", (1,), (1, 1)), ("A4", (2,), (1, 0, 0, 1))],

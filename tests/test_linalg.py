@@ -161,6 +161,15 @@ def test_submatrix_and_select_columns():
     assert C.get(1, 1) == A.get(1, 0)
 
 
+def test_rows_within_reads_each_row_against_its_set():
+    A = SpMat.from_dense([[1, 0, Q(1, 2)], [0, 0, 0], [0, 3, 0]])
+    assert A.rows_within([{0, 2}, set(), {1}])
+    assert A.rows_within([{0, 1, 2}, set(), {0, 1}])
+    assert not A.rows_within([{0}, {0, 1, 2}, {1}])
+    assert not A.rows_within([{0, 2}, {0, 1, 2}, frozenset()])
+    assert SpMat(2, 2).rows_within([set(), set()])
+
+
 def test_column_space_basis_spans():
     A = rand_mat(5, 6, density=0.4)
     B = A.column_space_basis()

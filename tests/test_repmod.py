@@ -20,7 +20,7 @@ from artifact.repmod import (
     restrict_to_parabolic,
 )
 from artifact.rootspace import NonDominant, build_root_system
-from conftest import graded
+from conftest import components_for, graded
 from hodge_reference import pplus_module
 from linalg_reference import reference_kron
 import repmod_reference
@@ -314,6 +314,40 @@ def test_decompose_requires_weight_basis():
     bare = PModule(g=g, dim=V.dim, actions=V.actions, weights=None)
     with pytest.raises(NotCompletelyReducibleInput):
         decompose_completely_reducible(bare)
+
+
+@pytest.mark.parametrize("label,sigma,weight", [("G2", (1,), (1, 1)), ("A4", (2,), (1, 0, 0, 1))],
+                         ids=["G2", "A4"])
+def test_highest_weight_vectors_are_the_per_weight_kernels(label, sigma, weight):
+    """On every H^n of the bench `cohomology` cases, the highest weight
+    vectors read off one kernel of the whole module, the first column of
+    each copy's closure, are the kernel of each weight's own block."""
+    _, cohs, comps = components_for(label, sigma, weight)
+    for coh, comp in zip(cohs, comps):
+        mod = coh.module
+        got = {}
+        for c in comp:
+            tops = c.embedding.select_columns(list(range(0, c.embedding.ncols, c.dim)))
+            got[mod.weights[min(tops.col_dict(0))]] = tops
+        assert got == repmod_reference.highest_weight_vectors(mod)
+
+
+def test_a_highest_weight_vector_over_two_weights_is_refused():
+    """The kernel is read by weight only when each of its vectors lies in
+    one weight. A raising that sends the highest weight vectors x and y of
+    two weights to one vector puts x - y in the kernel in place of both:
+    refused, not split."""
+    g = graded("A2", (1,))
+    V = restrict_to_parabolic(build_irrep(g.rs, (1, 0)), g)
+    tops = repmod_reference.highest_weight_vectors(V)
+    (x,), (y,) = (list(t.col_dict(0)) for t in tops.values())
+    e2 = ("e", (0, 1))
+    z = next(i for i in range(V.dim) if i not in (x, y))
+    actions = dict(V.actions)
+    actions[e2] = V.actions[e2] + SpMat.from_entries(V.dim, V.dim, {(z, x): 1, (z, y): 1})
+    bent = PModule(g=g, dim=V.dim, actions=actions, weights=V.weights)
+    with pytest.raises(NotCompletelyReducibleInput, match="spans the weights"):
+        decompose_completely_reducible(bent)
 
 
 def test_layered_closure_layers_and_refuses_overlap():
