@@ -512,7 +512,7 @@ class SpMat:
         """Whether each row i has its nonzero entries only in the columns of
         the set allowed[i]: one set comparison per stored row, no entry
         read."""
-        return all(r.keys() <= allowed[i] for i, r in self.rows.items())
+        return all(allowed[i].issuperset(r) for i, r in self.rows.items())
 
     def col_dict(self, j: int) -> dict[int, object]:
         dens = self.dens
