@@ -322,9 +322,8 @@ def test_weight_check_survives_python_O():
 
 
 def test_a_cross_weight_map_exits_1_from_the_cli(monkeypatch, capsys):
-    """Through the CLI the refusal is one error line. (Without the weight
-    check the cohomology job went on to a report whose chain identities
-    fail.)"""
+    """Through the CLI the refusal is exit 1 and one error line, with no
+    report."""
     monkeypatch.setattr(bggcore, "build_cochain_complex",
                         lambda g, V: cross_weight_tampered("dels"))
     argv = ["--algebra", "A2", "--cross", "1", "--weight", "1,1", "cohomology"]
