@@ -203,10 +203,6 @@ def generate_submodule(cc: CochainComplex, coh: Cohomology, comp: IrrepLabel,
     so layer j raises DimensionOverBudget when dim Jbar^{j+1}(E/E^1) exceeds
     max_jet_dim, and nothing past it is built. That refuses exactly the
     sources whose Jbar^{r+1} is over budget."""
-    if comp.multiplicity != 1:
-        raise CertificationFailure(
-            f"component {comp.label} has multiplicity {comp.multiplicity}"
-        )
     g = cc.g
     n = coh.n
     i0 = comp.e_eigenvalue
@@ -377,9 +373,8 @@ def bgg_operator(gs: GeneratedSubmodule, chain: SplitterChain,
     xc = SpMat.hstack([SpMat(dh.nrows, 0)] + [c.embedding for c in comps_next]).solve(dh)
     row0 = 0
     for t, compt in enumerate(comps_next):
-        w = compt.dim * compt.multiplicity
-        blk = xc.gather_rows(range(row0, row0 + w))
-        row0 += w
+        blk = xc.gather_rows(range(row0, row0 + compt.dim))
+        row0 += compt.dim
         if blk.is_zero():
             continue
         order = operator_order(gs.comp, compt)
@@ -407,17 +402,12 @@ def operator_jet_order(gs: GeneratedSubmodule, comps_next: list[IrrepLabel]) -> 
     return min(gs.r + 1, max((o for o in orders if o >= 1), default=1))
 
 
-class DiagramComponent:
-    def __init__(self, label: Weight, e_eigenvalue, dim: int):
-        self.label, self.e_eigenvalue, self.dim = label, e_eigenvalue, dim
-
-
 class BGGDiagram:
-    """The columns, one list of components per level, and the arrows in
+    """The columns, one list of `IrrepLabel`s per level, and the arrows in
     (level, source, target) order: `build_bgg_diagram` appends them so."""
 
     def __init__(self, algebra: str, sigma: tuple[int, ...], weight: Weight,
-                 columns: list[list[DiagramComponent]], arrows: list[BGGArrow],
+                 columns: list[list[IrrepLabel]], arrows: list[BGGArrow],
                  partial: list[tuple[int, int]], verify: dict[str, bool]):
         self.algebra, self.sigma, self.weight, self.columns = algebra, sigma, weight, columns
         self.arrows, self.partial, self.verify = arrows, partial, verify
@@ -486,17 +476,12 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
             verify["splitter_defect"] &= verify_splitter_defect(gs, chain)
             verify["splitter_values_kernel"] &= op.in_kernel
             arrows.extend(op.arrows)
-    columns = [
-        [DiagramComponent(label=c.label, e_eigenvalue=c.e_eigenvalue, dim=c.dim)
-         for c in comps[n]]
-        for n in range(cc.top + 1)
-    ]
-    verify["oracle_agreement"] = oracle_agrees(g, lam_mod, columns)
+    verify["oracle_agreement"] = oracle_agrees(g, lam_mod, comps)
     return BGGDiagram(
         algebra=rs.label,
         sigma=tuple(sorted(g.par.sigma)),
         weight=tuple(lam),
-        columns=columns,
+        columns=comps,
         arrows=arrows,
         partial=partial,
         verify=verify,

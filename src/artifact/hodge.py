@@ -17,21 +17,26 @@ iota_a = eps_a^T, the contractions with the dual basis. Both are signed
 index maps, one +-1 per column, with eps_a eps_b + eps_b eps_a = 0 and
 iota_a eps_b + eps_b iota_a = delta_ab.
 
-Let ad(Z)_ij be the matrix of Z in p on p_+, let [f_a, f_b] = sum_m c^m_ab f_m
-and [e_a, e_b] = sum_m e^m_ab e_m, and let d_a = (e_a|f_a) (``g.pairing_d``)
-for the normalised invariant form (x|y) = B(x, y) / 2h^vee, which pairs g_-
-with p_+ (d_a = 1 on a long root). Then
+Let ad(Z)_ij be the matrix of Z in p on p_+, let [e_a, e_b] = sum_m e^m_ab e_m,
+so e^m_ab is entry (m, b) of ad e_a (``g.pplus_action``), and let
+d_a = (e_a|f_a) (``g.pairing_d``) for the normalised invariant form
+(x|y) = B(x, y) / 2h^vee, which pairs g_- with p_+ (d_a = 1 on a long root).
+Then
 
   Z on C^n = (sum_ij ad(Z)_ij eps_i iota_j) (x) 1 + 1 (x) Z,
   d_n      = S_{n+1}^{-1} [sum_a eps_a (x) f_a
-                           - sum_{a<b,m} c^m_ab eps_a eps_b iota_m (x) 1] S_n,
+                           + sum_{a<b,m} e^m_ab eps_a eps_b iota_m (x) 1] S_n,
   dstar_n  = -sum_a iota_a (x) e_a - sum_{a<b,m} e^m_ab eps_m iota_b iota_a (x) 1,
   G_n      = ((-1)^n / n!) diag(prod_{a in I} d_a) (x) Gram_V,
 
 with S_n = diag(prod_{a in I} d_a / n!) on Lambda^n. Wedges are identified
 with alternating maps on g_- through the det-pairing with a 1/n! prefactor,
-and S_n transports the classical formula for d to that identification. It
-is never a matrix: S_{n+1}^{-1} eps_a S_n = ((n+1) / d_a) eps_a, so each term
+and S_n transports the classical formula for d to that identification. Its
+bracket term - sum c^m_ab eps_a eps_b iota_m, for [f_a, f_b] = sum c^m_ab f_m,
+is the one above: the Chevalley involution e_r -> -f_r is an automorphism
+(`gradedla` fixes N(-r, -s) = -N(r, s)), so c^m_ab = -e^m_ab. So both maps
+read one list of the e^m_ab, and no bracket of g_- is taken. S_n is never
+a matrix: S_{n+1}^{-1} eps_a S_n = ((n+1) / d_a) eps_a, so each term
 of d_n is a scalar times eps_a or eps_a eps_b iota_m. The level inner
 products G_n make dstar the exact adjoint of d. The sign (-1)^n is forced by
 that adjointness; the products are definite on each level, alternating in
@@ -79,8 +84,8 @@ class DegreeOverflow(Exception):
 
 
 class ComplexNotCertified(Exception):
-    """A bracket left its part of g, a map of the complex does not preserve
-    weight, or the Hodge splitting is not a basis."""
+    """A map of the complex does not preserve weight, or the Hodge splitting
+    is not a basis."""
 
 
 class CochainComplex:
@@ -214,13 +219,15 @@ def check_chain_budget(d: int, dim_v: int, max_dim: int) -> None:
 def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     """The weights of every level, and all differentials and codifferentials,
     in the operator form of the module docstring, with the zero ends of
-    ``CochainComplex``: one loop from n = -1, starting from the zero maps
-    eps_a: Lambda^{-2} -> Lambda^{-1}, builds d_n and dstar_n, so the wedges
-    eps_a on only two adjacent levels are alive at a time. No p-action and
-    no G_n is built here: the complex builds each Lambda^n p_+ with its bare
-    wedges in its window (``CochainComplex.wedge_module``), and G_n where it
-    is read. It takes no budget: `bggcore.build_bgg_diagram` checks the
-    chain budget (``check_chain_budget``) before V's p-action exists.
+    ``CochainComplex``. The bracket terms of both read one list of the
+    e^m_ab, a < b, since [f_a, f_b] = -sum_m e^m_ab f_m. One loop from
+    n = -1, starting from the zero maps eps_a: Lambda^{-2} -> Lambda^{-1},
+    builds d_n and dstar_n, so the wedges eps_a on only two adjacent levels
+    are alive at a time. No p-action and no G_n is built here: the complex
+    builds each Lambda^n p_+ with its bare wedges in its window
+    (``CochainComplex.wedge_module``), and G_n where it is read. It takes no
+    budget: `bggcore.build_bgg_diagram` checks the chain budget
+    (``check_chain_budget``) before V's p-action exists.
 
     V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
     provides both).
@@ -231,9 +238,9 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
         raise ValueError("coefficient module lacks a contravariant Gram")
     d = len(g.pplus_roots)
     roots, dd = g.pplus_roots, g.pairing_d
-    fbr = _bracket_table(g, roots)
-    # ad e_a on p_+: its entry (m, b) is e^m_ab
-    ad_e = [g.pplus_action[("e", r)] for r in roots]
+    # e^m_ab for a < b: entry (m, b) of ad e_a on p_+
+    consts = [(a, m, b, c) for a, r in enumerate(roots)
+              for m, b, c in g.pplus_action[("e", r)].entries() if b > a]
     f_act = [V.actions[("f", r)] for r in roots]
     e_act = [V.actions[("e", r)] for r in roots]
     tuples = {-1: [], **{n: list(combinations(range(d), n)) for n in range(d + 2)}}
@@ -249,16 +256,15 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
         blocks = [b for a in range(d)
                   for b in kron_blocks((eps_hi[a], f_act[a]), c=Q(n + 1) / dd[a])]
         brackets = SpMat.assemble(up, lam, [
-            (0, 0, (n + 1) * c * dd[m] / (dd[a] * dd[b]), (eps_hi[a], eps_lo[b] @ iota_lo[m]))
-            for (a, b), out in fbr.items() for m, c in out.items()
+            (0, 0, Q((n + 1) * c * dd[m]) / (dd[a] * dd[b]), (eps_hi[a], eps_lo[b] @ iota_lo[m]))
+            for a, m, b, c in consts
         ])
-        blocks.extend(kron_blocks((brackets, V.dim), c=-1))
+        blocks.extend(kron_blocks((brackets, V.dim)))
         dels[n] = SpMat.assemble(up * V.dim, lam * V.dim, blocks)
         # dstar_n
         blocks = list(kron_blocks(*zip(iota_hi, e_act), c=-1))
         brackets = SpMat.assemble(lam, up, [
-            (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a]))
-            for a in range(d) for m, b, c in ad_e[a].entries() if b > a
+            (0, 0, c, (eps_lo[m] @ iota_lo[b], iota_hi[a])) for a, m, b, c in consts
         ])
         blocks.extend(kron_blocks((brackets, V.dim), c=-1))
         delstars[n] = SpMat.assemble(lam * V.dim, up * V.dim, blocks)
@@ -291,24 +297,6 @@ def _wedge_weights(g: GradedLieAlgebra, tuples: list[tuple]) -> tuple[Weight, ..
     weights = [g.rs.root_to_weight(r) for r in g.pplus_roots]
     zero = (0,) * g.rs.rank
     return tuple(tuple(map(sum, zip(zero, *(weights[a] for a in t)))) for t in tuples)
-
-
-def _bracket_table(g, roots) -> dict[tuple[int, int], dict[int, object]]:
-    """[f_a, f_b] for a < b over the f basis of g_-, f_a = ("f", roots[a]).
-    The brackets [e_a, e_b] on p_+ are read off ``g.pplus_action``."""
-    ridx = {r: a for a, r in enumerate(roots)}
-    table = {}
-    for a in range(len(roots)):
-        for b in range(a + 1, len(roots)):
-            out = {}
-            for lab, c in g.bracket_labels(("f", roots[a]), ("f", roots[b])).items():
-                if lab[0] != "f" or lab[1] not in ridx:
-                    raise ComplexNotCertified(
-                        f"[f_{a}, f_{b}] has a component {lab} outside g_-"
-                    )
-                out[ridx[lab[1]]] = c
-            table[(a, b)] = out
-    return table
 
 
 def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ...], list[tuple]]:

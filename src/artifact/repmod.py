@@ -199,17 +199,13 @@ def tensor_weights(w1, w2) -> tuple[Weight, ...]:
 
 
 class IrrepLabel:
-    """One isotypic g_0-component: dual-rendered label, E-eigenvalue,
-    per-copy dimension, multiplicity, and the embedding of all copies."""
+    """One irreducible g_0-component: dual-rendered label, E-eigenvalue,
+    dimension, and its embedding. Each appears once in H^n (Kostant, Ann.
+    Math. 74, 1961), so a label names one component."""
 
-    def __init__(self, label: Weight, e_eigenvalue, dim: int, multiplicity: int,
-                 embedding: SpMat):
+    def __init__(self, label: Weight, e_eigenvalue, dim: int, embedding: SpMat):
         self.label, self.e_eigenvalue, self.dim = label, e_eigenvalue, dim
-        self.multiplicity, self.embedding = multiplicity, embedding
-
-    @property
-    def sort_key(self):
-        return (self.e_eigenvalue, self.label)
+        self.embedding = embedding
 
 
 def action_on_span(basis: SpMat, images: SpMat,
@@ -265,26 +261,26 @@ def layered_closure(seeds: SpMat, ops: list[tuple[Callable[[SpMat], SpMat], int]
 
 
 def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
-    """Isotypic decomposition over g_0, deterministic order (E-eigenvalue,
-    then label lex). Labels are rendered in the dual convention: the component
-    with uncrossed-highest weight mu is labeled by the uncrossed-dominant
-    representative of -mu.
+    """Decomposition over g_0 into irreducibles of multiplicity one, in a
+    deterministic order (E-eigenvalue, then label lex). Labels are rendered
+    in the dual convention: the component with uncrossed-highest weight mu
+    is labeled by the uncrossed-dominant representative of -mu.
 
     The highest weight vectors are one kernel: ``kernel_basis`` of the
     uncrossed simple raisings e_i stacked, on the whole module. Each e_i
     sends weight mu to mu + alpha_i, so every row of the stack lies on the
     columns of one weight, the row space is the direct sum of the weights'
     row spaces, and the unique RREF is the union of theirs. So the canonical
-    kernel vectors are exactly those of each weight's own kernel, in the
-    same order within a weight; they are grouped by weight, and a vector
-    over two weights raises NotCompletelyReducibleInput.
+    kernel vectors are exactly those of each weight's own kernel. Kostant's
+    theorem makes H^n multiplicity free (Ann. Math. 74, 1961), so each
+    weight has at most one: a vector over two weights, or a second vector
+    on a weight, raises NotCompletelyReducibleInput.
 
     Each highest weight vector is closed under the uncrossed simple
     lowerings by `layered_closure`: f_i lowers the weight by alpha_i, so
     layer j holds the weights j simple roots below mu, and the layers of
-    one closure are independent. The closures of all isotypic pieces are
-    certified independent, and to span the module, by one rank of their
-    columns side by side."""
+    one closure are independent. The closures are certified independent,
+    and to span the module, by one rank of their columns side by side."""
     if m.weights is None:
         raise NotCompletelyReducibleInput("module carries no weight basis")
     g = m.g
@@ -295,7 +291,7 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
     # the highest weight vectors: one kernel of the stacked raisings, read by weight
     ker = SpMat.vstack([SpMat(0, m.dim)] + [m.actions[("e", simple[i])]
                                             for i in uncrossed]).kernel_basis()
-    tops: dict[Weight, list[dict]] = {}
+    tops: dict[Weight, dict] = {}
     for c in range(ker.ncols):
         top = ker.col_dict(c)
         mus = {m.weights[i] for i in top}
@@ -303,31 +299,23 @@ def decompose_completely_reducible(m: PModule) -> list[IrrepLabel]:
             raise NotCompletelyReducibleInput(
                 f"a highest weight vector spans the weights {sorted(mus)}"
             )
-        tops.setdefault(mus.pop(), []).append(top)
+        mu = mus.pop()
+        if mu in tops:
+            raise NotCompletelyReducibleInput(
+                f"weight {mu} has more than one highest weight vector"
+            )
+        tops[mu] = top
     out: list[IrrepLabel] = []
     for mu in sorted(tops):
-        closures = []
-        for top in tops[mu]:
-            layers = layered_closure(SpMat.from_columns(m.dim, [top]), lowerings)
-            closures.append(SpMat.hstack([b for _, b in layers]))
-        per_dim = closures[0].ncols
-        if any(c.ncols != per_dim for c in closures):
-            raise NotCompletelyReducibleInput("isotypic closures of unequal size")
+        layers = layered_closure(SpMat.from_columns(m.dim, [tops[mu]]), lowerings)
+        embedding = SpMat.hstack([b for _, b in layers])
         label = dominant_representative_for(rs, uncrossed, tuple(-x for x in mu))
-        out.append(
-            IrrepLabel(
-                label=tuple(label),
-                e_eigenvalue=g.e_eigenvalue(mu),
-                dim=per_dim,
-                multiplicity=len(tops[mu]),
-                embedding=SpMat.hstack(closures),
-            )
-        )
+        out.append(IrrepLabel(tuple(label), g.e_eigenvalue(mu), embedding.ncols, embedding))
     every = SpMat.hstack([SpMat(m.dim, 0)] + [c.embedding for c in out])
     rank = every.rank()
     if rank != m.dim or every.ncols != m.dim:
         raise NotCompletelyReducibleInput(
             f"isotypic closures of {every.ncols} columns span {rank} of {m.dim} dimensions"
         )
-    out.sort(key=lambda c: c.sort_key)
+    out.sort(key=lambda c: (c.e_eigenvalue, c.label))
     return out

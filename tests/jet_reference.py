@@ -235,9 +235,8 @@ def full_operator(gs, coh_next, comps_next) -> tuple[list[SpMat], SpMat]:
     xc = SpMat.hstack([c.embedding for c in comps_next]).solve(dh)
     blocks, row0 = [], 0
     for c in comps_next:
-        w = c.dim * c.multiplicity
-        blocks.append(xc.submatrix(list(range(row0, row0 + w)), list(range(xc.ncols))))
-        row0 += w
+        blocks.append(xc.submatrix(list(range(row0, row0 + c.dim)), list(range(xc.ncols))))
+        row0 += c.dim
     return blocks, values
 
 

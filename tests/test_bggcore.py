@@ -352,7 +352,7 @@ def test_bgg_operator_fields():
     assert len(op.arrows) == 1
     assert op.arrows[0].order == 2
     blk = op.arrows[0].block
-    assert blk.nrows == comps[1][0].dim * comps[1][0].multiplicity
+    assert blk.nrows == comps[1][0].dim
     assert not blk.is_zero()
 
 

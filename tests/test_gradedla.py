@@ -6,7 +6,7 @@ from artifact import gradedla
 from artifact.bggcli import main
 from artifact.linalg import Q
 from artifact.rootspace import sigma_height
-from conftest import graded
+from conftest import BATTERY, graded
 from gradedla_reference import adjoint_matrix, bracket_vec, killing_form, trace
 
 
@@ -221,6 +221,21 @@ def test_structure_constants_are_exact(label, sigma):
         assert all(type(c) in exact for _, _, c in g.xi_brackets[lab])
     for m in g.pplus_action.values():
         assert all(type(v) in exact for _, _, v in m.entries())
+
+
+@pytest.mark.parametrize("label,sigma", sorted({(l, s) for l, s, _ in BATTERY}
+                                                | {("G2", (1,)), ("A4", (2,))}))
+def test_gminus_brackets_are_minus_the_pplus_structure_constants(label, sigma):
+    """[f_a, f_b] = -sum_m e^m_ab f_m for a < b, e^m_ab the entry (m, b) of
+    ad e_a on p_+: the Chevalley involution the cochain differential relies
+    on (`hodge.build_cochain_complex` reads no bracket of g_-)."""
+    g = graded(label, sigma)
+    roots = g.pplus_roots
+    for a, ra in enumerate(roots):
+        ad = g.pplus_action[("e", ra)]
+        for b in range(a + 1, len(roots)):
+            want = {("f", roots[m]): -c for m, bb, c in ad.entries() if bb == b}
+            assert g.bracket_labels(("f", ra), ("f", roots[b])) == want, (a, b)
 
 
 @pytest.mark.parametrize("label", ["A1", "A4", "B3", "C4", "D5", "E6", "F4", "G2"])

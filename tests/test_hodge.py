@@ -436,7 +436,8 @@ def test_kostant_oracle_matches_harmonics(label, sigma, weight):
     for n in range(cc.top + 1):
         got = sorted(c.label for c in comps[n])
         assert got == list(predicted[n])
-        assert all(c.multiplicity == 1 for c in comps[n])
+        # one record per component: H^n is multiplicity free (Kostant)
+        assert len(set(got)) == len(got)
 
 
 def test_unit_wedges_satisfy_canonical_anticommutation():

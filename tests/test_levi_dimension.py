@@ -23,11 +23,10 @@ import os
 
 import pytest
 
-from artifact.bggcore import DiagramComponent
 from artifact.certify import oracle_agrees
 from artifact.hodge import cohomology_module
 from artifact.linalg import Q
-from artifact.repmod import decompose_completely_reducible
+from artifact.repmod import IrrepLabel, decompose_completely_reducible
 from artifact.rootspace import (
     build_root_system,
     dominant_representative_for,
@@ -70,8 +69,8 @@ def mismatches(p, columns) -> list[tuple]:
 def test_label_convention_against_golden_dims(key):
     """The convention, settled on the harmonic dimensions of GOLDEN_DIMS:
     every label is dominant on the uncrossed nodes, and the Levi Weyl
-    dimensions of level n's labels, times their multiplicities, add up to
-    dim H^n. A lowest-weight label, antidominant there, would fail both."""
+    dimensions of level n's labels add up to dim H^n. A lowest-weight
+    label, antidominant there, would fail both."""
     label, sigma, lam_mod = key
     p = graded(label, sigma).par
     cc = complex_for_module(label, sigma, lam_mod)
@@ -81,7 +80,7 @@ def test_label_convention_against_golden_dims(key):
         for c in comps:
             assert all(c.label[i - 1] >= 0 for i in p.uncrossed), (n, c.label)
             assert levi_weyl_dimension(p, c.label) == c.dim, (n, c.label)
-        got.append(sum(levi_weyl_dimension(p, c.label) * c.multiplicity for c in comps))
+        got.append(sum(levi_weyl_dimension(p, c.label) for c in comps))
     assert got == GOLDEN_DIMS[key][1]
 
 
@@ -122,11 +121,10 @@ def test_oracle_refuses_a_tampered_dim(label, sigma, weight):
     dim raised by one: the oracle fails it."""
     g = graded(label, sigma)
     lam_mod = dominant_representative_for(g.rs, range(1, g.rs.rank + 1), tuple(-x for x in weight))
-    columns = [[DiagramComponent(c.label, c.e_eigenvalue, c.dim) for c in column]
-               for column in diagram_for(label, sigma, weight).columns]
+    columns = diagram_for(label, sigma, weight).columns
     assert oracle_agrees(g, lam_mod, columns)
     for n, column in enumerate(columns):
         for k, c in enumerate(column):
             tampered = [list(col) for col in columns]
-            tampered[n][k] = DiagramComponent(c.label, c.e_eigenvalue, c.dim + 1)
+            tampered[n][k] = IrrepLabel(c.label, c.e_eigenvalue, c.dim + 1, c.embedding)
             assert not oracle_agrees(g, lam_mod, tampered), (n, k)

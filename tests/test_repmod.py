@@ -282,20 +282,42 @@ def test_tensor_and_dual_actions():
         assert (T.actions[l] - expect).is_zero()
 
 
-def test_decompose_weight_lines_on_borel_side():
+def a1_square():
+    """V(1) (x) V(1) over A1 {1}: no node is uncrossed, so every weight
+    vector is highest, and the weight (0,) has two."""
     g = graded("A1", (1,))
     V = restrict_to_parabolic(build_irrep(g.rs, (1,)), g)
-    T = tensor(V, V)
-    comps = decompose_completely_reducible(T)
-    seen = {(c.label, c.dim, c.multiplicity, c.e_eigenvalue) for c in comps}
-    assert seen == {
-        ((2,), 1, 1, Q(-1)),
-        ((0,), 1, 2, Q(0)),
-        ((-2,), 1, 1, Q(1)),
-    }
-    assert sum(c.dim * c.multiplicity for c in comps) == T.dim
-    for c in comps:
-        assert c.embedding.rank() == c.embedding.ncols == c.dim * c.multiplicity
+    return tensor(V, V)
+
+
+def test_a_repeated_highest_weight_is_refused():
+    # H^n is multiplicity free (Kostant), so a second copy names its weight
+    with pytest.raises(NotCompletelyReducibleInput,
+                       match=r"weight \(0,\) has more than one highest weight vector"):
+        decompose_completely_reducible(a1_square())
+
+
+def test_a_repeated_highest_weight_is_refused_under_python_O():
+    # the refusal is an explicit check, so -O keeps it
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = (
+        "import sys\n"
+        "from artifact import repmod\n"
+        "from test_repmod import a1_square\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "try:\n"
+        "    repmod.decompose_completely_reducible(a1_square())\n"
+        "except repmod.NotCompletelyReducibleInput as exc:\n"
+        "    sys.exit(0 if 'weight (0,) has more' in str(exc) else 5)\n"
+        "sys.exit(4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=here, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 def test_decompose_with_uncrossed_lowering():
@@ -305,7 +327,6 @@ def test_decompose_with_uncrossed_lowering():
     # standard module splits as point + plane over the uncrossed A1
     dims = sorted(c.dim for c in comps)
     assert dims == [1, 2]
-    assert all(c.multiplicity == 1 for c in comps)
 
 
 def test_decompose_requires_weight_basis():
