@@ -186,30 +186,34 @@ def test_singular_weight_gram_is_refused(monkeypatch):
         build_irrep(rs, (1, 1))
 
 
-def test_singular_weight_gram_is_refused_under_python_O():
-    # the Gram certificate is an explicit check, so -O keeps it
+def assert_refused_under_python_O(code: str) -> None:
+    """Run ``code`` under ``python -O`` with this directory and `src` on the
+    path: it exits 0 when the refusal it expects is raised, 3 when -O is
+    off, 4 when nothing is raised and 5 on another message."""
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
-    code = (
-        "import sys\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", "import sys\n"
+         "if sys.flags.optimize < 1: sys.exit(3)\n" + code + "sys.exit(4)\n"],
+        cwd=here, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+
+def test_singular_weight_gram_is_refused_under_python_O():
+    # the Gram certificate is an explicit check, so -O keeps it
+    assert_refused_under_python_O(
         "from artifact import repmod\n"
         "from artifact.linalg import SpMat\n"
         "from artifact.rootspace import build_root_system\n"
         "from test_repmod import every_column\n"
-        "if sys.flags.optimize < 1: sys.exit(3)\n"
         "SpMat.independent_columns = every_column\n"
         "try:\n"
         "    repmod.build_irrep(build_root_system('A2'), (1, 1))\n"
         "except repmod.ModuleNotCertified as exc:\n"
         "    sys.exit(0 if 'weight (-3, 3) is singular' in str(exc) else 5)\n"
-        "sys.exit(4)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], cwd=here, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 def test_singular_weight_gram_exits_1_from_the_cli(monkeypatch, capsys):
@@ -299,25 +303,14 @@ def test_a_repeated_highest_weight_is_refused():
 
 def test_a_repeated_highest_weight_is_refused_under_python_O():
     # the refusal is an explicit check, so -O keeps it
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.join(os.path.dirname(here), "src")
-    code = (
-        "import sys\n"
+    assert_refused_under_python_O(
         "from artifact import repmod\n"
         "from test_repmod import a1_square\n"
-        "if sys.flags.optimize < 1: sys.exit(3)\n"
         "try:\n"
         "    repmod.decompose_completely_reducible(a1_square())\n"
         "except repmod.NotCompletelyReducibleInput as exc:\n"
         "    sys.exit(0 if 'weight (0,) has more' in str(exc) else 5)\n"
-        "sys.exit(4)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], cwd=here, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, (proc.returncode, proc.stderr)
 
 
 def test_decompose_with_uncrossed_lowering():
