@@ -49,7 +49,10 @@ The Hodge splitting im d + ker box + im dstar, harmonic cohomology modules,
 and the weight-multiset oracle for their components live here. The
 splitting builds no Laplacian: its harmonic part ker box is ker d ∩ ker dstar,
 solved on the weights the two images leave uncovered (``hodge_decompose``).
-The maps it reads are certified to preserve weight, so the image bases of
+d and dstar commute with the Cartan, so both preserve the weight blocks of
+C^n (Kostant, Ann. Math. 74, 1961). ``CochainComplex`` certifies every map
+block diagonal by weight once, where it is constructed, so any reader may
+slice a map by weight with no check of its own, and the image bases of
 every weight are read off one elimination of the whole d_{n-1} and one of
 the whole dstar_n. The split is certified a basis one weight at a time, by
 the rank of each square weight block [im d | ker box | im dstar] it is built
@@ -120,11 +123,26 @@ class CochainComplex:
     records n and n + 1 only, so a whole run builds each level once, from 0
     to top. The inner product G_n is built where it is read, on each call
     of ``inner(n)``: only the adjointness check reads it, one level after
-    another."""
+    another.
+
+    The constructor certifies every map block diagonal by weight, once:
+    each row of d_k and dstar_k, for k = -1..top, has its entries on the
+    columns of the row's own weight only (`SpMat.rows_within`), else
+    ``ComplexNotCertified`` names the map and its level. Every complex is
+    built through it, so every reader may slice a map by weight with no
+    check of its own, and an entry off the blocks is never dropped unseen."""
 
     def __init__(self, g: GradedLieAlgebra, V: PModule,
                  weights: dict[int, tuple[Weight, ...]], wedge_tuples: dict[int, list[tuple]],
                  dels: dict[int, SpMat], delstars: dict[int, SpMat]):
+        cols = {k: {mu: set(p) for mu, p in positions_by_weight(w).items()}
+                for k, w in weights.items()}
+        none = frozenset()
+        for k in range(-1, len(g.pplus_roots) + 1):
+            for name, mat, src, dst in (("d", dels[k], k, k + 1),
+                                        ("dstar", delstars[k], k + 1, k)):
+                if not mat.rows_within([cols[src].get(mu, none) for mu in weights[dst]]):
+                    raise ComplexNotCertified(f"{name}_{k} does not preserve weight")
         self.g, self.V = g, V
         self.weights, self.wedge_tuples = weights, wedge_tuples
         self.dels, self.delstars = dels, delstars
@@ -306,10 +324,9 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     (rows, bd, kb, bs), the positions of mu in C^n and the bases of
     im d_{n-1}, ker box and im dstar_n on them, together a square block.
 
-    No Laplacian is built. The maps the split reads, d_k and dstar_k for
-    k = n - 1 and n, are first certified to preserve weight
-    (``_check_weight_preserving``), so each is block diagonal by weight
-    after a permutation. The image bases then come from one forward
+    No Laplacian is built. Every map of ``cc`` arrives certified block
+    diagonal by weight (``CochainComplex``), so the split slices the maps
+    with no check of its own. The image bases come from one forward
     elimination of the whole d_{n-1} and one of the whole dstar_n: a column
     is a pivot exactly when it is not in the span of the columns before it,
     and on a block-diagonal map that holds block by block, so the level's
@@ -352,9 +369,7 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     ``kernel_basis`` is canonical (it depends only on the subspace), so the
     harmonic basis is the one the kernel of each Laplacian block gives."""
     dim = cc.dim(n)
-    pos = {k: positions_by_weight(cc.weights[k]) for k in (n - 1, n, n + 1)}
-    _check_weight_preserving(cc, n, pos)
-    by_weight, below, above = pos[n], pos[n - 1], pos[n + 1]
+    by_weight, below, above = (positions_by_weight(cc.weights[k]) for k in (n, n - 1, n + 1))
     d_piv = set(cc.dels[n - 1].independent_columns())
     s_piv = set(cc.delstars[n].independent_columns())
     weights: list[Weight] = []
@@ -388,24 +403,6 @@ def hodge_decompose(cc: CochainComplex, n: int) -> tuple[SpMat, tuple[Weight, ..
     ker_box = SpMat.hstack([SpMat(dim, 0)] + [kb.place_rows(rows, dim)
                                               for rows, _, kb, _ in harmonic])
     return ker_box, tuple(weights), harmonic
-
-
-def _check_weight_preserving(cc: CochainComplex, n: int,
-                             pos: dict[int, dict[Weight, list[int]]]) -> None:
-    """Raise ComplexNotCertified, naming the map and its level, unless d_k
-    and dstar_k preserve weight for k = n - 1 and n, the maps the split of
-    C^n reads: every row of weight mu has its entries on the columns of
-    weight mu only, compared as sets. ``pos[k]`` is the positions of each
-    weight of C^k, for k = n - 1, n and n + 1. The split slices the maps by
-    weight and reads each weight's pivots off the whole level, so an entry
-    off the weight blocks would otherwise be dropped unseen."""
-    cols = {k: {mu: set(p) for mu, p in by.items()} for k, by in pos.items()}
-    none = frozenset()
-    for k in (n - 1, n):
-        for name, mat, src, dst in (("d", cc.dels[k], k, k + 1),
-                                    ("dstar", cc.delstars[k], k + 1, k)):
-            if not mat.rows_within([cols[src].get(mu, none) for mu in cc.weights[dst]]):
-                raise ComplexNotCertified(f"{name}_{k} does not preserve weight")
 
 
 class Cohomology:

@@ -253,32 +253,31 @@ def build_root_system(spec) -> RootSystem:
     d = _symmetrizers(C)
     _check_positive_definite(C, d)
 
-    # positive roots by height recursion using root strings
-    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots: set[Root] = set(simples)
-    frontier = list(simples)
+    # positive roots by height. Each root beta carries its coroot pairings
+    # <alpha_j^vee, beta> and the lengths p_j of its downward alpha_j-strings,
+    # and beta + alpha_i is a root exactly when p_i > <alpha_i^vee, beta>.
+    # Strings are unbroken, so p_j(beta) = p_j(beta - alpha_j) + 1, or 0 when
+    # beta - alpha_j is no root, read off a root of the height before.
+    roots: dict[Root, tuple[list[int], list[int]]] = {
+        tuple(int(i == j) for j in range(n)): ([C[j][i] for j in range(n)], [0] * n)
+        for i in range(n)
+    }
+    frontier = list(roots)
     while frontier:
         new: list[Root] = []
         for beta in frontier:
+            pairing, down = roots[beta]
             for i in range(n):
-                pairing = sum(C[i][j] * beta[j] for j in range(n))
-                # p = length of the downward alpha_i string through beta
-                p = 0
-                cur = list(beta)
-                while True:
-                    cur[i] -= 1
-                    t = tuple(cur)
-                    if t in roots or tuple(-x for x in t) in roots:
-                        p += 1
-                    else:
-                        break
-                if p - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in roots:
-                        roots.add(t)
-                        new.append(t)
+                if down[i] <= pairing[i]:
+                    continue
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if up in roots:
+                    continue
+                lower = [roots.get(up[:j] + (up[j] - 1,) + up[j + 1:]) if up[j] else None
+                         for j in range(n)]
+                roots[up] = ([p + C[j][i] for j, p in enumerate(pairing)],
+                             [0 if r is None else r[1][j] + 1 for j, r in enumerate(lower)])
+                new.append(up)
         frontier = new
     pos = tuple(sorted(roots, key=lambda r: (sum(r), r)))
     heights = [sum(r) for r in pos]

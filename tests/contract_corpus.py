@@ -17,14 +17,17 @@ it in-process. The jobs:
 * a few ``cohomology`` and ``verify`` commands, among them both cases of the
   benchmark's ``cohomology`` workload.
 
-``python tests/contract_corpus.py`` runs every job and rewrites the file. A
-change that alters output re-records it in the same commit and names every
-job whose hashes moved.
+Every job runs once per test process (``outputs``): the hashes are compared
+with the record, and `test_corpus_properties` checks the report each
+exit-0 job prints. ``python tests/contract_corpus.py`` runs every job and
+rewrites the file. A change that alters output re-records it in the same
+commit and names every job whose hashes moved.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -92,27 +95,40 @@ def jobs() -> list[list[str]]:
     return out
 
 
-def run(argv: list[str]) -> dict:
-    """The exit code of ``bggcli.main`` on argv, run in-process, and the
-    sha256 of its stdout and its stderr."""
+def execute(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``bggcli.main`` on argv, run
+    in-process."""
     from artifact.bggcli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def hashed(code: int, out: str, err: str) -> dict:
+    """An ``execute`` result as the record keeps it: the exit code and the
+    sha256 of the stdout and of the stderr."""
     return {
         "exit": code,
-        "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+        "stdout": hashlib.sha256(out.encode()).hexdigest(),
+        "stderr": hashlib.sha256(err.encode()).hexdigest(),
     }
 
 
-def moved(corpus: dict[str, dict]) -> list[str]:
-    """Each job of ``corpus`` whose run differs from its record, with the
-    fields that moved."""
+@functools.cache
+def outputs() -> dict[str, tuple[int, str, str]]:
+    """``execute`` of every job of the record, each run once per process:
+    the hash check and the property check both read these."""
+    return {job: execute(job.split(" ")) for job in load()}
+
+
+def moved(corpus: dict[str, dict], runs: dict[str, tuple[int, str, str]]) -> list[str]:
+    """Each job of ``corpus`` whose run in ``runs`` (job to ``execute``
+    result) differs from its record, with the fields that moved."""
     out = []
     for job, want in corpus.items():
-        got = run(job.split(" "))
+        got = hashed(*runs[job])
         fields = [k for k in ("exit", "stdout", "stderr") if got[k] != want[k]]
         if fields:
             out.append(f"{job}: {', '.join(fields)} moved")
@@ -125,7 +141,7 @@ def load() -> dict[str, dict]:
 
 
 def record() -> None:
-    corpus = {" ".join(argv): run(argv) for argv in jobs()}
+    corpus = {" ".join(argv): hashed(*execute(argv)) for argv in jobs()}
     with open(CORPUS, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(corpus, fh, indent=1)
         fh.write("\n")

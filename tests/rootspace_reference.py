@@ -102,3 +102,38 @@ def leading_minors(S: list[list[int]]) -> list[Fraction]:
     """The leading principal minors det S[:k, :k], k = 1..n, each from an
     elimination of its own."""
     return [_det([row[:k] for row in S[:k]]) for k in range(1, len(S) + 1)]
+
+
+def reference_positive_roots(C: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of the Cartan matrix C, in (height, lex) order, by
+    the root-string recursion ``build_root_system`` used before it carried
+    each root's pairings and string lengths: for each root beta and node i
+    it walks the downward alpha_i-string through beta to its length p, and
+    adds beta + alpha_i when p > <alpha_i^vee, beta>."""
+    n = len(C)
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(n):
+                pairing = sum(C[i][j] * beta[j] for j in range(n))
+                p = 0
+                cur = list(beta)
+                while True:
+                    cur[i] -= 1
+                    t = tuple(cur)
+                    if t in roots or tuple(-x for x in t) in roots:
+                        p += 1
+                    else:
+                        break
+                if p - pairing > 0:
+                    up = list(beta)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in roots:
+                        roots.add(t)
+                        new.append(t)
+        frontier = new
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))

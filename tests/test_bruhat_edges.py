@@ -1,14 +1,9 @@
 """Every arrow of a BGG diagram lies on an edge of the Bruhat graph.
 
-Column n of the diagram holds the labels w.lambda for the length-n elements
-w of W^p. An arrow joins w.lambda to w'.lambda only when w' = s_beta w for a
-positive root beta, that is when its labels mu, mu' satisfy
-mu' + rho = s_beta(mu + rho). The reflections are computed from the root
-system's inner products, with no Weyl word. On a Borel subalgebra (every
-node crossed) every such edge between adjacent columns carries an arrow, so
-the arrows out of each built source are exactly the edges. For other
-parabolics a standard map can vanish on an edge (Boe, Trans. AMS 288,
-1985), so whether every edge carries an arrow is pinned per case.
+The check is `bruhat_graph`'s. On a Borel subalgebra every edge between
+adjacent columns carries an arrow. For other parabolics a standard map can
+vanish on an edge (Boe, Trans. AMS 288, 1985), so whether every edge
+carries an arrow is pinned per case.
 
 The diagrams checked are every `BATTERY` case and every golden report that
 has arrows.
@@ -20,8 +15,8 @@ import os
 
 import pytest
 
-from artifact.linalg import Q
 from artifact.rootspace import build_root_system
+from bruhat_graph import check_arrows, is_borel, missed_edges, report_parts
 from conftest import BATTERY, diagram_for
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -39,58 +34,11 @@ GOLDEN_WITH_ARROWS = sorted(
 )
 
 
-def edge_targets(rs, mu) -> set[tuple[int, ...]]:
-    """The labels mu' != mu with mu' + rho = s_beta(mu + rho) for a positive
-    root beta; weights in fundamental coordinates."""
-    x = tuple(m + r for m, r in zip(mu, rs.rho))
-    out = set()
-    for beta in rs.pos_roots:
-        k = Q(2) * rs.ip_weight_root(x, beta) / rs.ip_root_root(beta, beta)
-        assert k.denominator == 1, (mu, beta)
-        if k:
-            bw = rs.root_to_weight(beta)
-            out.add(tuple(int(xi - k * b) - r for xi, b, r in zip(x, bw, rs.rho)))
-    return out
-
-
-def missed_edges(rs, columns, arrows, partial) -> list[tuple[int, int]]:
-    """The built sources (n, s) some of whose Bruhat edges into column n + 1
-    carry no arrow. ``columns[n]`` holds the labels of column n, ``arrows``
-    the (n, s, t) of an arrow from source s of column n to target t of
-    column n + 1, and ``partial`` the (n, s) of the sources built without
-    arrows."""
-    missed = []
-    for n in range(len(columns) - 1):
-        for s, mu in enumerate(columns[n]):
-            if (n, s) in partial:
-                continue
-            got = {t for m, src, t in arrows if (m, src) == (n, s)}
-            edges = edge_targets(rs, mu)
-            if got != {t for t, nu in enumerate(columns[n + 1]) if tuple(nu) in edges}:
-                missed.append((n, s))
-    return missed
-
-
-def check_arrows(rs, borel, columns, arrows, partial):
-    """Every arrow lies on an edge; on a Borel case every edge out of a
-    built source carries one (``missed_edges``)."""
-    for n, s, t in arrows:
-        assert tuple(columns[n + 1][t]) in edge_targets(rs, columns[n][s]), (n, s, t)
-    if borel:
-        assert missed_edges(rs, columns, arrows, partial) == []
-
-
 def diagram_parts(case):
     """(root system, columns, arrows, partial) of a `BATTERY` case (a
     tuple) or of a golden report (a file name), in ``check_arrows``' form."""
     if isinstance(case, str):
-        report = golden_report(case)
-        return (
-            build_root_system(report["algebra"]),
-            [[c["label"] for c in col["components"]] for col in report["columns"]],
-            [(a["from"][0], a["from"][1], a["to"][1]) for a in report["arrows"]],
-            {tuple(p) for p in report["partial"]},
-        )
+        return report_parts(golden_report(case))
     diagram = diagram_for(*case)
     return (
         build_root_system(case[0]),
@@ -110,7 +58,7 @@ def test_battery_arrows_are_bruhat_edges(label, sigma, weight):
 @pytest.mark.parametrize("name", GOLDEN_WITH_ARROWS)
 def test_golden_arrows_are_bruhat_edges(name):
     rs, columns, arrows, partial = diagram_parts(name)
-    check_arrows(rs, len(golden_report(name)["sigma"]) == rs.rank, columns, arrows, partial)
+    check_arrows(rs, is_borel(golden_report(name)), columns, arrows, partial)
 
 
 def test_borel_edges_are_checked():
@@ -118,7 +66,7 @@ def test_borel_edges_are_checked():
     borel = {(l, s) for l, s, _ in BATTERY if len(s) == build_root_system(l).rank}
     for name in GOLDEN_WITH_ARROWS:
         report = golden_report(name)
-        if len(report["sigma"]) == build_root_system(report["algebra"]).rank:
+        if is_borel(report):
             borel.add((report["algebra"], tuple(report["sigma"])))
     assert borel == {("A1", (1,)), ("A2", (1, 2)), ("B2", (1, 2))}
 
@@ -152,9 +100,7 @@ EVERY_EDGE_CARRIED = {
 def test_every_non_borel_diagram_is_pinned():
     cases = {(l, s, w) for l, s, ws in BATTERY for w in ws
              if len(s) != build_root_system(l).rank}
-    cases |= {name for name in GOLDEN_WITH_ARROWS
-              if len(golden_report(name)["sigma"]) != build_root_system(
-                  golden_report(name)["algebra"]).rank}
+    cases |= {name for name in GOLDEN_WITH_ARROWS if not is_borel(golden_report(name))}
     assert cases == set(EVERY_EDGE_CARRIED)
 
 

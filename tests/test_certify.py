@@ -13,6 +13,12 @@ commutator identity sees a change c e_i e_j^T of d_n exactly when a grade
 grade >= 1 action on C^n when d_n has a nonzero column it moves to or
 d_{n-1} a nonzero row it moves from; the entries are chosen so that it
 does.
+
+The complex certifies every d and dstar block diagonal by weight where it
+is constructed (``CochainComplex``), so a change of d or dstar is made
+inside a weight block: at (i, j) with row i and column j of one weight.
+A change off the blocks is refused by the constructor before any identity
+is checked.
 """
 
 import pytest
@@ -22,6 +28,8 @@ from artifact.certify import (
     verify_codifferential_leibniz,
     verify_differential_commutator,
 )
+from artifact.hodge import ComplexNotCertified
+from artifact.repmod import positions_by_weight
 from conftest import complex_for, level_action, replaced
 from linalg_reference import row_dicts, with_row
 
@@ -68,6 +76,13 @@ def raising_support(cc, n) -> set[tuple[int, int]]:
     }
 
 
+def in_blocks(cc, rows, cols) -> list[tuple[int, int]]:
+    """The positions (i, j) of a map C^cols -> C^rows inside its weight
+    blocks, row i and column j of one weight, in row order."""
+    by_weight = positions_by_weight(cc.weights[cols])
+    return [(i, j) for i, mu in enumerate(cc.weights[rows]) for j in by_weight.get(mu, [])]
+
+
 @pytest.mark.parametrize("label,sigma,weight", CASES)
 def test_untouched_complex_passes(label, sigma, weight):
     assert all(battery(complex_for(label, sigma, weight)).values())
@@ -75,27 +90,75 @@ def test_untouched_complex_passes(label, sigma, weight):
 
 @pytest.mark.parametrize("label,sigma,weight", CASES)
 def test_tampered_differential_fails(label, sigma, weight):
+    """d_n changes inside a weight block, at the first position the
+    commutator sees. A level whose C^n and C^{n+1} share no weight has no
+    block, and its d_n is zero: only the constructor sees a change there
+    (``test_the_old_cross_weight_bumps_are_refused_at_construction``)."""
     cc = complex_for(label, sigma, weight)
+    seen = 0
     for n in range(cc.top):
-        moved = sorted(j for _, j in raising_support(cc, n + 1))
-        reached = sorted(i for i, _ in raising_support(cc, n))
-        i, j = (moved[0], 0) if moved else (0, reached[0])
+        moved = {j for _, j in raising_support(cc, n + 1)}
+        reached = {i for i, _ in raising_support(cc, n)}
+        block = in_blocks(cc, n + 1, n)
+        if not block:
+            assert cc.dels[n].is_zero(), n
+            continue
+        i, j = next((i, j) for i, j in block if i in moved or j in reached)
         dels = dict(cc.dels)
         dels[n] = bumped(dels[n], i, j)
         res = battery(replaced(cc, dels=dels))
         assert not res["adjointness"], n
         assert not res["differential_commutator"], n
+        seen += 1
+    assert seen >= cc.top - 2
 
 
 @pytest.mark.parametrize("label,sigma,weight", CASES)
 def test_tampered_codifferential_fails(label, sigma, weight):
+    """dstar_n changes inside a weight block, at its first position; a
+    level with no block has a zero dstar_n, as in the test above."""
     cc = complex_for(label, sigma, weight)
+    seen = 0
     for n in range(cc.top):
+        block = in_blocks(cc, n, n + 1)
+        if not block:
+            assert cc.delstars[n].is_zero(), n
+            continue
         delstars = dict(cc.delstars)
-        delstars[n] = bumped(delstars[n], 0, 0)
+        delstars[n] = bumped(delstars[n], *block[0])
         res = battery(replaced(cc, delstars=delstars))
         assert not res["adjointness"], n
         assert not res["codifferential_leibniz"], n
+        seen += 1
+    assert seen >= cc.top - 2
+
+
+@pytest.mark.parametrize("label,sigma,weight", CASES)
+def test_the_old_cross_weight_bumps_are_refused_at_construction(label, sigma, weight):
+    """The changes these tests made before the constructor certified weight:
+    d_n at (i, 0) for the first i a grade >= 1 action moves on C^{n+1}, else
+    at (0, j) for the first j one reaches on C^n, and dstar_n at (0, 0).
+    Each that lands off its weight block is refused where the complex is
+    constructed, naming the map and its level; one inside its block is
+    built, and the identities above see it."""
+    cc = complex_for(label, sigma, weight)
+    refused = 0
+    for n in range(cc.top):
+        moved = sorted(j for _, j in raising_support(cc, n + 1))
+        reached = sorted(i for i, _ in raising_support(cc, n))
+        old_d = (moved[0], 0) if moved else (0, reached[0])
+        for field, name, (i, j), rows, cols in (("dels", "d", old_d, n + 1, n),
+                                                ("delstars", "dstar", (0, 0), n, n + 1)):
+            mats = dict(getattr(cc, field))
+            mats[n] = bumped(mats[n], i, j)
+            if cc.weights[rows][i] == cc.weights[cols][j]:
+                replaced(cc, **{field: mats})
+                continue
+            refusal = rf"^{name}_{n} does not preserve weight$"
+            with pytest.raises(ComplexNotCertified, match=refusal):
+                replaced(cc, **{field: mats})
+            refused += 1
+    assert refused >= cc.top
 
 
 @pytest.mark.parametrize("label,sigma,weight", CASES)

@@ -13,7 +13,7 @@ from artifact import bggcli
 def test_every_corpus_job_matches_its_record():
     corpus = contract_corpus.load()
     assert len(corpus) == len(contract_corpus.jobs())
-    assert contract_corpus.moved(corpus) == []
+    assert contract_corpus.moved(corpus, contract_corpus.outputs()) == []
 
 
 def test_corpus_jobs_are_the_listed_ones():
@@ -32,4 +32,5 @@ def test_a_one_byte_change_to_an_emitted_field_is_seen(monkeypatch):
     emit_json = bggcli.emit_json
     monkeypatch.setattr(bggcli, "emit_json",
                         lambda diagram: emit_json(diagram).replace('"pass"', '"pasS"', 1))
-    assert contract_corpus.moved({job: corpus[job]}) == [f"{job}: stdout moved"]
+    runs = {job: contract_corpus.execute(job.split(" "))}
+    assert contract_corpus.moved({job: corpus[job]}, runs) == [f"{job}: stdout moved"]

@@ -272,9 +272,10 @@ def test_kernel_eliminations_only_on_harmonic_weights(monkeypatch):
 
 
 def cross_weight_tampered(field):
-    """The complex of A2 {1} (1,1) with one entry of d_1 (``field`` "dels")
-    or of dstar_1 ("delstars") set off its weight blocks: at the first
-    position whose row and column weights differ."""
+    """The complex of A2 {1} (1,1) rebuilt with one entry of d_1 (``field``
+    "dels") or of dstar_1 ("delstars") set off its weight blocks: at the
+    first position whose row and column weights differ. Its constructor
+    refuses it."""
     cc = complex_for("A2", (1,), (1, 1))
     mats = dict(getattr(cc, field))
     rows, cols = (2, 1) if field == "dels" else (1, 2)
@@ -287,15 +288,12 @@ def cross_weight_tampered(field):
 
 @pytest.mark.parametrize("field,name", [("dels", "d"), ("delstars", "dstar")])
 def test_a_map_off_its_weight_blocks_is_refused(field, name):
-    """The split relies on every map it reads preserving weight, and
-    certifies it: a d_1 or dstar_1 with one cross-weight entry is refused,
-    naming the map, by the splits of C^1 and C^2, which read it; the split
-    of C^0 does not read it."""
-    tampered = cross_weight_tampered(field)
-    for n in (1, 2):
-        with pytest.raises(ComplexNotCertified, match=rf"^{name}_1 does not preserve weight$"):
-            hodge_decompose(tampered, n)
-    hodge_decompose(tampered, 0)
+    """Every reader relies on every map preserving weight, and the complex
+    certifies it once, where it is constructed: a d_1 or dstar_1 with one
+    cross-weight entry is refused there, naming the map, before any split
+    reads it."""
+    with pytest.raises(ComplexNotCertified, match=rf"^{name}_1 does not preserve weight$"):
+        cross_weight_tampered(field)
 
 
 def test_weight_check_survives_python_O():

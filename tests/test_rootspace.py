@@ -22,7 +22,12 @@ from artifact.rootspace import (
 )
 
 from conftest import BATTERY, graded
-from rootspace_reference import enumerate_weyl, leading_minors, reference_parabolic_hasse
+from rootspace_reference import (
+    enumerate_weyl,
+    leading_minors,
+    reference_parabolic_hasse,
+    reference_positive_roots,
+)
 
 
 def reflect_root(rs, i, c):
@@ -64,6 +69,18 @@ def test_symmetrizers_are_ints():
     # d_0 C_01 = d_1 C_10 gives d = (3/2, 1): no finite type has that ratio
     with pytest.raises(NotFiniteType, match="not integral"):
         build_root_system([[2, -2], [-3, 2]])
+
+
+@pytest.mark.parametrize("label,npos", [
+    ("A3", 6), ("B4", 16), ("C5", 25), ("D6", 30), ("E6", 36), ("E7", 63), ("E8", 120),
+    ("F4", 24), ("G2", 6), ("A30", 465),
+])
+def test_positive_roots_match_the_root_string_walk(label, npos):
+    """Carrying each root's pairings and string lengths finds the roots the
+    walk down every root string found, in the same (height, lex) order."""
+    rs = build_root_system(label)
+    assert rs.pos_roots == reference_positive_roots(rs.cartan)
+    assert len(rs.pos_roots) == npos
 
 
 @pytest.mark.parametrize(
