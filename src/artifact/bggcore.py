@@ -94,10 +94,10 @@ from .repmod import (
     PModule,
     action_on_span,
     build_irrep,
+    check_module_budget,
     decompose_completely_reducible,
     layered_closure,
     positions_by_weight,
-    restrict_to_parabolic,
 )
 from .rootspace import Weight, dominant_representative_for
 
@@ -431,19 +431,19 @@ def build_bgg_diagram(g: GradedLieAlgebra, lam: Weight,
     checks and sources read the cohomology records of H^n and H^{n+1} only,
     and the columns only the components of each level, so the pass holds
     two ``Cohomology`` records: H^{n-1} is dropped before H^{n+1} is built.
-    ``max_module_dim`` caps dim V before V is built (`repmod.build_irrep`),
-    and ``max_chain_dim`` the largest dim C^n once dim V is known, before V's
-    p-action and the structure constants it reads are built
-    (`hodge.check_chain_budget`)."""
+    Both budgets are read off d = dim p_+ and Weyl's dim V before any
+    module matrix or structure constant is built: ``max_module_dim`` caps
+    dim V (`repmod.check_module_budget`), then ``max_chain_dim`` the largest
+    dim C^n (`hodge.check_chain_budget`), and only then is V built."""
     rs = g.rs
     if any(x < 0 for x in lam):
         raise ValueError("weight must be dominant integral")
     lam_mod = dominant_representative_for(
         rs, range(1, rs.rank + 1), tuple(-x for x in lam)
     )
-    module = build_irrep(rs, lam_mod, max_dim=max_module_dim)
-    check_chain_budget(len(g.pplus_roots), module.dim, max_chain_dim)
-    V = restrict_to_parabolic(module, g)
+    dim_v = check_module_budget(rs, lam_mod, max_module_dim)
+    check_chain_budget(len(g.pplus_roots), dim_v, max_chain_dim)
+    V = build_irrep(g, lam_mod)
     cc = build_cochain_complex(g, V)
     # before any Lambda^n exists: G_n is built and dropped level by level
     verify = verify_cochain_identities(cc)

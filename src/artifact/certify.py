@@ -126,18 +126,21 @@ def verify_differential_commutator(cc: CochainComplex, n: int) -> bool:
     is (eps_a (x) 1) A^n_B = (eps_a L_B) (x) 1 + eps_a (x) M_B, for the bare
     wedges eps_a: Lambda^n -> Lambda^{n+1} and B's matrices L_B on
     Lambda^n p_+ and M_B on V, so no unit wedge is read. The first parts of
-    a label's terms are placed as (sum of c eps_a L_B) (x) 1, a sum that
-    lives only while its blocks are placed (on a one-dimensional V it is
-    product blocks, never built). Reads Lambda^n and Lambda^{n+1}."""
+    a label's terms are placed as (sum of c eps_a L_B) (x) 1, a sum that is
+    assembled for that label and lives only while its blocks are placed.
+    Reads Lambda^n and Lambda^{n+1}."""
     g, V = cc.g, cc.V
     lam = cc.wedge_module(n).actions
     eps = cc.bare_wedges(n)
     d = cc.dels[n]
     dim = cc.dim(n)
+    wedge_dims = (len(cc.wedge_tuples[n + 1]), len(cc.wedge_tuples[n]))
 
     def brackets(lab):
         terms = [(-(n + 1) * c, a, blab) for a, blab, c in g.xi_brackets[lab]]
-        yield from kron_blocks(([(c, eps[a], lam[blab]) for c, a, blab in terms], V.dim))
+        wedged = SpMat.assemble(*wedge_dims, [(0, 0, c, (eps[a], lam[blab]))
+                                              for c, a, blab in terms])
+        yield from kron_blocks((wedged, V.dim))
         for c, a, blab in terms:
             yield from kron_blocks((eps[a], V.actions[blab]), c=c)
 

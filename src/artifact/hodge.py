@@ -185,13 +185,13 @@ class CochainComplex:
             raise DegreeOverflow(f"cannot wedge out of level {n} (top {self.top})")
         return self._level(n + 1)[1]
 
-    def action_blocks(self, n: int, lab, c=1, right: SpMat | None = None, col_off: int = 0):
-        """The assembler blocks of c A^n_Z, Z = ``lab``, on C^n, or of
-        c A^n_Z @ right: `linalg.kron_blocks` of the pairs (L_Z, dim V) and
+    def action_blocks(self, n: int, lab, right: SpMat | None = None, col_off: int = 0):
+        """The assembler blocks of A^n_Z, Z = ``lab``, on C^n, or of
+        A^n_Z @ right: `linalg.kron_blocks` of the pairs (L_Z, dim V) and
         (dim Lambda^n, M_Z), for Z's matrices L_Z on Lambda^n p_+ and M_Z on V."""
         lam, V = self.wedge_module(n), self.V
         return kron_blocks((lam.actions[lab], V.dim), (lam.dim, V.actions[lab]),
-                           c=c, right=right, col_off=col_off)
+                           right=right, col_off=col_off)
 
     def act(self, n: int, labels: list, x: SpMat) -> SpMat:
         """A^n_Z @ x for each Z in ``labels``, side by side (x.ncols columns
@@ -245,9 +245,9 @@ def build_cochain_complex(g: GradedLieAlgebra, V: PModule) -> CochainComplex:
     builds each Lambda^n p_+ with its bare wedges in its window
     (``CochainComplex.wedge_module``), and G_n where it is read. It takes no
     budget: `bggcore.build_bgg_diagram` checks the chain budget
-    (``check_chain_budget``) before V's p-action exists.
+    (``check_chain_budget``) before V is built.
 
-    V must carry g_- actions and a contravariant Gram (restrict_to_parabolic
+    V must carry g_- actions and a contravariant Gram (`repmod.build_irrep`
     provides both).
     """
     if not V.has_gminus():

@@ -163,8 +163,7 @@ def kron_blocks(*pairs, c=1, right: "SpMat | None" = None, col_off: int = 0) -> 
     the ``pairs`` (L_t, M_t). Summed with other blocks in one assembly, they
     add the sum without building it. Either factor may be an int n, standing
     for 1_n, which is never built: the Kronecker sum L (x) 1_m + 1_l (x) M is
-    the pairs (L, m) and (l, M). L may also be a list of terms (coef, X, Y),
-    standing for the sum of coef X @ Y.
+    the pairs (L, m) and (l, M).
 
     Without right, each entry v of L places c v M. With right, row block I
     of the result is c sum_J L_IJ M right_J, right_J the J-th block of
@@ -174,21 +173,13 @@ def kron_blocks(*pairs, c=1, right: "SpMat | None" = None, col_off: int = 0) -> 
     otherwise, and a zero right_J places no block.
 
     A 1x1 M = (mu) is one block, mu L or the product block (L, right), never
-    one block per entry, and a zero one places nothing. Without right, each
-    term of a list L is then a product block; any other list L is assembled
-    here, and lives as long as its blocks."""
+    one block per entry, and a zero one places nothing."""
     parts = None
     for L, M in pairs:
         if type(M) is int:
             m = n = M
         else:
             m, n = M.nrows, M.ncols
-        if type(L) is list:
-            if not L:
-                continue
-            if right is not None or m != 1 or n != 1:
-                L = SpMat.assemble(L[0][1].nrows, L[0][2].ncols,
-                                   [(0, 0, coef, (X, Y)) for coef, X, Y in L])
         if m == 1 == n:
             if type(M) is int:
                 mu = c
@@ -198,9 +189,6 @@ def kron_blocks(*pairs, c=1, right: "SpMat | None" = None, col_off: int = 0) -> 
                 continue
             if type(L) is int:
                 yield 0, col_off, mu, SpMat.identity(L) if right is None else right
-            elif type(L) is list:
-                for coef, X, Y in L:
-                    yield 0, col_off, mu * coef, (X, Y)
             else:
                 yield 0, col_off, mu, L if right is None else (L, right)
         elif right is None:

@@ -1,4 +1,5 @@
-"""Finite dimensional modules: irreducibles, contravariant forms, functors.
+"""Finite dimensional modules: the irreducible as a P-module, its contravariant
+form, and the g_0-decomposition of a module.
 
 The irreducible V(lam) is built one weight space at a time, layer by layer
 in the depth of the weight below lam, from a highest weight vector v with
@@ -34,9 +35,12 @@ Verma basis is ever written down.
 
 PModule is the common currency downstream: a space with exact action matrices
 keyed by Chevalley basis labels and, when something downstream reads them,
-the weights of its coordinates and a contravariant Gram. The E-grade of a
-coordinate is not stored: E lies in the Cartan, so it acts on a vector of
-weight mu by ``g.e_eigenvalue(mu)``, the one home of the grade.
+the weights of its coordinates and a contravariant Gram. ``build_irrep``
+returns V(lam) as one, the module the cochain complex reads: every label
+acts, expanded from the simple generators. Its dimension is read off Weyl's
+formula by ``check_module_budget`` before any matrix is built. The E-grade
+of a coordinate is not stored: E lies in the Cartan, so it acts on a vector
+of weight mu by ``g.e_eigenvalue(mu)``, the one home of the grade.
 """
 
 from __future__ import annotations
@@ -71,33 +75,29 @@ class ModuleNotCertified(Exception):
     the closure of p_+ under p, an invariant span)."""
 
 
-class GModule:
-    """Irreducible g-module in a weight basis, grouped by weight; ``e_mats``
-    are the simple raising operators."""
-
-    def __init__(self, rs: RootSystem, lam: Weight, dim: int, weights: tuple[Weight, ...],
-                 e_mats: tuple[SpMat, ...], f_mats: tuple[SpMat, ...],
-                 h_mats: tuple[SpMat, ...], gram: SpMat):
-        self.rs, self.lam, self.dim, self.weights = rs, lam, dim, weights
-        self.e_mats, self.f_mats, self.h_mats, self.gram = e_mats, f_mats, h_mats, gram
-
-    def __eq__(self, other) -> bool:
-        return type(other) is GModule and vars(self) == vars(other)
+def check_module_budget(rs: RootSystem, lam: Weight, max_dim: int) -> int:
+    """dim V(lam) by Weyl's formula, which validates dominance; raises
+    DimensionOverBudget when it exceeds max_dim. It builds no matrix, so a
+    job is refused before V exists."""
+    total = weyl_dimension(rs, lam)
+    if total > max_dim:
+        raise DimensionOverBudget(f"dim V({tuple(lam)}) = {total} exceeds budget {max_dim}")
+    return total
 
 
-def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
-    """Irreducible module of highest weight lam; raises NonDominant or
-    DimensionOverBudget before doing any real work.
+def build_irrep(g: GradedLieAlgebra, lam: Weight) -> PModule:
+    """The irreducible module of highest weight lam as a P-module: every
+    Chevalley label of g acts (`gradedla.action_from_simples`), and it
+    carries its weights and its contravariant Gram. It takes no budget:
+    `bggcore.build_bgg_diagram` checks dim V (``check_module_budget``)
+    before calling it.
 
     Weight spaces are built layer by layer, each from one pairing matrix of
     its candidates, read off the layers before it (module docstring). Each
     G_nu is certified nonsingular by its rank, and the basis against the
     Weyl dimension."""
+    rs = g.rs
     total = weyl_dimension(rs, lam)  # validates dominance
-    if total > max_dim:
-        raise DimensionOverBudget(
-            f"dim V({tuple(lam)}) = {total} exceeds budget {max_dim}"
-        )
     n = rs.rank
     alpha = [tuple(rs.cartan[j][i] for j in range(n)) for i in range(n)]  # fundamental coords
     top = tuple(lam)
@@ -152,16 +152,14 @@ def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> G
                 raise ModuleNotCertified("basis exceeded Weyl dimension")
     if len(weights) != total:
         raise ModuleNotCertified(f"basis has {len(weights)} vectors, Weyl dimension is {total}")
-    return GModule(
-        rs=rs,
-        lam=top,
-        dim=total,
-        weights=tuple(weights),
-        e_mats=tuple(SpMat.assemble(total, total, blocks) for blocks in e_blocks),
-        f_mats=tuple(SpMat.assemble(total, total, blocks) for blocks in f_blocks),
-        h_mats=tuple(SpMat.diagonal(mu[i] for mu in weights) for i in range(n)),
-        gram=SpMat.block_diag(list(grams.values())),
+    acts = action_from_simples(
+        g,
+        [SpMat.assemble(total, total, blocks) for blocks in e_blocks],
+        [SpMat.assemble(total, total, blocks) for blocks in f_blocks],
+        [SpMat.diagonal(mu[i] for mu in weights) for i in range(n)],
     )
+    return PModule(g=g, dim=total, actions=acts, weights=tuple(weights),
+                   gram=SpMat.block_diag(list(grams.values())))
 
 
 class PModule:
@@ -184,12 +182,6 @@ def positions_by_weight(weights) -> dict[Weight, list[int]]:
     for k, w in enumerate(weights):
         out.setdefault(w, []).append(k)
     return out
-
-
-def restrict_to_parabolic(m: GModule, g: GradedLieAlgebra) -> PModule:
-    """GModule as PModule: all Chevalley labels act."""
-    acts = action_from_simples(g, list(m.e_mats), list(m.f_mats), list(m.h_mats))
-    return PModule(g=g, dim=m.dim, actions=acts, weights=m.weights, gram=m.gram)
 
 
 def tensor_weights(w1, w2) -> tuple[Weight, ...]:

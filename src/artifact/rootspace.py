@@ -351,13 +351,14 @@ def levi_weyl_dimension(p: ParabolicSpec, label: Weight) -> int:
 
 
 class WeylElt:
-    """Weyl group element with its action matrices and a lex-least reduced word:
-    ``word`` in 1-based simple reflection indices, ``mat_root`` the action on
-    simple-root coordinates, ``mat_weight`` on fundamental coordinates."""
+    """Weyl group element with its action matrix and a lex-least reduced word:
+    ``word`` in 1-based simple reflection indices, ``mat_weight`` the action
+    on fundamental coordinates. W acts faithfully on h*, so the matrix
+    identifies the element."""
 
     def __init__(self, rs: RootSystem, word: tuple[int, ...],
-                 mat_root: tuple[tuple[int, ...], ...], mat_weight: tuple[tuple[int, ...], ...]):
-        self.rs, self.word, self.mat_root, self.mat_weight = rs, word, mat_root, mat_weight
+                 mat_weight: tuple[tuple[int, ...], ...]):
+        self.rs, self.word, self.mat_weight = rs, word, mat_weight
 
     def act_weight(self, lam: Weight) -> Weight:
         return tuple(
@@ -376,22 +377,18 @@ def _matmul_int(A, B):
 
 def identity_weyl(rs: RootSystem) -> WeylElt:
     eye = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
-    return WeylElt(rs=rs, word=(), mat_root=eye, mat_weight=eye)
+    return WeylElt(rs=rs, word=(), mat_weight=eye)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     """1-based i."""
     k = i - 1
     n = rs.rank
-    mr = tuple(
-        tuple(int(a == b) - (int(a == k)) * rs.cartan[k][b] for b in range(n))
-        for a in range(n)
-    )
     mw = tuple(
         tuple(int(a == b) - rs.cartan[a][k] * int(b == k) for b in range(n))
         for a in range(n)
     )
-    return WeylElt(rs=rs, word=(i,), mat_root=mr, mat_weight=mw)
+    return WeylElt(rs=rs, word=(i,), mat_weight=mw)
 
 
 def parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
@@ -408,30 +405,27 @@ def parabolic_hasse(p: ParabolicSpec) -> list[list[WeylElt]]:
     of a reduced word of an element of W^p is in W^p (if s_j u < u for an
     uncrossed j, then s_j u v < u v), so this reaches all of W^p, and the
     lex-least reduced word of w s_i is found first from the level sorted by
-    word. The root matrix identifies an element, so the weight matrix is
-    multiplied out only for one not seen before. More than
-    ``MAX_HASSE_ELEMENTS`` elements raise NotFiniteType.
+    word. The weight matrix identifies an element, since W acts faithfully
+    on h*. More than ``MAX_HASSE_ELEMENTS`` elements raise NotFiniteType.
     """
     rs = p.rs
     uncrossed0 = [j - 1 for j in p.uncrossed]
     simples = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     e = identity_weyl(rs)
-    seen = {e.mat_root}
+    seen = {e.mat_weight}
     levels = [[e]]
     count = 1
     while True:
         nxt: list[WeylElt] = []
         for w in levels[-1]:
             for s in simples:
-                mat_root = _matmul_int(w.mat_root, s.mat_root)
-                if mat_root in seen:
-                    continue
-                seen.add(mat_root)
                 mat_weight = _matmul_int(w.mat_weight, s.mat_weight)
+                if mat_weight in seen:
+                    continue
+                seen.add(mat_weight)
                 if not all(max(mat_weight[j]) > 0 for j in uncrossed0):
                     continue
-                nxt.append(WeylElt(rs=rs, word=w.word + s.word, mat_root=mat_root,
-                                   mat_weight=mat_weight))
+                nxt.append(WeylElt(rs=rs, word=w.word + s.word, mat_weight=mat_weight))
                 count += 1
                 if count > MAX_HASSE_ELEMENTS:
                     raise NotFiniteType(f"W^p larger than cap {MAX_HASSE_ELEMENTS}")

@@ -14,11 +14,7 @@ from artifact.bggcore import build_bgg_diagram, compose_splitter, generate_submo
 from artifact.gradedla import build_graded_algebra
 from artifact.hodge import build_cochain_complex, cohomology_module
 from artifact.linalg import SpMat, kron_blocks
-from artifact.repmod import (
-    build_irrep,
-    decompose_completely_reducible,
-    restrict_to_parabolic,
-)
+from artifact.repmod import build_irrep, decompose_completely_reducible
 from artifact.rootspace import build_root_system, dominant_representative_for, parabolic
 
 settings.register_profile(
@@ -78,7 +74,7 @@ def graded(label, sigma):
 def complex_for_module(label, sigma, lam_mod):
     """Complex on V(lam_mod) itself, keyed by the module highest weight."""
     g = graded(label, sigma)
-    V = restrict_to_parabolic(build_irrep(g.rs, lam_mod), g)
+    V = build_irrep(g, lam_mod)
     return build_cochain_complex(g, V)
 
 

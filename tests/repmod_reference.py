@@ -10,8 +10,9 @@ the Schur complement of its pairing against the words kept so far is
 nonzero, each rejected word is expressed against that Gram with one solve,
 the coordinates of any word are resolved recursively through its tail, and
 e_i is read off ``raise_word``. The matrices are collected entry by entry
-and built with ``SpMat.from_entries``. The tests check that both
-constructions give equal modules.
+and built with ``SpMat.from_entries``. It returns a ``GModule``, on which
+only the simple generators act, and the tests check that its matrices,
+weights and Gram are those of the simple labels of the package's P-module.
 
 ``highest_weight_vectors`` is the search `decompose_completely_reducible`
 made before it took one kernel of the whole module: on each weight mu, the
@@ -26,16 +27,20 @@ module: the cochain complex places its Kronecker sums as assembler blocks
 from __future__ import annotations
 
 from artifact.linalg import QONE, QZERO, SpMat, kron_blocks
-from artifact.repmod import (
-    MAX_MODULE_DIM,
-    DimensionOverBudget,
-    GModule,
-    ModuleNotCertified,
-    PModule,
-    positions_by_weight,
-    tensor_weights,
-)
+from artifact.repmod import ModuleNotCertified, PModule, positions_by_weight, tensor_weights
 from artifact.rootspace import RootSystem, Weight, weyl_dimension
+
+
+class GModule:
+    """The reference's irreducible in a weight basis, grouped by weight:
+    only the simple generators act, ``e_mats`` raising, ``f_mats`` lowering
+    and ``h_mats`` the Cartan."""
+
+    def __init__(self, rs: RootSystem, lam: Weight, dim: int, weights: tuple[Weight, ...],
+                 e_mats: tuple[SpMat, ...], f_mats: tuple[SpMat, ...],
+                 h_mats: tuple[SpMat, ...], gram: SpMat):
+        self.rs, self.lam, self.dim, self.weights = rs, lam, dim, weights
+        self.e_mats, self.f_mats, self.h_mats, self.gram = e_mats, f_mats, h_mats, gram
 
 
 class _WordCalc:
@@ -129,19 +134,14 @@ def _resolve(word: tuple, wc, basis_by_weight: dict, coords: dict) -> list:
     return out
 
 
-def build_irrep(rs: RootSystem, lam: Weight, max_dim: int = MAX_MODULE_DIM) -> GModule:
+def build_irrep(rs: RootSystem, lam: Weight) -> GModule:
     """Irreducible module of highest weight lam, one candidate word at a time."""
-    return build_irrep_words(rs, lam, max_dim)[0]
+    return build_irrep_words(rs, lam)[0]
 
 
-def build_irrep_words(rs: RootSystem, lam: Weight,
-                      max_dim: int = MAX_MODULE_DIM) -> tuple[GModule, tuple[tuple, ...]]:
+def build_irrep_words(rs: RootSystem, lam: Weight) -> tuple[GModule, tuple[tuple, ...]]:
     """The module of `build_irrep` and its basis words, in basis order."""
     total = weyl_dimension(rs, lam)  # validates dominance
-    if total > max_dim:
-        raise DimensionOverBudget(
-            f"dim V({tuple(lam)}) = {total} exceeds budget {max_dim}"
-        )
     n = rs.rank
     wc = _WordCalc(rs, lam)
 

@@ -30,23 +30,21 @@ from artifact.rootspace import (
 
 def enumerate_weyl(rs: RootSystem, max_elements: int = 200000) -> list[WeylElt]:
     """All of W, BFS by length, lex-least reduced word per element. The
-    root matrix of w s_i identifies it, so the weight matrix is multiplied
-    out only for an element not seen before."""
+    weight matrix of w s_i identifies it, since W acts faithfully on h*."""
     simples = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
     e = identity_weyl(rs)
-    seen = {e.mat_root}
+    seen = {e.mat_weight}
     frontier = [e]
     out = [e]
     while frontier:
         nxt: list[WeylElt] = []
         for w in frontier:
             for s in simples:
-                mat_root = _matmul_int(w.mat_root, s.mat_root)
-                if mat_root in seen:
+                mat_weight = _matmul_int(w.mat_weight, s.mat_weight)
+                if mat_weight in seen:
                     continue
-                seen.add(mat_root)
-                w2 = WeylElt(rs=rs, word=w.word + s.word, mat_root=mat_root,
-                             mat_weight=_matmul_int(w.mat_weight, s.mat_weight))
+                seen.add(mat_weight)
+                w2 = WeylElt(rs=rs, word=w.word + s.word, mat_weight=mat_weight)
                 nxt.append(w2)
                 out.append(w2)
                 if len(out) > max_elements:

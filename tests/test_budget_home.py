@@ -1,4 +1,5 @@
-"""`generate_submodule` is the one home of the jet budget, and
+"""`generate_submodule` is the one home of the jet budget,
+`repmod.check_module_budget` of the module budget, and
 `hodge.check_chain_budget` of the chain budget.
 
 A source is partial when the Jbar^{r+1}(E/E^1) its arrows would read is
@@ -11,20 +12,24 @@ parameter named ``max_jet_dim``, or one whose default is ``MAX_JET_DIM``.
 The CLI's job record `bggcli.JobSpec` holds the flag's value and is not
 scanned as a function.
 
-The chain budget is checked once, by `build_bgg_diagram`, through
-``check_chain_budget``, as soon as dim V is known and before V's p-action
-or any structure constant is built; only `build_bgg_diagram` takes a
-``max_chain_dim``. So a job the chain budget refuses builds no
-`gradedla._ChevalleyTable`.
+The module and chain budgets are checked once each, by `build_bgg_diagram`,
+through ``check_module_budget`` and then ``check_chain_budget``. Both read
+only dim p_+ and Weyl's dim V, and both run before `repmod.build_irrep`, the
+one call that builds V; only `build_bgg_diagram` takes a ``max_module_dim``
+or a ``max_chain_dim``, and `build_irrep` takes no budget. So a job either
+budget refuses builds no module matrix and no `gradedla._ChevalleyTable`.
 """
 
 import ast
 import contextlib
 import glob
+import inspect
 import io
 import os
 
-from artifact import gradedla
+import pytest
+
+from artifact import bggcore, gradedla, repmod
 from artifact.bggcli import main
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "artifact")
@@ -34,6 +39,8 @@ BUDGET_CALLS = {"jbar_dim", "check_jet_budget"}
 # whose calls of the check go unscanned
 CHAIN = dict(names={"check_chain_budget"}, param="max_chain_dim", default="MAX_CHAIN_DIM",
              home=None)
+MODULE = dict(names={"check_module_budget"}, param="max_module_dim", default="MAX_MODULE_DIM",
+              home=None)
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -144,6 +151,57 @@ def test_scan_sees_every_chain_budget_form():
     assert budget_sites("hodge.py", ast.parse(source), **CHAIN) == (
         [("hodge.f", "check_chain_budget", 2), ("hodge.g", "check_chain_budget", 4)],
         ["hodge.f", "hodge.g"])
+
+
+def test_the_module_budget_is_checked_once_by_the_pipeline_entry():
+    calls, takers = scan(**MODULE)
+    assert [(where, name) for where, name, _ in calls] == \
+        [("bggcore.build_bgg_diagram", "check_module_budget")], calls
+    assert takers == ["bggcore.build_bgg_diagram"]
+    assert list(inspect.signature(repmod.build_irrep).parameters) == ["g", "lam"]
+
+
+def test_both_budgets_are_checked_before_the_module_is_built():
+    lines = []
+    for names in ({"check_module_budget"}, {"check_chain_budget"}, {"build_irrep"}):
+        calls, _ = scan(names=names, param=None, default=None, home=None)
+        assert [where for where, _, _ in calls] == ["bggcore.build_bgg_diagram"], calls
+        lines.append(calls[0][2])
+    assert lines == sorted(lines)
+
+
+def test_scan_sees_a_stray_module_budget():
+    source = (
+        "def build_irrep(g, lam, max_dim=MAX_MODULE_DIM):\n"
+        "    return check_module_budget(g.rs, lam, max_dim)\n"
+        "def f(V, max_module_dim=5):\n"
+        "    repmod.check_module_budget(1, 2, max_module_dim)\n"
+    )
+    assert budget_sites("repmod.py", ast.parse(source), **MODULE) == (
+        [("repmod.build_irrep", "check_module_budget", 2),
+         ("repmod.f", "check_module_budget", 4)],
+        ["repmod.build_irrep", "repmod.f"])
+
+
+@pytest.mark.parametrize("algebra,cross,weight,err", [
+    ("B4", "1,2,3,4", "0,1,0,1", "error: dim C^8 = 5559840 exceeds budget 20000\n"),
+    ("B3", "1,2,3", "1,1,1", "error: dim V((1, 1, 1)) = 512 exceeds budget 500\n"),
+], ids=["chain", "module"])
+def test_a_budget_refusal_builds_no_module(algebra, cross, weight, err, monkeypatch):
+    """A job refused by the chain or the module budget exits 1 with its one
+    error line, and `repmod.build_irrep` is never called."""
+    built = []
+
+    def recording(g, lam):
+        built.append(lam)
+        return repmod.build_irrep(g, lam)
+
+    monkeypatch.setattr(bggcore, "build_irrep", recording)
+    out, errs = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+        code = main(["--algebra", algebra, "--cross", cross, "--weight", weight, "cohomology"])
+    assert (code, out.getvalue(), errs.getvalue()) == (1, "", err)
+    assert built == []
 
 
 def test_a_chain_budget_refusal_builds_no_structure_constants(monkeypatch):

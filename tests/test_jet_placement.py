@@ -23,7 +23,7 @@ from artifact.bggcore import (
 )
 from artifact.jetcalc import jbar_dim, semiholonomic
 from artifact.linalg import SpMat
-from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
+from artifact.repmod import DimensionOverBudget, build_irrep
 from conftest import BATTERY, components_for, graded, record_assembled_shapes
 from jet_reference import iota, jet1_map_matrix, twisted_matrix
 
@@ -36,7 +36,7 @@ def ambient_sides(d: int, dv: int, r: int) -> set[int]:
 
 def test_tower_assembles_no_ambient_action(monkeypatch):
     g = graded("A2", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1, 0)), g)
+    V = build_irrep(g, (1, 0))
     d = len(g.pplus_roots)
     shapes = record_assembled_shapes(monkeypatch)
     sh = semiholonomic(V, 3)

@@ -18,7 +18,7 @@ from artifact.jetcalc import (
     semiholonomic,
 )
 from artifact.linalg import Q, SpMat
-from artifact.repmod import DimensionOverBudget, build_irrep, restrict_to_parabolic
+from artifact.repmod import DimensionOverBudget, build_irrep
 from conftest import complex_for, graded
 from hodge_reference import reference_level
 from linalg_reference import reference_kron
@@ -38,7 +38,7 @@ from jet_reference import (
 
 def module(label, sigma, lam):
     g = graded(label, sigma)
-    return restrict_to_parabolic(build_irrep(g.rs, lam), g)
+    return build_irrep(g, lam)
 
 
 def assert_representation(g, m):

@@ -92,23 +92,6 @@ def test_unit_blocks_are_the_kronecker_product_times_right(l, k, m):
                     [(L, right)]
 
 
-@pytest.mark.parametrize("m", [1, 3])
-def test_kron_blocks_of_a_sum_of_products(m):
-    """L given as terms (coef, X, Y): the blocks of (sum coef X @ Y) (x) M,
-    product blocks when M is 1x1 (also when it is zero, where there are
-    none), and nothing for no terms."""
-    terms = [(Q(-3, 2), rand_mat(4, 2), rand_mat(2, 5)), (Q(2), rand_mat(4, 3), rand_mat(3, 5))]
-    total = sum((reference_matmul(X, Y).scale(c) for c, X, Y in terms[1:]),
-                reference_matmul(terms[0][1], terms[0][2]).scale(terms[0][0]))
-    for M in (rand_mat(m, m, density=1.0), SpMat(m, m)):
-        got = SpMat.assemble(4 * m, 5 * m, kron_blocks((terms, M), c=Q(5, 7)))
-        assert got == reference_kron(total, M).scale(Q(5, 7))
-        assert list(kron_blocks(([], M))) == []
-    if m == 1:
-        assert all(type(b[3]) is tuple for b in kron_blocks((terms, SpMat.identity(1))))
-        assert all(type(b[3]) is tuple for b in kron_blocks((terms, 1)))
-
-
 def test_a_one_by_one_factor_is_one_block(monkeypatch):
     """M = (mu) places the one block mu L, or the product block (L, right),
     whatever L's size; a zero (mu) places nothing and reads no entry."""

@@ -1,4 +1,5 @@
-"""Finite-dimensional modules: construction, restriction, functors."""
+"""Finite-dimensional modules: the irreducible as a P-module, its budget,
+and the g_0-decomposition."""
 
 import os
 import subprocess
@@ -15,9 +16,9 @@ from artifact.repmod import (
     NotCompletelyReducibleInput,
     PModule,
     build_irrep,
+    check_module_budget,
     decompose_completely_reducible,
     layered_closure,
-    restrict_to_parabolic,
 )
 from artifact.rootspace import NonDominant, build_root_system
 from conftest import components_for, graded
@@ -25,6 +26,28 @@ from hodge_reference import pplus_module
 from linalg_reference import reference_kron
 import repmod_reference
 from repmod_reference import tensor
+
+
+def irrep(label, lam):
+    """V(lam) built over ``label`` with node 1 crossed. The simple
+    generators' matrices, the weights and the Gram do not depend on the
+    parabolic; the other labels are expanded from them."""
+    return build_irrep(graded(label, (1,)), lam)
+
+
+def simple_generators(V):
+    """The matrices of the simple labels of V: (e_i), (f_i) and (h_i)."""
+    n = V.g.rs.rank
+    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return (tuple(V.actions["e", a] for a in simple), tuple(V.actions["f", a] for a in simple),
+            tuple(V.actions["h", i] for i in range(n)))
+
+
+def assert_matches_reference(V, ref):
+    """V's simple generators, weights and Gram are those of a reference
+    ``GModule``."""
+    assert (V.dim, V.weights, V.gram, simple_generators(V)) == \
+        (ref.dim, ref.weights, ref.gram, (ref.e_mats, ref.f_mats, ref.h_mats))
 
 
 @pytest.mark.parametrize(
@@ -43,8 +66,7 @@ from repmod_reference import tensor
     ],
 )
 def test_irrep_dimensions(label, lam, dim):
-    rs = build_root_system(label)
-    m = build_irrep(rs, lam)
+    m = irrep(label, lam)
     assert m.dim == dim
     assert len(m.weights) == dim
 
@@ -53,29 +75,29 @@ def test_irrep_dimensions(label, lam, dim):
     ("A2", (1, 1)), ("B2", (1, 0)), ("G2", (2, 1)), ("C3", (1, 0, 1)), ("D4", (0, 1, 0, 0)),
 ])
 def test_chevalley_relations(label, lam):
-    rs = build_root_system(label)
-    m = build_irrep(rs, lam)
+    m = irrep(label, lam)
+    rs = m.g.rs
+    e_mats, f_mats, h_mats = simple_generators(m)
     n = rs.rank
     for i in range(n):
-        hi = m.h_mats[i]
+        hi = h_mats[i]
         # h_i diagonal with the i-th weight coordinate
         for k, mu in enumerate(m.weights):
             col = hi.col_dict(k)
             assert col == ({k: Q(mu[i])} if mu[i] else {})
         for j in range(n):
-            comm = m.e_mats[i] @ m.f_mats[j] - m.f_mats[j] @ m.e_mats[i]
+            comm = e_mats[i] @ f_mats[j] - f_mats[j] @ e_mats[i]
             if i == j:
-                assert (comm - m.h_mats[i]).is_zero()
+                assert (comm - h_mats[i]).is_zero()
             else:
                 assert comm.is_zero()
-            he = m.h_mats[i] @ m.e_mats[j] - m.e_mats[j] @ m.h_mats[i]
-            assert (he - m.e_mats[j].scale(Q(rs.cartan[i][j]))).is_zero()
+            he = h_mats[i] @ e_mats[j] - e_mats[j] @ h_mats[i]
+            assert (he - e_mats[j].scale(Q(rs.cartan[i][j]))).is_zero()
 
 
 def test_highest_weight_space_unique():
-    rs = build_root_system("B2")
-    m = build_irrep(rs, (1, 1))
-    stacked = SpMat.vstack(list(m.e_mats))
+    m = irrep("B2", (1, 1))
+    stacked = SpMat.vstack(list(simple_generators(m)[0]))
     ker = stacked.kernel_basis()
     assert ker.ncols == 1
     (idx,) = [k for k in ker.col_dict(0)]
@@ -83,13 +105,13 @@ def test_highest_weight_space_unique():
 
 
 def test_contravariant_gram():
-    rs = build_root_system("A2")
-    m = build_irrep(rs, (2, 0))
+    m = irrep("A2", (2, 0))
+    e_mats, f_mats, _ = simple_generators(m)
     G = m.gram
     assert (G - G.transpose()).is_zero()
     assert G.rank() == m.dim
-    for i in range(rs.rank):
-        assert (m.e_mats[i].transpose() @ G - G @ m.f_mats[i]).is_zero()
+    for i in range(m.g.rs.rank):
+        assert (e_mats[i].transpose() @ G - G @ f_mats[i]).is_zero()
     # gram blocks vanish across distinct weights
     for r in range(m.dim):
         for c in range(m.dim):
@@ -150,10 +172,9 @@ def test_shapovalov_values_are_int(label, lam):
 
 @pytest.mark.parametrize("label,lam", IRREP_CASES)
 def test_build_irrep_matches_fraction_reference(label, lam, monkeypatch):
-    rs = build_root_system(label)
-    got = build_irrep(rs, lam)
+    got = irrep(label, lam)
     monkeypatch.setattr(repmod_reference, "_WordCalc", FractionWordCalc)
-    assert repmod_reference.build_irrep(rs, lam) == got
+    assert_matches_reference(got, repmod_reference.build_irrep(got.g.rs, lam))
 
 
 REFERENCE_CASES = IRREP_CASES + [
@@ -165,8 +186,8 @@ REFERENCE_CASES = IRREP_CASES + [
 
 @pytest.mark.parametrize("label,lam", REFERENCE_CASES)
 def test_build_irrep_matches_word_by_word_reference(label, lam):
-    rs = build_root_system(label)
-    assert build_irrep(rs, lam) == repmod_reference.build_irrep(rs, lam)
+    got = irrep(label, lam)
+    assert_matches_reference(got, repmod_reference.build_irrep(got.g.rs, lam))
 
 
 def every_column(self):
@@ -180,10 +201,10 @@ def every_column(self):
 
 
 def test_singular_weight_gram_is_refused(monkeypatch):
-    rs = build_root_system("A2")
+    g = graded("A2", (1,))
     monkeypatch.setattr(SpMat, "independent_columns", every_column)
     with pytest.raises(ModuleNotCertified, match=r"weight \(-3, 3\) is singular"):
-        build_irrep(rs, (1, 1))
+        build_irrep(g, (1, 1))
 
 
 def assert_refused_under_python_O(code: str) -> None:
@@ -206,11 +227,12 @@ def test_singular_weight_gram_is_refused_under_python_O():
     assert_refused_under_python_O(
         "from artifact import repmod\n"
         "from artifact.linalg import SpMat\n"
-        "from artifact.rootspace import build_root_system\n"
+        "from conftest import graded\n"
         "from test_repmod import every_column\n"
+        "g = graded('A2', (1,))\n"
         "SpMat.independent_columns = every_column\n"
         "try:\n"
-        "    repmod.build_irrep(build_root_system('A2'), (1, 1))\n"
+        "    repmod.build_irrep(g, (1, 1))\n"
         "except repmod.ModuleNotCertified as exc:\n"
         "    sys.exit(0 if 'weight (-3, 3) is singular' in str(exc) else 5)\n"
     )
@@ -226,16 +248,19 @@ def test_singular_weight_gram_exits_1_from_the_cli(monkeypatch, capsys):
 
 
 def test_budget_and_dominance_guards():
-    rs = build_root_system("A2")
-    with pytest.raises(DimensionOverBudget):
-        build_irrep(rs, (9, 9), max_dim=100)
+    g = graded("A2", (1,))
+    assert check_module_budget(g.rs, (9, 9), 1000) == 1000
+    with pytest.raises(DimensionOverBudget, match=r"^dim V\(\(9, 9\)\) = 1000 exceeds budget 100$"):
+        check_module_budget(g.rs, (9, 9), 100)
     with pytest.raises(NonDominant):
-        build_irrep(rs, (-1, 0))
+        check_module_budget(g.rs, (-1, 0), 100)
+    with pytest.raises(NonDominant):
+        build_irrep(g, (-1, 0))
 
 
 def test_restriction_is_p_representation():
     g = graded("A2", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1, 0)), g)
+    V = build_irrep(g, (1, 0))
     labs = g.p_labels
     for l1 in labs:
         for l2 in labs:
@@ -275,8 +300,8 @@ def test_pplus_module_is_adjoint_on_pplus():
 
 def test_tensor_and_dual_actions():
     g = graded("A1", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (2,)), g)
-    W = restrict_to_parabolic(build_irrep(g.rs, (1,)), g)
+    V = build_irrep(g, (2,))
+    W = build_irrep(g, (1,))
     T = tensor(V, W)
     assert T.dim == V.dim * W.dim
     for l in g.p_labels:
@@ -290,7 +315,7 @@ def a1_square():
     """V(1) (x) V(1) over A1 {1}: no node is uncrossed, so every weight
     vector is highest, and the weight (0,) has two."""
     g = graded("A1", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1,)), g)
+    V = build_irrep(g, (1,))
     return tensor(V, V)
 
 
@@ -315,7 +340,7 @@ def test_a_repeated_highest_weight_is_refused_under_python_O():
 
 def test_decompose_with_uncrossed_lowering():
     g = graded("A2", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1, 0)), g)
+    V = build_irrep(g, (1, 0))
     comps = decompose_completely_reducible(V)
     # standard module splits as point + plane over the uncrossed A1
     dims = sorted(c.dim for c in comps)
@@ -324,7 +349,7 @@ def test_decompose_with_uncrossed_lowering():
 
 def test_decompose_requires_weight_basis():
     g = graded("A1", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1,)), g)
+    V = build_irrep(g, (1,))
     bare = PModule(g=g, dim=V.dim, actions=V.actions, weights=None)
     with pytest.raises(NotCompletelyReducibleInput):
         decompose_completely_reducible(bare)
@@ -352,7 +377,7 @@ def test_a_highest_weight_vector_over_two_weights_is_refused():
     two weights to one vector puts x - y in the kernel in place of both:
     refused, not split."""
     g = graded("A2", (1,))
-    V = restrict_to_parabolic(build_irrep(g.rs, (1, 0)), g)
+    V = build_irrep(g, (1, 0))
     tops = repmod_reference.highest_weight_vectors(V)
     (x,), (y,) = (list(t.col_dict(0)) for t in tops.values())
     e2 = ("e", (0, 1))
