@@ -16,12 +16,7 @@ from itertools import chain
 
 from .gradedla import GradedLieAlgebra
 from .hodge import CochainComplex, kostant_oracle
-from .jetcalc import (
-    PModMap,
-    ShapeMismatch,
-    check_equivariance,
-    jet1_left_action,
-)
+from .jetcalc import ShapeMismatch, check_equivariance, jet1_left_action
 from .linalg import SpMat, kron_blocks
 from .repmod import PModule
 from .rootspace import Weight, levi_weyl_dimension
@@ -32,13 +27,13 @@ class CertificationFailure(Exception):
     structural identity of the pipeline does not hold."""
 
 
-def certify_map(mat: SpMat, source: PModule, target: PModule, what: str) -> PModMap:
-    """mat as a certified P-module map; raises CertificationFailure naming
-    ``what`` and the labels with residuals otherwise."""
-    pm = check_equivariance(mat, source, target)
-    if not pm.certified:
-        raise CertificationFailure(f"{what} residuals on {sorted(pm.residuals)}")
-    return pm
+def certify_map(mat: SpMat, source: PModule, target: PModule, what: str) -> None:
+    """Certify mat as a P-module map source -> target; raises
+    CertificationFailure naming ``what`` and the labels with residuals
+    otherwise."""
+    residuals = check_equivariance(mat, source, target)
+    if residuals:
+        raise CertificationFailure(f"{what} residuals on {list(residuals)}")
 
 
 def certify_from_left(dt: SpMat, W: PModule, phi: list[int], ncols: int,

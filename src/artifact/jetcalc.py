@@ -81,35 +81,20 @@ class EqualizerNotCertified(Exception):
     """A semi-holonomic jet failed one of its equalizer certificates."""
 
 
-class PModMap:
-    """Linear map between PModules with an equivariance certificate."""
-
-    def __init__(self, source: PModule, target: PModule, mat: SpMat,
-                 certified: bool, residuals: dict):
-        self.source, self.target, self.mat = source, target, mat
-        self.certified, self.residuals = certified, residuals
-
-
-def check_equivariance(mat: SpMat, source: PModule, target: PModule) -> PModMap:
-    """Certify mat as a P-module map; labels checked are those the two
-    modules share. Returns the map with certificate or residual matrices."""
+def check_equivariance(mat: SpMat, source: PModule, target: PModule) -> tuple[Label, ...]:
+    """The sorted labels Z, of those the two modules share, whose residual
+    A'_Z mat - mat A_Z is nonzero: mat is a P-module map exactly when none
+    is."""
     if mat.nrows != target.dim or mat.ncols != source.dim:
         raise ShapeMismatch(
             f"map is {mat.nrows}x{mat.ncols}, expected {target.dim}x{source.dim}"
         )
-    residuals = {}
-    for lab in source.actions:
-        if lab not in target.actions:
-            continue
-        res = SpMat.assemble(mat.nrows, mat.ncols, [
+    return tuple(sorted(
+        lab for lab in source.actions
+        if lab in target.actions and not SpMat.assemble(mat.nrows, mat.ncols, [
             (0, 0, 1, (target.actions[lab], mat)), (0, 0, -1, (mat, source.actions[lab])),
-        ])
-        if not res.is_zero():
-            residuals[lab] = res
-    return PModMap(
-        source=source, target=target, mat=mat,
-        certified=not residuals, residuals=residuals,
-    )
+        ]).is_zero()
+    ))
 
 
 def _jet1_terms(V: PModule, lab: Label) -> list[tuple]:

@@ -26,10 +26,11 @@ col_off may be a column map, so M composed with an index map on the right is
 one more block of the same loop. ``gather_rows``, ``place_rows`` and
 ``from_columns`` move rows and columns by index maps. A matrix is never
 changed after it is built, so matrices share rows, and the index maps move
-them, and their denominators, without copying. The sums, scalings, stacks
-and Kronecker products here are assembler calls too: ``kron_blocks`` gives
-the blocks of a sum of Kronecker products L (x) M, alone or times a matrix
-on the right, with 1_n written as the int n and never built, so
+them, and their denominators, without copying. A matrix has no ``+``,
+``-`` or scaling: a signed, scaled sum is one assembly of its terms. The
+stacks and Kronecker products here are assembler calls too: ``kron_blocks``
+gives the blocks of a sum of Kronecker products L (x) M, alone or times a
+matrix on the right, with 1_n written as the int n and never built, so
 L (x) 1 + 1 (x) M and (L (x) 1) @ right are blocks of the same helper. One
 loop accumulates and normalises rows.
 
@@ -518,22 +519,6 @@ class SpMat:
         )
 
     # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "SpMat") -> "SpMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinAlgError("shape mismatch in add")
-        return SpMat.assemble(self.nrows, self.ncols, [(0, 0, 1, self), (0, 0, 1, other)])
-
-    def __neg__(self) -> "SpMat":
-        return self.scale(-1)
-
-    def __sub__(self, other: "SpMat") -> "SpMat":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise LinAlgError("shape mismatch in sub")
-        return SpMat.assemble(self.nrows, self.ncols, [(0, 0, 1, self), (0, 0, -1, other)])
-
-    def scale(self, c) -> "SpMat":
-        return SpMat.assemble(self.nrows, self.ncols, [(0, 0, c, self)])
 
     def __matmul__(self, other: "SpMat") -> "SpMat":
         if self.ncols != other.nrows:

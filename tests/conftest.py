@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, settings
 from artifact.bggcore import build_bgg_diagram, compose_splitter, generate_submodule
 from artifact.gradedla import build_graded_algebra
 from artifact.hodge import build_cochain_complex, cohomology_module
-from artifact.linalg import SpMat, kron_blocks
+from artifact.linalg import Q, SpMat, kron_blocks
 from artifact.repmod import build_irrep, decompose_completely_reducible
 from artifact.rootspace import build_root_system, dominant_representative_for, parabolic
 
@@ -110,6 +110,17 @@ def splitters_for(label, sigma, weight):
 @functools.lru_cache(maxsize=None)
 def diagram_for(label, sigma, weight, with_arrows=True):
     return build_bgg_diagram(graded(label, sigma), weight, with_arrows=with_arrows)
+
+
+def assert_representation(g, m):
+    """[A_Z, A_W] = sum_k c_k A_k on the module m, [Z, W] = sum_k c_k k, for
+    every pair of labels of p: one signed assembly per pair."""
+    for l1 in g.p_labels:
+        for l2 in g.p_labels:
+            a1, a2 = m.actions[l1], m.actions[l2]
+            assert SpMat.assemble(m.dim, m.dim, [(0, 0, 1, (a1, a2)), (0, 0, -1, (a2, a1))] + [
+                (0, 0, -Q(c), m.actions[k]) for k, c in g.bracket_labels(l1, l2).items()
+            ]).is_zero(), (l1, l2)
 
 
 def level_action(cc, n, lab):

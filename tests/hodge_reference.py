@@ -214,8 +214,9 @@ def reference_wedge(cc: CochainComplex, n: int, a: int) -> SpMat:
 def reference_inner(cc: CochainComplex, n: int) -> SpMat:
     """G_n = ((-1)^n / n!) diag(prod_a d_a) (x) Gram_V."""
     d = len(cc.g.pplus_roots)
-    lam = SpMat.diagonal([_tuple_scale(cc, t) for t in combinations(range(d), n)])
-    return reference_kron(lam, cc.V.gram).scale(Q((-1) ** n, factorial(n)))
+    sign = Q((-1) ** n, factorial(n))
+    lam = SpMat.diagonal([sign * _tuple_scale(cc, t) for t in combinations(range(d), n)])
+    return reference_kron(lam, cc.V.gram)
 
 
 def laplacian(cc: CochainComplex, n: int) -> SpMat:

@@ -42,7 +42,6 @@ from artifact.bggcore import compose_splitter
 from artifact.gradedla import GradedLieAlgebra
 from artifact.hodge import CochainComplex
 from artifact.jetcalc import (
-    PModMap,
     SemiHolonomicJet,
     _jet1_terms,
     check_equivariance,
@@ -81,8 +80,8 @@ def twisted_matrix(cc: CochainComplex, n: int) -> SpMat:
     """d_V: (f0, Z (x) f1) -> del f0 + (n+1) Z ^ f1 on jet coordinates of
     C^n, as the row of blocks [del, (n+1) eps_1, ..., (n+1) eps_d], each
     eps_a (x) 1_V built in full from the bare wedge."""
-    one = SpMat.identity(cc.V.dim)
-    return SpMat.hstack([cc.dels[n]] + [reference_kron(e, one).scale(n + 1)
+    scaled_one = SpMat.diagonal([n + 1] * cc.V.dim)
+    return SpMat.hstack([cc.dels[n]] + [reference_kron(e, scaled_one)
                                         for e in cc.bare_wedges(n)])
 
 
@@ -107,15 +106,15 @@ def reference_jet1(V: PModule) -> PModule:
     pv = tensor(pplus_module(g), V)
     acts = {}
     for lab in g.p_labels:
-        act = SpMat.block_diag([V.actions[lab], pv.actions[lab]])
+        terms = [(0, 0, 1, SpMat.block_diag([V.actions[lab], pv.actions[lab]]))]
         w = g.grade_of(lab)
         for a in range(d):
             if w < 1 or g.grade_of(("e", roots[a])) > w:
                 continue
             corner = SpMat.from_entries(1 + d, 1 + d, {(1 + a, 0): 1})
             for blab, c in g.bracket_labels(lab, ("f", roots[a])).items():
-                act = act + reference_kron(corner, V.actions[blab].scale(c / g.pairing_d[a]))
-        acts[lab] = act
+                terms.append((0, 0, c / g.pairing_d[a], reference_kron(corner, V.actions[blab])))
+        acts[lab] = SpMat.assemble((1 + d) * V.dim, (1 + d) * V.dim, terms)
     return PModule(g=g, dim=(1 + d) * V.dim, actions=acts, weights=V.weights + pv.weights)
 
 
@@ -148,7 +147,7 @@ def reference_extend(prev: ReferenceJet) -> ReferenceJet:
     pi_prev = truncation_matrix(d, dv, k - 1)
     m_jet = SpMat.block_diag([pi_prev] * (1 + d))
     m_foot = prev.iota @ SpMat.identity(prev_dim, amb.dim)
-    diff = m_jet - m_foot
+    diff = SpMat.assemble(m_jet.nrows, m_jet.ncols, [(0, 0, 1, m_jet), (0, 0, -1, m_foot)])
 
     dims = [d**j * dv for j in range(k + 1)]
     new_dim = sum(dims)
@@ -214,10 +213,10 @@ def projection_pair(sh: SemiHolonomicJet):
     return m_jet @ iota(sh), (iota(below) @ foot) @ iota(sh)
 
 
-def full_build_certificate(gs, chain, coh_next, mat: SpMat) -> PModMap:
-    """mat on Jbar^K(E/E^1) -> H^{n+1}, K = k + 1 for the splitter's
-    Jbar^k, checked against the built action of Jbar^K, extended from
-    Jbar^k."""
+def full_build_certificate(gs, chain, coh_next, mat: SpMat) -> tuple:
+    """The labels on which mat: Jbar^K(E/E^1) -> H^{n+1}, K = k + 1 for the
+    splitter's Jbar^k, fails to commute with the built action of Jbar^K,
+    extended from Jbar^k; () for a P-map."""
     sh = semiholonomic(gs.quotient(1), chain.jet.r + 1, below=chain.jet)
     return check_equivariance(mat, sh.module, coh_next.module)
 

@@ -58,6 +58,12 @@ def with_row(m: SpMat, i: int, row: dict) -> SpMat:
     return from_rows(m.nrows, m.ncols, rows)
 
 
+def bumped(m: SpMat, i: int, j: int) -> SpMat:
+    """m with entry (i, j) raised by one; m itself is untouched."""
+    row = row_dicts(m).get(i, {})
+    return with_row(m, i, {**row, j: row.get(j, 0) + 1})
+
+
 def reference_closure(seeds: SpMat, ops: list[SpMat]) -> SpMat:
     """Independent columns spanning the smallest space that holds the
     columns of seeds and is stable under every op: a naive fixpoint that

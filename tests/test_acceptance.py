@@ -178,12 +178,12 @@ def test_criterion_07_splitting_operator_identities():
     for label, sigma, w in battery_cases():
         for gs, chain in splitters_for(label, sigma, w):
             ok &= verify_splitter_projection(gs, chain) and verify_splitter_defect(gs, chain)
-            ok &= check_equivariance(chain.composite, chain.jet.module, gs.module).certified
+            ok &= check_equivariance(chain.composite, chain.jet.module, gs.module) == ()
             # constrained jet spaces are P-submodules compatible with L
             bases = tilde_bases(gs, chain.maps, gs.r)
             for i in range(gs.r + 1):
                 T = tilde_jet_submodule(gs, i, bases)
-                ok &= check_equivariance(T.basis, T.module, T.ambient).certified
+                ok &= check_equivariance(T.basis, T.module, T.ambient) == ()
             ok &= verify_tower_containments(gs, chain, bases)
             checked += 1
     _report(7, f"projection, defect, and prolongation-tower containment "
@@ -212,35 +212,33 @@ def _sample_identities(cc, rng, trials):
         zco = {a: Q(rng.randint(-2, 2)) for a in range(nd) if rng.random() < 0.6}
         zco = {a: c for a, c in zco.items() if c}
         if zco:
-            act = SpMat(cc.dim(n), cc.dim(n))
-            for a, c in zco.items():
-                act = act + level_action(cc, n, ("e", droots[a])).scale(c)
-            lhs = cc.delstars[n] @ (_wedge(cc, n, zco) @ f)
-            rhs = -(act @ f)
+            # dstar (Z ^ f) + Z.f + Z ^ (dstar f) = 0
+            terms = [(0, 0, 1, (cc.delstars[n], _wedge(cc, n, zco) @ f))] + [
+                (0, 0, c, (level_action(cc, n, ("e", droots[a])), f)) for a, c in zco.items()
+            ]
             if n >= 1:
-                rhs = rhs - _wedge(cc, n - 1, zco) @ (cc.delstars[n - 1] @ f)
-            ok &= (lhs - rhs).is_zero()
+                terms.append((0, 0, 1, (_wedge(cc, n - 1, zco), cc.delstars[n - 1] @ f)))
+            ok &= SpMat.assemble(cc.dim(n), 1, terms).is_zero()
         # commutator of a homogeneous raising element with the differential
         a = rng.randrange(nd)
         wlab = ("e", droots[a])
         gw = g.grade_of(wlab)
-        lhs = level_action(cc, n + 1, wlab) @ (cc.dels[n] @ f) - cc.dels[n] @ (
-            level_action(cc, n, wlab) @ f
-        )
-        rhs = SpMat(cc.dim(n + 1), 1)
+        # W.(d f) - d (W.f) = (n + 1) sum_b eps_b ^ ([W, f_b] / d_b).f
+        terms = [
+            (0, 0, 1, (level_action(cc, n + 1, wlab), cc.dels[n] @ f)),
+            (0, 0, -1, (cc.dels[n], level_action(cc, n, wlab) @ f)),
+        ]
         for b in range(nd):
             if g.grade_of(("e", droots[b])) > gw:
                 continue
             br = g.bracket_labels(wlab, ("f", droots[b]))
             if not br:
                 continue
-            img = SpMat(cc.dim(n), 1)
+            eps_b = unit_wedges(cc, n)[b]
             for lab, coeff in br.items():
-                img = img + level_action(cc, n, lab).scale(
-                    Q(coeff) / g.pairing_d[b]
-                ) @ f
-            rhs = rhs + unit_wedges(cc, n)[b] @ img.scale(n + 1)
-        ok &= (lhs - rhs).is_zero()
+                terms.append((0, 0, -(n + 1) * Q(coeff) / g.pairing_d[b],
+                              (eps_b, level_action(cc, n, lab) @ f)))
+        ok &= SpMat.assemble(cc.dim(n + 1), 1, terms).is_zero()
     return ok
 
 

@@ -31,7 +31,7 @@ from artifact.certify import (
 from artifact.hodge import ComplexNotCertified
 from artifact.repmod import positions_by_weight
 from conftest import complex_for, level_action, replaced
-from linalg_reference import row_dicts, with_row
+from linalg_reference import bumped, row_dicts
 
 CASES = [("A2", (1,), (1, 1)), ("B2", (1,), (0, 1)), ("G2", (1,), (0, 0))]
 
@@ -58,12 +58,6 @@ def battery(cc, tampered=None) -> dict[str, bool]:
         out["codifferential_leibniz"] &= verify_codifferential_leibniz(cc, n)
         out["differential_commutator"] &= verify_differential_commutator(cc, n)
     return out
-
-
-def bumped(m, i, j):
-    """m with entry (i, j) raised by one; m itself is untouched."""
-    row = row_dicts(m).get(i, {})
-    return with_row(m, i, {**row, j: row.get(j, 0) + 1})
 
 
 def raising_support(cc, n) -> set[tuple[int, int]]:

@@ -22,7 +22,7 @@ import pytest
 from artifact.linalg import Q, SpMat, kron_blocks
 from conftest import BATTERY, complex_for
 from hodge_reference import reference_level
-from linalg_reference import reference_kron, reference_matmul
+from linalg_reference import reference_assemble, reference_kron, reference_matmul
 
 RNG = random.Random(20261019)
 CASES = [(l, s, w) for l, s, ws in BATTERY for w in ws]
@@ -44,7 +44,11 @@ def fixed_matrix(nrows: int, ncols: int = 3) -> SpMat:
 
 
 def kron_sum(L: SpMat, M: SpMat) -> SpMat:
-    return reference_kron(L, SpMat.identity(M.nrows)) + reference_kron(SpMat.identity(L.nrows), M)
+    dim = L.nrows * M.nrows
+    return reference_assemble(dim, dim, [
+        (0, 0, 1, reference_kron(L, SpMat.identity(M.nrows))),
+        (0, 0, 1, reference_kron(SpMat.identity(L.nrows), M)),
+    ])
 
 
 @pytest.mark.parametrize("l,m", [(1, 1), (3, 1), (4, 1), (1, 3), (3, 2), (4, 3), (0, 2), (0, 1)])
@@ -60,11 +64,11 @@ def test_both_forms_match_the_dense_kronecker_sum(l, m):
         pairs = ((L, m), (l, M))
         assert SpMat.assemble(dim, dim, kron_blocks(*pairs)) == want
         assert SpMat.assemble(dim, dim + 2, kron_blocks(*pairs, c=c, col_off=2)) == \
-            SpMat.hstack([SpMat(dim, 2), want.scale(c)])
+            reference_assemble(dim, dim + 2, [(0, 2, c, want)])
         X = rand_mat(dim, 4)
         assert SpMat.assemble(dim, 4, kron_blocks(*pairs, right=X)) == reference_matmul(want, X)
         assert SpMat.assemble(dim, 5, kron_blocks(*pairs, c=c, right=X, col_off=1)) == \
-            SpMat.hstack([SpMat(dim, 1), reference_matmul(want, X).scale(c)])
+            reference_assemble(dim, 5, [(0, 1, c, reference_matmul(want, X))])
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -84,9 +88,11 @@ def test_unit_blocks_are_the_kronecker_product_times_right(l, k, m):
             (i, j): v for i, j, v in full.entries() if not (i < m or i >= (k - 1) * m)
         })
         for right in (full, holes, SpMat(k * m, 3)):
-            want = reference_matmul(reference_kron(L, one), right).scale(c)
+            want = reference_assemble(l * m, 5, [
+                (0, 2, c, reference_matmul(reference_kron(L, one), right)),
+            ])
             got = SpMat.assemble(l * m, 5, kron_blocks((L, m), c=c, right=right, col_off=2))
-            assert got == SpMat.hstack([SpMat(l * m, 2), want]), (L, right)
+            assert got == want, (L, right)
             if m == 1:
                 assert [b[3] for b in kron_blocks((L, m), c=c, right=right, col_off=2)] == \
                     [(L, right)]

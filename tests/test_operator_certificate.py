@@ -14,9 +14,9 @@ from artifact import bggcore, certify, jetcalc
 from artifact.bggcore import bgg_operator, compose_splitter, generate_submodule, operator_on_jet1
 from artifact.certify import CertificationFailure, certify_from_left
 from artifact.jetcalc import MAX_JET_DIM, equalizer_index_maps, jbar_dim
-from artifact.linalg import SpMat
 from conftest import BATTERY, NO_JET_BUDGET, components_for
 from jet_reference import full_build_certificate, index_matrix
+from linalg_reference import bumped
 
 ACCEPT_CASES = [(label, sigma, w) for label, sigma, ws in BATTERY for w in ws]
 ACCEPT_CASES.append(("G2", (1,), (1, 0)))
@@ -50,17 +50,13 @@ def merged(dt, chain):
     return dt @ index_matrix(phi, len(pick))
 
 
-def plus_one(dt, col):
-    return dt + SpMat.from_entries(dt.nrows, dt.ncols, {(0, col): 1})
-
-
 @pytest.mark.parametrize("label,sigma,weight", ACCEPT_CASES)
 def test_both_certificates_accept_the_operator(label, sigma, weight):
     for gs, chain, coh_next, comps_next in sources_for(label, sigma, weight):
         op = bgg_operator(gs, chain, coh_next, comps_next)  # the left certificate
         dt, _ = operator_on_jet1(gs, chain, coh_next)
         assert merged(dt, chain) == op.matrix
-        assert full_build_certificate(gs, chain, coh_next, op.matrix).certified
+        assert full_build_certificate(gs, chain, coh_next, op.matrix) == ()
 
 
 @pytest.mark.parametrize("label,sigma,weight", REFUSE_CASES)
@@ -70,18 +66,18 @@ def test_both_certificates_refuse_a_tampered_operator(label, sigma, weight):
         dt, _ = operator_on_jet1(gs, chain, coh_next)
         # 1 added to the first harmonic coordinate of D at the footpoint
         # column 0, which no other column of Dt merges with
-        tampered = [plus_one(dt, 0)]
+        tampered = [bumped(dt, 0, 0)]
         if chain.jet.r >= 1:
             # a column of Dt that phi merges with another one (phi of
             # Jbar^1, over chain.jet = Jbar^0, merges none)
             phi, _ = equalizer_index_maps(chain.jet)
             count = Counter(phi)
             q = next(q for q in range(chain.jet.module.dim, len(phi)) if count[phi[q]] > 1)
-            tampered.append(plus_one(dt, q))
+            tampered.append(bumped(dt, 0, q))
             merged_columns += 1
         for bad in tampered:
             assert not left_certificate_accepts(bad, chain, coh_next)
-            assert not full_build_certificate(gs, chain, coh_next, merged(bad, chain)).certified
+            assert full_build_certificate(gs, chain, coh_next, merged(bad, chain)) != ()
         sources += 1
     assert sources and merged_columns
 
@@ -91,7 +87,7 @@ def test_left_certificate_names_the_failing_labels():
     dt, _ = operator_on_jet1(gs, chain, coh_next)
     phi, pick = equalizer_index_maps(chain.jet)  # r = 1
     with pytest.raises(CertificationFailure, match=r"^operator residuals on \[\("):
-        certify_from_left(plus_one(dt, 0), chain.jet.module, phi, len(pick), coh_next.module)
+        certify_from_left(bumped(dt, 0, 0), chain.jet.module, phi, len(pick), coh_next.module)
 
 
 @pytest.mark.parametrize("label,sigma,weight,level,source", [

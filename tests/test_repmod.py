@@ -21,7 +21,7 @@ from artifact.repmod import (
     layered_closure,
 )
 from artifact.rootspace import NonDominant, build_root_system
-from conftest import components_for, graded
+from conftest import assert_representation, components_for, graded
 from hodge_reference import pplus_module
 from linalg_reference import reference_kron
 import repmod_reference
@@ -86,13 +86,17 @@ def test_chevalley_relations(label, lam):
             col = hi.col_dict(k)
             assert col == ({k: Q(mu[i])} if mu[i] else {})
         for j in range(n):
-            comm = e_mats[i] @ f_mats[j] - f_mats[j] @ e_mats[i]
+            comm = SpMat.assemble(m.dim, m.dim, [
+                (0, 0, 1, (e_mats[i], f_mats[j])), (0, 0, -1, (f_mats[j], e_mats[i])),
+            ])
             if i == j:
-                assert (comm - h_mats[i]).is_zero()
+                assert comm == h_mats[i]
             else:
                 assert comm.is_zero()
-            he = h_mats[i] @ e_mats[j] - e_mats[j] @ h_mats[i]
-            assert (he - e_mats[j].scale(Q(rs.cartan[i][j]))).is_zero()
+            assert SpMat.assemble(m.dim, m.dim, [
+                (0, 0, 1, (h_mats[i], e_mats[j])), (0, 0, -1, (e_mats[j], h_mats[i])),
+                (0, 0, -Q(rs.cartan[i][j]), e_mats[j]),
+            ]).is_zero()
 
 
 def test_highest_weight_space_unique():
@@ -108,10 +112,10 @@ def test_contravariant_gram():
     m = irrep("A2", (2, 0))
     e_mats, f_mats, _ = simple_generators(m)
     G = m.gram
-    assert (G - G.transpose()).is_zero()
+    assert G == G.transpose()
     assert G.rank() == m.dim
     for i in range(m.g.rs.rank):
-        assert (e_mats[i].transpose() @ G - G @ f_mats[i]).is_zero()
+        assert e_mats[i].transpose() @ G == G @ f_mats[i]
     # gram blocks vanish across distinct weights
     for r in range(m.dim):
         for c in range(m.dim):
@@ -261,14 +265,7 @@ def test_budget_and_dominance_guards():
 def test_restriction_is_p_representation():
     g = graded("A2", (1,))
     V = build_irrep(g, (1, 0))
-    labs = g.p_labels
-    for l1 in labs:
-        for l2 in labs:
-            comm = V.actions[l1] @ V.actions[l2] - V.actions[l2] @ V.actions[l1]
-            expect = SpMat(V.dim, V.dim)
-            for k, c in g.bracket_labels(l1, l2).items():
-                expect = expect + V.actions[k].scale(Q(c))
-            assert (comm - expect).is_zero()
+    assert_representation(g, V)
     E = g.grading_element
     for mu in V.weights:
         assert g.e_eigenvalue(mu) == sum(
@@ -289,13 +286,7 @@ def test_pplus_module_is_adjoint_on_pplus():
     assert tuple(g.e_eigenvalue(w) for w in W.weights) == tuple(
         sum(r[i] for i in (0,)) for r in g.pplus_roots
     )
-    for l1 in g.p_labels:
-        for l2 in g.p_labels:
-            comm = W.actions[l1] @ W.actions[l2] - W.actions[l2] @ W.actions[l1]
-            expect = SpMat(W.dim, W.dim)
-            for k, c in g.bracket_labels(l1, l2).items():
-                expect = expect + W.actions[k].scale(Q(c))
-            assert (comm - expect).is_zero()
+    assert_representation(g, W)
 
 
 def test_tensor_and_dual_actions():
@@ -305,10 +296,11 @@ def test_tensor_and_dual_actions():
     T = tensor(V, W)
     assert T.dim == V.dim * W.dim
     for l in g.p_labels:
-        expect = reference_kron(V.actions[l], SpMat.identity(W.dim)) + reference_kron(
-            SpMat.identity(V.dim), W.actions[l]
-        )
-        assert (T.actions[l] - expect).is_zero()
+        expect = SpMat.assemble(T.dim, T.dim, [
+            (0, 0, 1, reference_kron(V.actions[l], SpMat.identity(W.dim))),
+            (0, 0, 1, reference_kron(SpMat.identity(V.dim), W.actions[l])),
+        ])
+        assert T.actions[l] == expect
 
 
 def a1_square():
@@ -383,7 +375,10 @@ def test_a_highest_weight_vector_over_two_weights_is_refused():
     e2 = ("e", (0, 1))
     z = next(i for i in range(V.dim) if i not in (x, y))
     actions = dict(V.actions)
-    actions[e2] = V.actions[e2] + SpMat.from_entries(V.dim, V.dim, {(z, x): 1, (z, y): 1})
+    actions[e2] = SpMat.assemble(V.dim, V.dim, [
+        (0, 0, 1, V.actions[e2]),
+        (0, 0, 1, SpMat.from_entries(V.dim, V.dim, {(z, x): 1, (z, y): 1})),
+    ])
     bent = PModule(g=g, dim=V.dim, actions=actions, weights=V.weights)
     with pytest.raises(NotCompletelyReducibleInput, match="spans the weights"):
         decompose_completely_reducible(bent)

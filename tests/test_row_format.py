@@ -2,7 +2,7 @@
 
 Every other module builds matrices through `SpMat.assemble`, the index-map
 helpers and the constructors, and reads them through `get`, `col_dict`,
-`entries` and the arithmetic. So no module but `linalg` may touch an
+`entries` and ``@``. So no module but `linalg` may touch an
 attribute named ``rows`` or ``dens`` (the row denominators), or pass a rows
 dict to ``SpMat(...)``.
 """

@@ -13,21 +13,20 @@ from dataclasses import dataclass, field
 
 from artifact.certify import CertificationFailure, certify_map
 from artifact.hodge import CochainComplex
-from artifact.jetcalc import PModMap, SemiHolonomicJet, prolong, semiholonomic
+from artifact.jetcalc import SemiHolonomicJet, prolong, semiholonomic
 from artifact.linalg import LinAlgError, SpMat
 from artifact.repmod import PModule
 from hodge_reference import reference_level
 from jet_reference import iota, jet1, jet1_map_matrix, twisted_matrix
 
 
-def twisted_d_hom(cc: CochainComplex, n: int) -> PModMap:
-    """The twisted-derivative homomorphism J^1(C^n) -> C^{n+1}, certified."""
+def twisted_d_hom(cc: CochainComplex, n: int) -> None:
+    """Certify the twisted-derivative homomorphism J^1(C^n) -> C^{n+1}:
+    raises CertificationFailure unless it is a P-map."""
     if not 0 <= n < cc.top:
         raise ValueError(f"twisted derivative needs 0 <= n < {cc.top}, got {n}")
-    return certify_map(
-        twisted_matrix(cc, n), jet1(reference_level(cc, n)), reference_level(cc, n + 1),
-        "twisted derivative",
-    )
+    certify_map(twisted_matrix(cc, n), jet1(reference_level(cc, n)), reference_level(cc, n + 1),
+                "twisted derivative")
 
 
 def _left_annihilator(b: SpMat) -> SpMat:
@@ -58,7 +57,9 @@ def tilde_bases(gs, maps, top: int) -> list[SpMat]:
         # pi^{i+1}_i: E/E^{i+1} -> E/E^i keeps the leading coordinates
         jpi = jet1_map_matrix(g, SpMat.identity(gs.quotient(i).dim, qn.dim))
         cond1 = _left_annihilator(bases[-1]) @ jpi
-        cond2 = maps[i - 1] @ jpi - SpMat.identity(qn.dim, jpi.ncols)
+        cond2 = SpMat.assemble(qn.dim, jpi.ncols, [
+            (0, 0, 1, (maps[i - 1], jpi)), (0, 0, -1, SpMat.identity(qn.dim, jpi.ncols)),
+        ])
         bases.append(SpMat.vstack([cond1, cond2]).kernel_basis())
     return bases
 
